@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/eval"
+	"repro/internal/multi"
 	"repro/internal/parser"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
@@ -558,7 +559,7 @@ func BenchmarkMultiRule(b *testing.B) {
 		var ans int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, mode, err := EvalMultiSelection(md, q, db)
+			rel, mode, err := multi.EvalSelection(md, q, db)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 // liveFact is one base fact the churn test knows to be present.
@@ -94,9 +96,9 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 
 			// A twin engine replays the same churn through the batched
 			// write path (InsertFacts/RetractFacts). At every flush the
-			// two engines must agree on admission counts and dump
-			// byte-identically: batching may only amortize, never change
-			// semantics.
+			// two engines must agree on admission counts and epoch, and
+			// dump byte-identically: batching may only amortize, never
+			// change semantics.
 			twin := exm.open(t)
 			type op struct {
 				retract bool
@@ -137,6 +139,10 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 						step, gotAdded, gotRemoved, wantAdded, wantRemoved)
 				}
 				wantAdded, wantRemoved = 0, 0
+				if got, want := twin.DB().Epoch(), eng.DB().Epoch(); got != want {
+					t.Fatalf("step %d: batched path at epoch %d, per-fact path at %d: the epoch counts accepted mutations either way",
+						step, got, want)
+				}
 				if got, want := twin.DB().Dump(), eng.DB().Dump(); got != want {
 					t.Fatalf("step %d: batched-path dump differs from per-fact dump\nbatched:\n%s\nper-fact:\n%s",
 						step, got, want)
@@ -182,7 +188,7 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d %v: %v", step, ground, err)
 				}
-				oracle, _, err := SelectEval(prog, ground, eng.DB())
+				oracle, _, err := eval.SelectEval(prog, ground, eng.DB())
 				if err != nil {
 					t.Fatalf("step %d oracle: %v", step, err)
 				}

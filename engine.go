@@ -52,10 +52,10 @@ type Engine struct {
 	// (AttachPersistence) while queries and stats readers are active.
 	log atomic.Pointer[wal.Log]
 
-	// readOnly, when set, makes quota-gated write entry points
-	// (InsertFact) fail with ErrReadOnly. Replication appliers bypass it
-	// by writing through AddFact/the database directly; serving layers
-	// map it to a redirect at the primary.
+	// readOnly, when set, makes the write entry points (InsertFacts,
+	// RetractFacts and everything built on them) fail with ErrReadOnly.
+	// Replication appliers bypass it by writing through the database
+	// directly; serving layers map it to a redirect at the primary.
 	readOnly atomic.Bool
 
 	// closersMu guards closers: hooks registered by OnClose that Close
@@ -148,20 +148,23 @@ func Open(opts ...Option) (*Engine, error) {
 		}
 	}
 	if cfg.program != nil {
-		e.LoadProgram(cfg.program)
+		err = e.LoadProgram(cfg.program)
 	}
 	if lg := e.log.Load(); lg != nil {
 		// Rewarm after every program load: LoadProgram resets the cache.
 		e.rewarmShapes(shapes)
-		if bootstrap {
+		if bootstrap && err == nil {
 			// WithDatabase handed us state that predates the journal;
 			// capture it in a snapshot so a crash before the first
 			// explicit Checkpoint still recovers it.
-			if err := e.Checkpoint(); err != nil {
-				lg.Close()
-				return nil, err
-			}
+			err = e.Checkpoint()
 		}
+		if err != nil {
+			lg.Close()
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -175,14 +178,10 @@ func (e *Engine) openPersistence(cfg engineConfig) (shapes []string, bootstrap b
 	db := e.db
 	bootstrap = db.Syms.Len() > 0 || db.TupleCount() > 0
 	var ruleSrcs []string
-	log, err := wal.Open(cfg.persistDir, cfg.syncPolicy, wal.Replay{
-		Sym:     func(name string) { db.Syms.Intern(name) },
-		Rel:     func(pred string, arity int) { db.Ensure(pred, arity) },
-		Fact:    func(pred string, consts []string) { db.AddFact(pred, consts...) },
-		Retract: func(pred string, consts []string) { db.RemoveFact(pred, consts...) },
-		Rule:    func(src string) { ruleSrcs = append(ruleSrcs, src) },
-		Shape:   func(q string) { shapes = append(shapes, q) },
-	})
+	replay := wal.ReplayInto(db)
+	replay.Rule = func(src string) { ruleSrcs = append(ruleSrcs, src) }
+	replay.Shape = func(q string) { shapes = append(shapes, q) }
+	log, err := wal.Open(cfg.persistDir, cfg.syncPolicy, replay)
 	if err != nil {
 		return nil, false, err
 	}
@@ -213,58 +212,56 @@ func (e *Engine) openPersistence(cfg engineConfig) (shapes []string, bootstrap b
 // inspection.
 func (e *Engine) DB() *Database { return e.db }
 
-// AddFact interns the constants and inserts the tuple into the named
-// relation, reporting whether the tuple was genuinely new (false on a
-// duplicate). The insert stamps the database epoch, so cached query
-// results notice the change; with auto-checkpointing configured it may
-// trigger a checkpoint. AddFact routes through the same admission and
-// journal path as InsertFact — the fact quota cannot be bypassed by
-// picking the error-free entry point; the only difference is that a
-// rejected insert (quota, read-only follower) reports false instead of
-// an error.
+// AddFact inserts one fact, reporting whether the tuple was genuinely
+// new (false on a duplicate). It is InsertFact with rejections (quota,
+// read-only follower, arity mismatch) flattened to false — the same
+// admission and journal path, so the fact quota cannot be bypassed by
+// picking the error-free entry point.
 func (e *Engine) AddFact(pred string, consts ...string) bool {
 	added, _ := e.InsertFact(pred, consts...)
 	return added
 }
 
 // Retract removes the tuple from the named relation, reporting whether
-// it was present. A retraction journals like an insert (its own WAL
-// record kind), stamps the database epoch — so cached results observe
-// it as a signed delta and maintained plans run their delete-rederive
-// pass — and counts toward auto-checkpointing. A read-only engine
-// (replication follower) rejects with ErrReadOnly.
+// it was present: RetractFacts of one fact. A retraction journals like
+// an insert (its own WAL record kind), stamps the database epoch — so
+// cached results observe it as a signed delta and maintained plans run
+// their delete-rederive pass — and counts toward auto-checkpointing. A
+// read-only engine (replication follower) rejects with ErrReadOnly.
 func (e *Engine) Retract(pred string, consts ...string) (bool, error) {
-	if e.readOnly.Load() {
-		return false, ErrReadOnly
-	}
-	removed := e.db.RemoveFact(pred, consts...)
-	e.maybeAutoCheckpoint()
-	return removed, nil
+	n, err := e.RetractFacts([]Fact{{Pred: pred, Args: consts}})
+	return n == 1, err
 }
 
-// Load parses a source text in Prolog syntax, inserts its ground facts
-// into the database, appends its rules to the engine's program, and
-// returns any "?- q(...)." queries it contained. Loading rules
-// invalidates the plan cache.
+// Load parses a source text in Prolog syntax and loads it like
+// LoadProgram, returning any "?- q(...)." queries it contained. When
+// the ground facts are refused (see LoadProgram) the queries come back
+// alongside that error.
 func (e *Engine) Load(src string) ([]Atom, error) {
 	prog, queries, err := ParseSource(src)
 	if err != nil {
 		return nil, err
 	}
-	e.LoadProgram(prog)
-	return queries, nil
+	return queries, e.LoadProgram(prog)
 }
 
 // LoadProgram inserts the program's ground facts into the database and
 // appends its rules to the engine's program, invalidating the plan
-// cache. Loading is idempotent: rules textually identical to ones
-// already loaded are skipped (so re-loading a source file over a
-// persistent engine — the CLI restart pattern — does not duplicate the
-// program), and fact inserts dedup in storage. With persistence, newly
-// added rules are journaled. The engine's program is copy-on-write:
-// in-flight queries keep evaluating their consistent snapshot.
-func (e *Engine) LoadProgram(p *Program) {
-	rules := eval.LoadFacts(p, e.db)
+// cache. The facts are one InsertFacts batch, under its admission rules:
+// the error is ErrFactLimitExceeded, ErrReadOnly or ErrArityMismatch
+// when some were refused, and the rules load regardless. Loading is
+// idempotent: rules textually identical to ones already loaded are
+// skipped (so re-loading a source file over a persistent engine — the
+// CLI restart pattern — does not duplicate the program), and fact
+// inserts dedup in storage. With persistence, newly added rules are
+// journaled. The engine's program is copy-on-write: in-flight queries
+// keep evaluating their consistent snapshot.
+func (e *Engine) LoadProgram(p *Program) error {
+	facts, rules := SplitFacts(p)
+	var err error
+	if len(facts) > 0 {
+		_, err = e.InsertFacts(facts)
+	}
 	e.mu.Lock()
 	merged := ast.NewProgram()
 	merged.Rules = append(merged.Rules, e.program.Rules...)
@@ -301,7 +298,7 @@ func (e *Engine) LoadProgram(p *Program) {
 			log.AppendRule(parser.RenderRule(r))
 		}
 	}
-	e.maybeAutoCheckpoint()
+	return err
 }
 
 // Program returns a snapshot of the engine's current rule set.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/eval"
 )
 
 // bindExample is one of the five example workloads: a program, a query
@@ -182,7 +183,7 @@ func TestBindMatchesPrepareAcrossExamples(t *testing.T) {
 					t.Fatalf("%s: fresh query: %v", c, err)
 				}
 				// (c) The independent oracle: full materialization + select.
-				oracle, _, err := SelectEval(prog, ground, eng.DB())
+				oracle, _, err := eval.SelectEval(prog, ground, eng.DB())
 				if err != nil {
 					t.Fatalf("%s: oracle: %v", c, err)
 				}

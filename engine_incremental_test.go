@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 // TestResultCacheHitUpdateRebuild walks one bound query through the
@@ -239,7 +241,7 @@ func TestIncrementalEquivalenceAcrossExamples(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d %v: %v", step, ground, err)
 				}
-				oracle, _, err := SelectEval(prog, ground, eng.DB())
+				oracle, _, err := eval.SelectEval(prog, ground, eng.DB())
 				if err != nil {
 					t.Fatalf("step %d oracle: %v", step, err)
 				}

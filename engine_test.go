@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/eval"
 )
 
 const quickstartSrc = `
@@ -95,7 +97,7 @@ func TestEngineFallsBackToMagic(t *testing.T) {
 		t.Fatalf("rejected list %v does not mention onesided", ex.Rejected)
 	}
 	// Cross-check against full materialization.
-	want, _, err := SelectEval(eng.Program(), mustAtom(t, "sg(a, Y)"), eng.DB())
+	want, _, err := eval.SelectEval(eng.Program(), mustAtom(t, "sg(a, Y)"), eng.DB())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package onesided
 
 import (
 	"testing"
+
+	"repro/internal/eval"
+	"repro/internal/multi"
 )
 
 // TestPublicAPIProofs exercises the proof facade: find, verify, minimize.
@@ -86,7 +89,7 @@ func TestPublicAPIMultiRule(t *testing.T) {
 	db.AddFact("bus", "y", "z")
 	db.AddFact("home", "z", "base")
 	q, _ := ParseQuery("t(X, base)")
-	ans, mode, err := EvalMultiSelection(md, q, db)
+	ans, mode, err := multi.EvalSelection(md, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func TestPublicAPIMultiRule(t *testing.T) {
 		t.Fatalf("answers = %v", got)
 	}
 	// Same answers through magic.
-	want, _, err := MagicEval(md.Program(), q, db)
+	want, _, err := eval.MagicEval(md.Program(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

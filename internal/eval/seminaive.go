@@ -984,10 +984,11 @@ func NaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Resu
 	return res, nil
 }
 
-// LoadFacts inserts the ground facts of a parsed program into the
-// database, returning the program without them. Convenience for tests and
-// the CLI, where data and rules arrive in one source text.
-func LoadFacts(p *ast.Program, db *storage.Database) *ast.Program {
+// SplitFacts hands each ground fact of a parsed program to fact
+// (predicate and constant names, in program order) and returns the
+// program without them — data and rules arrive in one source text, and
+// each caller admits the data its own way.
+func SplitFacts(p *ast.Program, fact func(pred string, consts []string)) *ast.Program {
 	rest := ast.NewProgram()
 	for _, r := range p.Rules {
 		if r.IsFact() {
@@ -995,7 +996,7 @@ func LoadFacts(p *ast.Program, db *storage.Database) *ast.Program {
 			for i, t := range r.Head.Args {
 				names[i] = t.Name
 			}
-			db.AddFact(r.Head.Pred, names...)
+			fact(r.Head.Pred, names)
 			continue
 		}
 		rest.Rules = append(rest.Rules, r)

@@ -262,7 +262,7 @@ func TestEmptyEDB(t *testing.T) {
 	}
 }
 
-func TestLoadFacts(t *testing.T) {
+func TestSplitFacts(t *testing.T) {
 	res, err := parser.Parse(`
 		t(X, Y) :- a(X, Z), t(Z, Y).
 		t(X, Y) :- b(X, Y).
@@ -272,7 +272,7 @@ func TestLoadFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := storage.NewDatabase()
-	rules := LoadFacts(res.Program, db)
+	rules := SplitFacts(res.Program, func(pred string, consts []string) { db.AddFact(pred, consts...) })
 	if len(rules.Rules) != 2 {
 		t.Fatalf("rules = %d", len(rules.Rules))
 	}

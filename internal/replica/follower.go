@@ -123,14 +123,8 @@ func Start(cfg FollowerConfig) (*Follower, error) {
 	// Recover a previous run's mirror: replays straight into the engine
 	// and — by routing the Sym callback through the Applier — seeds the
 	// applier's Value translation so tailed records resolve identically.
-	res, err := wal.Recover(cfg.Dir, wal.Replay{
-		Sym:     f.ap.ApplySym,
-		Rel:     cb.Rel,
-		Fact:    cb.Fact,
-		Retract: cb.Retract,
-		Rule:    cb.Rule,
-		Shape:   cb.Shape,
-	})
+	cb.Sym = f.ap.ApplySym
+	res, err := wal.Recover(cfg.Dir, cb)
 	if err != nil {
 		return nil, fmt.Errorf("replica: mirror recovery: %w", err)
 	}
@@ -149,36 +143,27 @@ func Start(cfg FollowerConfig) (*Follower, error) {
 }
 
 // replayCallbacks wires stream records into the engine: facts and
-// symbols straight into the database (read-only gates only client
-// writes), rules through LoadProgram (which invalidates plan and result
-// caches, and journals nothing while the engine has no log), and
-// shapes through Prepare to keep the plan cache warm.
+// symbols straight into the database (wal.ReplayInto — read-only gates
+// only client writes), rules through LoadProgram (which invalidates plan
+// and result caches, and journals nothing while the engine has no log),
+// and shapes through Prepare to keep the plan cache warm.
 func (f *Follower) replayCallbacks() wal.Replay {
-	db := f.eng.DB()
-	return wal.Replay{
-		Sym: func(name string) { db.Syms.Intern(name) },
-		Rel: func(pred string, arity int) { db.Ensure(pred, arity) },
-		Fact: func(pred string, consts []string) {
-			db.AddFact(pred, consts...)
-		},
-		Retract: func(pred string, consts []string) {
-			db.RemoveFact(pred, consts...)
-		},
-		Rule: func(src string) {
-			r, err := parser.ParseRule(src)
-			if err != nil {
-				return // primary-journaled rules always parse
-			}
-			prog := ast.NewProgram()
-			prog.Rules = append(prog.Rules, r)
-			f.eng.LoadProgram(prog)
-		},
-		Shape: func(q string) {
-			if a, err := parser.ParseAtom(q); err == nil {
-				f.eng.Prepare(nil, a) //nolint:errcheck — warming only
-			}
-		},
+	cb := wal.ReplayInto(f.eng.DB())
+	cb.Rule = func(src string) {
+		r, err := parser.ParseRule(src)
+		if err != nil {
+			return // primary-journaled rules always parse
+		}
+		prog := ast.NewProgram()
+		prog.Rules = append(prog.Rules, r)
+		f.eng.LoadProgram(prog) //nolint:errcheck — a rule-only program inserts no facts, so nothing can be refused
 	}
+	cb.Shape = func(q string) {
+		if a, err := parser.ParseAtom(q); err == nil {
+			f.eng.Prepare(nil, a) //nolint:errcheck — warming only
+		}
+	}
+	return cb
 }
 
 // run is the tail goroutine: bootstrap (unless the mirror resumed a

@@ -121,6 +121,72 @@ func TestAtEpochBarrierServesReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestBatchedWritesKeepEpochInvariant: a batched /v1/facts write moves
+// the primary's epoch by its accepted count, so the follower — which
+// applies the log one record at a time — lands on exactly the primary's
+// epoch, and a read carrying the write's X-Epoch waits for the whole
+// batch, not its first record.
+func TestBatchedWritesKeepEpochInvariant(t *testing.T) {
+	p := newReplPair(t)
+	if _, err := p.primary.Load("t(X, Y) :- edge(X, Y)."); err != nil {
+		t.Fatal(err)
+	}
+	const batch = 1000
+	req := factsRequest{Facts: make([]fact, batch+1)}
+	for i := range req.Facts {
+		req.Facts[i] = fact{Pred: "edge", Args: []string{"a", "b" + strconv.Itoa(i%batch)}} // one in-batch duplicate
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(p.psrv.URL+"/v1/facts", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	epoch := resp.Header.Get(epochHeader)
+	if resp.StatusCode != http.StatusOK || epoch != strconv.Itoa(batch) {
+		t.Fatalf("batched write: status %d, %s = %q, want 200 at epoch %d", resp.StatusCode, epochHeader, epoch, batch)
+	}
+
+	w := doReq(t, p.fsrv, "POST", "/v1/query", map[string]string{atEpochHeader: epoch}, queryRequest{Query: "t(a, Y)"})
+	var got queryResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("at-epoch query = %d (body %s): %v", w.Code, w.Body, err)
+	}
+	if got.Count != batch {
+		t.Fatalf("read at the write's epoch saw %d of %d facts", got.Count, batch)
+	}
+
+	// A second batch with retractions, then quiesce: applied epoch equals
+	// the primary's and the lag is exactly zero.
+	retracts := make([]onesided.Fact, 300)
+	for i := range retracts {
+		retracts[i] = onesided.Fact{Pred: "edge", Args: []string{"a", "b" + strconv.Itoa(2*i)}}
+	}
+	if n, err := p.primary.RetractFacts(retracts); err != nil || n != len(retracts) {
+		t.Fatalf("RetractFacts = %d, %v", n, err)
+	}
+	want := p.primary.DB().Epoch()
+	if want != batch+uint64(len(retracts)) {
+		t.Fatalf("primary epoch %d, want %d accepted mutations", want, batch+len(retracts))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for p.f.Stats().AppliedEpoch < want || p.f.Stats().PrimaryEpoch < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never caught up: %+v", p.f.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := p.f.Stats(); st.AppliedEpoch != want || st.LagEpochs != 0 {
+		t.Fatalf("quiesced follower: applied epoch %d lag %d, want %d and 0", st.AppliedEpoch, st.LagEpochs, want)
+	}
+	if p.follower.DB().Dump() != p.primary.DB().Dump() {
+		t.Fatal("follower state diverged from the primary")
+	}
+}
+
 func TestAtEpochBarrierTooEarly(t *testing.T) {
 	eng, err := onesided.Open()
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -523,7 +524,8 @@ type factsRequest struct {
 	// the response's Missing, not as an error.
 	Retracts []fact `json:"retracts,omitempty"`
 	// Rules are Prolog-syntax rule sources loaded into the engine's
-	// program (idempotent, like Engine.Load).
+	// program (idempotent, like Engine.Load). Ground facts among them are
+	// inserts like Facts: same tenant admission, counted in Added.
 	Rules []string `json:"rules,omitempty"`
 }
 
@@ -554,6 +556,22 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter) {
 		fmt.Errorf("%w; writes go to the primary", onesided.ErrReadOnly))
 }
 
+// rejectWrite answers a write the engine refused: the redirect when it
+// went read-only between the gate and the write (a demotion race), 429
+// for the fact quota, 400 for anything else (an arity mismatch).
+func (s *Server) rejectWrite(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, onesided.ErrReadOnly):
+		s.rejectReadOnly(w)
+		return
+	case errors.Is(err, onesided.ErrFactLimitExceeded):
+		s.factRejects.Add(1)
+	default:
+		s.badRequests.Add(1)
+	}
+	writeError(w, statusFor(err), err)
+}
+
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	if s.eng.ReadOnly() {
 		s.rejectReadOnly(w)
@@ -566,83 +584,32 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	}
 	name, ts := s.tenant(r)
 	ts.requests.Add(1)
-	quota := s.quotaFor(name)
 	var resp factsResponse
-	// Inserts ride the batched write path: one admission pass, one
-	// interning pass, and one journal run (a single group commit under
-	// SyncAlways) per predicate group instead of per fact. A fact with
-	// an empty predicate splits the run — the valid prefix inserts, as
-	// the per-fact loop would have, then the 400 reports the bad fact.
-	badFact := func(facts []fact) int {
-		for i, f := range facts {
+	// A fact with an empty predicate splits its run — the valid prefix is
+	// applied, as a per-fact loop would have, then the 400 reports the
+	// bad fact.
+	validPrefix := func(facts []fact) ([]onesided.Fact, bool) {
+		out := make([]onesided.Fact, 0, len(facts))
+		for _, f := range facts {
 			if f.Pred == "" {
-				return i
+				return out, false
 			}
+			out = append(out, onesided.Fact{Pred: f.Pred, Args: f.Args})
 		}
-		return -1
+		return out, true
 	}
-	toBatch := func(facts []fact) []onesided.Fact {
-		out := make([]onesided.Fact, len(facts))
-		for i, f := range facts {
-			out[i] = onesided.Fact{Pred: f.Pred, Args: f.Args}
-		}
-		return out
+	batch, ok := validPrefix(req.Facts)
+	if !s.insertFacts(w, name, ts, batch, &resp) {
+		return
 	}
-	bad := badFact(req.Facts)
-	valid := req.Facts
-	if bad >= 0 {
-		valid = req.Facts[:bad]
-	}
-	batch := toBatch(valid)
-	for len(batch) > 0 {
-		// Per-tenant admission first (the tenant's own accepted inserts
-		// bound the chunk), then the engine's global MaxFacts inside
-		// InsertFacts. Duplicates insert as no-ops and do not consume
-		// quota, so the loop re-checks after each chunk.
-		chunk := batch
-		if quota.MaxFacts > 0 {
-			remaining := quota.MaxFacts - ts.facts.Load()
-			if remaining <= 0 {
-				s.factRejects.Add(1)
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Errorf("%w: tenant %s holds %d facts (limit %d)",
-						onesided.ErrFactLimitExceeded, name, ts.facts.Load(), quota.MaxFacts))
-				return
-			}
-			if int64(len(chunk)) > remaining {
-				chunk = batch[:remaining]
-			}
-		}
-		added, err := s.eng.InsertFacts(chunk)
-		ts.facts.Add(int64(added))
-		s.factsAdded.Add(int64(added))
-		resp.Added += added
-		if err != nil {
-			if errors.Is(err, onesided.ErrReadOnly) {
-				// The engine went read-only between the gate and the
-				// insert (a demotion race); same redirect.
-				s.rejectReadOnly(w)
-				return
-			}
-			s.factRejects.Add(1)
-			writeError(w, statusFor(err), err)
-			return
-		}
-		resp.Duplicates += len(chunk) - added
-		batch = batch[len(chunk):]
-	}
-	if bad >= 0 {
+	if !ok {
 		s.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, errors.New("server: fact with empty predicate"))
 		return
 	}
-	bad = badFact(req.Retracts)
-	valid = req.Retracts
-	if bad >= 0 {
-		valid = req.Retracts[:bad]
-	}
-	if len(valid) > 0 {
-		removed, err := s.eng.RetractFacts(toBatch(valid))
+	batch, ok = validPrefix(req.Retracts)
+	if len(batch) > 0 {
+		removed, err := s.eng.RetractFacts(batch)
 		if removed > 0 {
 			// Retractions free the tenant's fact-quota slots the inserts
 			// consumed; the floor keeps cross-tenant retractions from
@@ -653,34 +620,76 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 			resp.Retracted += removed
 		}
 		if err != nil {
-			if errors.Is(err, onesided.ErrReadOnly) {
-				s.rejectReadOnly(w)
-				return
-			}
-			writeError(w, statusFor(err), err)
+			s.rejectWrite(w, err)
 			return
 		}
-		resp.Missing += len(valid) - removed
+		resp.Missing += len(batch) - removed
 	}
-	if bad >= 0 {
+	if !ok {
 		s.badRequests.Add(1)
 		writeError(w, http.StatusBadRequest, errors.New("server: retract with empty predicate"))
 		return
 	}
 	if len(req.Rules) > 0 {
-		var src string
-		for _, rule := range req.Rules {
-			src += rule + "\n"
-		}
-		if _, err := s.eng.Load(src); err != nil {
+		prog, _, err := onesided.ParseSource(strings.Join(req.Rules, "\n"))
+		if err != nil {
 			s.badRequests.Add(1)
 			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		// Ground facts spelled as rules are facts: they pass the same
+		// tenant admission before the rules proper are loaded.
+		ground, rules := onesided.SplitFacts(prog)
+		if !s.insertFacts(w, name, ts, ground, &resp) {
+			return
+		}
+		if err := s.eng.LoadProgram(rules); err != nil {
+			s.rejectWrite(w, err)
 			return
 		}
 		resp.Rules = len(req.Rules)
 	}
 	s.served.Add(1)
+	w.Header().Set(epochHeader, strconv.FormatUint(s.eng.DB().Epoch(), 10))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// insertFacts admits batch for the tenant and inserts it through the
+// engine's batched write path, tallying resp. Per-tenant admission comes
+// first (the tenant's own accepted inserts bound each chunk), then the
+// engine's global MaxFacts inside InsertFacts; duplicates insert as
+// no-ops and do not consume quota, so the loop re-checks after each
+// chunk. It reports false — having written the error response — when
+// the batch was refused part-way; the prefix that fit stays in.
+func (s *Server) insertFacts(w http.ResponseWriter, name string, ts *tenantState, batch []onesided.Fact, resp *factsResponse) bool {
+	quota := s.quotaFor(name)
+	for len(batch) > 0 {
+		chunk := batch
+		if quota.MaxFacts > 0 {
+			remaining := quota.MaxFacts - ts.facts.Load()
+			if remaining <= 0 {
+				s.factRejects.Add(1)
+				writeError(w, http.StatusTooManyRequests,
+					fmt.Errorf("%w: tenant %s holds %d facts (limit %d)",
+						onesided.ErrFactLimitExceeded, name, ts.facts.Load(), quota.MaxFacts))
+				return false
+			}
+			if int64(len(chunk)) > remaining {
+				chunk = batch[:remaining]
+			}
+		}
+		added, err := s.eng.InsertFacts(chunk)
+		ts.facts.Add(int64(added))
+		s.factsAdded.Add(int64(added))
+		resp.Added += added
+		if err != nil {
+			s.rejectWrite(w, err)
+			return false
+		}
+		resp.Duplicates += len(chunk) - added
+		batch = batch[len(chunk):]
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------

@@ -207,6 +207,14 @@ func TestFactsIngestAndTenantQuota(t *testing.T) {
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-quota ingest: status = %d, body %s", w.Code, w.Body)
 	}
+	// Spelling the fact as a rule is the same insert: same 429, nothing
+	// stored.
+	before := srv.eng.DB().TupleCount()
+	w = do(t, srv, "POST", "/v1/facts", "small", factsRequest{Rules: []string{"e(a, b)."}})
+	if w.Code != http.StatusTooManyRequests || srv.eng.DB().TupleCount() != before {
+		t.Fatalf("over-quota fact in rules: status = %d, tuples %d -> %d, body %s",
+			w.Code, before, srv.eng.DB().TupleCount(), w.Body)
+	}
 	// Another tenant is unaffected, and rules load through the same
 	// endpoint.
 	w = do(t, srv, "POST", "/v1/facts", "other", factsRequest{
@@ -218,6 +226,45 @@ func TestFactsIngestAndTenantQuota(t *testing.T) {
 	}
 	if w := do(t, srv, "POST", "/v1/query", "", queryRequest{Query: "r(z, Y)"}); w.Code != http.StatusOK {
 		t.Fatalf("query over ingested rule: status = %d, body %s", w.Code, w.Body)
+	}
+}
+
+// TestFactsArityMismatch400: a fact whose arity differs from its
+// relation's — stored, or fixed by an earlier fact of the same request —
+// is a 400, never a panic; the facts before it are in and counted.
+func TestFactsArityMismatch400(t *testing.T) {
+	srv := newTestServer(t, 1, Config{}) // a/2 and b/2 exist
+	for name, req := range map[string]factsRequest{
+		"stored relation": {Facts: []fact{
+			{Pred: "a", Args: []string{"p", "q"}},
+			{Pred: "a", Args: []string{"x"}},
+			{Pred: "a", Args: []string{"r", "s"}},
+		}},
+		"new predicate": {Facts: []fact{
+			{Pred: "fresh", Args: []string{"p"}},
+			{Pred: "fresh", Args: []string{"p", "q"}},
+		}},
+		"fact in rules": {Rules: []string{"a(u, v). b(x)."}},
+	} {
+		before := srv.eng.DB().TupleCount()
+		w := do(t, srv, "POST", "/v1/facts", "", req)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (body %s)", name, w.Code, w.Body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "arity") {
+			t.Fatalf("%s: error body = %s", name, w.Body)
+		}
+		if got := srv.eng.DB().TupleCount(); got != before+1 {
+			t.Fatalf("%s: %d tuples after the 400, want the valid prefix (%d)", name, got, before+1)
+		}
+	}
+	// Retracting with the wrong arity stays a miss, not an error.
+	w := do(t, srv, "POST", "/v1/facts", "", factsRequest{Retracts: []fact{{Pred: "a", Args: []string{"x"}}}})
+	var resp factsResponse
+	json.Unmarshal(w.Body.Bytes(), &resp)
+	if w.Code != http.StatusOK || resp.Missing != 1 {
+		t.Fatalf("wrong-arity retract: status = %d resp = %+v, want 200 with 1 missing", w.Code, resp)
 	}
 }
 

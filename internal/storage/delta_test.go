@@ -177,56 +177,137 @@ func TestDeltaConcurrentInserts(t *testing.T) {
 	}
 }
 
-// TestReplayEpochEquivalence is the storage-level foundation of the
-// replication contract: applying the same insert sequence to two
-// databases — regardless of interleaved duplicates or symbol interning
-// order differences introduced by re-delivery — yields the same epoch
-// and a byte-identical Dump at every prefix. A follower at the
-// primary's log position therefore has exactly the primary's epoch and
-// state.
-func TestReplayEpochEquivalence(t *testing.T) {
-	type ins struct {
-		pred string
-		args []string
-	}
-	var seq []ins
-	for i := 0; i < 40; i++ {
-		seq = append(seq, ins{"edge", []string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}})
-		if i%3 == 0 {
-			seq = append(seq, ins{"label", []string{fmt.Sprintf("n%d", i), "hub"}})
-		}
-		if i%5 == 0 && i > 0 {
-			// Duplicated delivery: a record replayed twice must not
-			// advance the epoch the second time.
-			seq = append(seq, seq[len(seq)-1])
-		}
-	}
+// runLog is the test journal: it records every journaled run as
+// replayable per-tuple records (constant names, so they apply to a
+// database that interned in another order), the way the write-ahead log
+// frames one record per accepted tuple.
+type runLog struct {
+	syms *SymbolTable
+	recs []logRec
+}
 
+type logRec struct {
+	del    bool
+	pred   string
+	consts []string
+}
+
+func (l *runLog) JournalSym(string) {}
+
+func (l *runLog) JournalFactBatch(pred string, ts []Tuple) { l.record(false, pred, ts) }
+
+func (l *runLog) JournalRetractBatch(pred string, ts []Tuple) { l.record(true, pred, ts) }
+
+func (l *runLog) record(del bool, pred string, ts []Tuple) {
+	for _, t := range ts {
+		consts := make([]string, len(t))
+		for i, v := range t {
+			consts[i] = l.syms.Name(v)
+		}
+		l.recs = append(l.recs, logRec{del, pred, consts})
+	}
+}
+
+// TestReplayEpochEquivalence is the storage-level foundation of the
+// replication contract: a primary that mutates through every entry point
+// — single Insert and Retract, InsertBatch and RetractBatch with in-batch
+// duplicates, re-delivered tuples and misses — journals one record per
+// accepted mutation, and a replica applying those records one at a time
+// (the only way a follower or a recovery ever applies them) holds the
+// primary's epoch and a byte-identical Dump at every run boundary,
+// regardless of symbol interning order. The epoch counts accepted
+// mutations, for a run exactly as for single writes.
+func TestReplayEpochEquivalence(t *testing.T) {
 	a, b := NewDatabase(), NewDatabase()
+	log := &runLog{syms: a.Syms}
+	a.SetJournal(log)
 	// b interns some symbols ahead of time in a different order — the
 	// Value assignment may differ, but names and epochs must not.
 	b.Syms.Intern("hub")
 	b.Syms.Intern("n7")
-	for i, s := range seq {
-		a.AddFact(s.pred, s.args...)
-		b.AddFact(s.pred, s.args...)
-		if a.Epoch() != b.Epoch() {
-			t.Fatalf("epoch diverged at step %d: %d vs %d", i, a.Epoch(), b.Epoch())
+
+	tuples := func(pairs ...[2]string) []Tuple {
+		out := make([]Tuple, len(pairs))
+		for i, p := range pairs {
+			out[i] = Tuple{a.Syms.Intern(p[0]), a.Syms.Intern(p[1])}
 		}
-		if i%10 == 0 && a.Dump() != b.Dump() {
-			t.Fatalf("dumps diverged at step %d (epoch %d)\na:\n%s\nb:\n%s",
-				i, a.Epoch(), a.Dump(), b.Dump())
+		return out
+	}
+	edge := func(i, j int) [2]string { return [2]string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j)} }
+	a.Ensure("edge", 2)
+
+	var accepted uint64
+	boundary := func(step string, want int) {
+		t.Helper()
+		accepted += uint64(want)
+		if len(log.recs) != want {
+			t.Fatalf("%s: journaled %d records, want %d accepted mutations", step, len(log.recs), want)
+		}
+		for _, r := range log.recs {
+			before := b.Epoch()
+			if r.del {
+				b.RemoveFact(r.pred, r.consts...)
+			} else {
+				b.AddFact(r.pred, r.consts...)
+			}
+			if b.Epoch() != before+1 {
+				t.Fatalf("%s: replaying %+v moved the epoch %d -> %d", step, r, before, b.Epoch())
+			}
+		}
+		log.recs = log.recs[:0]
+		if a.Epoch() != accepted || b.Epoch() != accepted || a.Mutations() != int64(accepted) {
+			t.Fatalf("%s: epochs primary=%d replica=%d mutations=%d, want %d accepted mutations",
+				step, a.Epoch(), b.Epoch(), a.Mutations(), accepted)
+		}
+		if a.Dump() != b.Dump() {
+			t.Fatalf("%s: dumps diverged (epoch %d)\na:\n%s\nb:\n%s", step, accepted, a.Dump(), b.Dump())
 		}
 	}
-	if a.Dump() != b.Dump() {
-		t.Fatalf("final dumps diverge\na:\n%s\nb:\n%s", a.Dump(), b.Dump())
+
+	for i := 0; i < 40; i++ {
+		want := 0
+		if a.AddFact("edge", edge(i, i+1)[0], edge(i, i+1)[1]) {
+			want++
+		}
+		if i%3 == 0 && a.AddFact("label", fmt.Sprintf("n%d", i), "hub") {
+			want++
+		}
+		if i%5 == 0 && i > 0 {
+			// Duplicated delivery: a fact offered twice must not advance
+			// the epoch the second time.
+			if a.AddFact("edge", edge(i, i+1)[0], edge(i, i+1)[1]) {
+				t.Fatalf("duplicate edge %d accepted", i)
+			}
+		}
+		boundary(fmt.Sprintf("single inserts %d", i), want)
 	}
-	// The epoch counts accepted inserts only: duplicates were rejected.
-	distinct := make(map[string]bool)
-	for _, s := range seq {
-		distinct[fmt.Sprint(s.pred, s.args)] = true
+
+	// A run with an in-batch duplicate and two tuples already present.
+	rel := a.Relation("edge")
+	if n := rel.InsertBatch(tuples(edge(100, 101), edge(3, 4), edge(101, 102), edge(100, 101), edge(7, 8), edge(102, 103))); n != 3 {
+		t.Fatalf("InsertBatch accepted %d, want 3", n)
 	}
-	if got := a.Epoch(); got != uint64(len(distinct)) {
-		t.Fatalf("epoch %d, want %d accepted inserts", got, len(distinct))
+	boundary("insert run", 3)
+
+	if !a.RemoveFact("edge", "n5", "n6") || a.RemoveFact("edge", "n5", "n6") || a.RemoveFact("edge", "n5", "nowhere") {
+		t.Fatal("single retracts: want present, then missing, then unknown constant")
 	}
+	boundary("single retract", 1)
+
+	// A signed run with an in-batch duplicate, a tuple already retracted
+	// and one never stored.
+	if n := rel.RetractBatch(tuples(edge(100, 101), edge(5, 6), edge(10, 11), edge(100, 101), edge(200, 201), edge(11, 12))); n != 3 {
+		t.Fatalf("RetractBatch removed %d, want 3", n)
+	}
+	boundary("retract run", 3)
+
+	// Re-inserting retracted tuples is a fresh mutation each.
+	if n := rel.InsertBatch(tuples(edge(5, 6), edge(10, 11))); n != 2 {
+		t.Fatalf("re-insert run accepted %d, want 2", n)
+	}
+	boundary("re-insert run", 2)
+	if rel.InsertBatch(tuples(edge(5, 6), edge(10, 11))) != 0 || rel.RetractBatch(tuples(edge(300, 301))) != 0 {
+		t.Fatal("all-duplicate and all-missing runs must accept nothing")
+	}
+	boundary("no-op runs", 0)
 }

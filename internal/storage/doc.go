@@ -45,16 +45,23 @@
 // (or SortedColumns, which the WAL snapshot writer consumes directly)
 // for deterministic output.
 //
-// # Epochs and delta tracking
+// # The write path, epochs and delta tracking
 //
-// A primary Database (NewDatabase) carries a monotone epoch counter:
-// every accepted insert into one of its relations is stamped with the
-// current epoch, recorded in a bounded per-shard delta tail, advances
-// the counter, and raises the database's LastModified watermark.
-// Relation.DeltaSince(epoch) returns exactly the tuples stamped at or
-// after a given epoch (falling back with ok=false once the tail
-// evicted the requested history), which is what the engine's
-// materialized-answer cache and the WAL's differential checkpoints run
-// on. Derived databases (NewDatabaseWith) and free-standing relations
-// skip all of this tracking.
+// Every mutation of a relation is a signed run of tuples committed by
+// one routine (Relation.commit): Insert and Retract are runs of one,
+// InsertBatch and RetractBatch longer ones, and nothing else claims or
+// tombstones rows, advances the bookkeeping, or calls the Journal and
+// the watchers. A primary Database (NewDatabase) carries a monotone
+// epoch counter that ticks once per accepted mutation — insert or
+// retraction, single or inside a run — so the epoch equals the number of
+// journaled records and a log replayed record by record reproduces it.
+// Each accepted mutation is stamped with the epoch read under its
+// shard's lock, recorded in a bounded per-shard delta tail, and raises
+// the database's LastModified watermark. Relation.DeltaSince(epoch)
+// returns exactly the signed delta stamped at or after a given epoch
+// (falling back with ok=false once the tail evicted the requested
+// history), which is what the engine's materialized-answer cache and
+// the WAL's differential checkpoints run on. Derived databases
+// (NewDatabaseWith) and free-standing relations skip all of this
+// tracking.
 package storage

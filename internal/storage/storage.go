@@ -13,36 +13,23 @@ import (
 
 // Journal receives every accepted mutation of a journaled database, in
 // happens-before order: a symbol's JournalSym call completes before any
-// JournalFact referencing its Value (Intern invokes the hook under the
-// symbol table's lock), and JournalFact is called exactly once per
-// accepted insert (duplicates are filtered by the relation's set
-// semantics before the hook fires). The tuple passed to JournalFact is
-// only valid for the duration of the call — implementations must encode
-// or copy it before returning, and must be safe for concurrent use; the
+// run referencing its Value (Intern invokes the hook under the symbol
+// table's lock), and each accepted mutation is reported exactly once —
+// duplicates and misses are filtered by the relation's set semantics
+// before the hook fires. A run is the accepted tuples of one commit
+// against one predicate, in input order; a single Insert or Retract
+// reports a run of one. The tuples are only valid for the duration of
+// the call — implementations must encode or copy them before returning,
+// cover the run with one policy sync (the write-ahead log fsyncs once
+// per run under SyncAlways), and be safe for concurrent use; the
 // write-ahead log in internal/wal is the canonical one.
 type Journal interface {
 	// JournalSym records that name was interned as the next dense Value.
 	JournalSym(name string)
-	// JournalFact records an accepted insert of t into the named relation.
-	JournalFact(pred string, t Tuple)
-	// JournalRetract records an accepted retraction of t from the named
-	// relation (called exactly once per tuple that was actually present).
-	JournalRetract(pred string, t Tuple)
-}
-
-// BatchJournal is implemented by journals that can absorb a run of
-// same-predicate records as one buffered append covered by a single
-// policy sync (the write-ahead log fsyncs once per run instead of once
-// per record). InsertBatch and RetractBatch call it when available and
-// fall back to the per-tuple hooks otherwise. The Journal contracts
-// apply to the run as a whole: exactly one record per accepted
-// mutation, symbol records ordered before any tuple referencing them,
-// and the tuples valid only for the duration of the call.
-type BatchJournal interface {
-	Journal
 	// JournalFactBatch records a run of accepted inserts into pred.
 	JournalFactBatch(pred string, tuples []Tuple)
-	// JournalRetractBatch records a run of accepted retractions from pred.
+	// JournalRetractBatch records a run of accepted retractions from
+	// pred (each tuple was actually present).
 	JournalRetractBatch(pred string, tuples []Tuple)
 }
 
@@ -92,32 +79,18 @@ func NewSymbolTable() *SymbolTable {
 	return &SymbolTable{ids: make(map[string]Value)}
 }
 
-// Intern returns the Value for name, assigning a fresh one on first use.
+// Intern returns the Value for name, assigning a fresh one on first
+// use: InternBatch of one name.
 func (st *SymbolTable) Intern(name string) Value {
-	st.mu.RLock()
-	v, ok := st.ids[name]
-	st.mu.RUnlock()
-	if ok {
-		return v
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if v, ok := st.ids[name]; ok {
-		return v
-	}
-	v = Value(len(st.names))
-	st.names = append(st.names, name)
-	st.ids[name] = v
-	if st.onIntern != nil {
-		st.onIntern(name)
-	}
-	return v
+	var v [1]Value
+	st.InternBatch([]string{name}, v[:])
+	return v[0]
 }
 
 // InternBatch interns every name into dst (which must have the same
 // length as names), taking the read lock once for the whole run and
-// escalating to the write lock only when some name is fresh — the
-// batched write path's amortization of Intern's per-call locking.
+// escalating to the write lock only when some name is fresh. It is the
+// only code that assigns Values and calls the intern hook.
 func (st *SymbolTable) InternBatch(names []string, dst []Value) {
 	st.mu.RLock()
 	hit := true
@@ -167,6 +140,22 @@ func (st *SymbolTable) Names() []string {
 	out := make([]string, len(st.names))
 	copy(out, st.names)
 	return out
+}
+
+// LookupBatch resolves every name into dst (same length as names)
+// without interning, under one read lock, reporting false as soon as a
+// name is unknown — a tuple naming it cannot be stored.
+func (st *SymbolTable) LookupBatch(names []string, dst []Value) bool {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for i, n := range names {
+		v, ok := st.ids[n]
+		if !ok {
+			return false
+		}
+		dst[i] = v
+	}
+	return true
 }
 
 // Lookup returns the Value for name without interning.
@@ -377,21 +366,13 @@ func (sh *shard) findLocked(t Tuple, h uint32) int {
 	}
 }
 
-// growTableLocked (re)builds the dedup table at the next power-of-two
-// capacity, rehashing occupied slots from their stored hashes. Dead
-// slots are dropped, which is what reclaims probe-chain length after
-// retraction churn.
-func (sh *shard) growTableLocked() {
-	newCap := 2 * len(sh.slots)
-	if newCap < 16 {
-		newCap = 16
-	}
-	sh.rebuildTableLocked(newCap)
-}
-
 // reserveLocked grows the dedup table once to fit extra more entries
-// below the 3/4 load threshold, replacing the doubling-rehash cascade a
-// large batch would otherwise trigger. Caller holds the write lock.
+// below the 3/4 load threshold (counting dead slots, which probes still
+// walk) so chains stay short: one doubling for a single insert, one
+// right-sized rebuild instead of a doubling-rehash cascade for a large
+// run. Occupied slots rehash from their stored hashes and dead slots are
+// dropped, which is what reclaims probe-chain length after retraction
+// churn. Caller holds the write lock.
 func (sh *shard) reserveLocked(extra int) {
 	need := sh.used + extra
 	newCap := len(sh.slots)
@@ -401,12 +382,9 @@ func (sh *shard) reserveLocked(extra int) {
 	for 4*need > 3*newCap {
 		newCap *= 2
 	}
-	if newCap != len(sh.slots) {
-		sh.rebuildTableLocked(newCap)
+	if newCap == len(sh.slots) {
+		return
 	}
-}
-
-func (sh *shard) rebuildTableLocked(newCap int) {
 	slots := make([]int32, newCap)
 	hashes := make([]uint32, newCap)
 	mask := uint32(newCap - 1)
@@ -426,33 +404,11 @@ func (sh *shard) rebuildTableLocked(newCap int) {
 	sh.slots, sh.hashes, sh.used = slots, hashes, used
 }
 
-// containsHash reports whether t (hash h) is present and live. Caller
-// holds the shard lock in either mode; the probe reads only slot, hash,
-// and block state, all of which mutate under the write lock.
-func (sh *shard) containsHash(t Tuple, h uint32) bool {
-	if len(sh.slots) == 0 {
-		return false
-	}
-	mask := uint32(len(sh.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := sh.slots[i]
-		if s == 0 {
-			return false
-		}
-		if s != slotDead && sh.hashes[i] == h && sh.rowEqual(int(s-1), t) {
-			return true
-		}
-	}
-}
-
-// insertLocked adds t (hash h) unless present, returning the row id and
-// whether the row is new. Caller holds the write lock.
-func (sh *shard) insertLocked(t Tuple, h uint32, arity int) (int, bool) {
-	// Grow at 3/4 load (counting dead slots, which probes still walk)
-	// so chains stay short.
-	if 4*(sh.used+1) > 3*len(sh.slots) {
-		sh.growTableLocked()
-	}
+// insertLocked appends t (hash h) as a fresh row and adds it to the
+// built posting lists, returning the row id, or -1 when t is already
+// present. Caller holds the write lock and has reserved table space
+// (reserveLocked).
+func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
 	mask := uint32(len(sh.slots) - 1)
 	reuse := -1
 	for i := h & mask; ; i = (i + 1) & mask {
@@ -483,10 +439,15 @@ func (sh *shard) insertLocked(t Tuple, h uint32, arity int) (int, bool) {
 			}
 			sh.slots[slot] = int32(row + 1)
 			sh.hashes[slot] = h
-			return row, true
+			for c, idx := range sh.cols {
+				if idx != nil {
+					idx[t[c]] = append(idx[t[c]], int32(row))
+				}
+			}
+			return row
 		}
 		if sh.hashes[i] == h && sh.rowEqual(int(s-1), t) {
-			return int(s - 1), false
+			return -1
 		}
 	}
 }
@@ -696,57 +657,11 @@ func (r *Relation) Len() int { return int(r.count.Load()) }
 func (r *Relation) Retracts() int64 { return r.retracts.Load() }
 
 // Insert adds a tuple (copied into the shard's column blocks), returning
-// true when it was not already present. Only the tuple's shard is
-// locked, so inserts from parallel workers serialize only on hash
-// collisions; the steady-state path allocates nothing (block and table
-// growth amortize). On a tracked relation (one created by a Database)
-// the accepted insert is stamped with the database's current epoch,
-// appended to the shard's delta tail, and the epoch counter is
-// advanced — the bookkeeping DeltaSince and the engine's result cache
-// run on.
-func (r *Relation) Insert(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("storage: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
-	}
-	h := HashTuple(t)
-	sh := r.shardFor(t)
-	sh.mu.Lock()
-	row, fresh := sh.insertLocked(t, h, r.arity)
-	if !fresh {
-		sh.mu.Unlock()
-		return false
-	}
-	for c, idx := range sh.cols {
-		if idx != nil {
-			idx[t[c]] = append(idx[t[c]], int32(row))
-		}
-	}
-	var stamp uint64
-	if r.db != nil {
-		// The stamp is read inside the critical section so tail epochs are
-		// monotone per shard.
-		stamp = r.db.epoch.Load()
-		sh.tailAppendLocked(tailEntry{row: row, epoch: stamp})
-	}
-	sh.mu.Unlock()
-	r.count.Add(1)
-	if r.db != nil {
-		storeMax(&r.lastMod, stamp)
-		storeMax(&r.db.lastMod, stamp)
-		r.db.mutations.Add(1)
-		r.db.epoch.Add(1)
-	}
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Inserts, 1)
-	}
-	if jp := r.journal.Load(); jp != nil {
-		(*jp).JournalFact(r.name, t)
-	}
-	if r.db != nil {
-		r.db.notifyWatchers()
-	}
-	return true
-}
+// true when it was not already present: a commit of a run of one. Only
+// the tuple's shard is locked, so inserts from parallel workers
+// serialize only on hash collisions; the steady-state path allocates
+// nothing (block and table growth amortize).
+func (r *Relation) Insert(t Tuple) bool { return r.commit([]Tuple{t}, false) == 1 }
 
 // Offer is Insert tuned for duplicate-heavy concurrent callers — the
 // evaluator's answer and seen sets, where most offered tuples are
@@ -758,12 +673,12 @@ func (r *Relation) Insert(t Tuple) bool {
 // directly: the extra probe is pure overhead there.
 func (r *Relation) Offer(t Tuple) bool {
 	if len(t) != r.arity {
-		panic(fmt.Sprintf("storage: offering arity-%d tuple to arity-%d relation", len(t), r.arity))
+		panic(fmt.Sprintf("storage: arity-%d tuple offered to arity-%d relation", len(t), r.arity))
 	}
 	h := HashTuple(t)
 	sh := r.shardFor(t)
 	sh.mu.RLock()
-	dup := sh.containsHash(t, h)
+	dup := sh.findLocked(t, h) >= 0
 	sh.mu.RUnlock()
 	if dup {
 		return false
@@ -771,53 +686,150 @@ func (r *Relation) Offer(t Tuple) bool {
 	return r.Insert(t)
 }
 
-// Retract removes a tuple, returning true when it was present. The row
-// is tombstoned in place — blocks never move, so lock-free views stay
-// sound — its dedup slot is freed (a later Insert of the same tuple
-// appends a fresh row), and posting lists filter the dead row lazily
-// until the shard's compaction threshold drops them for a rebuild. On a
-// tracked relation the accepted retraction is stamped with the
-// database's current epoch, appended to the shard's delta tail as a
-// signed (negative) entry, and advances the epoch counter, exactly like
-// an insert: Database.Epoch stays monotone, and DeltaSince reports the
-// tuple on the Removed side.
-func (r *Relation) Retract(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("storage: retracting arity-%d tuple from arity-%d relation", len(t), r.arity))
+// Retract removes a tuple, returning true when it was present: a commit
+// of a signed run of one. The row is tombstoned in place — blocks never
+// move, so lock-free views stay sound — its dedup slot is freed (a later
+// Insert of the same tuple appends a fresh row), and posting lists
+// filter the dead row lazily until the shard's compaction threshold
+// drops them for a rebuild.
+func (r *Relation) Retract(t Tuple) bool { return r.commit([]Tuple{t}, true) == 1 }
+
+// InsertBatch inserts a run of tuples, returning the number that were
+// genuinely new; duplicates inside the run collapse exactly as repeated
+// Inserts would. See commit for what a run amortizes.
+func (r *Relation) InsertBatch(tuples []Tuple) int { return r.commit(tuples, false) }
+
+// RetractBatch retracts a run of tuples, returning the number that were
+// present (and are now tombstoned).
+func (r *Relation) RetractBatch(tuples []Tuple) int { return r.commit(tuples, true) }
+
+// commit is the one write path: every mutation of a relation is a signed
+// run of tuples — del marks a run of retractions, a run may have length
+// one — and this is the only code that claims or tombstones rows,
+// advances the bookkeeping, and reports to the journal and the
+// watchers. It returns the number of accepted mutations (fresh inserts,
+// or retractions of tuples that were present).
+//
+// Tuples are grouped per shard; each touched shard is locked once. On a
+// tracked relation (one created by a primary Database) every accepted
+// mutation is appended to its shard's delta tail as a signed entry
+// stamped with one reading of the database epoch, taken under that
+// shard's lock so tail epochs stay monotone, and the epoch then advances
+// by the accepted count — one tick per accepted mutation, for a run
+// exactly as for the same tuples committed one at a time, which is what
+// lets a log replayed record by record land on the writer's epoch.
+// Accepted tuples reach the journal as one run (a single fsync under
+// SyncAlways) and watchers are notified once, so a subscription sees the
+// run as one delta round. Untracked relations (answer sets, seen-sets,
+// derived databases) skip the stamping, the journal and the watchers.
+func (r *Relation) commit(tuples []Tuple, del bool) int {
+	for _, t := range tuples {
+		if len(t) != r.arity {
+			panic(fmt.Sprintf("storage: arity-%d tuple committed to arity-%d relation", len(t), r.arity))
+		}
 	}
-	h := HashTuple(t)
-	sh := r.shardFor(t)
-	sh.mu.Lock()
-	row := sh.retractLocked(t, h)
-	if row < 0 {
-		sh.mu.Unlock()
-		return false
+	var accepted []bool
+	var n int
+	var maxStamp uint64
+	switch len(tuples) {
+	case 0:
+		return 0
+	case 1:
+		// A run of one needs no grouping: stack arrays stand in for
+		// batchOrder's output, so the single-tuple claim allocates nothing.
+		var idx [1]int32
+		var acc [1]bool
+		hash := [1]uint32{HashTuple(tuples[0])}
+		accepted = acc[:]
+		n, maxStamp = r.commitShard(r.shardFor(tuples[0]), tuples, idx[:], hash[:], accepted, del)
+	default:
+		order, starts, hashes := r.batchOrder(tuples)
+		accepted = make([]bool, len(tuples))
+		for s := 0; s+1 < len(starts); s++ {
+			if idxs := order[starts[s]:starts[s+1]]; len(idxs) > 0 {
+				k, stamp := r.commitShard(&r.shards[s], tuples, idxs, hashes, accepted, del)
+				n += k
+				maxStamp = max(maxStamp, stamp)
+			}
+		}
 	}
-	var stamp uint64
+	if n == 0 {
+		return 0
+	}
+	d := int64(n)
+	if del {
+		r.count.Add(-d)
+		r.tombs.Add(d)
+		r.retracts.Add(d)
+	} else {
+		r.count.Add(d)
+	}
 	if r.db != nil {
-		stamp = r.db.epoch.Load()
-		sh.tailAppendLocked(tailEntry{row: row, epoch: stamp, del: true})
-	}
-	sh.mu.Unlock()
-	r.count.Add(-1)
-	r.tombs.Add(1)
-	r.retracts.Add(1)
-	if r.db != nil {
-		storeMax(&r.lastMod, stamp)
-		storeMax(&r.db.lastMod, stamp)
-		r.db.mutations.Add(1)
-		r.db.epoch.Add(1)
+		storeMax(&r.lastMod, maxStamp)
+		storeMax(&r.db.lastMod, maxStamp)
+		r.db.mutations.Add(d)
+		r.db.epoch.Add(uint64(n))
 	}
 	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Retracts, 1)
+		if del {
+			atomic.AddInt64(&r.stats.Retracts, d)
+		} else {
+			atomic.AddInt64(&r.stats.Inserts, d)
+		}
 	}
 	if jp := r.journal.Load(); jp != nil {
-		(*jp).JournalRetract(r.name, t)
+		// The run is built here, not passed through, so callers' tuple
+		// slices never escape to the heap on the unjournaled path.
+		run := make([]Tuple, 0, n)
+		for i, ok := range accepted {
+			if ok {
+				run = append(run, tuples[i])
+			}
+		}
+		if del {
+			(*jp).JournalRetractBatch(r.name, run)
+		} else {
+			(*jp).JournalFactBatch(r.name, run)
+		}
 	}
 	if r.db != nil {
 		r.db.notifyWatchers()
 	}
-	return true
+	return n
+}
+
+// commitShard applies the tuples at idxs (all routed to sh; hashes holds
+// each tuple's HashTuple) under one acquisition of the shard lock,
+// marking the accepted ones. It returns their number and the epoch stamp
+// their delta-tail entries carry (0 for an untracked relation).
+func (r *Relation) commitShard(sh *shard, tuples []Tuple, idxs []int32, hashes []uint32, accepted []bool, del bool) (n int, stamp uint64) {
+	sh.mu.Lock()
+	if !del {
+		sh.reserveLocked(len(idxs))
+	}
+	if r.db != nil {
+		// Read inside the critical section so tail epochs are monotone
+		// per shard.
+		stamp = r.db.epoch.Load()
+	}
+	for _, i := range idxs {
+		var row int
+		if del {
+			row = sh.retractLocked(tuples[i], hashes[i])
+		} else {
+			row = sh.insertLocked(tuples[i], hashes[i], r.arity)
+		}
+		if row < 0 {
+			continue
+		}
+		if r.db != nil {
+			sh.tailAppendLocked(tailEntry{row: row, epoch: stamp, del: del})
+		}
+		accepted[i] = true
+		n++
+	}
+	sh.mu.Unlock()
+	return n, stamp
 }
 
 // tailAppendLocked records one mutation in the shard's delta tail. Past
@@ -833,7 +845,7 @@ func (sh *shard) tailAppendLocked(e tailEntry) {
 	}
 }
 
-// batchOrder groups a batch's tuple indexes by destination shard with a
+// batchOrder groups a run's tuple indexes by destination shard with a
 // counting sort, preserving input order within each shard: order holds
 // the indexes of shard 0's tuples, then shard 1's, and so on, with
 // starts[s] the offset of shard s's run. hashes carries each tuple's
@@ -870,196 +882,6 @@ func (r *Relation) batchOrder(tuples []Tuple) (order []int32, starts []int32, ha
 		next[s]++
 	}
 	return order, starts, hashes
-}
-
-// journalRun reports a batch's accepted tuples to the journal: as one
-// buffered run when the journal is a BatchJournal (one policy sync for
-// the whole run), per tuple otherwise. accepted marks which input
-// tuples to report, in input order.
-func (r *Relation) journalRun(j Journal, tuples []Tuple, accepted []bool, added int, retract bool) {
-	run := make([]Tuple, 0, added)
-	for i, ok := range accepted {
-		if ok {
-			run = append(run, tuples[i])
-		}
-	}
-	if bj, ok := j.(BatchJournal); ok {
-		if retract {
-			bj.JournalRetractBatch(r.name, run)
-		} else {
-			bj.JournalFactBatch(r.name, run)
-		}
-		return
-	}
-	for _, t := range run {
-		if retract {
-			j.JournalRetract(r.name, t)
-		} else {
-			j.JournalFact(r.name, t)
-		}
-	}
-}
-
-// InsertBatch inserts a run of tuples under Insert's exact per-tuple
-// protocol with the fixed costs amortized across the batch: tuples are
-// grouped per shard, each touched shard is locked once and all of its
-// delta-tail entries stamped with one epoch reading (taken under that
-// shard's lock, keeping tail epochs monotone), the database epoch
-// advances once for the whole batch, accepted tuples reach the journal
-// as one buffered run (one fsync under SyncAlways when the journal is a
-// BatchJournal), and watchers are notified once — so a subscription
-// sees the batch as one delta round. Returns the number of tuples that
-// were genuinely new; duplicates inside the batch collapse exactly as
-// repeated Inserts would. The tuples are copied into the column blocks
-// as usual.
-func (r *Relation) InsertBatch(tuples []Tuple) int {
-	if len(tuples) == 0 {
-		return 0
-	}
-	if len(tuples) == 1 {
-		if r.Insert(tuples[0]) {
-			return 1
-		}
-		return 0
-	}
-	for _, t := range tuples {
-		if len(t) != r.arity {
-			panic(fmt.Sprintf("storage: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
-		}
-	}
-	order, starts, hashes := r.batchOrder(tuples)
-	accepted := make([]bool, len(tuples))
-	added := 0
-	var maxStamp uint64
-	for s := 0; s+1 < len(starts); s++ {
-		idxs := order[starts[s]:starts[s+1]]
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := &r.shards[s]
-		sh.mu.Lock()
-		sh.reserveLocked(len(idxs))
-		var stamp uint64
-		if r.db != nil {
-			stamp = r.db.epoch.Load()
-		}
-		for _, i := range idxs {
-			t := tuples[i]
-			row, fresh := sh.insertLocked(t, hashes[i], r.arity)
-			if !fresh {
-				continue
-			}
-			for c, idx := range sh.cols {
-				if idx != nil {
-					idx[t[c]] = append(idx[t[c]], int32(row))
-				}
-			}
-			if r.db != nil {
-				sh.tailAppendLocked(tailEntry{row: row, epoch: stamp})
-			}
-			accepted[i] = true
-			added++
-		}
-		sh.mu.Unlock()
-		if stamp > maxStamp {
-			maxStamp = stamp
-		}
-	}
-	if added == 0 {
-		return 0
-	}
-	r.count.Add(int64(added))
-	if r.db != nil {
-		storeMax(&r.lastMod, maxStamp)
-		storeMax(&r.db.lastMod, maxStamp)
-		r.db.mutations.Add(int64(added))
-		r.db.epoch.Add(1)
-	}
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Inserts, int64(added))
-	}
-	if jp := r.journal.Load(); jp != nil {
-		r.journalRun(*jp, tuples, accepted, added, false)
-	}
-	if r.db != nil {
-		r.db.notifyWatchers()
-	}
-	return added
-}
-
-// RetractBatch retracts a run of tuples under Retract's exact per-tuple
-// protocol with the fixed costs amortized like InsertBatch: one lock
-// acquisition and one epoch stamp per touched shard, one epoch advance,
-// one journal run, one watcher notification. Returns the number of
-// tuples that were present (and are now tombstoned).
-func (r *Relation) RetractBatch(tuples []Tuple) int {
-	if len(tuples) == 0 {
-		return 0
-	}
-	if len(tuples) == 1 {
-		if r.Retract(tuples[0]) {
-			return 1
-		}
-		return 0
-	}
-	for _, t := range tuples {
-		if len(t) != r.arity {
-			panic(fmt.Sprintf("storage: retracting arity-%d tuple from arity-%d relation", len(t), r.arity))
-		}
-	}
-	order, starts, hashes := r.batchOrder(tuples)
-	accepted := make([]bool, len(tuples))
-	removed := 0
-	var maxStamp uint64
-	for s := 0; s+1 < len(starts); s++ {
-		idxs := order[starts[s]:starts[s+1]]
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := &r.shards[s]
-		sh.mu.Lock()
-		var stamp uint64
-		if r.db != nil {
-			stamp = r.db.epoch.Load()
-		}
-		for _, i := range idxs {
-			row := sh.retractLocked(tuples[i], hashes[i])
-			if row < 0 {
-				continue
-			}
-			if r.db != nil {
-				sh.tailAppendLocked(tailEntry{row: row, epoch: stamp, del: true})
-			}
-			accepted[i] = true
-			removed++
-		}
-		sh.mu.Unlock()
-		if stamp > maxStamp {
-			maxStamp = stamp
-		}
-	}
-	if removed == 0 {
-		return 0
-	}
-	r.count.Add(int64(-removed))
-	r.tombs.Add(int64(removed))
-	r.retracts.Add(int64(removed))
-	if r.db != nil {
-		storeMax(&r.lastMod, maxStamp)
-		storeMax(&r.db.lastMod, maxStamp)
-		r.db.mutations.Add(int64(removed))
-		r.db.epoch.Add(1)
-	}
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.Retracts, int64(removed))
-	}
-	if jp := r.journal.Load(); jp != nil {
-		r.journalRun(*jp, tuples, accepted, removed, true)
-	}
-	if r.db != nil {
-		r.db.notifyWatchers()
-	}
-	return removed
 }
 
 // storeMax raises a to at least v.
@@ -1609,24 +1431,31 @@ func (db *Database) Relation(pred string) *Relation {
 }
 
 // Ensure returns the named relation, creating it with the given arity when
-// missing.
+// missing. It panics when the relation exists with a different arity —
+// for callers whose arities come from an analysed program; callers
+// holding outside input use Declare.
 func (db *Database) Ensure(pred string, arity int) *Relation {
+	r, ok := db.Declare(pred, arity)
+	if !ok {
+		panic(fmt.Sprintf("storage: relation %s has arity %d, requested %d", pred, r.arity, arity))
+	}
+	return r
+}
+
+// Declare is Ensure reporting an arity conflict instead of panicking: ok
+// is false, and the existing relation is returned, when pred already
+// exists with a different arity.
+func (db *Database) Declare(pred string, arity int) (r *Relation, ok bool) {
 	db.mu.RLock()
-	r, ok := db.rels[pred]
+	r, found := db.rels[pred]
 	db.mu.RUnlock()
-	if ok {
-		if r.arity != arity {
-			panic(fmt.Sprintf("storage: relation %s has arity %d, requested %d", pred, r.arity, arity))
-		}
-		return r
+	if found {
+		return r, r.arity == arity
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if r, ok := db.rels[pred]; ok {
-		if r.arity != arity {
-			panic(fmt.Sprintf("storage: relation %s has arity %d, requested %d", pred, r.arity, arity))
-		}
-		return r
+	if r, found := db.rels[pred]; found {
+		return r, r.arity == arity
 	}
 	r = NewShardedRelation(arity, &db.Stats, db.shards)
 	r.name = pred
@@ -1635,7 +1464,7 @@ func (db *Database) Ensure(pred string, arity int) *Relation {
 	}
 	r.setJournal(db.journal)
 	db.rels[pred] = r
-	return r
+	return r, true
 }
 
 // Preds returns the sorted relation names.
@@ -1651,13 +1480,17 @@ func (db *Database) Preds() []string {
 }
 
 // AddFact interns the constant names and inserts the tuple into pred,
-// reporting whether the tuple was genuinely new (false on a duplicate).
+// reporting whether the tuple was genuinely new: false on a duplicate,
+// and — like RemoveFact — when pred exists with another arity, so the
+// tuple cannot be stored.
 func (db *Database) AddFact(pred string, consts ...string) bool {
-	t := make(Tuple, len(consts))
-	for i, c := range consts {
-		t[i] = db.Syms.Intern(c)
+	r, ok := db.Declare(pred, len(consts))
+	if !ok {
+		return false
 	}
-	return db.Ensure(pred, len(consts)).Insert(t)
+	t := make(Tuple, len(consts))
+	db.Syms.InternBatch(consts, t)
+	return r.Insert(t)
 }
 
 // RemoveFact retracts the named tuple from pred, reporting whether it
@@ -1670,14 +1503,7 @@ func (db *Database) RemoveFact(pred string, consts ...string) bool {
 		return false
 	}
 	t := make(Tuple, len(consts))
-	for i, c := range consts {
-		v, ok := db.Syms.Lookup(c)
-		if !ok {
-			return false
-		}
-		t[i] = v
-	}
-	return r.Retract(t)
+	return db.Syms.LookupBatch(consts, t) && r.Retract(t)
 }
 
 // TupleCount returns the total number of tuples across relations.

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -300,5 +301,51 @@ func TestDifferentialBrokenChainFallsBack(t *testing.T) {
 	// segments the head's prune removed — the single-copy trade-off).
 	if got := db2.Dump(); got != baseDump {
 		t.Fatalf("fallback recovery lost base state:\n%s", got)
+	}
+}
+
+// TestRetiredSnapshotFormatIsHardError: a well-formed head snapshot
+// carrying a retired magic is not "unreadable, fall back to the base" —
+// the segments between base and head were pruned, so falling back would
+// silently drop data. Decoding, Recover and Open all fail with
+// ErrSnapshotVersion, without panicking.
+func TestRetiredSnapshotFormatIsHardError(t *testing.T) {
+	dir := t.TempDir()
+	db, l, _, _ := openJournaled(t, dir, SyncBatch)
+	db.AddFact("bulk", "x", "y")
+	if err := l.Checkpoint(func() (*Snapshot, error) { return CollectDatabase(db, nil, nil), nil }); err != nil {
+		t.Fatal(err)
+	}
+	db.AddFact("small", "a", "b")
+	if err := l.Checkpoint(func() (*Snapshot, error) { return CollectDatabase(db, nil, nil), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var headSeq uint64
+	for seq := range snapshotFiles(t, dir) {
+		headSeq = max(headSeq, seq)
+	}
+	path := filepath.Join(dir, snapshotName(headSeq))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "OSRSNAP2") // the CRC covers the body only: the file stays well-formed
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeSnapshotBytes(data); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("DecodeSnapshotBytes: err = %v, want ErrSnapshotVersion", err)
+	}
+	if _, err := Recover(dir, Replay{}); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("Recover: err = %v, want ErrSnapshotVersion", err)
+	}
+	if lg, err := Open(dir, SyncBatch, Replay{}); !errors.Is(err, ErrSnapshotVersion) {
+		if lg != nil {
+			lg.Close()
+		}
+		t.Fatalf("Open: err = %v, want ErrSnapshotVersion", err)
 	}
 }

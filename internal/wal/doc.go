@@ -57,7 +57,8 @@
 //
 // Recovery (Log.Open) loads the newest snapshot whose whole chain —
 // symbol tails and relation bases — reads and validates (a broken
-// chain falls back to the predecessor), stitches it, replays the
+// chain falls back to the predecessor; a snapshot in a retired format
+// fails recovery with ErrSnapshotVersion), stitches it, replays the
 // segments above it in sequence order, and appends to a fresh segment.
 // In the final — active at crash time — segment, replay stops at the
 // first invalid record and truncates the file there: a torn last append
@@ -69,7 +70,8 @@
 //
 // Appends are buffered; SyncPolicy controls when the buffer reaches the
 // disk platter: SyncBatch (default) fsyncs whenever the batch buffer
-// fills and at every rotation, SyncAlways fsyncs each record, SyncOS
+// fills and at every rotation, SyncAlways fsyncs before acknowledging each
+// run of records (concurrent writers share fsyncs by group commit), SyncOS
 // only writes to the OS page cache and fsyncs at rotation/close. See
 // the benchmarks for the cost spread.
 package wal

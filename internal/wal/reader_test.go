@@ -11,7 +11,7 @@ import (
 )
 
 func TestSplitRecordShortVsCorrupt(t *testing.T) {
-	rec := encodeRecord(nil, symPayload("hello"))
+	rec := textRecord(recSym, "hello")
 
 	// Every strict prefix is short, never corrupt.
 	for n := 0; n < len(rec); n++ {

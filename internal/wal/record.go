@@ -42,53 +42,36 @@ func readString(b []byte) (string, []byte, error) {
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
 }
 
-// encodeRecord frames a payload: length, CRC, payload.
-func encodeRecord(dst, payload []byte) []byte {
+// frame completes the record whose header was reserved at dst[start:]
+// and whose payload was appended behind it: length, then CRC of the
+// payload. Encoding in place spares every record a payload copy.
+func frame(dst []byte, start int) []byte {
+	payload := dst[start+recordHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
+}
+
+// textRecord frames a record whose body is one string: a recSym's
+// constant name, a recRule's source text.
+func textRecord(kind byte, body string) []byte {
+	rec := make([]byte, recordHeaderSize, recordHeaderSize+1+len(body))
+	return frame(append(append(rec, kind), body...), 0)
+}
+
+// appendTupleRecord appends one framed tuple record to dst — kind byte,
+// pred, uvarint arity, the values (recFact's layout; recRetract shares
+// it under its own kind byte) — so a run is encoded into one buffer.
+func appendTupleRecord(dst []byte, kind byte, pred string, t storage.Tuple) []byte {
+	start := len(dst)
 	var hdr [recordHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	return append(append(dst, hdr[:]...), payload...)
-}
-
-// symPayload builds a recSym payload.
-func symPayload(name string) []byte {
-	b := make([]byte, 0, 1+len(name))
-	return append(append(b, recSym), name...)
-}
-
-// rulePayload builds a recRule payload.
-func rulePayload(src string) []byte {
-	b := make([]byte, 0, 1+len(src))
-	return append(append(b, recRule), src...)
-}
-
-// factPayload builds a recFact payload.
-func factPayload(pred string, t storage.Tuple) []byte {
-	return tuplePayload(recFact, pred, t)
-}
-
-// retractPayload builds a recRetract payload (recFact's layout under the
-// retract kind byte).
-func retractPayload(pred string, t storage.Tuple) []byte {
-	return tuplePayload(recRetract, pred, t)
-}
-
-// tuplePayload builds a kind-byte + pred + tuple payload.
-func tuplePayload(kind byte, pred string, t storage.Tuple) []byte {
-	b := make([]byte, 0, 1+len(pred)+2+4*len(t))
-	return appendTuplePayload(b, kind, pred, t)
-}
-
-// appendTuplePayload appends a kind-byte + pred + tuple payload to dst,
-// so batch runs can reuse one scratch buffer across records.
-func appendTuplePayload(dst []byte, kind byte, pred string, t storage.Tuple) []byte {
-	dst = append(dst, kind)
+	dst = append(append(dst, hdr[:]...), kind)
 	dst = appendString(dst, pred)
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, v := range t {
 		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
 	}
-	return dst
+	return frame(dst, start)
 }
 
 // decodeFact parses a recFact body (the payload after the kind byte).

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -10,21 +11,22 @@ import (
 	"repro/internal/storage"
 )
 
-// Snapshot file magics: v1 (full relation blocks only) and v2
-// (per-relation epoch/count metadata, differential reference blocks)
-// are still read for backward compatibility; v3 adds each relation's
-// cumulative retraction counter, the signal the differential-checkpoint
-// decision needs now that tuple sets can shrink. Snapshot bodies hold
-// only live rows in every version — tombstoned rows are omitted at
-// collection, so recovery from a snapshot starts compact. Any magic is
-// followed by the covered segment sequence (uint64 LE), the body, and a
-// trailing CRC32C of the body.
-const (
-	snapMagicV1 = "OSRSNAP1"
-	snapMagicV2 = "OSRSNAP2"
-	snapMagicV3 = "OSRSNAP3"
-	snapMagic   = snapMagicV3 // written format
-)
+// snapMagic opens every snapshot file: format 3, whose relation blocks
+// carry per-relation epoch/count metadata, differential reference blocks
+// and each relation's cumulative retraction counter (the signal the
+// differential-checkpoint decision needs now that tuple sets can
+// shrink). Snapshot bodies hold only live rows — tombstoned rows are
+// omitted at collection, so recovery from a snapshot starts compact. The
+// magic is followed by the covered segment sequence (uint64 LE), the
+// body, and a trailing CRC32C of the body.
+const snapMagic = "OSRSNAP3"
+
+// ErrSnapshotVersion reports a snapshot file written in a retired format
+// (OSRSNAP1, OSRSNAP2 — no writer has emitted either since format 3).
+// Recovery fails with it instead of treating the file as unreadable and
+// falling back to a predecessor: the segments such a snapshot covers
+// were pruned, so skipping it would silently drop data.
+var ErrSnapshotVersion = errors.New("wal: snapshot written in a retired format")
 
 // RelSnap is one relation's block in a snapshot: the predicate, its
 // arity, the epoch stamp of its newest insert and its tuple count at
@@ -155,17 +157,13 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 	return n, b[sz:], nil
 }
 
-// decodeSnapshot parses a snapshot body. version is 1 for the legacy
-// full-blocks-only format, 2 for the differential format, or 3 for the
-// differential format with retraction counters.
-func decodeSnapshot(b []byte, version int) (*Snapshot, error) {
+// decodeSnapshot parses a snapshot body.
+func decodeSnapshot(b []byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	var n uint64
 	var err error
-	if version >= 2 {
-		if s.SymBase, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
+	if s.SymBase, b, err = readUvarint(b); err != nil {
+		return nil, err
 	}
 	if n, b, err = readUvarint(b); err != nil {
 		return nil, err
@@ -185,42 +183,37 @@ func decodeSnapshot(b []byte, version int) (*Snapshot, error) {
 		if r.Pred, b, err = readString(b); err != nil {
 			return nil, err
 		}
-		var arity uint64
+		var arity, ret uint64
 		if arity, b, err = readUvarint(b); err != nil {
 			return nil, err
 		}
 		r.Arity = int(arity)
-		if version >= 2 {
-			if r.Epoch, b, err = readUvarint(b); err != nil {
+		if r.Epoch, b, err = readUvarint(b); err != nil {
+			return nil, err
+		}
+		if ret, b, err = readUvarint(b); err != nil {
+			return nil, err
+		}
+		r.Retracts = int64(ret)
+		if len(b) == 0 {
+			return nil, fmt.Errorf("wal: truncated relation block kind")
+		}
+		kind := b[0]
+		b = b[1:]
+		if kind == 1 {
+			r.Ref = true
+			var base, count uint64
+			if base, b, err = readUvarint(b); err != nil {
 				return nil, err
 			}
-			if version >= 3 {
-				var ret uint64
-				if ret, b, err = readUvarint(b); err != nil {
-					return nil, err
-				}
-				r.Retracts = int64(ret)
+			if count, b, err = readUvarint(b); err != nil {
+				return nil, err
 			}
-			if len(b) == 0 {
-				return nil, fmt.Errorf("wal: truncated relation block kind")
-			}
-			kind := b[0]
-			b = b[1:]
-			if kind == 1 {
-				r.Ref = true
-				var base, count uint64
-				if base, b, err = readUvarint(b); err != nil {
-					return nil, err
-				}
-				if count, b, err = readUvarint(b); err != nil {
-					return nil, err
-				}
-				r.BaseSeq, r.Count = base, int(count)
-				continue
-			}
-			if kind != 0 {
-				return nil, fmt.Errorf("wal: unknown relation block kind %d", kind)
-			}
+			r.BaseSeq, r.Count = base, int(count)
+			continue
+		}
+		if kind != 0 {
+			return nil, fmt.Errorf("wal: unknown relation block kind %d", kind)
 		}
 		var count uint64
 		if count, b, err = readUvarint(b); err != nil {
@@ -305,21 +298,18 @@ func writeSnapshot(dir string, seq uint64, s *Snapshot) error {
 }
 
 // DecodeSnapshotBytes parses and CRC-validates a complete snapshot file
-// image (either format version) and returns the covered sequence and
-// the decoded snapshot. A replication follower uses this on snapshot
-// bytes fetched over HTTP before writing them to its local mirror.
+// image and returns the covered sequence and the decoded snapshot; a
+// file in a retired format is ErrSnapshotVersion. A replication follower
+// uses this on snapshot bytes fetched over HTTP before writing them to
+// its local mirror.
 func DecodeSnapshotBytes(data []byte) (uint64, *Snapshot, error) {
 	if len(data) < len(snapMagic)+12 {
 		return 0, nil, fmt.Errorf("wal: not a snapshot file")
 	}
-	version := 0
 	switch string(data[:len(snapMagic)]) {
-	case snapMagicV3:
-		version = 3
-	case snapMagicV2:
-		version = 2
-	case snapMagicV1:
-		version = 1
+	case snapMagic:
+	case "OSRSNAP1", "OSRSNAP2":
+		return 0, nil, ErrSnapshotVersion
 	default:
 		return 0, nil, fmt.Errorf("wal: not a snapshot file")
 	}
@@ -329,15 +319,14 @@ func DecodeSnapshotBytes(data []byte) (uint64, *Snapshot, error) {
 	if crc32.Checksum(body, castagnoli) != crc {
 		return 0, nil, fmt.Errorf("wal: snapshot checksum mismatch")
 	}
-	s, err := decodeSnapshot(body, version)
+	s, err := decodeSnapshot(body)
 	if err != nil {
 		return 0, nil, err
 	}
 	return seq, s, nil
 }
 
-// readSnapshot loads and validates a snapshot file (either format
-// version).
+// readSnapshot loads and validates a snapshot file.
 func readSnapshot(path string) (uint64, *Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

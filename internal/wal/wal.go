@@ -82,6 +82,20 @@ type Replay struct {
 	Shape   func(query string)
 }
 
+// ReplayInto returns the data half of a Replay — Sym, Rel, Fact and
+// Retract — applying recovered state straight to db, one record at a
+// time (so db's epoch lands on the writer's: one tick per accepted
+// mutation). Recovery and replication both start from it and add their
+// own Rule and Shape handling.
+func ReplayInto(db *storage.Database) Replay {
+	return Replay{
+		Sym:     func(name string) { db.Syms.Intern(name) },
+		Rel:     func(pred string, arity int) { db.Declare(pred, arity) },
+		Fact:    func(pred string, consts []string) { db.AddFact(pred, consts...) },
+		Retract: func(pred string, consts []string) { db.RemoveFact(pred, consts...) },
+	}
+}
+
 // Log is a write-ahead segment log bound to one directory. It implements
 // storage.Journal: attach it with Database.SetJournal and every accepted
 // insert and fresh symbol intern is appended as a record. Append errors
@@ -263,12 +277,16 @@ func recoverDir(dir string, replay Replay) (*recovered, error) {
 	var symAncestors []uint64
 	chain := map[uint64]bool{}
 	cache := make(map[uint64]*Snapshot)
+	var retired error // a retired-format snapshot was needed: fail, never fall back past it
 	load := func(seq uint64) (*Snapshot, error) {
 		if s, ok := cache[seq]; ok {
 			return s, nil
 		}
 		fileSeq, s, err := readSnapshot(filepath.Join(dir, snapshotName(seq)))
 		if err != nil {
+			if errors.Is(err, ErrSnapshotVersion) {
+				retired = err
+			}
 			return nil, err
 		}
 		if fileSeq != seq {
@@ -278,6 +296,9 @@ func recoverDir(dir string, replay Replay) (*recovered, error) {
 		return s, nil
 	}
 	for _, seq := range snaps {
+		if retired != nil {
+			break
+		}
 		snap, err := load(seq)
 		if err != nil {
 			continue
@@ -304,6 +325,9 @@ func recoverDir(dir string, replay Replay) (*recovered, error) {
 			}
 		}
 		break
+	}
+	if retired != nil {
+		return nil, retired
 	}
 
 	maxSeq := snapSeq
@@ -508,37 +532,20 @@ func (st *replayState) sym(name string) {
 	}
 }
 
-func (st *replayState) fact(pred string, vals []storage.Value) error {
-	consts, err := st.translate(pred, vals)
-	if err != nil {
-		return err
-	}
-	if st.replay.Fact != nil {
-		st.replay.Fact(pred, consts)
-	}
-	return nil
-}
-
-func (st *replayState) retract(pred string, vals []storage.Value) error {
-	consts, err := st.translate(pred, vals)
-	if err != nil {
-		return err
-	}
-	if st.replay.Retract != nil {
-		st.replay.Retract(pred, consts)
-	}
-	return nil
-}
-
-func (st *replayState) translate(pred string, vals []storage.Value) ([]string, error) {
+// tuple translates a logged tuple's Values back to constant names and
+// hands it to cb (the Fact or Retract callback; nil skips it).
+func (st *replayState) tuple(cb func(pred string, consts []string), pred string, vals []storage.Value) error {
 	consts := make([]string, len(vals))
 	for i, v := range vals {
 		if int(v) < 0 || int(v) >= len(st.names) {
-			return nil, fmt.Errorf("wal: fact %s references unknown value %d", pred, v)
+			return fmt.Errorf("wal: fact %s references unknown value %d", pred, v)
 		}
 		consts[i] = st.names[v]
 	}
-	return consts, nil
+	if cb != nil {
+		cb(pred, consts)
+	}
+	return nil
 }
 
 // applySnapshot streams a resolved snapshot into the callbacks:
@@ -568,7 +575,7 @@ func (st *replayState) applySnapshot(s *Snapshot, resolvedSyms []string, bases m
 			}
 			// Errors are impossible here: values were validated against
 			// (full blocks: encoded against) the resolved symbol list.
-			st.fact(r.Pred, t)
+			st.tuple(st.replay.Fact, r.Pred, t)
 		}
 	}
 	for _, r := range s.Rules {
@@ -646,18 +653,16 @@ func (st *replayState) applyPayload(payload []byte) error {
 	case recSym:
 		st.sym(string(body))
 		return nil
-	case recFact:
+	case recFact, recRetract:
 		pred, vals, err := decodeFact(body)
 		if err != nil {
 			return err
 		}
-		return st.fact(pred, vals)
-	case recRetract:
-		pred, vals, err := decodeFact(body)
-		if err != nil {
-			return err
+		cb := st.replay.Fact
+		if kind == recRetract {
+			cb = st.replay.Retract
 		}
-		return st.retract(pred, vals)
+		return st.tuple(cb, pred, vals)
 	case recRule:
 		if st.replay.Rule != nil {
 			st.replay.Rule(string(body))
@@ -700,23 +705,23 @@ func (l *Log) openSegment() error {
 	return nil
 }
 
-// append frames and writes one payload under the sync policy.
-func (l *Log) append(payload []byte) {
-	rec := encodeRecord(nil, payload)
+// write puts a framed run of records records into the log under the
+// sync policy: SyncAlways returns only after a covering group-commit
+// fsync, SyncBatch fsyncs per filled batch, and SyncOS leaves flushing
+// to the bufio buffer filling (checkpoint and close still fsync).
+func (l *Log) write(rec []byte, records int) {
 	if l.policy == SyncAlways {
-		l.groupCommit(rec, 1)
+		l.groupCommit(rec, records)
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.writeLocked(rec, 1) {
+	if !l.writeLocked(rec, records) {
 		return
 	}
 	if l.policy == SyncBatch && l.pending >= batchBytes {
 		l.err = l.syncLocked()
 	}
-	// SyncOS: bufio flushes to the page cache on its own as the buffer
-	// fills; nothing to do per record.
 }
 
 // writeLocked buffers one framed run of records records. It reports
@@ -881,62 +886,46 @@ func (l *Log) syncLocked() error {
 // write order, symbol included. A crash before that loses the symbol
 // only alongside every unacknowledged fact that mentions it.
 func (l *Log) JournalSym(name string) {
+	rec := textRecord(recSym, name)
 	if l.policy == SyncAlways {
-		rec := encodeRecord(nil, symPayload(name))
 		l.mu.Lock()
 		l.writeLocked(rec, 1)
 		l.mu.Unlock()
 		return
 	}
-	l.append(symPayload(name))
+	l.write(rec, 1)
 }
 
-// JournalFact implements storage.Journal.
-func (l *Log) JournalFact(pred string, t storage.Tuple) { l.append(factPayload(pred, t)) }
-
-// JournalRetract implements storage.Journal.
-func (l *Log) JournalRetract(pred string, t storage.Tuple) { l.append(retractPayload(pred, t)) }
-
-// JournalFactBatch implements storage.BatchJournal: the batch's records
-// are framed into one buffer, written under one lock acquisition, and
+// JournalFactBatch implements storage.Journal: the run's records are
+// framed into one buffer, written under one lock acquisition, and
 // covered by one policy sync — under SyncAlways, one group commit (one
 // fsync) for the whole run instead of one per fact.
 func (l *Log) JournalFactBatch(pred string, tuples []storage.Tuple) {
-	l.appendRun(recFact, pred, tuples)
+	l.journalRun(recFact, pred, tuples)
 }
 
-// JournalRetractBatch implements storage.BatchJournal; see
-// JournalFactBatch.
+// JournalRetractBatch implements storage.Journal; see JournalFactBatch.
 func (l *Log) JournalRetractBatch(pred string, tuples []storage.Tuple) {
-	l.appendRun(recRetract, pred, tuples)
+	l.journalRun(recRetract, pred, tuples)
 }
 
-// appendRun frames tuples under kind into one buffered run.
-func (l *Log) appendRun(kind byte, pred string, tuples []storage.Tuple) {
+// journalRun frames one record per tuple under kind and writes the run.
+func (l *Log) journalRun(kind byte, pred string, tuples []storage.Tuple) {
 	if len(tuples) == 0 {
 		return
 	}
-	var buf, scratch []byte
+	// Sized for the common case (values below 2^21 take <= 3 bytes) so a
+	// run costs one allocation however long it is; append grows it when
+	// that guess is short.
+	buf := make([]byte, 0, len(tuples)*(recordHeaderSize+4+len(pred)+3*len(tuples[0])))
 	for _, t := range tuples {
-		scratch = appendTuplePayload(scratch[:0], kind, pred, t)
-		buf = encodeRecord(buf, scratch)
+		buf = appendTupleRecord(buf, kind, pred, t)
 	}
-	if l.policy == SyncAlways {
-		l.groupCommit(buf, len(tuples))
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.writeLocked(buf, len(tuples)) {
-		return
-	}
-	if l.policy == SyncBatch && l.pending >= batchBytes {
-		l.err = l.syncLocked()
-	}
+	l.write(buf, len(tuples))
 }
 
 // AppendRule journals a rule in concrete syntax (parser.RenderRule).
-func (l *Log) AppendRule(src string) { l.append(rulePayload(src)) }
+func (l *Log) AppendRule(src string) { l.write(textRecord(recRule, src), 1) }
 
 // Err returns the sticky append error, if any.
 func (l *Log) Err() error {

@@ -14,16 +14,10 @@ import (
 func dbReplay(db *storage.Database) (Replay, *[]string, *[]string) {
 	rules := &[]string{}
 	shapes := &[]string{}
-	return Replay{
-		Sym:  func(name string) { db.Syms.Intern(name) },
-		Rel:  func(pred string, arity int) { db.Ensure(pred, arity) },
-		Fact: func(pred string, consts []string) { db.AddFact(pred, consts...) },
-		Retract: func(pred string, consts []string) {
-			db.RemoveFact(pred, consts...)
-		},
-		Rule:  func(src string) { *rules = append(*rules, src) },
-		Shape: func(q string) { *shapes = append(*shapes, q) },
-	}, rules, shapes
+	replay := ReplayInto(db)
+	replay.Rule = func(src string) { *rules = append(*rules, src) }
+	replay.Shape = func(q string) { *shapes = append(*shapes, q) }
+	return replay, rules, shapes
 }
 
 // openJournaled opens a log over dir and attaches it to a fresh

@@ -85,10 +85,8 @@ type (
 	Plan = eval.Plan
 	// EvalStats reports iterations and state size of a plan evaluation.
 	EvalStats = eval.EvalStats
-	// EvalResult is the outcome of bottom-up evaluation.
-	EvalResult = eval.Result
-	// ErrUnsupported marks selections outside the compiled class; callers
-	// fall back to MagicEval.
+	// ErrUnsupported marks selections outside the compiled class; the
+	// Engine's strategy chain falls back to Magic Sets for them.
 	ErrUnsupported = eval.ErrUnsupported
 )
 
@@ -123,7 +121,9 @@ func NewDatabase() *Database { return storage.NewDatabase() }
 
 // LoadFacts moves the ground facts of a program into db, returning the
 // remaining rules.
-func LoadFacts(p *Program, db *Database) *Program { return eval.LoadFacts(p, db) }
+func LoadFacts(p *Program, db *Database) *Program {
+	return eval.SplitFacts(p, func(pred string, consts []string) { db.AddFact(pred, consts...) })
+}
 
 // Classify runs the full A/V-graph analysis (Theorems 3.1 and 3.3).
 func Classify(d *Definition) (*Classification, error) { return analysis.Classify(d) }
@@ -145,41 +145,6 @@ func Decide(d *Definition) (*Decision, error) { return rewrite.DecideOneSided(d)
 // recursion into a Fig. 9 plan.
 func CompileSelection(d *Definition, query Atom) (*Plan, error) {
 	return eval.CompileSelection(d, query)
-}
-
-// Eval compiles and evaluates a selection in one call.
-//
-// Deprecated: use Engine.Query (or Engine.Prepare), which runs the full
-// decision procedure, caches the plan, and supports cancellation.
-func Eval(d *Definition, query Atom, db *Database) (*Relation, EvalStats, error) {
-	return eval.OneSidedEval(d, query, db)
-}
-
-// SemiNaive evaluates a program bottom-up (the general baseline).
-//
-// Deprecated: use an Engine with WithStrategies("seminaive") for query
-// answering; SemiNaive remains for whole-program materialization.
-func SemiNaive(p *Program, db *Database) (*EvalResult, error) { return eval.SemiNaive(p, db) }
-
-// Naive evaluates a program with the naive strategy.
-//
-// Deprecated: use an Engine with WithStrategies("naive").
-func Naive(p *Program, db *Database) (*EvalResult, error) { return eval.Naive(p, db) }
-
-// MagicEval evaluates a query with the Magic Sets transformation (the
-// general-purpose comparison point).
-//
-// Deprecated: use an Engine with WithStrategies("magic"), which reuses
-// the rewriting across evaluations via Prepare.
-func MagicEval(p *Program, query Atom, db *Database) (*Relation, *EvalResult, error) {
-	return eval.MagicEval(p, query, db)
-}
-
-// SelectEval evaluates a query by full materialization plus selection.
-//
-// Deprecated: use an Engine with WithStrategies("seminaive").
-func SelectEval(p *Program, query Atom, db *Database) (*Relation, *EvalResult, error) {
-	return eval.SelectEval(p, query, db)
 }
 
 // Answers renders an answer relation as sorted comma-separated rows.
@@ -245,14 +210,4 @@ func ExtractMulti(p *Program, pred string) (*MultiDefinition, error) {
 // graph).
 func ClassifyMulti(d *MultiDefinition) (*MultiClassification, error) {
 	return multi.Classify(d)
-}
-
-// EvalMultiSelection evaluates a selection on a multi-rule recursion,
-// reducing persistent columns rule-by-rule or falling back to Magic Sets;
-// the returned string names the path taken.
-//
-// Deprecated: use Engine.Query; the default strategy chain includes the
-// multi-rule reduction ("multi") with the same fallback behavior.
-func EvalMultiSelection(d *MultiDefinition, query Atom, db *Database) (*Relation, string, error) {
-	return multi.EvalSelection(d, query, db)
 }

@@ -3,6 +3,8 @@ package onesided
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 const tcSrc = `
@@ -121,7 +123,7 @@ func TestPublicAPIParseSource(t *testing.T) {
 	if len(rules.Rules) != 2 || len(queries) != 1 {
 		t.Fatalf("rules=%d queries=%d", len(rules.Rules), len(queries))
 	}
-	ans, _, err := MagicEval(rules, queries[0], db)
+	ans, _, err := eval.MagicEval(rules, queries[0], db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +143,15 @@ func TestPublicAPIEngineAgreement(t *testing.T) {
 	db.AddFact("b", "y", "z")
 	q, _ := ParseQuery("t(x, Y)")
 
-	planAns, _, err := Eval(def, q, db)
+	planAns, _, err := eval.OneSidedEval(def, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	magicAns, _, err := MagicEval(def.Program(), q, db)
+	magicAns, _, err := eval.MagicEval(def.Program(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullAns, _, err := SelectEval(def.Program(), q, db)
+	fullAns, _, err := eval.SelectEval(def.Program(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

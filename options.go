@@ -60,8 +60,10 @@ func WithDatabase(db *Database) Option {
 	return func(c *engineConfig) { c.db = db }
 }
 
-// WithProgram loads a parsed program at Open time: ground facts go into
-// the database, rules become the engine's program.
+// WithProgram loads a parsed program at Open time (LoadProgram): ground
+// facts go into the database, rules become the engine's program. Open
+// fails when the facts are refused — over WithQuota's MaxFacts, or of
+// the wrong arity for an existing relation.
 func WithProgram(p *Program) Option {
 	return func(c *engineConfig) { c.program = p }
 }

@@ -3,7 +3,6 @@ package onesided
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/eval"
@@ -41,12 +40,13 @@ type Quota struct {
 // abort (HTTP 429 territory) from a deadline (504).
 var ErrGasExhausted = eval.ErrGasExhausted
 
-// ErrFactLimitExceeded is returned by InsertFact when the database
-// already holds the quota's MaxFacts tuples.
+// ErrFactLimitExceeded is returned by the insert entry points (InsertFacts
+// and everything built on it) when the database already holds the quota's
+// MaxFacts tuples.
 var ErrFactLimitExceeded = errors.New("onesided: fact limit exceeded")
 
-// ErrReadOnly is returned by InsertFact on a read-only engine — a
-// replication follower, whose only legitimate mutation source is the
+// ErrReadOnly is returned by the write entry points on a read-only engine
+// — a replication follower, whose only legitimate mutation source is the
 // primary's log stream. Serving layers map it to a redirect pointing
 // writers at the primary.
 var ErrReadOnly = errors.New("onesided: engine is read-only (follower)")
@@ -80,23 +80,14 @@ func GasRemaining(ctx context.Context) int64 {
 // configured).
 func (e *Engine) Quota() Quota { return e.quota }
 
-// InsertFact inserts a fact with admission control: it rejects the
-// insert with ErrFactLimitExceeded once the database holds the quota's
-// MaxFacts tuples (and with ErrReadOnly on a follower), and otherwise
-// reports whether the tuple was genuinely new. The check is admission
-// control, not an invariant — concurrent inserters may overshoot the
-// limit by at most their own in-flight tuples. AddFact is the same path
-// with rejections flattened to false.
+// InsertFact inserts one fact — InsertFacts of a batch of one, with its
+// admission control: ErrFactLimitExceeded once the database holds the
+// quota's MaxFacts tuples, ErrReadOnly on a follower, ErrArityMismatch
+// for the wrong argument count — and otherwise reports whether the
+// tuple was genuinely new.
 func (e *Engine) InsertFact(pred string, consts ...string) (bool, error) {
-	if e.readOnly.Load() {
-		return false, ErrReadOnly
-	}
-	if m := e.quota.MaxFacts; m > 0 && int64(e.db.TupleCount()) >= m {
-		return false, fmt.Errorf("%w: database holds %d tuples (limit %d)", ErrFactLimitExceeded, e.db.TupleCount(), m)
-	}
-	added := e.db.AddFact(pred, consts...)
-	e.maybeAutoCheckpoint()
-	return added, nil
+	n, err := e.InsertFacts([]Fact{{Pred: pred, Args: consts}})
+	return n == 1, err
 }
 
 // withGasCtx attaches the engine's default gas budget to ctx unless the

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/eval"
 )
 
 // applyEvent folds one SubEvent into a row set (Remove then Add).
@@ -59,7 +61,7 @@ func TestSubscribeSignedEvents(t *testing.T) {
 
 	check := func(stepName string) {
 		t.Helper()
-		oracle, _, err := SelectEval(prog, mustAtom(t, "t(paris, Y)"), eng.DB())
+		oracle, _, err := eval.SelectEval(prog, mustAtom(t, "t(paris, Y)"), eng.DB())
 		if err != nil {
 			t.Fatal(err)
 		}

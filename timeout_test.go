@@ -253,3 +253,78 @@ func TestInsertFactQuota(t *testing.T) {
 		t.Fatalf("query after rejection: rows=%v err=%v", rows, err)
 	}
 }
+
+// TestLoadAdmitsFactsLikeInsertFacts: ground facts in a loaded source are
+// an InsertFacts batch — the fact quota and the read-only gate cannot be
+// bypassed by spelling facts as program text — while the rules of the
+// same source still load.
+func TestLoadAdmitsFactsLikeInsertFacts(t *testing.T) {
+	eng := openCtxCase(t, []Option{WithQuota(Quota{MaxFacts: 2})}, "")
+	_, err := eng.Load("a(k0, v). a(k1, v). a(k2, v).\nt(X, Y) :- a(X, Y).\n")
+	if !errors.Is(err, ErrFactLimitExceeded) {
+		t.Fatalf("Load past MaxFacts: err = %v, want ErrFactLimitExceeded", err)
+	}
+	if n := eng.DB().TupleCount(); n != 2 {
+		t.Fatalf("Load stored %d tuples under MaxFacts 2", n)
+	}
+	rows, err := eng.Query(context.Background(), "t(k0, Y)")
+	if err != nil || rows.Len() != 1 {
+		t.Fatalf("rule from the refused source: rows=%v err=%v", rows, err)
+	}
+
+	ro := openCtxCase(t, nil, "a(k0, v).\n")
+	ro.SetReadOnly(true)
+	if _, err := ro.Load("a(k1, v).\nt(X, Y) :- a(X, Y).\n"); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("Load on a read-only engine: err = %v, want ErrReadOnly", err)
+	}
+	if n := ro.DB().TupleCount(); n != 1 {
+		t.Fatalf("read-only Load stored a fact: %d tuples", n)
+	}
+	if len(ro.Program().Rules) != 1 {
+		t.Fatalf("read-only Load dropped the rule: %v", ro.Program().Rules)
+	}
+}
+
+// TestArityMismatchIsTypedError: no insert entry point panics on a fact
+// whose arity differs from its relation's (stored, or fixed by an earlier
+// fact of the same batch); each returns ErrArityMismatch with the facts
+// before it applied, and a retraction of the wrong arity is a miss.
+func TestArityMismatchIsTypedError(t *testing.T) {
+	cases := []struct {
+		name   string
+		insert func(*Engine) (int, error)
+	}{
+		{"InsertFact", func(e *Engine) (int, error) {
+			_, err := e.InsertFact("a", "x")
+			return 0, err
+		}},
+		{"InsertFacts/stored", func(e *Engine) (int, error) {
+			return e.InsertFacts([]Fact{{"a", []string{"k1", "v"}}, {"a", []string{"x"}}, {"a", []string{"k2", "v"}}})
+		}},
+		{"InsertFacts/new", func(e *Engine) (int, error) {
+			return e.InsertFacts([]Fact{{"n", []string{"x"}}, {"a", []string{"k1", "v"}}, {"n", []string{"x", "y"}}})
+		}},
+		{"Load", func(e *Engine) (int, error) {
+			before := e.DB().TupleCount()
+			_, err := e.Load("c(k1).\na(x).\nc(k2).\n")
+			return e.DB().TupleCount() - before, err
+		}},
+	}
+	wantAdded := []int{0, 1, 2, 1}
+	for i, tc := range cases {
+		eng := openCtxCase(t, nil, "a(k0, v).\n")
+		added, err := tc.insert(eng)
+		if !errors.Is(err, ErrArityMismatch) {
+			t.Fatalf("%s: err = %v, want ErrArityMismatch", tc.name, err)
+		}
+		if added != wantAdded[i] || eng.DB().TupleCount() != 1+wantAdded[i] {
+			t.Fatalf("%s: added %d (%d tuples), want the valid prefix of %d", tc.name, added, eng.DB().TupleCount(), wantAdded[i])
+		}
+		if eng.AddFact("a", "x") {
+			t.Fatalf("%s: AddFact accepted a wrong-arity fact", tc.name)
+		}
+		if n, err := eng.RetractFacts([]Fact{{"a", []string{"k0"}}, {"a", []string{"k0", "v"}}}); n != 1 || err != nil {
+			t.Fatalf("%s: RetractFacts = %d, %v; want the wrong-arity fact skipped and 1 removed", tc.name, n, err)
+		}
+	}
+}
