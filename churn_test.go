@@ -149,6 +149,7 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 				}
 			}
 
+			built := make(builtOnce)
 			for step := 0; step < 30; step++ {
 				for j := 0; j <= rng.Intn(2); j++ {
 					switch rng.Intn(3) {
@@ -196,6 +197,7 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 					t.Fatalf("step %d %v: maintained %v != scratch %v",
 						step, ground, rows.Strings(), Answers(oracle, eng.DB()))
 				}
+				built.check(t, step, ground, rows.Explain())
 				// Flush on a stride so batches span several steps and mix
 				// inserts with retracts.
 				if step%3 == 2 {

@@ -3,7 +3,6 @@ package onesided
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -329,9 +328,10 @@ type Explain struct {
 	PlanCache string
 	// ResultCache says how the bound-result cache served the answers:
 	// "hit" (materialized answers still current at the database epoch),
-	// "updated" (maintained answers extended with the delta since their
-	// stamp), "rebuilt" (evaluated in full — first build, eviction, or a
-	// delta the retained state could not absorb), or "" when the result
+	// "updated" (maintained answers moved by the signed delta since their
+	// stamp), "rebuilt" (evaluated in full — first build, eviction, an
+	// overflowed delta tail, or after a maintenance pass was cut short
+	// by cancellation or gas), or "" when the result
 	// cache did not participate (streaming, batch-shared traversals,
 	// explicit-program plans, or a disabled cache).
 	ResultCache string
@@ -657,7 +657,7 @@ type resultEntry struct {
 	stamp uint64
 	rel   *storage.Relation
 	stats eval.EvalStats
-	inc   eval.Incremental
+	inc   *eval.Incremental
 }
 
 // resultKey builds the bound-result cache key: the skeleton key plus the
@@ -704,15 +704,21 @@ func (e *Engine) resultEntryFor(key string, gen uint64, create bool) *resultEntr
 	return entry
 }
 
-// collectDelta gathers, for every relation modified at or after stamp,
-// its signed DeltaSince tuples as an eval.Delta. ok is false when some
-// relation's delta tail was evicted (or the relation is untracked) and
-// the caller must fall back to a full re-evaluation.
-func (e *Engine) collectDelta(stamp uint64) (eval.Delta, bool) {
-	db := e.db
-	var d eval.Delta
-	for _, pred := range db.Preds() {
-		r := db.Relation(pred)
+// collectDelta gathers, for each of the given predicates whose relation
+// was modified at or after stamp, its signed (netted) DeltaSince tuples
+// as an eval.Delta. ok is false when one of those relations' delta tail
+// was evicted and the caller must fall back to a full re-evaluation;
+// relations the maintained program never reads are not consulted.
+func (e *Engine) collectDelta(preds []string, stamp uint64) (eval.Delta, bool) {
+	d := eval.Delta{Add: make(map[string]*storage.Relation), Del: make(map[string]*storage.Relation)}
+	put := func(side map[string]*storage.Relation, pred string, arity int, tuples []storage.Tuple) {
+		if len(tuples) > 0 {
+			side[pred] = storage.NewRelation(arity, nil)
+			side[pred].InsertBatch(tuples)
+		}
+	}
+	for _, pred := range preds {
+		r := e.db.Relation(pred)
 		if r == nil || r.LastModified() < stamp {
 			continue
 		}
@@ -720,28 +726,28 @@ func (e *Engine) collectDelta(stamp uint64) (eval.Delta, bool) {
 		if !ok {
 			return eval.Delta{}, false
 		}
-		if len(sd.Added) > 0 {
-			nr := storage.NewRelation(r.Arity(), nil)
-			for _, t := range sd.Added {
-				nr.Insert(t)
-			}
-			if d.Add == nil {
-				d.Add = make(map[string]*storage.Relation)
-			}
-			d.Add[pred] = nr
-		}
-		if len(sd.Removed) > 0 {
-			nr := storage.NewRelation(r.Arity(), nil)
-			for _, t := range sd.Removed {
-				nr.Insert(t)
-			}
-			if d.Del == nil {
-				d.Del = make(map[string]*storage.Relation)
-			}
-			d.Del[pred] = nr
-		}
+		put(d.Add, pred, r.Arity(), sd.Added)
+		put(d.Del, pred, r.Arity(), sd.Removed)
 	}
 	return d, true
+}
+
+// maintain brings entry's retained state up to date: it reads the epoch
+// the entry will be current as of, collects the signed delta since the
+// entry's stamp and applies it. No retraction may land between collecting
+// the delta and the end of the pass that applies it, so both happen under
+// one Database.HoldRetractions, released however the pass ends (a pass
+// that panics under a recovering caller must not leave writers waiting).
+// changed reports a non-empty delta; ok is false when a delta tail was
+// evicted. The caller holds entry.mu.
+func (e *Engine) maintain(ctx context.Context, entry *resultEntry) (newStamp uint64, changed, ok bool, err error) {
+	defer e.db.HoldRetractions()()
+	newStamp = e.db.Epoch()
+	delta, ok := e.collectDelta(entry.inc.Reads(), entry.stamp)
+	if changed = ok && !delta.Empty(); changed {
+		err = entry.inc.Update(ctx, delta)
+	}
+	return newStamp, changed, ok, err
 }
 
 // queryCached serves a prepared query through the bound-result cache.
@@ -778,32 +784,28 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 			e.resHits.Add(1)
 			mode = "hit"
 		} else if entry.inc != nil {
-			newStamp := db.Epoch()
-			if delta, ok := e.collectDelta(entry.stamp); ok {
-				if delta.Empty() {
-					// Mutations happened, but every changed relation's
-					// delta was empty overlap — nothing to apply.
-					entry.stamp = newStamp
-					e.resHits.Add(1)
-					mode = "hit"
-				} else if uerr := entry.inc.Update(ctx, db, delta); uerr == nil {
-					entry.stamp = newStamp
-					entry.rel = entry.inc.Answers()
-					entry.stats = entry.inc.Stats()
-					e.resUpdated.Add(1)
-					mode = "updated"
-				} else {
-					// A failed Update (ErrRebuild or a mid-pass
-					// cancellation) leaves the retained state
-					// half-applied — its seen-set may already have
-					// claimed work it never finished, so replaying the
-					// delta would silently skip answers. Poison the
-					// entry: the next query rebuilds from scratch.
-					entry.inc, entry.rel = nil, nil
-					if !errors.Is(uerr, eval.ErrRebuild) {
-						return nil, true, uerr
-					}
-				}
+			newStamp, changed, ok, uerr := e.maintain(ctx, entry)
+			switch {
+			case uerr != nil:
+				// A failed Update (a mid-pass cancellation or an exhausted
+				// gas budget) leaves the retained fixpoint half-moved, so
+				// replaying the delta would silently skip answers. Poison
+				// the entry: the next query rebuilds from scratch.
+				entry.inc, entry.rel = nil, nil
+				return nil, true, uerr
+			case !ok:
+				// A delta tail was evicted: rebuild below.
+			case !changed:
+				// Mutations happened, but none the maintained program
+				// reads, or they netted out — nothing to apply.
+				entry.stamp = newStamp
+				e.resHits.Add(1)
+				mode = "hit"
+			default:
+				entry.stamp = newStamp
+				entry.stats = entry.inc.Stats()
+				e.resUpdated.Add(1)
+				mode = "updated"
 			}
 		}
 	}
@@ -1287,10 +1289,10 @@ func (e *Engine) rewarmShapes(shapes []string) {
 
 // ResultCacheStats reports the bound-result cache's effectiveness:
 // Hits served materialized answers still current at the database epoch,
-// Updated extended a retained fixpoint with just the delta, Rebuilt
+// Updated moved a retained fixpoint by just the signed delta, Rebuilt
 // evaluated in full (first build, LRU eviction, non-maintainable plan,
-// or a delta the retained state could not absorb). Entries counts the
-// resident answer sets.
+// an overflowed delta tail, or a maintenance pass cut short by
+// cancellation or gas). Entries counts the resident answer sets.
 type ResultCacheStats struct {
 	Hits, Updated, Rebuilt int64
 	Entries                int

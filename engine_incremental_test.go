@@ -2,10 +2,14 @@ package onesided
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/ast"
 	"repro/internal/eval"
 )
 
@@ -230,6 +234,7 @@ func TestIncrementalEquivalenceAcrossExamples(t *testing.T) {
 			eng := exm.open(t)
 			prog := eng.Program()
 			rng := rand.New(rand.NewSource(int64(len(exm.name)) * 7919))
+			built := make(builtOnce)
 			for step := 0; step < 25; step++ {
 				for j := 0; j <= rng.Intn(2); j++ {
 					g := gens[rng.Intn(len(gens))]
@@ -249,6 +254,7 @@ func TestIncrementalEquivalenceAcrossExamples(t *testing.T) {
 					t.Fatalf("step %d %v: incremental %v != scratch %v",
 						step, ground, rows.Strings(), Answers(oracle, eng.DB()))
 				}
+				built.check(t, step, ground, rows.Explain())
 			}
 			cs := eng.CacheStats().Results
 			if cs.Hits+cs.Updated+cs.Rebuilt == 0 {
@@ -301,9 +307,30 @@ func TestIncrementalDoesLessWork(t *testing.T) {
 	if got := rows.Len(); got != 2 {
 		t.Fatalf("answers after insert = %d, want 2 (%v)", got, rows.Strings())
 	}
+	if inc.FullScans != 0 {
+		t.Fatalf("maintained re-query performed %d full scans; the delta joins must probe, not scan (Property 3)", inc.FullScans)
+	}
 	if inc.TuplesExamined*10 > cold.TuplesExamined {
 		t.Fatalf("incremental re-query examined %d tuples, cold recompute %d — want >= 10x reduction",
 			inc.TuplesExamined, cold.TuplesExamined)
+	}
+
+	// The same holds for taking the exit out again: DRed over the adopted
+	// state probes from the retracted tuple, it does not re-walk the chain.
+	if _, err := eng.Retract("b", "n2000", "mid"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = eng.Query(ctx, "t(n0, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := rows.Counters()
+	if rows.Explain().ResultCache != "updated" || rows.Len() != 1 {
+		t.Fatalf("re-query after the retract: %v, answers %v", rows.Explain(), rows.Strings())
+	}
+	if del.FullScans != 0 || del.TuplesExamined*10 > cold.TuplesExamined {
+		t.Fatalf("re-query after the retract: %d full scans, %d tuples examined (cold recompute %d)",
+			del.FullScans, del.TuplesExamined, cold.TuplesExamined)
 	}
 }
 
@@ -345,11 +372,55 @@ func TestQueryBatchConsultsResultCache(t *testing.T) {
 	}
 }
 
-// TestResultCacheGuardFlipRebuilds: a delta the retained state cannot
-// absorb (an empty factor-group guard flipping non-empty) poisons the
-// entry, and the next query rebuilds with correct answers — never
-// serves the stale depth-0-only set.
-func TestResultCacheGuardFlipRebuilds(t *testing.T) {
+// builtOnce asserts the one-machine contract under churn: a one-sided
+// result-cache entry — whatever its Fig. 9 mode — is evaluated in full
+// exactly once, its first build, and every later query of it is served
+// hit or updated, whatever mix of inserts and retractions arrived in
+// between (these tests never overflow a delta tail, evict an entry, or
+// reload the program).
+type builtOnce map[string]bool
+
+func (b builtOnce) check(t *testing.T, step int, ground Atom, ex Explain) {
+	t.Helper()
+	key := ground.String()
+	if ex.Strategy == eval.StrategyOneSided && ex.ResultCache == "rebuilt" && b[key] {
+		t.Fatalf("step %d %v: entry rebuilt after its first build: %v", step, ground, ex)
+	}
+	b[key] = true
+}
+
+// queryUpdated re-asks query, requires the result cache to have served
+// it by maintenance, and compares the answers with a from-scratch
+// one-sided evaluation over the current database.
+func queryUpdated(t *testing.T, eng *Engine, query, what string) *Rows {
+	t.Helper()
+	rows, err := eng.Query(context.Background(), query)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got := rows.Explain().ResultCache; got != "updated" {
+		t.Fatalf("%s: result-cache = %q, want updated", what, got)
+	}
+	q := mustAtom(t, query)
+	def, err := ast.ExtractDefinition(eng.Program(), q.Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, _, err := eval.OneSidedEval(def, q, eng.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rows.Relation().Equal(scratch) {
+		t.Fatalf("%s: maintained %v != from-scratch %v", what, rows.Strings(), Answers(scratch, eng.DB()))
+	}
+	return rows
+}
+
+// TestResultCacheGuardFlipMaintains: an anchor-free factor-group guard
+// flipping — empty at build time, then non-empty, then empty again — is
+// absorbed by the retained state in both directions; the entry never
+// serves the stale set and never rebuilds.
+func TestResultCacheGuardFlipMaintains(t *testing.T) {
 	eng, err := Open()
 	if err != nil {
 		t.Fatal(err)
@@ -371,27 +442,251 @@ func TestResultCacheGuardFlipRebuilds(t *testing.T) {
 		t.Fatalf("guard-off answers = %v", got)
 	}
 	eng.AddFact("d", "on")
-	rows, err = eng.Query(ctx, "t(u, Y)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rows.Explain().ResultCache; got != "rebuilt" {
-		t.Fatalf("post-flip result-cache = %q, want rebuilt (retained state cannot absorb a guard flip)", got)
-	}
+	rows = queryUpdated(t, eng, "t(u, Y)", "guard on")
 	if got := fmt.Sprint(rows.Strings()); got != "[u,direct u,goal]" {
 		t.Fatalf("post-flip answers = %v", got)
 	}
-	// The rebuilt state is maintainable again.
 	eng.AddFact("b", "v", "extra")
-	rows, err = eng.Query(ctx, "t(u, Y)")
+	rows = queryUpdated(t, eng, "t(u, Y)", "insert with the guard on")
+	if got := fmt.Sprint(rows.Strings()); got != "[u,direct u,extra u,goal]" {
+		t.Fatalf("maintained answers = %v", got)
+	}
+	if _, err := eng.Retract("d", "on"); err != nil {
+		t.Fatal(err)
+	}
+	rows = queryUpdated(t, eng, "t(u, Y)", "guard off again")
+	if got := fmt.Sprint(rows.Strings()); got != "[u,direct]" {
+		t.Fatalf("guard-off-again answers = %v", got)
+	}
+	if cs := eng.CacheStats().Results; cs.Rebuilt != 1 {
+		t.Fatalf("rebuilt = %d, want only the first build: %v", cs.Rebuilt, cs)
+	}
+}
+
+// TestResultCacheContextModeMaintains is the one-machine behaviour
+// contract: after its first build a context-mode (Fig. 9) entry absorbs
+// every kind of delta — exit insert, exit retract, a cut, the splice
+// that undoes it, a factor group emptied and refilled — as "updated",
+// on a plan with an anchor-free group and on Example 3.4's anchored one.
+func TestResultCacheContextModeMaintains(t *testing.T) {
+	const n = 40
+	node := func(i int) string { return fmt.Sprintf("n%d", i) }
+	cases := []struct {
+		name, src, query string
+		exit             func(i int, out string) Fact
+		group            Fact
+	}{
+		{
+			name:  "anchor-free",
+			src:   "t(X, Y) :- a(X, Z), t(Z, Y), d(W).\nt(X, Y) :- b(X, Y).\n",
+			query: "t(n0, Y)",
+			exit:  func(i int, out string) Fact { return Fact{"b", []string{node(i), out}} },
+			group: Fact{"d", []string{"on"}},
+		},
+		{
+			// Example 3.4 with the columns arranged so that a(X, Z) walks
+			// down the chain: Z is the carried column, W the group's anchor.
+			name:  "anchored",
+			src:   "t(X, Y, W) :- a(X, Z), t(Z, Y, V), d(W).\nt(X, Y, W) :- b(X, Y, W).\n",
+			query: "t(n0, Y, W)",
+			exit:  func(i int, out string) Fact { return Fact{"b", []string{node(i), out, "w0"}} },
+			group: Fact{"d", []string{"w1"}},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Load(tc.src); err != nil {
+				t.Fatal(err)
+			}
+			var chain []Fact
+			for i := 0; i < n; i++ {
+				chain = append(chain, Fact{"a", []string{node(i), node(i + 1)}})
+			}
+			mustInsert := func(fs ...Fact) {
+				t.Helper()
+				if _, err := eng.InsertFacts(fs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustRetract := func(fs ...Fact) {
+				t.Helper()
+				if n, err := eng.RetractFacts(fs); err != nil || n != len(fs) {
+					t.Fatalf("retract %v: removed %d, err %v", fs, n, err)
+				}
+			}
+			mustInsert(chain...)
+			mustInsert(tc.exit(n, "end"), tc.exit(n/2, "mid"), tc.group)
+			rows, err := eng.Query(context.Background(), tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex := rows.Explain(); ex.Mode != "context" || ex.ResultCache != "rebuilt" {
+				t.Fatalf("first query: %v, want a context-mode first build", ex)
+			}
+			if rows.Len() != 2 {
+				t.Fatalf("first answers = %v", rows.Strings())
+			}
+			want := func(what string, answers int) {
+				t.Helper()
+				if rows := queryUpdated(t, eng, tc.query, what); rows.Len() != answers {
+					t.Fatalf("%s: %d answers, want %d (%v)", what, rows.Len(), answers, rows.Strings())
+				}
+			}
+			mustInsert(tc.exit(5, "early"))
+			want("insert exit", 3)
+			mustRetract(tc.exit(n/2, "mid"))
+			want("retract exit", 2)
+			mustRetract(chain[3])
+			want("cut", 0)
+			mustInsert(chain[3])
+			want("splice", 2)
+			mustRetract(tc.group)
+			want("empty the factor group", 0)
+			mustInsert(tc.group)
+			want("refill the factor group", 2)
+			mustRetract(chain[10], tc.exit(5, "early"))
+			mustInsert(Fact{"a", []string{node(10), node(12)}})
+			want("cut, bypass and exit retract in one delta", 1)
+			if cs := eng.CacheStats().Results; cs.Rebuilt != 1 {
+				t.Fatalf("rebuilt = %d, want only the first build: %v", cs.Rebuilt, cs)
+			}
+		})
+	}
+}
+
+// TestResultCacheFailedUpdatePoisons: a maintenance pass cut short — by
+// cancellation or by an exhausted gas budget — discards the entry, and
+// the next query rebuilds it with correct answers.
+func TestResultCacheFailedUpdatePoisons(t *testing.T) {
+	const n = 200
+	load := func(t *testing.T, opts ...Option) *Engine {
+		t.Helper()
+		eng, err := Open(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Load("t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\n"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			eng.AddFact("a", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
+		}
+		eng.AddFact("b", fmt.Sprintf("n%d", n), "end")
+		return eng
+	}
+	rebuildsCorrectly := func(t *testing.T, eng *Engine) {
+		t.Helper()
+		rows, err := eng.Query(context.Background(), "t(n0, Y)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rows.Explain().ResultCache; got != "rebuilt" {
+			t.Fatalf("query after a failed update: result-cache = %q, want rebuilt", got)
+		}
+		if got := fmt.Sprint(rows.Strings()); got != "[n0,end n0,far]" {
+			t.Fatalf("answers after the rebuild = %v", got)
+		}
+	}
+	t.Run("cancelled", func(t *testing.T) {
+		eng := load(t)
+		if _, err := eng.Query(context.Background(), "t(n0, Y)"); err != nil {
+			t.Fatal(err)
+		}
+		// A second arm of the chain: the update must walk it.
+		for i := 0; i < n; i++ {
+			eng.AddFact("a", fmt.Sprintf("m%d", i), fmt.Sprintf("m%d", i+1))
+		}
+		eng.AddFact("a", "n0", "m0")
+		eng.AddFact("b", fmt.Sprintf("m%d", n), "far")
+		pq, err := eng.Prepare(nil, mustAtom(t, "t(n0, Y)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cancel mid-pass: queryCached refuses a dead context up front, so
+		// the context dies a few Err checks into the maintenance loop.
+		if _, _, err := eng.queryCached(&dyingCtx{Context: context.Background(), after: 3}, pq, true); !errors.Is(err, context.Canceled) {
+			t.Fatalf("mid-pass cancellation returned %v, want context.Canceled", err)
+		}
+		rebuildsCorrectly(t, eng)
+	})
+	t.Run("gas", func(t *testing.T) {
+		eng := load(t, WithQuota(Quota{MaxDerived: n + 50}))
+		if _, err := eng.Query(context.Background(), "t(n0, Y)"); err != nil {
+			t.Fatal(err)
+		}
+		eng.AddFact("b", "n7", "far")
+		// Splice a second, longer arm in: the maintenance pass derives more
+		// contexts than the budget allows.
+		for i := 0; i < 2*n; i++ {
+			eng.AddFact("a", fmt.Sprintf("m%d", i), fmt.Sprintf("m%d", i+1))
+		}
+		eng.AddFact("a", "n0", "m0")
+		if _, err := eng.Query(context.Background(), "t(n0, Y)"); !errors.Is(err, ErrGasExhausted) {
+			t.Fatalf("over-budget update returned %v, want ErrGasExhausted", err)
+		}
+		// Cut the arm off again: the rebuild fits the budget.
+		if _, err := eng.Retract("a", "n0", "m0"); err != nil {
+			t.Fatal(err)
+		}
+		rebuildsCorrectly(t, eng)
+	})
+}
+
+// dyingCtx reports context.Canceled from its after-th Err call on.
+type dyingCtx struct {
+	context.Context
+	after int
+}
+
+func (c *dyingCtx) Err() error {
+	if c.after--; c.after < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestResultCacheIgnoresUnreadRelations: maintenance consults only the
+// relations the retained program reads. A bulk load into an unrelated
+// predicate — large enough to overflow that relation's delta tail, so
+// its DeltaSince gives up — must not force the entry to rebuild.
+func TestResultCacheIgnoresUnreadRelations(t *testing.T) {
+	eng := openQuickstart(t)
+	ctx := context.Background()
+	if _, err := eng.Query(ctx, "t(paris, Y)"); err != nil {
+		t.Fatal(err)
+	}
+	bulk := make([]Fact, 5000)
+	for i := range bulk {
+		bulk[i] = Fact{"zzz", []string{fmt.Sprintf("x%d", i), fmt.Sprintf("y%d", i)}}
+	}
+	if _, err := eng.InsertFacts(bulk); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := eng.DB().Relation("zzz").DeltaSince(1); ok {
+		t.Fatal("the bulk load did not overflow zzz's delta tail; the test no longer tests anything")
+	}
+	rows, err := eng.Query(ctx, "t(paris, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows.Explain().ResultCache; got != "hit" && got != "updated" {
+		t.Fatalf("re-query after an unrelated bulk load: result-cache = %q, want hit or updated", got)
+	}
+	// And a relation it does read still maintains afterwards.
+	eng.AddFact("b", "marseille", "aix")
+	rows, err = eng.Query(ctx, "t(paris, Y)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := rows.Explain().ResultCache; got != "updated" {
-		t.Fatalf("post-rebuild insert result-cache = %q, want updated", got)
+		t.Fatalf("re-query after a related insert: result-cache = %q, want updated", got)
 	}
-	if got := fmt.Sprint(rows.Strings()); got != "[u,direct u,extra u,goal]" {
-		t.Fatalf("maintained answers = %v", got)
+	if got := fmt.Sprint(rows.Strings()); got != "[paris,aix paris,grenoble paris,nice]" {
+		t.Fatalf("answers = %v", got)
 	}
 }
 
@@ -441,5 +736,205 @@ func TestExplicitProgramBindStaysUncached(t *testing.T) {
 	}
 	if got := query(progB); got != "[x,c]" {
 		t.Fatalf("progB answers = %v (cross-program result-cache pollution?)", got)
+	}
+}
+
+// hookCtx runs fn once, from its at-th Err call — a way to do something
+// at a known point inside a maintenance pass, which polls its context
+// between rounds.
+type hookCtx struct {
+	context.Context
+	at int
+	fn func()
+}
+
+func (c *hookCtx) Err() error {
+	if c.at--; c.at == 0 {
+		c.fn()
+	}
+	return nil
+}
+
+// TestResultCacheRetractionWaitsForMaintenance: delete-rederive
+// reconstructs the pre-deletion state as what is there now plus what its
+// delta says left, so a retraction must not land between a pass's delta
+// collection and its end (Database.HoldRetractions). Here the chain is
+// cut, and while the pass is cascading the cut a writer retracts the
+// exit that hung below it. Were that retraction to land mid-pass, the
+// answer it supported would be a candidate in neither this pass (the
+// exit is already gone when the deleted contexts are joined with it)
+// nor the next (the context is already gone when the deleted exit is
+// joined with it) and would survive both.
+func TestResultCacheRetractionWaitsForMaintenance(t *testing.T) {
+	eng, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load("t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\n"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		eng.AddFact("a", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
+	}
+	eng.AddFact("b", "n50", "goal")
+	eng.AddFact("b", "n40", "x")
+	pq, err := eng.Prepare(nil, mustAtom(t, "t(n0, Y)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := pq.Query(context.Background()); err != nil || rows.Len() != 2 {
+		t.Fatalf("first build: %v, err %v", rows.Strings(), err)
+	}
+	if _, err := eng.Retract("a", "n5", "n6"); err != nil {
+		t.Fatal(err)
+	}
+	landed := make(chan struct{})
+	ctx := &hookCtx{Context: context.Background(), at: 4, fn: func() {
+		go func() {
+			defer close(landed)
+			if removed, err := eng.Retract("b", "n40", "x"); err != nil || !removed {
+				t.Errorf("mid-pass retract: removed=%v err=%v", removed, err)
+			}
+		}()
+		// Give the writer every chance to get in before the pass goes on.
+		select {
+		case <-landed:
+		case <-time.After(20 * time.Millisecond):
+		}
+	}}
+	rows, _, err := eng.queryCached(ctx, pq, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.at > 0 {
+		t.Fatalf("the pass polled its context only %d times; the hook never ran", 4-ctx.at)
+	}
+	if got := rows.Explain().ResultCache; got != "updated" || rows.Len() != 0 {
+		t.Fatalf("after the cut: result-cache=%s answers %v", got, rows.Strings())
+	}
+	<-landed
+	eng.AddFact("a", "n5", "n6")
+	rows, err = pq.Query(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(rows.Strings()); got != "[n0,goal]" {
+		t.Fatalf("after the splice: answers %v, want [n0,goal] (n0,x lost its exit)", got)
+	}
+}
+
+// TestResultCacheConvergesUnderConcurrentWriters: maintained entries — a
+// base lookup, and a context-mode recursion adopted by the semi-naive
+// state — are re-asked by readers while several writers insert and
+// retract the facts they read. A reader's stamp must never move past a
+// mutation it has not replayed: once the writers stop, each entry, served
+// from the cache, equals a from-scratch evaluation. (A writer that
+// publishes a relation's modification watermark after the epoch has left
+// the mutation's stamp loses that mutation to any reader in between; the
+// surviving row is stale forever.)
+func TestResultCacheConvergesUnderConcurrentWriters(t *testing.T) {
+	rounds := 4
+	if testing.Short() {
+		rounds = 1
+	}
+	for round := 0; round < rounds; round++ {
+		eng, err := Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Load("t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\n"); err != nil {
+			t.Fatal(err)
+		}
+		const chain = 12
+		node := func(i int) string { return fmt.Sprintf("n%d", i) }
+		for i := 0; i < chain; i++ {
+			eng.AddFact("a", node(i), node(i+1))
+		}
+		queries := []string{"b(n0, X)", "t(n0, Y)", "t(n3, Y)"}
+		ctx := context.Background()
+		for _, q := range queries {
+			if _, err := eng.Query(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var writers, readers sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < 3; w++ {
+			writers.Add(1)
+			go func(w int, rng *rand.Rand) {
+				defer writers.Done()
+				// Every exit is inserted once and two thirds of them retracted
+				// once, a few steps later, so no later write papers over a
+				// lost one; now and then a chain edge is cut or spliced.
+				exit := func(i int) (string, string) { return node(i % 4), fmt.Sprintf("w%d_%d", w, i) }
+				for i := 0; i < 800; i++ {
+					from, to := exit(i)
+					eng.AddFact("b", from, to)
+					if i >= 5 && i%3 != 0 {
+						from, to = exit(i - 5)
+						eng.Retract("b", from, to)
+					}
+					if rng.Intn(8) == 0 {
+						k := rng.Intn(chain)
+						if removed, _ := eng.Retract("a", node(k), node(k+1)); !removed {
+							eng.AddFact("a", node(k), node(k+1))
+						}
+					}
+				}
+			}(w, rand.New(rand.NewSource(int64(round*10+w))))
+		}
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				for i := r; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := eng.Query(ctx, queries[i%len(queries)]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(r)
+		}
+		writers.Wait()
+		close(stop)
+		readers.Wait()
+		fresh, err := Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.LoadProgram(eng.Program())
+		for _, f := range snapshotLive(eng.DB()).facts {
+			fresh.AddFact(f.pred, f.args...)
+		}
+		for _, query := range queries {
+			rows, err := eng.Query(ctx, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Query(ctx, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			have := make(map[string]bool)
+			for _, row := range rows.Strings() {
+				have[row] = true
+			}
+			var missing []string
+			for _, row := range want.Strings() {
+				if !have[row] {
+					missing = append(missing, row)
+				}
+				delete(have, row)
+			}
+			if len(have)+len(missing) > 0 {
+				t.Fatalf("round %d %s (result-cache=%s): maintained answers hold stale rows %v and lack %v",
+					round, query, rows.Explain().ResultCache, have, missing)
+			}
+		}
 	}
 }

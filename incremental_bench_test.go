@@ -68,64 +68,84 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 }
 
 // BenchmarkRetractMaintain measures the retract→re-query cycle: each
-// iteration retracts one chain edge near the head — severing the first
-// `cut` nodes from the goal — re-queries, restores the edge, and
-// re-queries again. The query t(X, goal) plans as the reduced-mode
-// one-sided plan, whose retained semi-naive state absorbs the deletion
-// with a DRed pass (over-delete the severed prefix, re-derive the
-// survivors); work is proportional to the retraction's blast radius,
-// not the chain. The "recompute" variant disables the result cache and
-// re-runs the fixpoint from the seed both times — the from-scratch
-// baseline the >= 5x acceptance criterion compares against.
+// iteration retracts one base fact, re-queries, restores the fact, and
+// re-queries again. Every maintained case runs on the one incremental
+// machine — a DRed pass over the retained semi-naive state (over-delete
+// what the fact supported, re-derive the survivors), then the insert
+// variants — with work proportional to the retraction's blast radius:
+//
+//   - reduced mode, t(X, goal): an edge near the head severs the first
+//     `cut` nodes from the goal (the original case; its sub-benchmark
+//     names are unchanged);
+//   - context mode, t(n0, Y), exit: one b exit mid-chain — an O(|delta|)
+//     join against the adopted context relation;
+//   - context mode, t(n0, Y), edge: a mid-chain a edge — the worst case,
+//     a cascade of one semi-naive round per context below the cut, which
+//     costs more per level than the Fig. 9 loop it replaces.
+//
+// The "recompute" variants disable the result cache and re-run the
+// fixpoint from the seed both times — the from-scratch baseline.
 func BenchmarkRetractMaintain(b *testing.B) {
 	ctx := context.Background()
 	const n = 5000
 	const cut = 100
-	edge := [2]string{fmt.Sprintf("n%d", cut), fmt.Sprintf("n%d", cut+1)}
-	run := func(b *testing.B, eng *Engine, wantCache string) {
-		b.Helper()
-		pq, err := eng.Prepare(nil, parserMustAtom(b, "t(X, goal)"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows, err := pq.Query(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		full := rows.Len()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if removed, err := eng.Retract("a", edge[0], edge[1]); err != nil || !removed {
-				b.Fatalf("iteration %d retract: removed=%v err=%v", i, removed, err)
+	node := func(i int) string { return fmt.Sprintf("n%d", i) }
+	cases := []struct {
+		name, query string
+		fact        Fact
+		lost        int // answers the retraction removes
+	}{
+		{"", "t(X, goal)", Fact{"a", []string{node(cut), node(cut + 1)}}, cut + 1},
+		{"context/exit/", "t(n0, Y)", Fact{"b", []string{node(n / 2), "mid"}}, 1},
+		{"context/edge/", "t(n0, Y)", Fact{"a", []string{node(n / 2), node(n/2 + 1)}}, 1},
+	}
+	for _, tc := range cases {
+		run := func(b *testing.B, eng *Engine, wantCache string) {
+			b.Helper()
+			eng.AddFact("b", node(n/2), "mid")
+			pq, err := eng.Prepare(nil, parserMustAtom(b, tc.query))
+			if err != nil {
+				b.Fatal(err)
 			}
 			rows, err := pq.Query(ctx)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got := rows.Explain().ResultCache; got != wantCache {
-				b.Fatalf("iteration %d post-retract result-cache = %q, want %q", i, got, wantCache)
+			full := rows.Len()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if removed, err := eng.Retract(tc.fact.Pred, tc.fact.Args...); err != nil || !removed {
+					b.Fatalf("iteration %d retract: removed=%v err=%v", i, removed, err)
+				}
+				rows, err := pq.Query(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := rows.Explain().ResultCache; got != wantCache {
+					b.Fatalf("iteration %d post-retract result-cache = %q, want %q", i, got, wantCache)
+				}
+				if got := rows.Len(); got != full-tc.lost {
+					b.Fatalf("iteration %d post-retract answers = %d, want %d", i, got, full-tc.lost)
+				}
+				eng.AddFact(tc.fact.Pred, tc.fact.Args...)
+				rows, err = pq.Query(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := rows.Len(); got != full {
+					b.Fatalf("iteration %d post-restore answers = %d, want %d", i, got, full)
+				}
 			}
-			if got := rows.Len(); got != full-(cut+1) {
-				b.Fatalf("iteration %d post-retract answers = %d, want %d", i, got, full-(cut+1))
-			}
-			eng.AddFact("a", edge[0], edge[1])
-			rows, err = pq.Query(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := rows.Len(); got != full {
-				b.Fatalf("iteration %d post-restore answers = %d, want %d", i, got, full)
-			}
+			b.StopTimer()
+			cs := eng.CacheStats().Results
+			b.ReportMetric(float64(cs.Updated), "updated")
+			b.ReportMetric(float64(cs.Rebuilt), "rebuilt")
 		}
-		b.StopTimer()
-		cs := eng.CacheStats().Results
-		b.ReportMetric(float64(cs.Updated), "updated")
-		b.ReportMetric(float64(cs.Rebuilt), "rebuilt")
+		b.Run(fmt.Sprintf("%schain=%d/maintained", tc.name, n), func(b *testing.B) {
+			run(b, incrementalBenchEngine(b, n), "updated")
+		})
+		b.Run(fmt.Sprintf("%schain=%d/recompute", tc.name, n), func(b *testing.B) {
+			run(b, incrementalBenchEngine(b, n, WithResultCache(0)), "")
+		})
 	}
-	b.Run(fmt.Sprintf("chain=%d/maintained", n), func(b *testing.B) {
-		run(b, incrementalBenchEngine(b, n), "updated")
-	})
-	b.Run(fmt.Sprintf("chain=%d/recompute", n), func(b *testing.B) {
-		run(b, incrementalBenchEngine(b, n, WithResultCache(0)), "")
-	})
 }

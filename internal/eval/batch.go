@@ -236,7 +236,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		ans[q] = storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards)
 		// Depth-0 answers use the query's own constants; no sharing.
 		stats.GProbes++
-		bp.d0Join(syms, resolve, -1, func(t storage.Tuple) bool {
+		bp.compileD0(syms).run(bp, syms, resolve, func(t storage.Tuple) bool {
 			ans[q].Insert(t)
 			return true
 		})
@@ -278,11 +278,11 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 			continue
 		}
 		bit := bitset.Bit(k, q)
-		bp.forEachSeedContext(syms, resolve, -1, func(tup storage.Tuple) { merge(tup, bit) })
+		bp.compileSeed(syms).run(bp, syms, resolve, func(tup storage.Tuple) { merge(tup, bit) })
 	}
 
-	f := p.compileF(syms, -1)
-	g := p.compileG(syms, -1)
+	f := p.compileF(syms)
+	g := p.compileG(syms)
 
 	var frontier []ownerItem
 	flush := func() {

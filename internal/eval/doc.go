@@ -42,4 +42,19 @@
 // distinct context once (EvalStats.GProbes measures the sharing), and
 // Magic Sets plans union the queries' seed facts into one semi-naive
 // fixpoint.
+//
+// # Incremental maintenance
+//
+// There is one incremental machine (incremental.go): a maintainable
+// plan is a Datalog program plus a watched answer predicate, its
+// retained state that program's semi-naive fixpoint (snState), and
+// snState.update — insert delta variants plus stratified DRed — the
+// only routine that applies a signed Delta to a derived fixpoint. The
+// semi-naive-backed plans build that state as their cold evaluation (a
+// cold Eval is the builder with the state dropped). A context-mode
+// plan keeps the Fig. 9 loop as its cold evaluator and renders itself
+// as its context program (contextprog.go): the loop's seen-set and
+// answers are that program's fixpoint, adopted by a fresh snState when
+// the first delta arrives; a base-relation lookup does the same with a
+// one-rule program.
 package eval

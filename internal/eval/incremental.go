@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/ast"
@@ -10,16 +9,16 @@ import (
 )
 
 // This file is the incremental-maintenance layer: prepared plans whose
-// evaluation can be RETAINED and then extended with base-relation deltas
-// instead of recomputed from scratch. The paper's Fig. 9 algorithms
-// already walk the expansion strings from the selection end; under
-// inserts the walk is monotone, so a retained seen-set plus
-// delta-restricted versions of the seed/f/g operators (standard
-// semi-naive view maintenance, specialized to the one-sided schema)
-// extend the fixpoint with exactly the new carry batches. Deletions
-// maintain through DRed (delete-rederive) on the semi-naive-backed
-// states — see snState.retractPass — and fall back to ErrRebuild on the
-// context-mode state, whose unary seen-sets cannot un-claim work.
+// evaluation can be RETAINED and then moved with base-relation deltas
+// instead of recomputed from scratch. There is one maintenance machine:
+// every maintainable plan is a Datalog program plus a watched answer
+// predicate, and its retained state is that program's semi-naive
+// fixpoint (snState) — inserts extend it through delta variants,
+// retractions through DRed (snState.retractPass). Plans whose cold
+// evaluator is not semi-naive (the Fig. 9 context loop, the base-relation
+// lookup) keep that evaluator for the first build and hand the state it
+// reached to the machine when the first delta arrives (see
+// Incremental.adopt).
 
 // Delta describes the base-relation changes since a retained
 // evaluation's build epoch, signed: Add holds one relation of newly
@@ -39,533 +38,131 @@ type Delta struct {
 // direction.
 func (d Delta) Empty() bool { return len(d.Add) == 0 && len(d.Del) == 0 }
 
-// HasDel reports whether any predicate has retracted tuples.
-func (d Delta) HasDel() bool { return len(d.Del) > 0 }
-
-// NewDelta builds an insert-only Delta from per-predicate tuple slices,
-// dropping empty ones.
-func NewDelta(changes map[string][]storage.Tuple, arities func(pred string) int) Delta {
-	return Delta{Add: relationsOf(changes, arities)}
-}
-
-// NewSignedDelta builds a Delta with both directions populated from
-// per-predicate tuple slices, dropping empty ones.
-func NewSignedDelta(added, removed map[string][]storage.Tuple, arities func(pred string) int) Delta {
-	return Delta{Add: relationsOf(added, arities), Del: relationsOf(removed, arities)}
-}
-
-// relationsOf indexes per-predicate tuple slices into relations.
-func relationsOf(changes map[string][]storage.Tuple, arities func(pred string) int) map[string]*storage.Relation {
-	if len(changes) == 0 {
-		return nil
-	}
-	m := make(map[string]*storage.Relation, len(changes))
-	for pred, tuples := range changes {
-		if len(tuples) == 0 {
-			continue
-		}
-		rel := storage.NewRelation(arities(pred), nil)
-		for _, t := range tuples {
-			rel.Insert(t)
-		}
-		m[pred] = rel
-	}
-	return m
-}
-
-// ErrRebuild is returned by Incremental.Update when the retained state
-// cannot absorb the delta — an empty factor-group guard may have
-// flipped, or a relation shape changed. The caller falls back to a full
-// re-evaluation; answers are never silently wrong.
-var ErrRebuild = errors.New("eval: retained state cannot absorb the delta; re-evaluate")
-
 // Incremental is a maintained evaluation: the materialized answer
-// relation plus whatever fixpoint state Update needs to extend it with
-// newly inserted base tuples. Answers returns the live relation —
-// Update grows it in place. An Incremental is not safe for concurrent
-// use; callers serialize Update (the engine's result cache holds one
-// lock per cached entry).
+// relation plus the retained fixpoint of the program it folds from.
+// Answers returns the live relation — Update moves it in place. An
+// Incremental is not safe for concurrent use; callers serialize Update
+// (the engine's result cache holds one lock per cached entry).
 //
-// A non-nil Update error — ErrRebuild or a context cancellation —
-// POISONS the state: the pass may have claimed work into its retained
-// seen-sets without finishing it, so a retried Update would silently
-// skip answers. Discard the Incremental and re-evaluate.
-type Incremental interface {
-	Answers() *storage.Relation
-	Stats() EvalStats
-	Update(ctx context.Context, edb *storage.Database, delta Delta) error
-}
+// A non-nil Update error — a context cancellation or an exhausted gas
+// budget — POISONS the state: the pass may have retracted or derived
+// tuples without finishing the propagation, so a retried Update would
+// silently skip answers. Discard the Incremental and re-evaluate.
+type Incremental struct {
+	// prog is the program whose fixpoint is retained and watch the
+	// predicate of it the answers fold from.
+	prog    *ast.Program
+	watch   string
+	edb     *storage.Database
+	workers int
+	// project maps one watched tuple to the answer it contributes (ok
+	// false when the selection filters it out); nil when the watched
+	// tuples are the answers. The returned tuple may be a shared buffer:
+	// the fold hooks run sequentially.
+	project func(t storage.Tuple) (out storage.Tuple, ok bool)
+	ans     *storage.Relation
+	stats   EvalStats
+	reads   []string
+	// seenOf names the derived predicate whose size Stats reports as
+	// SeenSize — the context relation, the reduced recursion — so the
+	// statistic means the same before and after a maintenance pass; ""
+	// reports the whole derived database.
+	seenOf string
 
-// IncrementalPrepared is implemented by prepared plans that can
-// evaluate into a maintainable state. Incremental reports whether this
-// particular plan instance supports maintenance (a strategy may support
-// it only for some plan shapes); when false, EvalIncremental must not
-// be called and the caller re-evaluates on every change.
-type IncrementalPrepared interface {
-	PreparedStrategy
-	Incremental() bool
-	EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error)
-}
-
-// ---------------------------------------------------------------------------
-// Context-mode (Fig. 9) incremental state.
-
-// incContext maintains a context-mode evaluation: the retained
-// contextEval (seen-set, answers, compiled full operators) plus
-// lazily compiled delta variants of the d0, seed, f, and g
-// conjunctions, cached by body-atom index so repeated maintenance
-// passes — the hot insert→re-query cycle — pay compilation once.
-type incContext struct {
-	plan  *Plan
-	ce    *contextEval
-	fVars map[int]fOps
-	gVars map[int]gVarOps
-	dVars map[int]d0Ops
-	sVars map[int]seedOps
-}
-
-// gVarOps is a compiled delta variant of g plus its query-constant-
-// filled source table (the sources reference the variant's own slot
-// space, so they cannot be shared with the full operator's).
-type gVarOps struct {
-	ops  gOps
-	srcs []colSrc
-}
-
-func (ic *incContext) Answers() *storage.Relation { return ic.ce.ans }
-func (ic *incContext) Stats() EvalStats           { return ic.ce.stats }
-
-// fVar returns the cached f delta variant for recursive-body index i.
-func (ic *incContext) fVar(i int) fOps {
-	if v, ok := ic.fVars[i]; ok {
-		return v
-	}
-	v := ic.plan.compileF(ic.ce.syms, i)
-	ic.fVars[i] = v
-	return v
-}
-
-// gVar returns the cached g delta variant for exit-body index i.
-func (ic *incContext) gVar(i int) gVarOps {
-	if v, ok := ic.gVars[i]; ok {
-		return v
-	}
-	ops := ic.plan.compileG(ic.ce.syms, i)
-	v := gVarOps{ops: ops, srcs: fillQueryConsts(ops.srcs, ic.plan.queryConsts(ic.ce.syms))}
-	ic.gVars[i] = v
-	return v
-}
-
-// d0Var returns the cached d0 delta variant for exit-body index i.
-func (ic *incContext) d0Var(i int) d0Ops {
-	if v, ok := ic.dVars[i]; ok {
-		return v
-	}
-	v := ic.plan.compileD0(ic.ce.syms, i)
-	ic.dVars[i] = v
-	return v
-}
-
-// seedVar returns the cached seed delta variant for seed-atom index i.
-func (ic *incContext) seedVar(i int) seedOps {
-	if v, ok := ic.sVars[i]; ok {
-		return v
-	}
-	v := ic.plan.compileSeed(ic.ce.syms, i)
-	ic.sVars[i] = v
-	return v
-}
-
-// Update extends the retained Fig. 9 fixpoint with the delta:
-//
-//  1. depth-0 answers that use a new exit-body tuple (d0 delta variants);
-//  2. new seed contexts from delta-restricted seed conjunctions;
-//  3. new transitions out of already-seen contexts (f delta variants run
-//     over the retained seen-set — the delta atom keeps each probe tiny);
-//  4. the ordinary Fig. 9 loop over the genuinely new contexts, using
-//     the retained full operators and the retained seen-set as the
-//     dedup/claim point;
-//  5. new answers for already-seen contexts that use a new exit-body
-//     tuple (g delta variants).
-//
-// Anchor-free factor groups are pure nonemptiness guards: new tuples in
-// them change nothing while the group stays non-empty, and a flip from
-// empty (noDepth) is reported as ErrRebuild.
-//
-// Deletions: the retained seen-set is a claim table, not a derivation
-// count — contexts and answers cannot be un-claimed without replaying
-// the carry graph. A Del entry touching any predicate the definition
-// reads (or the defined predicate itself, whose same-name EDB facts
-// seed answers) therefore reports ErrRebuild, the sanctioned safe
-// fallback; deletions confined to unrelated predicates are ignored.
-func (ic *incContext) Update(ctx context.Context, edb *storage.Database, delta Delta) error {
-	p, ce := ic.plan, ic.ce
-	if delta.HasDel() {
-		if delta.Del[p.Def.Pred()] != nil {
-			return ErrRebuild
-		}
-		for _, a := range p.Def.Recursive.Body {
-			if delta.Del[a.Pred] != nil {
-				return ErrRebuild
-			}
-		}
-		for _, a := range p.Def.Exit.Body {
-			if delta.Del[a.Pred] != nil {
-				return ErrRebuild
-			}
-		}
-	}
-	syms := ce.syms
-	dres := func(pred string, alt bool) *storage.Relation {
-		if alt {
-			return delta.Add[pred]
-		}
-		return edb.Relation(pred)
-	}
-	exitBody := p.reduced.Exit.Body
-	recBody := p.reduced.NonrecursiveBody()
-	touches := func(atoms []ast.Atom) bool {
-		for _, a := range atoms {
-			if delta.Add[a.Pred] != nil {
-				return true
-			}
-		}
-		return false
-	}
-	exitChanged, recChanged := touches(exitBody), touches(recBody)
-	if !exitChanged && !recChanged {
-		return nil
-	}
-
-	// Gas: like the initial run, the maintenance pass charges the growth
-	// of the retained seen-set plus answers at batch granularity. An
-	// exhausted budget poisons the state exactly as a cancellation does.
-	meter := MeterFrom(ctx)
-	charged := ce.seen.Len() + ce.ans.Len()
-	charge := func() error {
-		cur := ce.seen.Len() + ce.ans.Len()
-		err := meter.Charge(cur - charged)
-		charged = cur
-		return err
-	}
-
-	if ce.noDepth {
-		// Depth-0-only state: a delta touching the recursive body (which
-		// includes every factor-group guard) could flip an empty guard
-		// and enable depth >= 1 derivations nothing retained can derive.
-		if recChanged {
-			return ErrRebuild
-		}
-		for i, a := range exitBody {
-			if delta.Add[a.Pred] == nil {
-				continue
-			}
-			ce.stats.GProbes++
-			ic.d0Var(i).run(p, syms, dres, ce.emitAnswer)
-		}
-		return charge()
-	}
-
-	// 1. Depth-0 delta answers.
-	for i, a := range exitBody {
-		if delta.Add[a.Pred] == nil {
-			continue
-		}
-		ce.stats.GProbes++
-		ic.d0Var(i).run(p, syms, dres, ce.emitAnswer)
-	}
-	if err := charge(); err != nil {
-		return err
-	}
-
-	// Snapshot the contexts known before this update: the f/g delta
-	// variants below must cover exactly these; genuinely new contexts go
-	// through the full operators instead.
-	old := ce.seen.Tuples()
-
-	var frontier []storage.Tuple
-	claim := func(tup storage.Tuple) {
-		if ce.seen.Offer(tup) {
-			frontier = append(frontier, tup.Clone())
-		}
-	}
-
-	// 2. New seed contexts.
-	for i, a := range p.seedAtoms() {
-		if delta.Add[a.Pred] == nil {
-			continue
-		}
-		ic.seedVar(i).run(p, syms, dres, claim)
-	}
-
-	// 3. New transitions out of already-seen contexts.
-	for i, a := range recBody {
-		if delta.Add[a.Pred] == nil {
-			continue
-		}
-		fv := ic.fVar(i)
-		slots := make([]storage.Value, fv.nslots)
-		bound := make([]bool, fv.nslots)
-		tup := make(storage.Tuple, ce.carryWidth)
-		sc := fv.conj.newScratch()
-		for _, c := range old {
-			for j := range bound {
-				bound[j] = false
-			}
-			for j, sl := range fv.headSlots {
-				slots[sl] = c[ce.nAnchors+j]
-				bound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			fv.conj.runS(dres, slots, bound, sc, func(s []storage.Value) bool {
-				if fv.proj.projectCtx(s, anchorPart, tup, syms) {
-					claim(tup)
-				}
-				return true
-			})
-		}
-	}
-
-	// 4. Fig. 9 loop over the new contexts, on the retained state.
-	if len(frontier) > 0 {
-		ce.stats.Batches++
-		ce.gBatch(frontier)
-		for len(frontier) > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := charge(); err != nil {
-				return err
-			}
-			ce.stats.Iterations++
-			ce.stats.Batches++
-			frontier = ce.fBatch(frontier)
-			ce.gBatch(frontier)
-		}
-	}
-
-	// 5. New answers for old contexts through new exit tuples.
-	for i, a := range exitBody {
-		if delta.Add[a.Pred] == nil {
-			continue
-		}
-		gv := ic.gVar(i)
-		gSlots := make([]storage.Value, gv.ops.nslots)
-		gBound := make([]bool, gv.ops.nslots)
-		out := make(storage.Tuple, p.Def.Arity())
-		sc := gv.ops.conj.newScratch()
-		ce.stats.GProbes += len(old)
-		for _, c := range old {
-			for j := range gBound {
-				gBound[j] = false
-			}
-			for j, sl := range gv.ops.ctxSlots {
-				gSlots[sl] = c[ce.nAnchors+j]
-				gBound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			gv.ops.conj.runS(dres, gSlots, gBound, sc, func(s []storage.Value) bool {
-				return ce.emitProductsWith(gv.srcs, 0, s, anchorPart, out)
-			})
-		}
-	}
-
-	ce.stats.SeenSize = ce.seen.Len()
-	if err := charge(); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// ---------------------------------------------------------------------------
-// Semi-naive-backed incremental states (reduced/full one-sided plans,
-// Magic Sets, and the plain semi-naive strategy).
-
-// incSemiNaive maintains a retained semi-naive fixpoint plus an answer
-// relation folded from one watched derived predicate.
-type incSemiNaive struct {
+	// st is the retained fixpoint. It is nil while the state a cold
+	// evaluator reached has not been adopted yet: adopt pours that state
+	// — already the fixpoint of prog over the database as of the build —
+	// into a fresh snState's derived database, so the first Update pays
+	// a copy instead of an initialFixpoint.
 	st    *snState
-	watch string
-	// apply folds one genuinely new watched tuple into the answers.
-	apply func(t storage.Tuple)
-	// applyDel removes one retracted watched tuple from the answers —
-	// the DRed settle phase's counterpart of apply.
-	applyDel func(t storage.Tuple)
-	ans      *storage.Relation
-	// seenSize recomputes the post-update SeenSize statistic.
-	seenSize func() int
-	stats    EvalStats
+	adopt func(idb *storage.Database)
 }
 
-func (s *incSemiNaive) Answers() *storage.Relation { return s.ans }
-func (s *incSemiNaive) Stats() EvalStats           { return s.stats }
+// Answers returns the live answer relation.
+func (inc *Incremental) Answers() *storage.Relation { return inc.ans }
 
-func (s *incSemiNaive) Update(ctx context.Context, edb *storage.Database, delta Delta) error {
-	err := s.st.update(ctx, delta, func(pred string, t storage.Tuple) {
-		if pred == s.watch {
-			s.apply(t)
+// Stats reports the work of the build plus the maintenance passes since.
+func (inc *Incremental) Stats() EvalStats { return inc.stats }
+
+// Reads names every base relation the retained program can read: its
+// body predicates, plus its head predicates (a same-name base relation
+// seeds a derived one). A delta confined to other predicates cannot
+// move the answers.
+func (inc *Incremental) Reads() []string {
+	if inc.reads == nil {
+		set := make(map[string]bool)
+		for _, r := range inc.prog.Rules {
+			set[r.Head.Pred] = true
+			for _, a := range r.Body {
+				set[a.Pred] = true
+			}
 		}
-	}, func(pred string, t storage.Tuple) {
-		if pred == s.watch {
-			s.applyDel(t)
+		for pred := range set {
+			inc.reads = append(inc.reads, pred)
 		}
-	})
-	if err != nil {
+	}
+	return inc.reads
+}
+
+// fold applies one derived-tuple change to the answers when it is the
+// watched predicate's.
+func (inc *Incremental) fold(pred string, t storage.Tuple, del bool) {
+	if pred != inc.watch {
+		return
+	}
+	if inc.project != nil {
+		var ok bool
+		if t, ok = inc.project(t); !ok {
+			return
+		}
+	}
+	if del {
+		inc.ans.Retract(t)
+	} else {
+		inc.ans.Insert(t)
+	}
+}
+
+func (inc *Incremental) onNew(pred string, t storage.Tuple) { inc.fold(pred, t, false) }
+func (inc *Incremental) onDel(pred string, t storage.Tuple) { inc.fold(pred, t, true) }
+
+// Update moves the retained fixpoint, and through it the answers, by a
+// signed delta the database has already absorbed.
+func (inc *Incremental) Update(ctx context.Context, delta Delta) error {
+	if inc.st == nil {
+		st, err := newSNState(inc.prog, inc.edb, inc.workers)
+		if err != nil {
+			return err
+		}
+		inc.adopt(st.idb)
+		st.rounds = inc.stats.Iterations
+		inc.st, inc.adopt = st, nil
+	}
+	if err := inc.st.update(ctx, delta, inc.onNew, inc.onDel); err != nil {
 		return err
 	}
-	s.stats.Iterations = s.st.rounds
-	s.stats.SeenSize = s.seenSize()
+	inc.stats.Iterations = inc.st.rounds
+	inc.stats.SeenSize = inc.seenSize()
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// One-sided strategy.
-
-// Incremental reports whether this plan shape supports delta
-// maintenance: context-mode plans whose factor groups are anchor-free
-// (pure nonemptiness guards), and the reduced/full modes (maintained
-// through the retained semi-naive fixpoint). Context plans with
-// anchored factor groups would need the g-join solutions retained per
-// context to cross new group tuples in; they re-evaluate instead.
-func (o *oneSidedPrepared) Incremental() bool {
-	switch o.plan.Mode {
-	case ModeContext:
-		for _, fg := range o.plan.factored {
-			if len(fg.anchors) > 0 {
-				return false
-			}
-		}
-		return true
-	case ModeReduced, ModeFull:
-		return true
+// seenSize is the SeenSize statistic of the retained fixpoint.
+func (inc *Incremental) seenSize() int {
+	if inc.seenOf == "" {
+		return inc.st.idb.TupleCount()
 	}
-	return false
+	if rel := inc.st.idb.Relation(inc.seenOf); rel != nil {
+		return rel.Len()
+	}
+	return 0
 }
 
-// EvalIncremental evaluates the plan and retains its fixpoint state for
-// delta-driven updates.
-func (o *oneSidedPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	p := o.plan
-	if p.NSlots > 0 {
-		return nil, errUnboundSkeleton(p.Query)
-	}
-	switch p.Mode {
-	case ModeContext:
-		ce := p.newContextEval(edb, nil)
-		if _, _, err := ce.run(ctx); err != nil {
-			return nil, err
-		}
-		return &incContext{
-			plan: p, ce: ce,
-			fVars: make(map[int]fOps), gVars: make(map[int]gVarOps),
-			dVars: make(map[int]d0Ops), sVars: make(map[int]seedOps),
-		}, nil
-	case ModeReduced:
-		return p.evalReducedIncremental(ctx, edb)
-	case ModeFull:
-		return p.evalFullIncremental(ctx, edb)
-	}
-	return nil, fmt.Errorf("eval: plan mode %v is not maintainable", p.Mode)
-}
-
-// evalReducedIncremental is evalReduced with the semi-naive state
-// retained: new reduced tuples re-expand through the dropped constant
-// columns as they are derived.
-func (p *Plan) evalReducedIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	st, err := newSNState(p.reduced.Program(), edb, p.effectiveWorkers())
-	if err != nil {
-		return nil, err
-	}
-	if err := st.initialFixpoint(ctx); err != nil {
-		return nil, err
-	}
-	ans := storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, edb.Shards())
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
-		if a.IsConst() {
-			out[i] = edb.Syms.Intern(a.Name)
-		}
-	}
-	watch := p.reduced.Pred()
-	expand := func(t storage.Tuple) {
-		for ri, oi := range p.keepCols {
-			out[oi] = t[ri]
-		}
-		ans.Insert(out)
-	}
-	// unexpand mirrors expand for retracted reduced tuples (the buffer is
-	// shared — Update's hooks run sequentially).
-	unexpand := func(t storage.Tuple) {
-		for ri, oi := range p.keepCols {
-			out[oi] = t[ri]
-		}
-		ans.Retract(out)
-	}
-	inc := &incSemiNaive{st: st, watch: watch, apply: expand, applyDel: unexpand, ans: ans}
-	redRel := st.idb.Relation(watch)
-	if redRel != nil {
-		for _, t := range redRel.Tuples() {
-			expand(t)
-		}
-	}
-	inc.seenSize = func() int {
-		if r := st.idb.Relation(watch); r != nil {
-			return r.Len()
-		}
-		return 0
-	}
-	inc.stats = EvalStats{
-		Iterations: st.rounds, CarryArity: p.CarryArity,
-		Workers: p.effectiveWorkers(), Shards: edb.Shards(),
-		SeenSize: inc.seenSize(),
-	}
-	return inc, nil
-}
-
-// evalFullIncremental maintains an unbound (ModeFull) plan: the whole
-// definition materializes semi-naively and the query selects from the
-// watched predicate.
-func (p *Plan) evalFullIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	inc, err := newSelectIncremental(ctx, p.Def.Program(), p.Query, edb, p.effectiveWorkers())
-	if err != nil {
-		return nil, err
-	}
-	inc.stats.CarryArity = p.CarryArity
-	inc.stats.Workers = p.effectiveWorkers()
-	inc.stats.Shards = edb.Shards()
-	inc.stats.SeenSize = inc.ans.Len()
-	return inc, nil
-}
-
-// newSelectIncremental builds the materialize-then-select incremental
-// state shared by the full one-sided mode, Magic Sets, and the
-// semi-naive strategy: a retained fixpoint over prog, with new tuples
-// of the query predicate folded into the answer set when they match
-// the query's constants.
-func newSelectIncremental(ctx context.Context, prog *ast.Program, query ast.Atom, edb *storage.Database, workers int) (*incSemiNaive, error) {
-	return newSelectIncrementalFor(ctx, prog, query.Pred, query, edb, workers)
-}
-
-// ---------------------------------------------------------------------------
-// Magic Sets strategy.
-
-// Incremental: the rewritten program is negation-free Datalog, so the
-// retained semi-naive fixpoint (magic and answer predicates included)
-// extends under inserts.
-func (m *magicPrepared) Incremental() bool { return true }
-
-func (m *magicPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
-	if m.mr.Query.HasSlots() {
-		return nil, errUnboundSkeleton(m.mr.Query)
-	}
-	return newSelectIncrementalFor(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb, 0)
-}
-
-// newSelectIncrementalFor is the general materialize-then-select
-// incremental builder: the watched predicate may differ from the query
-// predicate (Magic Sets watches the answer predicate while selecting
-// with the original query atom).
-func newSelectIncrementalFor(ctx context.Context, prog *ast.Program, watch string, query ast.Atom, edb *storage.Database, workers int) (*incSemiNaive, error) {
+// buildIncremental runs prog's semi-naive fixpoint over edb, retains it,
+// and folds the watched predicate into ans. It is also the cold
+// evaluator of every semi-naive-backed plan: a caller that will never
+// see a delta takes Answers and Stats and drops the state.
+func buildIncremental(ctx context.Context, prog *ast.Program, watch, seenOf string, edb *storage.Database, workers int,
+	ans *storage.Relation, project func(storage.Tuple) (storage.Tuple, bool)) (*Incremental, error) {
 	st, err := newSNState(prog, edb, workers)
 	if err != nil {
 		return nil, err
@@ -573,27 +170,125 @@ func newSelectIncrementalFor(ctx context.Context, prog *ast.Program, watch strin
 	if err := st.initialFixpoint(ctx); err != nil {
 		return nil, err
 	}
-	ans := storage.NewRelation(query.Arity(), &edb.Stats)
-	syms := edb.Syms
-	apply := func(t storage.Tuple) {
-		if matchesQuery(t, query, syms) {
-			ans.Insert(t)
-		}
-	}
-	applyDel := func(t storage.Tuple) {
-		if matchesQuery(t, query, syms) {
-			ans.Retract(t)
-		}
-	}
-	inc := &incSemiNaive{st: st, watch: watch, apply: apply, applyDel: applyDel, ans: ans}
+	inc := &Incremental{prog: prog, watch: watch, seenOf: seenOf, edb: edb, workers: workers, project: project, ans: ans, st: st}
 	if rel := st.idb.Relation(watch); rel != nil {
 		for _, t := range rel.Tuples() {
-			apply(t)
+			inc.onNew(watch, t)
 		}
 	}
-	inc.seenSize = func() int { return st.idb.TupleCount() }
 	inc.stats = EvalStats{Iterations: st.rounds, SeenSize: inc.seenSize()}
 	return inc, nil
+}
+
+// selectBy is the materialize-then-select projection: a watched tuple
+// is an answer when it matches the query's constants.
+func selectBy(query ast.Atom, syms *storage.SymbolTable) func(storage.Tuple) (storage.Tuple, bool) {
+	return func(t storage.Tuple) (storage.Tuple, bool) { return t, matchesQuery(t, query, syms) }
+}
+
+// buildSelect is buildIncremental for the materialize-then-select
+// plans (full one-sided mode, Magic Sets, the semi-naive strategy): the
+// watched predicate may differ from the query predicate (Magic Sets
+// watches the adorned answer predicate while selecting with the
+// original query atom).
+func buildSelect(ctx context.Context, prog *ast.Program, watch string, query ast.Atom, edb *storage.Database, workers int) (*Incremental, error) {
+	ans := storage.NewRelation(query.Arity(), &edb.Stats)
+	return buildIncremental(ctx, prog, watch, "", edb, workers, ans, selectBy(query, edb.Syms))
+}
+
+// IncrementalPrepared is implemented by prepared plans that can
+// evaluate into a maintainable state. Incremental reports whether this
+// particular plan instance supports maintenance (the bottom-up adapter
+// serves a strategy that does and one that does not); when false,
+// EvalIncremental must not be called and the caller re-evaluates on
+// every change.
+type IncrementalPrepared interface {
+	PreparedStrategy
+	Incremental() bool
+	EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error)
+}
+
+// ---------------------------------------------------------------------------
+// One-sided strategy.
+
+// Incremental: every mode maintains — reduced and full plans retain the
+// semi-naive fixpoint they evaluate with, context plans the fixpoint of
+// their context program (contextprog.go).
+func (o *oneSidedPrepared) Incremental() bool { return true }
+
+// EvalIncremental evaluates the plan and retains its state for
+// delta-driven updates.
+func (o *oneSidedPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
+	p := o.plan
+	if p.NSlots > 0 {
+		return nil, errUnboundSkeleton(p.Query)
+	}
+	if p.Mode != ModeContext {
+		return p.buildSemiNaive(ctx, edb)
+	}
+	// The Fig. 9 loop is the cold evaluator; what it reached — the
+	// seen-set and the answers — is the context program's fixpoint, held
+	// as-is until a delta needs the maintenance machine.
+	ce := p.newContextEval(edb, nil)
+	if _, _, err := ce.run(ctx); err != nil {
+		return nil, err
+	}
+	prog, ctxPred, ansPred := p.contextProgram()
+	// The closure keeps the two relations, not the evaluator: the compiled
+	// operators and factor-group tables are garbage from here on.
+	seen, ans, carryWidth := ce.seen, ce.ans, ce.carryWidth
+	return &Incremental{
+		prog: prog, watch: ansPred, seenOf: ctxPred, edb: edb, workers: ce.workers, ans: ans, stats: ce.stats,
+		adopt: func(idb *storage.Database) {
+			idb.Ensure(ctxPred, carryWidth).InsertBatch(seen.Tuples())
+			idb.Ensure(ansPred, ans.Arity()).InsertBatch(ans.Tuples())
+		},
+	}, nil
+}
+
+// buildSemiNaive evaluates a reduced or full plan through the retained
+// builder. Reduced: the reduced recursion materializes and every
+// reduced tuple re-expands through the dropped constant columns. Full:
+// the whole definition materializes and the query selects from it.
+func (p *Plan) buildSemiNaive(ctx context.Context, edb *storage.Database) (*Incremental, error) {
+	var inc *Incremental
+	var err error
+	workers := p.effectiveWorkers()
+	if p.Mode == ModeReduced {
+		out := p.queryConsts(edb.Syms)
+		expand := func(t storage.Tuple) (storage.Tuple, bool) {
+			for ri, oi := range p.keepCols {
+				out[oi] = t[ri]
+			}
+			return out, true
+		}
+		ans := storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, edb.Shards())
+		inc, err = buildIncremental(ctx, p.reduced.Program(), p.reduced.Pred(), p.reduced.Pred(), edb, workers, ans, expand)
+	} else {
+		inc, err = buildSelect(ctx, p.Def.Program(), p.Query.Pred, p.Query, edb, workers)
+	}
+	if err != nil {
+		return nil, err
+	}
+	inc.stats.CarryArity = p.CarryArity
+	inc.stats.Workers = workers
+	inc.stats.Shards = edb.Shards()
+	return inc, nil
+}
+
+// ---------------------------------------------------------------------------
+// Magic Sets strategy.
+
+// Incremental: the rewritten program is negation-free Datalog, so the
+// retained semi-naive fixpoint (magic and answer predicates included)
+// maintains under signed deltas.
+func (m *magicPrepared) Incremental() bool { return true }
+
+func (m *magicPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
+	if m.mr.Query.HasSlots() {
+		return nil, errUnboundSkeleton(m.mr.Query)
+	}
+	return buildSelect(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -603,67 +298,37 @@ func newSelectIncrementalFor(ctx context.Context, prog *ast.Program, watch strin
 // delta machinery to retain — it re-derives everything each round).
 func (b *bottomUpPrepared) Incremental() bool { return b.strategy.name == StrategySemiNaive }
 
-func (b *bottomUpPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
+func (b *bottomUpPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
 	if b.query.HasSlots() {
 		return nil, errUnboundSkeleton(b.query)
 	}
 	if !b.Incremental() {
 		return nil, fmt.Errorf("eval: %s strategy is not maintainable", b.strategy.name)
 	}
-	return newSelectIncremental(ctx, b.program, b.query, edb, 0)
+	return buildSelect(ctx, b.program, b.query.Pred, b.query, edb, 0)
 }
 
 // ---------------------------------------------------------------------------
 // EDB lookup strategy.
 
-// incEDB maintains a base-relation selection: delta tuples of the query
-// predicate that match the selection join (Add) or leave (Del) the
-// answer set.
-type incEDB struct {
-	query ast.Atom
-	syms  *storage.SymbolTable
-	ans   *storage.Relation
-	stats EvalStats
-}
-
-func (e *incEDB) Answers() *storage.Relation { return e.ans }
-func (e *incEDB) Stats() EvalStats           { return e.stats }
-
-func (e *incEDB) Update(ctx context.Context, edb *storage.Database, delta Delta) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d := delta.Del[e.query.Pred]; d != nil {
-		if d.Arity() != e.query.Arity() {
-			return ErrRebuild
-		}
-		for _, t := range d.Tuples() {
-			if matchesQuery(t, e.query, e.syms) {
-				e.ans.Retract(t)
-			}
-		}
-	}
-	if d := delta.Add[e.query.Pred]; d != nil {
-		if d.Arity() != e.query.Arity() {
-			return ErrRebuild
-		}
-		for _, t := range d.Tuples() {
-			if matchesQuery(t, e.query, e.syms) {
-				e.ans.Insert(t)
-			}
-		}
-	}
-	e.stats.SeenSize = e.ans.Len()
-	return nil
-}
-
-// Incremental: a base-relation lookup is trivially maintainable.
+// Incremental: a base-relation selection is the one-rule program
+// "answer(args) :- pred(args)" with the query's own argument list.
 func (e *edbPrepared) Incremental() bool { return true }
 
-func (e *edbPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (Incremental, error) {
+// EvalIncremental answers with the indexed lookup and leaves the
+// one-rule program's fixpoint — the answers themselves — to be adopted
+// by the first delta.
+func (e *edbPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
 	rel, stats, err := e.Eval(ctx, edb)
 	if err != nil {
 		return nil, err
 	}
-	return &incEDB{query: e.query, syms: edb.Syms, ans: rel, stats: stats}, nil
+	ansPred := "m_ans__" + e.query.Pred
+	prog := ast.NewProgram(ast.NewRule(ast.Atom{Pred: ansPred, Args: e.query.Args}, e.query))
+	return &Incremental{
+		prog: prog, watch: ansPred, edb: edb, ans: rel, stats: stats,
+		adopt: func(idb *storage.Database) {
+			idb.Ensure(ansPred, e.query.Arity()).InsertBatch(rel.Tuples())
+		},
+	}, nil
 }

@@ -453,30 +453,23 @@ func (p *Plan) EvalStreamCtx(ctx context.Context, edb *storage.Database, emit fu
 	if err := ctx.Err(); err != nil {
 		return nil, EvalStats{}, err
 	}
-	switch p.Mode {
-	case ModeFull:
-		ans, res, err := SelectEvalWorkersCtx(ctx, p.Def.Program(), p.Query, edb, p.effectiveWorkers())
-		st := EvalStats{CarryArity: p.CarryArity, Workers: p.effectiveWorkers(), Shards: edb.Shards()}
-		if res != nil {
-			st.Iterations = res.Rounds
-		}
-		if ans != nil {
-			st.SeenSize = ans.Len()
-		}
-		if err == nil && !emitAll(ans, emit) {
-			// The sink stopped mid-stream; surface a cancellation if the
-			// stop came from ctx rather than a deliberate consumer break.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, st, cerr
-			}
-		}
-		return ans, st, err
-	case ModeReduced:
-		return p.evalReduced(ctx, edb, emit)
-	case ModeContext:
+	if p.Mode == ModeContext {
 		return p.evalContext(ctx, edb, emit)
 	}
-	return nil, EvalStats{}, fmt.Errorf("eval: invalid plan mode")
+	// Reduced and full plans evaluate through the retained builder and
+	// drop the state: the fixpoint materializes in bulk, then streams.
+	inc, err := p.buildSemiNaive(ctx, edb)
+	if err != nil {
+		return nil, EvalStats{}, err
+	}
+	if !emitAll(inc.Answers(), emit) {
+		// The sink stopped mid-stream; surface a cancellation if the
+		// stop came from ctx rather than a deliberate consumer break.
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, inc.Stats(), cerr
+		}
+	}
+	return inc.Answers(), inc.Stats(), nil
 }
 
 // emitAll streams a materialized answer relation through emit, returning
@@ -491,44 +484,6 @@ func emitAll(ans *storage.Relation, emit func(storage.Tuple) bool) bool {
 		}
 	}
 	return true
-}
-
-// evalReduced evaluates the reduced recursion bottom-up and re-expands the
-// dropped constant columns. Answers stream through emit during the
-// re-expansion (after the bottom-up fixpoint, which produces the reduced
-// tuples in bulk).
-func (p *Plan) evalReduced(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
-	res, err := SemiNaiveWorkersCtx(ctx, p.reduced.Program(), edb, p.effectiveWorkers())
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	redRel := res.IDB.Relation(p.reduced.Pred())
-	ans := storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, edb.Shards())
-	stats := EvalStats{Iterations: res.Rounds, CarryArity: p.CarryArity, Workers: p.effectiveWorkers(), Shards: edb.Shards()}
-	if redRel == nil {
-		return ans, stats, nil
-	}
-	stats.SeenSize = redRel.Len()
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
-		if a.IsConst() {
-			out[i] = edb.Syms.Intern(a.Name)
-		}
-	}
-	for _, t := range redRel.Tuples() {
-		for ri, oi := range p.keepCols {
-			out[oi] = t[ri]
-		}
-		if ans.Insert(out) && emit != nil && !emit(out) {
-			// Distinguish a ctx-driven stop from a deliberate consumer
-			// break: only the former is an error.
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, stats, cerr
-			}
-			break
-		}
-	}
-	return ans, stats, nil
 }
 
 // groupResult is a factored group's materialized anchor bindings.
@@ -569,11 +524,6 @@ type contextEval struct {
 	emitMu  sync.Mutex
 	aborted atomic.Bool
 
-	// noDepth records that an empty factor group killed every depth >= 1
-	// derivation: the answers are depth-0 only and no loop state was
-	// compiled. An update whose delta could change that must rebuild.
-	noDepth bool
-
 	stats EvalStats
 
 	fConj      *compiledConj
@@ -588,40 +538,17 @@ type contextEval struct {
 	srcs      []colSrc
 }
 
-// altFlagsFor builds the compileConj altFlags slice marking index
-// altIdx (no flags when altIdx < 0).
-func altFlagsFor(n, altIdx int) []bool {
-	if altIdx < 0 {
-		return nil
-	}
-	flags := make([]bool, n)
-	flags[altIdx] = true
-	return flags
-}
-
-// conjOptsFor wraps altFlagsFor in compileConjOpts (nil when unused).
-func conjOptsFor(n, altIdx int) *compileConjOpts {
-	if altIdx < 0 {
-		return nil
-	}
-	return &compileConjOpts{altFlags: altFlagsFor(n, altIdx)}
-}
-
 // d0Ops is the compiled depth-0 exit join of a bound context-mode plan:
 // the exit rule with the bound head columns substituted. Immutable after
-// compilation, so delta variants can be cached across maintenance
-// passes.
+// compilation.
 type d0Ops struct {
 	conj     *compiledConj
 	headRefs catom
 	nslots   int
 }
 
-// compileD0 builds the depth-0 join. altIdx >= 0 marks that index of
-// the exit body as the delta atom (resolved with alt=true) — the
-// incremental-maintenance variant that derives only answers using at
-// least one newly inserted tuple of that atom's relation.
-func (p *Plan) compileD0(syms *storage.SymbolTable, altIdx int) d0Ops {
+// compileD0 builds the depth-0 join.
+func (p *Plan) compileD0(syms *storage.SymbolTable) d0Ops {
 	exitHead := p.reduced.Exit.Head
 	exitSubst := make(ast.Subst)
 	for rc, c := range p.boundCols {
@@ -632,7 +559,7 @@ func (p *Plan) compileD0(syms *storage.SymbolTable, altIdx int) d0Ops {
 	d0Atoms := exitSubst.ApplyAtoms(p.reduced.Exit.Body)
 	d0Head := exitSubst.ApplyAtom(exitHead)
 	ss := newSlotSpace()
-	conj := compileConj(d0Atoms, conjOptsFor(len(d0Atoms), altIdx), ss, syms, nil, d0Head.VarSet())
+	conj := compileConj(d0Atoms, nil, ss, syms, nil, d0Head.VarSet())
 	headRefs := compileAtom(d0Head, ss, syms, false)
 	return d0Ops{conj: conj, headRefs: headRefs, nslots: len(ss.varSlot)}
 }
@@ -660,11 +587,6 @@ func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, sink fu
 		}
 		return sink(out)
 	})
-}
-
-// d0Join compiles and evaluates the depth-0 exit join in one call.
-func (p *Plan) d0Join(syms *storage.SymbolTable, resolve resolver, altIdx int, sink func(storage.Tuple) bool) {
-	p.compileD0(syms, altIdx).run(p, syms, resolve, sink)
 }
 
 // runParallel splits the depth-0 join's outer scan across the worker
@@ -763,9 +685,7 @@ func (p *Plan) evalFactoredGroups(syms *storage.SymbolTable, resolve resolver) (
 }
 
 // seedAtoms returns the seed conjunction's atoms: the reduced recursive
-// rule's non-factored EDB atoms, before bound-variable substitution
-// (substitution preserves predicates, so delta-variant indices computed
-// against this list line up with the compiled conjunction).
+// rule's non-factored EDB atoms, before bound-variable substitution.
 func (p *Plan) seedAtoms() []ast.Atom {
 	factoredIdx := make(map[string]bool)
 	for _, fg := range p.factored {
@@ -791,15 +711,14 @@ type seedOps struct {
 	nslots int
 }
 
-// compileSeed builds the seed conjunction. altIdx >= 0 marks that seed
-// atom (index into seedAtoms) as the delta atom (see compileD0).
-func (p *Plan) compileSeed(syms *storage.SymbolTable, altIdx int) seedOps {
+// compileSeed builds the seed conjunction.
+func (p *Plan) compileSeed(syms *storage.SymbolTable) seedOps {
 	seedAtoms := p.substBound(p.seedAtoms())
 	// Bound head variables may occur in the recursive call too; the
 	// projection must see them as constants at seed depth.
 	seedRec := p.substBound([]ast.Atom{p.reduced.RecursiveAtom()})[0]
 	ss := newSlotSpace()
-	conj := compileConj(seedAtoms, conjOptsFor(len(seedAtoms), altIdx), ss, syms, nil, p.carryNeeded(seedRec))
+	conj := compileConj(seedAtoms, nil, ss, syms, nil, p.carryNeeded(seedRec))
 	return seedOps{conj: conj, proj: p.carryProjection(ss, seedRec, syms), nslots: len(ss.varSlot)}
 }
 
@@ -816,12 +735,6 @@ func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, yiel
 		}
 		return true
 	})
-}
-
-// forEachSeedContext compiles and evaluates the seed conjunction in one
-// call.
-func (p *Plan) forEachSeedContext(syms *storage.SymbolTable, resolve resolver, altIdx int, yield func(storage.Tuple)) {
-	p.compileSeed(syms, altIdx).run(p, syms, resolve, yield)
 }
 
 // runParallel evaluates the seed conjunction with the outermost atom's
@@ -935,10 +848,8 @@ type fOps struct {
 // and the fixed call columns — never the selection constants at bound
 // head columns (those flow through the carried context) — so for a
 // slot-free reduced definition the operator is shared verbatim by every
-// query of the adornment. altIdx >= 0 compiles the delta variant that
-// restricts the altIdx-th EDB body atom to newly inserted tuples (the
-// incremental transition from already-seen contexts).
-func (p *Plan) compileF(syms *storage.SymbolTable, altIdx int) fOps {
+// query of the adornment.
+func (p *Plan) compileF(syms *storage.SymbolTable) fOps {
 	head := p.reduced.Recursive.Head
 	rec := p.reduced.RecursiveAtom()
 	edbAtoms := p.reduced.NonrecursiveBody()
@@ -958,7 +869,7 @@ func (p *Plan) compileF(syms *storage.SymbolTable, altIdx int) fOps {
 	}
 	fAtoms := fixedHead.ApplyAtoms(edbAtoms)
 	f := fOps{}
-	f.conj = compileConj(fAtoms, conjOptsFor(len(fAtoms), altIdx), fSS, syms, initBound, p.carryNeeded(fixedHead.ApplyAtom(rec)))
+	f.conj = compileConj(fAtoms, nil, fSS, syms, initBound, p.carryNeeded(fixedHead.ApplyAtom(rec)))
 	f.proj = p.carryProjection(fSS, fixedHead.ApplyAtom(rec), syms)
 	f.headSlots = make([]int, len(p.ctxCols))
 	for i, j := range p.ctxCols {
@@ -980,11 +891,8 @@ type gOps struct {
 	srcs     []colSrc
 }
 
-// compileG builds the g operator against the reduced exit rule. altIdx
-// >= 0 compiles the delta variant restricting the altIdx-th exit body
-// atom to newly inserted tuples (the incremental answer join for
-// already-seen contexts).
-func (p *Plan) compileG(syms *storage.SymbolTable, altIdx int) gOps {
+// compileG builds the g operator against the reduced exit rule.
+func (p *Plan) compileG(syms *storage.SymbolTable) gOps {
 	head := p.reduced.Recursive.Head
 	exitHead := p.reduced.Exit.Head
 	gSS := newSlotSpace()
@@ -1002,7 +910,7 @@ func (p *Plan) compileG(syms *storage.SymbolTable, altIdx int) gOps {
 	}
 	gAtoms := gFixed.ApplyAtoms(p.reduced.Exit.Body)
 	g := gOps{}
-	g.conj = compileConj(gAtoms, conjOptsFor(len(gAtoms), altIdx), gSS, syms, gInitBound, exitHead.VarSet())
+	g.conj = compileConj(gAtoms, nil, gSS, syms, gInitBound, exitHead.VarSet())
 	g.ctxSlots = make([]int, len(p.ctxCols))
 	for i, j := range p.ctxCols {
 		g.ctxSlots[i] = gSS.slot(exitHead.Args[j].Name)
@@ -1078,8 +986,9 @@ func (p *Plan) evalContext(ctx context.Context, edb *storage.Database, emit func
 
 // newContextEval constructs the evaluation state for a bound
 // context-mode plan: the answer and seen relations plus the environment
-// the compiled operators run in. run executes the Fig. 9 loop; the state
-// can be retained afterwards and extended with update.
+// the compiled operators run in. run executes the Fig. 9 loop; the
+// seen-set and answers it reaches can be retained afterwards and adopted
+// by the incremental layer (oneSidedPrepared.EvalIncremental).
 func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bool) *contextEval {
 	syms := edb.Syms
 	nshards := edb.Shards()
@@ -1110,7 +1019,7 @@ func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bo
 // once per tuple under concurrent calls (the duplicate-tolerant claim
 // point parallel workers hammer), Len reports the distinct context
 // count, and Tuples materializes the members (the incremental layer
-// snapshots the pre-update contexts through it).
+// adopts them as the context program's context relation).
 // *storage.Relation implements it directly; bitsetSeen replaces the
 // relation for unary carries.
 type seenSet interface {
@@ -1170,7 +1079,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// is already safe for concurrent workers (sharded answer insert,
 	// mutex-guarded streaming emit).
 	ce.stats.GProbes++
-	p.compileD0(syms, -1).runParallel(p, syms, ce.resolve, ce.workers, ce.emitAnswer)
+	p.compileD0(syms).runParallel(p, syms, ce.resolve, ce.workers, ce.emitAnswer)
 	if ce.aborted.Load() {
 		return ce.finish(ctx)
 	}
@@ -1183,7 +1092,6 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	groups, ok := p.evalFactoredGroups(syms, ce.resolve)
 	if !ok {
 		// No depth>=1 derivations are possible; answers are depth-0 only.
-		ce.noDepth = true
 		return ce.finish(ctx)
 	}
 	ce.groups = groups
@@ -1193,7 +1101,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// seen-set's Insert is the concurrent claim point, exactly as in
 	// fBatch); per-worker slices keep the merge allocation-cheap.
 	seedLocal := make([][]storage.Tuple, ce.workers)
-	p.compileSeed(syms, -1).runParallel(p, syms, ce.resolve, ce.workers, func(w int, tup storage.Tuple) {
+	p.compileSeed(syms).runParallel(p, syms, ce.resolve, ce.workers, func(w int, tup storage.Tuple) {
 		if ce.seen.Offer(tup) {
 			seedLocal[w] = append(seedLocal[w], tup.Clone())
 		}
@@ -1203,10 +1111,10 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		carry = append(carry, l...)
 	}
 
-	f := p.compileF(syms, -1)
+	f := p.compileF(syms)
 	ce.fConj, ce.fProj, ce.fHeadSlots, ce.fNslots = f.conj, f.proj, f.headSlots, f.nslots
 
-	g := p.compileG(syms, -1)
+	g := p.compileG(syms)
 	ce.gConj, ce.gCtxSlots, ce.gNslots = g.conj, g.ctxSlots, g.nslots
 	// Fill the query-constant sources (kind 0) with this plan's values.
 	ce.srcs = fillQueryConsts(g.srcs, p.queryConsts(syms))
@@ -1344,15 +1252,8 @@ func (ce *contextEval) gBatch(batch []storage.Tuple) {
 // factored groups, and routes them through emitAnswer. out is the
 // caller's scratch tuple. Returns false when the evaluation should stop.
 func (ce *contextEval) emitProducts(gi int, s []storage.Value, anchorPart, out storage.Tuple) bool {
-	return ce.emitProductsWith(ce.srcs, gi, s, anchorPart, out)
-}
-
-// emitProductsWith is emitProducts against an explicit source table —
-// delta variants of g compile their own slot spaces, so their kind-1
-// sources reference different slots than the retained full operator's.
-func (ce *contextEval) emitProductsWith(srcs []colSrc, gi int, s []storage.Value, anchorPart, out storage.Tuple) bool {
 	if gi == len(ce.groups) {
-		for oi, src := range srcs {
+		for oi, src := range ce.srcs {
 			switch src.kind {
 			case 0:
 				out[oi] = src.val
@@ -1365,12 +1266,12 @@ func (ce *contextEval) emitProductsWith(srcs []colSrc, gi int, s []storage.Value
 		return ce.emitAnswer(out)
 	}
 	for _, gt := range ce.groups[gi].tuples {
-		for oi, src := range srcs {
+		for oi, src := range ce.srcs {
 			if src.kind == 3 && src.idx == gi {
 				out[oi] = gt[src.pos]
 			}
 		}
-		if !ce.emitProductsWith(srcs, gi+1, s, anchorPart, out) {
+		if !ce.emitProducts(gi+1, s, anchorPart, out) {
 			return false
 		}
 	}

@@ -6,16 +6,74 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
 )
 
 // ruleVariant is one delta version of a rule body, with the head compiled
-// against the variant's own slot space.
+// against the variant's own slot space. It owns its evaluation buffers:
+// a compiled program belongs to one evaluation, and within a round every
+// job runs a different variant, so a variant is only ever evaluated by
+// one goroutine at a time — which keeps a semi-naive round, run once
+// per Fig. 9 level when a maintained chain is cut or spliced, free of
+// per-round buffer allocation.
 type ruleVariant struct {
 	conj *compiledConj
 	head []argRef
+	run  *runBuf
+}
+
+// runBuf is the reusable state of a conjunction evaluation. A finished
+// (or stopped) traversal leaves bound all-false again: every slot a
+// step binds it unbinds on the way out. Variants are copied by value and
+// share their buffers, so the one-goroutine-at-a-time invariant is
+// asserted on every traversal (acquire), not assumed: scheduling one
+// variant from two jobs of a round panics instead of silently mixing
+// two traversals' bindings.
+type runBuf struct {
+	slots []storage.Value
+	bound []bool
+	tuple storage.Tuple // the projected head
+	sc    *conjScratch
+	busy  atomic.Bool
+}
+
+func (b *runBuf) acquire() {
+	if !b.busy.CompareAndSwap(false, true) {
+		panic("eval: one compiled rule variant evaluated by two traversals at once")
+	}
+}
+
+func (b *runBuf) release() { b.busy.Store(false) }
+
+func newRunBuf(conj *compiledConj, headArity int) *runBuf {
+	return &runBuf{
+		slots: make([]storage.Value, conj.nslots),
+		bound: make([]bool, conj.nslots),
+		tuple: make(storage.Tuple, headArity),
+		sc:    conj.newScratch(),
+	}
+}
+
+// derive evaluates the variant, yielding every derived head tuple in
+// the variant's reused buffer (copy to retain).
+func (v ruleVariant) derive(res resolver, yield func(t storage.Tuple)) {
+	b := v.run
+	b.acquire()
+	defer b.release()
+	v.conj.runS(res, b.slots, b.bound, b.sc, func(s []storage.Value) bool {
+		for i, h := range v.head {
+			if h.isConst {
+				b.tuple[i] = h.val
+			} else {
+				b.tuple[i] = s[h.slot]
+			}
+		}
+		yield(b.tuple)
+		return true
+	})
 }
 
 // compiledRule is a rule prepared for bottom-up evaluation.
@@ -44,6 +102,37 @@ type compiledRule struct {
 type headCheck struct {
 	conj *compiledConj
 	head []argRef
+	run  *runBuf
+}
+
+// holds reports whether the rule body has a solution deriving head
+// tuple t.
+func (hc *headCheck) holds(res resolver, t storage.Tuple) bool {
+	b := hc.run
+	b.acquire()
+	defer b.release()
+	clear(b.bound)
+	for i, h := range hc.head {
+		switch {
+		case h.isConst:
+			if t[i] != h.val {
+				return false
+			}
+		case b.bound[h.slot]:
+			if b.slots[h.slot] != t[i] {
+				return false
+			}
+		default:
+			b.slots[h.slot] = t[i]
+			b.bound[h.slot] = true
+		}
+	}
+	found := false
+	hc.conj.runS(res, b.slots, b.bound, b.sc, func([]storage.Value) bool {
+		found = true
+		return false
+	})
+	return found
 }
 
 // compileHeadCheck builds the head-bound satisfiability variant of a
@@ -65,7 +154,7 @@ func compileHeadCheck(r ast.Rule, idb map[string]bool, syms *storage.SymbolTable
 		idbFlags[i] = idb[a.Pred]
 	}
 	conj := compileConj(r.Body, &compileConjOpts{idbFlags: idbFlags}, ss, syms, bound, map[string]bool{})
-	return &headCheck{conj: conj, head: head}
+	return &headCheck{conj: conj, head: head, run: newRunBuf(conj, 0)}
 }
 
 // variantFor returns the delta variant of cr that marks body index i as
@@ -186,7 +275,7 @@ func compileRuleVariant(r ast.Rule, idb map[string]bool, syms *storage.SymbolTab
 			head[i] = argRef{slot: ss.slot(t.Name)}
 		}
 	}
-	return ruleVariant{conj: conj, head: head}
+	return ruleVariant{conj: conj, head: head, run: newRunBuf(conj, len(head))}
 }
 
 // Result is the outcome of bottom-up evaluation: the derived (IDB)
@@ -229,10 +318,12 @@ func SemiNaiveWorkersCtx(ctx context.Context, p *ast.Program, edb *storage.Datab
 }
 
 // snState is a retained semi-naive evaluation: the compiled program, the
-// derived database, and the round counter. After initialFixpoint it can
-// be extended in place with base-relation deltas (update) — the
-// delta-driven maintenance pass the engine's result cache runs instead
-// of recomputing the fixpoint from scratch. An snState is not safe for
+// derived database, and the round counter. Once idb holds the program's
+// fixpoint — computed by initialFixpoint, or reached by another
+// evaluator and loaded in (Incremental.adopt) — it can be moved in place
+// with signed base-relation deltas (update): the delta-driven
+// maintenance pass the engine's result cache runs instead of
+// recomputing the fixpoint from scratch. An snState is not safe for
 // concurrent use; callers serialize initialFixpoint/update.
 type snState struct {
 	cp      *program
@@ -276,13 +367,19 @@ func newSNState(p *ast.Program, edb *storage.Database, workers int) (*snState, e
 		}
 	}
 	for _, f := range cp.facts {
-		t := make(storage.Tuple, len(f.Head.Args))
-		for i, c := range f.Head.Args {
-			t[i] = edb.Syms.Intern(c.Name)
-		}
+		t := factTuple(f, edb.Syms)
 		st.idb.Ensure(f.Head.Pred, len(t)).Insert(t)
 	}
 	return st, nil
+}
+
+// factTuple interns a ground fact's arguments.
+func factTuple(f ast.Rule, syms *storage.SymbolTable) storage.Tuple {
+	t := make(storage.Tuple, len(f.Head.Args))
+	for i, c := range f.Head.Args {
+		t[i] = syms.Intern(c.Name)
+	}
+	return t
 }
 
 // result wraps the current derived state.
@@ -302,16 +399,26 @@ func (st *snState) resolve(useDelta map[string]*storage.Relation) resolver {
 	}
 }
 
-// freshDelta pre-creates one delta relation per derived predicate of
-// known arity so the map is read-only while a round's jobs run in
-// parallel (and so update's direct IDB-seed inserts always have a delta
-// relation to record into).
-func (st *snState) freshDelta() map[string]*storage.Relation {
-	m := make(map[string]*storage.Relation, len(st.cp.idb))
-	for pred := range st.cp.idb {
-		if arity, ok := st.cp.arity[pred]; ok {
-			m[pred] = storage.NewShardedRelation(arity, nil, st.idb.Shards())
-		}
+// deltaRel returns pred's relation in the delta table m, creating it
+// empty on first use.
+func (st *snState) deltaRel(m map[string]*storage.Relation, pred string) *storage.Relation {
+	r := m[pred]
+	if r == nil {
+		r = storage.NewShardedRelation(st.cp.arity[pred], nil, st.idb.Shards())
+		m[pred] = r
+	}
+	return r
+}
+
+// roundDelta extends m (nil starts a fresh table) with an empty delta
+// relation for every head the jobs can derive, so the map is read-only
+// while the round's jobs run in parallel.
+func (st *snState) roundDelta(m map[string]*storage.Relation, jobs []roundJob) map[string]*storage.Relation {
+	if m == nil {
+		m = make(map[string]*storage.Relation)
+	}
+	for _, j := range jobs {
+		st.deltaRel(m, j.cr.headPred)
 	}
 	return m
 }
@@ -322,11 +429,11 @@ func (st *snState) initialFixpoint(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	newDelta := st.freshDelta()
 	var first []roundJob
 	for _, cr := range st.cp.rules {
-		first = append(first, roundJob{cr: cr, variants: cr.variants[0:1]})
+		first = append(first, roundJob{cr: cr, v: cr.variants[0]})
 	}
+	newDelta := st.roundDelta(nil, first)
 	runRound(first, st.resolve(nil), st.idb, newDelta, true, st.workers)
 	st.rounds++
 	return st.deltaLoop(ctx, newDelta, nil)
@@ -353,9 +460,10 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 			empty = false
 			fresh += d.Len()
 			if onNew != nil {
-				for _, t := range d.Tuples() {
+				d.Scan(func(t storage.Tuple) bool {
 					onNew(pred, t)
-				}
+					return true
+				})
 			}
 		}
 		if empty {
@@ -366,26 +474,26 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 		if err := meter.Charge(fresh); err != nil {
 			return err
 		}
-		newDelta = st.freshDelta()
+		// One job per derived body occurrence whose predicate just grew: a
+		// variant restricted to an empty delta derives nothing (so rules
+		// with no derived body atom never run after round 1).
 		var jobs []roundJob
 		for _, cr := range st.cp.rules {
-			if len(cr.variants) == 0 {
-				continue
-			}
-			// Rules with no IDB body atom produce nothing new after round 1.
-			hasDelta := false
+			k := 0
 			for _, a := range cr.src.Body {
-				if st.cp.idb[a.Pred] {
-					hasDelta = true
+				if !st.cp.idb[a.Pred] {
+					continue
 				}
-			}
-			if !hasDelta {
-				continue
-			}
-			for i := range cr.variants {
-				jobs = append(jobs, roundJob{cr: cr, variants: cr.variants[i : i+1]})
+				if d := delta[a.Pred]; d != nil && d.Len() > 0 {
+					jobs = append(jobs, roundJob{cr: cr, v: cr.variants[k]})
+				}
+				k++
 			}
 		}
+		if len(jobs) == 0 {
+			return nil
+		}
+		newDelta = st.roundDelta(nil, jobs)
 		runRound(jobs, st.resolve(delta), st.idb, newDelta, false, st.workers)
 		st.rounds++
 	}
@@ -404,12 +512,13 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 //
 // onNew observes every genuinely new derived tuple and onDel every
 // tuple that actually left the fixpoint (over-deleted tuples that
-// re-derive are reported through neither); either hook may be nil.
+// re-derive are reported through neither); either hook may be nil, and
+// the tuple a hook receives is only valid for the duration of the call.
 func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pred string, t storage.Tuple)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if delta.HasDel() {
+	if len(delta.Del) > 0 {
 		if err := st.retractPass(ctx, delta.Del, onNew, onDel); err != nil {
 			return err
 		}
@@ -417,7 +526,7 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 	if len(delta.Add) == 0 {
 		return nil
 	}
-	newDelta := st.freshDelta()
+	newDelta := make(map[string]*storage.Relation)
 	// Same-name EDB deltas of derived predicates seed the IDB directly
 	// (the uniform-containment seeding, maintained).
 	for pred, rel := range delta.Add {
@@ -431,9 +540,7 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 		idbRel := st.idb.Ensure(pred, arity)
 		for _, t := range rel.Tuples() {
 			if idbRel.Insert(t) {
-				if nd := newDelta[pred]; nd != nil {
-					nd.Insert(t)
-				}
+				st.deltaRel(newDelta, pred).Insert(t)
 			}
 		}
 	}
@@ -444,11 +551,11 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 			if st.cp.idb[a.Pred] || delta.Add[a.Pred] == nil {
 				continue
 			}
-			jobs = append(jobs, roundJob{cr: cr, variants: []ruleVariant{cr.variantFor(i, st.cp, st.edb.Syms)}})
+			jobs = append(jobs, roundJob{cr: cr, v: cr.variantFor(i, st.cp, st.edb.Syms)})
 		}
 	}
 	if len(jobs) > 0 {
-		runRound(jobs, st.resolve(delta.Add), st.idb, newDelta, false, st.workers)
+		runRound(jobs, st.resolve(delta.Add), st.idb, st.roundDelta(newDelta, jobs), false, st.workers)
 		st.rounds++
 	}
 	return st.deltaLoop(ctx, newDelta, onNew)
@@ -535,16 +642,11 @@ func (st *snState) ensureStrata() {
 	}
 	st.factRels = make(map[string]*storage.Relation)
 	for _, f := range st.cp.facts {
-		t := make(storage.Tuple, len(f.Head.Args))
-		for i, c := range f.Head.Args {
-			t[i] = st.edb.Syms.Intern(c.Name)
+		t := factTuple(f, st.edb.Syms)
+		if st.factRels[f.Head.Pred] == nil {
+			st.factRels[f.Head.Pred] = storage.NewRelation(len(t), nil)
 		}
-		fr := st.factRels[f.Head.Pred]
-		if fr == nil {
-			fr = storage.NewRelation(len(t), nil)
-			st.factRels[f.Head.Pred] = fr
-		}
-		fr.Insert(t)
+		st.factRels[f.Head.Pred].Insert(t)
 	}
 }
 
@@ -609,23 +711,40 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		rec := st.recursive[comp[0]]
 		cand := make(map[string]*storage.Relation)
 		roundDel := make(map[string]*storage.Relation)
+		relIn := func(m map[string]*storage.Relation, pred string) *storage.Relation {
+			if m[pred] == nil {
+				m[pred] = storage.NewRelation(st.cp.arity[pred], nil)
+			}
+			return m[pred]
+		}
 		addCand := func(pred string, t storage.Tuple) {
-			rel := st.idb.Relation(pred)
-			if rel == nil || !rel.Contains(t) {
+			if rel := st.idb.Relation(pred); rel == nil || !rel.Contains(t) {
 				return
 			}
-			c := cand[pred]
-			if c == nil {
-				c = storage.NewRelation(st.cp.arity[pred], nil)
-				cand[pred] = c
+			if relIn(cand, pred).Insert(t) {
+				relIn(roundDel, pred).Insert(t)
 			}
-			if c.Insert(t) {
-				rd := roundDel[pred]
-				if rd == nil {
-					rd = storage.NewRelation(st.cp.arity[pred], nil)
-					roundDel[pred] = rd
+		}
+		// collect makes a candidate of every head some rule of the
+		// component derives from a tuple of from, the other body atoms
+		// reading the old state.
+		collect := func(from map[string]*storage.Relation) {
+			for _, pred := range comp {
+				for _, cr := range st.rulesByHead[pred] {
+					for i, a := range cr.src.Body {
+						d := from[a.Pred]
+						if d == nil || d.Len() == 0 {
+							continue
+						}
+						res := func(p string, alt bool) *storage.Relation {
+							if alt {
+								return d
+							}
+							return oldRel(p)
+						}
+						cr.variantFor(i, st.cp, syms).derive(res, func(t storage.Tuple) { addCand(cr.headPred, t) })
+					}
 				}
-				rd.Insert(t)
 			}
 		}
 		// Same-name removals of a derived predicate un-seed it directly
@@ -638,26 +757,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 			}
 		}
 		// (1) Candidates from the settled deletions below.
-		for _, pred := range comp {
-			for _, cr := range st.rulesByHead[pred] {
-				for i, a := range cr.src.Body {
-					d := deleted[a.Pred]
-					if d == nil || d.Len() == 0 {
-						continue
-					}
-					v := cr.variantFor(i, st.cp, syms)
-					res := func(p string, alt bool) *storage.Relation {
-						if alt {
-							return d
-						}
-						return oldRel(p)
-					}
-					deriveVariant(v, res, len(cr.src.Head.Args), func(t storage.Tuple) {
-						addCand(cr.headPred, t)
-					})
-				}
-			}
-		}
+		collect(deleted)
 		// In-component cascade: candidates beget candidates through the
 		// component's own cycles.
 		for rec && len(roundDel) > 0 {
@@ -673,26 +773,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 			}
 			cur := roundDel
 			roundDel = make(map[string]*storage.Relation)
-			for _, pred := range comp {
-				for _, cr := range st.rulesByHead[pred] {
-					for i, a := range cr.src.Body {
-						d := cur[a.Pred]
-						if d == nil || d.Len() == 0 {
-							continue
-						}
-						v := cr.variantFor(i, st.cp, syms)
-						res := func(p string, alt bool) *storage.Relation {
-							if alt {
-								return d
-							}
-							return oldRel(p)
-						}
-						deriveVariant(v, res, len(cr.src.Head.Args), func(t storage.Tuple) {
-							addCand(cr.headPred, t)
-						})
-					}
-				}
-			}
+			collect(cur)
 		}
 		total := 0
 		for _, c := range cand {
@@ -714,18 +795,16 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		if err := meter.Charge(total); err != nil {
 			return err
 		}
-		rederived := st.freshDelta()
-		any := false
+		rederived := make(map[string]*storage.Relation)
 		for pred, c := range cand {
 			rel := st.idb.Relation(pred)
 			for _, t := range c.Tuples() {
 				if st.derivable(pred, t) && rel.Insert(t) {
-					rederived[pred].Insert(t)
-					any = true
+					st.deltaRel(rederived, pred).Insert(t)
 				}
 			}
 		}
-		if any {
+		if len(rederived) > 0 {
 			if err := st.deltaLoop(ctx, rederived, onNew); err != nil {
 				return err
 			}
@@ -733,21 +812,14 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		// (4) Settle: report and publish what actually died.
 		for pred, c := range cand {
 			rel := st.idb.Relation(pred)
-			var dead *storage.Relation
 			for _, t := range c.Tuples() {
 				if rel.Contains(t) {
 					continue
 				}
-				if dead == nil {
-					dead = storage.NewRelation(st.cp.arity[pred], nil)
-				}
-				dead.Insert(t)
+				relIn(deleted, pred).Insert(t)
 				if onDel != nil {
 					onDel(pred, t)
 				}
-			}
-			if dead != nil {
-				deleted[pred] = dead
 			}
 		}
 	}
@@ -769,63 +841,11 @@ func (st *snState) derivable(pred string, t storage.Tuple) bool {
 		if cr.check == nil {
 			cr.check = compileHeadCheck(cr.src, st.cp.idb, st.edb.Syms)
 		}
-		hc := cr.check
-		slots := make([]storage.Value, hc.conj.nslots)
-		bound := make([]bool, hc.conj.nslots)
-		ok := true
-		for i, h := range hc.head {
-			if h.isConst {
-				if t[i] != h.val {
-					ok = false
-					break
-				}
-				continue
-			}
-			if bound[h.slot] {
-				if slots[h.slot] != t[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			slots[h.slot] = t[i]
-			bound[h.slot] = true
-		}
-		if !ok {
-			continue
-		}
-		found := false
-		sc := hc.conj.newScratch()
-		hc.conj.runS(res, slots, bound, sc, func([]storage.Value) bool {
-			found = true
-			return false
-		})
-		if found {
+		if cr.check.holds(res, t) {
 			return true
 		}
 	}
 	return false
-}
-
-// deriveVariant runs one delta variant of a rule, feeding every derived
-// head tuple (projected into a reused buffer) to sink — applyRule's
-// read-only cousin, used by the over-delete phase, which must not
-// insert.
-func deriveVariant(v ruleVariant, res resolver, arity int, sink func(t storage.Tuple)) {
-	slots := make([]storage.Value, v.conj.nslots)
-	bound := make([]bool, v.conj.nslots)
-	tuple := make(storage.Tuple, arity)
-	v.conj.run(res, slots, bound, func(s []storage.Value) bool {
-		for i, h := range v.head {
-			if h.isConst {
-				tuple[i] = h.val
-			} else {
-				tuple[i] = s[h.slot]
-			}
-		}
-		sink(tuple)
-		return true
-	})
 }
 
 // unionRels materializes a ∪ b — the pre-deletion image of a relation
@@ -841,11 +861,11 @@ func unionRels(a, b *storage.Relation) *storage.Relation {
 	return u
 }
 
-// roundJob is one unit of a semi-naive round: a rule restricted to a
-// subset of its delta variants.
+// roundJob is one unit of a semi-naive round: a rule restricted to one
+// of its delta variants.
 type roundJob struct {
-	cr       *compiledRule
-	variants []ruleVariant
+	cr *compiledRule
+	v  ruleVariant
 }
 
 // runRound evaluates one semi-naive round's jobs, in parallel across at
@@ -864,7 +884,7 @@ func runRound(jobs []roundJob, res resolver, idb *storage.Database, newDelta map
 	}
 	if workers <= 1 {
 		for _, j := range jobs {
-			applyRule(j.cr, j.variants, res, idb, newDelta, firstRound)
+			applyRule(j.cr, j.v, res, idb, newDelta, firstRound)
 		}
 		return
 	}
@@ -875,7 +895,7 @@ func runRound(jobs []roundJob, res resolver, idb *storage.Database, newDelta map
 		go func() {
 			defer wg.Done()
 			for j := range next {
-				applyRule(j.cr, j.variants, res, idb, newDelta, firstRound)
+				applyRule(j.cr, j.v, res, idb, newDelta, firstRound)
 			}
 		}()
 	}
@@ -886,14 +906,15 @@ func runRound(jobs []roundJob, res resolver, idb *storage.Database, newDelta map
 	wg.Wait()
 }
 
-// applyRule runs the given variants of a rule, inserting derived heads into
+// applyRule runs the given variant of a rule, inserting derived heads into
 // idb and recording genuinely new tuples in newDelta (when the head's delta
 // relation exists; Naive passes none). When firstRound is true, delta atoms
 // resolve to the full relation (the first round evaluates everything
-// unrestricted). Safe to call concurrently for different jobs of one round:
-// it only reads the compiled rule and appends to concurrency-safe
-// relations.
-func applyRule(cr *compiledRule, variants []ruleVariant, res resolver, idb *storage.Database, newDelta map[string]*storage.Relation, firstRound bool) {
+// unrestricted). Safe to call concurrently for different jobs of one
+// round as long as no two jobs carry the same variant (its evaluation
+// buffers are the only compiled state written; runBuf.acquire checks):
+// everything else is read, or appended to concurrency-safe relations.
+func applyRule(cr *compiledRule, v ruleVariant, res resolver, idb *storage.Database, newDelta map[string]*storage.Relation, firstRound bool) {
 	arity := len(cr.src.Head.Args)
 	headRel := idb.Ensure(cr.headPred, arity)
 	resolveVariant := res
@@ -902,26 +923,12 @@ func applyRule(cr *compiledRule, variants []ruleVariant, res resolver, idb *stor
 			return res(pred, false)
 		}
 	}
-	for _, v := range variants {
-		slots := make([]storage.Value, v.conj.nslots)
-		bound := make([]bool, v.conj.nslots)
-		tuple := make(storage.Tuple, arity)
-		v.conj.run(resolveVariant, slots, bound, func(s []storage.Value) bool {
-			for i, h := range v.head {
-				if h.isConst {
-					tuple[i] = h.val
-				} else {
-					tuple[i] = s[h.slot]
-				}
-			}
-			if headRel.Insert(tuple) {
-				if nd := newDelta[cr.headPred]; nd != nil {
-					nd.Insert(tuple)
-				}
-			}
-			return true
-		})
-	}
+	nd := newDelta[cr.headPred]
+	v.derive(resolveVariant, func(t storage.Tuple) {
+		if headRel.Insert(t) && nd != nil {
+			nd.Insert(t)
+		}
+	})
 }
 
 // Naive evaluates the program with the naive strategy: every rule against
@@ -931,57 +938,33 @@ func Naive(p *ast.Program, edb *storage.Database) (*Result, error) {
 	return NaiveCtx(context.Background(), p, edb)
 }
 
-// NaiveCtx is Naive with cancellation, checked between rounds.
+// NaiveCtx is Naive with cancellation, checked between rounds. It shares
+// the semi-naive state's compilation and seeding and differs in the loop.
 func NaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Result, error) {
-	cp, err := compileProgram(p, edb.Syms)
+	st, err := newSNState(p, edb, 1)
 	if err != nil {
 		return nil, err
 	}
-	idb := storage.NewDatabaseWith(edb.Syms)
-	res := &Result{IDB: idb}
-	for pred := range cp.idb {
-		if arity, ok := cp.arity[pred]; ok {
-			rel := idb.Ensure(pred, arity)
-			if seed := edb.Relation(pred); seed != nil {
-				for _, t := range seed.Tuples() {
-					rel.Insert(t)
-				}
-			}
-		}
-	}
-	for _, f := range cp.facts {
-		t := make(storage.Tuple, len(f.Head.Args))
-		for i, c := range f.Head.Args {
-			t[i] = edb.Syms.Intern(c.Name)
-		}
-		idb.Ensure(f.Head.Pred, len(t)).Insert(t)
-	}
-	res0 := func(pred string, alt bool) *storage.Relation {
-		if cp.idb[pred] {
-			return idb.Relation(pred)
-		}
-		return edb.Relation(pred)
-	}
+	res := st.resolve(nil)
 	meter := MeterFrom(ctx)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		before := idb.TupleCount()
-		for _, cr := range cp.rules {
-			applyRule(cr, cr.variants[0:1], res0, idb, map[string]*storage.Relation{}, true)
+		before := st.idb.TupleCount()
+		for _, cr := range st.cp.rules {
+			applyRule(cr, cr.variants[0], res, st.idb, nil, true)
 		}
-		res.Rounds++
-		after := idb.TupleCount()
+		st.rounds++
+		after := st.idb.TupleCount()
 		// Gas: charge the round's genuinely new tuples.
 		if err := meter.Charge(after - before); err != nil {
 			return nil, err
 		}
 		if after == before {
-			break
+			return st.result(), nil
 		}
 	}
-	return res, nil
 }
 
 // SplitFacts hands each ground fact of a parsed program to fact

@@ -342,3 +342,30 @@ func randomEDBFor(p *ast.Program, domain, facts int, seed int64) *storage.Databa
 	}
 	return db
 }
+
+// TestRuleVariantRejectsOverlappingTraversals: a compiled variant owns
+// one set of evaluation buffers, shared by every copy of it, so a second
+// traversal starting while one is in flight — what scheduling one variant
+// from two jobs of a round would amount to — must fail loudly rather
+// than mix the two traversals' bindings.
+func TestRuleVariantRejectsOverlappingTraversals(t *testing.T) {
+	db := chainDB(3)
+	cp, err := compileProgram(mustProgram(t, "t(X, Y) :- a(X, Y)."), db.Syms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := cp.rules[0].variants[0]
+	res := func(pred string, alt bool) *storage.Relation { return db.Relation(pred) }
+	derived := 0
+	v.derive(res, func(storage.Tuple) { derived++ })
+	if derived != 3 {
+		t.Fatalf("derived %d heads over a 3-edge chain, want 3", derived)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a traversal nested inside another of the same variant did not panic")
+		}
+	}()
+	again := v // a value copy shares the buffers
+	v.derive(res, func(storage.Tuple) { again.derive(res, func(storage.Tuple) {}) })
+}

@@ -308,38 +308,28 @@ func (m *magicPrepared) Eval(ctx context.Context, edb *storage.Database) (*stora
 	if m.mr.Query.HasSlots() {
 		return nil, EvalStats{}, errUnboundSkeleton(m.mr.Query)
 	}
-	res, err := SemiNaiveCtx(ctx, m.mr.Program, edb)
+	return evalAndDrop(m.EvalIncremental(ctx, edb))
+}
+
+// evalAndDrop is a cold evaluation through a retained builder: keep the
+// answers and the statistics, drop the fixpoint state.
+func evalAndDrop(inc *Incremental, err error) (*storage.Relation, EvalStats, error) {
 	if err != nil {
 		return nil, EvalStats{}, err
 	}
-	ans := storage.NewRelation(m.mr.Query.Arity(), &edb.Stats)
-	if rel := res.IDB.Relation(m.mr.AnswerPred); rel != nil {
-		for _, t := range rel.Tuples() {
-			if matchesQuery(t, m.mr.Query, edb.Syms) {
-				ans.Insert(t)
-			}
-		}
-	}
-	return ans, EvalStats{Iterations: res.Rounds, SeenSize: res.IDB.TupleCount()}, nil
+	return inc.Answers(), inc.Stats(), nil
 }
 
 // ---------------------------------------------------------------------------
 // Semi-naive and naive strategies: full materialization plus selection.
 
-type bottomUpStrategy struct {
-	name string
-	eval func(ctx context.Context, p *ast.Program, edb *storage.Database) (*Result, error)
-}
+type bottomUpStrategy struct{ name string }
 
 // SemiNaiveStrategy returns materialize-with-semi-naive-then-select.
-func SemiNaiveStrategy() Strategy {
-	return bottomUpStrategy{name: StrategySemiNaive, eval: SemiNaiveCtx}
-}
+func SemiNaiveStrategy() Strategy { return bottomUpStrategy{name: StrategySemiNaive} }
 
 // NaiveStrategy returns materialize-with-naive-then-select.
-func NaiveStrategy() Strategy {
-	return bottomUpStrategy{name: StrategyNaive, eval: NaiveCtx}
-}
+func NaiveStrategy() Strategy { return bottomUpStrategy{name: StrategyNaive} }
 
 func (s bottomUpStrategy) Name() string { return s.name }
 
@@ -369,14 +359,18 @@ func (b *bottomUpPrepared) Eval(ctx context.Context, edb *storage.Database) (*st
 	if b.query.HasSlots() {
 		return nil, EvalStats{}, errUnboundSkeleton(b.query)
 	}
-	res, err := b.strategy.eval(ctx, b.program, edb)
+	if b.Incremental() {
+		return evalAndDrop(b.EvalIncremental(ctx, edb))
+	}
+	res, err := NaiveCtx(ctx, b.program, edb)
 	if err != nil {
 		return nil, EvalStats{}, err
 	}
 	ans := storage.NewRelation(b.query.Arity(), &edb.Stats)
 	if rel := res.IDB.Relation(b.query.Pred); rel != nil {
+		sel := selectBy(b.query, edb.Syms)
 		for _, t := range rel.Tuples() {
-			if matchesQuery(t, b.query, edb.Syms) {
+			if _, ok := sel(t); ok {
 				ans.Insert(t)
 			}
 		}

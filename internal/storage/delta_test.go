@@ -177,6 +177,111 @@ func TestDeltaConcurrentInserts(t *testing.T) {
 	}
 }
 
+// TestDeltaStampProtocolConcurrentWriters drives the reader protocol
+// every maintained consumer follows — read the epoch, then for each
+// relation skip it when LastModified is below the consumer's stamp,
+// otherwise fold DeltaSince(stamp) in, then adopt the epoch read first as
+// the new stamp — against writers inserting and retracting across
+// several relations. No mutation may fall between two stamps: once the
+// writers stop, one more round leaves every mirror equal to its relation.
+// A writer that lets the epoch leave a mutation's stamp before the
+// relation's watermark shows it loses that mutation to a reader whose
+// round falls in between.
+func TestDeltaStampProtocolConcurrentWriters(t *testing.T) {
+	db := NewDatabase()
+	db.SetShards(4)
+	preds := []string{"p0", "p1", "p2"}
+	for _, p := range preds {
+		db.Ensure(p, 2)
+	}
+	const writers, each = 4, 1500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Every tuple is inserted once and two thirds of them retracted
+			// once, a few steps later: no later write papers over a lost one.
+			tup := func(i int) (*Relation, Tuple) {
+				x := db.Syms.Intern(fmt.Sprintf("w%d_%d", w, i))
+				return db.Relation(preds[(i+w)%len(preds)]), Tuple{x, x}
+			}
+			for i := 0; i < each; i++ {
+				r, t := tup(i)
+				r.Insert(t)
+				if i >= 5 && i%3 != 0 {
+					r, t = tup(i - 5)
+					r.Retract(t)
+				}
+			}
+		}(w)
+	}
+	type mirror struct {
+		stamp uint64
+		sets  map[string]map[tupleKey]bool
+	}
+	round := func(m *mirror) {
+		next := db.Epoch()
+		for _, p := range preds {
+			r := db.Relation(p)
+			if r.LastModified() < m.stamp {
+				continue
+			}
+			d, ok := r.DeltaSince(m.stamp)
+			if !ok {
+				m.sets[p] = tupleSet(r.Tuples())
+				continue
+			}
+			for _, tup := range d.Removed {
+				delete(m.sets[p], tkey(tup))
+			}
+			for _, tup := range d.Added {
+				m.sets[p][tkey(tup)] = true
+			}
+		}
+		m.stamp = next
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	mirrors := make([]*mirror, 2)
+	for i := range mirrors {
+		m := &mirror{sets: map[string]map[tupleKey]bool{}}
+		for _, p := range preds {
+			m.sets[p] = map[tupleKey]bool{}
+		}
+		mirrors[i] = m
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					round(m)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for i, m := range mirrors {
+		round(m)
+		for _, p := range preds {
+			want := tupleSet(db.Relation(p).Tuples())
+			if len(m.sets[p]) != len(want) {
+				t.Fatalf("mirror %d of %s holds %d tuples, relation %d", i, p, len(m.sets[p]), len(want))
+			}
+			for k := range want {
+				if !m.sets[p][k] {
+					t.Fatalf("mirror %d of %s is missing a live tuple", i, p)
+				}
+			}
+		}
+	}
+}
+
 // runLog is the test journal: it records every journaled run as
 // replayable per-tuple records (constant names, so they apply to a
 // database that interned in another order), the way the write-ahead log

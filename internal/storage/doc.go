@@ -55,9 +55,11 @@
 // epoch counter that ticks once per accepted mutation — insert or
 // retraction, single or inside a run — so the epoch equals the number of
 // journaled records and a log replayed record by record reproduces it.
-// Each accepted mutation is stamped with the epoch read under its
-// shard's lock, recorded in a bounded per-shard delta tail, and raises
-// the database's LastModified watermark. Relation.DeltaSince(epoch)
+// Each accepted mutation is stamped, under its shard's lock, with the
+// epoch its run moves the counter away from (Database.stampRun raises
+// the LastModified watermarks first, so a reader that has seen a later
+// epoch never skips the relation) and recorded in a bounded per-shard
+// delta tail. Relation.DeltaSince(epoch)
 // returns exactly the signed delta stamped at or after a given epoch
 // (falling back with ok=false once the tail evicted the requested
 // history), which is what the engine's materialized-answer cache and

@@ -712,16 +712,20 @@ func (r *Relation) RetractBatch(tuples []Tuple) int { return r.commit(tuples, tr
 //
 // Tuples are grouped per shard; each touched shard is locked once. On a
 // tracked relation (one created by a primary Database) every accepted
-// mutation is appended to its shard's delta tail as a signed entry
-// stamped with one reading of the database epoch, taken under that
-// shard's lock so tail epochs stay monotone, and the epoch then advances
-// by the accepted count — one tick per accepted mutation, for a run
-// exactly as for the same tuples committed one at a time, which is what
-// lets a log replayed record by record land on the writer's epoch.
-// Accepted tuples reach the journal as one run (a single fsync under
-// SyncAlways) and watchers are notified once, so a subscription sees the
-// run as one delta round. Untracked relations (answer sets, seen-sets,
-// derived databases) skip the stamping, the journal and the watchers.
+// mutation is appended to its shard's delta tail as a signed entry, and
+// each shard's run is stamped and the database epoch advanced by its
+// accepted count still under that shard's lock (Database.stampRun) — one
+// tick per accepted mutation, for a run exactly as for the same tuples
+// committed one at a time, which is what lets a log replayed record by
+// record land on the writer's epoch. Accepted tuples reach the journal as
+// one run (a single fsync under SyncAlways) and watchers are notified
+// once, so a subscription sees the run as one delta round. Untracked
+// relations (answer sets, seen-sets, derived databases) skip the
+// stamping, the journal and the watchers. A retraction run on a tracked
+// relation commits its shards holding the database's retraction gate, so
+// it waits for in-flight maintenance passes (Database.HoldRetractions)
+// and is stamped and visible in full before the next one starts; the
+// journal call is outside the gate.
 func (r *Relation) commit(tuples []Tuple, del bool) int {
 	for _, t := range tuples {
 		if len(t) != r.arity {
@@ -730,10 +734,12 @@ func (r *Relation) commit(tuples []Tuple, del bool) int {
 	}
 	var accepted []bool
 	var n int
-	var maxStamp uint64
+	gated := del && r.db != nil
+	if gated {
+		r.db.retractGate.Lock() // see Database.HoldRetractions
+	}
 	switch len(tuples) {
 	case 0:
-		return 0
 	case 1:
 		// A run of one needs no grouping: stack arrays stand in for
 		// batchOrder's output, so the single-tuple claim allocates nothing.
@@ -741,17 +747,18 @@ func (r *Relation) commit(tuples []Tuple, del bool) int {
 		var acc [1]bool
 		hash := [1]uint32{HashTuple(tuples[0])}
 		accepted = acc[:]
-		n, maxStamp = r.commitShard(r.shardFor(tuples[0]), tuples, idx[:], hash[:], accepted, del)
+		n = r.commitShard(r.shardFor(tuples[0]), tuples, idx[:], hash[:], accepted, del)
 	default:
 		order, starts, hashes := r.batchOrder(tuples)
 		accepted = make([]bool, len(tuples))
 		for s := 0; s+1 < len(starts); s++ {
 			if idxs := order[starts[s]:starts[s+1]]; len(idxs) > 0 {
-				k, stamp := r.commitShard(&r.shards[s], tuples, idxs, hashes, accepted, del)
-				n += k
-				maxStamp = max(maxStamp, stamp)
+				n += r.commitShard(&r.shards[s], tuples, idxs, hashes, accepted, del)
 			}
 		}
+	}
+	if gated {
+		r.db.retractGate.Unlock()
 	}
 	if n == 0 {
 		return 0
@@ -763,12 +770,6 @@ func (r *Relation) commit(tuples []Tuple, del bool) int {
 		r.retracts.Add(d)
 	} else {
 		r.count.Add(d)
-	}
-	if r.db != nil {
-		storeMax(&r.lastMod, maxStamp)
-		storeMax(&r.db.lastMod, maxStamp)
-		r.db.mutations.Add(d)
-		r.db.epoch.Add(uint64(n))
 	}
 	if r.stats != nil {
 		if del {
@@ -800,18 +801,17 @@ func (r *Relation) commit(tuples []Tuple, del bool) int {
 
 // commitShard applies the tuples at idxs (all routed to sh; hashes holds
 // each tuple's HashTuple) under one acquisition of the shard lock,
-// marking the accepted ones. It returns their number and the epoch stamp
-// their delta-tail entries carry (0 for an untracked relation).
-func (r *Relation) commitShard(sh *shard, tuples []Tuple, idxs []int32, hashes []uint32, accepted []bool, del bool) (n int, stamp uint64) {
+// marking the accepted ones and returning their number. On a tracked
+// relation the accepted mutations' delta-tail entries are stamped, and
+// the epoch moved past them, before the lock is released: a reader that
+// has seen the epoch beyond a stamp finds the relation's watermark raised
+// and, once it gets the shard lock, the entries.
+func (r *Relation) commitShard(sh *shard, tuples []Tuple, idxs []int32, hashes []uint32, accepted []bool, del bool) (n int) {
 	sh.mu.Lock()
 	if !del {
 		sh.reserveLocked(len(idxs))
 	}
-	if r.db != nil {
-		// Read inside the critical section so tail epochs are monotone
-		// per shard.
-		stamp = r.db.epoch.Load()
-	}
+	first := len(sh.tail)
 	for _, i := range idxs {
 		var row int
 		if del {
@@ -823,25 +823,39 @@ func (r *Relation) commitShard(sh *shard, tuples []Tuple, idxs []int32, hashes [
 			continue
 		}
 		if r.db != nil {
-			sh.tailAppendLocked(tailEntry{row: row, epoch: stamp, del: del})
+			sh.tail = append(sh.tail, tailEntry{row: row, del: del})
 		}
 		accepted[i] = true
 		n++
 	}
+	if r.db != nil && n > 0 {
+		stamp := r.db.stampRun(&r.lastMod, n)
+		for k := first; k < len(sh.tail); k++ {
+			sh.tail[k].epoch = stamp
+		}
+		sh.trimTailLocked()
+	}
 	sh.mu.Unlock()
-	return n, stamp
+	return n
 }
 
-// tailAppendLocked records one mutation in the shard's delta tail. Past
-// the bound the oldest half is evicted and the floor rises past the
-// newest evicted stamp, so incomplete coverage is never served. Caller
-// holds the write lock.
-func (sh *shard) tailAppendLocked(e tailEntry) {
-	sh.tail = append(sh.tail, e)
-	if len(sh.tail) > deltaTailBound {
-		drop := len(sh.tail) / 2
-		sh.tailFloor = sh.tail[drop-1].epoch + 1
-		sh.tail = append(sh.tail[:0], sh.tail[drop:]...)
+// trimTailLocked bounds the shard's delta tail: past the bound all but
+// the newest half-bound of entries are evicted and the floor rises past
+// the newest evicted stamp, so incomplete coverage is never served (a
+// run larger than the bound evicts part of itself). Caller holds the
+// write lock.
+func (sh *shard) trimTailLocked() {
+	if len(sh.tail) <= deltaTailBound {
+		return
+	}
+	drop := len(sh.tail) - deltaTailBound/2
+	sh.tailFloor = sh.tail[drop-1].epoch + 1
+	kept := sh.tail[drop:]
+	if cap(sh.tail) > 2*deltaTailBound {
+		// A large run grew the backing array; do not keep it.
+		sh.tail = append(make([]tailEntry, 0, deltaTailBound+1), kept...)
+	} else {
+		sh.tail = append(sh.tail[:0], kept...)
 	}
 }
 
@@ -1289,6 +1303,11 @@ type Database struct {
 	watchers map[int]chan struct{}
 	watchSeq int
 	hasWatch atomic.Bool
+
+	// retractGate orders retractions against delete-rederive maintenance
+	// passes (HoldRetractions): a retraction run tombstones its rows
+	// holding the gate exclusively, a pass holds it shared.
+	retractGate sync.RWMutex
 }
 
 // NewDatabase creates an empty epoch-tracked database with a fresh
@@ -1319,6 +1338,43 @@ func (db *Database) LastModified() uint64 { return db.lastMod.Load() }
 // retractions — of the database's relations since creation (untracked
 // databases always report 0).
 func (db *Database) Mutations() int64 { return db.mutations.Load() }
+
+// stampRun stamps a shard's run of n accepted mutations of one relation
+// (rel is its watermark): it returns the epoch their delta-tail entries
+// carry and moves the epoch, and the mutation count, n past it. Both
+// watermarks reach the stamp BEFORE the epoch leaves it, and the
+// compare-and-swap makes the stamp this run's alone, so whoever reads an
+// epoch beyond a stamp — the reading a consumer adopts as its next
+// DeltaSince bound — already finds LastModified at or above it and
+// cannot step over the mutation for good. (A failed attempt leaves the
+// watermarks below the final stamp, which is harmless.) The caller holds
+// the shard lock, so the entries themselves appear when it is released.
+func (db *Database) stampRun(rel *atomic.Uint64, n int) uint64 {
+	for {
+		stamp := db.epoch.Load()
+		storeMax(rel, stamp)
+		storeMax(&db.lastMod, stamp)
+		if db.epoch.CompareAndSwap(stamp, stamp+uint64(n)) {
+			db.mutations.Add(int64(n))
+			return stamp
+		}
+	}
+}
+
+// HoldRetractions keeps every retraction into this database's relations
+// from landing until release is called; inserts proceed. A
+// delete-rederive maintenance pass holds it from before it collects its
+// delta until it finishes: the pass reconstructs the pre-deletion state
+// as "what is there now plus what the delta says left", so a tuple
+// retracted mid-pass is missing from this pass's reconstruction and its
+// partners from the next one's, and a fact they jointly supported would
+// never be reconsidered. Holds are shared — passes over different
+// retained states overlap — and a waiting retraction is admitted before
+// any later pass starts.
+func (db *Database) HoldRetractions() (release func()) {
+	db.retractGate.RLock()
+	return db.retractGate.RUnlock
+}
 
 // Watch registers a mutation watcher: the returned channel receives a
 // (coalesced) signal after every accepted insert or retraction, and the

@@ -53,10 +53,13 @@ func (r Row) Tuple() Tuple { return r.tuple }
 //
 // A Rows served by the engine's bound-result cache (Explain reports
 // result-cache=hit|updated|rebuilt) views the cache's MAINTAINED answer
-// relation: an insert that later updates the cached entry grows the
-// same relation this Rows iterates. Relations are insert-only, so
-// already-yielded answers never disappear; iterate promptly or copy if
-// exact point-in-time contents matter.
+// relation: a later insert or retraction that updates the cached entry
+// changes, tuple by tuple, the same relation this Rows iterates. An
+// iteration that overlaps such an update sees each tuple as it was in
+// either the old or the new answer set — never a torn tuple, but
+// possibly a mix of the two sets, and an answer already yielded may
+// since have been retracted. Copy (Strings, Sorted) right after the
+// query when exact point-in-time contents matter.
 type Rows struct {
 	rel      *storage.Relation
 	syms     *storage.SymbolTable

@@ -78,8 +78,9 @@ func (s *Subscription) push(ctx context.Context, ev SubEvent) bool {
 // not on the stream), the full current answer set is pushed as the
 // first event's Add, and from then on every database change — inserts
 // and retractions alike — is re-derived and pushed as a signed
-// {Add, Remove} batch stamped with the database epoch it brought the
-// answers current to. Maintainable plans serve each tick from their
+// {Add, Remove} batch stamped with a database epoch the answers are
+// current to (every write accepted before that epoch is reflected; later
+// ones may be too). Maintainable plans serve each tick from their
 // retained fixpoint via the signed delta; others re-evaluate.
 //
 // The subscription lives until ctx is canceled or Close is called;
@@ -107,6 +108,11 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 	// landing between the two leaves a pending notification, so the
 	// first loop tick re-derives rather than missing it.
 	watch, stopWatch := e.db.Watch()
+	// Every event's epoch is read BEFORE its answers are evaluated — the
+	// protocol queryCached follows for its stamps: a write landing in
+	// between is then at or after the event's epoch, so an event never
+	// claims a write it does not contain. Understating is safe.
+	epoch := e.db.Epoch()
 	rows, err := pq.Query(ctx)
 	if err != nil {
 		stopWatch()
@@ -121,7 +127,6 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 		cancel: cancel,
 	}
 	prev := answerSet(rows.rel, e.db.Syms)
-	epoch := e.db.Epoch()
 	go func() {
 		defer close(sub.done)
 		defer close(sub.ch)
@@ -139,6 +144,7 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 			}
 			// Re-derive: the result cache serves this from the retained
 			// fixpoint (mode "updated") when the plan is maintainable.
+			at := e.db.Epoch()
 			rows, qerr := pq.Query(sctx)
 			if qerr != nil {
 				if sctx.Err() == nil {
@@ -147,7 +153,6 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 				return
 			}
 			cur := answerSet(rows.rel, e.db.Syms)
-			at := e.db.Epoch()
 			add, remove := diffAnswers(prev, cur)
 			prev = cur
 			if len(add) == 0 && len(remove) == 0 {

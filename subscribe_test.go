@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,5 +234,57 @@ func TestSubscribeCoalesces(t *testing.T) {
 		}
 		t.Fatalf("subscription closed: %v", sub.Err())
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestSubscribeEpochNeverOverstates races a writer against the pump: an
+// event's Epoch promises that every write accepted before it is in the
+// subscriber's folded state. A client doing read-your-writes compares
+// the epoch its write returned with the event epoch, so an event
+// stamped after its evaluation — claiming a write that landed in
+// between — would tell that client a lie. Understating is harmless.
+func TestSubscribeEpochNeverOverstates(t *testing.T) {
+	eng := openQuickstart(t)
+	sub, err := eng.Subscribe(context.Background(), "t(paris, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+
+	const writes = 3000
+	type ack struct {
+		row   string
+		epoch uint64 // the database epoch once the insert had returned
+	}
+	var (
+		mu    sync.Mutex
+		acked []ack
+	)
+	go func() {
+		for i := 0; i < writes; i++ {
+			out := fmt.Sprintf("w%d", i)
+			eng.AddFact("b", "marseille", out)
+			e := eng.DB().Epoch()
+			mu.Lock()
+			acked = append(acked, ack{row: "paris," + out, epoch: e})
+			mu.Unlock()
+		}
+	}()
+
+	set := make(map[string]bool)
+	checked := 0
+	last := fmt.Sprintf("paris,w%d", writes-1)
+	for !set[last] {
+		ev := recvEvent(t, sub)
+		applyEvent(set, ev)
+		mu.Lock()
+		for ; checked < len(acked) && acked[checked].epoch <= ev.Epoch; checked++ {
+			if a := acked[checked]; !set[a.row] {
+				mu.Unlock()
+				t.Fatalf("event at epoch %d does not reflect %s, whose insert returned at epoch %d",
+					ev.Epoch, a.row, a.epoch)
+			}
+		}
+		mu.Unlock()
 	}
 }
