@@ -40,17 +40,19 @@ type BatchPrepared interface {
 // addressing over tuple hashes — the owner table's interner, with no
 // string keys on the batch hot path. slots holds ordinal+1 (0 = empty);
 // hashes holds each occupied slot's full tuple hash so growth rehashes
-// without re-reading tuples.
+// without re-reading tuples. The interned contexts live in one flat
+// arena (ctxs, width values each), ordinal order.
 type ctxIndex struct {
 	slots  []int32
 	hashes []uint32
-	ctxs   []storage.Tuple
+	ctxs   carryBuf
+	width  int
 }
 
-// ordinalOf returns tup's ordinal, interning a clone when absent; fresh
+// ordinalOf returns tup's ordinal, interning a copy when absent; fresh
 // reports whether the context is new.
 func (ix *ctxIndex) ordinalOf(tup storage.Tuple) (ord int, fresh bool) {
-	if 4*(len(ix.ctxs)+1) > 3*len(ix.slots) {
+	if 4*(ix.ctxs.n+1) > 3*len(ix.slots) {
 		newCap := 2 * len(ix.slots)
 		if newCap < 16 {
 			newCap = 16
@@ -76,13 +78,13 @@ func (ix *ctxIndex) ordinalOf(tup storage.Tuple) (ord int, fresh bool) {
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := ix.slots[i]
 		if s == 0 {
-			ord = len(ix.ctxs)
-			ix.ctxs = append(ix.ctxs, tup.Clone())
+			ord = ix.ctxs.n
+			ix.ctxs.push(tup)
 			ix.slots[i] = int32(ord + 1)
 			ix.hashes[i] = h
 			return ord, true
 		}
-		if ix.hashes[i] == h && tuplesEqual(ix.ctxs[s-1], tup) {
+		if ix.hashes[i] == h && tuplesEqual(ix.ctxs.at(int(s-1), ix.width), tup) {
 			return int(s - 1), false
 		}
 	}
@@ -202,11 +204,16 @@ type ownerItem struct {
 	mask bitset.Mask
 }
 
-// taggedCtx is a successor context produced by a parallel f worker,
-// merged sequentially into the owner table after the level.
-type taggedCtx struct {
-	tup  storage.Tuple
-	mask bitset.Mask
+// batchWorker is the batch traversal's share of one pool worker's state:
+// the owner mask of the frontier item (or context) being processed, and,
+// for the f phase, the mask each successor in the worker's next buffer was
+// produced under — merged sequentially into the owner table after the
+// level. Written per context like the levelWorker beside it, and padded
+// apart for the same reason.
+type batchWorker struct {
+	cur   bitset.Mask
+	masks []bitset.Mask
+	_     [scratchPad]byte
 }
 
 // evalContextBatch is the shared Fig. 9 traversal for arbitrarily many
@@ -256,7 +263,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 
 	// Owner table: every distinct context with the (multi-word) bitmask
 	// of queries that reach it.
-	var ix ctxIndex
+	ix := ctxIndex{width: carryWidth}
 	var masks []bitset.Mask
 	next := make(map[int]bitset.Mask)
 	merge := func(tup storage.Tuple, mask bitset.Mask) {
@@ -284,6 +291,59 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	f := p.compileF(syms)
 	g := p.compileG(syms)
 
+	// emitOwner assembles owner q's answers for one g-join solution,
+	// crossing in q's factored groups.
+	var emitOwner func(q, gi int, s []storage.Value, anchorPart, out storage.Tuple)
+	emitOwner = func(q, gi int, s []storage.Value, anchorPart, out storage.Tuple) {
+		if gi == len(groups[q]) {
+			for oi, src := range g.srcs {
+				switch src.kind {
+				case 0:
+					out[oi] = qconsts[q][oi]
+				case 1:
+					out[oi] = s[src.idx]
+				case 2:
+					out[oi] = anchorPart[src.idx]
+				}
+			}
+			ans[q].Insert(out)
+			return
+		}
+		for _, gt := range groups[q][gi].tuples {
+			for oi, src := range g.srcs {
+				if src.kind == 3 && src.idx == gi {
+					out[oi] = gt[src.pos]
+				}
+			}
+			emitOwner(q, gi+1, s, anchorPart, out)
+		}
+	}
+
+	// The same level workers as the single-query loop. A successor is
+	// kept with the mask it was produced under instead of being claimed:
+	// the owner table decides, after the level, whether it is news.
+	bws := make([]batchWorker, workers)
+	pool := levelPool{
+		f: &f, g: &g, nAnchors: nAnchors, arity: p.Def.Arity(), resolve: resolve,
+		ws: make([]levelWorker, workers),
+		setup: func(i int, w *levelWorker) {
+			bw := &bws[i]
+			w.onSucc = func(s []storage.Value) bool {
+				w.next.push(w.successor(s))
+				bw.masks = append(bw.masks, bw.cur)
+				return true
+			}
+			w.onExit = func(s []storage.Value) bool {
+				for q := 0; q < k; q++ {
+					if bw.cur.Test(q) {
+						emitOwner(q, 0, s, w.anchors, w.out)
+					}
+				}
+				return true
+			}
+		},
+	}
+
 	var frontier []ownerItem
 	flush := func() {
 		frontier = frontier[:0]
@@ -307,96 +367,38 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		}
 		stats.Iterations++
 		stats.Batches++
-		results := make([][]taggedCtx, workers)
-		parallelFor(workers, len(frontier), func(w, lo, hi int) {
-			slots := make([]storage.Value, f.nslots)
-			boundFlags := make([]bool, f.nslots)
-			tup := make(storage.Tuple, carryWidth)
-			sc := f.conj.newScratch()
-			var local []taggedCtx
+		parallelFor(workers, len(frontier), func(wi, lo, hi int) {
+			w, bw := pool.worker(wi), &bws[wi]
 			for _, it := range frontier[lo:hi] {
-				c := ix.ctxs[it.idx]
-				for i := range boundFlags {
-					boundFlags[i] = false
-				}
-				for i, sl := range f.headSlots {
-					slots[sl] = c[nAnchors+i]
-					boundFlags[sl] = true
-				}
-				anchorPart := c[:nAnchors]
-				f.conj.runS(resolve, slots, boundFlags, sc, func(s []storage.Value) bool {
-					if f.proj.projectCtx(s, anchorPart, tup, syms) {
-						local = append(local, taggedCtx{tup: tup.Clone(), mask: it.mask})
-					}
-					return true
-				})
+				bw.cur = it.mask
+				w.expand(ix.ctxs.at(it.idx, carryWidth))
 			}
-			results[w] = local
 		})
-		for _, r := range results {
-			for _, sc := range r {
-				merge(sc.tup, sc.mask)
+		// merge may grow the owner table's arena, which the workers read
+		// contexts out of — sequential, after the level's join.
+		for wi := range pool.ws {
+			nb, bw := &pool.ws[wi].next, &bws[wi]
+			for i, m := range bw.masks {
+				merge(nb.at(i, carryWidth), m)
 			}
+			nb.reset()
+			bw.masks = bw.masks[:0]
 		}
 		flush()
 	}
 
 	// g phase: one probe per distinct context, answers fanned out to the
 	// owners — the probe count this whole refactor exists to cut.
-	stats.GProbes += len(ix.ctxs)
-	stats.SeenSize = len(ix.ctxs)
+	stats.GProbes += ix.ctxs.n
+	stats.SeenSize = ix.ctxs.n
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	parallelFor(workers, len(ix.ctxs), func(w, lo, hi int) {
-		gSlots := make([]storage.Value, g.nslots)
-		gBound := make([]bool, g.nslots)
-		out := make(storage.Tuple, p.Def.Arity())
-		sc := g.conj.newScratch()
-		var emitOwner func(q, gi int, s []storage.Value, anchorPart storage.Tuple)
-		emitOwner = func(q, gi int, s []storage.Value, anchorPart storage.Tuple) {
-			if gi == len(groups[q]) {
-				for oi, src := range g.srcs {
-					switch src.kind {
-					case 0:
-						out[oi] = qconsts[q][oi]
-					case 1:
-						out[oi] = s[src.idx]
-					case 2:
-						out[oi] = anchorPart[src.idx]
-					}
-				}
-				ans[q].Insert(out)
-				return
-			}
-			for _, gt := range groups[q][gi].tuples {
-				for oi, src := range g.srcs {
-					if src.kind == 3 && src.idx == gi {
-						out[oi] = gt[src.pos]
-					}
-				}
-				emitOwner(q, gi+1, s, anchorPart)
-			}
-		}
+	parallelFor(workers, ix.ctxs.n, func(wi, lo, hi int) {
+		w, bw := pool.worker(wi), &bws[wi]
 		for i := lo; i < hi; i++ {
-			c := ix.ctxs[i]
-			mask := masks[i]
-			for j := range gBound {
-				gBound[j] = false
-			}
-			for j, sl := range g.ctxSlots {
-				gSlots[sl] = c[nAnchors+j]
-				gBound[sl] = true
-			}
-			anchorPart := c[:nAnchors]
-			g.conj.runS(resolve, gSlots, gBound, sc, func(s []storage.Value) bool {
-				for q := 0; q < k; q++ {
-					if mask.Test(q) {
-						emitOwner(q, 0, s, anchorPart)
-					}
-				}
-				return true
-			})
+			bw.cur = masks[i]
+			w.exits(ix.ctxs.at(i, carryWidth))
 		}
 	})
 	answers := 0

@@ -46,25 +46,42 @@ type compiledConj struct {
 }
 
 // conjScratch is the reusable per-traversal state of a conjunction
-// evaluation: per-atom binding and newly-bound segments carved out of
-// two backing arrays, plus the buffer storage lookups yield rows into.
-// One scratch serves the whole step recursion — each atom index owns a
-// disjoint segment, and a yielded row is fully consumed before the next
-// lookup overwrites the buffer — but it must not be shared across
-// goroutines. Hot callers allocate one per worker and reuse it across
+// evaluation: each atom's relation as bind last resolved it, per-atom
+// binding and newly-bound segments carved out of two backing arrays,
+// plus the buffer storage lookups yield rows into. One scratch serves
+// the whole step recursion — each atom index owns a disjoint segment,
+// and a yielded row is fully consumed before the next lookup overwrites
+// the buffer — but it must not be shared across goroutines. Hot callers
+// hold one per worker, bind it once per evaluation and reuse it across
 // contexts via runS; run itself makes a fresh one per call.
 type conjScratch struct {
+	rels     []*storage.Relation
 	bindBack []storage.Binding
 	newBack  []int
 	tupBuf   storage.Tuple
 }
 
-// newScratch allocates a scratch sized for this conjunction.
+// newScratch allocates a scratch sized for this conjunction. bind it
+// before the first runS.
 func (c *compiledConj) newScratch() *conjScratch {
 	return &conjScratch{
+		rels:     make([]*storage.Relation, len(c.atoms)),
 		bindBack: make([]storage.Binding, c.totalArgs),
 		newBack:  make([]int, c.totalArgs),
 		tupBuf:   make(storage.Tuple, c.maxArity),
+	}
+}
+
+// bind resolves every atom's relation into sc, once for all the
+// traversals that follow: the hot loop reads a slice element instead of
+// taking the database's lock and hashing the predicate name per atom per
+// context. A relation object lives as long as its database, so the
+// resolution stays valid for the evaluation; callers whose resolver
+// changes between traversals (a semi-naive round's delta table) bind
+// again before each.
+func (c *compiledConj) bind(sc *conjScratch, res resolver) {
+	for i := range c.atoms {
+		sc.rels[i] = res(c.atoms[i].pred, c.atoms[i].alt)
 	}
 }
 
@@ -205,25 +222,27 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 // run evaluates the conjunction. slots/boundFlags carry the initial
 // bindings (length >= nslots); emit is called with the full slot array for
 // every solution and may return false to stop. The slot array is reused;
-// emit must copy what it keeps. run allocates a fresh scratch per call —
-// callers that evaluate many contexts should hold one scratch per
-// goroutine and use runS.
+// emit must copy what it keeps. run allocates and binds a fresh scratch
+// per call — callers that evaluate many contexts should hold one scratch
+// per goroutine and use runS.
 func (c *compiledConj) run(res resolver, slots []storage.Value, boundFlags []bool, emit func([]storage.Value) bool) {
-	c.step(0, res, slots, boundFlags, c.newScratch(), emit)
+	sc := c.newScratch()
+	c.bind(sc, res)
+	c.step(0, slots, boundFlags, sc, emit)
 }
 
-// runS is run with caller-owned scratch (from newScratch, one per
-// goroutine) — the zero-allocation traversal path.
-func (c *compiledConj) runS(res resolver, slots []storage.Value, boundFlags []bool, sc *conjScratch, emit func([]storage.Value) bool) {
-	c.step(0, res, slots, boundFlags, sc, emit)
+// runS is run with caller-owned, bound scratch (one per goroutine) — the
+// zero-allocation traversal path.
+func (c *compiledConj) runS(slots []storage.Value, boundFlags []bool, sc *conjScratch, emit func([]storage.Value) bool) {
+	c.step(0, slots, boundFlags, sc, emit)
 }
 
-func (c *compiledConj) step(i int, res resolver, slots []storage.Value, bound []bool, sc *conjScratch, emit func([]storage.Value) bool) bool {
+func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conjScratch, emit func([]storage.Value) bool) bool {
 	if i == len(c.atoms) {
 		return emit(slots)
 	}
-	at := c.atoms[i]
-	rel := res(at.pred, at.alt)
+	at := &c.atoms[i]
+	rel := sc.rels[i]
 	if rel == nil {
 		return true
 	}
@@ -260,7 +279,7 @@ func (c *compiledConj) step(i int, res resolver, slots []storage.Value, bound []
 			newlyBound = append(newlyBound, a.slot)
 		}
 		if ok {
-			cont = c.step(i+1, res, slots, bound, sc, emit)
+			cont = c.step(i+1, slots, bound, sc, emit)
 		}
 		for _, s := range newlyBound {
 			bound[s] = false

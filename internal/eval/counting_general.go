@@ -109,7 +109,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 		tup := make(storage.Tuple, carryWidth)
 		dedup := storage.NewRelation(carryWidth, nil)
 		conj.run(resolve, slots, bound, func(s []storage.Value) bool {
-			proj.project(s, tup, syms)
+			proj.project(s, tup)
 			if dedup.Insert(tup) {
 				level = append(level, tup.Clone())
 			}
@@ -215,7 +215,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 			}
 			anchorPart := c[:len(p.foldedAnchors)]
 			fConj.run(resolve, slots, bound, func(s []storage.Value) bool {
-				fProj.projectCtx(s, anchorPart, tup, syms)
+				fProj.projectCtx(s, anchorPart, tup)
 				if dedup.Insert(tup) {
 					next = append(next, tup.Clone())
 				}

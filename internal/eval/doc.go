@@ -12,13 +12,17 @@
 // within a level every carry tuple's g-join probe is independent. The
 // context-mode driver (contextEval) therefore splits each carry batch
 // across a bounded worker pool (Plan.Workers, default GOMAXPROCS):
-// workers share the immutable compiled operators, keep private slot
-// buffers, and claim newly discovered contexts through a sharded
-// seen-set whose Insert admits each tuple exactly once. Semi-naive
-// rounds parallelize the same way across their independent
-// (rule, variant) jobs. Both drivers synchronize at level/round
-// boundaries, so parallel evaluation derives exactly the sequential
-// answer set.
+// workers share the immutable compiled operators and claim newly
+// discovered contexts through a sharded seen-set whose Offer — the
+// claim point — admits each tuple exactly once. A worker's scratch
+// (slot and bound arrays, conjunction scratch with the atoms' relations
+// resolved, the arena it collects the next level in) is built once per
+// evaluation and reused by every level, and the carry is a flat arena
+// rather than a slice of tuples, so a level allocates nothing
+// (level.go). Semi-naive rounds parallelize the same way across their
+// independent (rule, variant) jobs. Both drivers synchronize at
+// level/round boundaries, so parallel evaluation derives exactly the
+// sequential answer set.
 //
 // # Streaming
 //

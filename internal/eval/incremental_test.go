@@ -556,3 +556,48 @@ func TestSNStateUpdateDirect(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateReleasesBoundRelations: the conjunction scratch is retained
+// with the compiled program and holds the relations its last traversal
+// was bound to. Once a maintenance pass is over none may remain, or every
+// variant that read a delta keeps that delta relation — and the indexes
+// the pass built on it — reachable from the result cache.
+func TestUpdateReleasesBoundRelations(t *testing.T) {
+	ctx := context.Background()
+	db := chainDB(30)
+	inc, _ := prepareIncremental(t, tcSrc, "t", "t(n0, Y)", db)
+	if err := inc.Update(ctx, deltaOf(db, []string{"b", "n7", "mid"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Update(ctx, retractOf(db, []string{"a", "n20", "n21"})); err != nil {
+		t.Fatal(err)
+	}
+	if inc.st == nil {
+		t.Fatal("no retained state after two updates")
+	}
+	check := func(what string, b *runBuf) {
+		for i, r := range b.sc.rels {
+			if r != nil {
+				t.Errorf("%s still holds atom %d's relation after the pass", what, i)
+			}
+		}
+	}
+	ran := 0
+	for _, cr := range inc.st.cp.rules {
+		for _, v := range cr.variants {
+			check(cr.src.String(), v.run)
+			ran++
+		}
+		for _, v := range cr.edbVariants {
+			check(cr.src.String()+" (edb variant)", v.run)
+			ran++
+		}
+		if cr.check != nil {
+			check(cr.src.String()+" (head check)", cr.check.run)
+			ran++
+		}
+	}
+	if ran < 4 {
+		t.Fatalf("only %d compiled variants inspected", ran)
+	}
+}

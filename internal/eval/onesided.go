@@ -501,11 +501,12 @@ type colSrc struct {
 	pos  int // position within the factored group
 }
 
-// contextEval is one evaluation of a context-mode plan: the compiled
-// f (carry transition) and g (answer join) operators plus the shared
-// seen-set and answer state the parallel batch workers update. The
-// compiled operators are immutable during the run; workers share them
-// and keep private slot/scratch buffers.
+// contextEval is one evaluation of a context-mode plan: the shared
+// seen-set and answer state the parallel level workers update, plus the
+// loop's own memory — the worker pool (compiled f and g, per-worker
+// scratch) and the carry arena, see level.go. The compiled operators are
+// immutable during the run; workers share them. The evaluator is not
+// retained past run: callers keep ans and seen and let the rest go.
 type contextEval struct {
 	p       *Plan
 	syms    *storage.SymbolTable
@@ -526,16 +527,12 @@ type contextEval struct {
 
 	stats EvalStats
 
-	fConj      *compiledConj
-	fProj      *carryProj
-	fHeadSlots []int
-	fNslots    int
+	groups []groupResult
+	srcs   []colSrc
 
-	gConj     *compiledConj
-	gCtxSlots []int
-	gNslots   int
-	groups    []groupResult
-	srcs      []colSrc
+	// pool is the level workers; carry is the level being read.
+	pool  levelPool
+	carry carryBuf
 }
 
 // d0Ops is the compiled depth-0 exit join of a bound context-mode plan:
@@ -614,6 +611,7 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 			}
 		}
 		sc := c.newScratch()
+		c.bind(sc, resolve)
 		// Worker-local dedup in front of the shared sink: projections
 		// are duplicate-heavy (most join solutions collapse onto answers
 		// already produced), and re-offering them would have every
@@ -642,7 +640,7 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 		for ri := lo; ri < hi && !stop.Load(); ri++ {
 			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
 			if bindOuter(c.atoms[0], t, slots, bound) {
-				c.step(1, resolve, slots, bound, sc, emit)
+				c.step(1, slots, bound, sc, emit)
 			}
 		}
 	})
@@ -730,26 +728,25 @@ func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, yiel
 	bound := make([]bool, so.nslots)
 	tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
 	so.conj.run(resolve, slots, bound, func(s []storage.Value) bool {
-		if so.proj.project(s, tup, syms) {
-			yield(tup)
-		}
+		so.proj.project(s, tup)
+		yield(tup)
 		return true
 	})
 }
 
 // runParallel evaluates the seed conjunction with the outermost atom's
 // matches partitioned across the worker pool — the cold-fixpoint twin
-// of fBatch: the outer scan is materialized once, then each worker owns
-// a contiguous range of its rows plus private slots and scratch and
-// recurses through the remaining atoms. Rows are collected in shard
-// iteration order, so contiguous ranges keep each worker's posting-list
-// probes on a warm shard. yield receives the worker ordinal and a
-// scratch tuple (copy to retain) and must tolerate concurrent calls
-// from distinct workers; as with run, tuples may repeat and the caller
-// deduplicates. Falls back to the serial run (worker 0) when splitting
-// cannot help or would change the traversal: one worker, no atoms, an
-// arity-0 outer atom, or an existential outer atom (its first match is
-// supposed to decide the whole evaluation).
+// of a level's f half: the outer scan is materialized once, then each
+// worker owns a contiguous range of its rows plus private slots and
+// scratch and recurses through the remaining atoms. Rows are collected
+// in shard iteration order, so contiguous ranges keep each worker's
+// posting-list probes on a warm shard. yield receives the worker ordinal
+// and a scratch tuple (copy to retain) and must tolerate concurrent
+// calls from distinct workers; as with run, tuples may repeat and the
+// caller deduplicates. Falls back to the serial run (worker 0) when
+// splitting cannot help or would change the traversal: one worker, no
+// atoms, an arity-0 outer atom, or an existential outer atom (its first
+// match is supposed to decide the whole evaluation).
 func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, workers int, yield func(worker int, tup storage.Tuple)) {
 	c := so.conj
 	rows, arity, ok := outerScan(c, resolve, workers)
@@ -762,16 +759,16 @@ func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolv
 		bound := make([]bool, so.nslots)
 		tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
 		sc := c.newScratch()
+		c.bind(sc, resolve)
 		emit := func(s []storage.Value) bool {
-			if so.proj.project(s, tup, syms) {
-				yield(w, tup)
-			}
+			so.proj.project(s, tup)
+			yield(w, tup)
 			return true
 		}
 		for ri := lo; ri < hi; ri++ {
 			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
 			if bindOuter(c.atoms[0], t, slots, bound) {
-				c.step(1, resolve, slots, bound, sc, emit)
+				c.step(1, slots, bound, sc, emit)
 			}
 		}
 	})
@@ -1096,34 +1093,62 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	}
 	ce.groups = groups
 
-	// Seed contexts, deduplicated through the shared seen-set. The seed
-	// conjunction's outer scan is split across the worker pool (the
-	// seen-set's Insert is the concurrent claim point, exactly as in
-	// fBatch); per-worker slices keep the merge allocation-cheap.
-	seedLocal := make([][]storage.Tuple, ce.workers)
-	p.compileSeed(syms).runParallel(p, syms, ce.resolve, ce.workers, func(w int, tup storage.Tuple) {
-		if ce.seen.Offer(tup) {
-			seedLocal[w] = append(seedLocal[w], tup.Clone())
-		}
-	})
-	var carry []storage.Tuple
-	for _, l := range seedLocal {
-		carry = append(carry, l...)
-	}
-
 	f := p.compileF(syms)
-	ce.fConj, ce.fProj, ce.fHeadSlots, ce.fNslots = f.conj, f.proj, f.headSlots, f.nslots
-
 	g := p.compileG(syms)
-	ce.gConj, ce.gCtxSlots, ce.gNslots = g.conj, g.ctxSlots, g.nslots
 	// Fill the query-constant sources (kind 0) with this plan's values.
 	ce.srcs = fillQueryConsts(g.srcs, p.queryConsts(syms))
+	ce.pool = levelPool{
+		f: &f, g: &g, nAnchors: ce.nAnchors, arity: p.Def.Arity(), resolve: ce.resolve,
+		ws: make([]levelWorker, ce.workers),
+		setup: func(_ int, w *levelWorker) {
+			// Workers claim contexts through the seen-set: Offer returns
+			// true exactly once per tuple however the level was split, so
+			// the next level is a set.
+			w.onSucc = func(s []storage.Value) bool {
+				if t := w.successor(s); ce.seen.Offer(t) {
+					w.next.push(t)
+				}
+				return true
+			}
+			w.onExit = func(s []storage.Value) bool {
+				return ce.emitProducts(0, s, w.anchors, w.out)
+			}
+		},
+	}
+	// The two halves of a level, split across the pool. Each context's
+	// probes are independent, so partitioning is safe; answer dedup happens
+	// in the sharded answer relation. Built once: a level creates no
+	// closure. (Two literal loops, not one parameterized by the method: the
+	// indirect call per context costs ≈7 % on a one-context-wide chain.)
+	fLevel := func(wi, lo, hi int) {
+		w := ce.pool.worker(wi)
+		for i := lo; i < hi && !ce.aborted.Load(); i++ {
+			w.expand(ce.carry.at(i, ce.carryWidth))
+		}
+	}
+	gLevel := func(wi, lo, hi int) {
+		w := ce.pool.worker(wi)
+		for i := lo; i < hi && !ce.aborted.Load(); i++ {
+			w.exits(ce.carry.at(i, ce.carryWidth))
+		}
+	}
+
+	// Seed contexts, claimed through the shared seen-set exactly as a
+	// level's successors are and collected in the same per-worker buffers.
+	// The seed conjunction's outer scan is split across the worker pool.
+	p.compileSeed(syms).runParallel(p, syms, ce.resolve, ce.workers, func(w int, tup storage.Tuple) {
+		if ce.seen.Offer(tup) {
+			ce.pool.ws[w].next.push(tup)
+		}
+	})
+	ce.pool.gather(&ce.carry)
 
 	// Fig. 9 while loop, one parallel batch per level: g joins the new
 	// contexts (streaming their answers), f produces the next level.
 	ce.stats.Batches++
-	ce.gBatch(carry)
-	for len(carry) > 0 && !ce.aborted.Load() {
+	ce.stats.GProbes += ce.carry.n
+	parallelFor(ce.workers, ce.carry.n, gLevel)
+	for ce.carry.n > 0 && !ce.aborted.Load() {
 		if err := ctx.Err(); err != nil {
 			return nil, ce.stats, err
 		}
@@ -1133,11 +1158,13 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
-		carry = ce.fBatch(carry)
+		parallelFor(ce.workers, ce.carry.n, fLevel)
+		ce.pool.gather(&ce.carry)
 		if p.TestIterHook != nil {
 			p.TestIterHook(ce.stats.Iterations)
 		}
-		ce.gBatch(carry)
+		ce.stats.GProbes += ce.carry.n
+		parallelFor(ce.workers, ce.carry.n, gLevel)
 	}
 	if err := charge(); err != nil {
 		ce.stats.SeenSize = ce.seen.Len()
@@ -1171,81 +1198,6 @@ func (ce *contextEval) finish(ctx context.Context) (*storage.Relation, EvalStats
 		}
 	}
 	return ce.ans, ce.stats, nil
-}
-
-// fBatch applies the recursive rule one level deeper to a carry batch,
-// split across the worker pool, and returns the genuinely new contexts.
-// Workers claim contexts through the sharded seen-set (Insert returns
-// true exactly once per tuple), so the returned level is a set no matter
-// how the batch was partitioned.
-func (ce *contextEval) fBatch(carry []storage.Tuple) []storage.Tuple {
-	results := make([][]storage.Tuple, ce.workers)
-	parallelFor(ce.workers, len(carry), func(w, lo, hi int) {
-		slots := make([]storage.Value, ce.fNslots)
-		bound := make([]bool, ce.fNslots)
-		tup := make(storage.Tuple, ce.carryWidth)
-		sc := ce.fConj.newScratch()
-		var local []storage.Tuple
-		for _, c := range carry[lo:hi] {
-			if ce.aborted.Load() {
-				break
-			}
-			for i := range bound {
-				bound[i] = false
-			}
-			// Anchor passthrough and context binding.
-			for i, sl := range ce.fHeadSlots {
-				slots[sl] = c[ce.nAnchors+i]
-				bound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			ce.fConj.runS(ce.resolve, slots, bound, sc, func(s []storage.Value) bool {
-				if !ce.fProj.projectCtx(s, anchorPart, tup, ce.syms) {
-					return true
-				}
-				if ce.seen.Offer(tup) {
-					local = append(local, tup.Clone())
-				}
-				return true
-			})
-		}
-		results[w] = local
-	})
-	var next []storage.Tuple
-	for _, r := range results {
-		next = append(next, r...)
-	}
-	return next
-}
-
-// gBatch joins a batch of new contexts with the exit rule and emits the
-// assembled answers, split across the worker pool. Each context's probe
-// is independent, so partitioning is safe; answer dedup happens in the
-// sharded answer relation.
-func (ce *contextEval) gBatch(batch []storage.Tuple) {
-	ce.stats.GProbes += len(batch)
-	parallelFor(ce.workers, len(batch), func(w, lo, hi int) {
-		gSlots := make([]storage.Value, ce.gNslots)
-		gBound := make([]bool, ce.gNslots)
-		out := make(storage.Tuple, ce.p.Def.Arity())
-		sc := ce.gConj.newScratch()
-		for _, c := range batch[lo:hi] {
-			if ce.aborted.Load() {
-				return
-			}
-			for i := range gBound {
-				gBound[i] = false
-			}
-			for i, sl := range ce.gCtxSlots {
-				gSlots[sl] = c[ce.nAnchors+i]
-				gBound[sl] = true
-			}
-			anchorPart := c[:ce.nAnchors]
-			ce.gConj.runS(ce.resolve, gSlots, gBound, sc, func(s []storage.Value) bool {
-				return ce.emitProducts(0, s, anchorPart, out)
-			})
-		}
-	})
 }
 
 // emitProducts assembles answers for one g-join solution, crossing in the
@@ -1325,20 +1277,20 @@ func (p *Plan) carryProjection(ss *slotSpace, rec ast.Atom, syms *storage.Symbol
 }
 
 // project fills a carry tuple (anchors then ctx) from a solution.
-func (cp *carryProj) project(s []storage.Value, tup storage.Tuple, syms *storage.SymbolTable) bool {
+func (cp *carryProj) project(s []storage.Value, tup storage.Tuple) {
 	for i, sl := range cp.anchorSlots {
 		tup[i] = s[sl]
 	}
-	return cp.fillCtx(s, tup, len(cp.anchorSlots))
+	cp.fillCtx(s, tup, len(cp.anchorSlots))
 }
 
 // projectCtx fills a carry tuple using a fixed anchor part.
-func (cp *carryProj) projectCtx(s []storage.Value, anchorPart storage.Tuple, tup storage.Tuple, syms *storage.SymbolTable) bool {
+func (cp *carryProj) projectCtx(s []storage.Value, anchorPart storage.Tuple, tup storage.Tuple) {
 	copy(tup, anchorPart)
-	return cp.fillCtx(s, tup, len(anchorPart))
+	cp.fillCtx(s, tup, len(anchorPart))
 }
 
-func (cp *carryProj) fillCtx(s []storage.Value, tup storage.Tuple, off int) bool {
+func (cp *carryProj) fillCtx(s []storage.Value, tup storage.Tuple, off int) {
 	for i, r := range cp.ctxRefs {
 		if r.isConst {
 			tup[off+i] = r.val
@@ -1346,7 +1298,6 @@ func (cp *carryProj) fillCtx(s []storage.Value, tup storage.Tuple, off int) bool
 			tup[off+i] = s[r.slot]
 		}
 	}
-	return true
 }
 
 // OneSidedEval compiles and evaluates a selection in one call.

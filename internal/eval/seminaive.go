@@ -46,7 +46,14 @@ func (b *runBuf) acquire() {
 	}
 }
 
-func (b *runBuf) release() { b.busy.Store(false) }
+// release ends a traversal. The buffers outlive it — they are retained
+// with the compiled program — so the relations the scratch was bound to
+// are let go here: a finished round's delta relations must not stay
+// reachable from every variant that read them.
+func (b *runBuf) release() {
+	clear(b.sc.rels)
+	b.busy.Store(false)
+}
 
 func newRunBuf(conj *compiledConj, headArity int) *runBuf {
 	return &runBuf{
@@ -63,7 +70,8 @@ func (v ruleVariant) derive(res resolver, yield func(t storage.Tuple)) {
 	b := v.run
 	b.acquire()
 	defer b.release()
-	v.conj.runS(res, b.slots, b.bound, b.sc, func(s []storage.Value) bool {
+	v.conj.bind(b.sc, res)
+	v.conj.runS(b.slots, b.bound, b.sc, func(s []storage.Value) bool {
 		for i, h := range v.head {
 			if h.isConst {
 				b.tuple[i] = h.val
@@ -128,7 +136,8 @@ func (hc *headCheck) holds(res resolver, t storage.Tuple) bool {
 		}
 	}
 	found := false
-	hc.conj.runS(res, b.slots, b.bound, b.sc, func([]storage.Value) bool {
+	hc.conj.bind(b.sc, res)
+	hc.conj.runS(b.slots, b.bound, b.sc, func([]storage.Value) bool {
 		found = true
 		return false
 	})

@@ -119,3 +119,70 @@ func TestSnapshotIterationDuringInserts(t *testing.T) {
 		})
 	}
 }
+
+// TestTombstoneCompactionCountsFromLastDrop pins the compaction rule: a
+// shard drops its posting lists when more than half of the rows they can
+// name are dead, counted from the previous drop. Counting every
+// tombstone the shard ever set made a relation that had retracted most
+// of what it ever held drop — and the next lookup rebuild — its indexes
+// on every further retraction.
+func TestTombstoneCompactionCountsFromLastDrop(t *testing.T) {
+	const n = 400
+	rel := NewRelation(2, nil) // one shard: the drop points are exact
+	sh := &rel.shards[0]
+	edge := func(i int) Tuple { return Tuple{Value(i), Value(i + 1)} }
+	lookup := func(v int) int {
+		hits := 0
+		rel.Lookup([]Binding{{Col: 0, Val: Value(v)}}, func(Tuple) bool { hits++; return true })
+		return hits
+	}
+	for i := 0; i < n; i++ {
+		rel.Insert(edge(i))
+	}
+	lookup(0)
+	if sh.cols[0] == nil {
+		t.Fatal("lookup built no index")
+	}
+	// One past half: the line is crossed by the last retraction.
+	for i := 0; i <= n/2; i++ {
+		if sh.cols[0] == nil {
+			t.Fatalf("posting lists dropped after %d of %d rows died", i, n)
+		}
+		rel.Retract(edge(i))
+	}
+	if sh.cols[0] != nil {
+		t.Fatal("posting lists kept past half dead")
+	}
+	for i := 0; i < n; i++ {
+		want := 1
+		if i <= n/2 {
+			want = 0
+		}
+		if got := lookup(i); got != want {
+			t.Fatalf("lookup(%d) = %d rows after compaction, want %d", i, got, want)
+		}
+	}
+	// From here an insert + lookup + retract churn on the live half must
+	// leave the rebuilt lists alone.
+	for round := 0; round < 50; round++ {
+		rel.Insert(edge(n + round))
+		if lookup(n+round) != 1 {
+			t.Fatalf("round %d: inserted tuple not found", round)
+		}
+		rel.Retract(edge(n + round))
+		if sh.cols[0] == nil {
+			t.Fatalf("round %d: a single retraction dropped the posting lists again", round)
+		}
+		if lookup(n+round) != 0 {
+			t.Fatalf("round %d: retracted tuple still found", round)
+		}
+	}
+	// The rule still fires: retracting what is live crosses the line a
+	// second time.
+	for i := n/2 + 1; i < n; i++ {
+		rel.Retract(edge(i))
+	}
+	if sh.cols[0] != nil {
+		t.Fatal("posting lists kept after every live row was retracted")
+	}
+}

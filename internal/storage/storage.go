@@ -304,9 +304,12 @@ type shard struct {
 	// allocated with the block). Bits are set with atomic stores under
 	// the write lock and read with atomic loads, possibly lock-free off a
 	// captured view; a set bit never clears (re-inserting a retracted
-	// tuple appends a fresh row). deadCnt counts set bits.
-	dead    [][]uint64
-	deadCnt int
+	// tuple appends a fresh row). deadCnt counts set bits; deadAtDrop is
+	// deadCnt as of the last time the posting lists were dropped, so the
+	// difference is the tombstones the built lists can still name.
+	dead       [][]uint64
+	deadCnt    int
+	deadAtDrop int
 	// Dedup table: open addressing with linear probing. slots holds
 	// row+1 (0 = empty, slotDead = retracted); hashes holds each occupied
 	// slot's full tuple hash, so growth rehashes from stored hashes
@@ -319,8 +322,8 @@ type shard struct {
 	// cols[i] maps a value to the row ids holding it in column i (nil
 	// until built). Posting lists may reference tombstoned rows; lookups
 	// filter them lazily, and the whole index set is dropped for a
-	// from-live-rows rebuild when the shard passes half dead (the
-	// tombstone compaction rule).
+	// from-live-rows rebuild when more than half the rows the lists can
+	// name are dead (the tombstone compaction rule).
 	cols []map[Value][]int32
 	// tail is the bounded recent-mutation log for DeltaSince (tracked
 	// relations only); tailFloor is the lowest epoch the tail still covers
@@ -472,12 +475,17 @@ func (sh *shard) retractLocked(t Tuple, h uint32) int {
 			w := &sh.dead[row>>blockShift][(row&blockMask)>>6]
 			atomic.StoreUint64(w, atomic.LoadUint64(w)|1<<(uint(row)&63))
 			sh.deadCnt++
-			// Tombstone compaction: past half dead, drop the posting
-			// lists so the next lookup rebuilds them from live rows only.
-			if 2*sh.deadCnt > sh.rows {
+			// Tombstone compaction: once more than half the rows the
+			// posting lists can name are dead, drop the lists so the next
+			// lookup rebuilds them from live rows only. Both sides count
+			// from the last drop — a rebuilt list names no row that was
+			// dead then — so a relation that has retracted most of what it
+			// ever held pays for one rebuild, not one per retraction.
+			if 2*(sh.deadCnt-sh.deadAtDrop) > sh.rows-sh.deadAtDrop {
 				for c := range sh.cols {
 					sh.cols[c] = nil
 				}
+				sh.deadAtDrop = sh.deadCnt
 			}
 			return row
 		}

@@ -213,10 +213,18 @@ func BenchmarkOneSidedStreamFirstAnswer(b *testing.B) {
 		}
 	})
 	b.Run("full", func(b *testing.B) {
+		var rows *Rows
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
-			if _, err := pq.Query(ctx); err != nil {
+			if rows, err = pq.Query(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}
+		runtime.ReadMemStats(&after)
+		// One context per level: what a level allocates is the whole
+		// per-level fixed cost. The loop's budget is zero.
+		levels := float64(b.N) * float64(rows.Stats().Iterations)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/levels, "allocs/level")
 	})
 }
