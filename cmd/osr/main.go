@@ -8,7 +8,7 @@
 //	osr classify file.dl            # per-predicate classification + decision
 //	osr graph -pred t [-plain] file.dl
 //	osr expand -pred t -k 4 file.dl
-//	osr query [-engine onesided|magic|seminaive|naive|counting] [-data dir] [-checkpoint-every n] [-timeout d] file.dl
+//	osr query [-engine onesided|magic|seminaive] [-data dir] [-checkpoint-every n] [-timeout d] file.dl
 //
 // The query command drives the Engine façade: plans are prepared once
 // per query, the planner auto-selects the one-sided schema or a
@@ -67,7 +67,7 @@ subcommands:
                                        answer the file's ?- queries
   prove -tuple "t(a, b)" <file>        find and minimize a derivation
 engines: onesided (default: auto-select with magic fallback),
-         magic, seminaive, naive, counting
+         magic, seminaive
 -data dir persists facts, rules, and plan shapes across runs (the
 engine checkpoints on exit — differentially, skipping unchanged
 relations — and recovers on the next start); -checkpoint-every n also
@@ -313,13 +313,11 @@ var strategyChains = map[string][]string{
 	"onesided":  nil, // engine default: onesided, multi, magic, edb
 	"magic":     {"magic", "edb"},
 	"seminaive": {"seminaive", "edb"},
-	"naive":     {"naive", "edb"},
-	"counting":  {"counting"},
 }
 
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	engine := fs.String("engine", "onesided", "onesided | magic | seminaive | naive | counting")
+	engine := fs.String("engine", "onesided", "onesided | magic | seminaive")
 	verbose := fs.Bool("v", false, "print instrumentation counters")
 	dataDir := fs.String("data", "", "persist facts, rules, and plan shapes in this directory (survives restarts)")
 	ckptEvery := fs.Int("checkpoint-every", 0, "with -data: auto-checkpoint after N accepted fact inserts (0 disables)")

@@ -4,9 +4,12 @@
 // recursive-redundancy analysis (Theorem 3.3), the optimize-then-detect
 // decision procedure (Theorem 3.4), and the Fig. 9 evaluation schema for
 // "column = constant" selections, whose instantiations reproduce the
-// Aho–Ullman (Fig. 7) and Henschen–Naqvi (Fig. 8) algorithms. Magic Sets,
-// the Counting method, and naive/semi-naive bottom-up evaluation are
-// implemented as baselines.
+// Aho–Ullman (Fig. 7) and Henschen–Naqvi (Fig. 8) algorithms. Magic Sets
+// and semi-naive evaluation are served as strategies beside it ("onesided",
+// "multi", "magic", "seminaive", "edb" — see WithStrategies); the Counting
+// method and naive bottom-up evaluation are library baselines for the
+// paper's comparisons (eval.Plan.EvalCounting, eval.CountingTC,
+// eval.Naive).
 //
 // # Quickstart
 //

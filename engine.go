@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
-	"repro/internal/multi"
 	"repro/internal/parser"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -21,7 +19,7 @@ import (
 
 // Engine is the database/sql-style façade over the paper's machinery: it
 // owns a database (symbol table + relations), a program, a strategy
-// registry, and an adornment-keyed plan cache. One Engine serves any
+// chain, and an adornment-keyed plan cache. One Engine serves any
 // number of concurrent queries; storage is safe for parallel readers
 // with writers, and prepared plans are immutable after construction.
 //
@@ -40,9 +38,8 @@ import (
 // PreparedQuery.Bind) time — a map hit plus a shallow substitution
 // instead of the full optimize-then-detect pipeline.
 type Engine struct {
-	db            *storage.Database
-	strategies    []Strategy
-	countingDepth int
+	db         *storage.Database
+	strategies []Strategy
 	// log is the durability subsystem (nil without WithPersistence):
 	// accepted inserts and fresh interns reach it through the database's
 	// journal hook, loaded rules through LoadProgram, and Checkpoint
@@ -74,8 +71,8 @@ type Engine struct {
 
 	// Bound-result cache: materialized answers keyed on (skeleton, slot
 	// values), each stamped with the database epoch it is current as of.
-	// A stale entry whose plan supports maintenance is Updated with
-	// DeltaSince(stamp) instead of re-evaluated. resMu guards only the
+	// A stale entry is Updated with DeltaSince(stamp) instead of
+	// re-evaluated. resMu guards only the
 	// map and LRU list; each entry carries its own lock (lock order:
 	// e.mu before resMu, entry locks outside both).
 	resMu       sync.Mutex
@@ -114,7 +111,7 @@ func Open(opts ...Option) (*Engine, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	strategies, err := resolveStrategies(cfg.strategyNames, cfg)
+	strategies, err := resolveStrategies(cfg.strategyNames, cfg.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -296,6 +293,11 @@ func (e *Engine) LoadProgram(p *Program) error {
 		for _, r := range added {
 			log.AppendRule(parser.RenderRule(r))
 		}
+	}
+	if len(added) > 0 {
+		// No fact moved, so no commit wakes the standing queries: their
+		// answers under the new rules are due all the same.
+		e.db.NotifyWatchers()
 	}
 	return err
 }
@@ -583,8 +585,8 @@ func (pq *PreparedQuery) Explain() Explain {
 // Plans obtained from the engine's plan cache consult the bound-result
 // cache first: a repeat of the same bound query whose answers are still
 // current at the database epoch is served without evaluating, and after
-// inserts a maintainable plan extends its retained fixpoint with just
-// the delta. Explain reports the path taken as result-cache=hit,
+// inserts or retractions the plan moves its retained fixpoint by just
+// the signed delta. Explain reports the path taken as result-cache=hit,
 // updated, or rebuilt.
 func (pq *PreparedQuery) Query(ctx context.Context) (*Rows, error) {
 	if ctx == nil {
@@ -610,7 +612,7 @@ func (pq *PreparedQuery) Query(ctx context.Context) (*Rows, error) {
 func (pq *PreparedQuery) queryDirect(ctx context.Context) (*Rows, error) {
 	db := pq.engine.db
 	before := db.Stats.Snapshot()
-	rel, stats, err := pq.prepared.Eval(ctx, db)
+	rel, stats, err := eval.Eval(ctx, pq.prepared, db)
 	if err != nil {
 		return nil, err
 	}
@@ -645,8 +647,8 @@ func (pq *PreparedQuery) explainWithStats(stats eval.EvalStats) Explain {
 
 // resultEntry is one bound-result cache slot: the materialized answers
 // of a (skeleton, slot values) pair, stamped with the database epoch
-// they are current as of, plus — for maintainable plans — the retained
-// fixpoint state that absorbs deltas. The entry lock serializes
+// they are current as of, plus the retained fixpoint state that absorbs
+// deltas (nil only for an answer set a shared batch traversal produced). The entry lock serializes
 // concurrent queries of the same bound query, so a burst of identical
 // queries evaluates once.
 type resultEntry struct {
@@ -814,19 +816,11 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 			return nil, false, nil
 		}
 		newStamp := db.Epoch()
-		if ip, ok := pq.prepared.(eval.IncrementalPrepared); ok && ip.Incremental() {
-			inc, berr := ip.EvalIncremental(ctx, db)
-			if berr != nil {
-				return nil, true, berr
-			}
-			entry.inc, entry.rel, entry.stats = inc, inc.Answers(), inc.Stats()
-		} else {
-			rel, stats, berr := pq.prepared.Eval(ctx, db)
-			if berr != nil {
-				return nil, true, berr
-			}
-			entry.inc, entry.rel, entry.stats = nil, rel, stats
+		inc, berr := pq.prepared.Build(ctx, db)
+		if berr != nil {
+			return nil, true, berr
 		}
+		entry.inc, entry.rel, entry.stats = inc, inc.Answers(), inc.Stats()
 		entry.gen = curGen
 		entry.stamp = newStamp
 		e.resRebuilt.Add(1)
@@ -864,9 +858,8 @@ func (e *Engine) storeBatchResult(pq *PreparedQuery, gen, stamp uint64, rel *sto
 // as it is derived — for one-sided context plans that means first
 // answers arrive while the Fig. 9 fixpoint is still running — and the
 // remaining accessors (Len, Strings, Stats, Counters, Explain, Err)
-// block until the evaluation finishes. Strategies without incremental
-// evaluation fall back to evaluating fully and then streaming the
-// materialized answers. Breaking out of All stops the evaluation early;
+// block until the evaluation finishes. Plans that cannot stream fall
+// back to evaluating fully and then streaming the materialized answers. Breaking out of All stops the evaluation early;
 // check Err for the terminal status.
 func (pq *PreparedQuery) Stream(ctx context.Context) *Rows {
 	if ctx == nil {
@@ -910,7 +903,7 @@ func (pq *PreparedQuery) Stream(ctx context.Context) *Rows {
 		if sp, ok := pq.prepared.(eval.StreamingPrepared); ok {
 			rel, stats, err = sp.EvalStream(ctx, db, emit)
 		} else {
-			rel, stats, err = pq.prepared.Eval(ctx, db)
+			rel, stats, err = eval.Eval(ctx, pq.prepared, db)
 			if err == nil {
 				for _, t := range rel.Tuples() {
 					if !emit(t) {
@@ -1290,9 +1283,9 @@ func (e *Engine) rewarmShapes(shapes []string) {
 // ResultCacheStats reports the bound-result cache's effectiveness:
 // Hits served materialized answers still current at the database epoch,
 // Updated moved a retained fixpoint by just the signed delta, Rebuilt
-// evaluated in full (first build, LRU eviction, non-maintainable plan,
-// an overflowed delta tail, or a maintenance pass cut short by
-// cancellation or gas). Entries counts the resident answer sets.
+// evaluated in full (first build, LRU eviction, a batch-shared answer
+// set gone stale, an overflowed delta tail, or a maintenance pass cut
+// short by cancellation or gas). Entries counts the resident answer sets.
 type ResultCacheStats struct {
 	Hits, Updated, Rebuilt int64
 	Entries                int
@@ -1347,61 +1340,4 @@ func (e *Engine) CacheStats() CacheStats {
 			Entries: resEntries,
 		},
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Strategy registry.
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Strategy{}
-)
-
-func init() {
-	for _, s := range []Strategy{
-		eval.OneSided(),
-		multi.Strategy(),
-		eval.Magic(),
-		eval.SemiNaiveStrategy(),
-		eval.NaiveStrategy(),
-		eval.EDBLookup(),
-		eval.Counting(0),
-	} {
-		registry[s.Name()] = s
-	}
-}
-
-// RegisterStrategy adds (or replaces) a strategy in the global registry,
-// making its name resolvable by WithStrategies.
-func RegisterStrategy(s Strategy) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[s.Name()] = s
-}
-
-// StrategyNames returns the registered strategy names, sorted.
-func StrategyNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// lookupStrategy resolves a name, specializing the counting strategy's
-// depth bound and the one-sided strategy's worker count when configured.
-func lookupStrategy(name string, cfg engineConfig) (Strategy, bool) {
-	if name == eval.StrategyCounting && cfg.countingDepth > 0 {
-		return eval.Counting(cfg.countingDepth), true
-	}
-	if name == eval.StrategyOneSided && cfg.workers > 0 {
-		return eval.OneSidedWorkers(cfg.workers), true
-	}
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,43 +279,59 @@ func chainSrc(n int) string {
 // the Fig. 9 while loop and through the semi-naive delta rounds; both
 // must surface context.Canceled instead of completing.
 func TestEngineCancellationMidFixpoint(t *testing.T) {
-	for _, strategies := range [][]string{nil, {"magic"}, {"seminaive"}, {"naive"}} {
-		name := "auto"
-		if strategies != nil {
-			name = strategies[0]
-		}
-		t.Run(name, func(t *testing.T) {
+	// The Section 5 shape multi claims: X persists through both recursive
+	// rules, and the a-chain is walked backwards from the one b edge.
+	multiSrc := "t(X, Y) :- a(Y, Z), t(X, Z).\nt(X, Y) :- c(Y, Z), t(X, Z).\nt(X, Y) :- b(X, Y).\nb(u, n200).\n"
+	for i := 0; i < 200; i++ {
+		multiSrc += fmt.Sprintf("a(n%d, n%d).\n", i, i+1)
+	}
+	for _, tc := range []struct {
+		name       string
+		strategies []string
+		src, query string
+		answers    int
+	}{
+		{"onesided", nil, chainSrc(200), "t(n0, Y)", 1},
+		{"multi", nil, multiSrc, "t(u, Y)", 201},
+		{"magic", []string{"magic"}, chainSrc(200), "t(n0, Y)", 1},
+		{"seminaive", []string{"seminaive"}, chainSrc(200), "t(n0, Y)", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			// The result cache would serve the repeat query without
 			// evaluating; this test is about cancelling the fixpoint.
 			opts := []Option{WithResultCache(0)}
-			if strategies != nil {
-				opts = append(opts, WithStrategies(strategies...))
+			if tc.strategies != nil {
+				opts = append(opts, WithStrategies(tc.strategies...))
 			}
 			eng, err := Open(opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.Load(chainSrc(200)); err != nil {
+			if _, err := eng.Load(tc.src); err != nil {
 				t.Fatal(err)
 			}
-			// Sanity: uncancelled run completes.
-			rows, err := eng.Query(context.Background(), "t(n0, Y)")
+			// Sanity: uncancelled run completes, planned by the strategy the
+			// case names.
+			rows, err := eng.Query(context.Background(), tc.query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rows.Len() != 1 {
+			if rows.Len() != tc.answers {
 				t.Fatalf("answers = %v", rows.Strings())
+			}
+			if got := rows.Explain().Strategy; got != tc.name {
+				t.Fatalf("strategy = %q, want %q", got, tc.name)
 			}
 			// Cancel after a handful of loop checks: the 200-round fixpoint
 			// must abort.
 			ctx := &countdownCtx{Context: context.Background(), n: 5}
-			if _, err := eng.Query(ctx, "t(n0, Y)"); !errors.Is(err, context.Canceled) {
+			if _, err := eng.Query(ctx, tc.query); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 			// An already-cancelled context never starts.
 			done, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := eng.Query(done, "t(n0, Y)"); !errors.Is(err, context.Canceled) {
+			if _, err := eng.Query(done, tc.query); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-cancelled err = %v, want context.Canceled", err)
 			}
 		})
@@ -513,8 +530,19 @@ func TestEngineWithStrategiesRestriction(t *testing.T) {
 	if _, err := eng.Query(context.Background(), "t(X, X)"); err == nil {
 		t.Fatal("repeated-variable query should fail with only the onesided strategy")
 	}
-	if _, err := Open(WithStrategies("nosuch")); err == nil {
-		t.Fatal("unknown strategy name should fail Open")
+	// The served set is closed: the paper-comparison baselines are library
+	// functions (eval.Naive, Plan.EvalCounting), not strategy names.
+	if got := fmt.Sprint(StrategyNames()); got != "[edb magic multi onesided seminaive]" {
+		t.Fatalf("served strategies = %s", got)
+	}
+	for _, name := range []string{"nosuch", "naive", "counting"} {
+		_, err := Open(WithStrategies(name))
+		if err == nil {
+			t.Fatalf("strategy name %q should fail Open", name)
+		}
+		if want := fmt.Sprintf("unknown strategy %q (have [edb magic multi onesided seminaive])", name); !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open(WithStrategies(%q)) = %v, want %q", name, err, want)
+		}
 	}
 }
 

@@ -254,7 +254,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 			continue
 		}
 		groups[q] = gs
-		qconsts[q] = bp.queryConsts(syms)
+		qconsts[q] = queryConsts(bp.Query, syms)
 		alive[q] = true
 	}
 

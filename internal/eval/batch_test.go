@@ -39,7 +39,7 @@ func TestPlanSkeletonBindMatchesGround(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Evaluating the unbound skeleton must fail loudly.
-	if _, _, err := ps.Eval(context.Background(), db); err == nil {
+	if _, _, err := Eval(context.Background(), ps, db); err == nil {
 		t.Fatal("unbound skeleton evaluated without error")
 	}
 	for _, start := range []string{"n0", "n7", "n19"} {
@@ -48,7 +48,7 @@ func TestPlanSkeletonBindMatchesGround(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRel, _, err := direct.Eval(context.Background(), db)
+		wantRel, _, err := Eval(context.Background(), direct, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestPlanSkeletonBindMatchesGround(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRel, _, err := boundPs.Eval(context.Background(), db)
+		gotRel, _, err := Eval(context.Background(), boundPs, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestEvalBatchSharesGJoins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rel, st, err := one.Eval(context.Background(), db)
+		rel, st, err := Eval(context.Background(), one, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +222,7 @@ func TestEvalBatchWideMasks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := one.Eval(context.Background(), db)
+		want, _, err := Eval(context.Background(), one, db)
 		if err != nil {
 			t.Fatal(err)
 		}

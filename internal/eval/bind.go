@@ -92,18 +92,6 @@ func (o *oneSidedPrepared) BindArgs(consts ...ast.Term) (PreparedStrategy, error
 	return &oneSidedPrepared{plan: bp, verdict: o.verdict, adornment: o.adornment}, nil
 }
 
-// BindArgs implements PreparedStrategy for the counting strategy.
-func (c *countingPrepared) BindArgs(consts ...ast.Term) (PreparedStrategy, error) {
-	if c.plan.NSlots == 0 && len(consts) == 0 {
-		return c, nil
-	}
-	bp, err := c.plan.Bind(consts)
-	if err != nil {
-		return nil, err
-	}
-	return &countingPrepared{plan: bp, verdict: c.verdict, adornment: c.adornment, maxDepth: c.maxDepth}, nil
-}
-
 // BindArgs implements PreparedStrategy for Magic Sets: the rewritten
 // program is shared, the seed fact and the selection atom are rebound.
 func (m *magicPrepared) BindArgs(consts ...ast.Term) (PreparedStrategy, error) {
@@ -117,18 +105,17 @@ func (m *magicPrepared) BindArgs(consts ...ast.Term) (PreparedStrategy, error) {
 	return &magicPrepared{mr: m.mr.Bind(consts), adornment: m.adornment}, nil
 }
 
-// BindArgs implements PreparedStrategy for the materialize-then-select
-// strategies: the program is constant-independent, only the selection
-// atom is rebound.
-func (b *bottomUpPrepared) BindArgs(consts ...ast.Term) (PreparedStrategy, error) {
-	want := b.query.SlotCount()
+// BindArgs implements PreparedStrategy for materialize-then-select: the
+// program is constant-independent, only the selection atom is rebound.
+func (m *materializePrepared) BindArgs(consts ...ast.Term) (PreparedStrategy, error) {
+	want := m.query.SlotCount()
 	if err := checkSlotTable(want, consts); err != nil {
 		return nil, err
 	}
 	if want == 0 {
-		return b, nil
+		return m, nil
 	}
-	return &bottomUpPrepared{strategy: b.strategy, program: b.program, query: ast.BindAtom(b.query, consts), adornment: b.adornment}, nil
+	return &materializePrepared{program: m.program, query: ast.BindAtom(m.query, consts), adornment: m.adornment}, nil
 }
 
 // BindArgs implements PreparedStrategy for base-relation lookup.

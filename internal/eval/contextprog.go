@@ -10,9 +10,8 @@ import "repro/internal/ast"
 // out of every context). It is built from the same rule pieces
 // compileSeed, compileF, compileG and compileD0 compile, so the retained
 // semi-naive machine maintains the fixpoint contextEval computed cold.
-// The predicate names are reserved the way Magic Sets reserves m_….
-func (p *Plan) contextProgram() (prog *ast.Program, ctxPred, ansPred string) {
-	ctxPred, ansPred = "m_ctx__"+p.Def.Pred(), "m_ans__"+p.Def.Pred()
+func (p *Plan) contextProgram() *ast.Program {
+	ctxPred, ansPred := p.contextPreds()
 	head := p.reduced.Recursive.Head
 	rec := p.reduced.RecursiveAtom()
 	// The g rule joins exit-rule atoms with recursive-rule ones (anchors,
@@ -115,5 +114,11 @@ func (p *Plan) contextProgram() (prog *ast.Program, ctxPred, ansPred string) {
 		Head: ansAtom(func(ri int) ast.Term { return d0Head.Args[ri] }),
 		Body: ds.ApplyAtoms(p.reduced.Exit.Body),
 	}
-	return ast.NewProgram(seed, f, g, d0), ctxPred, ansPred
+	return ast.NewProgram(seed, f, g, d0)
+}
+
+// contextPreds names the context program's two predicates, reserved the
+// way Magic Sets reserves m_….
+func (p *Plan) contextPreds() (ctxPred, ansPred string) {
+	return "m_ctx__" + p.Def.Pred(), "m_ans__" + p.Def.Pred()
 }

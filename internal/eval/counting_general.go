@@ -33,12 +33,12 @@ func (p *Plan) EvalCountingCtx(ctx context.Context, edb *storage.Database, maxDe
 		return nil, EvalStats{}, fmt.Errorf("eval: counting evaluation requires a context-mode plan (have %v)", p.Mode)
 	}
 	// Reuse the context machinery but accumulate per-level relations.
-	// Implementation note: this duplicates the driver loop of evalContext
+	// Implementation note: this duplicates the driver loop of contextEval.run
 	// rather than the compiled operators, which are shared.
 	return p.evalContextCounting(ctx, edb, maxDepth)
 }
 
-// evalContextCounting mirrors evalContext with level-indexed state.
+// evalContextCounting mirrors contextEval.run with level-indexed state.
 func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, maxDepth int) (*storage.Relation, EvalStats, error) {
 	red := p.reduced
 	syms := edb.Syms
@@ -55,7 +55,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 	exitHead := red.Exit.Head
 
 	// Depth-0 answers (same as Eval).
-	p.countingDepthZero(edb, ans)
+	p.exitOnlyAnswers(edb, ans)
 
 	// Factored groups.
 	for _, fg := range p.factored {
@@ -117,7 +117,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 		})
 	}
 
-	// Transition machinery (as in evalContext).
+	// Transition machinery (as in contextEval.run).
 	fSS := newSlotSpace()
 	initBound := make(map[string]bool)
 	for _, j := range p.ctxCols {
@@ -227,8 +227,8 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 	return ans, stats, nil
 }
 
-// countingDepthZero emits the exit-only answers.
-func (p *Plan) countingDepthZero(edb *storage.Database, ans *storage.Relation) {
+// exitOnlyAnswers emits the exit-only answers.
+func (p *Plan) exitOnlyAnswers(edb *storage.Database, ans *storage.Relation) {
 	syms := edb.Syms
 	resolve := func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) }
 	exitHead := p.reduced.Exit.Head

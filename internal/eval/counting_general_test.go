@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"strconv"
 	"testing"
 
@@ -69,6 +71,12 @@ func TestCountingGeneralDivergesOnCycle(t *testing.T) {
 	}
 	if _, _, err := plan.Eval(db); err != nil {
 		t.Fatalf("seen-set evaluation must terminate: %v", err)
+	}
+	// The level loop honours cancellation before it honours the bound.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := plan.EvalCountingCtx(ctx, db, 20); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled counting evaluation: err = %v, want context.Canceled", err)
 	}
 }
 

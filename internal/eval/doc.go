@@ -1,7 +1,9 @@
 // Package eval implements the paper's evaluation algorithms and baselines:
 // naive and semi-naive bottom-up evaluation, the Magic Sets transformation
 // [BMSU86, BR87], the Counting method for the canonical recursion [BMSU86,
-// SZ86], Sagiv's uniform-containment test [Sag88], and — the paper's
+// SZ86] (Naive, CountingTC and Plan.EvalCounting are comparison baselines
+// called directly, not served strategies), Sagiv's uniform-containment
+// test [Sag88], and — the paper's
 // contribution — the Fig. 9 schema for evaluating "column = constant"
 // selections on one-sided recursions, whose instantiations reproduce the
 // Fig. 7 (Aho–Ullman) and Fig. 8 (Henschen–Naqvi) algorithms.
@@ -49,13 +51,14 @@
 //
 // # Incremental maintenance
 //
-// There is one incremental machine (incremental.go): a maintainable
-// plan is a Datalog program plus a watched answer predicate, its
-// retained state that program's semi-naive fixpoint (snState), and
-// snState.update — insert delta variants plus stratified DRed — the
-// only routine that applies a signed Delta to a derived fixpoint. The
-// semi-naive-backed plans build that state as their cold evaluation (a
-// cold Eval is the builder with the state dropped). A context-mode
+// Every prepared plan builds a maintained evaluation
+// (PreparedStrategy.Build), and there is one incremental machine
+// (incremental.go): a plan is a Datalog program plus a watched answer
+// predicate, its retained state that program's semi-naive fixpoint
+// (snState), and snState.update — insert delta variants plus stratified
+// DRed — the only routine that applies a signed Delta to a derived
+// fixpoint. The semi-naive-backed plans build that state as their cold
+// evaluation (Eval is Build with the state dropped). A context-mode
 // plan keeps the Fig. 9 loop as its cold evaluator and renders itself
 // as its context program (contextprog.go): the loop's seen-set and
 // answers are that program's fixpoint, adopted by a fresh snState when

@@ -11,9 +11,10 @@ import (
 // tuples. The related Mangle engine bounds derivation with a
 // DerivedFactsLimit checked around its evaluation; here the counter is
 // checked INSIDE the loops — the Fig. 9 carry loop, the semi-naive delta
-// rounds, the naive rounds, and the incremental-maintenance frontier —
-// at batch granularity, so a runaway recursion aborts after at most one
-// extra batch of work instead of after materializing everything.
+// rounds and the incremental-maintenance frontier of the served plans,
+// and the naive and Counting baselines' rounds — at batch granularity,
+// so a runaway recursion aborts after at most one extra batch of work
+// instead of after materializing everything.
 //
 // The meter travels in the context rather than in plan or strategy
 // state: plans are shared across queries (and tenants), while gas is a

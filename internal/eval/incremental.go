@@ -2,23 +2,21 @@ package eval
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
 )
 
-// This file is the incremental-maintenance layer: prepared plans whose
-// evaluation can be RETAINED and then moved with base-relation deltas
+// This file is the incremental-maintenance layer: every prepared plan's
+// evaluation is RETAINED and then moved with base-relation deltas
 // instead of recomputed from scratch. There is one maintenance machine:
-// every maintainable plan is a Datalog program plus a watched answer
-// predicate, and its retained state is that program's semi-naive
-// fixpoint (snState) — inserts extend it through delta variants,
-// retractions through DRed (snState.retractPass). Plans whose cold
-// evaluator is not semi-naive (the Fig. 9 context loop, the base-relation
-// lookup) keep that evaluator for the first build and hand the state it
-// reached to the machine when the first delta arrives (see
-// Incremental.adopt).
+// a plan is a Datalog program plus a watched answer predicate, and its
+// retained state is that program's semi-naive fixpoint (snState) —
+// inserts extend it through delta variants, retractions through DRed
+// (snState.retractPass). Plans whose cold evaluator is not semi-naive
+// (the Fig. 9 context loop, the base-relation lookup) keep that evaluator
+// for the build and hand the state it reached to the machine when the
+// first delta arrives (see Incremental.adopt).
 
 // Delta describes the base-relation changes since a retained
 // evaluation's build epoch, signed: Add holds one relation of newly
@@ -50,8 +48,11 @@ func (d Delta) Empty() bool { return len(d.Add) == 0 && len(d.Del) == 0 }
 // silently skip answers. Discard the Incremental and re-evaluate.
 type Incremental struct {
 	// prog is the program whose fixpoint is retained and watch the
-	// predicate of it the answers fold from.
+	// predicate of it the answers fold from. A cold evaluator that reached
+	// the fixpoint without the program leaves prog nil and sets render: a
+	// build that is dropped before any delta never pays for the rendering.
 	prog    *ast.Program
+	render  func() *ast.Program
 	watch   string
 	edb     *storage.Database
 	workers int
@@ -91,7 +92,7 @@ func (inc *Incremental) Stats() EvalStats { return inc.stats }
 func (inc *Incremental) Reads() []string {
 	if inc.reads == nil {
 		set := make(map[string]bool)
-		for _, r := range inc.prog.Rules {
+		for _, r := range inc.program().Rules {
 			set[r.Head.Pred] = true
 			for _, a := range r.Body {
 				set[a.Pred] = true
@@ -102,6 +103,14 @@ func (inc *Incremental) Reads() []string {
 		}
 	}
 	return inc.reads
+}
+
+// program returns the retained program, rendering it on first use.
+func (inc *Incremental) program() *ast.Program {
+	if inc.prog == nil {
+		inc.prog, inc.render = inc.render(), nil
+	}
+	return inc.prog
 }
 
 // fold applies one derived-tuple change to the answers when it is the
@@ -130,7 +139,7 @@ func (inc *Incremental) onDel(pred string, t storage.Tuple) { inc.fold(pred, t, 
 // signed delta the database has already absorbed.
 func (inc *Incremental) Update(ctx context.Context, delta Delta) error {
 	if inc.st == nil {
-		st, err := newSNState(inc.prog, inc.edb, inc.workers)
+		st, err := newSNState(inc.program(), inc.edb, inc.workers)
 		if err != nil {
 			return err
 		}
@@ -158,9 +167,7 @@ func (inc *Incremental) seenSize() int {
 }
 
 // buildIncremental runs prog's semi-naive fixpoint over edb, retains it,
-// and folds the watched predicate into ans. It is also the cold
-// evaluator of every semi-naive-backed plan: a caller that will never
-// see a delta takes Answers and Stats and drops the state.
+// and folds the watched predicate into ans.
 func buildIncremental(ctx context.Context, prog *ast.Program, watch, seenOf string, edb *storage.Database, workers int,
 	ans *storage.Relation, project func(storage.Tuple) (storage.Tuple, bool)) (*Incremental, error) {
 	st, err := newSNState(prog, edb, workers)
@@ -192,143 +199,82 @@ func selectBy(query ast.Atom, syms *storage.SymbolTable) func(storage.Tuple) (st
 // watches the adorned answer predicate while selecting with the
 // original query atom).
 func buildSelect(ctx context.Context, prog *ast.Program, watch string, query ast.Atom, edb *storage.Database, workers int) (*Incremental, error) {
+	if query.HasSlots() {
+		return nil, errUnboundSkeleton(query)
+	}
 	ans := storage.NewRelation(query.Arity(), &edb.Stats)
 	return buildIncremental(ctx, prog, watch, "", edb, workers, ans, selectBy(query, edb.Syms))
 }
 
-// IncrementalPrepared is implemented by prepared plans that can
-// evaluate into a maintainable state. Incremental reports whether this
-// particular plan instance supports maintenance (the bottom-up adapter
-// serves a strategy that does and one that does not); when false,
-// EvalIncremental must not be called and the caller re-evaluates on
-// every change.
-type IncrementalPrepared interface {
-	PreparedStrategy
-	Incremental() bool
-	EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error)
+// BuildReduced is buildIncremental for the persistent-column reduction
+// (Section 4, and rule-by-rule for Section 5's multi-rule recursions):
+// reduced is the recursion for query's predicate after the bound
+// persistent columns were substituted and dropped, keep the original
+// column of each reduced column. The reduced recursion materializes and
+// every reduced tuple re-expands through the dropped constant columns.
+func BuildReduced(ctx context.Context, reduced *ast.Program, query ast.Atom, keep []int, edb *storage.Database, workers int) (*Incremental, error) {
+	if query.HasSlots() {
+		return nil, errUnboundSkeleton(query)
+	}
+	out := queryConsts(query, edb.Syms)
+	expand := func(t storage.Tuple) (storage.Tuple, bool) {
+		for ri, oi := range keep {
+			out[oi] = t[ri]
+		}
+		return out, true
+	}
+	ans := storage.NewShardedRelation(query.Arity(), &edb.Stats, edb.Shards())
+	inc, err := buildIncremental(ctx, reduced, query.Pred, query.Pred, edb, workers, ans, expand)
+	if err != nil {
+		return nil, err
+	}
+	inc.stats.CarryArity = len(keep)
+	return inc, nil
 }
 
-// ---------------------------------------------------------------------------
-// One-sided strategy.
-
-// Incremental: every mode maintains — reduced and full plans retain the
-// semi-naive fixpoint they evaluate with, context plans the fixpoint of
-// their context program (contextprog.go).
-func (o *oneSidedPrepared) Incremental() bool { return true }
-
-// EvalIncremental evaluates the plan and retains its state for
-// delta-driven updates.
-func (o *oneSidedPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
-	p := o.plan
+// build evaluates a bound plan with its mode's evaluator and retains the
+// state. Reduced and full plans retain the semi-naive fixpoint they
+// evaluate with. For a context plan the Fig. 9 loop is the evaluator;
+// what it reached — the seen-set and the answers — is the fixpoint of
+// the plan's context program (contextprog.go), held as-is until a delta
+// needs the maintenance machine. emit, which only the context loop
+// serves, streams each answer as it is derived (see EvalStreamCtx); a
+// state cut short by emit is not a fixpoint and must be dropped.
+func (p *Plan) build(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*Incremental, error) {
 	if p.NSlots > 0 {
 		return nil, errUnboundSkeleton(p.Query)
 	}
-	if p.Mode != ModeContext {
-		return p.buildSemiNaive(ctx, edb)
-	}
-	// The Fig. 9 loop is the cold evaluator; what it reached — the
-	// seen-set and the answers — is the context program's fixpoint, held
-	// as-is until a delta needs the maintenance machine.
-	ce := p.newContextEval(edb, nil)
-	if _, _, err := ce.run(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prog, ctxPred, ansPred := p.contextProgram()
-	// The closure keeps the two relations, not the evaluator: the compiled
-	// operators and factor-group tables are garbage from here on.
-	seen, ans, carryWidth := ce.seen, ce.ans, ce.carryWidth
-	return &Incremental{
-		prog: prog, watch: ansPred, seenOf: ctxPred, edb: edb, workers: ce.workers, ans: ans, stats: ce.stats,
-		adopt: func(idb *storage.Database) {
-			idb.Ensure(ctxPred, carryWidth).InsertBatch(seen.Tuples())
-			idb.Ensure(ansPred, ans.Arity()).InsertBatch(ans.Tuples())
-		},
-	}, nil
-}
-
-// buildSemiNaive evaluates a reduced or full plan through the retained
-// builder. Reduced: the reduced recursion materializes and every
-// reduced tuple re-expands through the dropped constant columns. Full:
-// the whole definition materializes and the query selects from it.
-func (p *Plan) buildSemiNaive(ctx context.Context, edb *storage.Database) (*Incremental, error) {
+	if p.Mode == ModeContext {
+		ce := p.newContextEval(edb, emit)
+		if _, _, err := ce.run(ctx); err != nil {
+			return nil, err
+		}
+		ctxPred, ansPred := p.contextPreds()
+		// The closure keeps the two relations, not the evaluator: the compiled
+		// operators and factor-group tables are garbage from here on.
+		seen, ans, carryWidth := ce.seen, ce.ans, ce.carryWidth
+		return &Incremental{
+			render: p.contextProgram, watch: ansPred, seenOf: ctxPred, edb: edb, workers: ce.workers, ans: ans, stats: ce.stats,
+			adopt: func(idb *storage.Database) {
+				idb.Ensure(ctxPred, carryWidth).InsertBatch(seen.Tuples())
+				idb.Ensure(ansPred, ans.Arity()).InsertBatch(ans.Tuples())
+			},
+		}, nil
+	}
 	var inc *Incremental
 	var err error
 	workers := p.effectiveWorkers()
 	if p.Mode == ModeReduced {
-		out := p.queryConsts(edb.Syms)
-		expand := func(t storage.Tuple) (storage.Tuple, bool) {
-			for ri, oi := range p.keepCols {
-				out[oi] = t[ri]
-			}
-			return out, true
-		}
-		ans := storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, edb.Shards())
-		inc, err = buildIncremental(ctx, p.reduced.Program(), p.reduced.Pred(), p.reduced.Pred(), edb, workers, ans, expand)
+		inc, err = BuildReduced(ctx, p.reduced.Program(), p.Query, p.keepCols, edb, workers)
 	} else {
 		inc, err = buildSelect(ctx, p.Def.Program(), p.Query.Pred, p.Query, edb, workers)
 	}
 	if err != nil {
 		return nil, err
 	}
-	inc.stats.CarryArity = p.CarryArity
-	inc.stats.Workers = workers
-	inc.stats.Shards = edb.Shards()
+	inc.stats.CarryArity, inc.stats.Workers, inc.stats.Shards = p.CarryArity, workers, edb.Shards()
 	return inc, nil
-}
-
-// ---------------------------------------------------------------------------
-// Magic Sets strategy.
-
-// Incremental: the rewritten program is negation-free Datalog, so the
-// retained semi-naive fixpoint (magic and answer predicates included)
-// maintains under signed deltas.
-func (m *magicPrepared) Incremental() bool { return true }
-
-func (m *magicPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
-	if m.mr.Query.HasSlots() {
-		return nil, errUnboundSkeleton(m.mr.Query)
-	}
-	return buildSelect(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb, 0)
-}
-
-// ---------------------------------------------------------------------------
-// Bottom-up strategies.
-
-// Incremental: only the semi-naive variant maintains (naive has no
-// delta machinery to retain — it re-derives everything each round).
-func (b *bottomUpPrepared) Incremental() bool { return b.strategy.name == StrategySemiNaive }
-
-func (b *bottomUpPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
-	if b.query.HasSlots() {
-		return nil, errUnboundSkeleton(b.query)
-	}
-	if !b.Incremental() {
-		return nil, fmt.Errorf("eval: %s strategy is not maintainable", b.strategy.name)
-	}
-	return buildSelect(ctx, b.program, b.query.Pred, b.query, edb, 0)
-}
-
-// ---------------------------------------------------------------------------
-// EDB lookup strategy.
-
-// Incremental: a base-relation selection is the one-rule program
-// "answer(args) :- pred(args)" with the query's own argument list.
-func (e *edbPrepared) Incremental() bool { return true }
-
-// EvalIncremental answers with the indexed lookup and leaves the
-// one-rule program's fixpoint — the answers themselves — to be adopted
-// by the first delta.
-func (e *edbPrepared) EvalIncremental(ctx context.Context, edb *storage.Database) (*Incremental, error) {
-	rel, stats, err := e.Eval(ctx, edb)
-	if err != nil {
-		return nil, err
-	}
-	ansPred := "m_ans__" + e.query.Pred
-	prog := ast.NewProgram(ast.NewRule(ast.Atom{Pred: ansPred, Args: e.query.Args}, e.query))
-	return &Incremental{
-		prog: prog, watch: ansPred, edb: edb, ans: rel, stats: stats,
-		adopt: func(idb *storage.Database) {
-			idb.Ensure(ansPred, e.query.Arity()).InsertBatch(rel.Tuples())
-		},
-	}, nil
 }

@@ -57,11 +57,7 @@ func prepareIncremental(t *testing.T, src, pred, query string, db *storage.Datab
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep := &oneSidedPrepared{plan: plan, verdict: "test", adornment: ast.AdornmentOf(q)}
-	if !prep.Incremental() {
-		t.Fatalf("plan for %s (mode %v) not incremental", query, plan.Mode)
-	}
-	inc, err := prep.EvalIncremental(context.Background(), db)
+	inc, err := plan.build(context.Background(), db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +380,8 @@ func TestContextProgramIsFig9(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prog, ctxPred, ansPred := plan.contextProgram()
+				prog := plan.contextProgram()
+				ctxPred, ansPred := plan.contextPreds()
 				res, err := SemiNaive(prog, db)
 				if err != nil {
 					t.Fatalf("%v: context program\n%v: %v", q, prog, err)
@@ -428,7 +425,7 @@ func TestIncrementalMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	prep := &magicPrepared{mr: mr}
-	inc, err := prep.EvalIncremental(ctx, db)
+	inc, err := prep.Build(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +461,7 @@ func TestIncrementalEDB(t *testing.T) {
 	db.AddFact("e", "x", "y")
 	q := parser.MustParseAtom("e(a, Y)")
 	prep := &edbPrepared{query: q}
-	inc, err := prep.EvalIncremental(ctx, db)
+	inc, err := prep.Build(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}

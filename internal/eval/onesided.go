@@ -447,22 +447,12 @@ func (p *Plan) EvalCtx(ctx context.Context, edb *storage.Database) (*storage.Rel
 // and returning false stops the evaluation early without error, with the
 // answers derived so far.
 func (p *Plan) EvalStreamCtx(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
-	if p.NSlots > 0 {
-		return nil, EvalStats{}, fmt.Errorf("eval: plan for %v is a skeleton with %d unbound slots; call Bind first", p.Query, p.NSlots)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, EvalStats{}, err
-	}
-	if p.Mode == ModeContext {
-		return p.evalContext(ctx, edb, emit)
-	}
-	// Reduced and full plans evaluate through the retained builder and
-	// drop the state: the fixpoint materializes in bulk, then streams.
-	inc, err := p.buildSemiNaive(ctx, edb)
+	inc, err := p.build(ctx, edb, emit)
 	if err != nil {
 		return nil, EvalStats{}, err
 	}
-	if !emitAll(inc.Answers(), emit) {
+	// Reduced and full plans materialize the fixpoint in bulk, then stream.
+	if p.Mode != ModeContext && !emitAll(inc.Answers(), emit) {
 		// The sink stopped mid-stream; surface a cancellation if the
 		// stop came from ctx rather than a deliberate consumer break.
 		if cerr := ctx.Err(); cerr != nil {
@@ -958,9 +948,9 @@ func (p *Plan) compileG(syms *storage.SymbolTable) gOps {
 
 // queryConsts returns, for each original column whose source is a query
 // constant (colSrc kind 0), the interned value; other columns are zero.
-func (p *Plan) queryConsts(syms *storage.SymbolTable) storage.Tuple {
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
+func queryConsts(query ast.Atom, syms *storage.SymbolTable) storage.Tuple {
+	out := make(storage.Tuple, query.Arity())
+	for i, a := range query.Args {
 		if a.IsConst() {
 			out[i] = syms.Intern(a.Name)
 		}
@@ -968,24 +958,11 @@ func (p *Plan) queryConsts(syms *storage.SymbolTable) storage.Tuple {
 	return out
 }
 
-// evalContext runs the Fig. 9 loop: seed the carry from the first
-// application of the recursive rule (restricted by the selection
-// constants), then per batch join the new contexts with the exit rule
-// (g, emitting answers incrementally) and apply the recursive rule one
-// level deeper (f) until no new contexts appear. Each batch is split
-// across a bounded worker pool; the sharded seen-set deduplicates
-// concurrently discovered contexts, and the depth-0 answers from the
-// exit rule alone are emitted before the loop starts.
-func (p *Plan) evalContext(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
-	ce := p.newContextEval(edb, emit)
-	return ce.run(ctx)
-}
-
 // newContextEval constructs the evaluation state for a bound
 // context-mode plan: the answer and seen relations plus the environment
 // the compiled operators run in. run executes the Fig. 9 loop; the
-// seen-set and answers it reaches can be retained afterwards and adopted
-// by the incremental layer (oneSidedPrepared.EvalIncremental).
+// seen-set and answers it reaches are retained afterwards and adopted
+// by the incremental layer (Plan.build).
 func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bool) *contextEval {
 	syms := edb.Syms
 	nshards := edb.Shards()
@@ -1046,7 +1023,14 @@ func (b *bitsetSeen) Tuples() []storage.Tuple {
 	return out
 }
 
-// run executes the full Fig. 9 evaluation over the state.
+// run executes the full Fig. 9 evaluation over the state: seed the carry
+// from the first application of the recursive rule (restricted by the
+// selection constants), then per batch join the new contexts with the
+// exit rule (g, emitting answers incrementally) and apply the recursive
+// rule one level deeper (f) until no new contexts appear. Each batch is
+// split across a bounded worker pool; the sharded seen-set deduplicates
+// concurrently discovered contexts, and the depth-0 answers from the
+// exit rule alone are emitted before the loop starts.
 func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, error) {
 	p, syms := ce.p, ce.syms
 
@@ -1096,7 +1080,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	f := p.compileF(syms)
 	g := p.compileG(syms)
 	// Fill the query-constant sources (kind 0) with this plan's values.
-	ce.srcs = fillQueryConsts(g.srcs, p.queryConsts(syms))
+	ce.srcs = fillQueryConsts(g.srcs, queryConsts(p.Query, syms))
 	ce.pool = levelPool{
 		f: &f, g: &g, nAnchors: ce.nAnchors, arity: p.Def.Arity(), resolve: ce.resolve,
 		ws: make([]levelWorker, ce.workers),

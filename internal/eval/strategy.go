@@ -9,13 +9,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Strategy names, used by the Engine's registry and Explain reports.
+// Strategy names, used by the Engine's strategy table and Explain reports.
 const (
 	StrategyOneSided  = "onesided"
-	StrategyCounting  = "counting"
 	StrategyMagic     = "magic"
 	StrategySemiNaive = "seminaive"
-	StrategyNaive     = "naive"
 	StrategyEDB       = "edb"
 )
 
@@ -41,27 +39,42 @@ func AdornQuery(q ast.Atom) AdornedQuery {
 // strategy that is the paper's optimize-then-detect procedure, Theorem
 // 3.4) and returns a reusable prepared plan, or an error explaining why
 // the strategy does not apply — the Engine tries the next strategy in its
-// registry. Strategies must be stateless and safe for concurrent use.
+// chain. Strategies must be stateless and safe for concurrent use.
 type Strategy interface {
 	Name() string
 	Prepare(p *ast.Program, query AdornedQuery) (PreparedStrategy, error)
 }
 
-// PreparedStrategy is a query plan produced by a Strategy. Eval may be
+// PreparedStrategy is a query plan produced by a Strategy. Build may be
 // called many times and concurrently against the same database; the plan
 // holds no per-evaluation state.
 //
+// Build evaluates the plan and returns the maintained evaluation: the
+// answers plus whatever Incremental.Update needs to move them by a signed
+// delta. Every plan maintains; a caller that will never see a delta uses
+// Eval, which builds and drops the state.
+//
 // A plan prepared from a skeleton query is parameterized: its constant
-// positions hold ast.SlotConst placeholders and it must not be evaluated
-// directly. BindArgs instantiates the slot table — one constant per slot,
-// in slot order — returning an evaluable plan; binding is a shallow
-// structural substitution, orders of magnitude cheaper than Prepare's
-// analysis. A plan prepared from a ground query has zero slots and
-// BindArgs() with no arguments returns it unchanged.
+// positions hold ast.SlotConst placeholders and Build refuses it.
+// BindArgs instantiates the slot table — one constant per slot, in slot
+// order — returning an evaluable plan; binding is a shallow structural
+// substitution, orders of magnitude cheaper than Prepare's analysis. A
+// plan prepared from a ground query has zero slots and BindArgs() with
+// no arguments returns it unchanged.
 type PreparedStrategy interface {
 	Explain() StrategyExplain
-	Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error)
 	BindArgs(consts ...ast.Term) (PreparedStrategy, error)
+	Build(ctx context.Context, edb *storage.Database) (*Incremental, error)
+}
+
+// Eval is the cold evaluation of any prepared plan: build, keep the
+// answers and the statistics, drop the retained state.
+func Eval(ctx context.Context, p PreparedStrategy, edb *storage.Database) (*storage.Relation, EvalStats, error) {
+	inc, err := p.Build(ctx, edb)
+	if err != nil {
+		return nil, EvalStats{}, err
+	}
+	return inc.Answers(), inc.Stats(), nil
 }
 
 // errUnboundSkeleton rejects evaluation of a plan whose query still
@@ -73,10 +86,10 @@ func errUnboundSkeleton(query ast.Atom) error {
 
 // StreamingPrepared is implemented by prepared plans that can emit
 // answers incrementally, before their fixpoint completes. EvalStream
-// behaves like Eval but additionally calls emit once per distinct answer
-// tuple as soon as it is derived; see Plan.EvalStreamCtx for the emit
-// contract. Prepared plans without this interface are evaluated fully
-// and their answers streamed afterwards.
+// is a cold evaluation that additionally calls emit once per distinct
+// answer tuple as soon as it is derived; see Plan.EvalStreamCtx for the
+// emit contract. Prepared plans without this interface are evaluated
+// fully and their answers streamed afterwards.
 type StreamingPrepared interface {
 	PreparedStrategy
 	EvalStream(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error)
@@ -203,73 +216,16 @@ func (o *oneSidedPrepared) Explain() StrategyExplain {
 	}
 }
 
-func (o *oneSidedPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	return o.plan.EvalCtx(ctx, edb)
+// Build evaluates the plan with its mode's evaluator and retains the
+// state: see Plan.build.
+func (o *oneSidedPrepared) Build(ctx context.Context, edb *storage.Database) (*Incremental, error) {
+	return o.plan.build(ctx, edb, nil)
 }
 
 // EvalStream implements StreamingPrepared: context-mode plans emit
 // answers per carry batch while the Fig. 9 loop is still running.
 func (o *oneSidedPrepared) EvalStream(ctx context.Context, edb *storage.Database, emit func(storage.Tuple) bool) (*storage.Relation, EvalStats, error) {
 	return o.plan.EvalStreamCtx(ctx, edb, emit)
-}
-
-// ---------------------------------------------------------------------------
-// Counting strategy: the Fig. 9 plan evaluated with the Counting method's
-// per-level state discipline. Applies only to context-mode plans and
-// diverges on cyclic data, so it is not in the default auto-selection
-// chain; callers opt in by name.
-
-type countingStrategy struct{ maxDepth int }
-
-// Counting returns the Counting-method strategy bounded at maxDepth
-// derivation levels (<= 0 selects a default of 1024).
-func Counting(maxDepth int) Strategy {
-	if maxDepth <= 0 {
-		maxDepth = 1024
-	}
-	return countingStrategy{maxDepth: maxDepth}
-}
-
-func (countingStrategy) Name() string { return StrategyCounting }
-
-func (c countingStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrategy, error) {
-	dec, err := decideForQuery(p, q.Atom)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := CompileSelection(dec.Optimized, q.Atom)
-	if err != nil {
-		return nil, err
-	}
-	if plan.Mode != ModeContext {
-		return nil, fmt.Errorf("counting needs a context-mode plan (have %v)", plan.Mode)
-	}
-	return &countingPrepared{plan: plan, verdict: dec.Verdict.String(), adornment: q.Adornment, maxDepth: c.maxDepth}, nil
-}
-
-type countingPrepared struct {
-	plan      *Plan
-	verdict   string
-	adornment ast.Adornment
-	maxDepth  int
-}
-
-func (c *countingPrepared) Explain() StrategyExplain {
-	return StrategyExplain{
-		Strategy:   StrategyCounting,
-		Adornment:  c.adornment.String(),
-		Verdict:    c.verdict,
-		Mode:       c.plan.Mode.String(),
-		CarryArity: c.plan.CarryArity,
-		Detail:     fmt.Sprintf("max depth %d", c.maxDepth),
-	}
-}
-
-func (c *countingPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	if c.plan.NSlots > 0 {
-		return nil, EvalStats{}, errUnboundSkeleton(c.plan.Query)
-	}
-	return c.plan.EvalCountingCtx(ctx, edb, c.maxDepth)
 }
 
 // ---------------------------------------------------------------------------
@@ -304,78 +260,46 @@ func (m *magicPrepared) Explain() StrategyExplain {
 	}
 }
 
-func (m *magicPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	if m.mr.Query.HasSlots() {
-		return nil, EvalStats{}, errUnboundSkeleton(m.mr.Query)
-	}
-	return evalAndDrop(m.EvalIncremental(ctx, edb))
-}
-
-// evalAndDrop is a cold evaluation through a retained builder: keep the
-// answers and the statistics, drop the fixpoint state.
-func evalAndDrop(inc *Incremental, err error) (*storage.Relation, EvalStats, error) {
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	return inc.Answers(), inc.Stats(), nil
+// Build retains the rewritten program's semi-naive fixpoint (magic and
+// answer predicates included), selecting with the original query atom.
+func (m *magicPrepared) Build(ctx context.Context, edb *storage.Database) (*Incremental, error) {
+	return buildSelect(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb, 0)
 }
 
 // ---------------------------------------------------------------------------
-// Semi-naive and naive strategies: full materialization plus selection.
+// Semi-naive strategy: full materialization plus selection.
 
-type bottomUpStrategy struct{ name string }
+type materializeStrategy struct{}
 
-// SemiNaiveStrategy returns materialize-with-semi-naive-then-select.
-func SemiNaiveStrategy() Strategy { return bottomUpStrategy{name: StrategySemiNaive} }
+// Materialize returns the "seminaive" strategy: materialize the whole
+// program with semi-naive evaluation, then select.
+func Materialize() Strategy { return materializeStrategy{} }
 
-// NaiveStrategy returns materialize-with-naive-then-select.
-func NaiveStrategy() Strategy { return bottomUpStrategy{name: StrategyNaive} }
+func (materializeStrategy) Name() string { return StrategySemiNaive }
 
-func (s bottomUpStrategy) Name() string { return s.name }
-
-func (s bottomUpStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrategy, error) {
+func (materializeStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrategy, error) {
 	if !headPreds(p)[q.Atom.Pred] {
 		return nil, fmt.Errorf("predicate %s is not defined by the program", q.Atom.Pred)
 	}
-	return &bottomUpPrepared{strategy: s, program: p, query: q.Atom.Clone(), adornment: q.Adornment}, nil
+	return &materializePrepared{program: p, query: q.Atom.Clone(), adornment: q.Adornment}, nil
 }
 
-type bottomUpPrepared struct {
-	strategy  bottomUpStrategy
+type materializePrepared struct {
 	program   *ast.Program
 	query     ast.Atom
 	adornment ast.Adornment
 }
 
-func (b *bottomUpPrepared) Explain() StrategyExplain {
+func (m *materializePrepared) Explain() StrategyExplain {
 	return StrategyExplain{
-		Strategy:  b.strategy.name,
-		Adornment: b.adornment.String(),
+		Strategy:  StrategySemiNaive,
+		Adornment: m.adornment.String(),
 		Detail:    "full materialization then selection",
 	}
 }
 
-func (b *bottomUpPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	if b.query.HasSlots() {
-		return nil, EvalStats{}, errUnboundSkeleton(b.query)
-	}
-	if b.Incremental() {
-		return evalAndDrop(b.EvalIncremental(ctx, edb))
-	}
-	res, err := NaiveCtx(ctx, b.program, edb)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	ans := storage.NewRelation(b.query.Arity(), &edb.Stats)
-	if rel := res.IDB.Relation(b.query.Pred); rel != nil {
-		sel := selectBy(b.query, edb.Syms)
-		for _, t := range rel.Tuples() {
-			if _, ok := sel(t); ok {
-				ans.Insert(t)
-			}
-		}
-	}
-	return ans, EvalStats{Iterations: res.Rounds, SeenSize: res.IDB.TupleCount()}, nil
+func (m *materializePrepared) Build(ctx context.Context, edb *storage.Database) (*Incremental, error) {
+	return buildSelect(ctx, m.program, m.query.Pred, m.query, edb, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -406,37 +330,52 @@ func (e *edbPrepared) Explain() StrategyExplain {
 	return StrategyExplain{Strategy: StrategyEDB, Adornment: e.adornment.String(), Detail: "indexed base-relation lookup"}
 }
 
-func (e *edbPrepared) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, EvalStats, error) {
+// Build answers with the indexed lookup. A base-relation selection is
+// the one-rule program "answer(args) :- pred(args)" with the query's own
+// argument list; its fixpoint — the answers themselves — is adopted by
+// the first delta.
+func (e *edbPrepared) Build(ctx context.Context, edb *storage.Database) (*Incremental, error) {
 	if e.query.HasSlots() {
-		return nil, EvalStats{}, errUnboundSkeleton(e.query)
+		return nil, errUnboundSkeleton(e.query)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, EvalStats{}, err
+		return nil, err
 	}
-	rel := edb.Relation(e.query.Pred)
 	ans := storage.NewRelation(e.query.Arity(), &edb.Stats)
-	if rel == nil {
-		return ans, EvalStats{}, nil
+	if rel := edb.Relation(e.query.Pred); rel != nil {
+		if rel.Arity() != e.query.Arity() {
+			return nil, fmt.Errorf("eval: query %v has arity %d, relation has %d", e.query, e.query.Arity(), rel.Arity())
+		}
+		if bindings, known := constBindings(e.query, edb.Syms); known {
+			rel.Lookup(bindings, func(t storage.Tuple) bool {
+				if matchesQuery(t, e.query, edb.Syms) {
+					ans.Insert(t)
+				}
+				return true
+			})
+		}
 	}
-	if rel.Arity() != e.query.Arity() {
-		return nil, EvalStats{}, fmt.Errorf("eval: query %v has arity %d, relation has %d", e.query, e.query.Arity(), rel.Arity())
-	}
-	var bindings []storage.Binding
-	for i, a := range e.query.Args {
+	ansPred := "m_ans__" + e.query.Pred
+	return &Incremental{
+		prog:  ast.NewProgram(ast.NewRule(ast.Atom{Pred: ansPred, Args: e.query.Args}, e.query)),
+		watch: ansPred, edb: edb, ans: ans, stats: EvalStats{SeenSize: ans.Len()},
+		adopt: func(idb *storage.Database) {
+			idb.Ensure(ansPred, e.query.Arity()).InsertBatch(ans.Tuples())
+		},
+	}, nil
+}
+
+// constBindings turns the query's constants into index bindings; known
+// is false when one of them was never interned, so no tuple can match.
+func constBindings(query ast.Atom, syms *storage.SymbolTable) (bindings []storage.Binding, known bool) {
+	for i, a := range query.Args {
 		if a.IsConst() {
-			if v, ok := edb.Syms.Lookup(a.Name); ok {
-				bindings = append(bindings, storage.Binding{Col: i, Val: v})
-			} else {
-				// Unknown constant: no tuple can match.
-				return ans, EvalStats{}, nil
+			v, ok := syms.Lookup(a.Name)
+			if !ok {
+				return nil, false
 			}
+			bindings = append(bindings, storage.Binding{Col: i, Val: v})
 		}
 	}
-	rel.Lookup(bindings, func(t storage.Tuple) bool {
-		if matchesQuery(t, e.query, edb.Syms) {
-			ans.Insert(t)
-		}
-		return true
-	})
-	return ans, EvalStats{SeenSize: ans.Len()}, nil
+	return bindings, true
 }

@@ -62,9 +62,25 @@ func TestStrategyAdaptersAgree(t *testing.T) {
 	db.AddFact("b", "y", "z")
 	query := mustParseAtom(t, "t(x, Y)")
 
+	// The oracle is naive bottom-up evaluation, selected by the query.
+	res, err := Naive(prog, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := storage.NewRelation(query.Arity(), nil)
+	for _, tup := range res.IDB.Relation(query.Pred).Tuples() {
+		if matchesQuery(tup, query, db.Syms) {
+			want.Insert(tup)
+		}
+	}
+	if want.Len() == 0 {
+		t.Fatal("oracle derived no answers")
+	}
+
+	// multi, the fifth served strategy, needs two recursive rules and
+	// lives above this package: the engine's equivalence tables cover it.
 	ctx := context.Background()
-	var relations []*storage.Relation
-	for _, s := range []Strategy{OneSided(), Magic(), SemiNaiveStrategy(), NaiveStrategy()} {
+	for _, s := range []Strategy{OneSided(), Magic(), Materialize()} {
 		ps, err := s.Prepare(prog, AdornQuery(query))
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -74,17 +90,27 @@ func TestStrategyAdaptersAgree(t *testing.T) {
 		}
 		// A prepared plan is reusable: evaluate twice.
 		for i := 0; i < 2; i++ {
-			rel, _, err := ps.Eval(ctx, db)
+			rel, _, err := Eval(ctx, ps, db)
 			if err != nil {
 				t.Fatalf("%s eval %d: %v", s.Name(), i, err)
 			}
-			relations = append(relations, rel)
+			if !rel.Equal(want) {
+				t.Fatalf("%s eval %d: %v != naive %v", s.Name(), i,
+					AnswerStrings(rel, db.Syms), AnswerStrings(want, db.Syms))
+			}
 		}
 	}
-	for i := 1; i < len(relations); i++ {
-		if !relations[0].Equal(relations[i]) {
-			t.Fatalf("strategy answers diverge at %d", i)
-		}
+	// The base-relation lookup answers what the relation holds.
+	ps, err := EDBLookup().Prepare(prog, AdornQuery(mustParseAtom(t, "a(x, Y)")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _, err := Eval(ctx, ps, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := AnswerStrings(rel, db.Syms); len(got) != 1 || got[0] != "x,y" {
+		t.Fatalf("edb answers = %v, want [x,y]", got)
 	}
 }
 
@@ -124,7 +150,7 @@ func TestOneSidedStrategyDeclinesDerivedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _, err := ps.Eval(context.Background(), db)
+	rel, _, err := Eval(context.Background(), ps, db)
 	if err != nil {
 		t.Fatal(err)
 	}

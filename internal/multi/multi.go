@@ -381,14 +381,13 @@ func ExpandSequence(d *Definition, seq []int) expand.String {
 
 // SelectionPlan is a prepared "column = constant" selection on a
 // multi-rule recursion: the Section 4 persistent-column reduction applied
-// rule-by-rule. Build one with PrepareSelection; Eval may run many times
-// and concurrently.
+// rule-by-rule. Build one with PrepareSelection; Build may run many
+// times and concurrently.
 type SelectionPlan struct {
 	def     *Definition
 	query   ast.Atom
 	reduced *ast.Program
 	keep    []int // original column index of each reduced column
-	bound   []int // bound original columns
 }
 
 // PrepareSelection plans a selection on the multi-rule recursion. It
@@ -435,7 +434,7 @@ func PrepareSelection(d *Definition, query ast.Atom) (*SelectionPlan, error) {
 			reducedProg.Rules = append(reducedProg.Rules, red.Exit)
 		}
 	}
-	return &SelectionPlan{def: d, query: query.Clone(), reduced: reducedProg, keep: keep, bound: bound}, nil
+	return &SelectionPlan{def: d, query: query.Clone(), reduced: reducedProg, keep: keep}, nil
 }
 
 // Bind instantiates a skeleton SelectionPlan's slot placeholders,
@@ -458,39 +457,16 @@ func (sp *SelectionPlan) Bind(consts []ast.Term) (*SelectionPlan, error) {
 		query:   ast.BindAtom(sp.query, consts),
 		reduced: ast.BindProgram(sp.reduced, consts),
 		keep:    sp.keep,
-		bound:   sp.bound,
 	}, nil
 }
 
-// Eval runs the reduced program bottom-up and re-expands the dropped
-// constant columns. A skeleton plan with unbound slots refuses to
-// evaluate; call Bind first.
-func (sp *SelectionPlan) Eval(ctx context.Context, db *storage.Database) (*storage.Relation, eval.EvalStats, error) {
-	if n := sp.query.SlotCount(); n > 0 {
-		return nil, eval.EvalStats{}, fmt.Errorf("multi: plan for %v is a skeleton with %d unbound slots; call Bind first", sp.query, n)
-	}
-	res, err := eval.SemiNaiveCtx(ctx, sp.reduced, db)
-	if err != nil {
-		return nil, eval.EvalStats{}, err
-	}
-	stats := eval.EvalStats{Iterations: res.Rounds, CarryArity: len(sp.keep)}
-	ans := storage.NewRelation(sp.def.Arity(), &db.Stats)
-	rel := res.IDB.Relation(sp.def.Pred())
-	if rel == nil {
-		return ans, stats, nil
-	}
-	stats.SeenSize = rel.Len()
-	out := make(storage.Tuple, sp.def.Arity())
-	for _, c := range sp.bound {
-		out[c] = db.Syms.Intern(sp.query.Args[c].Name)
-	}
-	for _, t := range rel.Tuples() {
-		for ri, oi := range sp.keep {
-			out[oi] = t[ri]
-		}
-		ans.Insert(out)
-	}
-	return ans, stats, nil
+// Build runs the reduced program bottom-up, re-expanding the dropped
+// constant columns into the answers, and retains the fixpoint — the
+// builder the one-sided planner's reduced mode uses, so the plan absorbs
+// signed deltas the same way. A skeleton plan with unbound slots refuses
+// to build; call Bind first.
+func (sp *SelectionPlan) Build(ctx context.Context, db *storage.Database) (*eval.Incremental, error) {
+	return eval.BuildReduced(ctx, sp.reduced, sp.query, sp.keep, db, 0)
 }
 
 // EvalSelection evaluates a "column = constant" selection on the
@@ -511,15 +487,18 @@ func EvalSelection(d *Definition, query ast.Atom, db *storage.Database) (*storag
 		ans, _, merr := eval.MagicEval(d.Program(), query, db)
 		return ans, "magic", merr
 	}
-	ans, _, err := sp.Eval(context.Background(), db)
-	return ans, "reduced", err
+	inc, err := sp.Build(context.Background(), db)
+	if err != nil {
+		return nil, "", err
+	}
+	return inc.Answers(), "reduced", nil
 }
 
-// StrategyName is the name the multi-rule adapter registers under.
+// StrategyName is the name the multi-rule adapter is served under.
 const StrategyName = "multi"
 
 // Strategy adapts the Section 5 extension to the Engine's strategy
-// registry: it claims queries whose predicate is a multi-rule (>= 2
+// chain: it claims queries whose predicate is a multi-rule (>= 2
 // recursive rules) linear recursion with every bound column persistent in
 // every rule, and declines everything else so the engine can fall back to
 // a general method. Single-rule recursions are left to the one-sided
@@ -569,8 +548,8 @@ func (ps *preparedStrategy) Explain() eval.StrategyExplain {
 	}
 }
 
-func (ps *preparedStrategy) Eval(ctx context.Context, edb *storage.Database) (*storage.Relation, eval.EvalStats, error) {
-	return ps.plan.Eval(ctx, edb)
+func (ps *preparedStrategy) Build(ctx context.Context, edb *storage.Database) (*eval.Incremental, error) {
+	return ps.plan.Build(ctx, edb)
 }
 
 // BindArgs implements eval.PreparedStrategy: instantiate the skeleton's

@@ -802,7 +802,7 @@ func (r *Relation) commit(tuples []Tuple, del bool) int {
 		}
 	}
 	if r.db != nil {
-		r.db.notifyWatchers()
+		r.db.NotifyWatchers()
 	}
 	return n
 }
@@ -1412,8 +1412,10 @@ func (db *Database) Watch() (<-chan struct{}, func()) {
 	return ch, cancel
 }
 
-// notifyWatchers signals every registered watcher without blocking.
-func (db *Database) notifyWatchers() {
+// NotifyWatchers signals every registered watcher without blocking. A
+// committed run calls it; so does the engine when the program changed and
+// the facts did not, which moves standing queries just the same.
+func (db *Database) NotifyWatchers() {
 	if !db.hasWatch.Load() {
 		return
 	}

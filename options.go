@@ -1,38 +1,9 @@
 package onesided
 
 import (
-	"fmt"
-
-	"repro/internal/eval"
-	"repro/internal/multi"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
-
-// Strategy is an evaluation method pluggable into an Engine: it plans a
-// query against a program once and returns a reusable prepared form. The
-// built-in strategies are "onesided" (the paper's Theorem 3.4 planner +
-// Fig. 9 schema), "multi" (the Section 5 multi-rule reduction), "magic"
-// (Magic Sets), "counting", "seminaive", "naive", and "edb" (indexed
-// base-relation lookup). Custom strategies register with
-// RegisterStrategy.
-type Strategy = eval.Strategy
-
-// PreparedStrategy is the reusable plan a Strategy produces. A plan
-// prepared from a skeleton query carries unbound constant slots;
-// BindArgs instantiates them (see the eval package for the contract).
-type PreparedStrategy = eval.PreparedStrategy
-
-// AdornedQuery is the planning input a Strategy receives: the query
-// atom (ground, or a skeleton with slot placeholders at bound columns)
-// plus its adornment.
-type AdornedQuery = eval.AdornedQuery
-
-// BatchPrepared is implemented by prepared plans that can evaluate
-// several same-shape queries over one shared traversal; Engine.QueryBatch
-// uses it to share seen-set exploration and g-join probes (one-sided
-// context plans) or magic-seed fixpoints (Magic Sets) across a batch.
-type BatchPrepared = eval.BatchPrepared
 
 // engineConfig collects Open options.
 type engineConfig struct {
@@ -42,7 +13,6 @@ type engineConfig struct {
 	planCacheSize   int
 	resultCacheSize int
 	autoCheckpoint  int
-	countingDepth   int
 	shards          int
 	workers         int
 	persistDir      string
@@ -69,8 +39,8 @@ func WithProgram(p *Program) Option {
 }
 
 // WithStrategies restricts and orders the strategy chain the engine
-// tries at Prepare time. Names resolve against the strategy registry;
-// Open fails on an unknown name. The default chain is
+// tries at Prepare time. Names resolve against the served set
+// (StrategyNames); Open fails on an unknown name. The default chain is
 // ["onesided", "multi", "magic", "edb"]: the paper's planner first, the
 // Section 5 multi-rule reduction next, Magic Sets as the general
 // fallback (exactly the paper's own baseline for many-sided recursions),
@@ -91,10 +61,9 @@ func WithPlanCache(entries int) Option {
 // WithResultCache sets the bound-result cache capacity: materialized
 // answer sets keyed on (query shape, bound constants), each stamped with
 // the database epoch it was computed at. A repeated query whose stamp is
-// still current is served from the cache; after inserts, plans that
-// support incremental maintenance extend the retained fixpoint with
-// exactly the delta (Relation.DeltaSince) instead of re-evaluating, and
-// plans that do not are re-evaluated in full. Entries are evicted
+// still current is served from the cache; after inserts or retractions
+// the plan moves its retained fixpoint by exactly the signed delta
+// (Relation.DeltaSince) instead of re-evaluating. Entries are evicted
 // least-recently-used. 0 disables the cache — every Query evaluates.
 // The default is 64 entries.
 //
@@ -114,12 +83,6 @@ func WithResultCache(entries int) Option {
 // the threshold; the first failure is latched and surfaced by Close.
 func WithAutoCheckpoint(inserts int) Option {
 	return func(c *engineConfig) { c.autoCheckpoint = inserts }
-}
-
-// WithCountingDepth bounds the "counting" strategy's derivation depth
-// (it diverges on cyclic context graphs). <= 0 keeps the default, 1024.
-func WithCountingDepth(maxDepth int) Option {
-	return func(c *engineConfig) { c.countingDepth = maxDepth }
 }
 
 // WithShards sets the shard count for the database's relations: each
@@ -172,29 +135,4 @@ func WithPersistence(dir string) Option {
 // SyncBatch). It only has an effect together with WithPersistence.
 func WithSyncPolicy(p SyncPolicy) Option {
 	return func(c *engineConfig) { c.syncPolicy = p }
-}
-
-// defaultStrategyNames is the auto-selection chain.
-var defaultStrategyNames = []string{
-	eval.StrategyOneSided,
-	multi.StrategyName,
-	eval.StrategyMagic,
-	eval.StrategyEDB,
-}
-
-// resolveStrategies maps names to Strategy values via the registry,
-// specializing the built-in strategies to the engine's configuration.
-func resolveStrategies(names []string, cfg engineConfig) ([]Strategy, error) {
-	if len(names) == 0 {
-		names = defaultStrategyNames
-	}
-	out := make([]Strategy, 0, len(names))
-	for _, n := range names {
-		s, ok := lookupStrategy(n, cfg)
-		if !ok {
-			return nil, fmt.Errorf("onesided: unknown strategy %q (have %v)", n, StrategyNames())
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"strings"
 
 	"repro/internal/parser"
 	"repro/internal/storage"
@@ -27,8 +26,8 @@ type SubEvent struct {
 }
 
 // Subscription is a standing maintained query: the engine re-derives
-// the query's answers whenever the database changes — through the
-// bound-result cache, so maintainable plans absorb the signed delta
+// the query's answers whenever the database or the program changes —
+// through the bound-result cache, so the plan absorbs the signed delta
 // instead of re-evaluating — and pushes the difference as SubEvents.
 // Events delivers them; the channel closes on Close, on context
 // cancellation, or on an evaluation error (check Err after the close).
@@ -80,8 +79,10 @@ func (s *Subscription) push(ctx context.Context, ev SubEvent) bool {
 // and retractions alike — is re-derived and pushed as a signed
 // {Add, Remove} batch stamped with a database epoch the answers are
 // current to (every write accepted before that epoch is reflected; later
-// ones may be too). Maintainable plans serve each tick from their
-// retained fixpoint via the signed delta; others re-evaluate.
+// ones may be too). Each tick is served from the plan's retained fixpoint
+// via the signed delta. A LoadProgram that adds rules is a tick too: the
+// query is planned again under the new program and the answers the new
+// rules add or remove are pushed.
 //
 // The subscription lives until ctx is canceled or Close is called;
 // both tear the pump goroutine down promptly even when it is blocked
@@ -126,39 +127,44 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 		done:   make(chan struct{}),
 		cancel: cancel,
 	}
-	prev := answerSet(rows.rel, e.db.Syms)
+	// The first event is the diff against the empty set.
+	prev := storage.NewRelation(q.Arity(), nil)
 	go func() {
 		defer close(sub.done)
 		defer close(sub.ch)
 		defer stopWatch()
 		defer cancel()
 		defer e.subs.Add(-1)
-		if !sub.push(sctx, SubEvent{Epoch: epoch, Add: sortedRows(prev)}) {
-			return
-		}
-		for {
+		for first := true; ; first = false {
+			cur := snapshotAnswers(rows.rel)
+			add, remove := diffAnswers(prev, cur, e.db.Syms)
+			prev = cur
+			// A change that didn't touch this query's answers is not pushed.
+			if first || len(add) > 0 || len(remove) > 0 {
+				if !sub.push(sctx, SubEvent{Epoch: epoch, Add: add, Remove: remove}) {
+					return
+				}
+			}
 			select {
 			case <-sctx.Done():
 				return
 			case <-watch:
 			}
 			// Re-derive: the result cache serves this from the retained
-			// fixpoint (mode "updated") when the plan is maintainable.
-			at := e.db.Epoch()
-			rows, qerr := pq.Query(sctx)
+			// fixpoint (mode "updated") — of the current program, so a
+			// rule load since the last tick plans the query again.
+			epoch = e.db.Epoch()
+			var qerr error
+			if pq.gen != e.currentGen() {
+				pq, qerr = e.Prepare(nil, q)
+			}
+			if qerr == nil {
+				rows, qerr = pq.Query(sctx)
+			}
 			if qerr != nil {
 				if sctx.Err() == nil {
 					sub.err = qerr
 				}
-				return
-			}
-			cur := answerSet(rows.rel, e.db.Syms)
-			add, remove := diffAnswers(prev, cur)
-			prev = cur
-			if len(add) == 0 && len(remove) == 0 {
-				continue // the change didn't touch this query's answers
-			}
-			if !sub.push(sctx, SubEvent{Epoch: at, Add: add, Remove: remove}) {
 				return
 			}
 		}
@@ -169,47 +175,33 @@ func (e *Engine) Subscribe(ctx context.Context, query string) (*Subscription, er
 // Subscriptions reports the engine's currently open subscription count.
 func (e *Engine) Subscriptions() int64 { return e.subs.Load() }
 
-// answerSet snapshots a result relation as row strings keyed for
-// diffing. The snapshot is essential: a maintained entry's relation is
-// updated in place by later deltas, so diffing against the live object
-// would compare a set with itself.
-func answerSet(rel *storage.Relation, syms *storage.SymbolTable) map[string][]string {
-	out := make(map[string][]string, rel.Len())
-	for _, t := range rel.Tuples() {
-		row := make([]string, len(t))
-		for i, v := range t {
-			row[i] = syms.Name(v)
-		}
-		out[strings.Join(row, "\x1f")] = row
-	}
-	return out
+// snapshotAnswers copies a result relation. The copy is essential: a
+// maintained entry's relation is updated in place by later deltas, so
+// diffing against the live object would compare a set with itself.
+func snapshotAnswers(rel *storage.Relation) *storage.Relation {
+	snap := storage.NewRelation(rel.Arity(), nil)
+	snap.InsertBatch(rel.Tuples())
+	return snap
 }
 
 // diffAnswers computes the signed difference between two answer
-// snapshots, each side sorted for deterministic delivery.
-func diffAnswers(prev, cur map[string][]string) (add, remove [][]string) {
-	for k, row := range cur {
-		if _, ok := prev[k]; !ok {
-			add = append(add, row)
+// snapshots at the tuple level, rendering symbol names only for the rows
+// that changed; each side is sorted for deterministic delivery.
+func diffAnswers(prev, cur *storage.Relation, syms *storage.SymbolTable) (add, remove [][]string) {
+	notIn := func(a, b *storage.Relation) (rows [][]string) {
+		for _, t := range a.Tuples() {
+			if !b.Contains(t) {
+				row := make([]string, len(t))
+				for i, v := range t {
+					row[i] = syms.Name(v)
+				}
+				rows = append(rows, row)
+			}
 		}
+		sortRows(rows)
+		return rows
 	}
-	for k, row := range prev {
-		if _, ok := cur[k]; !ok {
-			remove = append(remove, row)
-		}
-	}
-	sortRows(add)
-	sortRows(remove)
-	return add, remove
-}
-
-func sortedRows(set map[string][]string) [][]string {
-	rows := make([][]string, 0, len(set))
-	for _, row := range set {
-		rows = append(rows, row)
-	}
-	sortRows(rows)
-	return rows
+	return notIn(cur, prev), notIn(prev, cur)
 }
 
 func sortRows(rows [][]string) {

@@ -288,3 +288,53 @@ func TestSubscribeEpochNeverOverstates(t *testing.T) {
 		mu.Unlock()
 	}
 }
+
+// TestSubscriptionFollowsLoadProgram: a standing query follows a rule
+// load. The new rule's answers are pushed on the load itself — a
+// rules-only load changes no fact, so only the engine can wake the pump —
+// and later ticks are served by a plan of the new program, maintained
+// through the result cache instead of re-evaluated with the stale rules.
+func TestSubscriptionFollowsLoadProgram(t *testing.T) {
+	eng, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Load(`
+		t(X, Y) :- b(X, Y).
+		b(n0, n1). a(n0, n2). b(n2, n3).
+	`); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := eng.Subscribe(context.Background(), "t(n0, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	set := make(map[string]bool)
+	applyEvent(set, recvEvent(t, sub))
+	if len(set) != 1 || !set["n0,n1"] {
+		t.Fatalf("initial answers = %v, want n0,n1", set)
+	}
+
+	if _, err := eng.Load(`t(X, Y) :- a(X, W), t(W, Y).`); err != nil {
+		t.Fatal(err)
+	}
+	applyEvent(set, recvEvent(t, sub))
+	if len(set) != 2 || !set["n0,n3"] {
+		t.Fatalf("after the rule load the subscription holds %v, want n0,n1 and n0,n3", set)
+	}
+
+	// A fact tick under the new program: one build for the re-prepared
+	// plan (the load's tick), then maintenance.
+	before := eng.CacheStats().Results
+	eng.AddFact("b", "n2", "n4")
+	applyEvent(set, recvEvent(t, sub))
+	if len(set) != 3 || !set["n0,n4"] {
+		t.Fatalf("after the fact tick the subscription holds %v, want n0,n4 added", set)
+	}
+	after := eng.CacheStats().Results
+	if after.Rebuilt != before.Rebuilt || after.Updated != before.Updated+1 {
+		t.Fatalf("fact tick after the load: results %v -> %v, want one more updated and no rebuild", before, after)
+	}
+}
