@@ -343,11 +343,17 @@ type Explain struct {
 	// evaluation; a pre-evaluation PreparedQuery.Explain leaves them 0.
 	Shards  int
 	Batches int
+	// Overdeleted and Rederived are what delete-rederive did over the
+	// maintenance passes the answers have absorbed since they were built
+	// (eval.EvalStats): candidates taken out, and candidates put back.
+	Overdeleted int
+	Rederived   int
 }
 
 // String renders the report in the compact key=value form the CLI and
 // examples print, e.g.
-// `strategy=onesided adornment=bf plan-cache=hit mode=context carry-arity=1 workers=4`.
+// `strategy=onesided adornment=bf plan-cache=hit mode=context carry-arity=1 workers=4`;
+// answers that have absorbed retractions add `dred=<overdeleted>/<rederived>`.
 func (ex Explain) String() string {
 	var b strings.Builder
 	b.WriteString("strategy=" + ex.Strategy)
@@ -374,6 +380,9 @@ func (ex Explain) String() string {
 	}
 	if ex.Batches > 0 {
 		fmt.Fprintf(&b, " batches=%d", ex.Batches)
+	}
+	if ex.Overdeleted > 0 || ex.Rederived > 0 {
+		fmt.Fprintf(&b, " dred=%d/%d", ex.Overdeleted, ex.Rederived)
 	}
 	if ex.Detail != "" {
 		fmt.Fprintf(&b, " (%s)", ex.Detail)
@@ -642,6 +651,7 @@ func (pq *PreparedQuery) explainWithStats(stats eval.EvalStats) Explain {
 	}
 	ex.Shards = stats.Shards
 	ex.Batches = stats.Batches
+	ex.Overdeleted, ex.Rederived = stats.Overdeleted, stats.Rederived
 	return ex
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -339,6 +340,132 @@ func TestIncrementalDoesLessWork(t *testing.T) {
 	if del.FullScans != 0 || del.TuplesExamined*10 > cold.TuplesExamined {
 		t.Fatalf("re-query after the retract: %d full scans, %d tuples examined (cold recompute %d)",
 			del.FullScans, del.TuplesExamined, cold.TuplesExamined)
+	}
+
+	t.Run("magic", testMaintainedMagicProbes)
+	t.Run("edge-cut", testMaintainedCutIgnoresBallast)
+}
+
+// requery runs a maintained re-query and returns its counters, failing
+// unless the result cache moved the retained state by the delta.
+func requery(t *testing.T, eng *Engine, query string, wantAnswers int) Counters {
+	t.Helper()
+	rows, err := eng.Query(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows.Explain().ResultCache; got != "updated" {
+		t.Fatalf("%s: result-cache=%q, want updated (%v)", query, got, rows.Explain())
+	}
+	if rows.Len() != wantAnswers {
+		t.Fatalf("%s: %d answers, want %d", query, rows.Len(), wantAnswers)
+	}
+	return rows.Counters()
+}
+
+// testMaintainedMagicProbes is Property 3 under maintenance for the
+// Magic Sets plan: same-generation over a depth-6 binary tree (127
+// nodes), one p leaf inserted and retracted again. The delta variant
+// m_sg__bb(W,Z) :- m_sg__bf(X), p(X,W), Δp(Y,Z) is a cross product of the
+// delta with the rest of its body; it must enter that rest through the
+// magic relation and probe p, not scan p — and the retraction pass must
+// read p's old state where it is, with counted probes, not off a copy.
+func testMaintainedMagicProbes(t *testing.T) {
+	eng, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load("sg(X, Y) :- p(X, W), p(Y, Z), sg(W, Z).\nsg(X, Y) :- sg0(X, Y).\n"); err != nil {
+		t.Fatal(err)
+	}
+	node := func(i int) string { return fmt.Sprintf("g%d", i) }
+	for i := 2; i < 128; i++ { // heap numbering: g1 is the root, g64..g127 the leaves
+		eng.AddFact("p", node(i), node(i/2))
+	}
+	eng.AddFact("sg0", node(1), node(1))
+	const query = "sg(g64, Y)"
+	rows, err := eng.Query(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := rows.Explain(); ex.Strategy != "magic" || ex.ResultCache != "rebuilt" || rows.Len() != 64 {
+		t.Fatalf("cold %s: %v, %d answers; want a magic plan, rebuilt, 64 leaves", query, ex, rows.Len())
+	}
+	check := func(what string, c Counters) {
+		t.Helper()
+		t.Logf("re-query after the %s: %d index lookups, %d tuples examined, %d full scans", what, c.IndexLookups, c.TuplesExamined, c.FullScans)
+		if c.FullScans != 0 || c.TuplesExamined > 100 {
+			t.Fatalf("re-query after the %s: %d full scans, %d tuples examined; want 0 and <= 100 (p holds 127)",
+				what, c.FullScans, c.TuplesExamined)
+		}
+	}
+	eng.AddFact("p", "newleaf", node(63))
+	check("leaf insert", requery(t, eng, query, 65))
+	if _, err := eng.Retract("p", "newleaf", node(63)); err != nil {
+		t.Fatal(err)
+	}
+	check("leaf retract", requery(t, eng, query, 64))
+}
+
+// testMaintainedCutIgnoresBallast: cutting and splicing one edge of the
+// 4 000-chain costs what the contexts below the cut cost, not what the a
+// relation holds. The pass over the chain alone and the pass with 60 000
+// unrelated a edges loaded beside it examine the same number of tuples
+// and allocate about the same number of bytes; a pass that copies (or
+// re-indexes) a to reconstruct its old state does neither. The second
+// cut + splice is the one measured: the first builds a's second-column
+// posting list, once, and it is kept.
+func testMaintainedCutIgnoresBallast(t *testing.T) {
+	const n = 4000
+	measure := func(ballast int) (examined int64, bytes uint64) {
+		eng, err := Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Load("t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\n"); err != nil {
+			t.Fatal(err)
+		}
+		facts := make([]Fact, 0, n+ballast)
+		for i := 0; i < n; i++ {
+			facts = append(facts, Fact{"a", []string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)}})
+		}
+		for i := 0; i < ballast; i++ {
+			facts = append(facts, Fact{"a", []string{fmt.Sprintf("u%d", i), fmt.Sprintf("w%d", i)}})
+		}
+		if _, err := eng.InsertFacts(facts); err != nil {
+			t.Fatal(err)
+		}
+		eng.AddFact("b", fmt.Sprintf("n%d", n), "goal")
+		if _, err := eng.Query(context.Background(), "t(n0, Y)"); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := eng.Retract("a", "n2000", "n2001"); err != nil {
+				t.Fatal(err)
+			}
+			cut := requery(t, eng, "t(n0, Y)", 0)
+			eng.AddFact("a", "n2000", "n2001")
+			splice := requery(t, eng, "t(n0, Y)", 1)
+			runtime.ReadMemStats(&after)
+			if cut.FullScans != 0 || splice.FullScans != 0 {
+				t.Fatalf("ballast=%d pass %d: %d full scans on the cut, %d on the splice", ballast, pass, cut.FullScans, splice.FullScans)
+			}
+			examined = cut.TuplesExamined + splice.TuplesExamined
+			bytes = after.TotalAlloc - before.TotalAlloc
+		}
+		return examined, bytes
+	}
+	aloneExamined, aloneBytes := measure(0)
+	ballastExamined, ballastBytes := measure(60000)
+	t.Logf("cut + splice of a(n2000,n2001): %d tuples examined, %d bytes alone; %d tuples, %d bytes beside 60000 unrelated edges",
+		aloneExamined, aloneBytes, ballastExamined, ballastBytes)
+	if aloneExamined != ballastExamined {
+		t.Fatalf("tuples examined: %d alone, %d with ballast — the pass read a in proportion to its size", aloneExamined, ballastExamined)
+	}
+	if lo, hi := min(aloneBytes, ballastBytes), max(aloneBytes, ballastBytes); 4*hi > 5*lo {
+		t.Fatalf("bytes allocated: %d alone, %d with ballast — more than 1.25x apart", aloneBytes, ballastBytes)
 	}
 }
 

@@ -81,7 +81,13 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 //     join against the adopted context relation;
 //   - context mode, t(n0, Y), edge: a mid-chain a edge — the worst case,
 //     a cascade of one semi-naive round per context below the cut, which
-//     costs more per level than the Fig. 9 loop it replaces.
+//     costs more per level than the Fig. 9 loop it replaces;
+//   - the same cut with 60 000 unrelated a edges loaded beside the chain:
+//     the pass reads a's old state where it is, so this costs what the
+//     case above costs;
+//   - Magic Sets, sg(leaf, Y) under a depth-10 binary tree: one p leaf,
+//     whose delta variants are cross products with the rest of the body
+//     and must enter it through the magic relation, not through p.
 //
 // The "recompute" variants disable the result cache and re-run the
 // fixpoint from the seed both times — the from-scratch baseline.
@@ -90,19 +96,54 @@ func BenchmarkRetractMaintain(b *testing.B) {
 	const n = 5000
 	const cut = 100
 	node := func(i int) string { return fmt.Sprintf("n%d", i) }
+	chain := func(b *testing.B, opts ...Option) *Engine {
+		eng := incrementalBenchEngine(b, n, opts...)
+		eng.AddFact("b", node(n/2), "mid")
+		return eng
+	}
+	withBallast := func(b *testing.B, opts ...Option) *Engine {
+		eng := chain(b, opts...)
+		ballast := make([]Fact, 60000)
+		for i := range ballast {
+			ballast[i] = Fact{"a", []string{fmt.Sprintf("u%d", i), fmt.Sprintf("w%d", i)}}
+		}
+		if _, err := eng.InsertFacts(ballast); err != nil {
+			b.Fatal(err)
+		}
+		return eng
+	}
+	// Heap numbering: g1 is the root, g1024..g2047 the depth-10 leaves,
+	// and the leaf the benchmark moves hangs beside them under g1023.
+	tree := func(b *testing.B, opts ...Option) *Engine {
+		eng, err := Open(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Load("sg(X, Y) :- p(X, W), p(Y, Z), sg(W, Z).\nsg(X, Y) :- sg0(X, Y).\n"); err != nil {
+			b.Fatal(err)
+		}
+		for i := 2; i < 2048; i++ {
+			eng.AddFact("p", fmt.Sprintf("g%d", i), fmt.Sprintf("g%d", i/2))
+		}
+		eng.AddFact("p", "leaf", "g1023")
+		eng.AddFact("sg0", "g1", "g1")
+		return eng
+	}
 	cases := []struct {
 		name, query string
+		open        func(b *testing.B, opts ...Option) *Engine
 		fact        Fact
 		lost        int // answers the retraction removes
 	}{
-		{"", "t(X, goal)", Fact{"a", []string{node(cut), node(cut + 1)}}, cut + 1},
-		{"context/exit/", "t(n0, Y)", Fact{"b", []string{node(n / 2), "mid"}}, 1},
-		{"context/edge/", "t(n0, Y)", Fact{"a", []string{node(n / 2), node(n/2 + 1)}}, 1},
+		{fmt.Sprintf("chain=%d", n), "t(X, goal)", chain, Fact{"a", []string{node(cut), node(cut + 1)}}, cut + 1},
+		{fmt.Sprintf("context/exit/chain=%d", n), "t(n0, Y)", chain, Fact{"b", []string{node(n / 2), "mid"}}, 1},
+		{fmt.Sprintf("context/edge/chain=%d", n), "t(n0, Y)", chain, Fact{"a", []string{node(n / 2), node(n/2 + 1)}}, 1},
+		{fmt.Sprintf("context/edge/ballast=60000/chain=%d", n), "t(n0, Y)", withBallast, Fact{"a", []string{node(n / 2), node(n/2 + 1)}}, 1},
+		{"magic/sg/depth=10", "sg(g1024, Y)", tree, Fact{"p", []string{"leaf", "g1023"}}, 1},
 	}
 	for _, tc := range cases {
 		run := func(b *testing.B, eng *Engine, wantCache string) {
 			b.Helper()
-			eng.AddFact("b", node(n/2), "mid")
 			pq, err := eng.Prepare(nil, parserMustAtom(b, tc.query))
 			if err != nil {
 				b.Fatal(err)
@@ -112,6 +153,7 @@ func BenchmarkRetractMaintain(b *testing.B) {
 				b.Fatal(err)
 			}
 			full := rows.Len()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if removed, err := eng.Retract(tc.fact.Pred, tc.fact.Args...); err != nil || !removed {
@@ -141,11 +183,11 @@ func BenchmarkRetractMaintain(b *testing.B) {
 			b.ReportMetric(float64(cs.Updated), "updated")
 			b.ReportMetric(float64(cs.Rebuilt), "rebuilt")
 		}
-		b.Run(fmt.Sprintf("%schain=%d/maintained", tc.name, n), func(b *testing.B) {
-			run(b, incrementalBenchEngine(b, n), "updated")
+		b.Run(tc.name+"/maintained", func(b *testing.B) {
+			run(b, tc.open(b), "updated")
 		})
-		b.Run(fmt.Sprintf("%schain=%d/recompute", tc.name, n), func(b *testing.B) {
-			run(b, incrementalBenchEngine(b, n, WithResultCache(0)), "")
+		b.Run(tc.name+"/recompute", func(b *testing.B) {
+			run(b, tc.open(b, WithResultCache(0)), "")
 		})
 	}
 }

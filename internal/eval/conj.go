@@ -16,9 +16,10 @@ type argRef struct {
 
 // catom is a compiled atom: predicate plus argument references. alt marks
 // the atom to be resolved against the alternate (delta) relation by the
-// resolver; idb marks derived predicates (used as an ordering tie-break:
-// derived relations — magic sets in particular — are skewed toward the
-// query constants and are poor probe targets).
+// resolver; idb marks derived predicates (an ordering tie-break, see
+// compileConj: derived relations — magic sets in particular — are skewed
+// toward the query constants, which makes them poor probe targets and
+// the right place to start from).
 type catom struct {
 	pred string
 	args []argRef
@@ -46,16 +47,19 @@ type compiledConj struct {
 }
 
 // conjScratch is the reusable per-traversal state of a conjunction
-// evaluation: each atom's relation as bind last resolved it, per-atom
-// binding and newly-bound segments carved out of two backing arrays,
-// plus the buffer storage lookups yield rows into. One scratch serves
-// the whole step recursion — each atom index owns a disjoint segment,
-// and a yielded row is fully consumed before the next lookup overwrites
-// the buffer — but it must not be shared across goroutines. Hot callers
-// hold one per worker, bind it once per evaluation and reuse it across
-// contexts via runS; run itself makes a fresh one per call.
+// evaluation: each atom's relation as bind last resolved it (and, for a
+// traversal over a pre-deletion state, the tuples that have left it, see
+// bindLeft), per-atom binding and newly-bound segments carved out of two
+// backing arrays, plus the buffer storage lookups yield rows into. One
+// scratch serves the whole step recursion — each atom index owns a
+// disjoint segment, and a yielded row is fully consumed before the next
+// lookup overwrites the buffer — but it must not be shared across
+// goroutines. Hot callers hold one per worker, bind it once per
+// evaluation and reuse it across contexts via runS; run itself makes a
+// fresh one per call.
 type conjScratch struct {
 	rels     []*storage.Relation
+	left     []*storage.Relation // nil until bindLeft
 	bindBack []storage.Binding
 	newBack  []int
 	tupBuf   storage.Tuple
@@ -82,6 +86,24 @@ func (c *compiledConj) newScratch() *conjScratch {
 func (c *compiledConj) bind(sc *conjScratch, res resolver) {
 	for i := range c.atoms {
 		sc.rels[i] = res(c.atoms[i].pred, c.atoms[i].alt)
+	}
+}
+
+// bindLeft makes the traversals that follow read every non-delta atom's
+// relation as it was before a deletion: the atom ranges over what bind
+// resolved it to — the live tuples — and then over left[pred], the tuples
+// that left it. Nothing is copied or re-indexed; step probes the second
+// relation with the bindings it probed the first with. The two parts are
+// disjoint when left holds exactly what was retracted; if they overlap, a
+// solution is merely found twice.
+func (c *compiledConj) bindLeft(sc *conjScratch, left map[string]*storage.Relation) {
+	if sc.left == nil {
+		sc.left = make([]*storage.Relation, len(c.atoms))
+	}
+	for i := range c.atoms {
+		if !c.atoms[i].alt {
+			sc.left[i] = left[c.atoms[i].pred]
+		}
 	}
 }
 
@@ -123,17 +145,25 @@ func compileAtom(a ast.Atom, ss *slotSpace, syms *storage.SymbolTable, alt bool)
 type compileConjOpts struct {
 	// altFlags marks delta atoms (pinned to the front).
 	altFlags []bool
-	// idbFlags marks derived-predicate atoms (deprioritized on ordering
-	// ties).
+	// idbFlags marks derived-predicate atoms (they lose ordering ties
+	// among atoms with a bound argument and win them among atoms with
+	// none).
 	idbFlags []bool
 }
 
 // compileConj compiles a conjunction of atoms, ordering them greedily so
 // that atoms whose variables are already bound (by initBound slots or by
 // earlier atoms) come first; atoms tagged alt (delta atoms) are pinned to
-// the front, and derived-predicate atoms lose ordering ties to base atoms
-// (derived relations, magic sets especially, are skewed toward the query
-// constants). Greedy bound-first ordering is what makes the selection
+// the front. Among atoms with a bound argument, derived-predicate atoms
+// lose ordering ties to base atoms (derived relations, magic sets
+// especially, are skewed toward the query constants and make poor probe
+// targets). When no remaining atom has a bound argument — the rest of the
+// body is a cross product with what came before, as in the delta variant
+// m_sg__bb(W,Z) :- m_sg__bf(X), p(X,W), Δp(Y,Z) after its Δ atom — the
+// tie goes the other way: that part is opened through its derived atom,
+// the magic or context relation that carries the query's binding (a
+// handful of tuples), and the base relation it restricts is then probed,
+// never scanned. Greedy bound-first ordering is what makes the selection
 // constant restrict the evaluation (Property 3). needed names the
 // variables the caller reads from solutions (nil means all).
 func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *storage.SymbolTable, initBound map[string]bool, needed map[string]bool) *compiledConj {
@@ -168,8 +198,10 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 					score += 2
 				}
 			}
-			if !c.idb {
-				score++ // tie-break: probe base relations before derived ones
+			// Tie-break: probe base relations before derived ones, but with
+			// nothing to probe by, enter through the derived one.
+			if (score > 0) != c.idb {
+				score++
 			}
 			if score > bestScore {
 				best, bestScore = i, score
@@ -243,7 +275,11 @@ func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conj
 	}
 	at := &c.atoms[i]
 	rel := sc.rels[i]
-	if rel == nil {
+	var left *storage.Relation
+	if sc.left != nil {
+		left = sc.left[i]
+	}
+	if rel == nil && left == nil {
 		return true
 	}
 	off := c.argOff[i]
@@ -255,9 +291,9 @@ func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conj
 			bindings = append(bindings, storage.Binding{Col: col, Val: slots[a.slot]})
 		}
 	}
-	cont := true
+	cont, witnessed := true, false
 	exist := len(c.existential) > 0 && c.existential[i]
-	rel.LookupBuf(bindings, sc.tupBuf, func(t storage.Tuple) bool {
+	visit := func(t storage.Tuple) bool {
 		// Bind free slots; repeated free variables within the atom must
 		// agree. t is the lookup's reused buffer: everything read from it
 		// is copied into slots before the recursive step reuses it.
@@ -287,9 +323,16 @@ func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conj
 		// Existential atoms bind nothing anyone reads: the first matching
 		// tuple decides the rest of the evaluation, so stop iterating.
 		if ok && exist {
+			witnessed = true
 			return false
 		}
 		return cont
-	})
+	}
+	if rel != nil {
+		rel.LookupBuf(bindings, sc.tupBuf, visit)
+	}
+	if left != nil && cont && !witnessed {
+		left.LookupBuf(bindings, sc.tupBuf, visit)
+	}
 	return cont
 }

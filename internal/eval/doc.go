@@ -22,9 +22,11 @@
 // evaluation and reused by every level, and the carry is a flat arena
 // rather than a slice of tuples, so a level allocates nothing
 // (level.go). Semi-naive rounds parallelize the same way across their
-// independent (rule, variant) jobs. Both drivers synchronize at
-// level/round boundaries, so parallel evaluation derives exactly the
-// sequential answer set.
+// independent (rule, variant) jobs, and like a narrow carry batch a
+// round whose delta is smaller than minParallelChunk runs inline on the
+// calling goroutine (runRound). Both drivers synchronize at level/round
+// boundaries, so parallel evaluation derives exactly the sequential
+// answer set.
 //
 // # Streaming
 //
@@ -64,4 +66,20 @@
 // answers are that program's fixpoint, adopted by a fresh snState when
 // the first delta arrives; a base-relation lookup does the same with a
 // one-rule program.
+//
+// A maintenance pass costs probes in proportion to the delta and the
+// tuples it moves — Property 3 applied to maintenance. Three things
+// keep it so. DRed's pre-deletion state is read, not built: a traversal
+// of retractPass binds each non-delta atom to its live relation and to
+// the tuples that left it (compiledConj.bindLeft) and probes the two in
+// turn. A delta variant is entered from its Δ atom outward, and the part
+// of a body no binding reaches is opened through its derived atom — the
+// magic or context relation carrying the query's binding — so the base
+// relation beside it is probed, never scanned (compileConj). And a pass
+// owns its scratch: delta, candidate and round-delete relations come from
+// a free list that lives from the start of initialFixpoint or update to
+// its end and are emptied in place between rounds
+// (storage.Relation.Reset), so a one-tuple round allocates nothing and a
+// state at rest retains nothing. EvalStats.Overdeleted and Rederived
+// report DRed's share of the work.
 package eval

@@ -151,6 +151,7 @@ func (inc *Incremental) Update(ctx context.Context, delta Delta) error {
 		return err
 	}
 	inc.stats.Iterations = inc.st.rounds
+	inc.stats.Overdeleted, inc.stats.Rederived = inc.st.overdeleted, inc.st.rederived
 	inc.stats.SeenSize = inc.seenSize()
 	return nil
 }

@@ -128,12 +128,43 @@ func TestIncrementalContextMode(t *testing.T) {
 	step(deltaOf(db, []string{"a", "n0", "jump"}, []string{"b", "jump", "jumpout"}))
 	// Irrelevant relation: no-op.
 	step(deltaOf(db, []string{"unrelated", "x", "y"}))
+	// Inserts are not delete-rederive's business.
+	dred := func() [2]int { return [2]int{inc.Stats().Overdeleted, inc.Stats().Rederived} }
+	if got := dred(); got != [2]int{} {
+		t.Fatalf("overdeleted/rederived after insert-only updates = %v, want none", got)
+	}
 
-	// Retract an exit: one answer leaves.
+	// Retract an exit: one answer leaves — over-deleted, and nothing
+	// re-derives it.
 	step(retractOf(db, []string{"b", "n3", "extra"}))
 	if got := inc.Answers().Len(); got != 3 {
 		t.Fatalf("answers after exit retract = %d, want 3 (%v)", got, AnswerStrings(inc.Answers(), db.Syms))
 	}
+	if got := dred(); got != [2]int{1, 0} {
+		t.Fatalf("overdeleted/rederived after retracting an answer's only exit = %v, want [1 0]", got)
+	}
+	// An answer with two supports loses one: over-deleted, then re-derived
+	// from the other, and the answers do not move.
+	step(deltaOf(db, []string{"b", "n2", "twice"}, []string{"b", "n3", "twice"}))
+	before := dred()
+	step(retractOf(db, []string{"b", "n3", "twice"}))
+	if got := inc.Answers().Len(); got != 4 {
+		t.Fatalf("answers after losing one of two supports = %d, want 4 (%v)", got, AnswerStrings(inc.Answers(), db.Syms))
+	}
+	if got := dred(); got[0] != before[0]+1 || got[1] != before[1]+1 {
+		t.Fatalf("overdeleted/rederived after losing one of two supports = %v, want %v each raised by one", got, before)
+	}
+	step(retractOf(db, []string{"b", "n2", "twice"}))
+	if got := dred(); got[0] != before[0]+2 || got[1] != before[1]+1 {
+		t.Fatalf("overdeleted/rederived after losing the second support = %v (before both: %v)", got, before)
+	}
+	before = dred()
+	step(deltaOf(db, []string{"b", "n1", "late"}))
+	step(retractOf(db, []string{"unrelated", "x", "y"}))
+	if got := dred(); got != before {
+		t.Fatalf("overdeleted/rederived moved from %v to %v on an insert and an unread retraction", before, got)
+	}
+	step(retractOf(db, []string{"b", "n1", "late"}))
 	// Cut the chain: every context below the cut and its answers leave.
 	step(retractOf(db, []string{"a", "n1", "n2"}))
 	if got := AnswerStrings(inc.Answers(), db.Syms); len(got) != 1 || got[0] != "n0,jumpout" {
@@ -554,11 +585,86 @@ func TestSNStateUpdateDirect(t *testing.T) {
 	}
 }
 
+// TestIncrementalRoundWidths drives the retained fixpoint through rounds
+// on both sides of runRound's inline/parallel switch, with several jobs a
+// round and scratch relations emptied and refilled between them: a
+// closure over a fan (rounds hundreds of tuples wide, fanned out across
+// the workers) that narrows into a chain (one-tuple rounds, run inline),
+// built cold, then cut and spliced at the fan, at the waist and in the
+// tail. Every state must equal the from-scratch fixpoint. What the switch
+// and the reuse could break — a job reading a delta relation already
+// handed to the next round — is a data race before it is a wrong answer,
+// so this test earns its keep under -race.
+func TestIncrementalRoundWidths(t *testing.T) {
+	const src = `
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, Z), edge(Z, Y).
+		path(X, Y) :- edge(X, Z), path(Z, Y).
+	`
+	ctx := context.Background()
+	db := storage.NewDatabase()
+	for i := 0; i < 40; i++ {
+		f, g := fmt.Sprintf("f%d", i), fmt.Sprintf("g%d", i)
+		db.AddFact("edge", "root", f)
+		db.AddFact("edge", f, g)
+		db.AddFact("edge", g, "waist")
+	}
+	db.AddFact("edge", "waist", "c0")
+	for i := 0; i < 30; i++ {
+		db.AddFact("edge", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1))
+	}
+	prog := mustProgram(t, src)
+	st, err := newSNState(prog, db, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.initialFixpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		want, err := Naive(prog, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.idb.Relation("path"); !got.Equal(want.IDB.Relation("path")) {
+			t.Fatalf("%s: maintained path has %d tuples, from scratch %d", what, got.Len(), want.IDB.Relation("path").Len())
+		}
+		if st.free != nil {
+			t.Fatalf("%s: the pass left its scratch behind", what)
+		}
+	}
+	check("cold")
+	for _, e := range [][]string{
+		{"edge", "waist", "c0"}, // every path into the tail: wide rounds both ways
+		{"edge", "c28", "c29"},  // near the end: a few narrow rounds
+		{"edge", "root", "f7"},  // one spoke of the fan
+		{"edge", "c3", "c4"},    // the tail from the waist's side: wide, then narrowing
+	} {
+		if err := st.update(ctx, retractOf(db, e), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		check("cut " + e[1] + "->" + e[2])
+		if err := st.update(ctx, deltaOf(db, e), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		check("splice " + e[1] + "->" + e[2])
+	}
+	// Cutting one spoke over-deletes root's paths through the waist, which
+	// the other 39 spokes re-derive: waist and c0..c30.
+	if st.overdeleted == 0 || st.rederived != 32 {
+		t.Fatalf("overdeleted %d, rederived %d; want some and 32", st.overdeleted, st.rederived)
+	}
+}
+
 // TestUpdateReleasesBoundRelations: the conjunction scratch is retained
 // with the compiled program and holds the relations its last traversal
-// was bound to. Once a maintenance pass is over none may remain, or every
-// variant that read a delta keeps that delta relation — and the indexes
-// the pass built on it — reachable from the result cache.
+// was bound to — live and, in a retraction pass, left. Once a maintenance
+// pass is over none may remain, or every variant that read a delta keeps
+// that delta relation — and the indexes the pass built on it — reachable
+// from the result cache. The same goes for the pass's scratch free list:
+// the deleted, candidate and round-delete relations it recycles are the
+// pass's, and a state at rest holds none of them.
 func TestUpdateReleasesBoundRelations(t *testing.T) {
 	ctx := context.Background()
 	db := chainDB(30)
@@ -566,16 +672,39 @@ func TestUpdateReleasesBoundRelations(t *testing.T) {
 	if err := inc.Update(ctx, deltaOf(db, []string{"b", "n7", "mid"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := inc.Update(ctx, retractOf(db, []string{"a", "n20", "n21"})); err != nil {
-		t.Fatal(err)
-	}
 	if inc.st == nil {
-		t.Fatal("no retained state after two updates")
+		t.Fatal("no retained state after an update")
 	}
+	// A cut (a cascade of round-delete tables below it, every traversal
+	// reading a's old state through the left slot), with an exit below the
+	// cut retracted in the same pass, and the splice that undoes the cut.
+	for _, delta := range []Delta{
+		retractOf(db, []string{"a", "n20", "n21"}, []string{"b", "n30", "end"}),
+		deltaOf(db, []string{"a", "n20", "n21"}),
+	} {
+		if err := inc.Update(ctx, delta); err != nil {
+			t.Fatal(err)
+		}
+		if inc.st.free != nil {
+			t.Errorf("the pass's scratch free list outlived it: %d arities", len(inc.st.free))
+		}
+	}
+	if st := inc.Stats(); st.Overdeleted == 0 {
+		t.Fatalf("the cut over-deleted nothing: %+v", st)
+	}
+	readLeft := 0
 	check := func(what string, b *runBuf) {
 		for i, r := range b.sc.rels {
 			if r != nil {
 				t.Errorf("%s still holds atom %d's relation after the pass", what, i)
+			}
+		}
+		if b.sc.left != nil {
+			readLeft++
+		}
+		for i, r := range b.sc.left {
+			if r != nil {
+				t.Errorf("%s still holds what left atom %d's relation after the pass", what, i)
 			}
 		}
 	}
@@ -596,5 +725,8 @@ func TestUpdateReleasesBoundRelations(t *testing.T) {
 	}
 	if ran < 4 {
 		t.Fatalf("only %d compiled variants inspected", ran)
+	}
+	if readLeft == 0 {
+		t.Fatal("no variant ever read an old state: the retraction pass did not go through bindLeft")
 	}
 }

@@ -138,6 +138,13 @@ type EvalStats struct {
 	// pool: the seed batch plus one per Fig. 9 iteration (context mode
 	// only).
 	Batches int
+	// Overdeleted and Rederived are delete-rederive's work over the
+	// maintenance passes since the build, cumulative like Iterations:
+	// derived tuples the passes took out as candidates for deletion, and
+	// those of them put back because another derivation remained. Their
+	// difference is what actually left the fixpoint.
+	Overdeleted int
+	Rederived   int
 }
 
 // CompileSelection compiles a "column = constant" selection (possibly

@@ -47,11 +47,13 @@ func (b *runBuf) acquire() {
 }
 
 // release ends a traversal. The buffers outlive it — they are retained
-// with the compiled program — so the relations the scratch was bound to
-// are let go here: a finished round's delta relations must not stay
-// reachable from every variant that read them.
+// with the compiled program — so the relations the scratch was bound to,
+// live and left alike, are let go here: a finished round's delta
+// relations and a finished pass's deletions must not stay reachable from
+// every variant that read them.
 func (b *runBuf) release() {
 	clear(b.sc.rels)
+	clear(b.sc.left)
 	b.busy.Store(false)
 }
 
@@ -65,12 +67,17 @@ func newRunBuf(conj *compiledConj, headArity int) *runBuf {
 }
 
 // derive evaluates the variant, yielding every derived head tuple in
-// the variant's reused buffer (copy to retain).
-func (v ruleVariant) derive(res resolver, yield func(t storage.Tuple)) {
+// the variant's reused buffer (copy to retain). A non-nil left makes the
+// non-delta atoms read the state before those tuples left (see
+// compiledConj.bindLeft).
+func (v ruleVariant) derive(res resolver, left map[string]*storage.Relation, yield func(t storage.Tuple)) {
 	b := v.run
 	b.acquire()
 	defer b.release()
 	v.conj.bind(b.sc, res)
+	if left != nil {
+		v.conj.bindLeft(b.sc, left)
+	}
 	v.conj.runS(b.slots, b.bound, b.sc, func(s []storage.Value) bool {
 		for i, h := range v.head {
 			if h.isConst {
@@ -340,6 +347,16 @@ type snState struct {
 	idb     *storage.Database
 	workers int
 	rounds  int
+	// overdeleted and rederived count DRed's work over the state's life:
+	// candidates retractPass took out of the fixpoint, and those of them
+	// it put back because a derivation remained.
+	overdeleted, rederived int
+
+	// free is the running pass's scratch: emptied delta, candidate and
+	// round-delete relations by arity, handed out again by scratch. It
+	// exists from the start of an initialFixpoint or update to its end —
+	// a state at rest holds no relation but its derived database.
+	free map[int][]*storage.Relation
 
 	// Deletion-maintenance machinery, built lazily by ensureStrata on
 	// the first retraction: the SCC condensation of the IDB dependency
@@ -394,26 +411,59 @@ func factTuple(f ast.Rule, syms *storage.SymbolTable) storage.Tuple {
 // result wraps the current derived state.
 func (st *snState) result() *Result { return &Result{IDB: st.idb, Rounds: st.rounds} }
 
-// resolve builds a resolver over the retained state with the given delta
-// table serving alt (delta-atom) lookups.
-func (st *snState) resolve(useDelta map[string]*storage.Relation) resolver {
+// resolve builds a resolver over the retained state with the delta table
+// *useDelta serving alt (delta-atom) lookups. It takes the table by
+// reference so that a loop builds one resolver and moves the table under
+// it from round to round; nil means no delta table at all.
+func (st *snState) resolve(useDelta *map[string]*storage.Relation) resolver {
 	return func(pred string, alt bool) *storage.Relation {
-		if alt {
-			return useDelta[pred]
-		}
-		if st.cp.idb[pred] {
+		switch {
+		case alt && useDelta == nil:
+			return nil
+		case alt:
+			return (*useDelta)[pred]
+		case st.cp.idb[pred]:
 			return st.idb.Relation(pred)
 		}
 		return st.edb.Relation(pred)
 	}
 }
 
-// deltaRel returns pred's relation in the delta table m, creating it
-// empty on first use.
+// beginPass opens the scratch free list of one maintenance or evaluation
+// pass; the returned function drops it, and with it every relation the
+// pass did not publish.
+func (st *snState) beginPass() (end func()) {
+	st.free = make(map[int][]*storage.Relation)
+	return func() { st.free = nil }
+}
+
+// scratch returns an empty untracked relation for the running pass, a
+// recycled one when the pass has emptied one of that arity. A one-tuple
+// round then costs no arena block, no dedup table and no relation header.
+func (st *snState) scratch(arity int) *storage.Relation {
+	if l := st.free[arity]; len(l) > 0 {
+		st.free[arity] = l[:len(l)-1]
+		return l[len(l)-1]
+	}
+	return storage.NewShardedRelation(arity, nil, st.idb.Shards())
+}
+
+// recycle empties the table m and every relation in it, which the pass
+// must be done reading, onto the free list.
+func (st *snState) recycle(m map[string]*storage.Relation) {
+	for pred, r := range m {
+		r.Reset()
+		st.free[r.Arity()] = append(st.free[r.Arity()], r)
+		delete(m, pred)
+	}
+}
+
+// deltaRel returns pred's relation in the delta table m, taking an empty
+// one from the pass's scratch on first use.
 func (st *snState) deltaRel(m map[string]*storage.Relation, pred string) *storage.Relation {
 	r := m[pred]
 	if r == nil {
-		r = storage.NewShardedRelation(st.cp.arity[pred], nil, st.idb.Shards())
+		r = st.scratch(st.cp.arity[pred])
 		m[pred] = r
 	}
 	return r
@@ -438,12 +488,14 @@ func (st *snState) initialFixpoint(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	defer st.beginPass()()
 	var first []roundJob
 	for _, cr := range st.cp.rules {
 		first = append(first, roundJob{cr: cr, v: cr.variants[0]})
 	}
 	newDelta := st.roundDelta(nil, first)
-	runRound(first, st.resolve(nil), st.idb, newDelta, true, st.workers)
+	// The first round's delta atoms range over whole relations.
+	runRound(first, st.edb.TupleCount()+st.idb.TupleCount(), st.resolve(nil), st.idb, newDelta, true, st.workers)
 	st.rounds++
 	return st.deltaLoop(ctx, newDelta, nil)
 }
@@ -452,30 +504,40 @@ func (st *snState) initialFixpoint(ctx context.Context) error {
 // non-nil, observes every genuinely new derived tuple (including the
 // contents of the caller's seeding round) — the hook incremental
 // answer-relation maintenance rides on.
+//
+// newDelta's relations come from the pass's scratch (deltaRel), and each
+// round's go back to it once the next round has read them: the two
+// tables and their relations alternate for the length of the loop.
 func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.Relation, onNew func(pred string, t storage.Tuple)) error {
 	meter := MeterFrom(ctx)
+	var jobs []roundJob
+	var delta, spare map[string]*storage.Relation
+	res := st.resolve(&delta)
+	var buf storage.Tuple // onNew's view of a promoted tuple
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		// Promote.
-		delta := newDelta
-		empty := true
+		delta = newDelta
 		fresh := 0
 		for pred, d := range delta {
 			if d.Len() == 0 {
 				continue
 			}
-			empty = false
 			fresh += d.Len()
 			if onNew != nil {
-				d.Scan(func(t storage.Tuple) bool {
+				if len(buf) < d.Arity() {
+					buf = make(storage.Tuple, d.Arity())
+				}
+				d.LookupBuf(nil, buf, func(t storage.Tuple) bool {
 					onNew(pred, t)
 					return true
 				})
 			}
 		}
-		if empty {
+		if fresh == 0 {
+			st.recycle(delta)
 			return nil
 		}
 		// Gas: the promoted delta is exactly the round's genuinely new
@@ -486,7 +548,7 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 		// One job per derived body occurrence whose predicate just grew: a
 		// variant restricted to an empty delta derives nothing (so rules
 		// with no derived body atom never run after round 1).
-		var jobs []roundJob
+		jobs = jobs[:0]
 		for _, cr := range st.cp.rules {
 			k := 0
 			for _, a := range cr.src.Body {
@@ -500,11 +562,14 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 			}
 		}
 		if len(jobs) == 0 {
+			st.recycle(delta)
 			return nil
 		}
-		newDelta = st.roundDelta(nil, jobs)
-		runRound(jobs, st.resolve(delta), st.idb, newDelta, false, st.workers)
+		newDelta = st.roundDelta(spare, jobs)
+		runRound(jobs, fresh, res, st.idb, newDelta, false, st.workers)
 		st.rounds++
+		st.recycle(delta)
+		spare = delta
 	}
 }
 
@@ -527,6 +592,7 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	defer st.beginPass()()
 	if len(delta.Del) > 0 {
 		if err := st.retractPass(ctx, delta.Del, onNew, onDel); err != nil {
 			return err
@@ -537,9 +603,12 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 	}
 	newDelta := make(map[string]*storage.Relation)
 	// Same-name EDB deltas of derived predicates seed the IDB directly
-	// (the uniform-containment seeding, maintained).
+	// (the uniform-containment seeding, maintained); the others are what
+	// the EDB-delta round below starts from.
+	added := 0
 	for pred, rel := range delta.Add {
 		if !st.cp.idb[pred] {
+			added += rel.Len()
 			continue
 		}
 		arity, ok := st.cp.arity[pred]
@@ -564,7 +633,7 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 		}
 	}
 	if len(jobs) > 0 {
-		runRound(jobs, st.resolve(delta.Add), st.idb, st.roundDelta(newDelta, jobs), false, st.workers)
+		runRound(jobs, added, st.resolve(&delta.Add), st.idb, st.roundDelta(newDelta, jobs), false, st.workers)
 		st.rounds++
 	}
 	return st.deltaLoop(ctx, newDelta, onNew)
@@ -668,16 +737,32 @@ func (st *snState) ensureStrata() {
 // derivation does), while a recursive component additionally cascades
 // candidates within itself and rederives through the ordinary delta
 // rounds. Within a component: (1) collect over-delete candidates from
-// the settled deletions, with non-delta atoms reading the OLD state
-// (pre-deletion unions for settled predicates, the untouched idb for
-// in-component ones); (2) retract all candidates; (3) re-insert every
-// candidate still derivable from what remains and propagate those
-// survivors; (4) report the tuples that actually died and publish them
-// as settled deletions for the components above.
+// the settled deletions, with non-delta atoms reading the OLD state;
+// (2) retract all candidates; (3) re-insert every candidate still
+// derivable from what remains and propagate those survivors; (4) report
+// the tuples that actually died and publish them as settled deletions
+// for the components above.
+//
+// The old state is read, never built: a settled predicate's pre-deletion
+// relation is its live relation plus deleted[pred], and a traversal
+// probes the two in turn (compiledConj.bindLeft) — work proportional to
+// the deletions and what they reach, whatever the relation's size, and
+// counted in the base relations' Counters like any other probe. The two
+// parts are disjoint (a settled deletion is gone from the live relation;
+// the engine nets its Del sets against the current state); a caller's
+// Del tuple that is still live, or never was, can only produce a second
+// or a phantom solution, hence an extra candidate, which step (3)
+// re-derives or finds absent. In-component predicates have no left part:
+// their idb relations are untouched until step (2).
 func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Relation, onNew, onDel func(pred string, t storage.Tuple)) error {
 	st.ensureStrata()
 	meter := MeterFrom(ctx)
 	syms := st.edb.Syms
+	live := st.resolve(nil)
+	// from is the table the candidate-collecting traversals' delta atoms
+	// read: the settled deletions, then each round-delete table in turn.
+	var from map[string]*storage.Relation
+	fromRes := st.resolve(&from)
 
 	// deleted holds the FINAL per-predicate deletions: the caller's Del
 	// sets for EDB predicates, and — filled in as each component
@@ -688,30 +773,6 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 			deleted[pred] = rel
 		}
 	}
-	// oldRel resolves a non-delta atom to the pre-deletion state: for
-	// settled predicates the live relation unioned with what left it;
-	// for in-component predicates the idb relation, untouched until
-	// step (2). Unions are cached — `deleted` entries never mutate once
-	// published.
-	unions := make(map[string]*storage.Relation)
-	oldRel := func(pred string) *storage.Relation {
-		if u, ok := unions[pred]; ok {
-			return u
-		}
-		var base *storage.Relation
-		if st.cp.idb[pred] {
-			base = st.idb.Relation(pred)
-		} else {
-			base = st.edb.Relation(pred)
-		}
-		d := deleted[pred]
-		if d == nil || base == nil {
-			return base
-		}
-		u := unionRels(base, d)
-		unions[pred] = u
-		return u
-	}
 
 	for _, comp := range st.strata {
 		if err := ctx.Err(); err != nil {
@@ -719,39 +780,30 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		}
 		rec := st.recursive[comp[0]]
 		cand := make(map[string]*storage.Relation)
-		roundDel := make(map[string]*storage.Relation)
-		relIn := func(m map[string]*storage.Relation, pred string) *storage.Relation {
-			if m[pred] == nil {
-				m[pred] = storage.NewRelation(st.cp.arity[pred], nil)
-			}
-			return m[pred]
-		}
+		// roundDel collects the candidates a cascade round finds, for the
+		// next round to start from; spare is the emptied table of the
+		// round before, and the two swap.
+		roundDel, spare := make(map[string]*storage.Relation), make(map[string]*storage.Relation)
 		addCand := func(pred string, t storage.Tuple) {
 			if rel := st.idb.Relation(pred); rel == nil || !rel.Contains(t) {
 				return
 			}
-			if relIn(cand, pred).Insert(t) {
-				relIn(roundDel, pred).Insert(t)
+			if st.deltaRel(cand, pred).Insert(t) && rec {
+				st.deltaRel(roundDel, pred).Insert(t)
 			}
 		}
 		// collect makes a candidate of every head some rule of the
 		// component derives from a tuple of from, the other body atoms
 		// reading the old state.
-		collect := func(from map[string]*storage.Relation) {
+		collect := func(table map[string]*storage.Relation) {
+			from = table
 			for _, pred := range comp {
 				for _, cr := range st.rulesByHead[pred] {
 					for i, a := range cr.src.Body {
-						d := from[a.Pred]
-						if d == nil || d.Len() == 0 {
+						if d := from[a.Pred]; d == nil || d.Len() == 0 {
 							continue
 						}
-						res := func(p string, alt bool) *storage.Relation {
-							if alt {
-								return d
-							}
-							return oldRel(p)
-						}
-						cr.variantFor(i, st.cp, syms).derive(res, func(t storage.Tuple) { addCand(cr.headPred, t) })
+						cr.variantFor(i, st.cp, syms).derive(fromRes, deleted, func(t storage.Tuple) { addCand(cr.headPred, t) })
 					}
 				}
 			}
@@ -769,7 +821,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		collect(deleted)
 		// In-component cascade: candidates beget candidates through the
 		// component's own cycles.
-		for rec && len(roundDel) > 0 {
+		for len(roundDel) > 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -780,9 +832,9 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 			if err := meter.Charge(fresh); err != nil {
 				return err
 			}
-			cur := roundDel
-			roundDel = make(map[string]*storage.Relation)
-			collect(cur)
+			roundDel, spare = spare, roundDel
+			collect(spare)
+			st.recycle(spare)
 		}
 		total := 0
 		for _, c := range cand {
@@ -798,6 +850,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 				rel.Retract(t)
 			}
 		}
+		st.overdeleted += total
 		// (3) Re-derive: a candidate survives when some derivation
 		// remains in the post-deletion state; survivors propagate like
 		// any insert delta (rederiving in-component dependents).
@@ -808,8 +861,9 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		for pred, c := range cand {
 			rel := st.idb.Relation(pred)
 			for _, t := range c.Tuples() {
-				if st.derivable(pred, t) && rel.Insert(t) {
+				if st.derivable(live, pred, t) && rel.Insert(t) {
 					st.deltaRel(rederived, pred).Insert(t)
+					st.rederived++
 				}
 			}
 		}
@@ -825,49 +879,37 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 				if rel.Contains(t) {
 					continue
 				}
-				relIn(deleted, pred).Insert(t)
+				st.deltaRel(deleted, pred).Insert(t)
 				if onDel != nil {
 					onDel(pred, t)
 				}
 			}
 		}
+		st.recycle(cand)
 	}
 	return ctx.Err()
 }
 
 // derivable reports whether t still has a derivation for pred in the
-// current state: a same-name EDB seed, a program fact, or a rule body
-// witness found by the head-bound satisfiability check.
-func (st *snState) derivable(pred string, t storage.Tuple) bool {
+// current state, which live resolves: a same-name EDB seed, a program
+// fact, or a rule body witness found by the head-bound satisfiability
+// check.
+func (st *snState) derivable(live resolver, pred string, t storage.Tuple) bool {
 	if seed := st.edb.Relation(pred); seed != nil && seed.Arity() == len(t) && seed.Contains(t) {
 		return true
 	}
 	if fr := st.factRels[pred]; fr != nil && fr.Contains(t) {
 		return true
 	}
-	res := st.resolve(nil)
 	for _, cr := range st.rulesByHead[pred] {
 		if cr.check == nil {
 			cr.check = compileHeadCheck(cr.src, st.cp.idb, st.edb.Syms)
 		}
-		if cr.check.holds(res, t) {
+		if cr.check.holds(live, t) {
 			return true
 		}
 	}
 	return false
-}
-
-// unionRels materializes a ∪ b — the pre-deletion image of a relation
-// that has since lost b's tuples.
-func unionRels(a, b *storage.Relation) *storage.Relation {
-	u := storage.NewRelation(a.Arity(), nil)
-	for _, t := range a.Tuples() {
-		u.Insert(t)
-	}
-	for _, t := range b.Tuples() {
-		u.Insert(t)
-	}
-	return u
 }
 
 // roundJob is one unit of a semi-naive round: a rule restricted to one
@@ -878,20 +920,25 @@ type roundJob struct {
 }
 
 // runRound evaluates one semi-naive round's jobs, in parallel across at
-// most `workers` goroutines (0 means GOMAXPROCS) when there are several.
+// most `workers` goroutines (0 means GOMAXPROCS) when there are several
+// and the round is worth the dispatch: n is the number of tuples its
+// delta atoms range over, and below minParallelChunk — the bound under
+// which parallelFor keeps a carry batch on the calling goroutine, for the
+// same reason — the jobs run inline, one after the other. A maintained
+// chain that is cut or spliced runs one such round per level.
 // Jobs only append to the shared (sharded, concurrency-safe) idb and
 // delta relations, and bottom-up evaluation is monotone, so any
 // interleaving derives the same round result: a tuple seen "early"
 // (inserted by a sibling job mid-round) can only add derivations that
 // dedup away or would otherwise arrive via the next round's delta.
-func runRound(jobs []roundJob, res resolver, idb *storage.Database, newDelta map[string]*storage.Relation, firstRound bool, workers int) {
+func runRound(jobs []roundJob, n int, res resolver, idb *storage.Database, newDelta map[string]*storage.Relation, firstRound bool, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	if workers <= 1 {
+	if workers <= 1 || n < minParallelChunk {
 		for _, j := range jobs {
 			applyRule(j.cr, j.v, res, idb, newDelta, firstRound)
 		}
@@ -933,7 +980,7 @@ func applyRule(cr *compiledRule, v ruleVariant, res resolver, idb *storage.Datab
 		}
 	}
 	nd := newDelta[cr.headPred]
-	v.derive(resolveVariant, func(t storage.Tuple) {
+	v.derive(resolveVariant, nil, func(t storage.Tuple) {
 		if headRel.Insert(t) && nd != nil {
 			nd.Insert(t)
 		}

@@ -74,6 +74,46 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryExplainCarriesDRed: the explain a /v1/query response carries
+// says what delete-rederive did to the answers it serves — candidates
+// taken out / candidates put back — once a retraction has reached them,
+// and says nothing about it before.
+func TestQueryExplainCarriesDRed(t *testing.T) {
+	srv := newTestServer(t, 5, Config{})
+	query := func() queryResponse {
+		t.Helper()
+		w := do(t, srv, "POST", "/v1/query", "", queryRequest{Query: "t(n0, Y)"})
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", w.Code, w.Body)
+		}
+		var resp queryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := query(); strings.Contains(resp.Explain, "dred=") {
+		t.Fatalf("cold explain mentions delete-rederive: %q", resp.Explain)
+	}
+	// n4's exit, and a second edge into n4 so that cutting the first
+	// over-deletes what the second re-derives.
+	for _, req := range []factsRequest{
+		{Facts: []fact{{Pred: "a", Args: []string{"n2", "n4"}}}},
+		{Retracts: []fact{{Pred: "b", Args: []string{"n4", "m4"}}, {Pred: "a", Args: []string{"n3", "n4"}}}},
+	} {
+		if w := do(t, srv, "POST", "/v1/facts", "", req); w.Code != http.StatusOK {
+			t.Fatalf("facts: status = %d, body %s", w.Code, w.Body)
+		}
+		query()
+	}
+	// Taken out: the answer m4 and the contexts n4 and n5 below the cut
+	// edge. Put back: n4 and n5, still reached through n2.
+	resp := query()
+	if resp.Count != 4 || !strings.Contains(resp.Explain, "result-cache=hit") || !strings.Contains(resp.Explain, " dred=3/2") {
+		t.Fatalf("after the retractions: %d answers, explain %q; want 4 answers and dred=3/2", resp.Count, resp.Explain)
+	}
+}
+
 func TestQueryBadRequest(t *testing.T) {
 	srv := newTestServer(t, 3, Config{})
 	req := httptest.NewRequest("POST", "/v1/query", strings.NewReader("{not json"))

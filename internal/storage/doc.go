@@ -43,7 +43,11 @@
 // fixpoint loops rely on this — without deadlock. Sharded relations do
 // not preserve global insertion order across shards; use SortedTuples
 // (or SortedColumns, which the WAL snapshot writer consumes directly)
-// for deterministic output.
+// for deterministic output. The one operation that breaks the
+// append-only rule is Relation.Reset, which empties an untracked scratch
+// relation in place for reuse (first block and dedup table kept): its
+// owner must have no reader or writer in flight, and a tracked relation
+// refuses it.
 //
 // # The write path, epochs and delta tracking
 //

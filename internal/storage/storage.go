@@ -424,7 +424,7 @@ func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
 		}
 		if s == 0 {
 			row := sh.rows
-			if row&blockMask == 0 {
+			if row>>blockShift == len(sh.blocks) { // the row's block is not there yet (after a Reset, block 0 is)
 				sh.blocks = append(sh.blocks, make([]Value, arity<<blockShift))
 				sh.dead = append(sh.dead, make([]uint64, deadWords))
 			}
@@ -663,6 +663,48 @@ func (r *Relation) Len() int { return int(r.count.Load()) }
 // Retracts returns the number of retractions the relation has accepted
 // since creation (monotone; it never decreases).
 func (r *Relation) Retracts() int64 { return r.retracts.Load() }
+
+// Reset empties the relation in place so its storage serves another
+// round of inserts: afterwards it behaves exactly like a relation fresh
+// from NewShardedRelation — no rows, no tombstones, no posting lists, all
+// counts zero — but each shard keeps its first arena block and a dedup
+// table that indexes no more than one block, so refilling a small
+// relation allocates nothing. What a larger use grew beyond that is
+// released: a scratch relation that was once wide does not charge every
+// later reset for clearing a wide table.
+//
+// Reset is for scratch relations a single owner fills, reads and empties
+// in turn (a semi-naive pass's delta relations). The next inserts
+// overwrite rows a Scan or Lookup still in flight would read off its
+// view, so the caller must hold the relation exclusively — every reader
+// and writer finished — and it panics on a tracked relation, whose rows
+// the delta tails reference.
+func (r *Relation) Reset() {
+	if r.db != nil {
+		panic("storage: Reset of a tracked relation")
+	}
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.Lock()
+		if len(sh.blocks) > 0 {
+			clear(sh.blocks[1:])
+			clear(sh.dead[1:])
+			sh.blocks, sh.dead = sh.blocks[:1], sh.dead[:1]
+			clear(sh.dead[0])
+		}
+		sh.rows, sh.deadCnt, sh.deadAtDrop = 0, 0, 0
+		if len(sh.slots) > 2*blockRows {
+			sh.slots, sh.hashes = nil, nil
+		}
+		clear(sh.slots)
+		sh.used = 0
+		clear(sh.cols)
+		sh.mu.Unlock()
+	}
+	r.count.Store(0)
+	r.tombs.Store(0)
+	r.retracts.Store(0)
+}
 
 // Insert adds a tuple (copied into the shard's column blocks), returning
 // true when it was not already present: a commit of a run of one. Only
