@@ -1,0 +1,201 @@
+package onesided
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// The evaluators count their probes in worker-owned tallies and add them
+// into Database.Stats when an evaluation or maintenance pass ends. These
+// tests pin that nothing is lost on the way: per-query counters are the
+// numbers the probes themselves used to add, one atomic at a time, and
+// an evaluation that ends early still hands in what it did.
+
+const countersSrc = `
+	t(X, Y) :- a(X, Z), t(Z, Y).
+	t(X, Y) :- b(X, Y).
+	sg(X, Y) :- a(W, X), a(Z, Y), sg(W, Z).
+	sg(X, Y) :- b(X, Y).
+`
+
+// countersGraphs are the two fixed inputs: a 300-edge chain with an exit
+// at every tenth node, and a 120-node random digraph of out-degree 3 with
+// an exit at every fourth. Both hold a(n1, n2).
+var countersGraphs = map[string]func(add func(pred string, args ...int)){
+	"chain": func(add func(string, ...int)) {
+		for i := 0; i < 300; i++ {
+			add("a", i, i+1)
+			if i%10 == 0 {
+				add("b", i, i)
+			}
+		}
+	},
+	"digraph": func(add func(string, ...int)) {
+		rng := rand.New(rand.NewSource(18))
+		add("a", 1, 2)
+		for i := 0; i < 120; i++ {
+			for k := 0; k < 3; k++ {
+				add("a", i, rng.Intn(120))
+			}
+			if i%4 == 0 {
+				add("b", i, i)
+			}
+		}
+	},
+}
+
+// openCounters loads a graph into an engine of four shards whose Fig. 9
+// loop runs on the given number of workers. Semi-naive rounds outside a
+// one-sided plan (Magic Sets) take their parallelism from GOMAXPROCS, and
+// parallel rounds see each other's tuples early or late, which moves
+// their probe counts (not their results): with workers == 1 the process
+// is held to one processor for the test, so every round runs inline, in
+// rule order, and every count repeats.
+func openCounters(t *testing.T, graph string, workers int) *Engine {
+	t.Helper()
+	if workers == 1 {
+		was := runtime.GOMAXPROCS(1)
+		t.Cleanup(func() { runtime.GOMAXPROCS(was) })
+	}
+	eng := openCtxCase(t, []Option{WithShards(4), WithWorkers(workers)}, countersSrc)
+	var facts []Fact
+	countersGraphs[graph](func(pred string, args ...int) {
+		f := Fact{Pred: pred}
+		for _, a := range args {
+			f.Args = append(f.Args, fmt.Sprintf("n%d", a))
+		}
+		facts = append(facts, f)
+	})
+	if _, err := eng.InsertFacts(facts); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestCountersPinned: Rows.Counters() of a cold context-mode query, a
+// reduced-mode query, a Magic Sets query and a maintained re-query, on
+// both graphs, are exactly what they were when every probe added itself
+// to Database.Stats — serially, and with the level loop fanned out.
+func TestCountersPinned(t *testing.T) {
+	type step struct {
+		query, mode, cache string
+		// change moves the database before the query; fanned marks the
+		// evaluations whose counts are the same however many workers share
+		// the work (see openCounters).
+		change func(eng *Engine)
+		fanned bool
+	}
+	steps := []step{
+		{query: "t(n0, Y)", mode: "context", cache: "rebuilt", fanned: true},
+		{query: "t(X, n40)", mode: "reduced", cache: "rebuilt"},
+		{query: "sg(n7, Y)", cache: "rebuilt"},
+		{query: "t(n0, Y)", mode: "context", cache: "updated", change: func(eng *Engine) {
+			eng.AddFact("a", "n5", "fresh")
+			eng.AddFact("b", "fresh", "fresh")
+		}},
+		{query: "t(n0, Y)", mode: "context", cache: "updated", change: func(eng *Engine) {
+			if ok, err := eng.Retract("a", "n1", "n2"); !ok || err != nil {
+				t.Fatalf("retract: %v, %v", ok, err)
+			}
+		}},
+	}
+	// As counted at d89567b, where shard.lookup and Scan added every probe
+	// to Database.Stats as it happened.
+	want := map[string][]Counters{
+		"chain": {
+			{TuplesExamined: 330, IndexLookups: 602, Inserts: 30},
+			{TuplesExamined: 41, IndexLookups: 168, Inserts: 41},
+			{TuplesExamined: 9262, IndexLookups: 40819, FullScans: 1, Inserts: 1},
+			{TuplesExamined: 1, IndexLookups: 2, Inserts: 1},
+			{TuplesExamined: 743, IndexLookups: 2250, Retracts: 30},
+		},
+		"digraph": {
+			{TuplesExamined: 366, IndexLookups: 226, Inserts: 27},
+			{TuplesExamined: 360, IndexLookups: 484, Inserts: 120},
+			{TuplesExamined: 673098, IndexLookups: 613199, FullScans: 4, Inserts: 112},
+			{TuplesExamined: 1, IndexLookups: 2, Inserts: 1},
+			{TuplesExamined: 1106, IndexLookups: 842},
+		},
+	}
+	for _, graph := range []string{"chain", "digraph"} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", graph, workers), func(t *testing.T) {
+				eng := openCounters(t, graph, workers)
+				for i, s := range steps {
+					if s.change != nil {
+						s.change(eng)
+					}
+					rows, err := eng.Query(context.Background(), s.query)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ex := rows.Explain()
+					if ex.Mode != s.mode || ex.ResultCache != s.cache || rows.Len() == 0 {
+						t.Fatalf("%s: %v, %d answers; want mode %q, result-cache %s", s.query, ex, rows.Len(), s.mode, s.cache)
+					}
+					if got := rows.Counters(); (workers == 1 || s.fanned) && got != want[graph][i] {
+						t.Errorf("%s (%s): counters %+v, want %+v", s.query, s.cache, got, want[graph][i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCountersSurviveEarlyExit: an evaluation cut short — by its context,
+// by its gas budget, by a consumer that walks away from the stream —
+// still adds the probes it made into Database.Stats, exactly.
+func TestCountersSurviveEarlyExit(t *testing.T) {
+	dying := func(after int) func() context.Context {
+		return func() context.Context { return &dyingCtx{Context: context.Background(), after: after} }
+	}
+	gas := func() context.Context { return WithGas(context.Background(), 50) }
+	// want is what the cut-short evaluation had counted at d89567b.
+	cuts := []struct {
+		name, query string
+		ctx         func() context.Context
+		err         error
+		want        Counters
+	}{
+		{"cancel/context", "t(n0, Y)", dying(40), context.Canceled, Counters{TuplesExamined: 41, IndexLookups: 75, Inserts: 4}},
+		{"cancel/reduced", "t(X, n40)", dying(12), context.Canceled, Counters{TuplesExamined: 9, IndexLookups: 36}},
+		{"gas/context", "t(n0, Y)", gas, ErrGasExhausted, Counters{TuplesExamined: 51, IndexLookups: 93, Inserts: 5}},
+		{"gas/magic", "sg(n7, Y)", gas, ErrGasExhausted, Counters{TuplesExamined: 2097, IndexLookups: 7800, FullScans: 1}},
+	}
+	for _, c := range cuts {
+		t.Run(c.name, func(t *testing.T) {
+			eng := openCounters(t, "chain", 1)
+			before := eng.DB().Stats.Snapshot()
+			if _, err := eng.Query(c.ctx(), c.query); !errors.Is(err, c.err) {
+				t.Fatalf("%s: err = %v, want %v", c.query, err, c.err)
+			}
+			if got := eng.DB().Stats.Snapshot().Sub(before); got != c.want {
+				t.Errorf("Database.Stats moved by %+v, want %+v", got, c.want)
+			}
+		})
+	}
+	t.Run("stream/abandoned", func(t *testing.T) {
+		eng := openCounters(t, "chain", 1)
+		before := eng.DB().Stats.Snapshot()
+		rows, err := eng.QueryStream(context.Background(), "t(n0, Y)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range rows.All() {
+			break
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		// How far the loop got before it saw the consumer leave is the
+		// scheduler's business; that its probes were handed in is not.
+		got := eng.DB().Stats.Snapshot().Sub(before)
+		if got.IndexLookups == 0 || got.TuplesExamined == 0 || got != rows.Counters() {
+			t.Fatalf("abandoned stream: Database.Stats moved by %+v, Rows.Counters() %+v", got, rows.Counters())
+		}
+	})
+}

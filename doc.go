@@ -55,8 +55,9 @@
 //
 // # Parallelism and streaming
 //
-// Relations are hash-sharded into independently-locked partitions
-// (WithShards, default GOMAXPROCS), and the Fig. 9 loop splits each
+// Relations are hash-sharded into partitions whose writers lock
+// independently and whose lookups take no lock (WithShards, default
+// GOMAXPROCS), and the Fig. 9 loop splits each
 // carry batch across a bounded worker pool (WithWorkers, default
 // GOMAXPROCS), so one Engine serves parallel queries and a single big
 // query scales across cores. QueryStream (or PreparedQuery.Stream)

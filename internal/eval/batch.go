@@ -231,6 +231,8 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	resolve := func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) }
 	workers := p.effectiveWorkers()
 	stats := EvalStats{CarryArity: p.CarryArity, Workers: workers, Shards: nshards}
+	ts := newTallies(&edb.Stats, workers)
+	defer ts.flush()
 
 	ans := make([]*storage.Relation, k)
 	groups := make([][]groupResult, k)
@@ -243,11 +245,11 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		ans[q] = storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards)
 		// Depth-0 answers use the query's own constants; no sharing.
 		stats.GProbes++
-		bp.compileD0(syms).run(bp, syms, resolve, func(t storage.Tuple) bool {
+		bp.compileD0(syms).run(bp, syms, resolve, ts.of(0), func(t storage.Tuple) bool {
 			ans[q].Insert(t)
 			return true
 		})
-		gs, ok := bp.evalFactoredGroups(syms, resolve)
+		gs, ok := bp.evalFactoredGroups(syms, resolve, ts.of(0))
 		if !ok {
 			// An empty factor group: this query has depth-0 answers only,
 			// so it never seeds the traversal.
@@ -285,7 +287,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 			continue
 		}
 		bit := bitset.Bit(k, q)
-		bp.compileSeed(syms).run(bp, syms, resolve, func(tup storage.Tuple) { merge(tup, bit) })
+		bp.compileSeed(syms).run(bp, syms, resolve, ts.of(0), func(tup storage.Tuple) { merge(tup, bit) })
 	}
 
 	f := p.compileF(syms)
@@ -324,7 +326,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	// the owner table decides, after the level, whether it is news.
 	bws := make([]batchWorker, workers)
 	pool := levelPool{
-		f: &f, g: &g, nAnchors: nAnchors, arity: p.Def.Arity(), resolve: resolve,
+		f: &f, g: &g, nAnchors: nAnchors, arity: p.Def.Arity(), resolve: resolve, tallies: ts,
 		ws: make([]levelWorker, workers),
 		setup: func(i int, w *levelWorker) {
 			bw := &bws[i]

@@ -49,17 +49,18 @@ type compiledConj struct {
 // conjScratch is the reusable per-traversal state of a conjunction
 // evaluation: each atom's relation as bind last resolved it (and, for a
 // traversal over a pre-deletion state, the tuples that have left it, see
-// bindLeft), per-atom binding and newly-bound segments carved out of two
-// backing arrays, plus the buffer storage lookups yield rows into. One
-// scratch serves the whole step recursion — each atom index owns a
-// disjoint segment, and a yielded row is fully consumed before the next
-// lookup overwrites the buffer — but it must not be shared across
-// goroutines. Hot callers hold one per worker, bind it once per
-// evaluation and reuse it across contexts via runS; run itself makes a
-// fresh one per call.
+// bindLeft), the tally its probes are counted in, per-atom binding and
+// newly-bound segments carved out of two backing arrays, plus the buffer
+// storage lookups yield rows into. One scratch serves the whole step
+// recursion — each atom index owns a disjoint segment, and a yielded row
+// is fully consumed before the next lookup overwrites the buffer — but it
+// must not be shared across goroutines. Hot callers hold one per worker,
+// bind it once per evaluation and reuse it across contexts via runS; run
+// itself makes a fresh one per call.
 type conjScratch struct {
 	rels     []*storage.Relation
 	left     []*storage.Relation // nil until bindLeft
+	tally    *storage.Tally
 	bindBack []storage.Binding
 	newBack  []int
 	tupBuf   storage.Tuple
@@ -82,11 +83,14 @@ func (c *compiledConj) newScratch() *conjScratch {
 // context. A relation object lives as long as its database, so the
 // resolution stays valid for the evaluation; callers whose resolver
 // changes between traversals (a semi-naive round's delta table) bind
-// again before each.
-func (c *compiledConj) bind(sc *conjScratch, res resolver) {
+// again before each. tally is where those traversals count their probes:
+// the calling goroutine's own (see tallies), or nil to count in the
+// relations' shared Counters.
+func (c *compiledConj) bind(sc *conjScratch, res resolver, tally *storage.Tally) {
 	for i := range c.atoms {
 		sc.rels[i] = res(c.atoms[i].pred, c.atoms[i].alt)
 	}
+	sc.tally = tally
 }
 
 // bindLeft makes the traversals that follow read every non-delta atom's
@@ -257,9 +261,9 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 // emit must copy what it keeps. run allocates and binds a fresh scratch
 // per call — callers that evaluate many contexts should hold one scratch
 // per goroutine and use runS.
-func (c *compiledConj) run(res resolver, slots []storage.Value, boundFlags []bool, emit func([]storage.Value) bool) {
+func (c *compiledConj) run(res resolver, tally *storage.Tally, slots []storage.Value, boundFlags []bool, emit func([]storage.Value) bool) {
 	sc := c.newScratch()
-	c.bind(sc, res)
+	c.bind(sc, res, tally)
 	c.step(0, slots, boundFlags, sc, emit)
 }
 
@@ -329,10 +333,10 @@ func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conj
 		return cont
 	}
 	if rel != nil {
-		rel.LookupBuf(bindings, sc.tupBuf, visit)
+		rel.LookupTally(bindings, sc.tupBuf, sc.tally, visit)
 	}
 	if left != nil && cont && !witnessed {
-		left.LookupBuf(bindings, sc.tupBuf, visit)
+		left.LookupTally(bindings, sc.tupBuf, sc.tally, visit)
 	}
 	return cont
 }

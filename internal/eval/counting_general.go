@@ -65,7 +65,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 		found := false
 		slots := make([]storage.Value, len(ss.varSlot))
 		bound := make([]bool, len(ss.varSlot))
-		conj.run(resolve, slots, bound, func([]storage.Value) bool {
+		conj.run(resolve, nil, slots, bound, func([]storage.Value) bool {
 			found = true
 			return false
 		})
@@ -108,7 +108,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 		bound := make([]bool, len(ss.varSlot))
 		tup := make(storage.Tuple, carryWidth)
 		dedup := storage.NewRelation(carryWidth, nil)
-		conj.run(resolve, slots, bound, func(s []storage.Value) bool {
+		conj.run(resolve, nil, slots, bound, func(s []storage.Value) bool {
 			proj.project(s, tup)
 			if dedup.Insert(tup) {
 				level = append(level, tup.Clone())
@@ -173,7 +173,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 				gBound[sl] = true
 			}
 			anchorPart := c[:len(p.foldedAnchors)]
-			gConj.run(resolve, gSlots, gBound, func(s []storage.Value) bool {
+			gConj.run(resolve, nil, gSlots, gBound, func(s []storage.Value) bool {
 				emit(s, anchorPart, ans)
 				return true
 			})
@@ -214,7 +214,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 				bound[sl] = true
 			}
 			anchorPart := c[:len(p.foldedAnchors)]
-			fConj.run(resolve, slots, bound, func(s []storage.Value) bool {
+			fConj.run(resolve, nil, slots, bound, func(s []storage.Value) bool {
 				fProj.projectCtx(s, anchorPart, tup)
 				if dedup.Insert(tup) {
 					next = append(next, tup.Clone())
@@ -251,7 +251,7 @@ func (p *Plan) exitOnlyAnswers(edb *storage.Database, ans *storage.Relation) {
 			out[i] = syms.Intern(a.Name)
 		}
 	}
-	conj.run(resolve, slots, bound, func(s []storage.Value) bool {
+	conj.run(resolve, nil, slots, bound, func(s []storage.Value) bool {
 		for ri, oi := range p.keepCols {
 			ref := headRefs.args[ri]
 			if ref.isConst {

@@ -28,6 +28,14 @@
 // boundaries, so parallel evaluation derives exactly the sequential
 // answer set.
 //
+// Property 3's probe counts are kept the same way as the scratch: every
+// level worker and round worker counts the lookups of its conjunctions
+// in a storage.Tally of its own (tallies, carried by conjScratch), and
+// the evaluation or maintenance pass adds them into the database's
+// Counters once, when it ends — however it ends. A probe therefore
+// writes nothing another goroutine reads, and the Counters are exact
+// between evaluations rather than during one.
+//
 // # Streaming
 //
 // Plan.EvalStreamCtx (surfaced through the StreamingPrepared interface)

@@ -14,9 +14,10 @@ import (
 //     not a slice of cloned tuples;
 //   - each pool worker owns one levelWorker — slot and bound arrays for f
 //     and g, their conjunction scratch with the atoms' relations already
-//     resolved, the successor and answer scratch tuples, and the arena it
-//     collects the next level's contexts in — built the first time the
-//     worker runs and reused by every later level;
+//     resolved and the worker's probe tally attached, the successor and
+//     answer scratch tuples, and the arena it collects the next level's
+//     contexts in — built the first time the worker runs and reused by
+//     every later level;
 //   - the per-solution callbacks are closures built once per worker, so
 //     neither a level nor a context creates one.
 //
@@ -124,6 +125,7 @@ type levelPool struct {
 	nAnchors int
 	arity    int // of the answer tuples
 	resolve  resolver
+	tallies  tallies
 	// setup installs the owner's onSucc/onExit on a worker being built.
 	setup func(i int, w *levelWorker)
 	ws    []levelWorker
@@ -168,8 +170,8 @@ func (p *levelPool) build(i int, w *levelWorker) {
 	w.fBound, w.gBound = flags[:f.nslots:f.nslots], flags[f.nslots:]
 
 	w.fSc, w.gSc = f.conj.newScratch(), g.conj.newScratch()
-	f.conj.bind(w.fSc, p.resolve)
-	g.conj.bind(w.gSc, p.resolve)
+	f.conj.bind(w.fSc, p.resolve, p.tallies.of(i))
+	g.conj.bind(w.gSc, p.resolve, p.tallies.of(i))
 	p.setup(i, w)
 }
 

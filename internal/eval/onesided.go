@@ -527,9 +527,13 @@ type contextEval struct {
 	groups []groupResult
 	srcs   []colSrc
 
-	// pool is the level workers; carry is the level being read.
-	pool  levelPool
-	carry carryBuf
+	// pool is the level workers; carry is the level being read. tallies
+	// counts the probes of every phase — depth 0, factor groups, seed,
+	// levels — per worker ordinal, until run adds them into the database's
+	// Counters on its way out.
+	pool    levelPool
+	carry   carryBuf
+	tallies tallies
 }
 
 // d0Ops is the compiled depth-0 exit join of a bound context-mode plan:
@@ -561,7 +565,7 @@ func (p *Plan) compileD0(syms *storage.SymbolTable) d0Ops {
 // run evaluates the compiled depth-0 join, feeding each assembled answer
 // tuple to sink. The tuple is scratch; sink copies what it keeps and
 // returns false to stop.
-func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, sink func(storage.Tuple) bool) {
+func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, tally *storage.Tally, sink func(storage.Tuple) bool) {
 	slots := make([]storage.Value, d.nslots)
 	bound := make([]bool, d.nslots)
 	out := make(storage.Tuple, p.Def.Arity())
@@ -570,7 +574,7 @@ func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, sink fu
 			out[i] = syms.Intern(a.Name)
 		}
 	}
-	d.conj.run(resolve, slots, bound, func(s []storage.Value) bool {
+	d.conj.run(resolve, tally, slots, bound, func(s []storage.Value) bool {
 		for ri, oi := range p.keepCols {
 			ref := d.headRefs.args[ri]
 			if ref.isConst {
@@ -584,21 +588,22 @@ func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, sink fu
 }
 
 // runParallel splits the depth-0 join's outer scan across the worker
-// pool, exactly as seedOps.runParallel splits the seed conjunction.
-// sink must be safe for concurrent calls (ce.emitAnswer is); the tuple
-// passed to it is per-worker scratch. A sink returning false stops the
-// whole evaluation: the latching stop flag ends every worker's row loop
-// at its next row, so a few in-flight answers may still be delivered —
-// sink must tolerate calls after it first returns false.
-func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, workers int, sink func(storage.Tuple) bool) {
+// pool — one worker per tally of ts — exactly as seedOps.runParallel
+// splits the seed conjunction. sink must be safe for concurrent calls
+// (ce.emitAnswer is); the tuple passed to it is per-worker scratch. A
+// sink returning false stops the whole evaluation: the latching stop flag
+// ends every worker's row loop at its next row, so a few in-flight
+// answers may still be delivered — sink must tolerate calls after it
+// first returns false.
+func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, ts tallies, sink func(storage.Tuple) bool) {
 	c := d.conj
-	rows, arity, ok := outerScan(c, resolve, workers)
+	rows, arity, ok := outerScan(c, resolve, len(ts))
 	if !ok {
-		d.run(p, syms, resolve, sink)
+		d.run(p, syms, resolve, ts.of(0), sink)
 		return
 	}
 	var stop atomic.Bool
-	parallelFor(workers, len(rows)/arity, func(w, lo, hi int) {
+	parallelFor(len(ts), len(rows)/arity, func(w, lo, hi int) {
 		slots := make([]storage.Value, d.nslots)
 		bound := make([]bool, d.nslots)
 		out := make(storage.Tuple, p.Def.Arity())
@@ -608,7 +613,7 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 			}
 		}
 		sc := c.newScratch()
-		c.bind(sc, resolve)
+		c.bind(sc, resolve, ts.of(w))
 		// Worker-local dedup in front of the shared sink: projections
 		// are duplicate-heavy (most join solutions collapse onto answers
 		// already produced), and re-offering them would have every
@@ -647,7 +652,7 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 // selection constants substituted. ok is false when some group is empty,
 // in which case no depth >= 1 derivation exists and the caller stops
 // after depth 0.
-func (p *Plan) evalFactoredGroups(syms *storage.SymbolTable, resolve resolver) (groups []groupResult, ok bool) {
+func (p *Plan) evalFactoredGroups(syms *storage.SymbolTable, resolve resolver, tally *storage.Tally) (groups []groupResult, ok bool) {
 	for _, fg := range p.factored {
 		atoms := p.substBound(fg.atoms)
 		ss := newSlotSpace()
@@ -664,7 +669,7 @@ func (p *Plan) evalFactoredGroups(syms *storage.SymbolTable, resolve resolver) (
 		slots := make([]storage.Value, len(ss.varSlot))
 		bound := make([]bool, len(ss.varSlot))
 		tup := make(storage.Tuple, len(fg.anchors))
-		conj.run(resolve, slots, bound, func(s []storage.Value) bool {
+		conj.run(resolve, tally, slots, bound, func(s []storage.Value) bool {
 			for i, sl := range anchorSlots {
 				tup[i] = s[sl]
 			}
@@ -720,11 +725,11 @@ func (p *Plan) compileSeed(syms *storage.SymbolTable) seedOps {
 // run evaluates the compiled seed conjunction, yielding each projected
 // carry tuple (anchors then context columns). Tuples are scratch and
 // may repeat; the caller deduplicates.
-func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, yield func(storage.Tuple)) {
+func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, tally *storage.Tally, yield func(storage.Tuple)) {
 	slots := make([]storage.Value, so.nslots)
 	bound := make([]bool, so.nslots)
 	tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
-	so.conj.run(resolve, slots, bound, func(s []storage.Value) bool {
+	so.conj.run(resolve, tally, slots, bound, func(s []storage.Value) bool {
 		so.proj.project(s, tup)
 		yield(tup)
 		return true
@@ -732,31 +737,31 @@ func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, yiel
 }
 
 // runParallel evaluates the seed conjunction with the outermost atom's
-// matches partitioned across the worker pool — the cold-fixpoint twin
-// of a level's f half: the outer scan is materialized once, then each
-// worker owns a contiguous range of its rows plus private slots and
-// scratch and recurses through the remaining atoms. Rows are collected
-// in shard iteration order, so contiguous ranges keep each worker's
-// posting-list probes on a warm shard. yield receives the worker ordinal
+// matches partitioned across the worker pool (one worker per tally of ts)
+// — the cold-fixpoint twin of a level's f half: the outer scan is
+// materialized once, then each worker owns a contiguous range of its rows
+// plus private slots and scratch and recurses through the remaining
+// atoms. Rows are collected in shard iteration order, so contiguous
+// ranges keep each worker's posting-list probes on a warm shard. yield receives the worker ordinal
 // and a scratch tuple (copy to retain) and must tolerate concurrent
 // calls from distinct workers; as with run, tuples may repeat and the
 // caller deduplicates. Falls back to the serial run (worker 0) when
 // splitting cannot help or would change the traversal: one worker, no
 // atoms, an arity-0 outer atom, or an existential outer atom (its first
 // match is supposed to decide the whole evaluation).
-func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, workers int, yield func(worker int, tup storage.Tuple)) {
+func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, ts tallies, yield func(worker int, tup storage.Tuple)) {
 	c := so.conj
-	rows, arity, ok := outerScan(c, resolve, workers)
+	rows, arity, ok := outerScan(c, resolve, len(ts))
 	if !ok {
-		so.run(p, syms, resolve, func(tup storage.Tuple) { yield(0, tup) })
+		so.run(p, syms, resolve, ts.of(0), func(tup storage.Tuple) { yield(0, tup) })
 		return
 	}
-	parallelFor(workers, len(rows)/arity, func(w, lo, hi int) {
+	parallelFor(len(ts), len(rows)/arity, func(w, lo, hi int) {
 		slots := make([]storage.Value, so.nslots)
 		bound := make([]bool, so.nslots)
 		tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
 		sc := c.newScratch()
-		c.bind(sc, resolve)
+		c.bind(sc, resolve, ts.of(w))
 		emit := func(s []storage.Value) bool {
 			so.proj.project(s, tup)
 			yield(w, tup)
@@ -981,6 +986,7 @@ func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bo
 		emit:    emit,
 		ans:     storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards),
 	}
+	ce.tallies = newTallies(&edb.Stats, ce.workers)
 	ce.nAnchors = len(p.foldedAnchors)
 	ce.carryWidth = ce.nAnchors + len(p.ctxCols)
 	if ce.carryWidth == 1 {
@@ -1040,6 +1046,7 @@ func (b *bitsetSeen) Tuples() []storage.Tuple {
 // exit rule alone are emitted before the loop starts.
 func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, error) {
 	p, syms := ce.p, ce.syms
+	defer ce.tallies.flush()
 
 	// An already-expired context must fail even when the evaluation would
 	// finish without entering the while loop (empty carry): the serving
@@ -1067,7 +1074,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// is already safe for concurrent workers (sharded answer insert,
 	// mutex-guarded streaming emit).
 	ce.stats.GProbes++
-	p.compileD0(syms).runParallel(p, syms, ce.resolve, ce.workers, ce.emitAnswer)
+	p.compileD0(syms).runParallel(p, syms, ce.resolve, ce.tallies, ce.emitAnswer)
 	if ce.aborted.Load() {
 		return ce.finish(ctx)
 	}
@@ -1077,7 +1084,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 
 	// Factored groups: evaluate once with the selection constants; any
 	// empty group kills all depth>=1 derivations.
-	groups, ok := p.evalFactoredGroups(syms, ce.resolve)
+	groups, ok := p.evalFactoredGroups(syms, ce.resolve, ce.tallies.of(0))
 	if !ok {
 		// No depth>=1 derivations are possible; answers are depth-0 only.
 		return ce.finish(ctx)
@@ -1089,7 +1096,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// Fill the query-constant sources (kind 0) with this plan's values.
 	ce.srcs = fillQueryConsts(g.srcs, queryConsts(p.Query, syms))
 	ce.pool = levelPool{
-		f: &f, g: &g, nAnchors: ce.nAnchors, arity: p.Def.Arity(), resolve: ce.resolve,
+		f: &f, g: &g, nAnchors: ce.nAnchors, arity: p.Def.Arity(), resolve: ce.resolve, tallies: ce.tallies,
 		ws: make([]levelWorker, ce.workers),
 		setup: func(_ int, w *levelWorker) {
 			// Workers claim contexts through the seen-set: Offer returns
@@ -1127,7 +1134,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// Seed contexts, claimed through the shared seen-set exactly as a
 	// level's successors are and collected in the same per-worker buffers.
 	// The seed conjunction's outer scan is split across the worker pool.
-	p.compileSeed(syms).runParallel(p, syms, ce.resolve, ce.workers, func(w int, tup storage.Tuple) {
+	p.compileSeed(syms).runParallel(p, syms, ce.resolve, ce.tallies, func(w int, tup storage.Tuple) {
 		if ce.seen.Offer(tup) {
 			ce.pool.ws[w].next.push(tup)
 		}

@@ -1,6 +1,10 @@
 package eval
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/storage"
+)
 
 // minParallelChunk is the smallest per-worker slice worth a goroutine:
 // below it the dispatch overhead dominates the join work, so small carry
@@ -44,4 +48,34 @@ func parallelFor(workers, n int, fn func(worker, lo, hi int)) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
+}
+
+// tallies holds one evaluation's Property-3 probe counts while it runs:
+// a storage.Tally of the database's Counters per worker ordinal —
+// parallelFor's, or a semi-naive round's — so that a probe writes nothing
+// another goroutine reads. Ordinal w's tally belongs to whichever
+// goroutine is running worker w; the entries are padded apart like the
+// level workers' scratch (scratchPad). The evaluation that made them adds
+// them into the Counters once, when it ends, on every way out (flush):
+// the totals are exact whenever no evaluation is in flight.
+type tallies []struct {
+	storage.Tally
+	_ [scratchPad]byte
+}
+
+func newTallies(stats *storage.Counters, workers int) tallies {
+	ts := make(tallies, workers)
+	for i := range ts {
+		ts[i].Tally = stats.Tally()
+	}
+	return ts
+}
+
+// of returns worker w's tally.
+func (ts tallies) of(w int) *storage.Tally { return &ts[w].Tally }
+
+func (ts tallies) flush() {
+	for i := range ts {
+		ts[i].Flush()
+	}
 }

@@ -69,12 +69,12 @@ func newRunBuf(conj *compiledConj, headArity int) *runBuf {
 // derive evaluates the variant, yielding every derived head tuple in
 // the variant's reused buffer (copy to retain). A non-nil left makes the
 // non-delta atoms read the state before those tuples left (see
-// compiledConj.bindLeft).
-func (v ruleVariant) derive(res resolver, left map[string]*storage.Relation, yield func(t storage.Tuple)) {
+// compiledConj.bindLeft); tally is the calling worker's (compiledConj.bind).
+func (v ruleVariant) derive(res resolver, left map[string]*storage.Relation, tally *storage.Tally, yield func(t storage.Tuple)) {
 	b := v.run
 	b.acquire()
 	defer b.release()
-	v.conj.bind(b.sc, res)
+	v.conj.bind(b.sc, res, tally)
 	if left != nil {
 		v.conj.bindLeft(b.sc, left)
 	}
@@ -121,8 +121,8 @@ type headCheck struct {
 }
 
 // holds reports whether the rule body has a solution deriving head
-// tuple t.
-func (hc *headCheck) holds(res resolver, t storage.Tuple) bool {
+// tuple t, counting its probes in tally.
+func (hc *headCheck) holds(res resolver, tally *storage.Tally, t storage.Tuple) bool {
 	b := hc.run
 	b.acquire()
 	defer b.release()
@@ -143,7 +143,7 @@ func (hc *headCheck) holds(res resolver, t storage.Tuple) bool {
 		}
 	}
 	found := false
-	hc.conj.bind(b.sc, res)
+	hc.conj.bind(b.sc, res, tally)
 	hc.conj.runS(b.slots, b.bound, b.sc, func([]storage.Value) bool {
 		found = true
 		return false
@@ -357,6 +357,10 @@ type snState struct {
 	// exists from the start of an initialFixpoint or update to its end —
 	// a state at rest holds no relation but its derived database.
 	free map[int][]*storage.Relation
+	// tallies counts the running pass's probes of the base relations, one
+	// tally per round worker (the pass's own goroutine is worker 0); they
+	// are empty between passes.
+	tallies tallies
 
 	// Deletion-maintenance machinery, built lazily by ensureStrata on
 	// the first retraction: the SCC condensation of the IDB dependency
@@ -376,7 +380,10 @@ func newSNState(p *ast.Program, edb *storage.Database, workers int) (*snState, e
 	if err != nil {
 		return nil, err
 	}
-	st := &snState{cp: cp, edb: edb, idb: storage.NewDatabaseWith(edb.Syms), workers: workers}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	st := &snState{cp: cp, edb: edb, idb: storage.NewDatabaseWith(edb.Syms), workers: workers, tallies: newTallies(&edb.Stats, workers)}
 	// Seed: program facts and same-name EDB relations. The seeds need no
 	// delta bookkeeping because the first round evaluates every rule
 	// against the full (seeded) relations.
@@ -431,10 +438,14 @@ func (st *snState) resolve(useDelta *map[string]*storage.Relation) resolver {
 
 // beginPass opens the scratch free list of one maintenance or evaluation
 // pass; the returned function drops it, and with it every relation the
-// pass did not publish.
+// pass did not publish, and adds the pass's probe counts into the
+// database's Counters. Deferred, it runs however the pass ends.
 func (st *snState) beginPass() (end func()) {
 	st.free = make(map[int][]*storage.Relation)
-	return func() { st.free = nil }
+	return func() {
+		st.free = nil
+		st.tallies.flush()
+	}
 }
 
 // scratch returns an empty untracked relation for the running pass, a
@@ -495,7 +506,7 @@ func (st *snState) initialFixpoint(ctx context.Context) error {
 	}
 	newDelta := st.roundDelta(nil, first)
 	// The first round's delta atoms range over whole relations.
-	runRound(first, st.edb.TupleCount()+st.idb.TupleCount(), st.resolve(nil), st.idb, newDelta, true, st.workers)
+	st.runRound(first, st.edb.TupleCount()+st.idb.TupleCount(), st.resolve(nil), newDelta, true)
 	st.rounds++
 	return st.deltaLoop(ctx, newDelta, nil)
 }
@@ -566,7 +577,7 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 			return nil
 		}
 		newDelta = st.roundDelta(spare, jobs)
-		runRound(jobs, fresh, res, st.idb, newDelta, false, st.workers)
+		st.runRound(jobs, fresh, res, newDelta, false)
 		st.rounds++
 		st.recycle(delta)
 		spare = delta
@@ -633,7 +644,7 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 		}
 	}
 	if len(jobs) > 0 {
-		runRound(jobs, added, st.resolve(&delta.Add), st.idb, st.roundDelta(newDelta, jobs), false, st.workers)
+		st.runRound(jobs, added, st.resolve(&delta.Add), st.roundDelta(newDelta, jobs), false)
 		st.rounds++
 	}
 	return st.deltaLoop(ctx, newDelta, onNew)
@@ -803,7 +814,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 						if d := from[a.Pred]; d == nil || d.Len() == 0 {
 							continue
 						}
-						cr.variantFor(i, st.cp, syms).derive(fromRes, deleted, func(t storage.Tuple) { addCand(cr.headPred, t) })
+						cr.variantFor(i, st.cp, syms).derive(fromRes, deleted, st.tallies.of(0), func(t storage.Tuple) { addCand(cr.headPred, t) })
 					}
 				}
 			}
@@ -905,7 +916,7 @@ func (st *snState) derivable(live resolver, pred string, t storage.Tuple) bool {
 		if cr.check == nil {
 			cr.check = compileHeadCheck(cr.src, st.cp.idb, st.edb.Syms)
 		}
-		if cr.check.holds(live, t) {
+		if cr.check.holds(live, st.tallies.of(0), t) {
 			return true
 		}
 	}
@@ -920,27 +931,22 @@ type roundJob struct {
 }
 
 // runRound evaluates one semi-naive round's jobs, in parallel across at
-// most `workers` goroutines (0 means GOMAXPROCS) when there are several
-// and the round is worth the dispatch: n is the number of tuples its
-// delta atoms range over, and below minParallelChunk — the bound under
-// which parallelFor keeps a carry batch on the calling goroutine, for the
-// same reason — the jobs run inline, one after the other. A maintained
-// chain that is cut or spliced runs one such round per level.
+// most st.workers goroutines when there are several and the round is
+// worth the dispatch: n is the number of tuples its delta atoms range
+// over, and below minParallelChunk — the bound under which parallelFor
+// keeps a carry batch on the calling goroutine, for the same reason — the
+// jobs run inline, one after the other. A maintained chain that is cut or
+// spliced runs one such round per level.
 // Jobs only append to the shared (sharded, concurrency-safe) idb and
 // delta relations, and bottom-up evaluation is monotone, so any
 // interleaving derives the same round result: a tuple seen "early"
 // (inserted by a sibling job mid-round) can only add derivations that
 // dedup away or would otherwise arrive via the next round's delta.
-func runRound(jobs []roundJob, n int, res resolver, idb *storage.Database, newDelta map[string]*storage.Relation, firstRound bool, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+func (st *snState) runRound(jobs []roundJob, n int, res resolver, newDelta map[string]*storage.Relation, firstRound bool) {
+	workers := min(st.workers, len(jobs))
 	if workers <= 1 || n < minParallelChunk {
 		for _, j := range jobs {
-			applyRule(j.cr, j.v, res, idb, newDelta, firstRound)
+			st.applyRule(j.cr, j.v, res, newDelta, firstRound, st.tallies.of(0))
 		}
 		return
 	}
@@ -948,12 +954,12 @@ func runRound(jobs []roundJob, n int, res resolver, idb *storage.Database, newDe
 	next := make(chan roundJob)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(tally *storage.Tally) {
 			defer wg.Done()
 			for j := range next {
-				applyRule(j.cr, j.v, res, idb, newDelta, firstRound)
+				st.applyRule(j.cr, j.v, res, newDelta, firstRound, tally)
 			}
-		}()
+		}(st.tallies.of(w))
 	}
 	for _, j := range jobs {
 		next <- j
@@ -963,16 +969,17 @@ func runRound(jobs []roundJob, n int, res resolver, idb *storage.Database, newDe
 }
 
 // applyRule runs the given variant of a rule, inserting derived heads into
-// idb and recording genuinely new tuples in newDelta (when the head's delta
+// st.idb and recording genuinely new tuples in newDelta (when the head's delta
 // relation exists; Naive passes none). When firstRound is true, delta atoms
 // resolve to the full relation (the first round evaluates everything
 // unrestricted). Safe to call concurrently for different jobs of one
 // round as long as no two jobs carry the same variant (its evaluation
-// buffers are the only compiled state written; runBuf.acquire checks):
-// everything else is read, or appended to concurrency-safe relations.
-func applyRule(cr *compiledRule, v ruleVariant, res resolver, idb *storage.Database, newDelta map[string]*storage.Relation, firstRound bool) {
+// buffers are the only compiled state written; runBuf.acquire checks)
+// and each caller passes its own tally: everything else is read, or
+// appended to concurrency-safe relations.
+func (st *snState) applyRule(cr *compiledRule, v ruleVariant, res resolver, newDelta map[string]*storage.Relation, firstRound bool, tally *storage.Tally) {
 	arity := len(cr.src.Head.Args)
-	headRel := idb.Ensure(cr.headPred, arity)
+	headRel := st.idb.Ensure(cr.headPred, arity)
 	resolveVariant := res
 	if firstRound {
 		resolveVariant = func(pred string, alt bool) *storage.Relation {
@@ -980,7 +987,7 @@ func applyRule(cr *compiledRule, v ruleVariant, res resolver, idb *storage.Datab
 		}
 	}
 	nd := newDelta[cr.headPred]
-	v.derive(resolveVariant, nil, func(t storage.Tuple) {
+	v.derive(resolveVariant, nil, tally, func(t storage.Tuple) {
 		if headRel.Insert(t) && nd != nil {
 			nd.Insert(t)
 		}
@@ -1001,6 +1008,7 @@ func NaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Resu
 	if err != nil {
 		return nil, err
 	}
+	defer st.tallies.flush()
 	res := st.resolve(nil)
 	meter := MeterFrom(ctx)
 	for {
@@ -1009,7 +1017,7 @@ func NaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Resu
 		}
 		before := st.idb.TupleCount()
 		for _, cr := range st.cp.rules {
-			applyRule(cr, cr.variants[0], res, st.idb, nil, true)
+			st.applyRule(cr, cr.variants[0], res, nil, true, st.tallies.of(0))
 		}
 		st.rounds++
 		after := st.idb.TupleCount()

@@ -357,7 +357,7 @@ func TestRuleVariantRejectsOverlappingTraversals(t *testing.T) {
 	v := cp.rules[0].variants[0]
 	res := func(pred string, alt bool) *storage.Relation { return db.Relation(pred) }
 	derived := 0
-	v.derive(res, nil, func(storage.Tuple) { derived++ })
+	v.derive(res, nil, nil, func(storage.Tuple) { derived++ })
 	if derived != 3 {
 		t.Fatalf("derived %d heads over a 3-edge chain, want 3", derived)
 	}
@@ -367,5 +367,5 @@ func TestRuleVariantRejectsOverlappingTraversals(t *testing.T) {
 		}
 	}()
 	again := v // a value copy shares the buffers
-	v.derive(res, nil, func(storage.Tuple) { again.derive(res, nil, func(storage.Tuple) {}) })
+	v.derive(res, nil, nil, func(storage.Tuple) { again.derive(res, nil, nil, func(storage.Tuple) {}) })
 }

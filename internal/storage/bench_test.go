@@ -1,0 +1,121 @@
+package storage
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// benchGraph loads a binary relation shaped like the benchmark workloads'
+// edge relations into a tracked database relation (so probes are counted):
+// "digraph" is 120 000 random edges over 30 000 values, degree ≈ 4, and
+// "chain" 20 000 edges in a line, degree 1. universe is the number of
+// values that occur in column 0.
+func benchGraph(shape string) (rel *Relation, stats *Counters, universe int) {
+	db := NewDatabase()
+	rel = db.Ensure("a", 2)
+	rng := rand.New(rand.NewSource(1))
+	var edges []Tuple
+	switch shape {
+	case "digraph":
+		universe = 30000
+		for i := 0; i < 120000; i++ {
+			edges = append(edges, Tuple{Value(rng.Intn(universe)), Value(rng.Intn(universe))})
+		}
+	case "chain":
+		universe = 20000
+		for i := 0; i < universe; i++ {
+			edges = append(edges, Tuple{Value(i), Value(i + 1)})
+		}
+	}
+	rel.InsertBatch(edges)
+	rel.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true }) // build the directory
+	return rel, &db.Stats, universe
+}
+
+// BenchmarkRelationLookup is the restricted lookup on column 0 — the
+// probe Property 3 prices — over both graph shapes, for keys that are
+// there and keys that are not, counted in the shared Counters (LookupBuf)
+// or in a tally the goroutine owns (LookupTally), from one goroutine and
+// from GOMAXPROCS of them. One op is a pass over 4096 random keys, so
+// that a fixed small -benchtime still times something; it must not
+// allocate.
+func BenchmarkRelationLookup(b *testing.B) {
+	for _, shape := range []string{"digraph", "chain"} {
+		rel, stats, universe := benchGraph(shape)
+		for _, keys := range []string{"hit", "miss"} {
+			base := 0
+			if keys == "miss" {
+				base = universe + 1 // beyond every value in either column
+			}
+			rng := rand.New(rand.NewSource(2))
+			probe := make([]Value, 1<<12)
+			for i := range probe {
+				probe[i] = Value(base + rng.Intn(universe))
+			}
+			for _, counted := range []string{"counters", "tally"} {
+				// pass looks every key up once, starting at the caller's own
+				// place in the list.
+				pass := func(at int, buf Tuple, bind []Binding, tally *Tally) {
+					yield := func(Tuple) bool { return true }
+					for i := range probe {
+						bind[0] = Binding{Col: 0, Val: probe[(at+i)&(len(probe)-1)]}
+						if counted == "tally" {
+							rel.LookupTally(bind, buf, tally, yield)
+						} else {
+							rel.LookupBuf(bind, buf, yield)
+						}
+					}
+				}
+				perLookup := func(b *testing.B) {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(probe)), "ns/lookup")
+				}
+				name := shape + "/" + keys + "/" + counted
+				b.Run(name+"/serial", func(b *testing.B) {
+					buf, bind, tally := make(Tuple, 2), make([]Binding, 1), stats.Tally()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						pass(0, buf, bind, &tally)
+					}
+					tally.Flush()
+					perLookup(b)
+				})
+				b.Run(name+"/parallel", func(b *testing.B) {
+					b.ReportAllocs()
+					b.RunParallel(func(pb *testing.PB) {
+						buf, bind, tally := make(Tuple, 2), make([]Binding, 1), stats.Tally()
+						for at := rand.Int(); pb.Next(); {
+							pass(at, buf, bind, &tally)
+						}
+						tally.Flush()
+					})
+					perLookup(b)
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkIndexedInsert inserts 100 000 distinct tuples into a relation
+// whose two column directories are built, so every insert also posts the
+// row twice: the write path's share of the posting layout.
+func BenchmarkIndexedInsert(b *testing.B) {
+	const n = 100000
+	rng := rand.New(rand.NewSource(3))
+	seen := NewRelation(2, nil)
+	tuples := make([]Tuple, 0, n)
+	for len(tuples) < n {
+		if t := (Tuple{Value(rng.Intn(n / 4)), Value(rng.Intn(n / 4))}); seen.Insert(t) {
+			tuples = append(tuples, t)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rel := NewRelation(2, nil)
+		rel.Lookup([]Binding{{Col: 0, Val: 0}, {Col: 1, Val: 0}}, func(Tuple) bool { return true })
+		for _, t := range tuples {
+			rel.Insert(t)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/insert")
+}

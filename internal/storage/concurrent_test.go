@@ -3,7 +3,9 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -94,13 +96,71 @@ func TestLookupProbesSelectiveColumn(t *testing.T) {
 	}
 }
 
-// TestRelationConcurrentReadersOneWriter drives parallel Scan/Lookup/
-// Contains against a relation while a writer inserts, and then verifies
-// every inserted tuple is visible. Run under -race.
+// TestRelationConcurrentReadersOneWriter drives lock-free Scan and Lookup
+// (and Contains) against a relation while one writer takes it through
+// every kind of republication: a block append, directory growth, a
+// posting run outgrowing its capacity while readers hold the old one,
+// retractions, and a tombstone compaction with the rebuild that follows.
+// Whatever a reader is handed must satisfy its bindings and be a tuple
+// the writer had at least started to insert; once the writer stops, the
+// relation must equal a plain-map model. Run under -race.
 func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 	var stats Counters
-	r := NewRelation(2, &stats)
-	const total = 2000
+	r := NewShardedRelation(3, &stats, 2)
+	// The writer's whole plan, fixed up front: tuple id is {key, seq, id}.
+	// Distinct keys first (blocks and directories grow), then one hot key
+	// (its run doubles again and again), then — after the retractions —
+	// more of both on the rebuilt directories.
+	const distinct, hot, hotKey, late = 3000, 700, 7, 600
+	var plan []Tuple
+	add := func(key, seq int) { plan = append(plan, Tuple{Value(key), Value(seq), Value(len(plan))}) }
+	for k := 0; k < distinct; k++ {
+		add(k, 0)
+	}
+	for j := 1; j <= hot; j++ {
+		add(hotKey, j)
+	}
+	for k := 0; k < late; k++ {
+		add(distinct+k, 0)
+		add(hotKey, hot+1+k)
+	}
+	// started is how far into the plan the writer has got: it moves past
+	// a tuple before the tuple is inserted.
+	var started, reads atomic.Int64
+	// read runs one Scan (no bindings) or Lookup and checks what it
+	// yields. The callback touches nothing the writer synchronizes on — an
+	// id the writer had not yet started on is looked for after the call —
+	// so a row handed out before it was written stays a race the detector
+	// can see.
+	read := func(bindings ...Binding) {
+		newest := int64(-1)
+		yield := func(tup Tuple) bool {
+			for _, b := range bindings {
+				if tup[b.Col] != b.Val {
+					t.Errorf("read %v yielded %v", bindings, tup)
+				}
+			}
+			id := int64(tup[2])
+			if id < 0 || id >= int64(len(plan)) || tkey(plan[id]) != tkey(tup) {
+				t.Errorf("read %v yielded %v, no tuple of the plan", bindings, tup)
+				return false
+			}
+			newest = max(newest, id)
+			return true
+		}
+		if len(bindings) == 0 {
+			r.Scan(yield)
+		} else {
+			r.Lookup(bindings, yield)
+		}
+		if newest >= started.Load() {
+			t.Errorf("read %v yielded tuple %d before the writer started on it", bindings, newest)
+		}
+	}
+	// Build both directories before the writer starts, so that all of its
+	// inserts go through them.
+	r.Lookup([]Binding{{Col: 0, Val: 0}, {Col: 1, Val: 0}}, func(Tuple) bool { return true })
+
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -108,36 +168,193 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for {
+			for !t.Failed() {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				switch rng.Intn(3) {
-				case 0:
-					r.Scan(func(tup Tuple) bool { return tup[0] >= 0 })
-				case 1:
-					r.Lookup([]Binding{{Col: 0, Val: Value(rng.Intn(50))}, {Col: 1, Val: Value(rng.Intn(50))}},
-						func(Tuple) bool { return true })
-				default:
-					r.Contains(Tuple{Value(rng.Intn(50)), Value(rng.Intn(50))})
+				// Mostly one-tuple probes: a scan costs thousands of them, a
+				// probe of the hot key hundreds, and the writer needs the
+				// processor.
+				key, op := Value(rng.Intn(distinct+late)), rng.Intn(32)
+				if op < 4 {
+					key = hotKey
 				}
+				switch op % 8 {
+				case 0:
+					if op == 0 {
+						read()
+					}
+				case 1, 2: // routed to one shard
+					read(Binding{Col: 0, Val: key})
+				case 3: // fans out over the shards
+					read(Binding{Col: 1, Val: Value(1 + rng.Intn(hot+late))})
+				case 4, 5: // the long run listed first, the short one chosen
+					read(Binding{Col: 1, Val: 0}, Binding{Col: 0, Val: key})
+				default:
+					r.Contains(plan[rng.Intn(len(plan))])
+				}
+				reads.Add(1)
 			}
 		}(int64(g))
 	}
-	for i := 0; i < total; i++ {
-		r.Insert(Tuple{Value(i % 50), Value(i / 50)})
+
+	model := make(map[tupleKey]bool)
+	// The writer lets the readers in every thousand steps, so that
+	// reads fall into every stretch of its plan on any scheduler.
+	step := func(i int) {
+		if i%1024 == 0 {
+			for upTo := reads.Load() + 64; reads.Load() < upTo && !t.Failed(); {
+				runtime.Gosched()
+			}
+		}
 	}
+	insert := func(upTo int) {
+		for id := int(started.Load()); id < upTo; id++ {
+			step(id)
+			started.Store(int64(id + 1))
+			if !r.Insert(plan[id]) {
+				t.Errorf("insert of %v refused", plan[id])
+			}
+			model[tkey(plan[id])] = true
+		}
+	}
+	insert(distinct + hot)
+	blocks, slots := 0, 0
+	for i := range r.shards {
+		sh := &r.shards[i]
+		blocks = max(blocks, len(sh.blocks))
+		for c := range sh.cols[:2] { // the two columns the readers bind
+			slots = max(slots, len(sh.cols[c].Load().slots))
+		}
+	}
+	if blocks < 2 || slots <= minDirSlots {
+		t.Fatalf("test premise: %d blocks, %d directory slots", blocks, slots)
+	}
+	// Retract two thirds of everything so far: more than half of the rows
+	// the directories can name, so they are dropped on the way.
+	for id := 0; id < distinct+hot; id++ {
+		step(id)
+		if id%3 != 0 {
+			if !r.Retract(plan[id]) {
+				t.Errorf("retract of %v refused", plan[id])
+			}
+			delete(model, tkey(plan[id]))
+		}
+	}
+	insert(len(plan))
 	close(stop)
 	wg.Wait()
-	if r.Len() != total {
-		t.Fatalf("len = %d, want %d", r.Len(), total)
-	}
-	for i := 0; i < total; i++ {
-		if !r.Contains(Tuple{Value(i % 50), Value(i / 50)}) {
-			t.Fatalf("tuple %d missing after concurrent phase", i)
+
+	for i := range r.shards {
+		if r.shards[i].deadAtDrop == 0 {
+			t.Fatalf("test premise: shard %d never dropped its directories", i)
 		}
+	}
+
+	if r.Len() != len(model) {
+		t.Fatalf("len = %d, model holds %d", r.Len(), len(model))
+	}
+	scanned := make(map[tupleKey]bool)
+	r.Scan(func(tup Tuple) bool { scanned[tkey(tup)] = true; return true })
+	byKey := make(map[Value]int)
+	for _, tup := range plan {
+		live := model[tkey(tup)]
+		if r.Contains(tup) != live || scanned[tkey(tup)] != live {
+			t.Fatalf("%v: contains=%v scanned=%v, model says %v", tup, r.Contains(tup), scanned[tkey(tup)], live)
+		}
+		if live {
+			byKey[tup[0]]++
+		}
+	}
+	if len(scanned) != len(model) {
+		t.Fatalf("scan yielded %d distinct tuples, model holds %d", len(scanned), len(model))
+	}
+	for key := Value(0); key < distinct+late; key++ {
+		got := 0
+		r.Lookup([]Binding{{Col: 0, Val: key}}, func(tup Tuple) bool {
+			if !model[tkey(tup)] {
+				t.Fatalf("lookup of key %d yielded %v, not in the model", key, tup)
+			}
+			got++
+			return true
+		})
+		if got != byKey[key] {
+			t.Fatalf("lookup of key %d yielded %d tuples, model holds %d", key, got, byKey[key])
+		}
+	}
+}
+
+// TestLookupYieldsInInsertionOrder pins the order Lookup yields a key's
+// tuples in — the order they were inserted — across a posting run that
+// outgrows its capacity, a directory rebuilt after compaction and one
+// built late: callers that stop at the first match (existential atoms)
+// examine a repeatable number of tuples only because of it.
+func TestLookupYieldsInInsertionOrder(t *testing.T) {
+	r := NewRelation(2, nil)
+	lookup := func() (got []Value) {
+		r.Lookup([]Binding{{Col: 0, Val: 1}}, func(tup Tuple) bool { got = append(got, tup[1]); return true })
+		return got
+	}
+	expect := func(when string, want ...Value) {
+		t.Helper()
+		if got := lookup(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: lookup yielded %v, want %v", when, got, want)
+		}
+	}
+	for _, v := range []Value{50, 10, 40} {
+		r.Insert(Tuple{1, v})
+		r.Insert(Tuple{2, v})
+	}
+	expect("directory built from rows", 50, 10, 40)
+	for _, v := range []Value{30, 20, 60} { // appended through the directory: 3 -> 4 -> 8
+		r.Insert(Tuple{1, v})
+	}
+	expect("run grown in place and by copy", 50, 10, 40, 30, 20, 60)
+	r.Retract(Tuple{1, 10})
+	r.Insert(Tuple{1, 10}) // a fresh row: now the newest
+	expect("retracted and re-inserted", 50, 40, 30, 20, 60, 10)
+	for _, v := range []Value{50, 10, 40} { // drops the directories: 4 of 10 rows dead, then 6 of 10
+		r.Retract(Tuple{2, v})
+	}
+	r.Retract(Tuple{1, 30})
+	r.Retract(Tuple{1, 20})
+	if r.shards[0].cols[0].Load() != nil {
+		t.Fatal("test premise: the retractions dropped no directory")
+	}
+	expect("rebuilt after compaction", 50, 40, 60, 10)
+	first := Value(-1)
+	r.Lookup([]Binding{{Col: 0, Val: 1}}, func(tup Tuple) bool { first = tup[1]; return false })
+	if first != 50 {
+		t.Fatalf("first match is %d, want the oldest live tuple's 50", first)
+	}
+}
+
+// TestLookupDuringInsertSameGoroutine is TestScanDuringInsertSameGoroutine
+// for Lookup: a callback that inserts into the relation being probed —
+// under the very key being probed — neither deadlocks nor sees its own
+// inserts, whether they fit the run's spare capacity or replace the run.
+func TestLookupDuringInsertSameGoroutine(t *testing.T) {
+	r := NewRelation(2, nil)
+	for i := 0; i < 3; i++ {
+		r.Insert(Tuple{1, Value(i)})
+	}
+	seen := 0
+	r.Lookup([]Binding{{Col: 0, Val: 1}}, func(tup Tuple) bool {
+		seen++
+		for k := Value(0); k < 4; k++ {
+			r.Insert(Tuple{1, 100 + 10*tup[1] + k})
+		}
+		return true
+	})
+	if seen != 3 {
+		t.Fatalf("lookup saw %d tuples, want the 3-tuple snapshot", seen)
+	}
+	seen = 0
+	r.Lookup([]Binding{{Col: 0, Val: 1}}, func(Tuple) bool { seen++; return true })
+	if seen != 15 || r.Len() != 15 {
+		t.Fatalf("afterwards lookup sees %d tuples and len = %d, want 15", seen, r.Len())
 	}
 }
 
@@ -186,4 +403,78 @@ func TestDatabaseConcurrentEnsureAndSymbols(t *testing.T) {
 	if db.TupleCount() == 0 {
 		t.Fatal("no tuples after concurrent inserts")
 	}
+}
+
+// TestLookupDuringCompaction: a lookup that races tombstone compaction
+// still returns its rows. Ten keys hold three rows each and are never
+// retracted; beside them a writer inserts and retracts forty other tuples
+// per round, and each round's retractions cross the compaction threshold
+// and drop the posting directories. A reader that finds no directory
+// builds one and must then probe what it built, or a later one — not
+// whatever a concurrent drop left behind. (With the shard RWMutex on the
+// read path, a reader dropped the read lock to build, and re-took it to
+// probe a map that a retraction in between had set to nil.)
+func TestLookupDuringCompaction(t *testing.T) {
+	// Every rebuild walks all the rows the shard ever held, so tries at
+	// the window are bought with fresh relations, not with more rounds.
+	for rep := 0; rep < 3 && !t.Failed(); rep++ {
+		lookupDuringCompaction(t)
+	}
+}
+
+func lookupDuringCompaction(t *testing.T) {
+	r := NewRelation(2, nil)
+	const keys, perKey, churn = 10, 3, 40
+	for k := 0; k < keys; k++ {
+		for j := 0; j < perKey; j++ {
+			r.Insert(Tuple{Value(k), Value(100 + j)})
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	// More readers than processors: the window opens for each reader that
+	// found the directory gone, not only for the one that rebuilds it. Each
+	// does a fixed number of lookups at most — readers that block on
+	// nothing would otherwise keep the writer off a small machine's
+	// processors for as long as they liked.
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < g+20000; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k, got := Value(i%keys), 0
+				r.Lookup([]Binding{{Col: 0, Val: k}}, func(tup Tuple) bool {
+					if tup[0] != k {
+						t.Errorf("lookup of key %d yielded %v", k, tup)
+					}
+					got++
+					return true
+				})
+				if got != perKey {
+					t.Errorf("lookup of never-retracted key %d yielded %d rows, want %d", k, got, perKey)
+					return
+				}
+			}
+		}(g)
+	}
+	sh := &r.shards[0]
+	for round := 0; round < 300; round++ {
+		for i := 0; i < churn; i++ {
+			r.Insert(Tuple{Value(1000 + i), Value(round)})
+		}
+		atDrop := sh.deadAtDrop
+		for i := 0; i < churn; i++ {
+			r.Retract(Tuple{Value(1000 + i), Value(round)})
+		}
+		if sh.deadAtDrop == atDrop {
+			t.Fatalf("test premise: round %d dropped no directory", round)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

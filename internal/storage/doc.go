@@ -12,8 +12,10 @@
 // headers anywhere in the store. Inserts append to the current block
 // and dedup through an open-addressing hash table over row ids keyed by
 // a word-at-a-time tuple hash (HashTuple), so neither insertion nor
-// membership builds a string key. Per-column indexes are map[Value] ->
-// []rowID posting lists built lazily on first use. Scan and Lookup
+// membership builds a string key. Per-column indexes are posting
+// directories built lazily on first use: a flat open-addressing table
+// whose slot holds a value, the length of the run of row ids that carry
+// it and the run's address side by side (directory.go). Scan and Lookup
 // yield rows through a reused buffer: the yielded Tuple is valid only
 // for the duration of the callback, and callers that keep tuples copy
 // them (Clone). Tuples, SortedTuples, and DeltaSince return fresh
@@ -21,26 +23,35 @@
 //
 // # Sharding
 //
-// A Relation is hash-partitioned on ShardColumn into N independently
-// locked shards (N is 1 for NewRelation; NewShardedRelation and
-// Database.SetShards choose larger powers of two, defaulting to
-// GOMAXPROCS for databases). Each shard owns its column blocks, dedup
-// table, and lazily built per-column indexes, so concurrent inserts from
-// parallel workers — the Fig. 9 carry-batch workers in particular —
-// serialize only when their tuples hash to the same partition. A Lookup
-// bound on ShardColumn probes exactly one shard; other lookups fan out
-// across all of them.
+// A Relation is hash-partitioned on ShardColumn into N shards (N is 1
+// for NewRelation; NewShardedRelation and Database.SetShards choose
+// larger powers of two, defaulting to GOMAXPROCS for databases). Each
+// shard owns its column blocks, dedup table, and lazily built per-column
+// directories, and has a lock of its own — for its writers: concurrent
+// inserts from parallel workers, the Fig. 9 carry-batch workers in
+// particular, serialize only when their tuples hash to the same
+// partition, and the membership probes (Contains, Offer) share that lock
+// as readers. Scan and Lookup take no lock at all. A Lookup bound on
+// ShardColumn probes exactly one shard; other lookups fan out across all
+// of them.
 //
 // # Concurrency and snapshots
 //
 // SymbolTable, Relation, and Database are safe for any number of
 // concurrent readers with concurrent writers, so one Engine can serve
 // parallel queries over a shared EDB while loaders insert. Iteration
-// (Scan, Lookup, Tuples) works on a snapshot of each shard's row count
-// captured at call time: blocks are append-only and rows are never
-// mutated in place, so the first `rows` rows are immutable and a
-// goroutine may insert into the very relation it is scanning — the
-// fixpoint loops rely on this — without deadlock. Sharded relations do
+// (Scan, Lookup, Tuples) works on a snapshot captured at call time — a
+// shard's published row count, or the published length of a key's run —
+// without locking: blocks are append-only and rows are never mutated in
+// place, so what the snapshot names is immutable, and a goroutine may
+// insert into the very relation it is scanning — the fixpoint loops rely
+// on this — without deadlock. The shard's writer publishes a block before
+// any count or run that names a row in it, and readers load the block
+// list last (see shard in storage.go for the two rules). Lookup counts
+// its work in the Counters the relation reports to, or — LookupTally —
+// in a Tally the calling goroutine owns and adds in when its work is
+// done, so that a probe writes no shared memory at all; Counters are
+// therefore exact between evaluations, not during one. Sharded relations do
 // not preserve global insertion order across shards; use SortedTuples
 // (or SortedColumns, which the WAL snapshot writer consumes directly)
 // for deterministic output. The one operation that breaks the

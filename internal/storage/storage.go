@@ -195,7 +195,9 @@ func (st *SymbolTable) Len() int {
 // All updates are atomic, so Counters may be shared across goroutines.
 // Direct field reads are fine when the database is quiesced (the usual
 // measure-after-evaluating pattern); use Snapshot while writers may
-// still be running.
+// still be running. The probe counts are exact whenever no evaluation is
+// in flight: an evaluator counts its probes in Tallies of its own and
+// adds them in when it ends.
 //
 // Alignment: the fields are operated on with 64-bit atomics, so a
 // Counters must be 64-bit aligned — heap-allocated (any value whose
@@ -249,6 +251,32 @@ func (c *Counters) Add(other Counters) {
 	atomic.AddInt64(&c.Retracts, other.Retracts)
 }
 
+// Tally is a goroutine-owned share of a Counters' probe counts: a reader
+// that probes in a loop hands one to LookupTally, which counts into it
+// with plain adds — no write to memory another goroutine reads — and the
+// owner adds it into the Counters once, when its work ends (Flush). A
+// tally only stands in for the Counters it was made from: a relation that
+// reports to another Counters, or to none, is counted as if no tally had
+// been passed. The zero Tally is not usable; obtain one from
+// Counters.Tally.
+type Tally struct {
+	n    Counters
+	into *Counters
+}
+
+// Tally returns an empty tally of c.
+func (c *Counters) Tally() Tally { return Tally{into: c} }
+
+// Flush adds the tally into its Counters and empties it. The owner must
+// call it on every path out of the work it counted, or the probes are
+// lost to the totals.
+func (t *Tally) Flush() {
+	if t.n != (Counters{}) {
+		t.into.Add(t.n)
+		t.n = Counters{}
+	}
+}
+
 // deltaTailBound caps the per-shard delta tail: the number of recent
 // mutations a shard remembers for DeltaSince. When the tail overflows,
 // the oldest half is evicted and the shard's floor advances — DeltaSince
@@ -287,19 +315,33 @@ const slotDead = -1
 // deadWords is the tombstone-bitset words per block (one bit per row).
 const deadWords = blockRows / 64
 
-// shard is one independently-locked partition of a Relation: a columnar
-// tuple store with an open-addressing dedup table over row ids and
-// lazily built per-column posting-list indexes. Tuple identity is the
-// dense row id; rows are append-only and blocks are never moved, which
-// is what makes lock-free snapshot iteration sound (see view).
-// Retraction never moves rows either: it sets the row's bit in the
-// per-block tombstone bitset (readers check it with atomic loads) and
-// frees the dedup slot.
+// shard is one partition of a Relation: a columnar tuple store with an
+// open-addressing dedup table over row ids and lazily built per-column
+// posting directories. Tuple identity is the dense row id; rows are
+// append-only and blocks are never moved. Retraction never moves rows
+// either: it sets the row's bit in the per-block tombstone bitset
+// (readers check it with atomic loads) and frees the dedup slot.
+//
+// mu serializes the shard's writers, and guards the dedup table and the
+// delta tail for their readers (Contains, Offer, DeltaSince). Scan and
+// Lookup take no lock: they read what the writer has published — the
+// block list, the row count, the directories — and two load orders make
+// what they read resolvable. A writer publishes a block (in the list)
+// before a row count that covers it and before any directory run that
+// names a row in it, and writes a row's values before either; so a reader
+// that loads the row count, or a run, and only then the block list finds
+// the block of every row it was told of, and the values in it.
 type shard struct {
 	mu sync.RWMutex
-	// blocks are the arena slabs (see the block geometry constants).
-	blocks [][]Value
-	rows   int
+	// blocks are the arena slabs (see the block geometry constants) and
+	// rows the number of rows written: the writer's own view, under mu.
+	// published is the same list as of the last block append, and
+	// rowsPublished the row count as of the last commit, for the lock-free
+	// readers.
+	blocks        [][]Value
+	rows          int
+	published     atomic.Pointer[blockList]
+	rowsPublished atomic.Int64
 	// dead[b] is block b's tombstone bitset (deadWords uint64 words,
 	// allocated with the block). Bits are set with atomic stores under
 	// the write lock and read with atomic loads, possibly lock-free off a
@@ -310,6 +352,9 @@ type shard struct {
 	dead       [][]uint64
 	deadCnt    int
 	deadAtDrop int
+	// anyDead is deadCnt > 0, for the lock-free readers: they skip the
+	// per-row tombstone check while it is false.
+	anyDead atomic.Bool
 	// Dedup table: open addressing with linear probing. slots holds
 	// row+1 (0 = empty, slotDead = retracted); hashes holds each occupied
 	// slot's full tuple hash, so growth rehashes from stored hashes
@@ -319,12 +364,13 @@ type shard struct {
 	slots  []int32
 	hashes []uint32
 	used   int
-	// cols[i] maps a value to the row ids holding it in column i (nil
-	// until built). Posting lists may reference tombstoned rows; lookups
+	// cols[i] is column i's published posting directory (nil until built,
+	// and again once dropped). Runs may name tombstoned rows; lookups
 	// filter them lazily, and the whole index set is dropped for a
-	// from-live-rows rebuild when more than half the rows the lists can
-	// name are dead (the tombstone compaction rule).
-	cols []map[Value][]int32
+	// from-live-rows rebuild when more than half the rows the runs can
+	// name are dead (the tombstone compaction rule). A reader that loaded
+	// a directory before it was dropped or outgrown finishes on it.
+	cols []atomic.Pointer[directory]
 	// tail is the bounded recent-mutation log for DeltaSince (tracked
 	// relations only); tailFloor is the lowest epoch the tail still covers
 	// completely.
@@ -332,8 +378,16 @@ type shard struct {
 	tailFloor uint64
 }
 
+// blockList is a shard's published block and tombstone lists. The slices
+// are never written through: a block append publishes a new blockList
+// whose slices are one longer (they may share the backing arrays).
+type blockList struct {
+	blocks [][]Value
+	dead   [][]uint64
+}
+
 // valueAt reads one column of one row. The caller must hold the shard
-// lock or be reading a row captured by a view.
+// lock.
 func (sh *shard) valueAt(row, col int) Value {
 	return sh.blocks[row>>blockShift][col<<blockShift|row&blockMask]
 }
@@ -407,10 +461,10 @@ func (sh *shard) reserveLocked(extra int) {
 	sh.slots, sh.hashes, sh.used = slots, hashes, used
 }
 
-// insertLocked appends t (hash h) as a fresh row and adds it to the
-// built posting lists, returning the row id, or -1 when t is already
+// insertLocked appends t (hash h) as a fresh row and posts it in the
+// built directories, returning the row id, or -1 when t is already
 // present. Caller holds the write lock and has reserved table space
-// (reserveLocked).
+// (reserveLocked); commitShard publishes the row count.
 func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
 	mask := uint32(len(sh.slots) - 1)
 	reuse := -1
@@ -427,6 +481,7 @@ func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
 			if row>>blockShift == len(sh.blocks) { // the row's block is not there yet (after a Reset, block 0 is)
 				sh.blocks = append(sh.blocks, make([]Value, arity<<blockShift))
 				sh.dead = append(sh.dead, make([]uint64, deadWords))
+				sh.publishBlocks()
 			}
 			blk := sh.blocks[row>>blockShift]
 			off := row & blockMask
@@ -442,9 +497,9 @@ func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
 			}
 			sh.slots[slot] = int32(row + 1)
 			sh.hashes[slot] = h
-			for c, idx := range sh.cols {
-				if idx != nil {
-					idx[t[c]] = append(idx[t[c]], int32(row))
+			for c := range sh.cols {
+				if d := sh.cols[c].Load(); d != nil {
+					sh.post(c, d, t[c], int32(row))
 				}
 			}
 			return row
@@ -474,7 +529,9 @@ func (sh *shard) retractLocked(t Tuple, h uint32) int {
 			sh.slots[i] = slotDead
 			w := &sh.dead[row>>blockShift][(row&blockMask)>>6]
 			atomic.StoreUint64(w, atomic.LoadUint64(w)|1<<(uint(row)&63))
-			sh.deadCnt++
+			if sh.deadCnt++; sh.deadCnt == 1 {
+				sh.anyDead.Store(true)
+			}
 			// Tombstone compaction: once more than half the rows the
 			// posting lists can name are dead, drop the lists so the next
 			// lookup rebuilds them from live rows only. Both sides count
@@ -483,7 +540,7 @@ func (sh *shard) retractLocked(t Tuple, h uint32) int {
 			// ever held pays for one rebuild, not one per retraction.
 			if 2*(sh.deadCnt-sh.deadAtDrop) > sh.rows-sh.deadAtDrop {
 				for c := range sh.cols {
-					sh.cols[c] = nil
+					sh.cols[c].Store(nil)
 				}
 				sh.deadAtDrop = sh.deadCnt
 			}
@@ -499,9 +556,9 @@ func (sh *shard) isDeadLocked(row int) bool {
 }
 
 // shardView is a snapshot of a shard's rows, capturable in O(1): the
-// block list and the row count at capture time. Blocks are append-only
-// and rows are fully written before the row count (read under the lock)
-// covers them, so reading rows < v.rows off a view races with nothing —
+// published row count and block list at capture time. Blocks are
+// append-only and rows are fully written before the row count covers
+// them, so reading rows < v.rows off a view races with nothing —
 // concurrent inserts touch only elements the view never reads.
 //
 // dead is the tombstone bitset list, captured only when the shard had
@@ -518,15 +575,34 @@ type shardView struct {
 	rows   int
 }
 
-// view captures a snapshot of the shard.
+// publishBlocks publishes the block and tombstone lists as they are
+// now. Caller holds the write lock.
+func (sh *shard) publishBlocks() {
+	sh.published.Store(&blockList{
+		blocks: sh.blocks[:len(sh.blocks):len(sh.blocks)],
+		dead:   sh.dead[:len(sh.dead):len(sh.dead)],
+	})
+}
+
+// view captures a snapshot of the shard: the row count first, the block
+// list after it (see shard).
 func (sh *shard) view() shardView {
-	sh.mu.RLock()
-	v := shardView{blocks: sh.blocks[:len(sh.blocks):len(sh.blocks)], rows: sh.rows}
-	if sh.deadCnt > 0 {
-		v.dead = sh.dead[:len(sh.dead):len(sh.dead)]
+	v := shardView{rows: int(sh.rowsPublished.Load())}
+	if v.rows > 0 {
+		v.resolve(sh)
 	}
-	sh.mu.RUnlock()
 	return v
+}
+
+// resolve loads the shard's published block list into v, with the
+// tombstone list only when the shard has tombstones. Whoever calls it has
+// already loaded what names the rows it will read.
+func (v *shardView) resolve(sh *shard) {
+	bl := sh.published.Load()
+	v.blocks = bl.blocks
+	if sh.anyDead.Load() {
+		v.dead = bl.dead
+	}
 }
 
 // isDead reports whether row is tombstoned (always false for views
@@ -555,9 +631,10 @@ func (v shardView) read(row int, dst Tuple) {
 const ShardColumn = 0
 
 // Relation is a set of tuples of fixed arity, hash-sharded on ShardColumn
-// into independently-locked partitions. Each shard stores its tuples
+// into partitions whose writers lock independently and whose Scan and
+// Lookup readers do not lock at all. Each shard stores its tuples
 // columnar in arena blocks with an open-addressing dedup table and
-// lazily built per-column posting-list indexes — inserts and membership
+// lazily built per-column posting directories — inserts and membership
 // probes allocate nothing on the steady state. The zero value is not
 // usable; construct with NewRelation (one shard) or NewShardedRelation.
 // Methods are safe for concurrent use; with n shards, n concurrent
@@ -621,7 +698,7 @@ func NewShardedRelation(arity int, stats *Counters, nshards int) *Relation {
 		shards:     make([]shard, n),
 	}
 	for i := range r.shards {
-		r.shards[i].cols = make([]map[Value][]int32, arity)
+		r.shards[i].cols = make([]atomic.Pointer[directory], arity)
 	}
 	return r
 }
@@ -674,11 +751,12 @@ func (r *Relation) Retracts() int64 { return r.retracts.Load() }
 // later reset for clearing a wide table.
 //
 // Reset is for scratch relations a single owner fills, reads and empties
-// in turn (a semi-naive pass's delta relations). The next inserts
-// overwrite rows a Scan or Lookup still in flight would read off its
-// view, so the caller must hold the relation exclusively — every reader
-// and writer finished — and it panics on a tracked relation, whose rows
-// the delta tails reference.
+// in turn (a semi-naive pass's delta relations). It is the one writer
+// that breaks what Scan and Lookup rely on without a lock — the next
+// inserts overwrite rows one still in flight would read — so the caller
+// must hold the relation exclusively, every reader and writer finished,
+// and it panics on a tracked relation, whose rows the delta tails
+// reference.
 func (r *Relation) Reset() {
 	if r.db != nil {
 		panic("storage: Reset of a tracked relation")
@@ -691,14 +769,21 @@ func (r *Relation) Reset() {
 			clear(sh.dead[1:])
 			sh.blocks, sh.dead = sh.blocks[:1], sh.dead[:1]
 			clear(sh.dead[0])
+			if len(sh.published.Load().blocks) > 1 {
+				sh.publishBlocks()
+			}
 		}
 		sh.rows, sh.deadCnt, sh.deadAtDrop = 0, 0, 0
+		sh.rowsPublished.Store(0)
+		sh.anyDead.Store(false)
 		if len(sh.slots) > 2*blockRows {
 			sh.slots, sh.hashes = nil, nil
 		}
 		clear(sh.slots)
 		sh.used = 0
-		clear(sh.cols)
+		for c := range sh.cols {
+			sh.cols[c].Store(nil)
+		}
 		sh.mu.Unlock()
 	}
 	r.count.Store(0)
@@ -877,6 +962,9 @@ func (r *Relation) commitShard(sh *shard, tuples []Tuple, idxs []int32, hashes [
 		}
 		accepted[i] = true
 		n++
+	}
+	if !del && n > 0 {
+		sh.rowsPublished.Store(int64(sh.rows))
 	}
 	if r.db != nil && n > 0 {
 		stamp := r.db.stampRun(&r.lastMod, n)
@@ -1073,21 +1161,12 @@ func (r *Relation) Tuples() []Tuple {
 // returns — copy it to keep it. Tuples are counted as examined only up
 // to the point the caller stops.
 func (r *Relation) Scan(yield func(Tuple) bool) {
-	r.scanBuf(make(Tuple, r.arity), yield)
+	r.LookupTally(nil, make(Tuple, r.arity), nil, yield)
 }
 
-// scanBuf is Scan yielding through the caller's buffer (len >= arity).
-func (r *Relation) scanBuf(buf Tuple, yield func(Tuple) bool) {
-	if r.stats != nil {
-		atomic.AddInt64(&r.stats.FullScans, 1)
-	}
-	scratch := buf[:r.arity]
-	examined := int64(0)
-	defer func() {
-		if r.stats != nil && examined > 0 {
-			atomic.AddInt64(&r.stats.TuplesExamined, examined)
-		}
-	}()
+// scan yields every live row of every shard through scratch until yield
+// stops it, returning the number of tuples it yielded.
+func (r *Relation) scan(scratch Tuple, yield func(Tuple) bool) (examined int64) {
 	for i := range r.shards {
 		v := r.shards[i].view()
 		for row := 0; row < v.rows; row++ {
@@ -1097,27 +1176,11 @@ func (r *Relation) scanBuf(buf Tuple, yield func(Tuple) bool) {
 			v.read(row, scratch)
 			examined++
 			if !yield(scratch) {
-				return
+				return examined
 			}
 		}
 	}
-}
-
-// ensureIndexLocked builds the shard's posting-list index for a column
-// from the live rows (tombstoned rows are left out — the compaction
-// path relies on this). The caller must hold the shard's write lock.
-func (sh *shard) ensureIndexLocked(col int) {
-	if sh.cols[col] == nil {
-		idx := make(map[Value][]int32)
-		for row := 0; row < sh.rows; row++ {
-			if sh.deadCnt > 0 && sh.isDeadLocked(row) {
-				continue
-			}
-			v := sh.valueAt(row, col)
-			idx[v] = append(idx[v], int32(row))
-		}
-		sh.cols[col] = idx
-	}
+	return examined
 }
 
 // Binding is a column/value restriction for Lookup.
@@ -1141,103 +1204,132 @@ type Binding struct {
 // selectivity is compared on actual posting lists rather than guessed.
 //
 // The yielded tuple is a reused scratch buffer, valid only until yield
-// returns — copy it to keep it.
+// returns — copy it to keep it. Tuples matching one binding are yielded
+// in the order they were inserted (per shard), which callers that stop at
+// the first match rely on for repeatable TuplesExamined counts.
 func (r *Relation) Lookup(bindings []Binding, yield func(Tuple) bool) {
-	r.LookupBuf(bindings, make(Tuple, r.arity), yield)
+	r.LookupTally(bindings, make(Tuple, r.arity), nil, yield)
 }
 
 // LookupBuf is Lookup yielding through the caller's buffer (len >=
-// arity) — the zero-allocation probe path for evaluator inner loops that
-// hold one buffer per goroutine.
+// arity): it allocates nothing.
 func (r *Relation) LookupBuf(bindings []Binding, buf Tuple, yield func(Tuple) bool) {
-	if len(bindings) == 0 {
-		r.scanBuf(buf, yield)
-		return
-	}
+	r.LookupTally(bindings, buf, nil, yield)
+}
+
+// LookupTally is LookupBuf counting its work in the caller's tally
+// instead of the shared Counters (see Tally; nil counts in the Counters)
+// — the probe path for evaluator inner loops that hold one buffer and one
+// tally per goroutine. It takes no lock and, given a tally, writes no
+// memory another goroutine reads.
+func (r *Relation) LookupTally(bindings []Binding, buf Tuple, tally *Tally, yield func(Tuple) bool) {
 	scratch := buf[:r.arity]
-	if len(r.shards) > 1 {
-		for _, b := range bindings {
-			if b.Col == ShardColumn {
-				r.shards[r.shardIndex(b.Val)].lookup(bindings, r.stats, scratch, yield)
-				return
+	var probes, scans, examined int64
+	if len(bindings) == 0 {
+		scans, examined = 1, r.scan(scratch, yield)
+	} else {
+		lo, hi := 0, len(r.shards)
+		if hi > 1 {
+			for _, b := range bindings {
+				if b.Col == ShardColumn {
+					lo = r.shardIndex(b.Val)
+					hi = lo + 1
+					break
+				}
 			}
 		}
+		for more := true; more && lo < hi; lo++ {
+			var n int64
+			n, more = r.shards[lo].lookup(bindings, scratch, yield)
+			probes, examined = probes+1, examined+n
+		}
 	}
-	for i := range r.shards {
-		if !r.shards[i].lookup(bindings, r.stats, scratch, yield) {
-			return
+	switch {
+	case r.stats == nil:
+	case tally != nil && tally.into == r.stats:
+		tally.n.IndexLookups += probes
+		tally.n.FullScans += scans
+		tally.n.TuplesExamined += examined
+	default:
+		// A call probes or scans, never both, and a probe that misses
+		// examines nothing: skip the zero adds.
+		if probes > 0 {
+			atomic.AddInt64(&r.stats.IndexLookups, probes)
+		}
+		if scans > 0 {
+			atomic.AddInt64(&r.stats.FullScans, scans)
+		}
+		if examined > 0 {
+			atomic.AddInt64(&r.stats.TuplesExamined, examined)
 		}
 	}
 }
 
-// lookup probes one shard, recording one index probe, and returns false
-// when yield stopped the iteration.
-func (sh *shard) lookup(bindings []Binding, stats *Counters, scratch Tuple, yield func(Tuple) bool) bool {
-	if stats != nil {
-		atomic.AddInt64(&stats.IndexLookups, 1)
-	}
-	sh.mu.RLock()
-	missing := false
-	for _, b := range bindings {
-		if sh.cols[b.Col] == nil {
-			missing = true
-			break
-		}
-	}
-	if missing {
-		sh.mu.RUnlock()
+// index returns column col's directory, building it under the write lock
+// when there is none: never built, or dropped by tombstone compaction.
+// What it returns stays good for the caller's probe even if it is
+// dropped again the next instant (see shard.cols).
+func (sh *shard) index(col int) *directory {
+	d := sh.cols[col].Load()
+	if d == nil {
 		sh.mu.Lock()
-		for _, b := range bindings {
-			sh.ensureIndexLocked(b.Col)
+		if d = sh.cols[col].Load(); d == nil {
+			d = sh.buildDirectory(col)
+			sh.cols[col].Store(d)
 		}
 		sh.mu.Unlock()
-		sh.mu.RLock()
 	}
-	// Probe the most selective bound column: shortest posting list wins.
+	return d
+}
+
+// lookup probes one shard (len(bindings) > 0), returning the number of
+// tuples it examined and false when yield stopped the iteration. It takes
+// no lock unless it has to build a directory.
+func (sh *shard) lookup(bindings []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64, more bool) {
+	// Probe the most selective bound column: the shortest run wins.
+	var rows []int32
 	probe := 0
-	rows := sh.cols[bindings[0].Col][bindings[0].Val]
-	for i, b := range bindings[1:] {
-		if cand := sh.cols[b.Col][b.Val]; len(cand) < len(rows) {
-			probe, rows = i+1, cand
+	for i, b := range bindings {
+		if cand := sh.index(b.Col).find(b.Val); i == 0 || len(cand) < len(rows) {
+			probe, rows = i, cand
 		}
 	}
-	// Posting entries reference rows fully written before the list grew
-	// (both under the write lock), so reading the blocks after release is
-	// race-free — see shardView. Lists may still name rows tombstoned
-	// since they were built; the dead-bit check filters them lazily.
-	v := shardView{blocks: sh.blocks[:len(sh.blocks):len(sh.blocks)], rows: sh.rows}
-	if sh.deadCnt > 0 {
-		v.dead = sh.dead[:len(sh.dead):len(sh.dead)]
+	if len(rows) == 0 {
+		return 0, true
 	}
-	sh.mu.RUnlock()
-
-	examined := int64(0)
+	// The block list is loaded after the run (see shard). Runs may name
+	// rows tombstoned since they were posted; the dead-bit check filters
+	// them lazily.
+	var v shardView
+	v.resolve(sh)
+	// The probed column's value is known: only the others are read from
+	// the block — one cache line less per row — and it is filled in per
+	// row, because yield may reuse the buffer for a nested probe.
+	pcol, pval := bindings[probe].Col, bindings[probe].Val
 outer:
 	for _, row := range rows {
 		if v.isDead(int(row)) {
 			continue
 		}
-		v.read(int(row), scratch)
+		blk := v.blocks[row>>blockShift]
+		off := int(row) & blockMask
+		for c := range scratch {
+			if c != pcol {
+				scratch[c] = blk[c<<blockShift|off]
+			}
+		}
+		scratch[pcol] = pval
 		examined++
 		for i, b := range bindings {
-			if i == probe {
-				continue
-			}
-			if scratch[b.Col] != b.Val {
+			if i != probe && scratch[b.Col] != b.Val {
 				continue outer
 			}
 		}
 		if !yield(scratch) {
-			if stats != nil && examined > 0 {
-				atomic.AddInt64(&stats.TuplesExamined, examined)
-			}
-			return false
+			return examined, false
 		}
 	}
-	if stats != nil && examined > 0 {
-		atomic.AddInt64(&stats.TuplesExamined, examined)
-	}
-	return true
+	return examined, true
 }
 
 // Equal reports whether two relations hold the same tuple sets.

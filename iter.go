@@ -211,9 +211,10 @@ func (rs *Rows) Stats() EvalStats {
 
 // Counters returns the database instrumentation delta attributable to
 // this evaluation (tuples examined, index lookups, full scans, inserts),
-// waiting for a streaming evaluation to finish. With concurrent queries
-// in flight the delta includes their overlapping work; it is exact when
-// queries run one at a time.
+// waiting for a streaming evaluation to finish. It is a window over the
+// engine's totals, which every evaluation adds its probes to when it
+// ends: exact when queries run one at a time, while a query that
+// overlaps others sees the probes of those that ended inside its window.
 func (rs *Rows) Counters() Counters {
 	rs.Wait()
 	return rs.counters
