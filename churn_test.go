@@ -93,10 +93,11 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 			live := snapshotLive(eng.DB())
 			rng := rand.New(rand.NewSource(int64(len(exm.name)) * 104729))
 
-			// A twin engine replays the same churn through the batched
-			// write path (InsertFacts/RetractFacts). At every flush the
-			// two engines must agree on admission counts and epoch, and
-			// dump byte-identically: batching may only amortize, never
+			// A twin engine replays the same churn through the request
+			// write path: each run of inserts goes into one Apply together
+			// with the run of retractions that follows it. At every flush
+			// the two engines must agree on admission counts and epoch, and
+			// dump byte-identically: a request may only amortize, never
 			// change semantics.
 			twin := exm.open(t)
 			type op struct {
@@ -109,28 +110,19 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 				t.Helper()
 				gotAdded, gotRemoved := 0, 0
 				for i := 0; i < len(pending); {
-					j := i
-					for j < len(pending) && pending[j].retract == pending[i].retract {
-						j++
+					var w Write
+					for ; i < len(pending) && !pending[i].retract; i++ {
+						w.Insert = append(w.Insert, pending[i].f)
 					}
-					batch := make([]Fact, 0, j-i)
-					for _, o := range pending[i:j] {
-						batch = append(batch, o.f)
+					for ; i < len(pending) && pending[i].retract; i++ {
+						w.Retract = append(w.Retract, pending[i].f)
 					}
-					if pending[i].retract {
-						n, err := twin.RetractFacts(batch)
-						if err != nil {
-							t.Fatalf("step %d: RetractFacts: %v", step, err)
-						}
-						gotRemoved += n
-					} else {
-						n, err := twin.InsertFacts(batch)
-						if err != nil {
-							t.Fatalf("step %d: InsertFacts: %v", step, err)
-						}
-						gotAdded += n
+					a, err := twin.Apply(w)
+					if err != nil {
+						t.Fatalf("step %d: Apply: %v", step, err)
 					}
-					i = j
+					gotAdded += a.Added
+					gotRemoved += a.Removed
 				}
 				pending = pending[:0]
 				if gotAdded != wantAdded || gotRemoved != wantRemoved {

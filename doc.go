@@ -91,6 +91,15 @@
 // WithSyncPolicy selects the fsync cadence (SyncBatch, SyncAlways,
 // SyncOS).
 //
+// A write request is one commit: Engine.Apply takes a request's inserts
+// and retractions (InsertFacts, RetractFacts, AddFact and Retract are
+// its one-sided cases) and journals everything they changed as one
+// group — under SyncAlways one fsync, after which Apply returns and
+// subscribers are woken, once. What Apply returned without error is
+// durable; a crash before that may keep a prefix of the request; and
+// once the log has failed, writes report ErrDurability instead of
+// success.
+//
 // The lower-level analysis surface (Classify, Decide, CompileSelection,
 // A/V graphs, expansions, proofs) remains available for working with the
 // paper's constructions directly.

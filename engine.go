@@ -48,8 +48,8 @@ type Engine struct {
 	// (AttachPersistence) while queries and stats readers are active.
 	log atomic.Pointer[wal.Log]
 
-	// readOnly, when set, makes the write entry points (InsertFacts,
-	// RetractFacts and everything built on them) fail with ErrReadOnly.
+	// readOnly, when set, makes the write entry points (Apply and
+	// everything built on it) fail with ErrReadOnly.
 	// Replication appliers bypass it by writing through the database
 	// directly; serving layers map it to a redirect at the primary.
 	readOnly atomic.Bool
@@ -249,9 +249,11 @@ func (e *Engine) Load(src string) ([]Atom, error) {
 // idempotent: rules textually identical to ones already loaded are
 // skipped (so re-loading a source file over a persistent engine — the
 // CLI restart pattern — does not duplicate the program), and fact
-// inserts dedup in storage. With persistence, newly added rules are
-// journaled. The engine's program is copy-on-write: in-flight queries
-// keep evaluating their consistent snapshot.
+// inserts dedup in storage. With persistence, the rules a load added are
+// journaled as one group (one fsync under SyncAlways, however many), and
+// a log that has failed is reported as ErrDurability. The engine's
+// program is copy-on-write: in-flight queries keep evaluating their
+// consistent snapshot.
 func (e *Engine) LoadProgram(p *Program) error {
 	facts, rules := SplitFacts(p)
 	var err error
@@ -289,17 +291,19 @@ func (e *Engine) LoadProgram(p *Program) error {
 	}
 	log := e.log.Load()
 	e.mu.Unlock()
-	if log != nil {
-		for _, r := range added {
-			log.AppendRule(parser.RenderRule(r))
-		}
-	}
 	if len(added) > 0 {
+		if log != nil {
+			srcs := make([]string, len(added))
+			for i, r := range added {
+				srcs[i] = parser.RenderRule(r)
+			}
+			log.AppendRules(srcs...)
+		}
 		// No fact moved, so no commit wakes the standing queries: their
 		// answers under the new rules are due all the same.
 		e.db.NotifyWatchers()
 	}
-	return err
+	return e.durable(err)
 }
 
 // Program returns a snapshot of the engine's current rule set.

@@ -78,11 +78,85 @@ func BenchmarkIngestBatched(b *testing.B) {
 	})
 }
 
-// BenchmarkIngestSyncAlways measures durable per-fact ingest under the
-// strictest sync policy. writers=1 is the per-record-fsync baseline;
-// writers=16 lets group commit absorb concurrent appends into shared
-// fsyncs — the fsyncs/op metric is the amortization actually achieved.
+// BenchmarkIngestSyncAlways measures durable ingest under the strictest
+// sync policy. writers=1 is the per-record-fsync baseline; writers=16
+// lets group commit absorb concurrent appends into shared fsyncs — the
+// fsyncs/op metric is the amortization actually achieved. The request=
+// cases are one churn-shaped write per op (24 inserts and 8 retractions
+// over three predicates, the bench harness's churn_durable cycle) from
+// one writer: as one Apply, one fsync; split into InsertFacts then
+// RetractFacts, two.
 func BenchmarkIngestSyncAlways(b *testing.B) {
+	for _, split := range []bool{false, true} {
+		name := "request=apply"
+		if split {
+			name = "request=split"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, err := Open(WithPersistence(b.TempDir()), WithSyncPolicy(SyncAlways))
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			// Write i inserts 16 b, 6 p and 2 a facts and retracts 6 of the b
+			// and 2 of the p facts write i-1 inserted. Built, and its
+			// constants interned, off the clock; write -1 seeds the first
+			// retractions.
+			fact := func(pred string, i, j int) Fact {
+				return Fact{Pred: pred, Args: []string{"n" + strconv.Itoa(j), pred + strconv.Itoa(i) + "_" + strconv.Itoa(j)}}
+			}
+			writes := make([]Write, b.N+1)
+			for i := range writes {
+				w := &writes[i]
+				for j := 0; j < 16; j++ {
+					w.Insert = append(w.Insert, fact("b", i, j))
+					if j < 6 {
+						w.Insert = append(w.Insert, fact("p", i, j))
+					}
+					if j < 2 {
+						w.Insert = append(w.Insert, fact("a", i, j))
+					}
+				}
+				for _, f := range w.Insert {
+					for _, c := range f.Args {
+						eng.DB().Syms.Intern(c)
+					}
+				}
+				if i > 0 {
+					for j := 0; j < 6; j++ {
+						w.Retract = append(w.Retract, fact("b", i-1, j))
+						if j < 2 {
+							w.Retract = append(w.Retract, fact("p", i-1, j))
+						}
+					}
+				}
+			}
+			if _, err := eng.Apply(writes[0]); err != nil {
+				b.Fatal(err)
+			}
+			start := eng.Log().CommitStats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, w := range writes[1:] {
+				var a Applied
+				var err error
+				if split {
+					if a.Added, err = eng.InsertFacts(w.Insert); err == nil {
+						a.Removed, err = eng.RetractFacts(w.Retract)
+					}
+				} else {
+					a, err = eng.Apply(w)
+				}
+				if err != nil || a != (Applied{Added: 24, Removed: 8}) {
+					b.Fatalf("applied %+v: %v", a, err)
+				}
+			}
+			b.StopTimer()
+			cs := eng.Log().CommitStats()
+			b.ReportMetric(float64(cs.Fsyncs-start.Fsyncs)/float64(b.N), "fsyncs/op")
+			b.ReportMetric(float64(cs.Records-start.Records)/float64(cs.Fsyncs-start.Fsyncs), "records/fsync")
+		})
+	}
 	for _, writers := range []int{1, 16} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
 			eng, err := Open(WithPersistence(b.TempDir()), WithSyncPolicy(SyncAlways))

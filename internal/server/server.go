@@ -209,10 +209,13 @@ func (s *Server) release() { <-s.sem }
 // statusFor maps an evaluation error to its HTTP status: gas and fact
 // quota aborts are 429 (the tenant asked for too much), deadlines are
 // 504 (the evaluation ran out of time), a client disconnect is the
-// conventional 499, and everything else — parse errors, unplannable
-// queries — is a 400.
+// conventional 499, a failed write-ahead log is 503 (the write is in
+// memory but was not made durable: never a 200), and everything else —
+// parse errors, unplannable queries — is a 400.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, onesided.ErrDurability):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, onesided.ErrGasExhausted),
 		errors.Is(err, onesided.ErrFactLimitExceeded),
 		errors.Is(err, onesided.ErrSubscriptionLimit):
@@ -557,13 +560,16 @@ func (s *Server) rejectReadOnly(w http.ResponseWriter) {
 }
 
 // rejectWrite answers a write the engine refused: the redirect when it
-// went read-only between the gate and the write (a demotion race), 429
+// went read-only between the gate and the write (a demotion race), 503
+// with the log's error when the write could not be made durable, 429
 // for the fact quota, 400 for anything else (an arity mismatch).
 func (s *Server) rejectWrite(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, onesided.ErrReadOnly):
 		s.rejectReadOnly(w)
 		return
+	case errors.Is(err, onesided.ErrDurability):
+		// The server's fault, not the request's: no client-error counter.
 	case errors.Is(err, onesided.ErrFactLimitExceeded):
 		s.factRejects.Add(1)
 	default:
@@ -572,6 +578,13 @@ func (s *Server) rejectWrite(w http.ResponseWriter, err error) {
 	writeError(w, statusFor(err), err)
 }
 
+// handleFacts serves a write request as one commit: the body's inserts
+// and retractions go to the engine in a single Apply — one journal
+// group, one fsync under SyncAlways, one subscription tick — and the 200
+// is written only after it returns, so an acknowledged body is durable.
+// Only a body that straddles a tenant or engine fact-quota boundary
+// commits more than once; rules load after the facts, journaled as one
+// group of their own.
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	if s.eng.ReadOnly() {
 		s.rejectReadOnly(w)
@@ -585,9 +598,9 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	name, ts := s.tenant(r)
 	ts.requests.Add(1)
 	var resp factsResponse
-	// A fact with an empty predicate splits its run — the valid prefix is
+	// A fact with an empty predicate splits its side — the valid prefix is
 	// applied, as a per-fact loop would have, then the 400 reports the
-	// bad fact.
+	// bad fact (and a bad insert leaves the retractions unattempted).
 	validPrefix := func(facts []fact) ([]onesided.Fact, bool) {
 		out := make([]onesided.Fact, 0, len(facts))
 		for _, f := range facts {
@@ -598,36 +611,22 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		}
 		return out, true
 	}
-	batch, ok := validPrefix(req.Facts)
-	if !s.insertFacts(w, name, ts, batch, &resp) {
+	inserts, insertsOK := validPrefix(req.Facts)
+	var retracts []onesided.Fact
+	retractsOK := true
+	if insertsOK {
+		retracts, retractsOK = validPrefix(req.Retracts)
+	}
+	if !s.applyWrite(w, name, ts, inserts, retracts, &resp) {
 		return
 	}
-	if !ok {
+	if !insertsOK || !retractsOK {
 		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, errors.New("server: fact with empty predicate"))
-		return
-	}
-	batch, ok = validPrefix(req.Retracts)
-	if len(batch) > 0 {
-		removed, err := s.eng.RetractFacts(batch)
-		if removed > 0 {
-			// Retractions free the tenant's fact-quota slots the inserts
-			// consumed; the floor keeps cross-tenant retractions from
-			// going negative.
-			if ts.facts.Add(-int64(removed)) < 0 {
-				ts.facts.Store(0)
-			}
-			resp.Retracted += removed
+		kind := "fact"
+		if insertsOK {
+			kind = "retract"
 		}
-		if err != nil {
-			s.rejectWrite(w, err)
-			return
-		}
-		resp.Missing += len(batch) - removed
-	}
-	if !ok {
-		s.badRequests.Add(1)
-		writeError(w, http.StatusBadRequest, errors.New("server: retract with empty predicate"))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: %s with empty predicate", kind))
 		return
 	}
 	if len(req.Rules) > 0 {
@@ -640,7 +639,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		// Ground facts spelled as rules are facts: they pass the same
 		// tenant admission before the rules proper are loaded.
 		ground, rules := onesided.SplitFacts(prog)
-		if !s.insertFacts(w, name, ts, ground, &resp) {
+		if !s.applyWrite(w, name, ts, ground, nil, &resp) {
 			return
 		}
 		if err := s.eng.LoadProgram(rules); err != nil {
@@ -654,18 +653,20 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// insertFacts admits batch for the tenant and inserts it through the
-// engine's batched write path, tallying resp. Per-tenant admission comes
-// first (the tenant's own accepted inserts bound each chunk), then the
-// engine's global MaxFacts inside InsertFacts; duplicates insert as
-// no-ops and do not consume quota, so the loop re-checks after each
-// chunk. It reports false — having written the error response — when
-// the batch was refused part-way; the prefix that fit stays in.
-func (s *Server) insertFacts(w http.ResponseWriter, name string, ts *tenantState, batch []onesided.Fact, resp *factsResponse) bool {
+// applyWrite admits the inserts for the tenant and applies them, with
+// the retractions, through the engine's write path, tallying resp.
+// Per-tenant admission comes first (the tenant's own accepted inserts
+// bound each chunk), then the engine's global MaxFacts inside Apply;
+// duplicates insert as no-ops and do not consume quota, so the loop
+// re-checks after each chunk. The retractions ride with the chunk that
+// completes the inserts, so a body inside its quota is one Apply. It
+// reports false — having written the error response — when the write was
+// refused part-way; what was applied before that stays in.
+func (s *Server) applyWrite(w http.ResponseWriter, name string, ts *tenantState, inserts, retracts []onesided.Fact, resp *factsResponse) bool {
 	quota := s.quotaFor(name)
-	for len(batch) > 0 {
-		chunk := batch
-		if quota.MaxFacts > 0 {
+	for len(inserts)+len(retracts) > 0 {
+		write := onesided.Write{Insert: inserts}
+		if quota.MaxFacts > 0 && len(inserts) > 0 {
 			remaining := quota.MaxFacts - ts.facts.Load()
 			if remaining <= 0 {
 				s.factRejects.Add(1)
@@ -674,20 +675,30 @@ func (s *Server) insertFacts(w http.ResponseWriter, name string, ts *tenantState
 						onesided.ErrFactLimitExceeded, name, ts.facts.Load(), quota.MaxFacts))
 				return false
 			}
-			if int64(len(chunk)) > remaining {
-				chunk = batch[:remaining]
+			if int64(len(inserts)) > remaining {
+				write.Insert = inserts[:remaining]
 			}
 		}
-		added, err := s.eng.InsertFacts(chunk)
-		ts.facts.Add(int64(added))
-		s.factsAdded.Add(int64(added))
-		resp.Added += added
+		inserts = inserts[len(write.Insert):]
+		if len(inserts) == 0 {
+			write.Retract, retracts = retracts, nil
+		}
+		applied, err := s.eng.Apply(write)
+		s.factsAdded.Add(int64(applied.Added))
+		resp.Added += applied.Added
+		resp.Retracted += applied.Removed
+		// Retractions free the tenant's fact-quota slots the inserts
+		// consumed; the floor keeps cross-tenant retractions from going
+		// negative.
+		if ts.facts.Add(int64(applied.Added-applied.Removed)) < 0 {
+			ts.facts.Store(0)
+		}
 		if err != nil {
 			s.rejectWrite(w, err)
 			return false
 		}
-		resp.Duplicates += len(chunk) - added
-		batch = batch[len(chunk):]
+		resp.Duplicates += len(write.Insert) - applied.Added
+		resp.Missing += len(write.Retract) - applied.Removed
 	}
 	return true
 }

@@ -359,3 +359,128 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("engine stats missing: %+v", resp)
 	}
 }
+
+// newDurableServer wraps a fresh SyncAlways engine persisted under dir.
+func newDurableServer(t *testing.T, dir string) *Server {
+	t.Helper()
+	eng, err := onesided.Open(onesided.WithPersistence(dir), onesided.WithSyncPolicy(onesided.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	srv, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// TestFactsOneRequestOneFsync: a /v1/facts body is one commit. However
+// many predicates its inserts and retractions touch, it is journaled as
+// one group under one fsync covering exactly its accepted mutations; a
+// body that changes nothing touches the log not at all; and the rules of
+// a body are one group too, not one per rule. What the bodies
+// acknowledged is what a reopened engine recovers.
+func TestFactsOneRequestOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	srv := newDurableServer(t, dir)
+	f := func(pred, x, y string) fact { return fact{Pred: pred, Args: []string{x, y}} }
+	// group is the number of fact, retract and rule records the body should
+	// journal, syms the symbol records that precede them.
+	post := func(req factsRequest, want factsResponse, fsyncs, group, syms uint64) {
+		t.Helper()
+		before := srv.eng.Log().CommitStats()
+		w := do(t, srv, "POST", "/v1/facts", "", req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", w.Code, w.Body)
+		}
+		var resp factsResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp != want {
+			t.Fatalf("resp = %+v, want %+v", resp, want)
+		}
+		after := srv.eng.Log().CommitStats()
+		if got := after.Fsyncs - before.Fsyncs; got != fsyncs {
+			t.Fatalf("request cost %d fsyncs, want %d (stats %+v -> %+v)", got, fsyncs, before, after)
+		}
+		if got := after.Groups - before.Groups; got != fsyncs {
+			t.Fatalf("request drove %d commit groups, want %d", got, fsyncs)
+		}
+		if got := after.Records - before.Records; got != group+syms {
+			t.Fatalf("request journaled %d records, want %d", got, group+syms)
+		}
+		if got := after.GroupRecords - before.GroupRecords; got != group {
+			t.Fatalf("the request's group covered %d records, want all %d", got, group)
+		}
+	}
+	// The seed interns every constant used below, so the later bodies
+	// journal fact, retract and rule records only.
+	post(factsRequest{Facts: []fact{
+		f("a", "n0", "n1"), f("a", "n1", "n2"), f("b", "n0", "n3"), f("b", "n1", "n3"), f("p", "n2", "n3"), f("p", "n3", "n0"),
+	}}, factsResponse{Added: 6}, 1, 6, 4)
+	// Inserts over three predicates, retractions over two.
+	post(factsRequest{
+		Facts: []fact{
+			f("a", "n2", "n3"), f("b", "n2", "n3"), f("a", "n0", "n1") /* duplicate */, f("p", "n0", "n1"), f("a", "n3", "n0"),
+		},
+		Retracts: []fact{
+			f("b", "n0", "n3"), f("a", "n1", "n2"), f("b", "n3", "n3") /* missing */, f("nowhere", "n0", "n1"), /* missing */
+		},
+	}, factsResponse{Added: 4, Duplicates: 1, Retracted: 2, Missing: 2}, 1, 6, 0)
+	// Nothing accepted, nothing journaled.
+	post(factsRequest{
+		Facts:    []fact{f("a", "n0", "n1"), f("p", "n0", "n1")},
+		Retracts: []fact{f("b", "n0", "n3"), f("a", "n1", "n2")},
+	}, factsResponse{Duplicates: 2, Missing: 2}, 0, 0, 0)
+	// Four rules are one group.
+	post(factsRequest{Rules: []string{
+		"t(X, Y) :- a(X, Z), t(Z, Y).", "t(X, Y) :- b(X, Y).", "sg(X, Y) :- p(X, W), p(Y, Z), sg(W, Z).", "sg(X, Y) :- sg0(X, Y).",
+	}}, factsResponse{Rules: 4}, 1, 4, 0)
+
+	want := srv.eng.DB().Dump()
+	if err := srv.eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := onesided.Open(onesided.WithPersistence(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.DB().Dump(); got != want {
+		t.Fatalf("recovered database differs:\n got: %q\nwant: %q", got, want)
+	}
+	if got := len(re.Program().Rules); got != 4 {
+		t.Fatalf("recovered %d rules, want 4", got)
+	}
+}
+
+// TestFactsDurabilityFailure503: once the write-ahead log has failed, a
+// write that could not be made durable is answered 503 with the log's
+// error — never 200.
+func TestFactsDurabilityFailure503(t *testing.T) {
+	srv := newDurableServer(t, t.TempDir())
+	req := func(x string) factsRequest {
+		return factsRequest{Facts: []fact{{Pred: "a", Args: []string{x, "y"}}}}
+	}
+	if w := do(t, srv, "POST", "/v1/facts", "", req("x0")); w.Code != http.StatusOK {
+		t.Fatalf("healthy log: status = %d, body %s", w.Code, w.Body)
+	}
+	if err := srv.eng.Log().Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]factsRequest{
+		"facts": req("x1"),
+		"rules": {Rules: []string{"r(X, Y) :- a(X, Y)."}},
+	} {
+		w := do(t, srv, "POST", "/v1/facts", "", body)
+		var e errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: error body = %s", name, w.Body)
+		}
+		if w.Code != http.StatusServiceUnavailable || !strings.Contains(e.Error, "log closed") {
+			t.Fatalf("%s over a closed log: status = %d, body %s; want 503 naming the log's error", name, w.Code, w.Body)
+		}
+	}
+}

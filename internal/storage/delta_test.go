@@ -2,8 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // tupleSet renders tuples as a set of keys for comparison.
@@ -287,8 +289,9 @@ func TestDeltaStampProtocolConcurrentWriters(t *testing.T) {
 // database that interned in another order), the way the write-ahead log
 // frames one record per accepted tuple.
 type runLog struct {
-	syms *SymbolTable
-	recs []logRec
+	syms  *SymbolTable
+	recs  []logRec
+	calls int // JournalRuns calls: one per commit that accepted anything
 }
 
 type logRec struct {
@@ -299,17 +302,16 @@ type logRec struct {
 
 func (l *runLog) JournalSym(string) {}
 
-func (l *runLog) JournalFactBatch(pred string, ts []Tuple) { l.record(false, pred, ts) }
-
-func (l *runLog) JournalRetractBatch(pred string, ts []Tuple) { l.record(true, pred, ts) }
-
-func (l *runLog) record(del bool, pred string, ts []Tuple) {
-	for _, t := range ts {
-		consts := make([]string, len(t))
-		for i, v := range t {
-			consts[i] = l.syms.Name(v)
+func (l *runLog) JournalRuns(runs []JournalRun) {
+	l.calls++
+	for _, run := range runs {
+		for _, t := range run.Tuples {
+			consts := make([]string, len(t))
+			for i, v := range t {
+				consts[i] = l.syms.Name(v)
+			}
+			l.recs = append(l.recs, logRec{run.Del, run.Pred, consts})
 		}
-		l.recs = append(l.recs, logRec{del, pred, consts})
 	}
 }
 
@@ -415,4 +417,131 @@ func TestReplayEpochEquivalence(t *testing.T) {
 		t.Fatal("all-duplicate and all-missing runs must accept nothing")
 	}
 	boundary("no-op runs", 0)
+}
+
+// TestCommitIsOnePublication: a multi-run Commit applies its runs in
+// order, ticks the epoch once per accepted mutation exactly as the same
+// tuples committed one at a time would, and publishes once — one journal
+// call carrying every run's accepted tuples in order, one watcher signal
+// — while a commit that accepts nothing publishes nothing. Retraction
+// runs wait for a maintenance pass's hold; insert-only commits do not.
+func TestCommitIsOnePublication(t *testing.T) {
+	a, b := NewDatabase(), NewDatabase()
+	log := &runLog{syms: a.Syms}
+	a.SetJournal(log)
+	tup := func(names ...string) Tuple {
+		t := make(Tuple, len(names))
+		for i, n := range names {
+			t[i] = a.Syms.Intern(n)
+		}
+		return t
+	}
+	edge, label := a.Ensure("edge", 2), a.Ensure("label", 1)
+	edge.InsertBatch([]Tuple{tup("n0", "n1"), tup("n1", "n2")})
+	label.Insert(tup("n0"))
+	log.recs, log.calls = nil, 0
+	before := a.Epoch()
+	watch, cancel := a.Watch()
+	defer cancel()
+
+	added, removed := a.Commit(
+		Run{Rel: edge, Tuples: []Tuple{tup("n2", "n3"), tup("n0", "n1") /* present */, tup("n3", "n4"), tup("n2", "n3") /* repeated */}},
+		Run{Rel: label, Tuples: []Tuple{tup("n2")}},
+		Run{Rel: a.Ensure("fresh", 0)}, // an empty run
+		Run{Rel: edge, Del: true, Tuples: []Tuple{tup("n1", "n2"), tup("n9", "n9") /* missing */, tup("n2", "n3") /* inserted above */}},
+		Run{Rel: label, Del: true, Tuples: []Tuple{tup("n0")}},
+	)
+	if added != 3 || removed != 3 {
+		t.Fatalf("Commit accepted %d inserts and %d retractions, want 3 and 3", added, removed)
+	}
+	if got := a.Epoch() - before; got != 6 {
+		t.Fatalf("the commit moved the epoch by %d, want one tick per accepted mutation (6)", got)
+	}
+	if log.calls != 1 {
+		t.Fatalf("the commit made %d journal calls, want 1", log.calls)
+	}
+	var got []string
+	for _, r := range log.recs {
+		sign := "+"
+		if r.del {
+			sign = "-"
+		}
+		got = append(got, sign+r.pred+"("+strings.Join(r.consts, ",")+")")
+	}
+	if want := "+edge(n2,n3) +edge(n3,n4) +label(n2) -edge(n1,n2) -edge(n2,n3) -label(n0)"; strings.Join(got, " ") != want {
+		t.Fatalf("journaled %v, want %s", got, want)
+	}
+	select {
+	case <-watch:
+	default:
+		t.Fatal("the commit signalled no watcher")
+	}
+	select {
+	case <-watch:
+		t.Fatal("the commit signalled its watcher twice")
+	default:
+	}
+	// Replayed record by record, the journal lands a replica on the same
+	// state and epoch.
+	for _, r := range []logRec{{false, "edge", []string{"n0", "n1"}}, {false, "edge", []string{"n1", "n2"}}, {false, "label", []string{"n0"}}} {
+		b.AddFact(r.pred, r.consts...)
+	}
+	for _, r := range log.recs {
+		if r.del {
+			b.RemoveFact(r.pred, r.consts...)
+		} else {
+			b.AddFact(r.pred, r.consts...)
+		}
+	}
+	b.Ensure("fresh", 0)
+	if a.Dump() != b.Dump() || a.Epoch() != b.Epoch() {
+		t.Fatalf("replica at epoch %d, primary at %d\nreplica:\n%s\nprimary:\n%s", b.Epoch(), a.Epoch(), b.Dump(), a.Dump())
+	}
+
+	// Accepting nothing publishes nothing.
+	if added, removed := a.Commit(
+		Run{Rel: edge, Tuples: []Tuple{tup("n0", "n1")}},
+		Run{Rel: label, Del: true, Tuples: []Tuple{tup("n0")}},
+	); added != 0 || removed != 0 || log.calls != 1 {
+		t.Fatalf("a no-op commit accepted %d/%d and the journal saw %d calls, want 0/0 and still 1", added, removed, log.calls)
+	}
+	select {
+	case <-watch:
+		t.Fatal("a no-op commit signalled the watcher")
+	default:
+	}
+
+	// The retraction gate: held by a pass, it stops a commit with a
+	// retraction run — before any of its runs' retractions land — and
+	// lets an insert-only commit through.
+	release := a.HoldRetractions()
+	if added, _ := a.Commit(Run{Rel: label, Tuples: []Tuple{tup("n5")}}); added != 1 {
+		t.Fatal("an insert-only commit was not accepted under a retraction hold")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		a.Commit(Run{Rel: label, Del: true, Tuples: []Tuple{tup("n5")}}, Run{Rel: edge, Del: true, Tuples: []Tuple{tup("n0", "n1")}})
+	}()
+	select {
+	case <-done:
+		t.Fatal("a commit with retraction runs finished under a retraction hold")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if !label.Contains(tup("n5")) || !edge.Contains(tup("n0", "n1")) {
+		t.Fatal("a retraction landed under a retraction hold")
+	}
+	release()
+	<-done
+	if label.Contains(tup("n5")) || edge.Contains(tup("n0", "n1")) {
+		t.Fatal("the held commit's retractions did not land after release")
+	}
+
+	// A run must name a relation of the database it is committed to.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("committing another database's relation did not panic")
+		}
+	}()
+	a.Commit(Run{Rel: b.Ensure("edge", 2), Tuples: []Tuple{tup("n0", "n1")}})
 }

@@ -62,11 +62,23 @@
 //
 // # The write path, epochs and delta tracking
 //
-// Every mutation of a relation is a signed run of tuples committed by
-// one routine (Relation.commit): Insert and Retract are runs of one,
-// InsertBatch and RetractBatch longer ones, and nothing else claims or
-// tombstones rows, advances the bookkeeping, or calls the Journal and
-// the watchers. A primary Database (NewDatabase) carries a monotone
+// Every mutation of a relation is a signed run of tuples, every commit
+// one or more runs, and one routine commits them (commitRuns): Insert
+// and Retract are commits of a run of one, InsertBatch and RetractBatch
+// of a longer one, Database.Commit of the runs of a whole write request
+// — inserts and retractions over any number of relations — and nothing
+// else claims or tombstones rows, advances the bookkeeping, or calls the
+// Journal and the watchers. A commit applies its runs in order and then
+// publishes once: one Journal call covering the accepted tuples of all
+// runs, which returns only after the journal's policy sync (one fsync in
+// the write-ahead log's strictest mode), and then one watcher
+// notification — so a watcher never hears of a write that is not yet
+// durable, and a write request is one tick however many predicates it
+// touched. A commit is not atomic: readers may see its earlier runs
+// before its later ones, and a crash before the Journal call returns may
+// keep any record-order prefix of it. Retraction runs wait for in-flight
+// maintenance passes (Database.HoldRetractions) at a gate the commit
+// takes once. A primary Database (NewDatabase) carries a monotone
 // epoch counter that ticks once per accepted mutation — insert or
 // retraction, single or inside a run — so the epoch equals the number of
 // journaled records and a log replayed record by record reproduces it.

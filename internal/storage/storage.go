@@ -16,21 +16,30 @@ import (
 // run referencing its Value (Intern invokes the hook under the symbol
 // table's lock), and each accepted mutation is reported exactly once —
 // duplicates and misses are filtered by the relation's set semantics
-// before the hook fires. A run is the accepted tuples of one commit
-// against one predicate, in input order; a single Insert or Retract
-// reports a run of one. The tuples are only valid for the duration of
-// the call — implementations must encode or copy them before returning,
-// cover the run with one policy sync (the write-ahead log fsyncs once
-// per run under SyncAlways), and be safe for concurrent use; the
-// write-ahead log in internal/wal is the canonical one.
+// before the hook fires. Implementations must be safe for concurrent
+// use; the write-ahead log in internal/wal is the canonical one.
 type Journal interface {
 	// JournalSym records that name was interned as the next dense Value.
 	JournalSym(name string)
-	// JournalFactBatch records a run of accepted inserts into pred.
-	JournalFactBatch(pred string, tuples []Tuple)
-	// JournalRetractBatch records a run of accepted retractions from
-	// pred (each tuple was actually present).
-	JournalRetractBatch(pred string, tuples []Tuple)
+	// JournalRuns records the accepted mutations of one commit — a single
+	// Insert or Retract reports one run of one tuple, Database.Commit the
+	// runs of a whole write request, in the order they were applied — as
+	// one durable unit: the implementation must cover the call's runs with
+	// one policy sync (the write-ahead log fsyncs once per call under
+	// SyncAlways) and return only after it. A crash before the call
+	// returns may keep any record-order prefix of it. The runs and their
+	// tuples are only valid for the duration of the call: encode or copy
+	// them before returning.
+	JournalRuns(runs []JournalRun)
+}
+
+// JournalRun is one run as the journal sees it: the tuples of a commit
+// that pred actually accepted — fresh inserts, or (Del) retractions of
+// tuples that were present — in input order.
+type JournalRun struct {
+	Pred   string
+	Del    bool
+	Tuples []Tuple
 }
 
 // Value is an interned constant symbol.
@@ -646,16 +655,14 @@ type Relation struct {
 	stats *Counters
 	count atomic.Int64
 	// name is the predicate this relation serves inside a Database ("" for
-	// free-standing relations such as answer sets); journal, when non-nil,
-	// receives every accepted insert. The pointer indirection lets a
-	// journal attach while readers are in flight (Database.SetJournal).
-	name    string
-	journal atomic.Pointer[Journal]
+	// free-standing relations such as answer sets).
+	name string
 	// db, when non-nil, is the tracked database this relation belongs to:
 	// mutations are stamped with its epoch counter, recorded in the shard
-	// delta tails, and reflected in its modification watermark. Derived
-	// and free-standing relations (answer sets, seen-sets, semi-naive IDB
-	// databases) leave it nil and pay no tracking overhead.
+	// delta tails, reflected in its modification watermark and reported
+	// to its journal. Derived and free-standing relations (answer sets,
+	// seen-sets, semi-naive IDB databases) leave it nil and pay no
+	// tracking overhead.
 	db *Database
 	// lastMod is the epoch stamp of the newest accepted mutation (0 when
 	// the relation is untracked or empty).
@@ -730,6 +737,10 @@ func (r *Relation) shardFor(t Tuple) *shard {
 
 // Arity returns the relation's arity.
 func (r *Relation) Arity() int { return r.arity }
+
+// Name returns the predicate the relation serves inside its Database
+// ("" for a free-standing relation).
+func (r *Relation) Name() string { return r.name }
 
 // Shards returns the number of partitions.
 func (r *Relation) Shards() int { return len(r.shards) }
@@ -838,12 +849,119 @@ func (r *Relation) InsertBatch(tuples []Tuple) int { return r.commit(tuples, fal
 // present (and are now tombstoned).
 func (r *Relation) RetractBatch(tuples []Tuple) int { return r.commit(tuples, true) }
 
-// commit is the one write path: every mutation of a relation is a signed
-// run of tuples — del marks a run of retractions, a run may have length
-// one — and this is the only code that claims or tombstones rows,
-// advances the bookkeeping, and reports to the journal and the
-// watchers. It returns the number of accepted mutations (fresh inserts,
-// or retractions of tuples that were present).
+// Run is one signed run of a commit: Tuples bound for Rel, in input
+// order — inserts, or (Del) retractions.
+type Run struct {
+	Rel    *Relation
+	Del    bool
+	Tuples []Tuple
+}
+
+// commit is a commit of one run (which may have length one). An
+// untracked relation — an answer set, a seen-set, a relation of a derived
+// database — has nobody to publish to, so applying the run is all of it;
+// on a tracked one it is commitRuns' one-run case.
+func (r *Relation) commit(tuples []Tuple, del bool) int {
+	if r.db == nil {
+		n, _ := r.apply(tuples, del)
+		return n
+	}
+	added, removed := commitRuns(r.db, Run{Rel: r, Del: del, Tuples: tuples}, nil)
+	return added + removed
+}
+
+// Commit applies the runs of one write request to a primary database as
+// one commit and returns the accepted inserts and retractions; see
+// commitRuns. The runs — at least one, hence the signature — must name
+// relations of this database. The first run travels by value so that a
+// caller holding a single short run keeps its tuple slice on the stack.
+func (db *Database) Commit(first Run, more ...Run) (added, removed int) {
+	if !db.track {
+		panic("storage: Commit on a derived database")
+	}
+	return commitRuns(db, first, more)
+}
+
+// commitRuns is the one write path of a tracked database: every mutation
+// of one of its relations is a signed run of tuples, every commit one or
+// more runs, and this is the only code that publishes them. It returns
+// the accepted mutations by sign (fresh inserts; retractions of tuples
+// that were present).
+//
+// The runs are applied in order, each by Relation.apply — visible to
+// readers, stamped, the epoch one tick further per accepted mutation —
+// and then published once: the accepted tuples of all runs reach the
+// journal in one call (a single fsync under SyncAlways) and only after
+// it returns are the watchers notified, once, so a subscription sees the
+// whole commit as one delta round and never ahead of its durability. A
+// commit is not atomic: readers may see its earlier runs before its later
+// ones, and a crash before the journal call returns may keep any
+// record-order prefix of it.
+//
+// From its first retraction run on, a commit holds the retraction gate —
+// taken once however many retraction runs follow — so the retractions
+// wait for in-flight maintenance passes (Database.HoldRetractions) and
+// are stamped and visible in full before the next pass starts; the
+// journal call is outside the gate.
+func commitRuns(db *Database, first Run, more []Run) (added, removed int) {
+	var gated bool
+	var logged []JournalRun
+	jp := db.journal.Load()
+	for i := 0; i <= len(more); i++ {
+		run := &first
+		if i > 0 {
+			run = &more[i-1]
+		}
+		r := run.Rel
+		if r.db != db {
+			panic("storage: commit of a relation outside the database")
+		}
+		if run.Del && !gated {
+			db.retractGate.Lock()
+			gated = true
+		}
+		n, accepted := r.apply(run.Tuples, run.Del)
+		if n == 0 {
+			continue
+		}
+		if run.Del {
+			removed += n
+		} else {
+			added += n
+		}
+		if jp != nil {
+			// The accepted tuples are copied out here, not passed through,
+			// so callers' tuple slices never escape to the heap on the
+			// unjournaled path.
+			kept := make([]Tuple, 0, n)
+			for k, t := range run.Tuples {
+				if n == len(run.Tuples) || accepted[k] {
+					kept = append(kept, t)
+				}
+			}
+			if logged == nil {
+				logged = make([]JournalRun, 0, len(more)+1-i)
+			}
+			logged = append(logged, JournalRun{Pred: r.name, Del: run.Del, Tuples: kept})
+		}
+	}
+	if gated {
+		db.retractGate.Unlock()
+	}
+	if added+removed == 0 {
+		return 0, 0
+	}
+	if jp != nil {
+		(*jp).JournalRuns(logged)
+	}
+	db.NotifyWatchers()
+	return added, removed
+}
+
+// apply claims (or, with del, tombstones) a run's tuples and advances the
+// relation's bookkeeping. It returns the number of accepted mutations
+// and, for a run longer than one, which tuples they were (a run of one
+// is accepted exactly when n is 1).
 //
 // Tuples are grouped per shard; each touched shard is locked once. On a
 // tracked relation (one created by a primary Database) every accepted
@@ -852,37 +970,23 @@ func (r *Relation) RetractBatch(tuples []Tuple) int { return r.commit(tuples, tr
 // accepted count still under that shard's lock (Database.stampRun) — one
 // tick per accepted mutation, for a run exactly as for the same tuples
 // committed one at a time, which is what lets a log replayed record by
-// record land on the writer's epoch. Accepted tuples reach the journal as
-// one run (a single fsync under SyncAlways) and watchers are notified
-// once, so a subscription sees the run as one delta round. Untracked
-// relations (answer sets, seen-sets, derived databases) skip the
-// stamping, the journal and the watchers. A retraction run on a tracked
-// relation commits its shards holding the database's retraction gate, so
-// it waits for in-flight maintenance passes (Database.HoldRetractions)
-// and is stamped and visible in full before the next one starts; the
-// journal call is outside the gate.
-func (r *Relation) commit(tuples []Tuple, del bool) int {
+// record land on the writer's epoch.
+func (r *Relation) apply(tuples []Tuple, del bool) (n int, accepted []bool) {
 	for _, t := range tuples {
 		if len(t) != r.arity {
 			panic(fmt.Sprintf("storage: arity-%d tuple committed to arity-%d relation", len(t), r.arity))
 		}
 	}
-	var accepted []bool
-	var n int
-	gated := del && r.db != nil
-	if gated {
-		r.db.retractGate.Lock() // see Database.HoldRetractions
-	}
 	switch len(tuples) {
 	case 0:
+		return 0, nil
 	case 1:
 		// A run of one needs no grouping: stack arrays stand in for
 		// batchOrder's output, so the single-tuple claim allocates nothing.
 		var idx [1]int32
 		var acc [1]bool
 		hash := [1]uint32{HashTuple(tuples[0])}
-		accepted = acc[:]
-		n = r.commitShard(r.shardFor(tuples[0]), tuples, idx[:], hash[:], accepted, del)
+		n = r.commitShard(r.shardFor(tuples[0]), tuples, idx[:], hash[:], acc[:], del)
 	default:
 		order, starts, hashes := r.batchOrder(tuples)
 		accepted = make([]bool, len(tuples))
@@ -892,11 +996,8 @@ func (r *Relation) commit(tuples []Tuple, del bool) int {
 			}
 		}
 	}
-	if gated {
-		r.db.retractGate.Unlock()
-	}
 	if n == 0 {
-		return 0
+		return 0, nil
 	}
 	d := int64(n)
 	if del {
@@ -913,25 +1014,7 @@ func (r *Relation) commit(tuples []Tuple, del bool) int {
 			atomic.AddInt64(&r.stats.Inserts, d)
 		}
 	}
-	if jp := r.journal.Load(); jp != nil {
-		// The run is built here, not passed through, so callers' tuple
-		// slices never escape to the heap on the unjournaled path.
-		run := make([]Tuple, 0, n)
-		for i, ok := range accepted {
-			if ok {
-				run = append(run, tuples[i])
-			}
-		}
-		if del {
-			(*jp).JournalRetractBatch(r.name, run)
-		} else {
-			(*jp).JournalFactBatch(r.name, run)
-		}
-	}
-	if r.db != nil {
-		r.db.NotifyWatchers()
-	}
-	return n
+	return n, accepted
 }
 
 // commitShard applies the tuples at idxs (all routed to sh; hashes holds
@@ -1432,10 +1515,14 @@ type Database struct {
 	mutations atomic.Int64
 	track     bool
 
-	mu      sync.RWMutex
-	rels    map[string]*Relation
-	shards  int
-	journal Journal
+	mu     sync.RWMutex
+	rels   map[string]*Relation
+	shards int
+
+	// journal, when non-nil, receives every commit's accepted mutations
+	// (tracked databases only). An atomic pointer, so a journal can attach
+	// while writers are in flight (SetJournal).
+	journal atomic.Pointer[Journal]
 
 	// watchers are the mutation-notification channels handed out by
 	// Watch (live subscriptions block on them); hasWatch keeps the
@@ -1584,43 +1671,32 @@ func (db *Database) Shards() int {
 	return db.shards
 }
 
-// SetJournal attaches a journal (or detaches, with nil) to the database:
-// every fresh symbol intern and every accepted insert into a relation of
-// this database is reported to it from now on. State already present is
+// SetJournal attaches a journal (or detaches, with nil) to a primary
+// database: every fresh symbol intern and every commit's accepted
+// mutations are reported to it from now on. State already present is
 // not replayed — callers that need it durable write a snapshot (see
 // internal/wal). Derived databases sharing this database's symbol table
-// are not journaled: answer and magic relations live outside the
-// journaled database, while their fresh symbol interns still flow
-// through the shared table's hook, keeping logged Values dense and
-// replayable.
+// are not journaled (and cannot be given a journal of their own): answer
+// and magic relations live outside the journaled database, while their
+// fresh symbol interns still flow through the shared table's hook,
+// keeping logged Values dense and replayable.
 func (db *Database) SetJournal(j Journal) {
-	// Ordering: the intern hook installs before any relation can journal
-	// a fact and uninstalls after the last relation detaches. A fact
-	// record referencing a Value whose sym record was skipped makes the
-	// log unrecoverable; the reverse — an orphan sym record — is
-	// harmless. (Interns that raced ahead of the hook install count as
-	// pre-attach state, covered by the caller's snapshot.)
-	if j != nil {
-		db.Syms.SetInternHook(j.JournalSym)
+	if !db.track {
+		panic("storage: SetJournal on a derived database")
 	}
-	db.mu.Lock()
-	db.journal = j
-	for _, r := range db.rels {
-		r.setJournal(j)
-	}
-	db.mu.Unlock()
+	// Ordering: the intern hook installs before any commit can journal a
+	// fact and uninstalls after the journal detaches. A fact record
+	// referencing a Value whose sym record was skipped makes the log
+	// unrecoverable; the reverse — an orphan sym record — is harmless.
+	// (Interns that raced ahead of the hook install count as pre-attach
+	// state, covered by the caller's snapshot.)
 	if j == nil {
+		db.journal.Store(nil)
 		db.Syms.SetInternHook(nil)
-	}
-}
-
-// setJournal installs the journal pointer (nil detaches).
-func (r *Relation) setJournal(j Journal) {
-	if j == nil {
-		r.journal.Store(nil)
 		return
 	}
-	r.journal.Store(&j)
+	db.Syms.SetInternHook(j.JournalSym)
+	db.journal.Store(&j)
 }
 
 // Relation returns the named relation, or nil.
@@ -1662,7 +1738,6 @@ func (db *Database) Declare(pred string, arity int) (r *Relation, ok bool) {
 	if db.track {
 		r.db = db
 	}
-	r.setJournal(db.journal)
 	db.rels[pred] = r
 	return r, true
 }

@@ -25,6 +25,7 @@
 //	  kind 1 sym:  constant name (interned as the next dense Value)
 //	  kind 2 fact: pred string, arity, then arity uvarint Values
 //	  kind 3 rule: rule source text in the parser's concrete syntax
+//	  kind 4 retract: same body as fact; the tuple leaves the set
 //
 // The CRC (Castagnoli) covers the payload; a record whose length field
 // runs past the file, or whose CRC does not match, marks the torn tail
@@ -71,7 +72,17 @@
 // Appends are buffered; SyncPolicy controls when the buffer reaches the
 // disk platter: SyncBatch (default) fsyncs whenever the batch buffer
 // fills and at every rotation, SyncAlways fsyncs before acknowledging each
-// run of records (concurrent writers share fsyncs by group commit), SyncOS
+// journal call (concurrent writers share fsyncs by group commit), SyncOS
 // only writes to the OS page cache and fsyncs at rotation/close. See
 // the benchmarks for the cost spread.
+//
+// A journal call is the unit of durability: JournalRuns frames the
+// records of every run a commit accepted — a whole write request, over
+// any number of predicates, inserts and retractions — into one buffer
+// and passes it through the sync policy once, and AppendRules does the
+// same for the rules of one load; under SyncAlways either returns only
+// after an fsync that covers all of its records. The records themselves
+// are ordinary: the format has no group marker, replay and followers
+// apply them one at a time, and a crash mid-call keeps whatever
+// record-order prefix of the buffer reached the disk.
 package wal

@@ -201,8 +201,9 @@ func TestRecoveryTornBatchTail(t *testing.T) {
 }
 
 // TestCommitStatsGrouping pins the stats accounting: sequential
-// SyncAlways appends each drive their own group (and fsync), while a
-// batched run commits as one group covering the whole batch.
+// SyncAlways appends each drive their own group (and fsync), a batched
+// run — and a commit of several runs — is one group covering all of it,
+// and concurrent appenders share groups.
 func TestCommitStatsGrouping(t *testing.T) {
 	dir := t.TempDir()
 	db, l, _, _ := openJournaled(t, dir, SyncAlways)
@@ -234,21 +235,27 @@ func TestCommitStatsGrouping(t *testing.T) {
 	if cs.Fsyncs != cs.Groups {
 		t.Fatalf("fsyncs %d != groups %d", cs.Fsyncs, cs.Groups)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
-// TestCommitWindowGroupsConcurrentWriters exercises the tunable commit
-// window: with a wait window open, concurrent per-fact writers must
-// share commit groups (and therefore fsyncs) rather than each driving
-// their own.
-func TestCommitWindowGroupsConcurrentWriters(t *testing.T) {
-	dir := t.TempDir()
-	db, l, _, _ := openJournaled(t, dir, SyncAlways)
-	l.SetCommitWindow(10*time.Millisecond, 0)
-	const writers = 4
-	const perWriter = 20
+	// A commit of several runs — two predicates, both signs — is one
+	// group too.
+	u := db.Ensure("u", 1)
+	if added, removed := db.Commit(
+		storage.Run{Rel: u, Tuples: tuples[:10]},
+		storage.Run{Rel: db.Relation("s"), Tuples: tuples[:5]}, // all present
+		storage.Run{Rel: db.Relation("s"), Del: true, Tuples: tuples[20:]},
+		storage.Run{Rel: u, Del: true, Tuples: tuples[:3]},
+	); added != 10 || removed != 13 {
+		t.Fatalf("Commit accepted %d inserts and %d retractions, want 10 and 13", added, removed)
+	}
+	cs = l.CommitStats()
+	if cs.Groups != 22 || cs.Fsyncs != 22 || cs.GroupRecords != 73 || cs.LastGroup != 23 || cs.Records != 123 {
+		t.Fatalf("after a commit of four runs: %+v", cs)
+	}
+
+	// Concurrent per-fact writers: every record is covered by a group, and
+	// appenders that arrive while a commit is in flight share the next
+	// group's fsync instead of each driving their own.
+	const writers, perWriter = 8, 20
 	// Pre-intern so the measured appends are purely fact records.
 	for w := 0; w < writers; w++ {
 		db.Syms.Intern(fmt.Sprintf("w%d", w))
@@ -256,6 +263,8 @@ func TestCommitWindowGroupsConcurrentWriters(t *testing.T) {
 	for i := 0; i < perWriter; i++ {
 		db.Syms.Intern(fmt.Sprintf("i%d", i))
 	}
+	db.Ensure("e", 2)
+	before := l.CommitStats()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -267,12 +276,16 @@ func TestCommitWindowGroupsConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	cs := l.CommitStats()
-	if cs.GroupRecords != writers*perWriter {
-		t.Fatalf("group records %d, want %d (stats: %+v)", cs.GroupRecords, writers*perWriter, cs)
+	cs = l.CommitStats()
+	if got := cs.GroupRecords - before.GroupRecords; got != writers*perWriter {
+		t.Fatalf("group records moved by %d, want %d (stats: %+v)", got, writers*perWriter, cs)
 	}
-	if cs.MaxGroup < 2 {
-		t.Errorf("commit window open with %d concurrent writers but no group formed: %+v", writers, cs)
+	if cs.Fsyncs != cs.Groups {
+		t.Fatalf("fsyncs %d != groups %d", cs.Fsyncs, cs.Groups)
+	}
+	if got := cs.Groups - before.Groups; got >= writers*perWriter {
+		t.Errorf("%d concurrent writers drove %d groups for %d records: no fsync was shared (stats: %+v)",
+			writers, got, writers*perWriter, cs)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

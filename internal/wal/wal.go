@@ -13,7 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/storage"
 )
@@ -42,7 +42,7 @@ const (
 	// maximum durability. Concurrent appends commit in groups: one
 	// leader flushes and fsyncs once for every record buffered by the
 	// group, then releases all of its waiters, so the fsync rate scales
-	// with commit groups rather than with records (see SetCommitWindow).
+	// with commit groups rather than with records.
 	SyncAlways
 	// SyncOS hands filled batches to the OS page cache without fsync;
 	// the log only fsyncs at checkpoint rotation and Close. Fastest, and
@@ -99,9 +99,9 @@ func ReplayInto(db *storage.Database) Replay {
 // Log is a write-ahead segment log bound to one directory. It implements
 // storage.Journal: attach it with Database.SetJournal and every accepted
 // insert and fresh symbol intern is appended as a record. Append errors
-// are sticky — the first one is remembered and surfaced by Sync,
-// Checkpoint, and Close — because the journal hooks have no error
-// channel of their own.
+// are sticky — the first one is remembered and surfaced by Err (which
+// the engine consults after every commit), Sync, Checkpoint, and Close —
+// because the journal hooks have no error channel of their own.
 type Log struct {
 	dir    string
 	policy SyncPolicy
@@ -113,6 +113,8 @@ type Log struct {
 	pending int    // bytes buffered since the last fsync
 	err     error  // sticky first failure
 	closed  bool
+	// failed mirrors err != nil for Err, which must not wait on mu.
+	failed atomic.Bool
 
 	// Write-path counters, guarded by mu (CommitStats reads them).
 	statFsyncs    uint64
@@ -132,9 +134,7 @@ type Log struct {
 	// off to it.
 	gcMu     sync.Mutex
 	gcCur    *commitGroup
-	gcActive bool          // a leader currently owns the commit pipeline
-	gcWait   time.Duration // extra window a leader holds its group open
-	gcBytes  int           // seal the window early at this many bytes
+	gcActive bool // a leader currently owns the commit pipeline
 
 	ckptMu sync.Mutex // serializes Checkpoint callers and guards manifest/chain
 	// manifest records, per relation, the state the newest snapshot chain
@@ -720,7 +720,7 @@ func (l *Log) write(rec []byte, records int) {
 		return
 	}
 	if l.policy == SyncBatch && l.pending >= batchBytes {
-		l.err = l.syncLocked()
+		l.fail(l.syncLocked())
 	}
 }
 
@@ -731,11 +731,11 @@ func (l *Log) writeLocked(rec []byte, records int) bool {
 		return false
 	}
 	if l.closed {
-		l.err = ErrClosed
+		l.fail(ErrClosed)
 		return false
 	}
 	if _, err := l.w.Write(rec); err != nil {
-		l.err = err
+		l.fail(err)
 		return false
 	}
 	l.pending += len(rec)
@@ -779,32 +779,20 @@ func (l *Log) groupCommit(rec []byte, records int) {
 	}
 
 	<-g.start
-	l.gcMu.Lock()
-	if l.gcWait > 0 && (l.gcBytes <= 0 || len(g.buf) < l.gcBytes) {
-		// Tunable window: hold the group open briefly so concurrent
-		// appenders can still join, unless it already buffered gcBytes.
-		wait := l.gcWait
-		l.gcMu.Unlock()
-		time.Sleep(wait)
-		l.gcMu.Lock()
-	} else if l.gcBytes <= 0 || len(g.buf) < l.gcBytes {
-		// Zero-window opportunistic grouping: yield the scheduler a few
-		// times before sealing so appenders already mid-flight on other
-		// procs can join. A solo writer pays only a few empty yields
-		// (sub-microsecond); under concurrency this collects near-full
-		// groups without any timer.
-		for i := 0; i < 4; i++ {
-			l.gcMu.Unlock()
-			runtime.Gosched()
-			l.gcMu.Lock()
-		}
+	// Opportunistic grouping: yield the scheduler a few times before
+	// sealing so appenders already mid-flight on other procs can join. A
+	// solo writer pays only a few empty yields (sub-microsecond); under
+	// concurrency this collects near-full groups without any timer.
+	for i := 0; i < 4; i++ {
+		runtime.Gosched()
 	}
+	l.gcMu.Lock()
 	l.gcCur = nil // seal: later arrivals form the next group
 	l.gcMu.Unlock()
 
 	l.mu.Lock()
 	if l.writeLocked(g.buf, g.count) {
-		if l.err = l.syncLocked(); l.err == nil {
+		if l.fail(l.syncLocked()) == nil {
 			l.statGroups++
 			l.statGroupRecs += uint64(g.count)
 			l.statLastGroup = g.count
@@ -823,20 +811,6 @@ func (l *Log) groupCommit(rec []byte, records int) {
 	}
 	l.gcMu.Unlock()
 	close(g.done)
-}
-
-// SetCommitWindow tunes the SyncAlways group-commit window: a leader
-// holds its group open for up to maxWait before sealing, letting
-// concurrent appenders join, and seals early once the group buffers
-// maxBytes. The zero window (the default) relies on natural batching
-// alone — appenders that arrive while a commit's fsync is in flight
-// form the next group and share its single fsync — which costs a lone
-// writer nothing. A non-zero maxWait trades that writer's latency for
-// larger groups under bursty concurrency.
-func (l *Log) SetCommitWindow(maxWait time.Duration, maxBytes int) {
-	l.gcMu.Lock()
-	l.gcWait, l.gcBytes = maxWait, maxBytes
-	l.gcMu.Unlock()
 }
 
 // CommitStats are the write-path durability counters: every fsync of
@@ -896,39 +870,83 @@ func (l *Log) JournalSym(name string) {
 	l.write(rec, 1)
 }
 
-// JournalFactBatch implements storage.Journal: the run's records are
-// framed into one buffer, written under one lock acquisition, and
-// covered by one policy sync — under SyncAlways, one group commit (one
-// fsync) for the whole run instead of one per fact.
-func (l *Log) JournalFactBatch(pred string, tuples []storage.Tuple) {
-	l.journalRun(recFact, pred, tuples)
-}
-
-// JournalRetractBatch implements storage.Journal; see JournalFactBatch.
-func (l *Log) JournalRetractBatch(pred string, tuples []storage.Tuple) {
-	l.journalRun(recRetract, pred, tuples)
-}
-
-// journalRun frames one record per tuple under kind and writes the run.
-func (l *Log) journalRun(kind byte, pred string, tuples []storage.Tuple) {
-	if len(tuples) == 0 {
+// JournalRuns implements storage.Journal: one record per tuple, run after
+// run in the order given, framed into one buffer, written under one lock
+// acquisition and covered by one policy sync — under SyncAlways, one
+// group commit (one fsync) for everything a write request changed,
+// however many predicates it touched. The records are ordinary fact and
+// retract records: replay, followers and a crash see no group boundary,
+// so a crash before the call returns may keep any record-order prefix of
+// it.
+func (l *Log) JournalRuns(runs []storage.JournalRun) {
+	// Sized for the common case (values below 2^21 take <= 3 bytes) so a
+	// call costs one allocation however long it is; append grows it when
+	// that guess is short.
+	size, records := 0, 0
+	for _, run := range runs {
+		if len(run.Tuples) > 0 {
+			size += len(run.Tuples) * (recordHeaderSize + 4 + len(run.Pred) + 3*len(run.Tuples[0]))
+			records += len(run.Tuples)
+		}
+	}
+	if records == 0 {
 		return
 	}
-	// Sized for the common case (values below 2^21 take <= 3 bytes) so a
-	// run costs one allocation however long it is; append grows it when
-	// that guess is short.
-	buf := make([]byte, 0, len(tuples)*(recordHeaderSize+4+len(pred)+3*len(tuples[0])))
-	for _, t := range tuples {
-		buf = appendTupleRecord(buf, kind, pred, t)
+	buf := make([]byte, 0, size)
+	for _, run := range runs {
+		kind := byte(recFact)
+		if run.Del {
+			kind = recRetract
+		}
+		for _, t := range run.Tuples {
+			buf = appendTupleRecord(buf, kind, run.Pred, t)
+		}
 	}
-	l.write(buf, len(tuples))
+	l.write(buf, records)
 }
 
-// AppendRule journals a rule in concrete syntax (parser.RenderRule).
-func (l *Log) AppendRule(src string) { l.write(textRecord(recRule, src), 1) }
+// JournalFactBatch journals one run of accepted inserts into pred:
+// JournalRuns of that run alone, for callers that drive a log without a
+// database in front of it.
+func (l *Log) JournalFactBatch(pred string, tuples []storage.Tuple) {
+	l.JournalRuns([]storage.JournalRun{{Pred: pred, Tuples: tuples}})
+}
 
-// Err returns the sticky append error, if any.
+// JournalRetractBatch is JournalFactBatch for a run of retractions.
+func (l *Log) JournalRetractBatch(pred string, tuples []storage.Tuple) {
+	l.JournalRuns([]storage.JournalRun{{Pred: pred, Del: true, Tuples: tuples}})
+}
+
+// AppendRules journals rules in concrete syntax (parser.RenderRule) as
+// one unit: one write and one policy sync for all of them.
+func (l *Log) AppendRules(srcs ...string) {
+	if len(srcs) == 0 {
+		return
+	}
+	var buf []byte
+	for _, src := range srcs {
+		buf = append(buf, textRecord(recRule, src)...)
+	}
+	l.write(buf, len(srcs))
+}
+
+// fail latches err, if it is one, as the sticky error and returns it.
+// Caller holds l.mu and has seen l.err == nil.
+func (l *Log) fail(err error) error {
+	if err != nil {
+		l.err = err
+		l.failed.Store(true)
+	}
+	return err
+}
+
+// Err returns the sticky append error, if any. A healthy log answers
+// without taking the log mutex, so a writer checking after its own
+// commit never waits out another group's fsync.
 func (l *Log) Err() error {
+	if !l.failed.Load() {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
@@ -944,8 +962,7 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	l.err = l.syncLocked()
-	return l.err
+	return l.fail(l.syncLocked())
 }
 
 // flushActive pushes buffered records of the active segment to the OS
@@ -960,11 +977,7 @@ func (l *Log) flushActive() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.Flush(); err != nil {
-		l.err = err
-		return err
-	}
-	return nil
+	return l.fail(l.w.Flush())
 }
 
 // Checkpoint compacts the log differentially: it seals the active
@@ -993,20 +1006,17 @@ func (l *Log) Checkpoint(collect func() (*Snapshot, error)) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	if err := l.syncLocked(); err != nil {
-		l.err = err
+	if err := l.fail(l.syncLocked()); err != nil {
 		l.mu.Unlock()
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		l.err = err
+	if err := l.fail(l.f.Close()); err != nil {
 		l.mu.Unlock()
 		return err
 	}
 	covered := l.seq
 	l.seq++
-	if err := l.openSegment(); err != nil {
-		l.err = err
+	if err := l.fail(l.openSegment()); err != nil {
 		l.mu.Unlock()
 		return err
 	}
@@ -1108,10 +1118,10 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	if l.err == nil {
-		l.err = l.syncLocked()
+		l.fail(l.syncLocked())
 	}
-	if cerr := l.f.Close(); cerr != nil && l.err == nil {
-		l.err = cerr
+	if cerr := l.f.Close(); l.err == nil {
+		l.fail(cerr)
 	}
 	if l.err != nil {
 		return l.err

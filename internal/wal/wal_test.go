@@ -41,7 +41,7 @@ func TestLogRoundTrip(t *testing.T) {
 	db.AddFact("edge", "b", "c")
 	db.AddFact("node", "a")
 	db.AddFact("edge", "a", "b") // duplicate: must not be journaled twice
-	l.AppendRule("t(X, Y) :- edge(X, Y).")
+	l.AppendRules("t(X, Y) :- edge(X, Y).")
 	want := db.Dump()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,11 @@ package onesided
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 const persistSrc = `
@@ -169,4 +172,38 @@ func TestEngineWithoutPersistenceNoops(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPersistenceFailedLogIsErrDurability: no success after a failed
+// commit. Once the write-ahead log has failed — here it is closed
+// underneath a live engine — every write entry point that changed
+// something reports ErrDurability wrapping the log's error instead of
+// acknowledging a write that was not made durable.
+func TestPersistenceFailedLogIsErrDurability(t *testing.T) {
+	eng := openQuickstart(t, WithPersistence(t.TempDir()), WithSyncPolicy(SyncAlways))
+	defer eng.Close()
+	one := func(x string) []Fact { return []Fact{{Pred: "b", Args: []string{"paris", x}}} }
+	if a, err := eng.Apply(Write{Insert: one("x0")}); err != nil || a.Added != 1 {
+		t.Fatalf("healthy log: %+v, %v", a, err)
+	}
+	if err := eng.Log().Close(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrDurability) || !errors.Is(err, wal.ErrClosed) {
+			t.Fatalf("%s over a closed log: err = %v, want ErrDurability wrapping the log's error", name, err)
+		}
+	}
+	a, err := eng.Apply(Write{Insert: one("x1"), Retract: one("x0")})
+	check("Apply", err)
+	if a != (Applied{Added: 1, Removed: 1}) {
+		t.Fatalf("Apply over a closed log reports %+v, want what it applied in memory", a)
+	}
+	_, err = eng.InsertFacts(one("x2"))
+	check("InsertFacts", err)
+	_, err = eng.RetractFacts(one("x2"))
+	check("RetractFacts", err)
+	_, err = eng.Load("r(X, Y) :- b(X, Y).")
+	check("Load", err)
 }

@@ -40,8 +40,8 @@ type Quota struct {
 // abort (HTTP 429 territory) from a deadline (504).
 var ErrGasExhausted = eval.ErrGasExhausted
 
-// ErrFactLimitExceeded is returned by the insert entry points (InsertFacts
-// and everything built on it) when the database already holds the quota's
+// ErrFactLimitExceeded is returned by the insert entry points (Apply and
+// everything built on it) when the database already holds the quota's
 // MaxFacts tuples.
 var ErrFactLimitExceeded = errors.New("onesided: fact limit exceeded")
 

@@ -237,6 +237,60 @@ func TestSubscribeCoalesces(t *testing.T) {
 	}
 }
 
+// TestSubscribeOneEventPerWrite: a write request is one tick. On a
+// SyncAlways engine — where each journal call is an fsync the pump can
+// overtake — a write whose inserts AND retractions change the subscribed
+// answers, across several predicates, arrives as exactly one event
+// carrying both sides; the event that follows it is the next write's.
+func TestSubscribeOneEventPerWrite(t *testing.T) {
+	eng := openQuickstart(t, WithPersistence(t.TempDir()), WithSyncPolicy(SyncAlways))
+	defer eng.Close()
+	sub, err := eng.Subscribe(context.Background(), "t(paris, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	recvEvent(t, sub) // the initial answers
+
+	a, err := eng.Apply(Write{
+		Insert: []Fact{
+			{Pred: "b", Args: []string{"marseille", "aix"}},
+			{Pred: "a", Args: []string{"toulon", "hyeres"}},
+			{Pred: "b", Args: []string{"hyeres", "giens"}},
+		},
+		Retract: []Fact{
+			{Pred: "b", Args: []string{"toulon", "nice"}},
+			{Pred: "a", Args: []string{"paris", "nowhere"}}, // missing
+		},
+	})
+	if err != nil || a != (Applied{Added: 3, Removed: 1}) {
+		t.Fatalf("Apply: %+v, %v", a, err)
+	}
+	rows := func(rows [][]string) string {
+		var out []string
+		for _, r := range rows {
+			out = append(out, strings.Join(r, ","))
+		}
+		return strings.Join(out, " ")
+	}
+	ev := recvEvent(t, sub)
+	if got, want := rows(ev.Add), "paris,aix paris,giens"; got != want {
+		t.Fatalf("the write's event adds %q, want %q (event %+v)", got, want, ev)
+	}
+	if got, want := rows(ev.Remove), "paris,nice"; got != want {
+		t.Fatalf("the write's event removes %q, want %q (event %+v)", got, want, ev)
+	}
+	if want := eng.DB().Epoch(); ev.Epoch != want {
+		t.Fatalf("the write's event is stamped %d, want the epoch the whole write left (%d)", ev.Epoch, want)
+	}
+	// Events arrive in order: had the write been more than one tick, the
+	// rest of it would come before this.
+	eng.AddFact("b", "paris", "last")
+	if ev := recvEvent(t, sub); rows(ev.Add) != "paris,last" || len(ev.Remove) != 0 {
+		t.Fatalf("the event after the write's is %+v, want only the next write's paris,last", ev)
+	}
+}
+
 // TestSubscribeEpochNeverOverstates races a writer against the pump: an
 // event's Epoch promises that every write accepted before it is in the
 // subscriber's folded state. A client doing read-your-writes compares
