@@ -199,3 +199,45 @@ func TestCountersSurviveEarlyExit(t *testing.T) {
 		}
 	})
 }
+
+// TestCountersPinnedAcrossExamples: the cold evaluation of every query of
+// the bind sweep — the five example programs, which between them take
+// every served strategy — counts exactly the probes it counted at
+// 367df24, before a conjunction's binding pattern was compiled and a
+// level's first-atom probes were staged: the same lookups, rows and scans,
+// whatever carries them out. The process is held to one processor, so the
+// databases get one shard and every semi-naive round runs inline.
+func TestCountersPinnedAcrossExamples(t *testing.T) {
+	was := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(was)
+	want := map[string][]Counters{
+		"quickstart":    {{TuplesExamined: 5, IndexLookups: 8, Inserts: 2}, {TuplesExamined: 4, IndexLookups: 6, Inserts: 2}, {TuplesExamined: 2, IndexLookups: 4, Inserts: 1}, {TuplesExamined: 1, IndexLookups: 2, Inserts: 1}, {IndexLookups: 2}},
+		"quickstart-fb": {{TuplesExamined: 4, IndexLookups: 5, Inserts: 4}, {TuplesExamined: 2, IndexLookups: 3, Inserts: 2}, {IndexLookups: 1}},
+		"flights":       {{TuplesExamined: 139, IndexLookups: 106, Inserts: 3}, {TuplesExamined: 136, IndexLookups: 106, Inserts: 3}, {TuplesExamined: 137, IndexLookups: 106, Inserts: 3}, {TuplesExamined: 136, IndexLookups: 106, Inserts: 3}},
+		"genealogy":     {{TuplesExamined: 110, IndexLookups: 279, FullScans: 1, Inserts: 2}, {TuplesExamined: 644, IndexLookups: 690, FullScans: 1, Inserts: 8}, {TuplesExamined: 770, IndexLookups: 765, FullScans: 1, Inserts: 16}},
+		"marketbasket":  {{TuplesExamined: 6, IndexLookups: 11, Inserts: 1}, {TuplesExamined: 3, IndexLookups: 7}, {TuplesExamined: 5, IndexLookups: 9, Inserts: 1}, {TuplesExamined: 5, IndexLookups: 11}},
+		"appendixa":     {{TuplesExamined: 9, IndexLookups: 9, FullScans: 1, Inserts: 3}, {TuplesExamined: 9, IndexLookups: 9, FullScans: 1, Inserts: 3}, {IndexLookups: 1}},
+		"tworule":       {{TuplesExamined: 6, IndexLookups: 12, Inserts: 5}, {TuplesExamined: 2, IndexLookups: 6, Inserts: 2}, {IndexLookups: 1}},
+		"seminaive":     {{TuplesExamined: 6, IndexLookups: 6, FullScans: 1, Inserts: 2}, {TuplesExamined: 6, IndexLookups: 6, FullScans: 1, Inserts: 2}, {TuplesExamined: 6, IndexLookups: 6, FullScans: 1, Inserts: 1}, {TuplesExamined: 6, IndexLookups: 6, FullScans: 1, Inserts: 1}, {TuplesExamined: 6, IndexLookups: 6, FullScans: 1}},
+		"edb":           {{TuplesExamined: 1, IndexLookups: 1, Inserts: 1}, {TuplesExamined: 1, IndexLookups: 1, Inserts: 1}, {IndexLookups: 1}},
+	}
+	for _, exm := range bindExamples() {
+		t.Run(exm.name, func(t *testing.T) {
+			eng := exm.open(t)
+			var got []Counters
+			for _, c := range exm.consts {
+				rows, err := eng.Query(context.Background(), fmt.Sprintf(exm.shape, c))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex := rows.Explain(); ex.Strategy != exm.strategy || ex.ResultCache != "rebuilt" {
+					t.Fatalf("%s: %v; want a cold %s evaluation", c, ex, exm.strategy)
+				}
+				got = append(got, rows.Counters())
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want[exm.name]) {
+				t.Errorf("counters per constant %v:\n got %#v\nwant %#v", exm.consts, got, want[exm.name])
+			}
+		})
+	}
+}

@@ -105,7 +105,7 @@ func bindExamples() []bindExample {
 				`)
 			},
 			shape:    "sg(%s, Y)",
-			consts:   []string{"f0_p1", "f1_p2", "f2_p3"},
+			consts:   []string{"f0_1", "f1_12", "f2_29"},
 			strategy: "magic",
 		},
 		{

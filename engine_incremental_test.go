@@ -771,11 +771,21 @@ func TestResultCacheFailedUpdatePoisons(t *testing.T) {
 	})
 }
 
-// dyingCtx reports context.Canceled from its after-th Err call on.
+// dyingCtx reports context.Canceled from its after-th Err call on. Its
+// Done channel is closed from the start, so a loop that polls the channel
+// and reads Err only once it has fired reads Err at every poll.
 type dyingCtx struct {
 	context.Context
 	after int
 }
+
+func (c *dyingCtx) Done() <-chan struct{} { return closedChan }
+
+var closedChan = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 func (c *dyingCtx) Err() error {
 	if c.after--; c.after < 0 {
@@ -882,6 +892,9 @@ type hookCtx struct {
 	at int
 	fn func()
 }
+
+// Done is closed from the start, like dyingCtx's: every poll reads Err.
+func (c *hookCtx) Done() <-chan struct{} { return closedChan }
 
 func (c *hookCtx) Err() error {
 	if c.at--; c.at == 0 {

@@ -31,28 +31,29 @@ func Bit(n, i int) Mask {
 // Test reports whether bit i is set.
 func (m Mask) Test(i int) bool { return m[i/64]&(1<<uint(i%64)) != 0 }
 
-// OrNew ors src into m in place and returns the bits that were newly
-// set (nil when src added nothing) — the label-propagation step of a
-// shared traversal.
-func (m Mask) OrNew(src Mask) Mask {
-	var fresh Mask
+// OrNew ors src into m in place, and the bits that were newly set into
+// fresh, reporting whether there were any — the label-propagation step of
+// a shared traversal.
+func (m Mask) OrNew(src, fresh Mask) bool {
+	any := false
 	for w, sv := range src {
 		if nb := sv &^ m[w]; nb != 0 {
-			if fresh == nil {
-				fresh = make(Mask, len(m))
-			}
 			m[w] |= nb
-			fresh[w] = nb
+			fresh[w] |= nb
+			any = true
 		}
 	}
-	return fresh
+	return any
 }
 
-// OrInto ors src into m in place.
-func (m Mask) OrInto(src Mask) {
-	for w, sv := range src {
-		m[w] |= sv
+// Empty reports whether no bit is set.
+func (m Mask) Empty() bool {
+	for _, w := range m {
+		if w != 0 {
+			return false
+		}
 	}
+	return true
 }
 
 // Set is a growable bitset over non-negative ints. The zero value is an
@@ -109,7 +110,6 @@ func (s *Set) Range(f func(i int) bool) {
 // only values interned after creation land there.
 type Concurrent struct {
 	words []atomic.Uint64
-	n     atomic.Int64
 
 	mu       sync.Mutex
 	overflow Set
@@ -136,18 +136,13 @@ func (c *Concurrent) Add(i int) bool {
 				return false
 			}
 			if c.words[w].CompareAndSwap(old, old|bit) {
-				c.n.Add(1)
 				return true
 			}
 		}
 	}
 	c.mu.Lock()
-	fresh := c.overflow.Add(i - len(c.words)<<6)
-	c.mu.Unlock()
-	if fresh {
-		c.n.Add(1)
-	}
-	return fresh
+	defer c.mu.Unlock()
+	return c.overflow.Add(i - len(c.words)<<6)
 }
 
 // Has reports membership.
@@ -161,8 +156,18 @@ func (c *Concurrent) Has(i int) bool {
 	return c.overflow.Has(i - len(c.words)<<6)
 }
 
-// Len returns the number of members.
-func (c *Concurrent) Len() int { return int(c.n.Load()) }
+// Len returns the number of members, counted word by word: a claim
+// writes the one word its bit is in and no shared tally, so the count is
+// a walk for its rare callers (a claiming loop knows what it claimed).
+func (c *Concurrent) Len() int {
+	n := 0
+	for w := range c.words {
+		n += bits.OnesCount64(c.words[w].Load())
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return n + c.overflow.Len()
+}
 
 // Members returns the members in ascending order. It observes a
 // snapshot of the prefix and the overflow taken word by word: members

@@ -6,20 +6,21 @@ import (
 )
 
 func TestMaskOrNew(t *testing.T) {
-	m := NewMask(130)
-	if fresh := m.OrNew(Bit(130, 7)); fresh == nil || !fresh.Test(7) {
+	m, fresh := NewMask(130), NewMask(130)
+	if !fresh.Empty() || !m.OrNew(Bit(130, 7), fresh) || !fresh.Test(7) || fresh.Empty() {
 		t.Fatalf("first or should report bit 7 fresh")
 	}
-	if fresh := m.OrNew(Bit(130, 7)); fresh != nil {
+	clear(fresh)
+	if m.OrNew(Bit(130, 7), fresh) || !fresh.Empty() {
 		t.Fatalf("second or of bit 7 reported fresh bits %v", fresh)
 	}
 	if !m.Test(7) || m.Test(8) {
 		t.Fatalf("mask state wrong after or")
 	}
-	// Cross-word bits.
-	m.OrInto(Bit(130, 129))
-	if !m.Test(129) {
-		t.Fatalf("bit 129 lost")
+	// Cross-word bits, added to what fresh already holds.
+	fresh[0] = 1
+	if !m.OrNew(Bit(130, 129), fresh) || !m.Test(129) || !fresh.Test(129) || !fresh.Test(0) || fresh.Test(7) {
+		t.Fatalf("bit 129 lost: mask %v fresh %v", m, fresh)
 	}
 }
 

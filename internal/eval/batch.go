@@ -197,21 +197,12 @@ func addBatchStats(a, b EvalStats) EvalStats {
 	return out
 }
 
-// ownerItem is one frontier entry of the shared traversal: a context
-// (by index) plus the owners that newly reached it.
-type ownerItem struct {
-	idx  int
-	mask bitset.Mask
-}
-
 // batchWorker is the batch traversal's share of one pool worker's state:
-// the owner mask of the frontier item (or context) being processed, and,
 // for the f phase, the mask each successor in the worker's next buffer was
 // produced under — merged sequentially into the owner table after the
-// level. Written per context like the levelWorker beside it, and padded
+// level. Written per solution like the levelWorker beside it, and padded
 // apart for the same reason.
 type batchWorker struct {
-	cur   bitset.Mask
 	masks []bitset.Mask
 	_     [scratchPad]byte
 }
@@ -263,22 +254,23 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	nAnchors := len(p.foldedAnchors)
 	carryWidth := nAnchors + len(p.ctxCols)
 
-	// Owner table: every distinct context with the (multi-word) bitmask
-	// of queries that reach it.
+	// Owner table: every distinct context with the (multi-word) bitmask of
+	// the queries that reach it, and of those that have since it was last
+	// expanded — two flat arenas, a mask apiece by context ordinal. pending
+	// lists the contexts that have new owners, in the order they got them.
 	ix := ctxIndex{width: carryWidth}
-	var masks []bitset.Mask
-	next := make(map[int]bitset.Mask)
+	words := len(bitset.NewMask(k))
+	maskAt := func(arena []uint64, i int) bitset.Mask { return arena[i*words : (i+1)*words : (i+1)*words] }
+	var owned, fresh []uint64
+	var pending []int
 	merge := func(tup storage.Tuple, mask bitset.Mask) {
-		i, fresh := ix.ordinalOf(tup)
-		if fresh {
-			masks = append(masks, bitset.NewMask(k))
+		i, first := ix.ordinalOf(tup)
+		if first {
+			owned, fresh = append(owned, make([]uint64, words)...), append(fresh, make([]uint64, words)...)
 		}
-		if nb := masks[i].OrNew(mask); nb != nil {
-			if nm, ok := next[i]; ok {
-				nm.OrInto(nb)
-			} else {
-				next[i] = nb
-			}
+		news := maskAt(fresh, i)
+		if queued := !news.Empty(); maskAt(owned, i).OrNew(mask, news) && !queued {
+			pending = append(pending, i)
 		}
 	}
 
@@ -321,23 +313,28 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		}
 	}
 
-	// The same level workers as the single-query loop. A successor is
-	// kept with the mask it was produced under instead of being claimed:
-	// the owner table decides, after the level, whether it is news.
+	// The same level workers as the single-query loop, walking a frontier:
+	// the contexts some owner newly reached, flat like a carry, with the
+	// owners that did (fmasks, by position). A successor is kept with the
+	// mask it was produced under instead of being claimed: the owner table
+	// decides, after the level, whether it is news. owners is the mask
+	// arena of the buffer being walked — fmasks, then owned for the g phase.
+	var frontier carryBuf
+	var fmasks, owners []uint64
 	bws := make([]batchWorker, workers)
 	pool := levelPool{
 		f: &f, g: &g, nAnchors: nAnchors, arity: p.Def.Arity(), resolve: resolve, tallies: ts,
 		ws: make([]levelWorker, workers),
 		setup: func(i int, w *levelWorker) {
 			bw := &bws[i]
-			w.onSucc = func(s []storage.Value) bool {
+			w.f.emit = func(s []storage.Value) bool {
 				w.next.push(w.successor(s))
-				bw.masks = append(bw.masks, bw.cur)
+				bw.masks = append(bw.masks, maskAt(owners, w.cur))
 				return true
 			}
-			w.onExit = func(s []storage.Value) bool {
-				for q := 0; q < k; q++ {
-					if bw.cur.Test(q) {
+			w.g.emit = func(s []storage.Value) bool {
+				for own, q := maskAt(owners, w.cur), 0; q < k; q++ {
+					if own.Test(q) {
 						emitOwner(q, 0, s, w.anchors, w.out)
 					}
 				}
@@ -346,36 +343,36 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		},
 	}
 
-	var frontier []ownerItem
 	flush := func() {
-		frontier = frontier[:0]
-		for i, m := range next {
-			frontier = append(frontier, ownerItem{idx: i, mask: m})
+		frontier.reset()
+		fmasks = fmasks[:0]
+		for _, i := range pending {
+			frontier.push(ix.ctxs.at(i, carryWidth))
+			news := maskAt(fresh, i)
+			fmasks = append(fmasks, news...)
+			clear(news)
 		}
-		clear(next)
+		pending = pending[:0]
 	}
 	flush()
 
 	meter := MeterFrom(ctx)
 	stats.Batches++ // the seed batch
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
+	done := ctx.Done()
+	fLevel := func(wi, lo, hi int) { pool.worker(wi).expand(&frontier, lo, hi) }
+	for frontier.n > 0 {
+		if err := expired(ctx, done); err != nil {
 			return nil, stats, err
 		}
 		// Gas: the frontier holds the contexts newly reached (or newly
 		// re-owned) this round — the shared traversal's unit of derivation.
-		if err := meter.Charge(len(frontier)); err != nil {
+		if err := meter.Charge(frontier.n); err != nil {
 			return nil, stats, err
 		}
 		stats.Iterations++
 		stats.Batches++
-		parallelFor(workers, len(frontier), func(wi, lo, hi int) {
-			w, bw := pool.worker(wi), &bws[wi]
-			for _, it := range frontier[lo:hi] {
-				bw.cur = it.mask
-				w.expand(ix.ctxs.at(it.idx, carryWidth))
-			}
-		})
+		owners = fmasks
+		parallelFor(workers, frontier.n, fLevel)
 		// merge may grow the owner table's arena, which the workers read
 		// contexts out of — sequential, after the level's join.
 		for wi := range pool.ws {
@@ -396,13 +393,8 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
-	parallelFor(workers, ix.ctxs.n, func(wi, lo, hi int) {
-		w, bw := pool.worker(wi), &bws[wi]
-		for i := lo; i < hi; i++ {
-			bw.cur = masks[i]
-			w.exits(ix.ctxs.at(i, carryWidth))
-		}
-	})
+	owners = owned
+	parallelFor(workers, ix.ctxs.n, func(wi, lo, hi int) { pool.worker(wi).exits(&ix.ctxs, lo, hi) })
 	answers := 0
 	for _, r := range ans {
 		answers += r.Len()

@@ -27,54 +27,104 @@ type catom struct {
 	idb  bool
 }
 
+// probePlan is what compileConj knows of an atom at its place in the
+// order: which arguments are bound when the walk reaches it. Boundness is
+// static — the order is fixed from the slots bound on entry, every caller
+// enters with exactly those, and an atom binds all of its variables — so
+// the walk never asks whether a slot is bound: it probes by keys, rejects
+// a row that breaks eqs, and copies outs.
+type probePlan struct {
+	// keys are the bound arguments, the probe's bindings: constants and
+	// slots bound on entry or by an earlier atom.
+	keys []probeKey
+	// outs are the first occurrences of the variables the atom binds.
+	outs []colSlot
+	// eqs pair each further occurrence of such a variable with its first:
+	// p(X, X) keeps the rows whose two columns agree.
+	eqs [][2]int
+	// exist marks an atom none of whose bindings are read by later atoms
+	// or by the caller's projection: the first matching tuple suffices (a
+	// semijoin). This is what keeps the Example 3.4 d-lookup a
+	// nonemptiness check instead of a scan per iteration.
+	exist bool
+	// off is the atom's segment offset into conjScratch.keys.
+	off int
+}
+
+// probeKey is one bound argument: column col holds the constant ref.val
+// or the value of slot ref.slot.
+type probeKey struct {
+	col int
+	ref argRef
+}
+
+// colSlot says column col's value goes to slot.
+type colSlot struct{ col, slot int }
+
+// accept applies the plan's free arguments to a row matching its keys:
+// false when a repeated variable's columns disagree, else the row's
+// values are in their slots — t, the lookup's reused buffer, is done with
+// before the walk probes again.
+func (pp *probePlan) accept(t storage.Tuple, slots []storage.Value) bool {
+	for _, e := range pp.eqs {
+		if t[e[0]] != t[e[1]] {
+			return false
+		}
+	}
+	for _, o := range pp.outs {
+		slots[o.slot] = t[o.col]
+	}
+	return true
+}
+
 // compiledConj is a conjunction compiled against a variable-slot space and
 // ordered for evaluation.
 type compiledConj struct {
 	nslots  int
 	varSlot map[string]int
 	atoms   []catom
-	// existential[i] marks atoms none of whose variable bindings are read
-	// by later atoms or by the caller's projection: the first matching
-	// tuple suffices (a semijoin). This is what keeps the Example 3.4
-	// d-lookup a nonemptiness check instead of a scan per iteration.
-	existential []bool
-	// argOff[i] is atom i's segment offset into the scratch backing
-	// arrays (see conjScratch); totalArgs is the arrays' length and
-	// maxArity the widest atom (the lookup buffer size).
-	argOff    []int
-	totalArgs int
+	// probes[i] is atom i's probe plan.
+	probes []probePlan
+	// totalKeys is the length of a scratch's binding array and maxArity
+	// the widest atom (the lookup buffer size).
+	totalKeys int
 	maxArity  int
 }
 
 // conjScratch is the reusable per-traversal state of a conjunction
 // evaluation: each atom's relation as bind last resolved it (and, for a
 // traversal over a pre-deletion state, the tuples that have left it, see
-// bindLeft), the tally its probes are counted in, per-atom binding and
-// newly-bound segments carved out of two backing arrays, plus the buffer
-// storage lookups yield rows into. One scratch serves the whole step
-// recursion — each atom index owns a disjoint segment, and a yielded row
-// is fully consumed before the next lookup overwrites the buffer — but it
-// must not be shared across goroutines. Hot callers hold one per worker,
-// bind it once per evaluation and reuse it across contexts via runS; run
-// itself makes a fresh one per call.
+// bindLeft), the tally its probes are counted in, per-atom probe bindings
+// carved out of one backing array — columns and constants filled in once,
+// here — plus the buffer storage lookups yield rows into. One scratch
+// serves the whole step recursion — each atom index owns a disjoint
+// segment, and a yielded row is fully consumed before the next lookup
+// overwrites the buffer — but it must not be shared across goroutines.
+// Hot callers hold one per worker, bind it once per evaluation and reuse
+// it across contexts via step; run itself makes a fresh one per call.
 type conjScratch struct {
-	rels     []*storage.Relation
-	left     []*storage.Relation // nil until bindLeft
-	tally    *storage.Tally
-	bindBack []storage.Binding
-	newBack  []int
-	tupBuf   storage.Tuple
+	rels   []*storage.Relation
+	left   []*storage.Relation // nil until bindLeft
+	tally  *storage.Tally
+	keys   []storage.Binding
+	tupBuf storage.Tuple
 }
 
 // newScratch allocates a scratch sized for this conjunction. bind it
-// before the first runS.
+// before the first step.
 func (c *compiledConj) newScratch() *conjScratch {
-	return &conjScratch{
-		rels:     make([]*storage.Relation, len(c.atoms)),
-		bindBack: make([]storage.Binding, c.totalArgs),
-		newBack:  make([]int, c.totalArgs),
-		tupBuf:   make(storage.Tuple, c.maxArity),
+	sc := &conjScratch{
+		rels:   make([]*storage.Relation, len(c.atoms)),
+		keys:   make([]storage.Binding, c.totalKeys),
+		tupBuf: make(storage.Tuple, c.maxArity),
 	}
+	for i := range c.probes {
+		pp := &c.probes[i]
+		for j, k := range pp.keys {
+			sc.keys[pp.off+j] = storage.Binding{Col: k.col, Val: k.ref.val}
+		}
+	}
+	return sc
 }
 
 // bind resolves every atom's relation into sc, once for all the
@@ -186,7 +236,7 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 			bound[ss.slot(v)] = true
 		}
 	}
-	var ordered []catom
+	c := &compiledConj{varSlot: ss.varSlot}
 	remaining := append([]catom{}, cs...)
 	// Pin delta atoms first (they are the small relations).
 	sort.SliceStable(remaining, func(i, j int) bool { return remaining[i].alt && !remaining[j].alt })
@@ -213,23 +263,27 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 		}
 		chosen := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
-		ordered = append(ordered, chosen)
-		for _, a := range chosen.args {
-			if !a.isConst {
-				bound[a.slot] = true
+		// The atom's probe plan, from what is bound on reaching it.
+		pp := probePlan{off: c.totalKeys}
+		first := make(map[int]int) // slot -> column of its first occurrence in the atom
+		for col, a := range chosen.args {
+			if a.isConst || bound[a.slot] {
+				pp.keys = append(pp.keys, probeKey{col: col, ref: a})
+			} else if at, again := first[a.slot]; again {
+				pp.eqs = append(pp.eqs, [2]int{col, at})
+			} else {
+				first[a.slot] = col
+				pp.outs = append(pp.outs, colSlot{col: col, slot: a.slot})
 			}
 		}
-	}
-	c := &compiledConj{nslots: len(ss.varSlot), varSlot: ss.varSlot, atoms: ordered}
-	c.argOff = make([]int, len(ordered))
-	for i, a := range ordered {
-		c.argOff[i] = c.totalArgs
-		c.totalArgs += len(a.args)
-		if len(a.args) > c.maxArity {
-			c.maxArity = len(a.args)
+		for slot := range first {
+			bound[slot] = true
 		}
+		c.atoms, c.probes = append(c.atoms, chosen), append(c.probes, pp)
+		c.totalKeys += len(pp.keys)
+		c.maxArity = max(c.maxArity, len(chosen.args))
 	}
-	c.existential = make([]bool, len(ordered))
+	c.nslots = len(ss.varSlot)
 	if needed != nil {
 		// neededAfter accumulates slots read after position i: the
 		// caller's projection plus every later atom's variables.
@@ -237,15 +291,15 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 		for v := range needed {
 			neededAfter[ss.slot(v)] = true
 		}
-		for i := len(ordered) - 1; i >= 0; i-- {
+		for i := len(c.atoms) - 1; i >= 0; i-- {
 			ex := true
-			for _, a := range ordered[i].args {
+			for _, a := range c.atoms[i].args {
 				if !a.isConst && neededAfter[a.slot] {
 					ex = false
 				}
 			}
-			c.existential[i] = ex
-			for _, a := range ordered[i].args {
+			c.probes[i].exist = ex
+			for _, a := range c.atoms[i].args {
 				if !a.isConst {
 					neededAfter[a.slot] = true
 				}
@@ -255,29 +309,28 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 	return c
 }
 
-// run evaluates the conjunction. slots/boundFlags carry the initial
-// bindings (length >= nslots); emit is called with the full slot array for
-// every solution and may return false to stop. The slot array is reused;
-// emit must copy what it keeps. run allocates and binds a fresh scratch
-// per call — callers that evaluate many contexts should hold one scratch
-// per goroutine and use runS.
-func (c *compiledConj) run(res resolver, tally *storage.Tally, slots []storage.Value, boundFlags []bool, emit func([]storage.Value) bool) {
+// run evaluates the conjunction. slots carries the values of the slots
+// bound on entry (length >= nslots); emit is called with the full slot
+// array for every solution and may return false to stop. The slot array
+// is reused; emit must copy what it keeps. run allocates and binds a
+// fresh scratch per call — callers that evaluate many contexts hold one
+// scratch per goroutine and call step.
+func (c *compiledConj) run(res resolver, tally *storage.Tally, slots []storage.Value, emit func([]storage.Value) bool) {
 	sc := c.newScratch()
 	c.bind(sc, res, tally)
-	c.step(0, slots, boundFlags, sc, emit)
+	c.step(0, slots, sc, emit)
 }
 
-// runS is run with caller-owned, bound scratch (one per goroutine) — the
-// zero-allocation traversal path.
-func (c *compiledConj) runS(slots []storage.Value, boundFlags []bool, sc *conjScratch, emit func([]storage.Value) bool) {
-	c.step(0, slots, boundFlags, sc, emit)
-}
-
-func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conjScratch, emit func([]storage.Value) bool) bool {
+// step walks the conjunction from atom i on with caller-owned, bound
+// scratch (one per goroutine) — the zero-allocation traversal path: 0
+// evaluates it whole; a driver that has probed atom 0 itself and accepted
+// a row (probePlan.accept) continues that solution at 1. It reports false
+// when emit stopped the walk.
+func (c *compiledConj) step(i int, slots []storage.Value, sc *conjScratch, emit func([]storage.Value) bool) bool {
 	if i == len(c.atoms) {
 		return emit(slots)
 	}
-	at := &c.atoms[i]
+	pp := &c.probes[i]
 	rel := sc.rels[i]
 	var left *storage.Relation
 	if sc.left != nil {
@@ -286,47 +339,22 @@ func (c *compiledConj) step(i int, slots []storage.Value, bound []bool, sc *conj
 	if rel == nil && left == nil {
 		return true
 	}
-	off := c.argOff[i]
-	bindings := sc.bindBack[off : off : off+len(at.args)]
-	for col, a := range at.args {
-		if a.isConst {
-			bindings = append(bindings, storage.Binding{Col: col, Val: a.val})
-		} else if bound[a.slot] {
-			bindings = append(bindings, storage.Binding{Col: col, Val: slots[a.slot]})
+	bindings := sc.keys[pp.off : pp.off+len(pp.keys)]
+	for j, k := range pp.keys {
+		if !k.ref.isConst {
+			bindings[j].Val = slots[k.ref.slot]
 		}
 	}
 	cont, witnessed := true, false
-	exist := len(c.existential) > 0 && c.existential[i]
 	visit := func(t storage.Tuple) bool {
-		// Bind free slots; repeated free variables within the atom must
-		// agree. t is the lookup's reused buffer: everything read from it
-		// is copied into slots before the recursive step reuses it.
-		newlyBound := sc.newBack[off : off : off+len(at.args)]
-		ok := true
-		for col, a := range at.args {
-			if a.isConst {
-				continue
-			}
-			if bound[a.slot] {
-				if slots[a.slot] != t[col] {
-					ok = false
-					break
-				}
-				continue
-			}
-			slots[a.slot] = t[col]
-			bound[a.slot] = true
-			newlyBound = append(newlyBound, a.slot)
+		if !pp.accept(t, slots) {
+			return true
 		}
-		if ok {
-			cont = c.step(i+1, slots, bound, sc, emit)
-		}
-		for _, s := range newlyBound {
-			bound[s] = false
-		}
-		// Existential atoms bind nothing anyone reads: the first matching
-		// tuple decides the rest of the evaluation, so stop iterating.
-		if ok && exist {
+		cont = c.step(i+1, slots, sc, emit)
+		// An existential atom binds nothing anyone reads: the first
+		// matching tuple decides the rest of the evaluation, so stop
+		// iterating.
+		if pp.exist {
 			witnessed = true
 			return false
 		}

@@ -64,8 +64,7 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 		conj := compileConj(atoms, nil, ss, syms, nil, map[string]bool{})
 		found := false
 		slots := make([]storage.Value, len(ss.varSlot))
-		bound := make([]bool, len(ss.varSlot))
-		conj.run(resolve, nil, slots, bound, func([]storage.Value) bool {
+		conj.run(resolve, nil, slots, func([]storage.Value) bool {
 			found = true
 			return false
 		})
@@ -105,10 +104,9 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 		conj := compileConj(seedAtoms, nil, ss, syms, nil, p.carryNeeded(seedRec))
 		proj := p.carryProjection(ss, seedRec, syms)
 		slots := make([]storage.Value, len(ss.varSlot))
-		bound := make([]bool, len(ss.varSlot))
 		tup := make(storage.Tuple, carryWidth)
 		dedup := storage.NewRelation(carryWidth, nil)
-		conj.run(resolve, nil, slots, bound, func(s []storage.Value) bool {
+		conj.run(resolve, nil, slots, func(s []storage.Value) bool {
 			proj.project(s, tup)
 			if dedup.Insert(tup) {
 				level = append(level, tup.Clone())
@@ -162,18 +160,13 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 	emit := p.answerAssembler(gSS, syms)
 
 	gSlots := make([]storage.Value, len(gSS.varSlot))
-	gBound := make([]bool, len(gSS.varSlot))
 	answerLevel := func(tuples []storage.Tuple) {
 		for _, c := range tuples {
-			for i := range gBound {
-				gBound[i] = false
-			}
 			for i, sl := range gCtxSlots {
 				gSlots[sl] = c[len(p.foldedAnchors)+i]
-				gBound[sl] = true
 			}
 			anchorPart := c[:len(p.foldedAnchors)]
-			gConj.run(resolve, nil, gSlots, gBound, func(s []storage.Value) bool {
+			gConj.run(resolve, nil, gSlots, func(s []storage.Value) bool {
 				emit(s, anchorPart, ans)
 				return true
 			})
@@ -202,19 +195,14 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 
 		var next []storage.Tuple
 		slots := make([]storage.Value, len(fSS.varSlot))
-		bound := make([]bool, len(fSS.varSlot))
 		tup := make(storage.Tuple, carryWidth)
 		dedup := storage.NewRelation(carryWidth, nil) // within-level dedup only
 		for _, c := range level {
-			for i := range bound {
-				bound[i] = false
-			}
 			for i, sl := range fHeadSlots {
 				slots[sl] = c[len(p.foldedAnchors)+i]
-				bound[sl] = true
 			}
 			anchorPart := c[:len(p.foldedAnchors)]
-			fConj.run(resolve, nil, slots, bound, func(s []storage.Value) bool {
+			fConj.run(resolve, nil, slots, func(s []storage.Value) bool {
 				fProj.projectCtx(s, anchorPart, tup)
 				if dedup.Insert(tup) {
 					next = append(next, tup.Clone())
@@ -244,14 +232,13 @@ func (p *Plan) exitOnlyAnswers(edb *storage.Database, ans *storage.Relation) {
 	conj := compileConj(d0Atoms, nil, ss, syms, nil, d0Head.VarSet())
 	headRefs := compileAtom(d0Head, ss, syms, false)
 	slots := make([]storage.Value, len(ss.varSlot))
-	bound := make([]bool, len(ss.varSlot))
 	out := make(storage.Tuple, p.Def.Arity())
 	for i, a := range p.Query.Args {
 		if a.IsConst() {
 			out[i] = syms.Intern(a.Name)
 		}
 	}
-	conj.run(resolve, nil, slots, bound, func(s []storage.Value) bool {
+	conj.run(resolve, nil, slots, func(s []storage.Value) bool {
 		for ri, oi := range p.keepCols {
 			ref := headRefs.args[ri]
 			if ref.isConst {

@@ -17,11 +17,16 @@
 // workers share the immutable compiled operators and claim newly
 // discovered contexts through a sharded seen-set whose Offer — the
 // claim point — admits each tuple exactly once. A worker's scratch
-// (slot and bound arrays, conjunction scratch with the atoms' relations
-// resolved, the arena it collects the next level in) is built once per
-// evaluation and reused by every level, and the carry is a flat arena
+// (slot arrays, conjunction scratch with the atoms' relations resolved,
+// probe staging, the arena it collects the next level in) is built once
+// per evaluation and reused by every level, and the carry is a flat arena
 // rather than a slice of tuples, so a level allocates nothing
-// (level.go). Semi-naive rounds parallelize the same way across their
+// (level.go). A worker takes its share of a level in chunks of sixteen
+// contexts: when f's or g's first atom is probed by one context value —
+// every linear recursion's — the chunk's probes go to storage together
+// (storage.Relation.LookupKeys) and each row continues its context's
+// solution at the second atom; a lone context, every level of a chain,
+// is one plain lookup. Semi-naive rounds parallelize the same way across their
 // independent (rule, variant) jobs, and like a narrow carry batch a
 // round whose delta is smaller than minParallelChunk runs inline on the
 // calling goroutine (runRound). Both drivers synchronize at level/round
@@ -35,6 +40,17 @@
 // Counters once, when it ends — however it ends. A probe therefore
 // writes nothing another goroutine reads, and the Counters are exact
 // between evaluations rather than during one.
+//
+// # Compiled conjunctions
+//
+// compileConj orders a body's atoms from the slots bound on entry and
+// records per atom its probe plan: the bound arguments (keys), the first
+// occurrences of the variables it binds (outs), their repeats inside the
+// atom (eqs), and whether anything reads what it binds (existential: the
+// first row decides). Boundness is static — every caller enters with
+// exactly the bindings the order was fixed from, and an atom binds all of
+// its variables — so the walk (compiledConj.step) keeps no bound flags
+// and undoes nothing: it fills the keys, probes, and copies the outs.
 //
 // # Streaming
 //

@@ -527,12 +527,15 @@ type contextEval struct {
 	groups []groupResult
 	srcs   []colSrc
 
-	// pool is the level workers; carry is the level being read. tallies
-	// counts the probes of every phase — depth 0, factor groups, seed,
-	// levels — per worker ordinal, until run adds them into the database's
-	// Counters on its way out.
+	// pool is the level workers; carry is the level being read, and claimed
+	// the contexts claimed so far — every carry's width summed, which is the
+	// seen-set's size without a shared counter for the claims to bump.
+	// tallies counts the probes of every phase — depth 0, factor groups,
+	// seed, levels — per worker ordinal, until run adds them into the
+	// database's Counters on its way out.
 	pool    levelPool
 	carry   carryBuf
+	claimed int
 	tallies tallies
 }
 
@@ -567,14 +570,13 @@ func (p *Plan) compileD0(syms *storage.SymbolTable) d0Ops {
 // returns false to stop.
 func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, tally *storage.Tally, sink func(storage.Tuple) bool) {
 	slots := make([]storage.Value, d.nslots)
-	bound := make([]bool, d.nslots)
 	out := make(storage.Tuple, p.Def.Arity())
 	for i, a := range p.Query.Args {
 		if a.IsConst() {
 			out[i] = syms.Intern(a.Name)
 		}
 	}
-	d.conj.run(resolve, tally, slots, bound, func(s []storage.Value) bool {
+	d.conj.run(resolve, tally, slots, func(s []storage.Value) bool {
 		for ri, oi := range p.keepCols {
 			ref := d.headRefs.args[ri]
 			if ref.isConst {
@@ -605,7 +607,6 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 	var stop atomic.Bool
 	parallelFor(len(ts), len(rows)/arity, func(w, lo, hi int) {
 		slots := make([]storage.Value, d.nslots)
-		bound := make([]bool, d.nslots)
 		out := make(storage.Tuple, p.Def.Arity())
 		for i, a := range p.Query.Args {
 			if a.IsConst() {
@@ -641,8 +642,8 @@ func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver,
 		}
 		for ri := lo; ri < hi && !stop.Load(); ri++ {
 			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
-			if bindOuter(c.atoms[0], t, slots, bound) {
-				c.step(1, slots, bound, sc, emit)
+			if c.probes[0].accept(t, slots) {
+				c.step(1, slots, sc, emit)
 			}
 		}
 	})
@@ -667,9 +668,8 @@ func (p *Plan) evalFactoredGroups(syms *storage.SymbolTable, resolve resolver, t
 		}
 		rel := storage.NewRelation(len(fg.anchors), nil)
 		slots := make([]storage.Value, len(ss.varSlot))
-		bound := make([]bool, len(ss.varSlot))
 		tup := make(storage.Tuple, len(fg.anchors))
-		conj.run(resolve, tally, slots, bound, func(s []storage.Value) bool {
+		conj.run(resolve, tally, slots, func(s []storage.Value) bool {
 			for i, sl := range anchorSlots {
 				tup[i] = s[sl]
 			}
@@ -727,9 +727,8 @@ func (p *Plan) compileSeed(syms *storage.SymbolTable) seedOps {
 // may repeat; the caller deduplicates.
 func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, tally *storage.Tally, yield func(storage.Tuple)) {
 	slots := make([]storage.Value, so.nslots)
-	bound := make([]bool, so.nslots)
 	tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
-	so.conj.run(resolve, tally, slots, bound, func(s []storage.Value) bool {
+	so.conj.run(resolve, tally, slots, func(s []storage.Value) bool {
 		so.proj.project(s, tup)
 		yield(tup)
 		return true
@@ -758,7 +757,6 @@ func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolv
 	}
 	parallelFor(len(ts), len(rows)/arity, func(w, lo, hi int) {
 		slots := make([]storage.Value, so.nslots)
-		bound := make([]bool, so.nslots)
 		tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
 		sc := c.newScratch()
 		c.bind(sc, resolve, ts.of(w))
@@ -769,8 +767,8 @@ func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolv
 		}
 		for ri := lo; ri < hi; ri++ {
 			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
-			if bindOuter(c.atoms[0], t, slots, bound) {
-				c.step(1, slots, bound, sc, emit)
+			if c.probes[0].accept(t, slots) {
+				c.step(1, slots, sc, emit)
 			}
 		}
 	})
@@ -788,7 +786,7 @@ func outerScan(c *compiledConj, resolve resolver, workers int) (rows []storage.V
 	if len(c.atoms) > 0 {
 		arity = len(c.atoms[0].args)
 	}
-	if workers <= 1 || arity == 0 || (len(c.existential) > 0 && c.existential[0]) {
+	if workers <= 1 || arity == 0 || c.probes[0].exist {
 		return nil, 0, false
 	}
 	at := c.atoms[0]
@@ -796,41 +794,16 @@ func outerScan(c *compiledConj, resolve resolver, workers int) (rows []storage.V
 	if rel == nil {
 		return nil, arity, true
 	}
+	// Nothing is bound on entry: the outer atom's keys are its constants.
 	var bindings []storage.Binding
-	for col, a := range at.args {
-		if a.isConst {
-			bindings = append(bindings, storage.Binding{Col: col, Val: a.val})
-		}
+	for _, k := range c.probes[0].keys {
+		bindings = append(bindings, storage.Binding{Col: k.col, Val: k.ref.val})
 	}
 	rel.Lookup(bindings, func(t storage.Tuple) bool {
 		rows = append(rows, t...)
 		return true
 	})
 	return rows, arity, true
-}
-
-// bindOuter binds the outer atom's free slots from one of its matched
-// tuples, resetting bound first. Repeated free variables within the
-// atom must agree (constant columns were already filtered by the
-// lookup bindings); it reports whether the binding is consistent.
-func bindOuter(at catom, t storage.Tuple, slots []storage.Value, bound []bool) bool {
-	for i := range bound {
-		bound[i] = false
-	}
-	for col, a := range at.args {
-		if a.isConst {
-			continue
-		}
-		if bound[a.slot] {
-			if slots[a.slot] != t[col] {
-				return false
-			}
-			continue
-		}
-		slots[a.slot] = t[col]
-		bound[a.slot] = true
-	}
-	return true
 }
 
 // fOps is the compiled carry-transition operator f: one application of
@@ -1004,14 +977,13 @@ func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bo
 
 // seenSet is the carry-loop dedup/claim set: Offer returns true exactly
 // once per tuple under concurrent calls (the duplicate-tolerant claim
-// point parallel workers hammer), Len reports the distinct context
-// count, and Tuples materializes the members (the incremental layer
-// adopts them as the context program's context relation).
+// point parallel workers hammer), and Tuples materializes the members
+// (the incremental layer adopts them as the context program's context
+// relation). The loop counts what it claimed itself (contextEval.claimed).
 // *storage.Relation implements it directly; bitsetSeen replaces the
 // relation for unary carries.
 type seenSet interface {
 	Offer(storage.Tuple) bool
-	Len() int
 	Tuples() []storage.Tuple
 }
 
@@ -1022,8 +994,6 @@ type bitsetSeen struct {
 }
 
 func (b *bitsetSeen) Offer(t storage.Tuple) bool { return b.set.Add(int(t[0])) }
-
-func (b *bitsetSeen) Len() int { return b.set.Len() }
 
 func (b *bitsetSeen) Tuples() []storage.Tuple {
 	members := b.set.Members()
@@ -1061,7 +1031,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	meter := MeterFrom(ctx)
 	charged := 0
 	charge := func() error {
-		cur := ce.seen.Len() + ce.ans.Len()
+		cur := ce.claimed + ce.ans.Len()
 		err := meter.Charge(cur - charged)
 		charged = cur
 		return err
@@ -1102,13 +1072,13 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 			// Workers claim contexts through the seen-set: Offer returns
 			// true exactly once per tuple however the level was split, so
 			// the next level is a set.
-			w.onSucc = func(s []storage.Value) bool {
+			w.f.emit = func(s []storage.Value) bool {
 				if t := w.successor(s); ce.seen.Offer(t) {
 					w.next.push(t)
 				}
 				return true
 			}
-			w.onExit = func(s []storage.Value) bool {
+			w.g.emit = func(s []storage.Value) bool {
 				return ce.emitProducts(0, s, w.anchors, w.out)
 			}
 		},
@@ -1116,18 +1086,13 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// The two halves of a level, split across the pool. Each context's
 	// probes are independent, so partitioning is safe; answer dedup happens
 	// in the sharded answer relation. Built once: a level creates no
-	// closure. (Two literal loops, not one parameterized by the method: the
-	// indirect call per context costs ≈7 % on a one-context-wide chain.)
-	fLevel := func(wi, lo, hi int) {
-		w := ce.pool.worker(wi)
-		for i := lo; i < hi && !ce.aborted.Load(); i++ {
-			w.expand(ce.carry.at(i, ce.carryWidth))
-		}
-	}
+	// closure. Only g's answers can abort the evaluation, and a worker whose
+	// own contexts join with nothing would not notice: it asks per chunk.
+	fLevel := func(wi, lo, hi int) { ce.pool.worker(wi).expand(&ce.carry, lo, hi) }
 	gLevel := func(wi, lo, hi int) {
 		w := ce.pool.worker(wi)
-		for i := lo; i < hi && !ce.aborted.Load(); i++ {
-			w.exits(ce.carry.at(i, ce.carryWidth))
+		for ; lo < hi && !ce.aborted.Load(); lo += probeChunk {
+			w.exits(&ce.carry, lo, min(lo+probeChunk, hi))
 		}
 	}
 
@@ -1140,24 +1105,27 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		}
 	})
 	ce.pool.gather(&ce.carry)
+	ce.claimed += ce.carry.n
 
 	// Fig. 9 while loop, one parallel batch per level: g joins the new
 	// contexts (streaming their answers), f produces the next level.
 	ce.stats.Batches++
 	ce.stats.GProbes += ce.carry.n
 	parallelFor(ce.workers, ce.carry.n, gLevel)
+	done := ctx.Done()
 	for ce.carry.n > 0 && !ce.aborted.Load() {
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx, done); err != nil {
 			return nil, ce.stats, err
 		}
 		if err := charge(); err != nil {
-			ce.stats.SeenSize = ce.seen.Len()
+			ce.stats.SeenSize = ce.claimed
 			return nil, ce.stats, err
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
 		parallelFor(ce.workers, ce.carry.n, fLevel)
 		ce.pool.gather(&ce.carry)
+		ce.claimed += ce.carry.n
 		if p.TestIterHook != nil {
 			p.TestIterHook(ce.stats.Iterations)
 		}
@@ -1165,7 +1133,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		parallelFor(ce.workers, ce.carry.n, gLevel)
 	}
 	if err := charge(); err != nil {
-		ce.stats.SeenSize = ce.seen.Len()
+		ce.stats.SeenSize = ce.claimed
 		return nil, ce.stats, err
 	}
 	return ce.finish(ctx)
@@ -1189,7 +1157,7 @@ func fillQueryConsts(srcs []colSrc, qc storage.Tuple) []colSrc {
 // cancellation when ctx fired — the two reach emitAnswer the same way,
 // so the distinction is recovered from ctx itself.
 func (ce *contextEval) finish(ctx context.Context) (*storage.Relation, EvalStats, error) {
-	ce.stats.SeenSize = ce.seen.Len()
+	ce.stats.SeenSize = ce.claimed
 	if ce.aborted.Load() {
 		if err := ctx.Err(); err != nil {
 			return nil, ce.stats, err

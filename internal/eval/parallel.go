@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/storage"
@@ -48,6 +49,19 @@ func parallelFor(workers, n int, fn func(worker, lo, hi int)) {
 		}(w, lo, hi)
 	}
 	wg.Wait()
+}
+
+// expired is the cancellation poll of a loop that asks once per level or
+// round: a non-blocking receive on done, ctx's Done channel captured when
+// the loop started, and ctx.Err() only once that has fired — Err on a
+// cancellable context takes its mutex, which a chain pays once per level.
+func expired(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // tallies holds one evaluation's Property-3 probe counts while it runs:

@@ -25,16 +25,13 @@ type ruleVariant struct {
 	run  *runBuf
 }
 
-// runBuf is the reusable state of a conjunction evaluation. A finished
-// (or stopped) traversal leaves bound all-false again: every slot a
-// step binds it unbinds on the way out. Variants are copied by value and
-// share their buffers, so the one-goroutine-at-a-time invariant is
-// asserted on every traversal (acquire), not assumed: scheduling one
-// variant from two jobs of a round panics instead of silently mixing
-// two traversals' bindings.
+// runBuf is the reusable state of a conjunction evaluation. Variants are
+// copied by value and share their buffers, so the one-goroutine-at-a-time
+// invariant is asserted on every traversal (acquire), not assumed:
+// scheduling one variant from two jobs of a round panics instead of
+// silently mixing two traversals' bindings.
 type runBuf struct {
 	slots []storage.Value
-	bound []bool
 	tuple storage.Tuple // the projected head
 	sc    *conjScratch
 	busy  atomic.Bool
@@ -60,7 +57,6 @@ func (b *runBuf) release() {
 func newRunBuf(conj *compiledConj, headArity int) *runBuf {
 	return &runBuf{
 		slots: make([]storage.Value, conj.nslots),
-		bound: make([]bool, conj.nslots),
 		tuple: make(storage.Tuple, headArity),
 		sc:    conj.newScratch(),
 	}
@@ -78,7 +74,7 @@ func (v ruleVariant) derive(res resolver, left map[string]*storage.Relation, tal
 	if left != nil {
 		v.conj.bindLeft(b.sc, left)
 	}
-	v.conj.runS(b.slots, b.bound, b.sc, func(s []storage.Value) bool {
+	v.conj.step(0, b.slots, b.sc, func(s []storage.Value) bool {
 		for i, h := range v.head {
 			if h.isConst {
 				b.tuple[i] = h.val
@@ -111,9 +107,10 @@ type compiledRule struct {
 }
 
 // headCheck is a rule compiled for head-bound satisfiability: the head
-// argument slots are interned first and pre-bound from a candidate
-// tuple, and the body conjunction — fully existential, since no
-// solution values are read — stops at the first witness.
+// argument slots are interned first and filled from a candidate tuple —
+// the body is compiled with all of them bound — and the body conjunction,
+// fully existential since no solution values are read, stops at the first
+// witness.
 type headCheck struct {
 	conj *compiledConj
 	head []argRef
@@ -126,25 +123,22 @@ func (hc *headCheck) holds(res resolver, tally *storage.Tally, t storage.Tuple) 
 	b := hc.run
 	b.acquire()
 	defer b.release()
-	clear(b.bound)
+	// Fill the head slots, then require t to be the head under them: a
+	// constant column, or a variable's second column (q(X, X)), that
+	// disagrees means the rule cannot derive t.
 	for i, h := range hc.head {
-		switch {
-		case h.isConst:
-			if t[i] != h.val {
-				return false
-			}
-		case b.bound[h.slot]:
-			if b.slots[h.slot] != t[i] {
-				return false
-			}
-		default:
+		if !h.isConst {
 			b.slots[h.slot] = t[i]
-			b.bound[h.slot] = true
+		}
+	}
+	for i, h := range hc.head {
+		if h.isConst && t[i] != h.val || !h.isConst && b.slots[h.slot] != t[i] {
+			return false
 		}
 	}
 	found := false
 	hc.conj.bind(b.sc, res, tally)
-	hc.conj.runS(b.slots, b.bound, b.sc, func([]storage.Value) bool {
+	hc.conj.step(0, b.slots, b.sc, func([]storage.Value) bool {
 		found = true
 		return false
 	})
@@ -525,8 +519,9 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 	var delta, spare map[string]*storage.Relation
 	res := st.resolve(&delta)
 	var buf storage.Tuple // onNew's view of a promoted tuple
+	done := ctx.Done()
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx, done); err != nil {
 			return err
 		}
 		// Promote.
@@ -785,8 +780,9 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		}
 	}
 
+	done := ctx.Done()
 	for _, comp := range st.strata {
-		if err := ctx.Err(); err != nil {
+		if err := expired(ctx, done); err != nil {
 			return err
 		}
 		rec := st.recursive[comp[0]]
@@ -833,7 +829,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		// In-component cascade: candidates beget candidates through the
 		// component's own cycles.
 		for len(roundDel) > 0 {
-			if err := ctx.Err(); err != nil {
+			if err := expired(ctx, done); err != nil {
 				return err
 			}
 			fresh := 0

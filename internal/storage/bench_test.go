@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -36,9 +37,11 @@ func benchGraph(shape string) (rel *Relation, stats *Counters, universe int) {
 // probe Property 3 prices — over both graph shapes, for keys that are
 // there and keys that are not, counted in the shared Counters (LookupBuf)
 // or in a tally the goroutine owns (LookupTally), from one goroutine and
-// from GOMAXPROCS of them. One op is a pass over 4096 random keys, so
-// that a fixed small -benchtime still times something; it must not
-// allocate.
+// from GOMAXPROCS of them — and for the same keys probed through
+// LookupKeys (tallied, serial), one key a call and sixteen: the staged
+// probe's overhead on a lone key and what overlapping a stage's misses
+// buys. One op is a pass over 4096 random keys, so that a fixed small
+// -benchtime still times something; it must not allocate.
 func BenchmarkRelationLookup(b *testing.B) {
 	for _, shape := range []string{"digraph", "chain"} {
 		rel, stats, universe := benchGraph(shape)
@@ -51,6 +54,25 @@ func BenchmarkRelationLookup(b *testing.B) {
 			probe := make([]Value, 1<<12)
 			for i := range probe {
 				probe[i] = Value(base + rng.Intn(universe))
+			}
+			perLookup := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(probe)), "ns/lookup")
+			}
+			for _, group := range []int{1, 16} {
+				b.Run(fmt.Sprintf("%s/%s/keys=%d", shape, keys, group), func(b *testing.B) {
+					var st KeyStage
+					tally := stats.Tally()
+					yield := func(int, Tuple) bool { return true }
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for at := 0; at < len(probe); at += group {
+							rel.LookupKeys(0, probe[at:at+group], &st, &tally, yield)
+						}
+					}
+					tally.Flush()
+					perLookup(b)
+				})
 			}
 			for _, counted := range []string{"counters", "tally"} {
 				// pass looks every key up once, starting at the caller's own
@@ -65,9 +87,6 @@ func BenchmarkRelationLookup(b *testing.B) {
 							rel.LookupBuf(bind, buf, yield)
 						}
 					}
-				}
-				perLookup := func(b *testing.B) {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(probe)), "ns/lookup")
 				}
 				name := shape + "/" + keys + "/" + counted
 				b.Run(name+"/serial", func(b *testing.B) {

@@ -157,6 +157,22 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 			t.Errorf("read %v yielded tuple %d before the writer started on it", bindings, newest)
 		}
 	}
+	// readKeys is read for a staged probe of one column by several keys.
+	readKeys := func(st *KeyStage, col int, keys ...Value) {
+		newest, last := int64(-1), 0
+		r.LookupKeys(col, keys, st, nil, func(k int, tup Tuple) bool {
+			id := int64(tup[2])
+			if k < last || tup[col] != keys[k] || id < 0 || id >= int64(len(plan)) || tkey(plan[id]) != tkey(tup) {
+				t.Errorf("staged read of column %d by %v yielded %v for key %d (after key %d)", col, keys, tup, k, last)
+				return false
+			}
+			newest, last = max(newest, id), k
+			return true
+		})
+		if newest >= started.Load() {
+			t.Errorf("staged read of column %d by %v yielded tuple %d before the writer started on it", col, keys, newest)
+		}
+	}
 	// Build both directories before the writer starts, so that all of its
 	// inserts go through them.
 	r.Lookup([]Binding{{Col: 0, Val: 0}, {Col: 1, Val: 0}}, func(Tuple) bool { return true })
@@ -168,6 +184,7 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var st KeyStage
 			for !t.Failed() {
 				select {
 				case <-stop:
@@ -192,6 +209,14 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 					read(Binding{Col: 1, Val: Value(1 + rng.Intn(hot+late))})
 				case 4, 5: // the long run listed first, the short one chosen
 					read(Binding{Col: 1, Val: 0}, Binding{Col: 0, Val: key})
+				case 6: // staged: routed, with the hot key's long run among the short ones
+					readKeys(&st, 0, key, key+1, hotKey, Value(distinct+late), key)
+				case 7:
+					if op == 7 { // staged over every shard
+						readKeys(&st, 1, Value(1+rng.Intn(hot+late)), Value(hot+late+1), Value(1+rng.Intn(hot)))
+						break
+					}
+					fallthrough
 				default:
 					r.Contains(plan[rng.Intn(len(plan))])
 				}
@@ -441,6 +466,8 @@ func lookupDuringCompaction(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			// Every other reader probes the same keys staged, three at a time.
+			var st KeyStage
 			for i := g; i < g+20000; i++ {
 				select {
 				case <-stop:
@@ -448,13 +475,25 @@ func lookupDuringCompaction(t *testing.T) {
 				default:
 				}
 				k, got := Value(i%keys), 0
-				r.Lookup([]Binding{{Col: 0, Val: k}}, func(tup Tuple) bool {
-					if tup[0] != k {
-						t.Errorf("lookup of key %d yielded %v", k, tup)
-					}
-					got++
-					return true
-				})
+				if g%2 == 1 {
+					probe := []Value{k, (k + 1) % keys, (k + 2) % keys}
+					r.LookupKeys(0, probe, &st, nil, func(at int, tup Tuple) bool {
+						if tup[0] != probe[at] {
+							t.Errorf("staged lookup of key %d yielded %v", probe[at], tup)
+						}
+						got++
+						return true
+					})
+					got /= len(probe)
+				} else {
+					r.Lookup([]Binding{{Col: 0, Val: k}}, func(tup Tuple) bool {
+						if tup[0] != k {
+							t.Errorf("lookup of key %d yielded %v", k, tup)
+						}
+						got++
+						return true
+					})
+				}
 				if got != perKey {
 					t.Errorf("lookup of never-retracted key %d yielded %d rows, want %d", k, got, perKey)
 					return

@@ -51,7 +51,15 @@
 // its work in the Counters the relation reports to, or — LookupTally —
 // in a Tally the calling goroutine owns and adds in when its work is
 // done, so that a probe writes no shared memory at all; Counters are
-// therefore exact between evaluations, not during one. Sharded relations do
+// therefore exact between evaluations, not during one. A probe is three
+// dependent loads — directory slot, run, block row — and a caller with
+// many independent keys for one column hands them over together
+// (LookupKeys): sixteen probes at a time load their slots, then their
+// runs, then up to sixty-four of their rows, and only then yield, in key
+// order — the tuples, order and counts of one Lookup per key, with the
+// misses overlapped. Every run of a stage is loaded before any block
+// list, and every probe reads its rows through one routine
+// (shardView.readKeyed). Sharded relations do
 // not preserve global insertion order across shards; use SortedTuples
 // (or SortedColumns, which the WAL snapshot writer consumes directly)
 // for deterministic output. The one operation that breaks the
@@ -92,5 +100,5 @@
 // history), which is what the engine's materialized-answer cache and
 // the WAL's differential checkpoints run on. Derived databases
 // (NewDatabaseWith) and free-standing relations skip all of this
-// tracking.
+// tracking, and a derived database's relations count into no Counters.
 package storage

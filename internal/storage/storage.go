@@ -206,7 +206,9 @@ func (st *SymbolTable) Len() int {
 // measure-after-evaluating pattern); use Snapshot while writers may
 // still be running. The probe counts are exact whenever no evaluation is
 // in flight: an evaluator counts its probes in Tallies of its own and
-// adds them in when it ends.
+// adds them in when it ends. A staged probe cut short by its caller has
+// counted the stage it was in, a little more than it yielded from (see
+// LookupKeys).
 //
 // Alignment: the fields are operated on with 64-bit atomics, so a
 // Counters must be 64-bit aligned — heap-allocated (any value whose
@@ -630,6 +632,26 @@ func (v shardView) read(row int, dst Tuple) {
 	for c := range dst {
 		dst[c] = blk[c<<blockShift|off]
 	}
+}
+
+// readKeyed reads into dst a row that column col's posting run for key
+// names, reporting false — dst untouched — when the row is tombstoned
+// (runs may name rows retracted since they were posted; readers filter
+// them lazily). Only the other columns are read from the block, one cache
+// line less per row, and the key is filled in. Every probe reads its rows
+// through here.
+func (v *shardView) readKeyed(row int32, col int, key Value, dst Tuple) bool {
+	if v.isDead(int(row)) {
+		return false
+	}
+	blk := v.blocks[row>>blockShift][row&blockMask:]
+	for c := range dst {
+		if c != col {
+			dst[c] = blk[c<<blockShift]
+		}
+	}
+	dst[col] = key
+	return true
 }
 
 // ShardColumn is the column whose value routes a tuple to its shard. The
@@ -1307,26 +1329,45 @@ func (r *Relation) LookupBuf(bindings []Binding, buf Tuple, yield func(Tuple) bo
 // memory another goroutine reads.
 func (r *Relation) LookupTally(bindings []Binding, buf Tuple, tally *Tally, yield func(Tuple) bool) {
 	scratch := buf[:r.arity]
-	var probes, scans, examined int64
 	if len(bindings) == 0 {
-		scans, examined = 1, r.scan(scratch, yield)
-	} else {
-		lo, hi := 0, len(r.shards)
-		if hi > 1 {
-			for _, b := range bindings {
-				if b.Col == ShardColumn {
-					lo = r.shardIndex(b.Val)
-					hi = lo + 1
-					break
-				}
+		r.tallyUp(tally, 0, 1, r.scan(scratch, yield))
+		return
+	}
+	lo, hi := 0, len(r.shards)
+	if hi > 1 {
+		for _, b := range bindings {
+			if b.Col == ShardColumn {
+				lo = r.shardIndex(b.Val)
+				hi = lo + 1
+				break
 			}
 		}
-		for more := true; more && lo < hi; lo++ {
-			var n int64
-			n, more = r.shards[lo].lookup(bindings, scratch, yield)
-			probes, examined = probes+1, examined+n
-		}
 	}
+	// Several bindings: per shard the shortest run is walked — the most
+	// selective column — and every binding filters its rows.
+	var filter []Binding
+	if len(bindings) > 1 {
+		filter = bindings
+	}
+	var probes, examined int64
+	for more := true; more && lo < hi; lo++ {
+		sh := &r.shards[lo]
+		by, run := bindings[0], sh.index(bindings[0].Col).find(bindings[0].Val)
+		for _, b := range bindings[1:] {
+			if cand := sh.index(b.Col).find(b.Val); len(cand) < len(run) {
+				by, run = b, cand
+			}
+		}
+		var n int64
+		n, more = sh.walk(run, by, filter, scratch, yield)
+		probes, examined = probes+1, examined+n
+	}
+	r.tallyUp(tally, probes, 0, examined)
+}
+
+// tallyUp records one call's probes, scans and examined tuples: in tally
+// when it stands in for the relation's Counters, else in the Counters.
+func (r *Relation) tallyUp(tally *Tally, probes, scans, examined int64) {
 	switch {
 	case r.stats == nil:
 	case tally != nil && tally.into == r.stats:
@@ -1365,47 +1406,27 @@ func (sh *shard) index(col int) *directory {
 	return d
 }
 
-// lookup probes one shard (len(bindings) > 0), returning the number of
-// tuples it examined and false when yield stopped the iteration. It takes
-// no lock unless it has to build a directory.
-func (sh *shard) lookup(bindings []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64, more bool) {
-	// Probe the most selective bound column: the shortest run wins.
-	var rows []int32
-	probe := 0
-	for i, b := range bindings {
-		if cand := sh.index(b.Col).find(b.Val); i == 0 || len(cand) < len(rows) {
-			probe, rows = i, cand
-		}
-	}
-	if len(rows) == 0 {
+// walk yields, through scratch, the live rows of run — the posting run of
+// by.Val in column by.Col of this shard — that satisfy every binding of
+// filter, returning the number of live rows it read and false when yield
+// stopped it. It takes no lock; the block list is loaded here, after the
+// run (see shard). The key is filled in per row, because yield may reuse
+// the buffer for a nested probe.
+func (sh *shard) walk(run []int32, by Binding, filter []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64, more bool) {
+	if len(run) == 0 {
 		return 0, true
 	}
-	// The block list is loaded after the run (see shard). Runs may name
-	// rows tombstoned since they were posted; the dead-bit check filters
-	// them lazily.
 	var v shardView
 	v.resolve(sh)
-	// The probed column's value is known: only the others are read from
-	// the block — one cache line less per row — and it is filled in per
-	// row, because yield may reuse the buffer for a nested probe.
-	pcol, pval := bindings[probe].Col, bindings[probe].Val
-outer:
-	for _, row := range rows {
-		if v.isDead(int(row)) {
+rows:
+	for _, row := range run {
+		if !v.readKeyed(row, by.Col, by.Val, scratch) {
 			continue
 		}
-		blk := v.blocks[row>>blockShift]
-		off := int(row) & blockMask
-		for c := range scratch {
-			if c != pcol {
-				scratch[c] = blk[c<<blockShift|off]
-			}
-		}
-		scratch[pcol] = pval
 		examined++
-		for i, b := range bindings {
-			if i != probe && scratch[b.Col] != b.Val {
-				continue outer
+		for _, b := range filter {
+			if scratch[b.Col] != b.Val {
+				continue rows
 			}
 		}
 		if !yield(scratch) {
@@ -1413,6 +1434,115 @@ outer:
 		}
 	}
 	return examined, true
+}
+
+// Sizes of a staged probe (LookupKeys): sixteen independent misses are
+// about what a core keeps in flight, and four rows a probe is more than
+// the graphs served fan out.
+const (
+	stageProbes = 16
+	stageRows   = 64
+)
+
+// KeyStage is the scratch of LookupKeys, owned by the caller — one per
+// goroutine, reused from call to call, so that a call neither allocates
+// nor clears it. The zero value is ready to use.
+type KeyStage struct {
+	// Per probe of the stage: its shard, its run, the ordinal of its key,
+	// and where its rows end among those gathered.
+	sh  [stageProbes]*shard
+	run [stageProbes][]int32
+	k   [stageProbes]int32
+	end [stageProbes]int32
+	// Per gathered row: its id, then — once read — the ordinal of its key
+	// and its values in vals (arity apiece).
+	id   [stageRows]int32
+	of   [stageRows]int32
+	vals []Value
+}
+
+// LookupKeys is one single-binding LookupTally of column col per key, in
+// key order — yield receives the key's ordinal with each tuple, the same
+// tuples in the same order — with the probes' cache misses overlapped. A
+// probe is three dependent loads (directory slot, run, block row), each a
+// miss on a relation larger than the cache; the keys are independent, so
+// the probes go in stages of stageProbes: every directory slot, then
+// every run, then the rows the runs name, stageRows at a time, and only
+// then the yields. A probe that is not routed by ShardColumn is one key ×
+// shard pair per shard, staged alike. It reports false when yield stopped
+// it.
+//
+// The counts of a call that runs to its end are those of the lookups it
+// stands for; a call yield stops has counted the whole stage it stopped
+// in, up to stageProbes probes and stageRows rows beyond the serial loop,
+// never fewer. A yielded tuple is valid until yield returns, and was live
+// when its row was read — at some instant during the call, not
+// necessarily at its yield.
+func (r *Relation) LookupKeys(col int, keys []Value, st *KeyStage, tally *Tally, yield func(k int, t Tuple) bool) (more bool) {
+	arity := r.arity
+	if len(st.vals) < stageRows*arity {
+		st.vals = make([]Value, stageRows*arity)
+	}
+	fan := len(r.shards)
+	if col == ShardColumn {
+		fan = 1
+	}
+	var probes, examined int64
+	more = true
+	for k, s := 0, 0; k < len(keys) && more; {
+		// Directory slots: every probe of the stage finds its run. All the
+		// runs are loaded before any block list (see shard).
+		np := 0
+		for ; np < stageProbes && k < len(keys); np++ {
+			sh := &r.shards[s]
+			if fan == 1 {
+				sh = &r.shards[r.shardIndex(keys[k])]
+			}
+			st.sh[np], st.k[np] = sh, int32(k)
+			st.run[np] = sh.index(col).find(keys[k])
+			if s++; s == fan {
+				k, s = k+1, 0
+			}
+		}
+		probes += int64(np)
+		for p, at := 0, 0; p < np && more; {
+			// Runs: the ids of the rows to read, while the buffer has room;
+			// end[q] closes probe q's share of it.
+			n, from := 0, p
+			for p < np && n < stageRows {
+				run := st.run[p]
+				for ; at < len(run) && n < stageRows; at, n = at+1, n+1 {
+					st.id[n] = run[at]
+				}
+				st.end[p] = int32(n)
+				if at < len(run) {
+					break
+				}
+				p, at = p+1, 0
+			}
+			// Rows: read into the buffer, closing up over tombstoned ones.
+			live := 0
+			for q, i := from, 0; i < n; q++ {
+				if i == int(st.end[q]) {
+					continue
+				}
+				var v shardView
+				v.resolve(st.sh[q])
+				for ord := st.k[q]; i < int(st.end[q]); i++ {
+					if v.readKeyed(st.id[i], col, keys[ord], st.vals[live*arity:(live+1)*arity]) {
+						st.of[live] = ord
+						live++
+					}
+				}
+			}
+			examined += int64(live)
+			for i := 0; i < live && more; i++ {
+				more = yield(int(st.of[i]), st.vals[i*arity:(i+1)*arity:(i+1)*arity])
+			}
+		}
+	}
+	r.tallyUp(tally, probes, 0, examined)
+	return more
 }
 
 // Equal reports whether two relations hold the same tuple sets.
@@ -1547,7 +1677,8 @@ func NewDatabase() *Database {
 
 // NewDatabaseWith creates an empty database sharing an existing symbol
 // table (used for derived/IDB databases). Derived databases do not track
-// epochs: their relations stamp nothing and keep no delta tails.
+// epochs — their relations stamp nothing and keep no delta tails — and
+// their relations report to no Counters: Stats stays zero.
 func NewDatabaseWith(syms *SymbolTable) *Database {
 	return &Database{Syms: syms, rels: make(map[string]*Relation), shards: defaultShards()}
 }
@@ -1733,7 +1864,13 @@ func (db *Database) Declare(pred string, arity int) (r *Relation, ok bool) {
 	if r, found := db.rels[pred]; found {
 		return r, r.arity == arity
 	}
-	r = NewShardedRelation(arity, &db.Stats, db.shards)
+	// A derived database's Stats is nobody's total: its relations count
+	// nothing, and a semi-naive round's probes of them pay no atomic adds.
+	var stats *Counters
+	if db.track {
+		stats = &db.Stats
+	}
+	r = NewShardedRelation(arity, stats, db.shards)
 	r.name = pred
 	if db.track {
 		r.db = db
