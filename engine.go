@@ -3,6 +3,7 @@ package onesided
 import (
 	"container/list"
 	"context"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -360,39 +361,50 @@ type Explain struct {
 // answers that have absorbed retractions add `dred=<overdeleted>/<rederived>`.
 func (ex Explain) String() string {
 	var b strings.Builder
-	b.WriteString("strategy=" + ex.Strategy)
-	if ex.Adornment != "" {
-		fmt.Fprintf(&b, " adornment=%s", ex.Adornment)
+	field := func(key, val string) {
+		if val != "" {
+			b.WriteString(key)
+			b.WriteString(val)
+		}
 	}
-	if ex.PlanCache != "" {
-		fmt.Fprintf(&b, " plan-cache=%s", ex.PlanCache)
+	count := func(key string, n int) {
+		if n > 0 {
+			b.WriteString(key)
+			b.WriteString(strconv.Itoa(n))
+		}
 	}
-	if ex.ResultCache != "" {
-		fmt.Fprintf(&b, " result-cache=%s", ex.ResultCache)
-	}
+	b.WriteString("strategy=")
+	b.WriteString(ex.Strategy)
+	field(" adornment=", ex.Adornment)
+	field(" plan-cache=", ex.PlanCache)
+	field(" result-cache=", ex.ResultCache)
 	if ex.Mode != "" {
-		fmt.Fprintf(&b, " mode=%s carry-arity=%d", ex.Mode, ex.CarryArity)
+		field(" mode=", ex.Mode)
+		b.WriteString(" carry-arity=")
+		b.WriteString(strconv.Itoa(ex.CarryArity))
 	}
 	if ex.Verdict != "" {
-		fmt.Fprintf(&b, " verdict=%q", ex.Verdict)
+		field(" verdict=", strconv.Quote(ex.Verdict))
 	}
-	if ex.Workers > 0 {
-		fmt.Fprintf(&b, " workers=%d", ex.Workers)
-	}
-	if ex.Shards > 0 {
-		fmt.Fprintf(&b, " shards=%d", ex.Shards)
-	}
-	if ex.Batches > 0 {
-		fmt.Fprintf(&b, " batches=%d", ex.Batches)
-	}
+	count(" workers=", ex.Workers)
+	count(" shards=", ex.Shards)
+	count(" batches=", ex.Batches)
 	if ex.Overdeleted > 0 || ex.Rederived > 0 {
-		fmt.Fprintf(&b, " dred=%d/%d", ex.Overdeleted, ex.Rederived)
+		b.WriteString(" dred=")
+		b.WriteString(strconv.Itoa(ex.Overdeleted))
+		b.WriteByte('/')
+		b.WriteString(strconv.Itoa(ex.Rederived))
 	}
 	if ex.Detail != "" {
-		fmt.Fprintf(&b, " (%s)", ex.Detail)
+		b.WriteString(" (")
+		b.WriteString(ex.Detail)
+		b.WriteByte(')')
 	}
 	for _, r := range ex.Rejected {
-		fmt.Fprintf(&b, "; %s declined: %s", r.Strategy, r.Reason)
+		b.WriteString("; ")
+		b.WriteString(r.Strategy)
+		b.WriteString(" declined: ")
+		b.WriteString(r.Reason)
 	}
 	return b.String()
 }
@@ -406,6 +418,8 @@ type planSkeleton struct {
 	adorned  eval.AdornedQuery
 	prepared eval.PreparedStrategy
 	rejected []StrategyAttempt
+	// slots is the number of constants a binding supplies.
+	slots int
 }
 
 // displayShape renders a skeleton key for humans: the NUL byte that
@@ -420,21 +434,37 @@ func (ps *planSkeleton) display() string { return displayShape(ps.key) }
 
 // PreparedQuery is a planned, reusable, concurrency-safe query: the
 // strategy analysis (Decide/Optimize, Magic rewriting, ...) ran once at
-// skeleton-compile time, the constants were bound into a private copy,
-// and each Query call only evaluates. Bind instantiates the same shared
-// skeleton with different constants without re-planning.
+// skeleton-compile time, and each Query call only evaluates. The query's
+// constants are checked against the skeleton's slots when the
+// PreparedQuery is made and bound into a private copy of the plan by the
+// first evaluation that needs it — a query the bound-result cache answers
+// never binds. Bind instantiates the same shared skeleton with different
+// constants without re-planning.
 type PreparedQuery struct {
 	engine   *Engine
 	query    ast.Atom
 	skeleton *planSkeleton
-	prepared PreparedStrategy
 	cache    string // "hit", "miss", "bind", or "" for uncached planning
-	// consts are the slot values bound into the skeleton (the second half
-	// of the result-cache key); gen is the program generation the plan
+	// consts are the slot values of this query (the second half of the
+	// result-cache key); gen is the program generation the plan
 	// was obtained under — the result cache only serves plans of the
 	// current generation.
 	consts []ast.Term
 	gen    uint64
+	// bound is the skeleton's plan with consts substituted, made once by
+	// plan.
+	bindOnce sync.Once
+	bound    PreparedStrategy
+	bindErr  error
+}
+
+// plan returns the evaluable plan: the skeleton with this query's
+// constants bound, substituted on first use. Safe for concurrent use.
+func (pq *PreparedQuery) plan() (PreparedStrategy, error) {
+	pq.bindOnce.Do(func() {
+		pq.bound, pq.bindErr = pq.skeleton.prepared.BindArgs(pq.consts...)
+	})
+	return pq.bound, pq.bindErr
 }
 
 // Prepare plans a query. The program argument selects what to plan
@@ -518,7 +548,7 @@ func (e *Engine) compileSkeleton(program *ast.Program, skel ast.SkeletonQuery, q
 			rejected = append(rejected, StrategyAttempt{Strategy: s.Name(), Reason: err.Error()})
 			continue
 		}
-		return &planSkeleton{key: skel.Key(), adorned: adorned, prepared: prepared, rejected: rejected}, nil
+		return &planSkeleton{key: skel.Key(), adorned: adorned, prepared: prepared, rejected: rejected, slots: skel.Atom.SlotCount()}, nil
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "onesided: no strategy accepts query %v:", query)
@@ -528,15 +558,23 @@ func (e *Engine) compileSkeleton(program *ast.Program, skel ast.SkeletonQuery, q
 	return nil, fmt.Errorf("%s", b.String())
 }
 
-// bindSkeleton instantiates a skeleton's constant slots with the ground
-// query's constants. gen is the program generation the skeleton was
+// bindSkeleton makes the PreparedQuery of a ground query over a
+// skeleton. Constants that do not fit the skeleton's slots are refused
+// here, with the strategy's own error; the substitution itself waits for
+// PreparedQuery.plan. gen is the program generation the skeleton was
 // obtained under (0 for explicit-program plans, which bypass caching).
 func (e *Engine) bindSkeleton(ps *planSkeleton, query ast.Atom, consts []ast.Term, state string, gen uint64) (*PreparedQuery, error) {
-	bound, err := ps.prepared.BindArgs(consts...)
-	if err != nil {
-		return nil, err
+	fits := len(consts) == ps.slots
+	for _, c := range consts {
+		fits = fits && c.IsConst()
 	}
-	return &PreparedQuery{engine: e, query: query.Clone(), skeleton: ps, prepared: bound, cache: state, consts: consts, gen: gen}, nil
+	pq := &PreparedQuery{engine: e, query: query.Clone(), skeleton: ps, cache: state, consts: consts, gen: gen}
+	if !fits {
+		if _, err := pq.plan(); err != nil {
+			return nil, err
+		}
+	}
+	return pq, nil
 }
 
 // Shape returns the canonical form of the query shape this prepared
@@ -584,9 +622,11 @@ func (pq *PreparedQuery) BindAtom(q Atom) (*PreparedQuery, error) {
 	return pq.engine.bindSkeleton(pq.skeleton, q, skel.Consts, pq.bindState(), pq.gen)
 }
 
-// Explain reports the plan without evaluating it.
+// Explain reports the plan without evaluating it. A plan's report does
+// not depend on its constants (eval.PreparedStrategy), so the skeleton
+// answers for every query bound from it.
 func (pq *PreparedQuery) Explain() Explain {
-	return Explain{StrategyExplain: pq.prepared.Explain(), Rejected: pq.skeleton.rejected, PlanCache: pq.cache}
+	return Explain{StrategyExplain: pq.skeleton.prepared.Explain(), Rejected: pq.skeleton.rejected, PlanCache: pq.cache}
 }
 
 // Query evaluates the prepared plan against the engine's database,
@@ -623,9 +663,13 @@ func (pq *PreparedQuery) Query(ctx context.Context) (*Rows, error) {
 
 // queryDirect evaluates without consulting the result cache.
 func (pq *PreparedQuery) queryDirect(ctx context.Context) (*Rows, error) {
+	plan, err := pq.plan()
+	if err != nil {
+		return nil, err
+	}
 	db := pq.engine.db
 	before := db.Stats.Snapshot()
-	rel, stats, err := eval.Eval(ctx, pq.prepared, db)
+	rel, stats, err := eval.Eval(ctx, plan, db)
 	if err != nil {
 		return nil, err
 	}
@@ -674,6 +718,73 @@ type resultEntry struct {
 	rel   *storage.Relation
 	stats eval.EvalStats
 	inc   *eval.Incremental
+	// rendered is what a hit answers with: rel and the hit's Explain as
+	// bytes, built under mu by the first hit since rel last moved and nil
+	// until then. It shares the stamp's validity, so whatever moves rel —
+	// setAnswers, a maintenance pass — drops it.
+	rendered *rendering
+}
+
+// setAnswers replaces the entry's answer set (nil, nil poisons it) and
+// drops the rendering of the one it had. The caller holds entry.mu.
+func (entry *resultEntry) setAnswers(inc *eval.Incremental, rel *storage.Relation, stats eval.EvalStats) {
+	entry.inc, entry.rel, entry.stats = inc, rel, stats
+	entry.rendered = nil
+}
+
+// Rendered is a query's response in the form a serving layer writes. A
+// bound-result cache hit's is rendered once per answer set and shared by
+// every later hit until the answers move: callers must not modify Answers.
+type Rendered struct {
+	// Answers is the answer set as JSON — an array of rows in Sorted
+	// order, each an array of constant names: the bytes encoding/json
+	// produces for that [][]string ("[]" when there are no answers).
+	Answers []byte
+	// Count is the number of rows in Answers.
+	Count int
+	// Explain is the Rows' Explain().String().
+	Explain string
+}
+
+// rendering is a resultEntry's Rendered beside the Explain its string
+// was made from.
+type rendering struct {
+	Rendered
+	explain Explain
+}
+
+// hit returns the rendering a hit of pq answers with, building the
+// entry's on first use. The plan-cache state is the request's, not the
+// entry's: a request that reached the plan another way gets a private
+// copy with its own explanation over the shared answers. The caller holds
+// entry.mu.
+func (entry *resultEntry) hit(pq *PreparedQuery) *rendering {
+	r := entry.rendered
+	if r == nil {
+		r = &rendering{explain: pq.explainWithStats(entry.stats)}
+		r.explain.ResultCache = "hit"
+		r.Explain = r.explain.String()
+		r.Answers, r.Count = renderAnswers(entry.rel, pq.engine.db.Syms)
+		entry.rendered = r
+	}
+	if r.explain.PlanCache != pq.cache {
+		own := *r
+		own.explain.PlanCache = pq.cache
+		own.Explain = own.explain.String()
+		return &own
+	}
+	return r
+}
+
+// renderAnswers marshals rel's tuples, sorted and with names resolved.
+func renderAnswers(rel *storage.Relation, syms *storage.SymbolTable) ([]byte, int) {
+	tuples := rel.SortedTuples()
+	rows := make([][]string, len(tuples))
+	for i, t := range tuples {
+		rows[i] = Row{tuple: t, syms: syms}.Strings()
+	}
+	b, _ := json.Marshal(rows) // strings cannot fail to marshal
+	return b, len(rows)
 }
 
 // resultKey builds the bound-result cache key: the skeleton key plus the
@@ -761,6 +872,7 @@ func (e *Engine) maintain(ctx context.Context, entry *resultEntry) (newStamp uin
 	newStamp = e.db.Epoch()
 	delta, ok := e.collectDelta(entry.inc.Reads(), entry.stamp)
 	if changed = ok && !delta.Empty(); changed {
+		entry.rendered = nil
 		err = entry.inc.Update(ctx, delta)
 	}
 	return newStamp, changed, ok, err
@@ -807,7 +919,7 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 				// gas budget) leaves the retained fixpoint half-moved, so
 				// replaying the delta would silently skip answers. Poison
 				// the entry: the next query rebuilds from scratch.
-				entry.inc, entry.rel = nil, nil
+				entry.setAnswers(nil, nil, eval.EvalStats{})
 				return nil, true, uerr
 			case !ok:
 				// A delta tail was evicted: rebuild below.
@@ -829,26 +941,35 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 		if !allowBuild {
 			return nil, false, nil
 		}
-		newStamp := db.Epoch()
-		inc, berr := pq.prepared.Build(ctx, db)
+		plan, berr := pq.plan()
 		if berr != nil {
 			return nil, true, berr
 		}
-		entry.inc, entry.rel, entry.stats = inc, inc.Answers(), inc.Stats()
+		newStamp := db.Epoch()
+		inc, berr := plan.Build(ctx, db)
+		if berr != nil {
+			return nil, true, berr
+		}
+		entry.setAnswers(inc, inc.Answers(), inc.Stats())
 		entry.gen = curGen
 		entry.stamp = newStamp
 		e.resRebuilt.Add(1)
 		mode = "rebuilt"
 	}
-	ex := pq.explainWithStats(entry.stats)
-	ex.ResultCache = mode
-	return &Rows{
+	rows = &Rows{
 		rel:      entry.rel,
 		syms:     db.Syms,
 		stats:    entry.stats,
 		counters: db.Stats.Snapshot().Sub(before),
-		explain:  ex,
-	}, true, nil
+	}
+	if mode == "hit" {
+		rows.rendered = entry.hit(pq)
+		rows.explain = rows.rendered.explain
+	} else {
+		rows.explain = pq.explainWithStats(entry.stats)
+		rows.explain.ResultCache = mode
+	}
+	return rows, true, nil
 }
 
 // storeBatchResult caches one query's relation produced by a shared
@@ -864,7 +985,7 @@ func (e *Engine) storeBatchResult(pq *PreparedQuery, gen, stamp uint64, rel *sto
 		return
 	}
 	entry.gen, entry.stamp = gen, stamp
-	entry.rel, entry.stats, entry.inc = rel, stats, nil
+	entry.setAnswers(nil, rel, stats)
 }
 
 // Stream starts evaluating the prepared plan in a background goroutine
@@ -913,11 +1034,14 @@ func (pq *PreparedQuery) Stream(ctx context.Context) *Rows {
 		defer close(rows.ch)
 		var rel *storage.Relation
 		var stats eval.EvalStats
-		var err error
-		if sp, ok := pq.prepared.(eval.StreamingPrepared); ok {
+		plan, err := pq.plan()
+		switch sp, streams := plan.(eval.StreamingPrepared); {
+		case err != nil:
+			// Nothing to evaluate: the stream ends with the bind error.
+		case streams:
 			rel, stats, err = sp.EvalStream(ctx, db, emit)
-		} else {
-			rel, stats, err = eval.Eval(ctx, pq.prepared, db)
+		default:
+			rel, stats, err = eval.Eval(ctx, plan, db)
 			if err == nil {
 				for _, t := range rel.Tuples() {
 					if !emit(t) {

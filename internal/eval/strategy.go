@@ -60,7 +60,12 @@ type Strategy interface {
 // order — returning an evaluable plan; binding is a shallow structural
 // substitution, orders of magnitude cheaper than Prepare's analysis. A
 // plan prepared from a ground query has zero slots and BindArgs() with
-// no arguments returns it unchanged.
+// no arguments returns it unchanged. BindArgs fails only on a slot table
+// of the wrong width or with a non-constant in it.
+//
+// Explain describes the plan's structure, which binding does not change:
+// a skeleton and every plan bound from it explain alike, so a caller
+// holding the skeleton need not bind to explain.
 type PreparedStrategy interface {
 	Explain() StrategyExplain
 	BindArgs(consts ...ast.Term) (PreparedStrategy, error)

@@ -330,12 +330,96 @@ type queryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
+// queryResponse is the wire shape of a /v1/query answer (and of each
+// /v1/batch member, which leaves Explain out). The handlers do not
+// marshal it: appendQueryResponse writes the same bytes around answers a
+// result-cache hit already carries rendered.
 type queryResponse struct {
 	Answers   [][]string `json:"answers"`
 	Count     int        `json:"count"`
 	Strategy  string     `json:"strategy,omitempty"`
 	Explain   string     `json:"explain,omitempty"`
 	ElapsedMS float64    `json:"elapsed_ms"`
+}
+
+// appendQueryResponse appends rows as the JSON encoding/json gives a
+// queryResponse, around the answers and the explanation as Rows.Rendered
+// has them — for a result-cache hit, the bytes its cache entry rendered. A
+// batch member carries no explanation and, as a nil slice did, spells an
+// empty answer set null.
+func appendQueryResponse(b []byte, rows *onesided.Rows, member bool, elapsedMS float64) []byte {
+	r, _ := rows.Rendered()
+	b = append(b, `{"answers":`...)
+	if member && r.Count == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, r.Answers...)
+	}
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(r.Count), 10)
+	if strategy := rows.Explain().Strategy; strategy != "" {
+		b = append(b, `,"strategy":`...)
+		b = appendJSONString(b, strategy)
+	}
+	if !member && r.Explain != "" {
+		b = append(b, `,"explain":`...)
+		b = appendJSONString(b, r.Explain)
+	}
+	b = append(b, `,"elapsed_ms":`...)
+	b = appendMillis(b, elapsedMS)
+	return append(b, '}')
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. Printable
+// ASCII is copied (escaping the quote and the backslash); a string with
+// anything else — control bytes, the HTML-sensitive three, non-ASCII —
+// goes through json.Marshal whole.
+func appendJSONString(b []byte, s string) []byte {
+	start := len(b)
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20 || c > 0x7e || c == '<' || c == '>' || c == '&':
+			q, _ := json.Marshal(s) // strings cannot fail to marshal
+			return append(b[:start], q...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
+}
+
+// appendMillis appends an elapsed time in milliseconds as encoding/json
+// writes a float64. Elapsed times are whole microseconds over 1000 — zero
+// or at least 0.001 — so the exponent form json switches to below 1e-6 is
+// never due.
+func appendMillis(b []byte, ms float64) []byte {
+	return strconv.AppendFloat(b, ms, 'f', -1, 64)
+}
+
+// bodies recycles response buffers between requests.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody bounds what a recycled buffer may pin.
+const maxPooledBody = 64 << 10
+
+// writeAnswer serves a query's 200: the JSON body build appends,
+// newline-terminated like json.Encoder's, under the epoch this node had
+// applied once the body was built.
+func (s *Server) writeAnswer(w http.ResponseWriter, build func(b []byte) []byte) {
+	buf := bodies.Get().(*[]byte)
+	b := append(build((*buf)[:0]), '\n')
+	s.served.Add(1)
+	w.Header().Set(epochHeader, strconv.FormatUint(s.eng.DB().Epoch(), 10))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	if cap(b) <= maxPooledBody {
+		*buf = b
+		bodies.Put(buf)
+	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -363,19 +447,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	resp := queryResponse{
-		Answers:   make([][]string, 0, rows.Len()),
-		Strategy:  rows.Explain().Strategy,
-		Explain:   rows.Explain().String(),
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for row := range rows.Sorted() {
-		resp.Answers = append(resp.Answers, row.Strings())
-	}
-	resp.Count = len(resp.Answers)
-	s.served.Add(1)
-	w.Header().Set(epochHeader, strconv.FormatUint(s.eng.DB().Epoch(), 10))
-	writeJSON(w, http.StatusOK, resp)
+	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
+	s.writeAnswer(w, func(b []byte) []byte { return appendQueryResponse(b, rows, false, elapsedMS) })
 }
 
 // ---------------------------------------------------------------------------
@@ -465,6 +538,8 @@ type batchRequest struct {
 	TimeoutMS int64    `json:"timeout_ms,omitempty"`
 }
 
+// batchResponse is the wire shape of a /v1/batch answer; like
+// queryResponse it is written by appending, not marshalled.
 type batchResponse struct {
 	Results   []queryResponse `json:"results"`
 	ElapsedMS float64         `json:"elapsed_ms"`
@@ -502,19 +577,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	resp := batchResponse{Results: make([]queryResponse, len(rowsList))}
-	for i, rows := range rowsList {
-		qr := queryResponse{Strategy: rows.Explain().Strategy}
-		for row := range rows.Sorted() {
-			qr.Answers = append(qr.Answers, row.Strings())
+	s.writeAnswer(w, func(b []byte) []byte {
+		b = append(b, `{"results":`...)
+		sep := byte('[')
+		for _, rows := range rowsList {
+			b = append(b, sep)
+			b = appendQueryResponse(b, rows, true, 0)
+			sep = ','
 		}
-		qr.Count = len(qr.Answers)
-		resp.Results[i] = qr
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	s.served.Add(1)
-	w.Header().Set(epochHeader, strconv.FormatUint(s.eng.DB().Epoch(), 10))
-	writeJSON(w, http.StatusOK, resp)
+		b = append(b, `],"elapsed_ms":`...)
+		b = appendMillis(b, float64(time.Since(start).Microseconds())/1000)
+		return append(b, '}')
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
@@ -625,6 +626,32 @@ func (v shardView) isDead(row int) bool {
 	return atomic.LoadUint64(&v.dead[row>>blockShift][(row&blockMask)>>6])>>(uint(row)&63)&1 == 1
 }
 
+// live bounds the rows an iteration of v can yield: the view's rows less
+// the tombstones among them. Bits set after the count only lower what the
+// iteration finds (a set bit never clears), so a buffer of this size fits.
+func (v shardView) live() int {
+	n := v.rows
+	if v.dead == nil {
+		return n
+	}
+	for b, words := range v.dead {
+		rest := v.rows - b<<blockShift
+		if rest <= 0 {
+			break
+		}
+		for w := 0; w < deadWords && w<<6 < rest; w++ {
+			word := atomic.LoadUint64(&words[w])
+			if past := rest - w<<6; past < 64 {
+				// Rows appended since the view was taken may already be
+				// dead; they are not the view's.
+				word &= 1<<uint(past) - 1
+			}
+			n -= bits.OnesCount64(word)
+		}
+	}
+	return n
+}
+
 // read copies row's columns into dst (len(dst) = arity).
 func (v shardView) read(row int, dst Tuple) {
 	blk := v.blocks[row>>blockShift]
@@ -1231,7 +1258,9 @@ func (r *Relation) Contains(t Tuple) bool {
 }
 
 // Tuples returns a materialized snapshot of the tuple set, backed by a
-// single value arena (two allocations however many tuples there are).
+// single value arena (two allocations however many tuples there are),
+// sized by the rows that are live — not by every row ever appended, which
+// on a relation that churns is mostly tombstones.
 // The snapshot never aliases live column blocks; callers must still not
 // modify it (tuples share the arena). For sharded relations the
 // per-shard segments concatenate, so global insertion order is not
@@ -1242,7 +1271,7 @@ func (r *Relation) Tuples() []Tuple {
 	total := 0
 	for i := range r.shards {
 		views[i] = r.shards[i].view()
-		total += views[i].rows
+		total += views[i].live()
 	}
 	out := make([]Tuple, total)
 	arena := make([]Value, total*r.arity)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,74 @@ func TestCountersAddReset(t *testing.T) {
 	a.Reset()
 	if a != (Counters{}) {
 		t.Fatalf("Reset = %+v", a)
+	}
+}
+
+// TestTuplesSizedByLiveRows: a relation that has retracted nearly all it
+// ever held hands out a snapshot sized by what is left, not by its arena
+// of tombstones — the standing-query and DRed relations churn like this,
+// and snapshot them on every tick.
+func TestTuplesSizedByLiveRows(t *testing.T) {
+	const inserted, kept = 10000, 10
+	for _, shards := range []int{1, 4} {
+		r := NewShardedRelation(2, nil, shards)
+		for i := 0; i < inserted; i++ {
+			r.Insert(Tuple{Value(i), Value(i + 1)})
+		}
+		for i := kept; i < inserted; i++ {
+			if !r.Retract(Tuple{Value(i), Value(i + 1)}) {
+				t.Fatalf("shards=%d: retract %d refused", shards, i)
+			}
+		}
+		want := map[tupleKey]bool{}
+		r.Scan(func(tup Tuple) bool { want[tkey(tup)] = true; return true })
+		got := r.Tuples()
+		if len(got) != kept || len(want) != kept {
+			t.Fatalf("shards=%d: Tuples has %d rows, Scan %d, want %d", shards, len(got), len(want), kept)
+		}
+		for _, tup := range got {
+			if !want[tkey(tup)] {
+				t.Fatalf("shards=%d: Tuples yields %v, Scan does not", shards, tup)
+			}
+		}
+		if c := cap(got); c != kept {
+			t.Errorf("shards=%d: Tuples sized for %d rows, %d are live", shards, c, kept)
+		}
+		if n := testing.AllocsPerRun(20, func() { r.Tuples() }); n > 3 {
+			t.Errorf("shards=%d: Tuples allocates %v objects, want the view list and two arenas", shards, n)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			r.Tuples()
+		}
+		runtime.ReadMemStats(&after)
+		// 10 tuple headers and 20 values are 400 bytes; the view list is 56
+		// bytes a shard. The arena of every row ever appended was 400 KB.
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1024 {
+			t.Errorf("shards=%d: Tuples allocates %d bytes for %d live rows", shards, per, kept)
+		}
+	}
+}
+
+// TestTuplesCountsOnlyTheViewsTombstones: rows appended and retracted
+// after a view was taken share tombstone words with the view's rows and
+// must not shrink its buffer.
+func TestTuplesCountsOnlyTheViewsTombstones(t *testing.T) {
+	r := NewRelation(1, nil)
+	for i := 0; i < 70; i++ {
+		r.Insert(Tuple{Value(i)})
+	}
+	r.Retract(Tuple{Value(3)})
+	v := r.shards[0].view()
+	for i := 70; i < 100; i++ {
+		r.Insert(Tuple{Value(i)})
+		r.Retract(Tuple{Value(i)})
+	}
+	if got := v.live(); got != 69 {
+		t.Fatalf("view of 70 rows with one tombstone counts %d live", got)
+	}
+	if got := len(r.Tuples()); got != 69 {
+		t.Fatalf("Tuples = %d rows, want 69", got)
 	}
 }

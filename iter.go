@@ -60,12 +60,21 @@ func (r Row) Tuple() Tuple { return r.tuple }
 // possibly a mix of the two sets, and an answer already yielded may
 // since have been retracted. Copy (Strings, Sorted) right after the
 // query when exact point-in-time contents matter.
+//
+// A hit (result-cache=hit) carries exact point-in-time contents already:
+// Rendered returns the answers as bytes the cache entry rendered under its
+// lock, the set as of the entry's stamp, which no later maintenance pass
+// reaches. The relation accessors of the same Rows still walk the
+// maintained relation as described above.
 type Rows struct {
 	rel      *storage.Relation
 	syms     *storage.SymbolTable
 	stats    eval.EvalStats
 	counters storage.Counters
 	explain  Explain
+	// rendered is the cache entry's rendering as of the hit that made
+	// this Rows (nil for every other Rows).
+	rendered *rendering
 
 	// Streaming state (nil/zero for materialized Rows). The evaluation
 	// goroutine sends answers on ch, then fills rel/stats/err/counters/
@@ -234,4 +243,21 @@ func (rs *Rows) Explain() Explain {
 func (rs *Rows) Relation() *Relation {
 	rs.Wait()
 	return rs.rel
+}
+
+// Rendered returns the answers and the explanation in the form a serving
+// layer writes. A bound-result cache hit returns what its cache entry
+// rendered once for the answer set and shares among its hits (cached is
+// true, exactly when Explain reports result-cache=hit): the answers as of
+// the hit, which no later maintenance pass reaches. Any other Rows is
+// sorted, resolved and marshalled by the call, from the relation as it is
+// now, after waiting for a streaming evaluation to finish.
+func (rs *Rows) Rendered() (r Rendered, cached bool) {
+	if rs.rendered != nil {
+		return rs.rendered.Rendered, true
+	}
+	rs.Wait()
+	r.Answers, r.Count = renderAnswers(rs.rel, rs.syms)
+	r.Explain = rs.explain.String()
+	return r, false
 }
