@@ -411,6 +411,7 @@ func cmdQuery(args []string) error {
 			c := rows.Counters()
 			fmt.Printf("   counters: examined=%d lookups=%d full-scans=%d inserts=%d\n",
 				c.TuplesExamined, c.IndexLookups, c.FullScans, c.Inserts)
+			fmt.Printf("   storage bytes: %s\n", eng.DB().Footprint())
 		}
 	}
 	if *dataDir != "" {

@@ -71,6 +71,10 @@ func TestCmdQueryEngines(t *testing.T) {
 			t.Fatalf("engine %s: %v", engine, err)
 		}
 	}
+	// -v prints the counters and the storage footprint under each answer.
+	if err := cmdQuery([]string{"-v", path}); err != nil {
+		t.Fatalf("-v: %v", err)
+	}
 	// The paper-comparison baselines are library functions, not engines.
 	for _, engine := range []string{"naive", "counting", "bogus"} {
 		if err := cmdQuery([]string{"-engine", engine, path}); err == nil {

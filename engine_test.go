@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/parser"
 )
 
 const quickstartSrc = `
@@ -599,4 +601,47 @@ func mustAtom(t *testing.T, s string) Atom {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// TestLoadDoesNotRetainSourceText: the lexer returns constants and
+// predicate names as substrings of the source, so a database that kept the
+// strings it was handed kept every loaded text alive whole. A 16 MB source
+// naming a dozen constants goes through parser.Parse and LoadProgram, is
+// dropped, and the live heap must be back within 1 MB of where it was.
+func TestLoadDoesNotRetainSourceText(t *testing.T) {
+	eng, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	func() {
+		var src strings.Builder
+		src.WriteString("% ")
+		src.WriteString(strings.Repeat("sixteen megabytes of commentary ", 16<<20/32))
+		src.WriteString("\n")
+		for i := 0; i < 6; i++ {
+			fmt.Fprintf(&src, "edge(from%d, 'To %d').\n", i, i)
+		}
+		res, err := parser.Parse(src.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.LoadProgram(res.Program); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if got := eng.DB().Syms.Len(); got != 12 {
+		t.Fatalf("%d symbols interned, want 12", got)
+	}
+	if after := liveHeap(); after > before+1<<20 {
+		t.Fatalf("live heap %d bytes before the load, %d after the source was dropped: something of it is still referenced", before, after)
+	}
 }

@@ -25,6 +25,7 @@ import (
 
 	onesided "repro"
 	"repro/internal/replica"
+	"repro/internal/storage"
 )
 
 // Config assembles a Server.
@@ -883,6 +884,11 @@ type statsResponse struct {
 	Tuples       int              `json:"tuples"`
 	PlanCache    string           `json:"plan_cache"`
 	ResultCache  resultCacheStats `json:"result_cache"`
+
+	// Storage is what the tuples, their indexes and the symbol table hold
+	// in memory, in bytes by structure (storage.Database.Footprint).
+	Storage storage.Footprint `json:"storage"`
+
 	// Subscriptions is the number of currently connected /v1/subscribe
 	// streams; SubEvents counts event lines written across all of them
 	// and SubRejects the opens refused by a tenant's quota.
@@ -927,6 +933,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		FactRejects:  s.factRejects.Load(),
 		FactsAdded:   s.factsAdded.Load(),
 		Tuples:       s.eng.DB().TupleCount(),
+		Storage:      s.eng.DB().Footprint(),
 		PlanCache:    cs.String(),
 		ResultCache: resultCacheStats{
 			Hits:    cs.Results.Hits,

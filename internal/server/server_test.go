@@ -358,6 +358,12 @@ func TestStatsEndpoint(t *testing.T) {
 	if resp.Tuples == 0 || resp.PlanCache == "" {
 		t.Fatalf("engine stats missing: %+v", resp)
 	}
+	// The storage block: bytes by structure, the directories the two
+	// queries built among them, and exactly what the database reports.
+	if st := resp.Storage; st.TupleBlocks == 0 || st.DedupTables == 0 || st.DirectorySlots == 0 || st.SymbolText == 0 || st.SymbolIndex == 0 ||
+		st != srv.eng.DB().Footprint() || !strings.Contains(w.Body.String(), `"storage":{"tuple_blocks":`) {
+		t.Fatalf("storage stats = %+v in %s", st, w.Body)
+	}
 }
 
 // newDurableServer wraps a fresh SyncAlways engine persisted under dir.

@@ -138,3 +138,65 @@ func BenchmarkIndexedInsert(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/insert")
 }
+
+// BenchmarkDirectoryBuild builds column 0's posting directory in bulk from
+// the rows of both graph shapes — what the first restricted lookup of a
+// loaded relation pays, and a lookup after tombstone compaction again: two
+// passes over the rows, one table that doubles as the keys come in, one
+// allocation for every run.
+func BenchmarkDirectoryBuild(b *testing.B) {
+	for _, shape := range []string{"digraph", "chain"} {
+		rel, _, _ := benchGraph(shape)
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for s := range rel.shards {
+					sh := &rel.shards[s]
+					sh.mu.Lock()
+					sh.cols[0].Store(sh.buildDirectory(0))
+					sh.mu.Unlock()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rel.Len()), "ns/row")
+		})
+	}
+}
+
+// BenchmarkIntern interns 64-name batches, as a /v1/facts body or a
+// parsed program does: names the table has (the read-locked pass finds all
+// of them) and names it has not (each is hashed twice, copied into the
+// text and indexed; the table starts empty every op, so the index's
+// doublings are in). One op is 65 536 names.
+func BenchmarkIntern(b *testing.B) {
+	const n, batch = 1 << 16, 64
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%d", i*7919)
+	}
+	dst := make([]Value, batch)
+	pass := func(st *SymbolTable) {
+		for at := 0; at < n; at += batch {
+			st.InternBatch(names[at:at+batch], dst)
+		}
+	}
+	perName := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/name")
+	}
+	b.Run("hit", func(b *testing.B) {
+		st := NewSymbolTable()
+		pass(st)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass(st)
+		}
+		perName(b)
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pass(NewSymbolTable())
+		}
+		perName(b)
+	})
+}

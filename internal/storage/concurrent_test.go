@@ -108,9 +108,12 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 	var stats Counters
 	r := NewShardedRelation(3, &stats, 2)
 	// The writer's whole plan, fixed up front: tuple id is {key, seq, id}.
-	// Distinct keys first (blocks and directories grow), then one hot key
-	// (its run doubles again and again), then — after the retractions —
-	// more of both on the rebuilt directories.
+	// Distinct keys first (blocks and directories grow, each key's row in
+	// its slot), then one hot key (its run doubles again and again), then a
+	// second and a third row for every other key (the row leaves the slot for
+	// a run, stored under the readers of that key, and the runs fill chunk
+	// after chunk of the arena), then — after the retractions — more of all
+	// three on the rebuilt directories.
 	const distinct, hot, hotKey, late = 3000, 700, 7, 600
 	var plan []Tuple
 	add := func(key, seq int) { plan = append(plan, Tuple{Value(key), Value(seq), Value(len(plan))}) }
@@ -120,9 +123,15 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 	for j := 1; j <= hot; j++ {
 		add(hotKey, j)
 	}
+	for k := 0; k < distinct; k += 2 {
+		add(k, hot+late+2)
+		add(k, hot+late+3)
+	}
+	early := len(plan)
 	for k := 0; k < late; k++ {
 		add(distinct+k, 0)
 		add(hotKey, hot+1+k)
+		add(2*k+1, hot+late+2) // a second row for a key left with one, or with none
 	}
 	// started is how far into the plan the writer has got: it moves past
 	// a tuple before the tuple is inserted.
@@ -245,21 +254,22 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 			model[tkey(plan[id])] = true
 		}
 	}
-	insert(distinct + hot)
-	blocks, slots := 0, 0
+	insert(early)
+	blocks, slots, chunks := 0, 0, 0
 	for i := range r.shards {
 		sh := &r.shards[i]
 		blocks = max(blocks, len(sh.blocks))
 		for c := range sh.cols[:2] { // the two columns the readers bind
-			slots = max(slots, len(sh.cols[c].Load().slots))
+			d := sh.cols[c].Load()
+			slots, chunks = max(slots, len(d.slots)), max(chunks, len(*d.chunks.Load()))
 		}
 	}
-	if blocks < 2 || slots <= minDirSlots {
-		t.Fatalf("test premise: %d blocks, %d directory slots", blocks, slots)
+	if blocks < 2 || slots <= minDirSlots || chunks < 4 {
+		t.Fatalf("test premise: %d blocks, %d directory slots, %d arena chunks", blocks, slots, chunks)
 	}
 	// Retract two thirds of everything so far: more than half of the rows
 	// the directories can name, so they are dropped on the way.
-	for id := 0; id < distinct+hot; id++ {
+	for id := 0; id < early; id++ {
 		step(id)
 		if id%3 != 0 {
 			if !r.Retract(plan[id]) {
@@ -433,8 +443,10 @@ func TestDatabaseConcurrentEnsureAndSymbols(t *testing.T) {
 // TestLookupDuringCompaction: a lookup that races tombstone compaction
 // still returns its rows. Ten keys hold three rows each and are never
 // retracted; beside them a writer inserts and retracts forty other tuples
-// per round, and each round's retractions cross the compaction threshold
-// and drop the posting directories. A reader that finds no directory
+// per round — twenty keys of two rows, so that each key's first row is
+// stored in its slot and then moved to a run, under readers of that key —
+// and each round's retractions cross the compaction threshold and drop the
+// posting directories. A reader that finds no directory
 // builds one and must then probe what it built, or a later one — not
 // whatever a concurrent drop left behind. (With the shard RWMutex on the
 // read path, a reader dropped the read lock to build, and re-took it to
@@ -475,6 +487,18 @@ func lookupDuringCompaction(t *testing.T) {
 				default:
 				}
 				k, got := Value(i%keys), 0
+				if i%4 == 3 {
+					// A churned key: whatever is there of its two rows, its
+					// first in the slot or both in a run.
+					k = Value(1000 + i%(churn/2))
+					r.Lookup([]Binding{{Col: 0, Val: k}}, func(tup Tuple) bool {
+						if tup[0] != k {
+							t.Errorf("lookup of key %d yielded %v", k, tup)
+						}
+						return true
+					})
+					continue
+				}
 				if g%2 == 1 {
 					probe := []Value{k, (k + 1) % keys, (k + 2) % keys}
 					r.LookupKeys(0, probe, &st, nil, func(at int, tup Tuple) bool {
@@ -504,11 +528,11 @@ func lookupDuringCompaction(t *testing.T) {
 	sh := &r.shards[0]
 	for round := 0; round < 300; round++ {
 		for i := 0; i < churn; i++ {
-			r.Insert(Tuple{Value(1000 + i), Value(round)})
+			r.Insert(Tuple{Value(1000 + i/2), Value(2*round + i%2)})
 		}
 		atDrop := sh.deadAtDrop
 		for i := 0; i < churn; i++ {
-			r.Retract(Tuple{Value(1000 + i), Value(round)})
+			r.Retract(Tuple{Value(1000 + i/2), Value(2*round + i%2)})
 		}
 		if sh.deadAtDrop == atDrop {
 			t.Fatalf("test premise: round %d dropped no directory", round)

@@ -13,9 +13,15 @@
 // and dedup through an open-addressing hash table over row ids keyed by
 // a word-at-a-time tuple hash (HashTuple), so neither insertion nor
 // membership builds a string key. Per-column indexes are posting
-// directories built lazily on first use: a flat open-addressing table
-// whose slot holds a value, the length of the run of row ids that carry
-// it and the run's address side by side (directory.go). Scan and Lookup
+// directories built lazily on first use: a flat open-addressing table of
+// 8-byte slots — a value, and beside it either the id of the one row that
+// carries it or a reference to the run of ids that do, in an arena of
+// chunks that never move (directory.go). Neither the directories nor the
+// symbol table hold a pointer per entry: the table copies each name into
+// a few large text chunks and indexes them by position (symbols.go), so
+// nothing a caller passes in — a slice of a source text, a decoded
+// request — is retained. Database.Footprint reports what each structure
+// holds, from lengths and capacities. Scan and Lookup
 // yield rows through a reused buffer: the yielded Tuple is valid only
 // for the duration of the callback, and callers that keep tuples copy
 // them (Clone). Tuples, SortedTuples, and DeltaSince return fresh
@@ -51,15 +57,18 @@
 // its work in the Counters the relation reports to, or — LookupTally —
 // in a Tally the calling goroutine owns and adds in when its work is
 // done, so that a probe writes no shared memory at all; Counters are
-// therefore exact between evaluations, not during one. A probe is three
-// dependent loads — directory slot, run, block row — and a caller with
-// many independent keys for one column hands them over together
-// (LookupKeys): sixteen probes at a time load their slots, then their
-// runs, then up to sixty-four of their rows, and only then yield, in key
-// order — the tuples, order and counts of one Lookup per key, with the
-// misses overlapped. Every run of a stage is loaded before any block
-// list, and every probe reads its rows through one routine
-// (shardView.readKeyed). Sharded relations do
+// therefore exact between evaluations, not during one. A probe is a chain
+// of dependent loads — the directory slot; the run, unless the key has one
+// row and the slot holds it (every key of a chain, a tree, a functional
+// column); the block row — and a caller with many independent keys for
+// one column hands them over together (LookupKeys): sixteen probes at a
+// time load their slots, then their runs, then up to sixty-four of their
+// rows, and only then yield, in key order — the tuples, order and counts
+// of one Lookup per key, with the misses overlapped. In a directory a
+// reference is stored after what it refers to, and a reader loads the
+// slot, then the arena's chunk list, then the run's length; every slot
+// and run of a stage is loaded before any block list, and every probe
+// reads its rows through one routine (shardView.readKeyed). Sharded relations do
 // not preserve global insertion order across shards; use SortedTuples
 // (or SortedColumns, which the WAL snapshot writer consumes directly)
 // for deterministic output. The one operation that breaks the

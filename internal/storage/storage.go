@@ -73,126 +73,6 @@ func HashTuple(t Tuple) uint32 {
 	return h
 }
 
-// SymbolTable interns constant names as dense Values. It is safe for
-// concurrent use.
-type SymbolTable struct {
-	mu    sync.RWMutex
-	names []string
-	ids   map[string]Value
-	// onIntern, when set, observes every fresh intern under mu (the
-	// write-ahead log's ordering hook). Set via SetInternHook.
-	onIntern func(name string)
-}
-
-// NewSymbolTable creates an empty symbol table.
-func NewSymbolTable() *SymbolTable {
-	return &SymbolTable{ids: make(map[string]Value)}
-}
-
-// Intern returns the Value for name, assigning a fresh one on first
-// use: InternBatch of one name.
-func (st *SymbolTable) Intern(name string) Value {
-	var v [1]Value
-	st.InternBatch([]string{name}, v[:])
-	return v[0]
-}
-
-// InternBatch interns every name into dst (which must have the same
-// length as names), taking the read lock once for the whole run and
-// escalating to the write lock only when some name is fresh. It is the
-// only code that assigns Values and calls the intern hook.
-func (st *SymbolTable) InternBatch(names []string, dst []Value) {
-	st.mu.RLock()
-	hit := true
-	for i, n := range names {
-		v, ok := st.ids[n]
-		if !ok {
-			hit = false
-			break
-		}
-		dst[i] = v
-	}
-	st.mu.RUnlock()
-	if hit {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i, n := range names {
-		v, ok := st.ids[n]
-		if !ok {
-			v = Value(len(st.names))
-			st.names = append(st.names, n)
-			st.ids[n] = v
-			if st.onIntern != nil {
-				st.onIntern(n)
-			}
-		}
-		dst[i] = v
-	}
-}
-
-// SetInternHook installs (or clears, with nil) the fresh-intern observer.
-// The hook runs with the table's write lock held, so its calls are
-// ordered exactly like the interns themselves; it must not call back into
-// the table.
-func (st *SymbolTable) SetInternHook(hook func(name string)) {
-	st.mu.Lock()
-	st.onIntern = hook
-	st.mu.Unlock()
-}
-
-// Names returns a copy of the interned names in Value order (Value(i) is
-// names[i]) — the symbol-table section of a snapshot.
-func (st *SymbolTable) Names() []string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	out := make([]string, len(st.names))
-	copy(out, st.names)
-	return out
-}
-
-// LookupBatch resolves every name into dst (same length as names)
-// without interning, under one read lock, reporting false as soon as a
-// name is unknown — a tuple naming it cannot be stored.
-func (st *SymbolTable) LookupBatch(names []string, dst []Value) bool {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	for i, n := range names {
-		v, ok := st.ids[n]
-		if !ok {
-			return false
-		}
-		dst[i] = v
-	}
-	return true
-}
-
-// Lookup returns the Value for name without interning.
-func (st *SymbolTable) Lookup(name string) (Value, bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	v, ok := st.ids[name]
-	return v, ok
-}
-
-// Name returns the constant name for a Value.
-func (st *SymbolTable) Name(v Value) string {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if int(v) < 0 || int(v) >= len(st.names) {
-		return fmt.Sprintf("#%d", v)
-	}
-	return st.names[v]
-}
-
-// Len returns the number of interned symbols.
-func (st *SymbolTable) Len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return len(st.names)
-}
-
 // Counters instruments relation access. TuplesExamined counts tuples
 // touched by lookups and scans; IndexLookups counts index probes — one
 // per shard a Lookup actually probes, so a lookup that cannot be routed
@@ -339,10 +219,11 @@ const deadWords = blockRows / 64
 // Lookup take no lock: they read what the writer has published — the
 // block list, the row count, the directories — and two load orders make
 // what they read resolvable. A writer publishes a block (in the list)
-// before a row count that covers it and before any directory run that
-// names a row in it, and writes a row's values before either; so a reader
-// that loads the row count, or a run, and only then the block list finds
-// the block of every row it was told of, and the values in it.
+// before a row count that covers it and before any directory slot or run
+// that names a row in it, and writes a row's values before either; so a
+// reader that loads the row count, or a row id from a directory, and only
+// then the block list finds the block of every row it was told of, and the
+// values in it.
 type shard struct {
 	mu sync.RWMutex
 	// blocks are the arena slabs (see the block geometry constants) and
@@ -377,11 +258,12 @@ type shard struct {
 	hashes []uint32
 	used   int
 	// cols[i] is column i's published posting directory (nil until built,
-	// and again once dropped). Runs may name tombstoned rows; lookups
+	// and again once dropped). It may name tombstoned rows; lookups
 	// filter them lazily, and the whole index set is dropped for a
-	// from-live-rows rebuild when more than half the rows the runs can
-	// name are dead (the tombstone compaction rule). A reader that loaded
-	// a directory before it was dropped or outgrown finishes on it.
+	// from-live-rows rebuild when more than half the rows the directories
+	// can name are dead (the tombstone compaction rule) — which is also
+	// what reclaims the runs a directory has abandoned. A reader that
+	// loaded a directory before it was dropped or outgrown finishes on it.
 	cols []atomic.Pointer[directory]
 	// tail is the bounded recent-mutation log for DeltaSince (tracked
 	// relations only); tailFloor is the lowest epoch the tail still covers
@@ -1372,7 +1254,7 @@ func (r *Relation) LookupTally(bindings []Binding, buf Tuple, tally *Tally, yiel
 			}
 		}
 	}
-	// Several bindings: per shard the shortest run is walked — the most
+	// Several bindings: per shard the fewest rows are walked — the most
 	// selective column — and every binding filters its rows.
 	var filter []Binding
 	if len(bindings) > 1 {
@@ -1381,14 +1263,16 @@ func (r *Relation) LookupTally(bindings []Binding, buf Tuple, tally *Tally, yiel
 	var probes, examined int64
 	for more := true; more && lo < hi; lo++ {
 		sh := &r.shards[lo]
-		by, run := bindings[0], sh.index(bindings[0].Col).find(bindings[0].Val)
+		by, d := bindings[0], sh.index(bindings[0].Col)
+		w := d.slot(by.Val)
 		for _, b := range bindings[1:] {
-			if cand := sh.index(b.Col).find(b.Val); len(cand) < len(run) {
-				by, run = b, cand
+			in := sh.index(b.Col)
+			if cand := in.slot(b.Val); in.count(cand) < d.count(w) {
+				by, d, w = b, in, cand
 			}
 		}
 		var n int64
-		n, more = sh.walk(run, by, filter, scratch, yield)
+		n, more = sh.walk(d, w, by, filter, scratch, yield)
 		probes, examined = probes+1, examined+n
 	}
 	r.tallyUp(tally, probes, 0, examined)
@@ -1435,16 +1319,18 @@ func (sh *shard) index(col int) *directory {
 	return d
 }
 
-// walk yields, through scratch, the live rows of run — the posting run of
-// by.Val in column by.Col of this shard — that satisfy every binding of
-// filter, returning the number of live rows it read and false when yield
-// stopped it. It takes no lock; the block list is loaded here, after the
-// run (see shard). The key is filled in per row, because yield may reuse
-// the buffer for a nested probe.
-func (sh *shard) walk(run []int32, by Binding, filter []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64, more bool) {
-	if len(run) == 0 {
+// walk yields, through scratch, the live rows that w stands for — the
+// word of by.Val's slot in d, column by.Col's directory in this shard —
+// and that satisfy every binding of filter, returning the number of live
+// rows it read and false when yield stopped it. It takes no lock; the
+// block list is loaded here, after the slot (see shard). The key is filled
+// in per row, because yield may reuse the buffer for a nested probe.
+func (sh *shard) walk(d *directory, w uint64, by Binding, filter []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64, more bool) {
+	if w == 0 {
 		return 0, true
 	}
+	var lone [1]int32
+	run := d.rows(w, &lone)
 	var v shardView
 	v.resolve(sh)
 rows:
@@ -1477,12 +1363,14 @@ const (
 // goroutine, reused from call to call, so that a call neither allocates
 // nor clears it. The zero value is ready to use.
 type KeyStage struct {
-	// Per probe of the stage: its shard, its run, the ordinal of its key,
+	// Per probe of the stage: its shard, its run — a view of lone when the
+	// key has the one row its directory slot holds — the ordinal of its key,
 	// and where its rows end among those gathered.
-	sh  [stageProbes]*shard
-	run [stageProbes][]int32
-	k   [stageProbes]int32
-	end [stageProbes]int32
+	sh   [stageProbes]*shard
+	run  [stageProbes][]int32
+	lone [stageProbes]int32
+	k    [stageProbes]int32
+	end  [stageProbes]int32
 	// Per gathered row: its id, then — once read — the ordinal of its key
 	// and its values in vals (arity apiece).
 	id   [stageRows]int32
@@ -1493,11 +1381,12 @@ type KeyStage struct {
 // LookupKeys is one single-binding LookupTally of column col per key, in
 // key order — yield receives the key's ordinal with each tuple, the same
 // tuples in the same order — with the probes' cache misses overlapped. A
-// probe is three dependent loads (directory slot, run, block row), each a
-// miss on a relation larger than the cache; the keys are independent, so
-// the probes go in stages of stageProbes: every directory slot, then
-// every run, then the rows the runs name, stageRows at a time, and only
-// then the yields. A probe that is not routed by ShardColumn is one key ×
+// probe is a chain of dependent loads — the directory slot, the run unless
+// the slot holds the key's one row itself, the block row — each a miss on
+// a relation larger than the cache; the keys are independent, so the
+// probes go in stages of stageProbes: every directory slot, then every
+// run's length, then the rows named, stageRows at a time, and only then
+// the yields. A probe that is not routed by ShardColumn is one key ×
 // shard pair per shard, staged alike. It reports false when yield stopped
 // it.
 //
@@ -1519,21 +1408,36 @@ func (r *Relation) LookupKeys(col int, keys []Value, st *KeyStage, tally *Tally,
 	var probes, examined int64
 	more = true
 	for k, s := 0, 0; k < len(keys) && more; {
-		// Directory slots: every probe of the stage finds its run. All the
-		// runs are loaded before any block list (see shard).
-		np := 0
+		// Directory slots: every probe of the stage finds its lone row, or
+		// where its run is; then the runs' lengths. All the runs are loaded
+		// before any block list (see shard).
+		np, unread := 0, uint32(0)
 		for ; np < stageProbes && k < len(keys); np++ {
 			sh := &r.shards[s]
 			if fan == 1 {
 				sh = &r.shards[r.shardIndex(keys[k])]
 			}
 			st.sh[np], st.k[np] = sh, int32(k)
-			st.run[np] = sh.index(col).find(keys[k])
+			d := sh.index(col)
+			switch w := d.slot(keys[k]); {
+			case w == 0:
+				st.run[np] = nil
+			case w&inlineRow != 0:
+				st.lone[np] = loneRow(w)
+				st.run[np] = st.lone[np : np+1]
+			default:
+				st.run[np] = d.room(uint32(w))
+				unread |= 1 << np
+			}
 			if s++; s == fan {
 				k, s = k+1, 0
 			}
 		}
 		probes += int64(np)
+		for ; unread != 0; unread &= unread - 1 {
+			p := bits.TrailingZeros32(unread)
+			st.run[p] = runIDs(st.run[p])
+		}
 		for p, at := 0, 0; p < np && more; {
 			// Runs: the ids of the rows to read, while the buffer has room;
 			// end[q] closes probe q's share of it.
@@ -1899,6 +1803,9 @@ func (db *Database) Declare(pred string, arity int) (r *Relation, ok bool) {
 	if db.track {
 		stats = &db.Stats
 	}
+	// The name is copied for the same reason a symbol's is (SymbolTable):
+	// the caller's may be a slice of a whole source text.
+	pred = strings.Clone(pred)
 	r = NewShardedRelation(arity, stats, db.shards)
 	r.name = pred
 	if db.track {
