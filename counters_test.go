@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// The evaluators count their probes in worker-owned tallies and add them
+// The evaluators count their probes in a tally of their own and add it
 // into Database.Stats when an evaluation or maintenance pass ends. These
 // tests pin that nothing is lost on the way: per-query counters are the
 // numbers the probes themselves used to add, one atomic at a time, and
@@ -48,20 +48,16 @@ var countersGraphs = map[string]func(add func(pred string, args ...int)){
 	},
 }
 
-// openCounters loads a graph into an engine of four shards whose Fig. 9
-// loop runs on the given number of workers. Semi-naive rounds outside a
-// one-sided plan (Magic Sets) take their parallelism from GOMAXPROCS, and
-// parallel rounds see each other's tuples early or late, which moves
-// their probe counts (not their results): with workers == 1 the process
-// is held to one processor for the test, so every round runs inline, in
-// rule order, and every count repeats.
-func openCounters(t *testing.T, graph string, workers int) *Engine {
+// openCounters loads a graph into an engine over a database of four
+// shards — an unrouted lookup counts one probe a shard, so the pinned
+// numbers hold whatever GOMAXPROCS the process runs under. Every
+// evaluation runs on the goroutine that asked for it, every semi-naive
+// round in rule order: every count repeats.
+func openCounters(t *testing.T, graph string) *Engine {
 	t.Helper()
-	if workers == 1 {
-		was := runtime.GOMAXPROCS(1)
-		t.Cleanup(func() { runtime.GOMAXPROCS(was) })
-	}
-	eng := openCtxCase(t, []Option{WithShards(4), WithWorkers(workers)}, countersSrc)
+	db := NewDatabase()
+	db.SetShards(4)
+	eng := openCtxCase(t, []Option{WithDatabase(db)}, countersSrc)
 	var facts []Fact
 	countersGraphs[graph](func(pred string, args ...int) {
 		f := Fact{Pred: pred}
@@ -79,18 +75,16 @@ func openCounters(t *testing.T, graph string, workers int) *Engine {
 // TestCountersPinned: Rows.Counters() of a cold context-mode query, a
 // reduced-mode query, a Magic Sets query and a maintained re-query, on
 // both graphs, are exactly what they were when every probe added itself
-// to Database.Stats — serially, and with the level loop fanned out.
+// to Database.Stats, and a second engine over the same facts counts the
+// Magic Sets query the same again.
 func TestCountersPinned(t *testing.T) {
 	type step struct {
 		query, mode, cache string
-		// change moves the database before the query; fanned marks the
-		// evaluations whose counts are the same however many workers share
-		// the work (see openCounters).
+		// change moves the database before the query.
 		change func(eng *Engine)
-		fanned bool
 	}
 	steps := []step{
-		{query: "t(n0, Y)", mode: "context", cache: "rebuilt", fanned: true},
+		{query: "t(n0, Y)", mode: "context", cache: "rebuilt"},
 		{query: "t(X, n40)", mode: "reduced", cache: "rebuilt"},
 		{query: "sg(n7, Y)", cache: "rebuilt"},
 		{query: "t(n0, Y)", mode: "context", cache: "updated", change: func(eng *Engine) {
@@ -122,27 +116,33 @@ func TestCountersPinned(t *testing.T) {
 		},
 	}
 	for _, graph := range []string{"chain", "digraph"} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", graph, workers), func(t *testing.T) {
-				eng := openCounters(t, graph, workers)
-				for i, s := range steps {
-					if s.change != nil {
-						s.change(eng)
-					}
-					rows, err := eng.Query(context.Background(), s.query)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ex := rows.Explain()
-					if ex.Mode != s.mode || ex.ResultCache != s.cache || rows.Len() == 0 {
-						t.Fatalf("%s: %v, %d answers; want mode %q, result-cache %s", s.query, ex, rows.Len(), s.mode, s.cache)
-					}
-					if got := rows.Counters(); (workers == 1 || s.fanned) && got != want[graph][i] {
-						t.Errorf("%s (%s): counters %+v, want %+v", s.query, s.cache, got, want[graph][i])
-					}
+		t.Run(graph, func(t *testing.T) {
+			eng := openCounters(t, graph)
+			for i, s := range steps {
+				if s.change != nil {
+					s.change(eng)
 				}
-			})
-		}
+				rows, err := eng.Query(context.Background(), s.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := rows.Explain()
+				if ex.Mode != s.mode || ex.ResultCache != s.cache || rows.Len() == 0 {
+					t.Fatalf("%s: %v, %d answers; want mode %q, result-cache %s", s.query, ex, rows.Len(), s.mode, s.cache)
+				}
+				if got := rows.Counters(); got != want[graph][i] {
+					t.Errorf("%s (%s): counters %+v, want %+v", s.query, s.cache, got, want[graph][i])
+				}
+			}
+			// Run twice: the Magic Sets query alone, cold, on a fresh engine.
+			rows, err := openCounters(t, graph).Query(context.Background(), steps[2].query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rows.Counters(); rows.Explain().Strategy != "magic" || got != want[graph][2] {
+				t.Errorf("%s again: %v, counters %+v, want %+v", steps[2].query, rows.Explain(), got, want[graph][2])
+			}
+		})
 	}
 }
 
@@ -168,7 +168,7 @@ func TestCountersSurviveEarlyExit(t *testing.T) {
 	}
 	for _, c := range cuts {
 		t.Run(c.name, func(t *testing.T) {
-			eng := openCounters(t, "chain", 1)
+			eng := openCounters(t, "chain")
 			before := eng.DB().Stats.Snapshot()
 			if _, err := eng.Query(c.ctx(), c.query); !errors.Is(err, c.err) {
 				t.Fatalf("%s: err = %v, want %v", c.query, err, c.err)
@@ -179,7 +179,7 @@ func TestCountersSurviveEarlyExit(t *testing.T) {
 		})
 	}
 	t.Run("stream/abandoned", func(t *testing.T) {
-		eng := openCounters(t, "chain", 1)
+		eng := openCounters(t, "chain")
 		before := eng.DB().Stats.Snapshot()
 		rows, err := eng.QueryStream(context.Background(), "t(n0, Y)")
 		if err != nil {
@@ -206,7 +206,7 @@ func TestCountersSurviveEarlyExit(t *testing.T) {
 // 367df24, before a conjunction's binding pattern was compiled and a
 // level's first-atom probes were staged: the same lookups, rows and scans,
 // whatever carries them out. The process is held to one processor, so the
-// databases get one shard and every semi-naive round runs inline.
+// databases get one shard (an unrouted lookup counts one probe a shard).
 func TestCountersPinnedAcrossExamples(t *testing.T) {
 	was := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(was)

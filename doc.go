@@ -53,16 +53,16 @@
 //
 // context.Context cancels the fixpoint loops mid-evaluation.
 //
-// # Parallelism and streaming
+// # Concurrency and streaming
 //
 // Relations are hash-sharded into partitions whose writers lock
-// independently and whose lookups take no lock (WithShards, default
-// GOMAXPROCS), and the Fig. 9 loop splits each
-// carry batch across a bounded worker pool (WithWorkers, default
-// GOMAXPROCS), so one Engine serves parallel queries and a single big
-// query scales across cores. QueryStream (or PreparedQuery.Stream)
-// evaluates in the background and yields answers as they are derived —
-// first answers arrive before the fixpoint completes:
+// independently and whose lookups take no lock (GOMAXPROCS shards by
+// default; Database.SetShards on a database handed to WithDatabase), so
+// one Engine serves concurrent queries beside concurrent writers. A
+// query evaluates on the goroutine that asked for it: the cores are used
+// by concurrent requests, not by splitting one. QueryStream (or
+// PreparedQuery.Stream) evaluates in the background and yields answers as
+// they are derived — first answers arrive before the fixpoint completes:
 //
 //	rows, _ := eng.QueryStream(ctx, "t(paris, Y)")
 //	for row := range rows.All() {          // yields during the fixpoint
@@ -70,8 +70,13 @@
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// Explain reports the parallelism actually used (workers, shards,
-// batches) alongside the strategy choice.
+// Explain reports the shard count and the carry batches walked
+// alongside the strategy choice.
+//
+// A query writes nothing: it resolves its constants against the symbol
+// table (facts intern theirs when written, rules when loaded), and one
+// naming a constant the database has never seen has no answers and is
+// answered so, without evaluating.
 //
 // # Durability
 //

@@ -103,25 +103,23 @@ type Engine struct {
 }
 
 // Open creates an Engine. With no options it has an empty database
-// (relations sharded to GOMAXPROCS), an empty program, the default
-// strategy chain with GOMAXPROCS evaluation workers, a 256-entry plan
-// cache, and a 64-entry bound-result cache (maintained answers, see
-// WithResultCache).
+// (relations sharded to GOMAXPROCS, for concurrent writers), an empty
+// program, the default strategy chain, a 256-entry plan cache, and a
+// 64-entry bound-result cache (maintained answers, see WithResultCache).
+// Every query evaluates on the goroutine that asked for it; the cores are
+// used by concurrent requests.
 func Open(opts ...Option) (*Engine, error) {
 	cfg := engineConfig{planCacheSize: 256, resultCacheSize: 64}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	strategies, err := resolveStrategies(cfg.strategyNames, cfg.workers)
+	strategies, err := resolveStrategies(cfg.strategyNames)
 	if err != nil {
 		return nil, err
 	}
 	db := cfg.db
 	if db == nil {
 		db = storage.NewDatabase()
-	}
-	if cfg.shards > 0 {
-		db.SetShards(cfg.shards)
 	}
 	e := &Engine{
 		db:          db,
@@ -202,7 +200,31 @@ func (e *Engine) openPersistence(cfg engineConfig) (shapes []string, bootstrap b
 	db.Stats.Reset()
 	e.log.Store(log)
 	db.SetJournal(log)
+	// A log written before rule constants were interned at load time may
+	// lack some: intern them now, journaled like any fresh symbol.
+	e.internConsts(prog.Rules)
 	return shapes, bootstrap, nil
+}
+
+// internConsts interns every constant the rules mention. Rules are
+// range-restricted, so once a program's constants are in the symbol table
+// beside the facts', a constant the table has never seen can occur in no
+// answer: that is what lets a query resolve its own constants with Lookup
+// and write nothing (PreparedQuery.unseenConst).
+func (e *Engine) internConsts(rules []ast.Rule) {
+	atom := func(a ast.Atom) {
+		for _, t := range a.Args {
+			if t.IsConst() {
+				e.db.Syms.Intern(t.Name)
+			}
+		}
+	}
+	for _, r := range rules {
+		atom(r.Head)
+		for _, a := range r.Body {
+			atom(a)
+		}
+	}
 }
 
 // DB returns the engine's database for direct fact loading and
@@ -250,17 +272,19 @@ func (e *Engine) Load(src string) ([]Atom, error) {
 // idempotent: rules textually identical to ones already loaded are
 // skipped (so re-loading a source file over a persistent engine — the
 // CLI restart pattern — does not duplicate the program), and fact
-// inserts dedup in storage. With persistence, the rules a load added are
-// journaled as one group (one fsync under SyncAlways, however many), and
-// a log that has failed is reported as ErrDurability. The engine's
-// program is copy-on-write: in-flight queries keep evaluating their
-// consistent snapshot.
+// inserts dedup in storage. The rules' constants are interned here, once,
+// so that no query ever has to (internConsts). With persistence, the
+// rules a load added are journaled as one group (one fsync under
+// SyncAlways, however many), and a log that has failed is reported as
+// ErrDurability. The engine's program is copy-on-write: in-flight queries
+// keep evaluating their consistent snapshot.
 func (e *Engine) LoadProgram(p *Program) error {
 	facts, rules := SplitFacts(p)
 	var err error
 	if len(facts) > 0 {
 		_, err = e.InsertFacts(facts)
 	}
+	e.internConsts(rules.Rules)
 	e.mu.Lock()
 	merged := ast.NewProgram()
 	merged.Rules = append(merged.Rules, e.program.Rules...)
@@ -322,9 +346,8 @@ type StrategyAttempt struct {
 
 // Explain reports how a query will be (or was) evaluated: the strategy
 // the planner chose, the query's adornment, the Theorem 3.4 verdict and
-// Fig. 9 mode when the one-sided planner ran, the parallelism it used,
-// how the plan cache served the skeleton, and which earlier strategies
-// declined and why.
+// Fig. 9 mode when the one-sided planner ran, how the plan cache served
+// the skeleton, and which earlier strategies declined and why.
 type Explain struct {
 	eval.StrategyExplain
 	// Rejected lists the strategies tried before the chosen one.
@@ -340,12 +363,13 @@ type Explain struct {
 	// overflowed delta tail, or after a maintenance pass was cut short
 	// by cancellation or gas), or "" when the result
 	// cache did not participate (streaming, batch-shared traversals,
-	// explicit-program plans, or a disabled cache).
+	// explicit-program plans, a disabled cache, or a query naming a
+	// constant the database has never seen, answered empty unevaluated).
 	ResultCache string
 	// Shards is the database's relation shard count and Batches the
-	// number of carry batches the Fig. 9 loop dispatched to its worker
-	// pool. Both are filled on the Explain a Rows reports after
-	// evaluation; a pre-evaluation PreparedQuery.Explain leaves them 0.
+	// number of carry batches the Fig. 9 loop walked. Both are filled on
+	// the Explain a Rows reports after evaluation; a pre-evaluation
+	// PreparedQuery.Explain leaves them 0.
 	Shards  int
 	Batches int
 	// Overdeleted and Rederived are what delete-rederive did over the
@@ -357,7 +381,7 @@ type Explain struct {
 
 // String renders the report in the compact key=value form the CLI and
 // examples print, e.g.
-// `strategy=onesided adornment=bf plan-cache=hit mode=context carry-arity=1 workers=4`;
+// `strategy=onesided adornment=bf plan-cache=hit mode=context carry-arity=1 shards=2 batches=4`;
 // answers that have absorbed retractions add `dred=<overdeleted>/<rederived>`.
 func (ex Explain) String() string {
 	var b strings.Builder
@@ -386,7 +410,6 @@ func (ex Explain) String() string {
 	if ex.Verdict != "" {
 		field(" verdict=", strconv.Quote(ex.Verdict))
 	}
-	count(" workers=", ex.Workers)
 	count(" shards=", ex.Shards)
 	count(" batches=", ex.Batches)
 	if ex.Overdeleted > 0 || ex.Rederived > 0 {
@@ -473,10 +496,13 @@ func (pq *PreparedQuery) plan() (PreparedStrategy, error) {
 // pattern) and reused, with LRU eviction, until the program changes; a
 // non-nil program is planned fresh. The query atom uses constants at
 // bound columns, e.g. t(paris, Y): a cache hit for a shape costs a map
-// lookup plus a constant substitution, never a re-analysis.
+// lookup plus a constant substitution, never a re-analysis. An explicit
+// program's constants are interned here, as LoadProgram interns the
+// engine's.
 func (e *Engine) Prepare(program *Program, query Atom) (*PreparedQuery, error) {
 	skel := ast.Skeletonize(query)
 	if program != nil {
+		e.internConsts(program.Rules)
 		ps, err := e.compileSkeleton(program, skel, query)
 		if err != nil {
 			return nil, err
@@ -651,6 +677,9 @@ func (pq *PreparedQuery) Query(ctx context.Context) (*Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if pq.unseenConst() {
+		return pq.noAnswers(), nil
+	}
 	ctx = pq.engine.withGasCtx(ctx)
 	if pq.resultCacheable() {
 		rows, handled, err := pq.engine.queryCached(ctx, pq, true)
@@ -659,6 +688,28 @@ func (pq *PreparedQuery) Query(ctx context.Context) (*Rows, error) {
 		}
 	}
 	return pq.queryDirect(ctx)
+}
+
+// unseenConst reports whether the query names a constant the symbol
+// table has never seen. Facts intern their constants when they are
+// written and rules when they are loaded (internConsts), and rules are
+// range-restricted, so such a query has no answers — and evaluating it
+// would intern the constant: request text growing the symbol table and
+// the log without bound, on followers too. A query resolves its constants
+// with Lookup and writes nothing.
+func (pq *PreparedQuery) unseenConst() bool {
+	for _, c := range pq.consts {
+		if _, ok := pq.engine.db.Syms.Lookup(c.Name); !ok {
+			return true
+		}
+	}
+	return false
+}
+
+// noAnswers is the Rows of a query with an unseen constant: empty, and
+// nothing was built or cached for it.
+func (pq *PreparedQuery) noAnswers() *Rows {
+	return &Rows{rel: storage.NewRelation(pq.query.Arity(), nil), syms: pq.engine.db.Syms, explain: pq.Explain()}
 }
 
 // queryDirect evaluates without consulting the result cache.
@@ -690,13 +741,10 @@ func (pq *PreparedQuery) resultCacheable() bool {
 	return pq.cache != "" && pq.engine.resCacheCap > 0
 }
 
-// explainWithStats enriches the plan explanation with the parallelism
-// the evaluation actually used.
+// explainWithStats enriches the plan explanation with what the
+// evaluation reported.
 func (pq *PreparedQuery) explainWithStats(stats eval.EvalStats) Explain {
 	ex := pq.Explain()
-	if stats.Workers > 0 {
-		ex.Workers = stats.Workers
-	}
 	ex.Shards = stats.Shards
 	ex.Batches = stats.Batches
 	ex.Overdeleted, ex.Rederived = stats.Overdeleted, stats.Rederived
@@ -1000,6 +1048,9 @@ func (pq *PreparedQuery) Stream(ctx context.Context) *Rows {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if pq.unseenConst() {
+		return pq.noAnswers()
+	}
 	ctx = pq.engine.withGasCtx(ctx)
 	ctx, cancel := context.WithCancel(ctx)
 	db := pq.engine.db
@@ -1180,6 +1231,10 @@ func (e *Engine) QueryBatchAtoms(ctx context.Context, queries []Atom) ([]*Rows, 
 				}
 			}
 			pqs[j] = pq
+			if pq.unseenConst() {
+				rows[i] = pq.noAnswers()
+				continue
+			}
 			if pq.resultCacheable() {
 				r, handled, err := e.queryCached(ctx, pq, false)
 				if err != nil {

@@ -16,7 +16,8 @@ func streamEngine(t *testing.T, n int) (*Engine, string) {
 	t.Helper()
 	w := datagen.ChainTC(n)
 	w.DB.AddFact("b", w.Start, "zfirst")
-	eng, err := Open(WithDatabase(w.DB), WithShards(4), WithWorkers(4))
+	w.DB.SetShards(4)
+	eng, err := Open(WithDatabase(w.DB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +32,8 @@ func streamEngine(t *testing.T, n int) (*Engine, string) {
 
 // TestEngineQueryStream checks that a streamed query yields exactly the
 // materialized answer set, reports a nil terminal error, and surfaces
-// the parallelism in Explain; a second All over the finished Rows reads
-// the materialized set.
+// the shard and batch counts in Explain; a second All over the finished
+// Rows reads the materialized set.
 func TestEngineQueryStream(t *testing.T) {
 	eng, q := streamEngine(t, 50)
 	ctx := context.Background()
@@ -71,9 +72,6 @@ func TestEngineQueryStream(t *testing.T) {
 		t.Fatalf("second All over finished stream saw %d answers, want %d", second, want.Len())
 	}
 	ex := rows.Explain()
-	if ex.Workers != 4 {
-		t.Fatalf("Explain workers = %d, want 4", ex.Workers)
-	}
 	if ex.Shards != 4 {
 		t.Fatalf("Explain shards = %d, want 4", ex.Shards)
 	}
@@ -176,7 +174,9 @@ func TestEngineQueryStreamFallback(t *testing.T) {
 func TestEngineConcurrentShardedInsertsAndQueries(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const n = 2000
-	eng, err := Open(WithShards(8), WithWorkers(4))
+	db := NewDatabase()
+	db.SetShards(8)
+	eng, err := Open(WithDatabase(db))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,9 +325,6 @@ func TestExplainStringMatchesFormatted(t *testing.T) {
 		if ex.Verdict != "" {
 			fmt.Fprintf(&b, " verdict=%q", ex.Verdict)
 		}
-		if ex.Workers > 0 {
-			fmt.Fprintf(&b, " workers=%d", ex.Workers)
-		}
 		if ex.Shards > 0 {
 			fmt.Fprintf(&b, " shards=%d", ex.Shards)
 		}
@@ -352,7 +349,7 @@ func TestExplainStringMatchesFormatted(t *testing.T) {
 		Shards:      4, Batches: 17, Overdeleted: 3, Rederived: 0,
 	}
 	full.Strategy, full.Adornment, full.Mode, full.CarryArity = "magic", "bf", "context", 0
-	full.Verdict, full.Workers, full.Detail = "one-sided \"after\" optimisation\té", 2, "answer predicate t_bf, 4 rewritten rules"
+	full.Verdict, full.Detail = "one-sided \"after\" optimisation\té", "answer predicate t_bf, 4 rewritten rules"
 	rederivedOnly := Explain{Rederived: 2}
 	rederivedOnly.Strategy = "edb"
 	cases := []Explain{{}, full, rederivedOnly}

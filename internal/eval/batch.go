@@ -177,34 +177,17 @@ func evalBatchFallback(ctx context.Context, edb *storage.Database, bound []*Plan
 	return rels, stats, nil
 }
 
-// addBatchStats merges per-chunk (or per-query fallback) statistics:
-// work counters add, environment bounds take the maximum.
+// addBatchStats merges per-query fallback statistics: work counters add,
+// environment bounds take the maximum.
 func addBatchStats(a, b EvalStats) EvalStats {
 	out := a
 	out.Iterations += b.Iterations
 	out.SeenSize += b.SeenSize
 	out.GProbes += b.GProbes
 	out.Batches += b.Batches
-	if b.CarryArity > out.CarryArity {
-		out.CarryArity = b.CarryArity
-	}
-	if b.Workers > out.Workers {
-		out.Workers = b.Workers
-	}
-	if b.Shards > out.Shards {
-		out.Shards = b.Shards
-	}
+	out.CarryArity = max(out.CarryArity, b.CarryArity)
+	out.Shards = max(out.Shards, b.Shards)
 	return out
-}
-
-// batchWorker is the batch traversal's share of one pool worker's state:
-// for the f phase, the mask each successor in the worker's next buffer was
-// produced under — merged sequentially into the owner table after the
-// level. Written per solution like the levelWorker beside it, and padded
-// apart for the same reason.
-type batchWorker struct {
-	masks []bitset.Mask
-	_     [scratchPad]byte
 }
 
 // evalContextBatch is the shared Fig. 9 traversal for arbitrarily many
@@ -218,12 +201,10 @@ type batchWorker struct {
 func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, bound []*Plan) ([]*storage.Relation, EvalStats, error) {
 	k := len(bound)
 	syms := edb.Syms
-	nshards := edb.Shards()
 	resolve := func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) }
-	workers := p.effectiveWorkers()
-	stats := EvalStats{CarryArity: p.CarryArity, Workers: workers, Shards: nshards}
-	ts := newTallies(&edb.Stats, workers)
-	defer ts.flush()
+	stats := EvalStats{CarryArity: p.CarryArity, Shards: edb.Shards()}
+	tally := edb.Stats.Tally()
+	defer tally.Flush()
 
 	ans := make([]*storage.Relation, k)
 	groups := make([][]groupResult, k)
@@ -233,14 +214,14 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		ans[q] = storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards)
+		ans[q] = storage.NewRelation(p.Def.Arity(), &edb.Stats)
 		// Depth-0 answers use the query's own constants; no sharing.
 		stats.GProbes++
-		bp.compileD0(syms).run(bp, syms, resolve, ts.of(0), func(t storage.Tuple) bool {
+		bp.compileD0(syms).run(bp, syms, resolve, &tally, func(t storage.Tuple) bool {
 			ans[q].Insert(t)
 			return true
 		})
-		gs, ok := bp.evalFactoredGroups(syms, resolve, ts.of(0))
+		gs, ok := bp.evalFactoredGroups(syms, resolve, &tally)
 		if !ok {
 			// An empty factor group: this query has depth-0 answers only,
 			// so it never seeds the traversal.
@@ -279,7 +260,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 			continue
 		}
 		bit := bitset.Bit(k, q)
-		bp.compileSeed(syms).run(bp, syms, resolve, ts.of(0), func(tup storage.Tuple) { merge(tup, bit) })
+		bp.compileSeed(syms).run(bp, syms, resolve, &tally, func(tup storage.Tuple) { merge(tup, bit) })
 	}
 
 	f := p.compileF(syms)
@@ -313,34 +294,28 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		}
 	}
 
-	// The same level workers as the single-query loop, walking a frontier:
+	// The same level worker as the single-query loop, walking a frontier:
 	// the contexts some owner newly reached, flat like a carry, with the
-	// owners that did (fmasks, by position). A successor is kept with the
-	// mask it was produced under instead of being claimed: the owner table
-	// decides, after the level, whether it is news. owners is the mask
-	// arena of the buffer being walked — fmasks, then owned for the g phase.
+	// owners that did (fmasks, by position). A successor is not claimed: it
+	// is merged into the owner table under the mask it was produced under,
+	// and the table decides whether it is news — the frontier and fmasks
+	// are copies, so the table may grow under the level that reads them.
+	// owners is the mask arena of the buffer being walked — fmasks, then
+	// owned for the g phase.
 	var frontier carryBuf
 	var fmasks, owners []uint64
-	bws := make([]batchWorker, workers)
-	pool := levelPool{
-		f: &f, g: &g, nAnchors: nAnchors, arity: p.Def.Arity(), resolve: resolve, tallies: ts,
-		ws: make([]levelWorker, workers),
-		setup: func(i int, w *levelWorker) {
-			bw := &bws[i]
-			w.f.emit = func(s []storage.Value) bool {
-				w.next.push(w.successor(s))
-				bw.masks = append(bw.masks, maskAt(owners, w.cur))
-				return true
+	w := newLevelWorker(&f, &g, nAnchors, p.Def.Arity(), resolve, &tally)
+	w.f.emit = func(s []storage.Value) bool {
+		merge(w.successor(s), maskAt(owners, w.cur))
+		return true
+	}
+	w.g.emit = func(s []storage.Value) bool {
+		for own, q := maskAt(owners, w.cur), 0; q < k; q++ {
+			if own.Test(q) {
+				emitOwner(q, 0, s, w.anchors, w.out)
 			}
-			w.g.emit = func(s []storage.Value) bool {
-				for own, q := maskAt(owners, w.cur), 0; q < k; q++ {
-					if own.Test(q) {
-						emitOwner(q, 0, s, w.anchors, w.out)
-					}
-				}
-				return true
-			}
-		},
+		}
+		return true
 	}
 
 	flush := func() {
@@ -359,7 +334,6 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	meter := MeterFrom(ctx)
 	stats.Batches++ // the seed batch
 	done := ctx.Done()
-	fLevel := func(wi, lo, hi int) { pool.worker(wi).expand(&frontier, lo, hi) }
 	for frontier.n > 0 {
 		if err := expired(ctx, done); err != nil {
 			return nil, stats, err
@@ -372,17 +346,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		stats.Iterations++
 		stats.Batches++
 		owners = fmasks
-		parallelFor(workers, frontier.n, fLevel)
-		// merge may grow the owner table's arena, which the workers read
-		// contexts out of — sequential, after the level's join.
-		for wi := range pool.ws {
-			nb, bw := &pool.ws[wi].next, &bws[wi]
-			for i, m := range bw.masks {
-				merge(nb.at(i, carryWidth), m)
-			}
-			nb.reset()
-			bw.masks = bw.masks[:0]
-		}
+		w.expand(&frontier)
 		flush()
 	}
 
@@ -394,7 +358,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 		return nil, stats, err
 	}
 	owners = owned
-	parallelFor(workers, ix.ctxs.n, func(wi, lo, hi int) { pool.worker(wi).exits(&ix.ctxs, lo, hi) })
+	w.exits(&ix.ctxs)
 	answers := 0
 	for _, r := range ans {
 		answers += r.Len()

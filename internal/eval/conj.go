@@ -100,8 +100,8 @@ type compiledConj struct {
 // serves the whole step recursion — each atom index owns a disjoint
 // segment, and a yielded row is fully consumed before the next lookup
 // overwrites the buffer — but it must not be shared across goroutines.
-// Hot callers hold one per worker, bind it once per evaluation and reuse
-// it across contexts via step; run itself makes a fresh one per call.
+// Hot callers hold one per operator, bind it once per evaluation and
+// reuse it across contexts via step; run itself makes a fresh one per call.
 type conjScratch struct {
 	rels   []*storage.Relation
 	left   []*storage.Relation // nil until bindLeft

@@ -256,7 +256,6 @@ func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 			if err != nil || plan.Mode != ModeContext {
 				t.Fatalf("plan %v, err %v; want a context-mode plan", plan, err)
 			}
-			plan.Workers = 1
 			ce := plan.newContextEval(tc.db, nil)
 			widest := 0
 			plan.TestIterHook = func(int) { widest = max(widest, ce.carry.n) }
@@ -264,7 +263,7 @@ func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := &ce.pool.ws[0]
+			w := ce.w
 			if w.f.keyCol != tc.fKey || w.g.keyCol != tc.gKey {
 				t.Fatalf("f staged by context column %d, g by %d; want %d and %d\nf: %s\ng: %s", w.f.keyCol, w.g.keyCol, tc.fKey, tc.gKey,
 					planString(w.f.conj, tc.db.Syms), planString(w.g.conj, tc.db.Syms))

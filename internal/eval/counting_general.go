@@ -54,8 +54,11 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 	edbAtoms := red.NonrecursiveBody()
 	exitHead := red.Exit.Head
 
-	// Depth-0 answers (same as Eval).
-	p.exitOnlyAnswers(edb, ans)
+	// Depth-0 answers: Eval's own exit join.
+	p.compileD0(syms).run(p, syms, resolve, nil, func(t storage.Tuple) bool {
+		ans.Insert(t)
+		return true
+	})
 
 	// Factored groups.
 	for _, fg := range p.factored {
@@ -213,43 +216,6 @@ func (p *Plan) evalContextCounting(ctx context.Context, edb *storage.Database, m
 		level = next
 	}
 	return ans, stats, nil
-}
-
-// exitOnlyAnswers emits the exit-only answers.
-func (p *Plan) exitOnlyAnswers(edb *storage.Database, ans *storage.Relation) {
-	syms := edb.Syms
-	resolve := func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) }
-	exitHead := p.reduced.Exit.Head
-	exitSubst := make(ast.Subst)
-	for rc, c := range p.boundCols {
-		if v := exitHead.Args[rc]; v.IsVar() {
-			exitSubst[v.Name] = ast.C(c)
-		}
-	}
-	d0Atoms := exitSubst.ApplyAtoms(p.reduced.Exit.Body)
-	d0Head := exitSubst.ApplyAtom(exitHead)
-	ss := newSlotSpace()
-	conj := compileConj(d0Atoms, nil, ss, syms, nil, d0Head.VarSet())
-	headRefs := compileAtom(d0Head, ss, syms, false)
-	slots := make([]storage.Value, len(ss.varSlot))
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
-		if a.IsConst() {
-			out[i] = syms.Intern(a.Name)
-		}
-	}
-	conj.run(resolve, nil, slots, func(s []storage.Value) bool {
-		for ri, oi := range p.keepCols {
-			ref := headRefs.args[ri]
-			if ref.isConst {
-				out[oi] = ref.val
-			} else {
-				out[oi] = s[ref.slot]
-			}
-		}
-		ans.Insert(out)
-		return true
-	})
 }
 
 // answerAssembler builds the per-column answer sources against the g slot

@@ -8,38 +8,41 @@
 // selections on one-sided recursions, whose instantiations reproduce the
 // Fig. 7 (Aho–Ullman) and Fig. 8 (Henschen–Naqvi) algorithms.
 //
-// # Parallel evaluation
+// # One query, one goroutine
 //
-// The Fig. 9 while loop advances the carry one level per iteration, and
-// within a level every carry tuple's g-join probe is independent. The
-// context-mode driver (contextEval) therefore splits each carry batch
-// across a bounded worker pool (Plan.Workers, default GOMAXPROCS):
-// workers share the immutable compiled operators and claim newly
-// discovered contexts through a sharded seen-set whose Offer — the
-// claim point — admits each tuple exactly once. A worker's scratch
-// (slot arrays, conjunction scratch with the atoms' relations resolved,
-// probe staging, the arena it collects the next level in) is built once
-// per evaluation and reused by every level, and the carry is a flat arena
-// rather than a slice of tuples, so a level allocates nothing
-// (level.go). A worker takes its share of a level in chunks of sixteen
-// contexts: when f's or g's first atom is probed by one context value —
-// every linear recursion's — the chunk's probes go to storage together
-// (storage.Relation.LookupKeys) and each row continues its context's
-// solution at the second atom; a lone context, every level of a chain,
-// is one plain lookup. Semi-naive rounds parallelize the same way across their
-// independent (rule, variant) jobs, and like a narrow carry batch a
-// round whose delta is smaller than minParallelChunk runs inline on the
-// calling goroutine (runRound). Both drivers synchronize at level/round
-// boundaries, so parallel evaluation derives exactly the sequential
-// answer set.
+// Every evaluation — a cold Fig. 9 run, a shared batch traversal, a
+// semi-naive build, a maintenance pass — runs on the goroutine that asked
+// for it; the cores are used by concurrent requests. (Levels and rounds
+// were once split across a worker pool; on the two hardware threads any
+// session has had the split never won and sometimes lost, and it was
+// withdrawn — see README "Performance".) The Fig. 9 while loop advances
+// the carry one level per iteration. The context-mode driver (contextEval)
+// owns one level worker (level.go): slot arrays, conjunction scratch with
+// the atoms' relations resolved, probe staging and the arena the next
+// level is collected in are built once per evaluation and reused by every
+// level, the carry is a flat arena rather than a slice of tuples, and the
+// next level becomes the carry by a buffer swap, so a level allocates
+// nothing. Newly discovered contexts are claimed through the seen-set,
+// whose Offer admits each tuple exactly once. The worker takes a level in
+// chunks of sixteen contexts: when f's or g's first atom is probed by one
+// context value — every linear recursion's — the chunk's probes go to
+// storage together (storage.Relation.LookupKeys) and each row continues
+// its context's solution at the second atom; a lone context, every level
+// of a chain, is one plain lookup. A semi-naive round runs its (rule,
+// variant) jobs one after the other, in rule order (runRound), so its
+// Property-3 counts repeat exactly.
 //
-// Property 3's probe counts are kept the same way as the scratch: every
-// level worker and round worker counts the lookups of its conjunctions
-// in a storage.Tally of its own (tallies, carried by conjScratch), and
-// the evaluation or maintenance pass adds them into the database's
-// Counters once, when it ends — however it ends. A probe therefore
-// writes nothing another goroutine reads, and the Counters are exact
-// between evaluations rather than during one.
+// The state an evaluation owns — seen-set, answers, the derived relations
+// of a semi-naive fixpoint — is single-shard: one goroutine writes it, and
+// a shard count taken from GOMAXPROCS would make the order a round meets
+// its tuples in, and with it the counts, depend on the machine.
+//
+// Property 3's probe counts are kept like the scratch: an evaluation or
+// maintenance pass counts the lookups of its conjunctions in one
+// storage.Tally of its own (carried by conjScratch) and adds it into the
+// database's Counters once, when it ends — however it ends. A probe
+// therefore writes nothing another goroutine reads, and the Counters are
+// exact between evaluations rather than during one.
 //
 // # Compiled conjunctions
 //

@@ -49,8 +49,8 @@ func NewMeter(limit int64) *Meter {
 
 // Charge deducts n derived tuples from the budget, returning
 // ErrGasExhausted once the budget is spent. Exhaustion latches: the
-// balance never recovers, so concurrent workers observing the meter at
-// different times agree on the verdict.
+// balance never recovers, so concurrent evaluations sharing a meter and
+// observing it at different times agree on the verdict.
 func (m *Meter) Charge(n int) error {
 	if m == nil || n <= 0 {
 		return nil
@@ -96,4 +96,17 @@ func WithMeter(ctx context.Context, m *Meter) context.Context {
 func MeterFrom(ctx context.Context) *Meter {
 	m, _ := ctx.Value(meterKey{}).(*Meter)
 	return m
+}
+
+// expired is the cancellation poll of a loop that asks once per level or
+// round: a non-blocking receive on done, ctx's Done channel captured when
+// the loop started, and ctx.Err() only once that has fired — Err on a
+// cancellable context takes its mutex, which a chain pays once per level.
+func expired(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return ctx.Err()
+	default:
+		return nil
+	}
 }

@@ -51,11 +51,10 @@ type Incremental struct {
 	// predicate of it the answers fold from. A cold evaluator that reached
 	// the fixpoint without the program leaves prog nil and sets render: a
 	// build that is dropped before any delta never pays for the rendering.
-	prog    *ast.Program
-	render  func() *ast.Program
-	watch   string
-	edb     *storage.Database
-	workers int
+	prog   *ast.Program
+	render func() *ast.Program
+	watch  string
+	edb    *storage.Database
 	// project maps one watched tuple to the answer it contributes (ok
 	// false when the selection filters it out); nil when the watched
 	// tuples are the answers. The returned tuple may be a shared buffer:
@@ -139,7 +138,7 @@ func (inc *Incremental) onDel(pred string, t storage.Tuple) { inc.fold(pred, t, 
 // signed delta the database has already absorbed.
 func (inc *Incremental) Update(ctx context.Context, delta Delta) error {
 	if inc.st == nil {
-		st, err := newSNState(inc.program(), inc.edb, inc.workers)
+		st, err := newSNState(inc.program(), inc.edb)
 		if err != nil {
 			return err
 		}
@@ -169,16 +168,16 @@ func (inc *Incremental) seenSize() int {
 
 // buildIncremental runs prog's semi-naive fixpoint over edb, retains it,
 // and folds the watched predicate into ans.
-func buildIncremental(ctx context.Context, prog *ast.Program, watch, seenOf string, edb *storage.Database, workers int,
+func buildIncremental(ctx context.Context, prog *ast.Program, watch, seenOf string, edb *storage.Database,
 	ans *storage.Relation, project func(storage.Tuple) (storage.Tuple, bool)) (*Incremental, error) {
-	st, err := newSNState(prog, edb, workers)
+	st, err := newSNState(prog, edb)
 	if err != nil {
 		return nil, err
 	}
 	if err := st.initialFixpoint(ctx); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{prog: prog, watch: watch, seenOf: seenOf, edb: edb, workers: workers, project: project, ans: ans, st: st}
+	inc := &Incremental{prog: prog, watch: watch, seenOf: seenOf, edb: edb, project: project, ans: ans, st: st}
 	if rel := st.idb.Relation(watch); rel != nil {
 		for _, t := range rel.Tuples() {
 			inc.onNew(watch, t)
@@ -199,12 +198,12 @@ func selectBy(query ast.Atom, syms *storage.SymbolTable) func(storage.Tuple) (st
 // watched predicate may differ from the query predicate (Magic Sets
 // watches the adorned answer predicate while selecting with the
 // original query atom).
-func buildSelect(ctx context.Context, prog *ast.Program, watch string, query ast.Atom, edb *storage.Database, workers int) (*Incremental, error) {
+func buildSelect(ctx context.Context, prog *ast.Program, watch string, query ast.Atom, edb *storage.Database) (*Incremental, error) {
 	if query.HasSlots() {
 		return nil, errUnboundSkeleton(query)
 	}
 	ans := storage.NewRelation(query.Arity(), &edb.Stats)
-	return buildIncremental(ctx, prog, watch, "", edb, workers, ans, selectBy(query, edb.Syms))
+	return buildIncremental(ctx, prog, watch, "", edb, ans, selectBy(query, edb.Syms))
 }
 
 // BuildReduced is buildIncremental for the persistent-column reduction
@@ -213,7 +212,7 @@ func buildSelect(ctx context.Context, prog *ast.Program, watch string, query ast
 // persistent columns were substituted and dropped, keep the original
 // column of each reduced column. The reduced recursion materializes and
 // every reduced tuple re-expands through the dropped constant columns.
-func BuildReduced(ctx context.Context, reduced *ast.Program, query ast.Atom, keep []int, edb *storage.Database, workers int) (*Incremental, error) {
+func BuildReduced(ctx context.Context, reduced *ast.Program, query ast.Atom, keep []int, edb *storage.Database) (*Incremental, error) {
 	if query.HasSlots() {
 		return nil, errUnboundSkeleton(query)
 	}
@@ -224,8 +223,8 @@ func BuildReduced(ctx context.Context, reduced *ast.Program, query ast.Atom, kee
 		}
 		return out, true
 	}
-	ans := storage.NewShardedRelation(query.Arity(), &edb.Stats, edb.Shards())
-	inc, err := buildIncremental(ctx, reduced, query.Pred, query.Pred, edb, workers, ans, expand)
+	ans := storage.NewRelation(query.Arity(), &edb.Stats)
+	inc, err := buildIncremental(ctx, reduced, query.Pred, query.Pred, edb, ans, expand)
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +257,7 @@ func (p *Plan) build(ctx context.Context, edb *storage.Database, emit func(stora
 		// operators and factor-group tables are garbage from here on.
 		seen, ans, carryWidth := ce.seen, ce.ans, ce.carryWidth
 		return &Incremental{
-			render: p.contextProgram, watch: ansPred, seenOf: ctxPred, edb: edb, workers: ce.workers, ans: ans, stats: ce.stats,
+			render: p.contextProgram, watch: ansPred, seenOf: ctxPred, edb: edb, ans: ans, stats: ce.stats,
 			adopt: func(idb *storage.Database) {
 				idb.Ensure(ctxPred, carryWidth).InsertBatch(seen.Tuples())
 				idb.Ensure(ansPred, ans.Arity()).InsertBatch(ans.Tuples())
@@ -267,15 +266,14 @@ func (p *Plan) build(ctx context.Context, edb *storage.Database, emit func(stora
 	}
 	var inc *Incremental
 	var err error
-	workers := p.effectiveWorkers()
 	if p.Mode == ModeReduced {
-		inc, err = BuildReduced(ctx, p.reduced.Program(), p.Query, p.keepCols, edb, workers)
+		inc, err = BuildReduced(ctx, p.reduced.Program(), p.Query, p.keepCols, edb)
 	} else {
-		inc, err = buildSelect(ctx, p.Def.Program(), p.Query.Pred, p.Query, edb, workers)
+		inc, err = buildSelect(ctx, p.Def.Program(), p.Query.Pred, p.Query, edb)
 	}
 	if err != nil {
 		return nil, err
 	}
-	inc.stats.CarryArity, inc.stats.Workers, inc.stats.Shards = p.CarryArity, workers, edb.Shards()
+	inc.stats.CarryArity, inc.stats.Shards = p.CarryArity, edb.Shards()
 	return inc, nil
 }

@@ -555,7 +555,7 @@ func TestSNStateUpdateDirect(t *testing.T) {
 	db.AddFact("edge", "root", "m")
 	db.AddFact("edge", "m", "k")
 	prog := mustProgram(t, src)
-	st, err := newSNState(prog, db, 0)
+	st, err := newSNState(prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,16 +585,14 @@ func TestSNStateUpdateDirect(t *testing.T) {
 	}
 }
 
-// TestIncrementalRoundWidths drives the retained fixpoint through rounds
-// on both sides of runRound's inline/parallel switch, with several jobs a
-// round and scratch relations emptied and refilled between them: a
-// closure over a fan (rounds hundreds of tuples wide, fanned out across
-// the workers) that narrows into a chain (one-tuple rounds, run inline),
+// TestIncrementalRoundWidths drives the retained fixpoint through wide
+// and narrow rounds, with several jobs a round and scratch relations
+// emptied and refilled between them: a closure over a fan (rounds
+// hundreds of tuples wide) that narrows into a chain (one-tuple rounds),
 // built cold, then cut and spliced at the fan, at the waist and in the
-// tail. Every state must equal the from-scratch fixpoint. What the switch
-// and the reuse could break — a job reading a delta relation already
-// handed to the next round — is a data race before it is a wrong answer,
-// so this test earns its keep under -race.
+// tail. Every state must equal the from-scratch fixpoint. What the reuse
+// could break is a job reading a delta relation already handed to the
+// next round.
 func TestIncrementalRoundWidths(t *testing.T) {
 	const src = `
 		path(X, Y) :- edge(X, Y).
@@ -614,7 +612,7 @@ func TestIncrementalRoundWidths(t *testing.T) {
 		db.AddFact("edge", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1))
 	}
 	prog := mustProgram(t, src)
-	st, err := newSNState(prog, db, 4)
+	st, err := newSNState(prog, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -15,8 +14,7 @@ import (
 // hourglass builds an a-graph whose Fig. 9 levels from node "s" alternate
 // between `narrow` hub nodes and `wide` mid nodes, `layers` times over:
 // s -> h0_* -> m0_* -> h1_* -> m1_* -> ... Every mid points at one hub of
-// the next layer, so a narrow level's contexts are claimed by whichever
-// workers reached them while the wide level before it was fanned out.
+// the next layer, so a wide level's successors collapse onto a narrow one.
 // Rings inside each mid layer, edges from each hub back into the mid
 // layer below it, and an edge from the last layer back to s re-offer
 // contexts the seen-set already holds. With labelled set the relations
@@ -39,7 +37,7 @@ func hourglass(layers, wide, narrow int, labelled bool) *storage.Database {
 	for j := 0; j < layers; j++ {
 		for k := 0; k < wide; k++ {
 			// Two hubs reach every mid, so half the offers of a wide level
-			// are duplicates racing for the same claim.
+			// are duplicates of a claim already made.
 			fact("a", hub(j, k%narrow), mid(j, k), "q")
 			fact("a", hub(j, (k+1)%narrow), mid(j, k), "q")
 			fact("a", mid(j, k), hub(j+1, k%narrow), "q")
@@ -59,16 +57,13 @@ func hourglass(layers, wide, narrow int, labelled bool) *storage.Database {
 }
 
 // TestLevelShapesMatchSerial drives the level loop through the shapes
-// its buffers are juggled across — a fanned-out level, then one narrow
-// enough to run inline on worker 0 while the other workers sit idle, then
-// a fanned-out one again, over data with cycles — and requires the
-// answers and the work counters of every worker count to equal the
-// serial run's, and the answers to equal naive bottom-up evaluation's. A
-// worker's buffer surviving the level it was filled in (the double
-// buffer's hazard) would re-expand old contexts: more iterations and
-// probes than the serial run, or no termination at all. Run under -race.
+// its two buffers are swapped across — a wide level, then a narrow one,
+// then a wide one again, over data with cycles — and requires the answers
+// to equal naive bottom-up evaluation's and a streamed run to do the work
+// of a plain one. A buffer surviving the level it was filled in (the
+// double buffer's hazard) would re-expand old contexts: more iterations
+// and probes than contexts claimed, or no termination at all.
 func TestLevelShapesMatchSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const layers, wide, narrow = 5, 100, 4
 	cases := []struct {
 		name, src, query string
@@ -84,7 +79,7 @@ func TestLevelShapesMatchSerial(t *testing.T) {
 			q := parser.MustParseAtom(tc.query)
 			db := hourglass(layers, wide, narrow, tc.labelled)
 			db.SetShards(4)
-			compile := func(workers int) *Plan {
+			compile := func() *Plan {
 				plan, err := CompileSelection(d, q)
 				if err != nil {
 					t.Fatal(err)
@@ -92,101 +87,75 @@ func TestLevelShapesMatchSerial(t *testing.T) {
 				if plan.Mode != ModeContext || plan.CarryArity != tc.carryWidth {
 					t.Fatalf("mode %v carry %d, want context mode carrying %d", plan.Mode, plan.CarryArity, tc.carryWidth)
 				}
-				plan.Workers = workers
 				return plan
 			}
+			want := naiveSelect(t, d.Program(), q, db)
 
-			res, err := Naive(d.Program(), db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := storage.NewRelation(q.Arity(), nil)
-			for _, tup := range res.IDB.Relation("t").Tuples() {
-				if matchesQuery(tup, q, db.Syms) {
-					want.Insert(tup)
-				}
-			}
-
-			// The serial run is the reference; its level widths show the
+			// The plain run is the reference; its level widths show the
 			// fixture has the shape this test is about.
-			serial := compile(1)
-			ce := serial.newContextEval(db, nil)
+			plain := compile()
+			ce := plain.newContextEval(db, nil)
 			var widths []int
-			serial.TestIterHook = func(int) { widths = append(widths, ce.carry.n) }
+			plain.TestIterHook = func(int) { widths = append(widths, ce.carry.n) }
 			sAns, sStats, err := ce.run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sAns.Equal(want) {
-				t.Fatalf("serial answers %v != naive %v", AnswerStrings(sAns, db.Syms), AnswerStrings(want, db.Syms))
+				t.Fatalf("answers %v != naive %v", AnswerStrings(sAns, db.Syms), AnswerStrings(want, db.Syms))
 			}
 			if _, bits := ce.seen.(*bitsetSeen); bits != (tc.carryWidth == 1) {
 				t.Fatalf("carry width %d ran on seen-set %T", tc.carryWidth, ce.seen)
 			}
+			if claimed := len(ce.seen.Tuples()); claimed != sStats.SeenSize || sStats.GProbes != claimed+1 {
+				t.Fatalf("seen-set holds %d contexts, stats report %d claimed and %d g-probes", claimed, sStats.SeenSize, sStats.GProbes)
+			}
 			alternations := 0
 			for i := 0; i+2 < len(widths); i++ {
-				fans := func(n int) bool { return n > 4*minParallelChunk }
-				if fans(widths[i]) && widths[i+1] > 1 && widths[i+1] < minParallelChunk && fans(widths[i+2]) {
+				if widths[i] > 4*probeChunk && widths[i+1] > 1 && widths[i+1] < probeChunk && widths[i+2] > 4*probeChunk {
 					alternations++
 				}
 			}
 			if alternations < 2 {
-				t.Fatalf("level widths %v never go fan-out, inline, fan-out", widths)
+				t.Fatalf("level widths %v never go wide, narrow, wide", widths)
 			}
 
-			sameWork := func(a, b EvalStats) bool {
-				return a.Iterations == b.Iterations && a.Batches == b.Batches &&
-					a.GProbes == b.GProbes && a.SeenSize == b.SeenSize
+			// Streamed and drained: every answer exactly once, the same work.
+			streamed := storage.NewRelation(q.Arity(), nil)
+			got, stats, err := compile().EvalStreamCtx(context.Background(), db, func(tup storage.Tuple) bool {
+				if !streamed.Insert(tup) {
+					t.Error("answer streamed twice")
+				}
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				got, stats, err := compile(workers).Eval(db)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("workers=%d: %d answers, want %d", workers, got.Len(), want.Len())
-				}
-				if !sameWork(stats, sStats) {
-					t.Fatalf("workers=%d: work diverges from serial: %+v vs %+v", workers, stats, sStats)
-				}
+			if !got.Equal(want) || !streamed.Equal(want) || stats != sStats {
+				t.Fatalf("streamed: %d answers (%d emitted), want %d; stats %+v vs %+v",
+					got.Len(), streamed.Len(), want.Len(), stats, sStats)
+			}
 
-				// Streamed and drained: every answer exactly once.
-				streamed := storage.NewRelation(q.Arity(), nil)
-				got, stats, err = compile(workers).EvalStreamCtx(context.Background(), db, func(tup storage.Tuple) bool {
-					if !streamed.Insert(tup) {
-						t.Errorf("workers=%d: answer streamed twice", workers)
+			// Streamed and abandoned after stop answers: a clean early
+			// return, nothing emitted past the stop, nothing invented.
+			for _, stop := range []int{1, want.Len() / 2} {
+				emitted := 0
+				got, _, err = compile().EvalStreamCtx(context.Background(), db, func(tup storage.Tuple) bool {
+					emitted++
+					if !want.Contains(tup) {
+						t.Error("streamed a tuple naive evaluation lacks")
 					}
-					return true
+					return emitted < stop
 				})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("stop=%d: %v", stop, err)
 				}
-				if !got.Equal(want) || !streamed.Equal(want) || !sameWork(stats, sStats) {
-					t.Fatalf("workers=%d streamed: %d answers (%d emitted), want %d; stats %+v vs %+v",
-						workers, got.Len(), streamed.Len(), want.Len(), stats, sStats)
+				if emitted != stop {
+					t.Fatalf("%d answers emitted, consumer stopped at %d", emitted, stop)
 				}
-
-				// Streamed and abandoned after stop answers: a clean early
-				// return, nothing emitted past the stop, nothing invented.
-				for _, stop := range []int{1, want.Len() / 2} {
-					emitted := 0
-					got, _, err = compile(workers).EvalStreamCtx(context.Background(), db, func(tup storage.Tuple) bool {
-						emitted++
-						if !want.Contains(tup) {
-							t.Errorf("workers=%d: streamed a tuple naive evaluation lacks", workers)
-						}
-						return emitted < stop
-					})
-					if err != nil {
-						t.Fatalf("workers=%d stop=%d: %v", workers, stop, err)
-					}
-					if emitted != stop {
-						t.Fatalf("workers=%d: %d answers emitted, consumer stopped at %d", workers, emitted, stop)
-					}
-					for _, tup := range got.Tuples() {
-						if !want.Contains(tup) {
-							t.Fatalf("workers=%d stop=%d: abandoned run holds a tuple naive evaluation lacks", workers, stop)
-						}
+				for _, tup := range got.Tuples() {
+					if !want.Contains(tup) {
+						t.Fatalf("stop=%d: abandoned run holds a tuple naive evaluation lacks", stop)
 					}
 				}
 			}
@@ -206,7 +175,6 @@ func TestLevelLoopAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan.Workers = 2
 		var stats EvalStats
 		allocs = testing.AllocsPerRun(5, func() {
 			ans, st, err := plan.Eval(w.DB)

@@ -229,13 +229,7 @@ func SelectEval(p *ast.Program, query ast.Atom, edb *storage.Database) (*storage
 
 // SelectEvalCtx is SelectEval with cancellation.
 func SelectEvalCtx(ctx context.Context, p *ast.Program, query ast.Atom, edb *storage.Database) (*storage.Relation, *Result, error) {
-	return SelectEvalWorkersCtx(ctx, p, query, edb, 0)
-}
-
-// SelectEvalWorkersCtx is SelectEvalCtx with the semi-naive round
-// parallelism bounded to workers (0 means GOMAXPROCS).
-func SelectEvalWorkersCtx(ctx context.Context, p *ast.Program, query ast.Atom, edb *storage.Database, workers int) (*storage.Relation, *Result, error) {
-	res, err := SemiNaiveWorkersCtx(ctx, p, edb, workers)
+	res, err := SemiNaiveCtx(ctx, p, edb)
 	if err != nil {
 		return nil, nil, err
 	}

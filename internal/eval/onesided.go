@@ -3,10 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
@@ -79,11 +76,6 @@ type Plan struct {
 	// the paper's headline metric (1 for the canonical recursion, 2 for
 	// transitive closure with permissions, wider for many-sided shapes).
 	CarryArity int
-	// Workers caps the parallel workers the Fig. 9 evaluation may split a
-	// carry batch across; 0 means GOMAXPROCS. The g-join probes of one
-	// batch are independent per carry tuple, which is what makes the
-	// batch safely partitionable.
-	Workers int
 	// TestIterHook, when non-nil, is called after each completed Fig. 9
 	// while-loop iteration with the 1-based iteration number. It exists
 	// so tests can observe fixpoint progress relative to streamed
@@ -129,14 +121,10 @@ type EvalStats struct {
 	BatchQueries int
 	// CarryArity echoes the plan's state arity.
 	CarryArity int
-	// Workers is the parallel-worker bound the evaluation ran with.
-	Workers int
-	// Shards is the database's relation shard count, which the
-	// evaluation also uses for its seen and answer relations.
+	// Shards is the database's relation shard count.
 	Shards int
-	// Batches is the number of carry batches dispatched to the worker
-	// pool: the seed batch plus one per Fig. 9 iteration (context mode
-	// only).
+	// Batches is the number of carry batches the level loop walked: the
+	// seed batch plus one per Fig. 9 iteration (context mode only).
 	Batches int
 	// Overdeleted and Rederived are delete-rederive's work over the
 	// maintenance passes since the build, cumulative like Iterations:
@@ -422,14 +410,6 @@ func (p *Plan) substBound(atoms []ast.Atom) []ast.Atom {
 	return s.ApplyAtoms(atoms)
 }
 
-// effectiveWorkers resolves the plan's worker bound (0 = GOMAXPROCS).
-func (p *Plan) effectiveWorkers() int {
-	if p.Workers > 0 {
-		return p.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Eval runs the compiled plan over the EDB, returning the answer relation
 // (full tuples of the defined predicate matching the selection).
 func (p *Plan) Eval(edb *storage.Database) (*storage.Relation, EvalStats, error) {
@@ -498,17 +478,15 @@ type colSrc struct {
 	pos  int // position within the factored group
 }
 
-// contextEval is one evaluation of a context-mode plan: the shared
-// seen-set and answer state the parallel level workers update, plus the
-// loop's own memory — the worker pool (compiled f and g, per-worker
-// scratch) and the carry arena, see level.go. The compiled operators are
-// immutable during the run; workers share them. The evaluator is not
-// retained past run: callers keep ans and seen and let the rest go.
+// contextEval is one evaluation of a context-mode plan, run on the
+// goroutine that asked for it: the seen-set and answer state, plus the
+// loop's own memory — the level worker (compiled f and g, their scratch)
+// and the carry arena, see level.go. The evaluator is not retained past
+// run: callers keep ans and seen and let the rest go.
 type contextEval struct {
 	p       *Plan
 	syms    *storage.SymbolTable
 	resolve resolver
-	workers int
 
 	ans        *storage.Relation
 	seen       seenSet
@@ -516,27 +494,24 @@ type contextEval struct {
 	nAnchors   int
 
 	// emit, when non-nil, receives each distinct answer tuple once;
-	// emitMu serializes calls from parallel g workers. aborted latches a
-	// false return from emit and drains the remaining work.
+	// stopped latches a false return from it and ends the run.
 	emit    func(storage.Tuple) bool
-	emitMu  sync.Mutex
-	aborted atomic.Bool
+	stopped bool
 
 	stats EvalStats
 
 	groups []groupResult
 	srcs   []colSrc
 
-	// pool is the level workers; carry is the level being read, and claimed
-	// the contexts claimed so far — every carry's width summed, which is the
-	// seen-set's size without a shared counter for the claims to bump.
-	// tallies counts the probes of every phase — depth 0, factor groups,
-	// seed, levels — per worker ordinal, until run adds them into the
-	// database's Counters on its way out.
-	pool    levelPool
+	// w is the level worker, built once the run reaches the loop; carry is
+	// the level being read, and claimed the contexts claimed so far — every
+	// carry's width summed, which is the seen-set's size. tally counts the
+	// probes of every phase — depth 0, factor groups, seed, levels — until
+	// run adds them into the database's Counters on its way out.
+	w       *levelWorker
 	carry   carryBuf
 	claimed int
-	tallies tallies
+	tally   storage.Tally
 }
 
 // d0Ops is the compiled depth-0 exit join of a bound context-mode plan:
@@ -570,12 +545,7 @@ func (p *Plan) compileD0(syms *storage.SymbolTable) d0Ops {
 // returns false to stop.
 func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, tally *storage.Tally, sink func(storage.Tuple) bool) {
 	slots := make([]storage.Value, d.nslots)
-	out := make(storage.Tuple, p.Def.Arity())
-	for i, a := range p.Query.Args {
-		if a.IsConst() {
-			out[i] = syms.Intern(a.Name)
-		}
-	}
+	out := queryConsts(p.Query, syms)
 	d.conj.run(resolve, tally, slots, func(s []storage.Value) bool {
 		for ri, oi := range p.keepCols {
 			ref := d.headRefs.args[ri]
@@ -586,66 +556,6 @@ func (d d0Ops) run(p *Plan, syms *storage.SymbolTable, resolve resolver, tally *
 			}
 		}
 		return sink(out)
-	})
-}
-
-// runParallel splits the depth-0 join's outer scan across the worker
-// pool — one worker per tally of ts — exactly as seedOps.runParallel
-// splits the seed conjunction. sink must be safe for concurrent calls
-// (ce.emitAnswer is); the tuple passed to it is per-worker scratch. A
-// sink returning false stops the whole evaluation: the latching stop flag
-// ends every worker's row loop at its next row, so a few in-flight
-// answers may still be delivered — sink must tolerate calls after it
-// first returns false.
-func (d d0Ops) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, ts tallies, sink func(storage.Tuple) bool) {
-	c := d.conj
-	rows, arity, ok := outerScan(c, resolve, len(ts))
-	if !ok {
-		d.run(p, syms, resolve, ts.of(0), sink)
-		return
-	}
-	var stop atomic.Bool
-	parallelFor(len(ts), len(rows)/arity, func(w, lo, hi int) {
-		slots := make([]storage.Value, d.nslots)
-		out := make(storage.Tuple, p.Def.Arity())
-		for i, a := range p.Query.Args {
-			if a.IsConst() {
-				out[i] = syms.Intern(a.Name)
-			}
-		}
-		sc := c.newScratch()
-		c.bind(sc, resolve, ts.of(w))
-		// Worker-local dedup in front of the shared sink: projections
-		// are duplicate-heavy (most join solutions collapse onto answers
-		// already produced), and re-offering them would have every
-		// worker hammering the shared answer set's shard locks. The
-		// local filter is uncontended, so only first sightings cross
-		// into shared state.
-		local := storage.NewRelation(p.Def.Arity(), nil)
-		emit := func(s []storage.Value) bool {
-			for ri, oi := range p.keepCols {
-				ref := d.headRefs.args[ri]
-				if ref.isConst {
-					out[oi] = ref.val
-				} else {
-					out[oi] = s[ref.slot]
-				}
-			}
-			if !local.Insert(out) {
-				return true
-			}
-			if !sink(out) {
-				stop.Store(true)
-				return false
-			}
-			return true
-		}
-		for ri := lo; ri < hi && !stop.Load(); ri++ {
-			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
-			if c.probes[0].accept(t, slots) {
-				c.step(1, slots, sc, emit)
-			}
-		}
 	})
 }
 
@@ -733,77 +643,6 @@ func (so seedOps) run(p *Plan, syms *storage.SymbolTable, resolve resolver, tall
 		yield(tup)
 		return true
 	})
-}
-
-// runParallel evaluates the seed conjunction with the outermost atom's
-// matches partitioned across the worker pool (one worker per tally of ts)
-// — the cold-fixpoint twin of a level's f half: the outer scan is
-// materialized once, then each worker owns a contiguous range of its rows
-// plus private slots and scratch and recurses through the remaining
-// atoms. Rows are collected in shard iteration order, so contiguous
-// ranges keep each worker's posting-list probes on a warm shard. yield receives the worker ordinal
-// and a scratch tuple (copy to retain) and must tolerate concurrent
-// calls from distinct workers; as with run, tuples may repeat and the
-// caller deduplicates. Falls back to the serial run (worker 0) when
-// splitting cannot help or would change the traversal: one worker, no
-// atoms, an arity-0 outer atom, or an existential outer atom (its first
-// match is supposed to decide the whole evaluation).
-func (so seedOps) runParallel(p *Plan, syms *storage.SymbolTable, resolve resolver, ts tallies, yield func(worker int, tup storage.Tuple)) {
-	c := so.conj
-	rows, arity, ok := outerScan(c, resolve, len(ts))
-	if !ok {
-		so.run(p, syms, resolve, ts.of(0), func(tup storage.Tuple) { yield(0, tup) })
-		return
-	}
-	parallelFor(len(ts), len(rows)/arity, func(w, lo, hi int) {
-		slots := make([]storage.Value, so.nslots)
-		tup := make(storage.Tuple, len(p.foldedAnchors)+len(p.ctxCols))
-		sc := c.newScratch()
-		c.bind(sc, resolve, ts.of(w))
-		emit := func(s []storage.Value) bool {
-			so.proj.project(s, tup)
-			yield(w, tup)
-			return true
-		}
-		for ri := lo; ri < hi; ri++ {
-			t := storage.Tuple(rows[ri*arity : (ri+1)*arity])
-			if c.probes[0].accept(t, slots) {
-				c.step(1, slots, sc, emit)
-			}
-		}
-	})
-}
-
-// outerScan materializes the conjunction's outermost atom matches as
-// flattened rows for range splitting across workers. ok is false when
-// the split cannot help or would change the traversal — one worker, no
-// atoms, an arity-0 outer atom, or an existential outer atom (its first
-// match is supposed to decide the whole evaluation) — or when the
-// relation is absent (then rows is empty and the caller's fallback
-// visits nothing either). Rows keep shard iteration order, so
-// contiguous ranges keep each worker's probes on a warm shard.
-func outerScan(c *compiledConj, resolve resolver, workers int) (rows []storage.Value, arity int, ok bool) {
-	if len(c.atoms) > 0 {
-		arity = len(c.atoms[0].args)
-	}
-	if workers <= 1 || arity == 0 || c.probes[0].exist {
-		return nil, 0, false
-	}
-	at := c.atoms[0]
-	rel := resolve(at.pred, at.alt)
-	if rel == nil {
-		return nil, arity, true
-	}
-	// Nothing is bound on entry: the outer atom's keys are its constants.
-	var bindings []storage.Binding
-	for _, k := range c.probes[0].keys {
-		bindings = append(bindings, storage.Binding{Col: k.col, Val: k.ref.val})
-	}
-	rel.Lookup(bindings, func(t storage.Tuple) bool {
-		rows = append(rows, t...)
-		return true
-	})
-	return rows, arity, true
 }
 
 // fOps is the compiled carry-transition operator f: one application of
@@ -950,73 +789,69 @@ func queryConsts(query ast.Atom, syms *storage.SymbolTable) storage.Tuple {
 // by the incremental layer (Plan.build).
 func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bool) *contextEval {
 	syms := edb.Syms
-	nshards := edb.Shards()
 	ce := &contextEval{
 		p:       p,
 		syms:    syms,
 		resolve: func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) },
-		workers: p.effectiveWorkers(),
 		emit:    emit,
-		ans:     storage.NewShardedRelation(p.Def.Arity(), &edb.Stats, nshards),
+		ans:     storage.NewRelation(p.Def.Arity(), &edb.Stats),
+		tally:   edb.Stats.Tally(),
 	}
-	ce.tallies = newTallies(&edb.Stats, ce.workers)
 	ce.nAnchors = len(p.foldedAnchors)
 	ce.carryWidth = ce.nAnchors + len(p.ctxCols)
 	if ce.carryWidth == 1 {
-		// Unary carry: the seen-set is a concurrent bitset over the dense
-		// interned Value space — the Fig. 9 membership test becomes a word
-		// operation. Sized to the symbol table now; values interned later
-		// (incremental updates) fall into the bitset's overflow.
-		ce.seen = &bitsetSeen{set: bitset.NewConcurrent(syms.Len())}
+		// Unary carry: the seen-set is a bitset over the dense interned
+		// Value space — the Fig. 9 membership test becomes a word
+		// operation. Sized to the symbol table now; it grows if a value
+		// interned later ever reaches it.
+		ce.seen = &bitsetSeen{set: bitset.NewSet(syms.Len())}
 	} else {
-		ce.seen = storage.NewShardedRelation(ce.carryWidth, nil, nshards)
+		ce.seen = storage.NewRelation(ce.carryWidth, nil)
 	}
-	ce.stats = EvalStats{CarryArity: p.CarryArity, Workers: ce.workers, Shards: nshards}
+	ce.stats = EvalStats{CarryArity: p.CarryArity, Shards: edb.Shards()}
 	return ce
 }
 
 // seenSet is the carry-loop dedup/claim set: Offer returns true exactly
-// once per tuple under concurrent calls (the duplicate-tolerant claim
-// point parallel workers hammer), and Tuples materializes the members
-// (the incremental layer adopts them as the context program's context
-// relation). The loop counts what it claimed itself (contextEval.claimed).
-// *storage.Relation implements it directly; bitsetSeen replaces the
-// relation for unary carries.
+// once per tuple, and Tuples materializes the members (the incremental
+// layer adopts them as the context program's context relation). The loop
+// counts what it claimed itself (contextEval.claimed). *storage.Relation
+// implements it directly; bitsetSeen replaces the relation for unary
+// carries.
 type seenSet interface {
 	Offer(storage.Tuple) bool
 	Tuples() []storage.Tuple
 }
 
-// bitsetSeen adapts bitset.Concurrent to seenSet for width-1 carry
-// tuples.
+// bitsetSeen adapts bitset.Set to seenSet for width-1 carry tuples.
 type bitsetSeen struct {
-	set *bitset.Concurrent
+	set *bitset.Set
 }
 
 func (b *bitsetSeen) Offer(t storage.Tuple) bool { return b.set.Add(int(t[0])) }
 
 func (b *bitsetSeen) Tuples() []storage.Tuple {
-	members := b.set.Members()
-	arena := make([]storage.Value, len(members))
-	out := make([]storage.Tuple, len(members))
-	for i, v := range members {
-		arena[i] = storage.Value(v)
-		out[i] = arena[i : i+1]
-	}
+	arena := make([]storage.Value, 0, b.set.Len())
+	out := make([]storage.Tuple, 0, b.set.Len())
+	b.set.Range(func(v int) bool {
+		n := len(arena)
+		arena = append(arena, storage.Value(v))
+		out = append(out, arena[n:n+1:n+1])
+		return true
+	})
 	return out
 }
 
 // run executes the full Fig. 9 evaluation over the state: seed the carry
 // from the first application of the recursive rule (restricted by the
-// selection constants), then per batch join the new contexts with the
+// selection constants), then per level join the new contexts with the
 // exit rule (g, emitting answers incrementally) and apply the recursive
-// rule one level deeper (f) until no new contexts appear. Each batch is
-// split across a bounded worker pool; the sharded seen-set deduplicates
-// concurrently discovered contexts, and the depth-0 answers from the
-// exit rule alone are emitted before the loop starts.
+// rule one level deeper (f) until no new contexts appear. The seen-set
+// deduplicates the contexts, and the depth-0 answers from the exit rule
+// alone are emitted before the loop starts.
 func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, error) {
 	p, syms := ce.p, ce.syms
-	defer ce.tallies.flush()
+	defer ce.tally.Flush()
 
 	// An already-expired context must fail even when the evaluation would
 	// finish without entering the while loop (empty carry): the serving
@@ -1039,13 +874,9 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 
 	// Depth-0: exit rule with the bound head columns substituted. These
 	// are the first streamed answers — no fixpoint work precedes them.
-	// The exit join's outer scan splits across the worker pool: for
-	// exit-heavy selections this join IS the evaluation, and emitAnswer
-	// is already safe for concurrent workers (sharded answer insert,
-	// mutex-guarded streaming emit).
 	ce.stats.GProbes++
-	p.compileD0(syms).runParallel(p, syms, ce.resolve, ce.tallies, ce.emitAnswer)
-	if ce.aborted.Load() {
+	p.compileD0(syms).run(p, syms, ce.resolve, &ce.tally, ce.emitAnswer)
+	if ce.stopped {
 		return ce.finish(ctx)
 	}
 	if err := charge(); err != nil {
@@ -1054,7 +885,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 
 	// Factored groups: evaluate once with the selection constants; any
 	// empty group kills all depth>=1 derivations.
-	groups, ok := p.evalFactoredGroups(syms, ce.resolve, ce.tallies.of(0))
+	groups, ok := p.evalFactoredGroups(syms, ce.resolve, &ce.tally)
 	if !ok {
 		// No depth>=1 derivations are possible; answers are depth-0 only.
 		return ce.finish(ctx)
@@ -1065,55 +896,38 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	g := p.compileG(syms)
 	// Fill the query-constant sources (kind 0) with this plan's values.
 	ce.srcs = fillQueryConsts(g.srcs, queryConsts(p.Query, syms))
-	ce.pool = levelPool{
-		f: &f, g: &g, nAnchors: ce.nAnchors, arity: p.Def.Arity(), resolve: ce.resolve, tallies: ce.tallies,
-		ws: make([]levelWorker, ce.workers),
-		setup: func(_ int, w *levelWorker) {
-			// Workers claim contexts through the seen-set: Offer returns
-			// true exactly once per tuple however the level was split, so
-			// the next level is a set.
-			w.f.emit = func(s []storage.Value) bool {
-				if t := w.successor(s); ce.seen.Offer(t) {
-					w.next.push(t)
-				}
-				return true
-			}
-			w.g.emit = func(s []storage.Value) bool {
-				return ce.emitProducts(0, s, w.anchors, w.out)
-			}
-		},
-	}
-	// The two halves of a level, split across the pool. Each context's
-	// probes are independent, so partitioning is safe; answer dedup happens
-	// in the sharded answer relation. Built once: a level creates no
-	// closure. Only g's answers can abort the evaluation, and a worker whose
-	// own contexts join with nothing would not notice: it asks per chunk.
-	fLevel := func(wi, lo, hi int) { ce.pool.worker(wi).expand(&ce.carry, lo, hi) }
-	gLevel := func(wi, lo, hi int) {
-		w := ce.pool.worker(wi)
-		for ; lo < hi && !ce.aborted.Load(); lo += probeChunk {
-			w.exits(&ce.carry, lo, min(lo+probeChunk, hi))
+	// The two halves of a level. A context is claimed through the seen-set:
+	// Offer returns true exactly once per tuple, so the next level is a set.
+	// Only g's answers can stop the evaluation.
+	w := newLevelWorker(&f, &g, ce.nAnchors, p.Def.Arity(), ce.resolve, &ce.tally)
+	ce.w = w
+	w.f.emit = func(s []storage.Value) bool {
+		if t := w.successor(s); ce.seen.Offer(t) {
+			w.next.push(t)
 		}
+		return true
+	}
+	w.g.emit = func(s []storage.Value) bool {
+		return ce.emitProducts(0, s, w.anchors, w.out)
 	}
 
-	// Seed contexts, claimed through the shared seen-set exactly as a
-	// level's successors are and collected in the same per-worker buffers.
-	// The seed conjunction's outer scan is split across the worker pool.
-	p.compileSeed(syms).runParallel(p, syms, ce.resolve, ce.tallies, func(w int, tup storage.Tuple) {
+	// Seed contexts, claimed exactly as a level's successors are and
+	// collected in the same buffer.
+	p.compileSeed(syms).run(p, syms, ce.resolve, &ce.tally, func(tup storage.Tuple) {
 		if ce.seen.Offer(tup) {
-			ce.pool.ws[w].next.push(tup)
+			w.next.push(tup)
 		}
 	})
-	ce.pool.gather(&ce.carry)
+	w.advance(&ce.carry)
 	ce.claimed += ce.carry.n
 
-	// Fig. 9 while loop, one parallel batch per level: g joins the new
-	// contexts (streaming their answers), f produces the next level.
+	// Fig. 9 while loop, one batch per level: g joins the new contexts
+	// (streaming their answers), f produces the next level.
 	ce.stats.Batches++
 	ce.stats.GProbes += ce.carry.n
-	parallelFor(ce.workers, ce.carry.n, gLevel)
+	w.exits(&ce.carry)
 	done := ctx.Done()
-	for ce.carry.n > 0 && !ce.aborted.Load() {
+	for ce.carry.n > 0 && !ce.stopped {
 		if err := expired(ctx, done); err != nil {
 			return nil, ce.stats, err
 		}
@@ -1123,14 +937,14 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
-		parallelFor(ce.workers, ce.carry.n, fLevel)
-		ce.pool.gather(&ce.carry)
+		w.expand(&ce.carry)
+		w.advance(&ce.carry)
 		ce.claimed += ce.carry.n
 		if p.TestIterHook != nil {
 			p.TestIterHook(ce.stats.Iterations)
 		}
 		ce.stats.GProbes += ce.carry.n
-		parallelFor(ce.workers, ce.carry.n, gLevel)
+		w.exits(&ce.carry)
 	}
 	if err := charge(); err != nil {
 		ce.stats.SeenSize = ce.claimed
@@ -1152,13 +966,13 @@ func fillQueryConsts(srcs []colSrc, qc storage.Tuple) []colSrc {
 	return out
 }
 
-// finish closes out a context-mode evaluation. An abort latched by the
+// finish closes out a context-mode evaluation. A stop latched by the
 // emit sink is a clean early stop when the consumer asked for it, but a
 // cancellation when ctx fired — the two reach emitAnswer the same way,
 // so the distinction is recovered from ctx itself.
 func (ce *contextEval) finish(ctx context.Context) (*storage.Relation, EvalStats, error) {
 	ce.stats.SeenSize = ce.claimed
-	if ce.aborted.Load() {
+	if ce.stopped {
 		if err := ctx.Err(); err != nil {
 			return nil, ce.stats, err
 		}
@@ -1197,25 +1011,14 @@ func (ce *contextEval) emitProducts(gi int, s []storage.Value, anchorPart, out s
 }
 
 // emitAnswer records one answer tuple, forwarding genuinely new tuples to
-// the streaming sink (serialized across workers). Returns false once the
-// sink has asked to stop.
+// the streaming sink. Returns false once the sink has asked to stop.
 func (ce *contextEval) emitAnswer(out storage.Tuple) bool {
-	// Offer, not Insert: answer emission is duplicate-heavy, and the
-	// read-locked duplicate check keeps parallel workers off the answer
-	// shards' write locks.
-	if !ce.ans.Offer(out) {
-		return !ce.aborted.Load()
+	// Offer, not Insert: answer emission is duplicate-heavy, and Offer
+	// finds a duplicate without taking the relation's write lock.
+	if ce.ans.Offer(out) && ce.emit != nil && !ce.emit(out) {
+		ce.stopped = true
 	}
-	if ce.emit == nil {
-		return !ce.aborted.Load()
-	}
-	ce.emitMu.Lock()
-	ok := !ce.aborted.Load() && ce.emit(out)
-	ce.emitMu.Unlock()
-	if !ok {
-		ce.aborted.Store(true)
-	}
-	return ok
+	return !ce.stopped
 }
 
 // carryProj maps conjunction solutions to carry tuples.

@@ -3,10 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -14,11 +11,11 @@ import (
 
 // ruleVariant is one delta version of a rule body, with the head compiled
 // against the variant's own slot space. It owns its evaluation buffers:
-// a compiled program belongs to one evaluation, and within a round every
-// job runs a different variant, so a variant is only ever evaluated by
-// one goroutine at a time — which keeps a semi-naive round, run once
-// per Fig. 9 level when a maintained chain is cut or spliced, free of
-// per-round buffer allocation.
+// a compiled program belongs to one evaluation, whose rounds run their
+// jobs one after the other, so a variant is only ever in one traversal at
+// a time — which keeps a semi-naive round, run once per Fig. 9 level when
+// a maintained chain is cut or spliced, free of per-round buffer
+// allocation.
 type ruleVariant struct {
 	conj *compiledConj
 	head []argRef
@@ -26,21 +23,22 @@ type ruleVariant struct {
 }
 
 // runBuf is the reusable state of a conjunction evaluation. Variants are
-// copied by value and share their buffers, so the one-goroutine-at-a-time
-// invariant is asserted on every traversal (acquire), not assumed:
-// scheduling one variant from two jobs of a round panics instead of
-// silently mixing two traversals' bindings.
+// copied by value and share their buffers, so the one-traversal-at-a-time
+// invariant is asserted on every traversal (acquire), not assumed: a
+// traversal started from inside another of the same variant panics
+// instead of silently mixing the two traversals' bindings.
 type runBuf struct {
 	slots []storage.Value
 	tuple storage.Tuple // the projected head
 	sc    *conjScratch
-	busy  atomic.Bool
+	busy  bool
 }
 
 func (b *runBuf) acquire() {
-	if !b.busy.CompareAndSwap(false, true) {
+	if b.busy {
 		panic("eval: one compiled rule variant evaluated by two traversals at once")
 	}
+	b.busy = true
 }
 
 // release ends a traversal. The buffers outlive it — they are retained
@@ -51,7 +49,7 @@ func (b *runBuf) acquire() {
 func (b *runBuf) release() {
 	clear(b.sc.rels)
 	clear(b.sc.left)
-	b.busy.Store(false)
+	b.busy = false
 }
 
 func newRunBuf(conj *compiledConj, headArity int) *runBuf {
@@ -65,7 +63,7 @@ func newRunBuf(conj *compiledConj, headArity int) *runBuf {
 // derive evaluates the variant, yielding every derived head tuple in
 // the variant's reused buffer (copy to retain). A non-nil left makes the
 // non-delta atoms read the state before those tuples left (see
-// compiledConj.bindLeft); tally is the calling worker's (compiledConj.bind).
+// compiledConj.bindLeft); tally is the running pass's (compiledConj.bind).
 func (v ruleVariant) derive(res resolver, left map[string]*storage.Relation, tally *storage.Tally, yield func(t storage.Tuple)) {
 	b := v.run
 	b.acquire()
@@ -307,17 +305,9 @@ func SemiNaive(p *ast.Program, edb *storage.Database) (*Result, error) {
 }
 
 // SemiNaiveCtx is SemiNaive with cancellation: the fixpoint loop checks
-// ctx between rounds and returns ctx.Err() when it fires. Rounds
-// parallelize across GOMAXPROCS workers; use SemiNaiveWorkersCtx to
-// bound them.
+// ctx between rounds and returns ctx.Err() when it fires.
 func SemiNaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Result, error) {
-	return SemiNaiveWorkersCtx(ctx, p, edb, 0)
-}
-
-// SemiNaiveWorkersCtx is SemiNaiveCtx with the per-round parallelism
-// bounded to workers (0 means GOMAXPROCS, 1 forces sequential rounds).
-func SemiNaiveWorkersCtx(ctx context.Context, p *ast.Program, edb *storage.Database, workers int) (*Result, error) {
-	st, err := newSNState(p, edb, workers)
+	st, err := newSNState(p, edb)
 	if err != nil {
 		return nil, err
 	}
@@ -336,11 +326,10 @@ func SemiNaiveWorkersCtx(ctx context.Context, p *ast.Program, edb *storage.Datab
 // recomputing the fixpoint from scratch. An snState is not safe for
 // concurrent use; callers serialize initialFixpoint/update.
 type snState struct {
-	cp      *program
-	edb     *storage.Database
-	idb     *storage.Database
-	workers int
-	rounds  int
+	cp     *program
+	edb    *storage.Database
+	idb    *storage.Database
+	rounds int
 	// overdeleted and rederived count DRed's work over the state's life:
 	// candidates retractPass took out of the fixpoint, and those of them
 	// it put back because a derivation remained.
@@ -351,10 +340,9 @@ type snState struct {
 	// exists from the start of an initialFixpoint or update to its end —
 	// a state at rest holds no relation but its derived database.
 	free map[int][]*storage.Relation
-	// tallies counts the running pass's probes of the base relations, one
-	// tally per round worker (the pass's own goroutine is worker 0); they
-	// are empty between passes.
-	tallies tallies
+	// tally counts the running pass's probes of the base relations; it is
+	// empty between passes.
+	tally storage.Tally
 
 	// Deletion-maintenance machinery, built lazily by ensureStrata on
 	// the first retraction: the SCC condensation of the IDB dependency
@@ -369,15 +357,16 @@ type snState struct {
 
 // newSNState compiles the program and seeds the derived database with
 // the program's facts and same-name EDB relations.
-func newSNState(p *ast.Program, edb *storage.Database, workers int) (*snState, error) {
+func newSNState(p *ast.Program, edb *storage.Database) (*snState, error) {
 	cp, err := compileProgram(p, edb.Syms)
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	st := &snState{cp: cp, edb: edb, idb: storage.NewDatabaseWith(edb.Syms), workers: workers, tallies: newTallies(&edb.Stats, workers)}
+	st := &snState{cp: cp, edb: edb, idb: storage.NewDatabaseWith(edb.Syms), tally: edb.Stats.Tally()}
+	// One goroutine writes the derived relations: one shard each, so that
+	// the order a round meets its tuples in — and with it the probe counts
+	// — does not depend on GOMAXPROCS.
+	st.idb.SetShards(1)
 	// Seed: program facts and same-name EDB relations. The seeds need no
 	// delta bookkeeping because the first round evaluates every rule
 	// against the full (seeded) relations.
@@ -438,7 +427,7 @@ func (st *snState) beginPass() (end func()) {
 	st.free = make(map[int][]*storage.Relation)
 	return func() {
 		st.free = nil
-		st.tallies.flush()
+		st.tally.Flush()
 	}
 }
 
@@ -450,7 +439,7 @@ func (st *snState) scratch(arity int) *storage.Relation {
 		st.free[arity] = l[:len(l)-1]
 		return l[len(l)-1]
 	}
-	return storage.NewShardedRelation(arity, nil, st.idb.Shards())
+	return storage.NewRelation(arity, nil)
 }
 
 // recycle empties the table m and every relation in it, which the pass
@@ -475,8 +464,7 @@ func (st *snState) deltaRel(m map[string]*storage.Relation, pred string) *storag
 }
 
 // roundDelta extends m (nil starts a fresh table) with an empty delta
-// relation for every head the jobs can derive, so the map is read-only
-// while the round's jobs run in parallel.
+// relation for every head the jobs can derive.
 func (st *snState) roundDelta(m map[string]*storage.Relation, jobs []roundJob) map[string]*storage.Relation {
 	if m == nil {
 		m = make(map[string]*storage.Relation)
@@ -500,7 +488,7 @@ func (st *snState) initialFixpoint(ctx context.Context) error {
 	}
 	newDelta := st.roundDelta(nil, first)
 	// The first round's delta atoms range over whole relations.
-	st.runRound(first, st.edb.TupleCount()+st.idb.TupleCount(), st.resolve(nil), newDelta, true)
+	st.runRound(first, st.resolve(nil), newDelta, true)
 	st.rounds++
 	return st.deltaLoop(ctx, newDelta, nil)
 }
@@ -572,7 +560,7 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 			return nil
 		}
 		newDelta = st.roundDelta(spare, jobs)
-		st.runRound(jobs, fresh, res, newDelta, false)
+		st.runRound(jobs, res, newDelta, false)
 		st.rounds++
 		st.recycle(delta)
 		spare = delta
@@ -611,10 +599,8 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 	// Same-name EDB deltas of derived predicates seed the IDB directly
 	// (the uniform-containment seeding, maintained); the others are what
 	// the EDB-delta round below starts from.
-	added := 0
 	for pred, rel := range delta.Add {
 		if !st.cp.idb[pred] {
-			added += rel.Len()
 			continue
 		}
 		arity, ok := st.cp.arity[pred]
@@ -639,7 +625,7 @@ func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pr
 		}
 	}
 	if len(jobs) > 0 {
-		st.runRound(jobs, added, st.resolve(&delta.Add), st.roundDelta(newDelta, jobs), false)
+		st.runRound(jobs, st.resolve(&delta.Add), st.roundDelta(newDelta, jobs), false)
 		st.rounds++
 	}
 	return st.deltaLoop(ctx, newDelta, onNew)
@@ -810,7 +796,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 						if d := from[a.Pred]; d == nil || d.Len() == 0 {
 							continue
 						}
-						cr.variantFor(i, st.cp, syms).derive(fromRes, deleted, st.tallies.of(0), func(t storage.Tuple) { addCand(cr.headPred, t) })
+						cr.variantFor(i, st.cp, syms).derive(fromRes, deleted, &st.tally, func(t storage.Tuple) { addCand(cr.headPred, t) })
 					}
 				}
 			}
@@ -912,7 +898,7 @@ func (st *snState) derivable(live resolver, pred string, t storage.Tuple) bool {
 		if cr.check == nil {
 			cr.check = compileHeadCheck(cr.src, st.cp.idb, st.edb.Syms)
 		}
-		if cr.check.holds(live, st.tallies.of(0), t) {
+		if cr.check.holds(live, &st.tally, t) {
 			return true
 		}
 	}
@@ -926,54 +912,23 @@ type roundJob struct {
 	v  ruleVariant
 }
 
-// runRound evaluates one semi-naive round's jobs, in parallel across at
-// most st.workers goroutines when there are several and the round is
-// worth the dispatch: n is the number of tuples its delta atoms range
-// over, and below minParallelChunk — the bound under which parallelFor
-// keeps a carry batch on the calling goroutine, for the same reason — the
-// jobs run inline, one after the other. A maintained chain that is cut or
-// spliced runs one such round per level.
-// Jobs only append to the shared (sharded, concurrency-safe) idb and
-// delta relations, and bottom-up evaluation is monotone, so any
-// interleaving derives the same round result: a tuple seen "early"
-// (inserted by a sibling job mid-round) can only add derivations that
-// dedup away or would otherwise arrive via the next round's delta.
-func (st *snState) runRound(jobs []roundJob, n int, res resolver, newDelta map[string]*storage.Relation, firstRound bool) {
-	workers := min(st.workers, len(jobs))
-	if workers <= 1 || n < minParallelChunk {
-		for _, j := range jobs {
-			st.applyRule(j.cr, j.v, res, newDelta, firstRound, st.tallies.of(0))
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan roundJob)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tally *storage.Tally) {
-			defer wg.Done()
-			for j := range next {
-				st.applyRule(j.cr, j.v, res, newDelta, firstRound, tally)
-			}
-		}(st.tallies.of(w))
-	}
+// runRound evaluates one semi-naive round's jobs, one after the other. A
+// job inserts into the idb and delta relations the later jobs read, and
+// bottom-up evaluation is monotone: a tuple seen "early" (inserted by an
+// earlier job of the round) can only add derivations that dedup away or
+// would otherwise arrive via the next round's delta.
+func (st *snState) runRound(jobs []roundJob, res resolver, newDelta map[string]*storage.Relation, firstRound bool) {
 	for _, j := range jobs {
-		next <- j
+		st.applyRule(j.cr, j.v, res, newDelta, firstRound)
 	}
-	close(next)
-	wg.Wait()
 }
 
 // applyRule runs the given variant of a rule, inserting derived heads into
 // st.idb and recording genuinely new tuples in newDelta (when the head's delta
 // relation exists; Naive passes none). When firstRound is true, delta atoms
 // resolve to the full relation (the first round evaluates everything
-// unrestricted). Safe to call concurrently for different jobs of one
-// round as long as no two jobs carry the same variant (its evaluation
-// buffers are the only compiled state written; runBuf.acquire checks)
-// and each caller passes its own tally: everything else is read, or
-// appended to concurrency-safe relations.
-func (st *snState) applyRule(cr *compiledRule, v ruleVariant, res resolver, newDelta map[string]*storage.Relation, firstRound bool, tally *storage.Tally) {
+// unrestricted).
+func (st *snState) applyRule(cr *compiledRule, v ruleVariant, res resolver, newDelta map[string]*storage.Relation, firstRound bool) {
 	arity := len(cr.src.Head.Args)
 	headRel := st.idb.Ensure(cr.headPred, arity)
 	resolveVariant := res
@@ -983,7 +938,7 @@ func (st *snState) applyRule(cr *compiledRule, v ruleVariant, res resolver, newD
 		}
 	}
 	nd := newDelta[cr.headPred]
-	v.derive(resolveVariant, nil, tally, func(t storage.Tuple) {
+	v.derive(resolveVariant, nil, &st.tally, func(t storage.Tuple) {
 		if headRel.Insert(t) && nd != nil {
 			nd.Insert(t)
 		}
@@ -1000,11 +955,11 @@ func Naive(p *ast.Program, edb *storage.Database) (*Result, error) {
 // NaiveCtx is Naive with cancellation, checked between rounds. It shares
 // the semi-naive state's compilation and seeding and differs in the loop.
 func NaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Result, error) {
-	st, err := newSNState(p, edb, 1)
+	st, err := newSNState(p, edb)
 	if err != nil {
 		return nil, err
 	}
-	defer st.tallies.flush()
+	defer st.tally.Flush()
 	res := st.resolve(nil)
 	meter := MeterFrom(ctx)
 	for {
@@ -1013,7 +968,7 @@ func NaiveCtx(ctx context.Context, p *ast.Program, edb *storage.Database) (*Resu
 		}
 		before := st.idb.TupleCount()
 		for _, cr := range st.cp.rules {
-			st.applyRule(cr, cr.variants[0], res, nil, true, st.tallies.of(0))
+			st.applyRule(cr, cr.variants[0], res, nil, true)
 		}
 		st.rounds++
 		after := st.idb.TupleCount()

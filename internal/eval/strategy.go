@@ -102,8 +102,7 @@ type StreamingPrepared interface {
 
 // StrategyExplain reports what a prepared plan will do: which strategy
 // planned it, the Theorem 3.4 verdict when the planner ran it, the Fig. 9
-// mode, carry arity, and parallel worker bound for one-sided plans, and a
-// free-form detail line.
+// mode and carry arity for one-sided plans, and a free-form detail line.
 type StrategyExplain struct {
 	Strategy string
 	// Adornment is the query's bound/free pattern — the key the plan
@@ -113,10 +112,7 @@ type StrategyExplain struct {
 	Verdict    string
 	Mode       string
 	CarryArity int
-	// Workers is the parallel-worker bound the plan will evaluate with
-	// (0 when the strategy does not parallelize).
-	Workers int
-	Detail  string
+	Detail     string
 }
 
 func (e StrategyExplain) String() string {
@@ -130,9 +126,6 @@ func (e StrategyExplain) String() string {
 	if e.Verdict != "" {
 		s += " verdict=" + fmt.Sprintf("%q", e.Verdict)
 	}
-	if e.Workers > 0 {
-		s += fmt.Sprintf(" workers=%d", e.Workers)
-	}
 	if e.Detail != "" {
 		s += " (" + e.Detail + ")"
 	}
@@ -142,27 +135,16 @@ func (e StrategyExplain) String() string {
 // ---------------------------------------------------------------------------
 // One-sided strategy: the paper's planner.
 
-type oneSidedStrategy struct{ workers int }
+type oneSidedStrategy struct{}
 
 // OneSided returns the strategy that runs the Theorem 3.4
 // optimize-then-detect procedure and, when it concludes the recursion is
 // (convertible to) one-sided, compiles the selection into a Fig. 9 plan.
-// Evaluation splits each carry batch across GOMAXPROCS workers; use
-// OneSidedWorkers to fix the worker count.
 func OneSided() Strategy { return oneSidedStrategy{} }
-
-// OneSidedWorkers is OneSided with the parallel worker count pinned to
-// workers (<= 0 keeps the GOMAXPROCS default).
-func OneSidedWorkers(workers int) Strategy {
-	if workers < 0 {
-		workers = 0
-	}
-	return oneSidedStrategy{workers: workers}
-}
 
 func (oneSidedStrategy) Name() string { return StrategyOneSided }
 
-func (s oneSidedStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrategy, error) {
+func (oneSidedStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrategy, error) {
 	dec, err := decideForQuery(p, q.Atom)
 	if err != nil {
 		return nil, err
@@ -171,7 +153,6 @@ func (s oneSidedStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrat
 	if err != nil {
 		return nil, err
 	}
-	plan.Workers = s.workers
 	return &oneSidedPrepared{plan: plan, verdict: dec.Verdict.String(), adornment: q.Adornment}, nil
 }
 
@@ -217,7 +198,6 @@ func (o *oneSidedPrepared) Explain() StrategyExplain {
 		Verdict:    o.verdict,
 		Mode:       o.plan.Mode.String(),
 		CarryArity: o.plan.CarryArity,
-		Workers:    o.plan.effectiveWorkers(),
 	}
 }
 
@@ -268,7 +248,7 @@ func (m *magicPrepared) Explain() StrategyExplain {
 // Build retains the rewritten program's semi-naive fixpoint (magic and
 // answer predicates included), selecting with the original query atom.
 func (m *magicPrepared) Build(ctx context.Context, edb *storage.Database) (*Incremental, error) {
-	return buildSelect(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb, 0)
+	return buildSelect(ctx, m.mr.Program, m.mr.AnswerPred, m.mr.Query, edb)
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +284,7 @@ func (m *materializePrepared) Explain() StrategyExplain {
 }
 
 func (m *materializePrepared) Build(ctx context.Context, edb *storage.Database) (*Incremental, error) {
-	return buildSelect(ctx, m.program, m.query.Pred, m.query, edb, 0)
+	return buildSelect(ctx, m.program, m.query.Pred, m.query, edb)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -31,7 +30,6 @@ func TestEvalStreamFirstAnswerBeforeFixpointEnds(t *testing.T) {
 	if plan.Mode != ModeContext {
 		t.Fatalf("mode = %v, want context", plan.Mode)
 	}
-	plan.Workers = 1 // single driver goroutine: hook and emit stay ordered
 
 	iters := 0
 	plan.TestIterHook = func(i int) { iters = i }
@@ -91,98 +89,4 @@ func TestEvalStreamEmitStop(t *testing.T) {
 
 func itoa(i int) string {
 	return string(rune('0'+i/10%10)) + string(rune('0'+i%10))
-}
-
-// TestParallelContextMatchesSequential evaluates the same context-mode
-// selections with one worker and with a pool over a sharded database,
-// and requires identical answer sets, seen sizes, and iteration counts.
-// GOMAXPROCS is raised so the pool really runs concurrently even on
-// single-CPU machines.
-func TestParallelContextMatchesSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	defs := []struct{ name, src, pred string }{
-		{"tc", `
-			t(X, Y) :- a(X, Z), t(Z, Y).
-			t(X, Y) :- b(X, Y).`, "t"},
-		{"permissions", `
-			t(X, Y) :- a(X, Z), t(Z, Y), p(X, Y).
-			t(X, Y) :- b(X, Y).`, "t"},
-	}
-	workloads := map[string]*storage.Database{
-		"random": datagen.RandomTC(1500, 6000, 40, 3).DB,
-		"cyclic": datagen.CyclicTC(800).DB,
-	}
-	// The permissions definition also needs a p relation.
-	for _, db := range workloads {
-		datagen.RandomGraph(db, "p", "n", 1500, 9000, 5)
-	}
-	for _, dc := range defs {
-		d := mustDef(t, dc.src, dc.pred)
-		for wname, db := range workloads {
-			db.SetShards(8)
-			q := parser.MustParseAtom("t(n0, Y)")
-			seq, err := CompileSelection(d, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq.Workers = 1
-			par, err := CompileSelection(d, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par.Workers = 8
-			sGot, sStats, err := seq.Eval(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pGot, pStats, err := par.Eval(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sGot.Equal(pGot) {
-				t.Fatalf("%s/%s: parallel answers differ: seq %d vs par %d tuples",
-					dc.name, wname, sGot.Len(), pGot.Len())
-			}
-			if sStats.SeenSize != pStats.SeenSize || sStats.Iterations != pStats.Iterations {
-				t.Fatalf("%s/%s: stats diverge: seq %+v par %+v", dc.name, wname, sStats, pStats)
-			}
-			if pStats.Workers != 8 || pStats.Shards != 8 || pStats.Batches != pStats.Iterations+1 {
-				t.Fatalf("%s/%s: parallel stats not reported: %+v", dc.name, wname, pStats)
-			}
-		}
-	}
-}
-
-// TestParallelSemiNaiveMatchesSequential runs a multi-rule program —
-// several (rule, variant) jobs per round, so the parallel round path is
-// exercised — and checks the derived database against the single-worker
-// result.
-func TestParallelSemiNaiveMatchesSequential(t *testing.T) {
-	prog := parser.MustParseProgram(`
-		t(X, Y) :- rail(X, Z), t(Z, Y).
-		t(X, Y) :- bus(X, Z), t(Z, Y).
-		t(X, Y) :- home(X, Y).
-		r(X, Y) :- t(X, Y).
-		r(X, Y) :- t(Y, X).
-	`)
-	db := storage.NewDatabase()
-	db.SetShards(8)
-	datagen.RandomGraph(db, "rail", "s", 300, 900, 41)
-	datagen.RandomGraph(db, "bus", "s", 300, 900, 43)
-	db.AddFact("home", "s7", "depot")
-
-	old := runtime.GOMAXPROCS(1)
-	seqRes, seqErr := SemiNaive(prog, db)
-	runtime.GOMAXPROCS(8)
-	parRes, parErr := SemiNaive(prog, db)
-	runtime.GOMAXPROCS(old)
-	if seqErr != nil || parErr != nil {
-		t.Fatalf("errors: %v, %v", seqErr, parErr)
-	}
-	for _, pred := range []string{"t", "r"} {
-		s, p := seqRes.IDB.Relation(pred), parRes.IDB.Relation(pred)
-		if s == nil || p == nil || !s.Equal(p) {
-			t.Fatalf("%s: parallel semi-naive diverges from sequential", pred)
-		}
-	}
 }

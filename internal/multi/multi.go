@@ -466,7 +466,7 @@ func (sp *SelectionPlan) Bind(consts []ast.Term) (*SelectionPlan, error) {
 // signed deltas the same way. A skeleton plan with unbound slots refuses
 // to build; call Bind first.
 func (sp *SelectionPlan) Build(ctx context.Context, db *storage.Database) (*eval.Incremental, error) {
-	return eval.BuildReduced(ctx, sp.reduced, sp.query, sp.keep, db, 0)
+	return eval.BuildReduced(ctx, sp.reduced, sp.query, sp.keep, db)
 }
 
 // EvalSelection evaluates a "column = constant" selection on the

@@ -381,6 +381,51 @@ func newDurableServer(t *testing.T, dir string) *Server {
 	return srv
 }
 
+// TestQueryRequestsWriteNothing: request text must not grow the engine.
+// A hundred /v1/query, /v1/query/stream and /v1/batch requests naming
+// constants the database has never seen answer empty and leave the symbol
+// table and the write-ahead log where they were.
+func TestQueryRequestsWriteNothing(t *testing.T) {
+	srv := newDurableServer(t, t.TempDir())
+	w := do(t, srv, "POST", "/v1/facts", "", factsRequest{
+		Rules: []string{"t(X, Y) :- a(X, Z), t(Z, Y).", "t(X, Y) :- b(X, Y)."},
+		Facts: []fact{{Pred: "a", Args: []string{"n0", "n1"}}, {Pred: "b", Args: []string{"n1", "m0"}}},
+	})
+	if w.Code != http.StatusOK {
+		t.Fatalf("seed: status %d, body %s", w.Code, w.Body)
+	}
+	syms, records := srv.eng.DB().Syms.Len(), srv.eng.Log().CommitStats().Records
+	for i := 0; i < 100; i++ {
+		q := fmt.Sprintf("t(nosuch%d, Y)", i)
+		var w *httptest.ResponseRecorder
+		switch i % 3 {
+		case 0:
+			w = do(t, srv, "POST", "/v1/query", "", queryRequest{Query: q})
+			var resp queryResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Count != 0 || resp.Strategy != "onesided" {
+				t.Fatalf("%s: %s (err %v); want no answers from the one-sided plan", q, w.Body, err)
+			}
+		case 1:
+			w = do(t, srv, "POST", "/v1/query/stream", "", queryRequest{Query: q})
+		default:
+			w = do(t, srv, "POST", "/v1/batch", "", batchRequest{Queries: []string{"t(n0, Y)", q}})
+			var resp batchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Results) != 2 || resp.Results[0].Count != 1 || resp.Results[1].Count != 0 {
+				t.Fatalf("batch with %s: %s (err %v); want 1 and 0 answers", q, w.Body, err)
+			}
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", q, w.Code, w.Body)
+		}
+	}
+	if got := srv.eng.DB().Syms.Len(); got != syms {
+		t.Errorf("symbol table grew from %d to %d names", syms, got)
+	}
+	if got := srv.eng.Log().CommitStats().Records; got != records {
+		t.Errorf("log grew from %d to %d records", records, got)
+	}
+}
+
 // TestFactsOneRequestOneFsync: a /v1/facts body is one commit. However
 // many predicates its inserts and retractions touch, it is journaled as
 // one group under one fsync covering exactly its accepted mutations; a

@@ -34,10 +34,11 @@
 // larger powers of two, defaulting to GOMAXPROCS for databases). Each
 // shard owns its column blocks, dedup table, and lazily built per-column
 // directories, and has a lock of its own — for its writers: concurrent
-// inserts from parallel workers, the Fig. 9 carry-batch workers in
-// particular, serialize only when their tuples hash to the same
-// partition, and the membership probes (Contains, Offer) share that lock
-// as readers. Scan and Lookup take no lock at all. A Lookup bound on
+// inserts — several requests writing, a loader beside them — serialize
+// only when their tuples hash to the same partition, and the membership
+// probes (Contains, Offer) share that lock as readers. A relation one
+// goroutine owns (an evaluation's seen-set, answers and derived
+// relations) has one shard. Scan and Lookup take no lock at all. A Lookup bound on
 // ShardColumn probes exactly one shard; other lookups fan out across all
 // of them.
 //

@@ -211,7 +211,7 @@ func (rs *Rows) Strings() []string {
 }
 
 // Stats returns the evaluation statistics (Fig. 9 iterations, seen-set
-// size, carry arity, parallel workers/shards/batches), waiting for a
+// size, carry arity, shards, batches), waiting for a
 // streaming evaluation to finish.
 func (rs *Rows) Stats() EvalStats {
 	rs.Wait()
@@ -230,8 +230,7 @@ func (rs *Rows) Counters() Counters {
 }
 
 // Explain returns the plan report: chosen strategy, Theorem 3.4 verdict,
-// Fig. 9 mode, parallelism (workers, shards, batches), and the
-// strategies that declined. It waits for a streaming evaluation to
+// Fig. 9 mode, shards and batches, and the strategies that declined. It waits for a streaming evaluation to
 // finish.
 func (rs *Rows) Explain() Explain {
 	rs.Wait()

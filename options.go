@@ -13,8 +13,6 @@ type engineConfig struct {
 	planCacheSize   int
 	resultCacheSize int
 	autoCheckpoint  int
-	shards          int
-	workers         int
 	persistDir      string
 	syncPolicy      wal.SyncPolicy
 	quota           Quota
@@ -83,25 +81,6 @@ func WithResultCache(entries int) Option {
 // the threshold; the first failure is latched and surfaced by Close.
 func WithAutoCheckpoint(inserts int) Option {
 	return func(c *engineConfig) { c.autoCheckpoint = inserts }
-}
-
-// WithShards sets the shard count for the database's relations: each
-// relation is hash-partitioned on its probe column into n
-// independently-locked partitions (rounded up to a power of two), so
-// concurrent inserts — parallel loaders and the Fig. 9 batch workers —
-// no longer serialize on one lock. The default is the smallest power of
-// two covering GOMAXPROCS. With an engine opened over an existing
-// database (WithDatabase), the setting applies to relations created
-// after Open; relations that already exist keep their partitioning.
-func WithShards(n int) Option {
-	return func(c *engineConfig) { c.shards = n }
-}
-
-// WithWorkers bounds the parallel workers the one-sided strategy may
-// split a carry batch across during the Fig. 9 loop. The default (0) is
-// GOMAXPROCS; 1 forces sequential evaluation.
-func WithWorkers(n int) Option {
-	return func(c *engineConfig) { c.workers = n }
 }
 
 // SyncPolicy selects when the persistence log fsyncs appended records:

@@ -12,18 +12,18 @@ import (
 	"repro/internal/storage"
 )
 
-// The BenchmarkOneSided* family measures the parallel Fig. 9 machinery.
-// Run with -cpu 1,4,8 to see scaling: shard count and worker count both
-// default to GOMAXPROCS, so each -cpu value exercises the matching
-// configuration end to end. Reproduce with:
+// The BenchmarkOneSided* family measures the Fig. 9 machinery. An
+// evaluation runs on the goroutine that asked for it, so the family says
+// nothing more with more threads, BenchmarkOneSidedIngest excepted
+// (concurrent writers on a sharded relation). Reproduce with:
 //
-//	go test -run '^$' -bench 'OneSided' -cpu 1,4,8 -benchtime 5x .
+//	go test -run '^$' -bench 'OneSided' -benchtime 5x .
 
 // BenchmarkOneSidedParallel evaluates a context-mode selection on large
-// random-graph workloads: wide carry frontiers, so each level's batch
-// splits across the worker pool. The permissions variant carries binary
-// state and joins a p-edge per context — more work per carry tuple,
-// hence better scaling headroom than plain transitive closure.
+// random-graph workloads: wide carry frontiers, so a level's first-atom
+// probes are staged sixteen contexts at a time. The permissions variant
+// carries binary state and joins a p-edge per context — more work per
+// carry tuple than plain transitive closure.
 func BenchmarkOneSidedParallel(b *testing.B) {
 	ctx := context.Background()
 	b.Run("tc/random=30000x120000", func(b *testing.B) {
@@ -55,7 +55,6 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 		st := rows.Stats()
 		b.ReportMetric(float64(rows.Len()), "answers")
 		b.ReportMetric(float64(st.SeenSize), "seen")
-		b.ReportMetric(float64(st.Workers), "workers")
 		b.ReportMetric(float64(st.Shards), "shards")
 		b.ReportMetric(float64(st.Batches), "batches")
 	})
@@ -63,7 +62,7 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 		// Binary-carry variant: a random a-graph with random (node, item)
 		// permissions. The carry holds (context, item) pairs, so each
 		// level's batch is wide and each tuple joins a p-edge — more work
-		// per worker than plain transitive closure.
+		// per context than plain transitive closure.
 		db := storage.NewDatabase()
 		datagen.RandomGraph(db, "a", "n", 8000, 32000, 11)
 		rng := rand.New(rand.NewSource(13))
@@ -99,59 +98,8 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 		st := rows.Stats()
 		b.ReportMetric(float64(rows.Len()), "answers")
 		b.ReportMetric(float64(st.SeenSize), "seen")
-		b.ReportMetric(float64(st.Workers), "workers")
 		b.ReportMetric(float64(st.Batches), "batches")
 	})
-}
-
-// BenchmarkOneSidedSeedJoin is the seed-bound cold fixpoint: the exit
-// rule opens with a wide free scan (s2) joined against the anchored
-// selection (s1), while the recursion itself is shallow — so nearly all
-// of the evaluation is the seed conjunction, the phase ce.run splits
-// across the worker pool. Run with -cpu 1,4 to see the seed scaling in
-// isolation from the per-level batch parallelism.
-func BenchmarkOneSidedSeedJoin(b *testing.B) {
-	ctx := context.Background()
-	db := storage.NewDatabase()
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 200000; i++ {
-		db.AddFact("s2", fmt.Sprintf("z%d", rng.Intn(1000)), fmt.Sprintf("y%d", rng.Intn(2000)))
-	}
-	for i := 0; i < 500; i++ {
-		db.AddFact("s1", "c0", fmt.Sprintf("z%d", rng.Intn(1000)))
-	}
-	// A short chain keeps the recursion live but negligible.
-	for i := 0; i < 8; i++ {
-		db.AddFact("e", fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1))
-		db.AddFact("s1", fmt.Sprintf("c%d", i+1), fmt.Sprintf("z%d", i))
-	}
-	eng, err := Open(WithDatabase(db), WithResultCache(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.Load(`
-		t(X, Y) :- e(X, W), t(W, Y).
-		t(X, Y) :- s2(Z, Y), s1(X, Z).
-	`); err != nil {
-		b.Fatal(err)
-	}
-	pq, err := eng.Prepare(nil, parserMustAtom(b, "t(c0, Y)"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rows *Rows
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err = pq.Query(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := rows.Stats()
-	b.ReportMetric(float64(rows.Len()), "answers")
-	b.ReportMetric(float64(st.Workers), "workers")
-	b.ReportMetric(float64(st.Batches), "batches")
 }
 
 // BenchmarkOneSidedIngest measures raw concurrent insert throughput into

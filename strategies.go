@@ -32,23 +32,19 @@ type AdornedQuery = eval.AdornedQuery
 // context plans) or magic-seed fixpoints (Magic Sets) across a batch.
 type BatchPrepared = eval.BatchPrepared
 
-// servedStrategies is the strategy table, in name order. workers is the
-// engine's WithWorkers bound for the Fig. 9 loop (0 = GOMAXPROCS).
-func servedStrategies(workers int) []Strategy {
-	return []Strategy{
-		eval.EDBLookup(),
-		eval.Magic(),
-		multi.Strategy(),
-		eval.OneSidedWorkers(workers),
-		eval.Materialize(),
-	}
+// servedStrategies is the strategy table, in name order.
+var servedStrategies = []Strategy{
+	eval.EDBLookup(),
+	eval.Magic(),
+	multi.Strategy(),
+	eval.OneSided(),
+	eval.Materialize(),
 }
 
 // StrategyNames returns the served strategy names, sorted.
 func StrategyNames() []string {
-	served := servedStrategies(0)
-	names := make([]string, len(served))
-	for i, s := range served {
+	names := make([]string, len(servedStrategies))
+	for i, s := range servedStrategies {
 		names[i] = s.Name()
 	}
 	return names
@@ -63,12 +59,12 @@ var defaultStrategyNames = []string{
 }
 
 // resolveStrategies maps a chain of names onto the strategy table.
-func resolveStrategies(names []string, workers int) ([]Strategy, error) {
+func resolveStrategies(names []string) ([]Strategy, error) {
 	if len(names) == 0 {
 		names = defaultStrategyNames
 	}
 	byName := make(map[string]Strategy)
-	for _, s := range servedStrategies(workers) {
+	for _, s := range servedStrategies {
 		byName[s.Name()] = s
 	}
 	out := make([]Strategy, 0, len(names))
