@@ -205,9 +205,11 @@ func BenchmarkFig8(b *testing.B) {
 // factored d(Z) keeps the carry unary; the single unrestricted d lookup is
 // the documented Property 3 exception. Note the rule lists the recursive
 // atom first, exactly as the paper writes it: the one-sided compiler
-// orders joins greedily and does not care, while left-to-right-SIPS magic
-// materializes t fully on this shape — the workload is kept small so the
-// baseline finishes.
+// orders joins greedily and does not care. Magic Sets, passing bindings
+// bound-first, calls t fbf as the query is, but joins every derived t
+// tuple with all of d (Z is free): ≈1.06 M tuples examined, against
+// ≈1.15 M when it passed them left to right and called t fff — the
+// workload is kept small so the baseline finishes.
 func BenchmarkFig9Example34(b *testing.B) {
 	def := parser.MustParseDefinition(`
 		t(X, Y, Z) :- t(X, U, W), e(U, Y), d(Z).
@@ -461,9 +463,14 @@ func BenchmarkCounting(b *testing.B) {
 	})
 }
 
-// BenchmarkSameGeneration regenerates the Section 5 observation: on the
-// two-sided sg recursion, the both-bound query restricts each unbounded
-// connected set and evaluates cheaply; the half-bound query cannot.
+// BenchmarkSameGeneration measures Magic Sets on the two-sided sg
+// recursion (Section 5), the half-bound and the both-bound query, beside
+// materialize-then-select. With bindings passed bound-first the bf plan
+// calls sg bf and its magic set is the query node's ancestors: ≈0.2 ms and
+// 778 tuples examined a query, no full scan (left to right it called sg
+// bb, crossed those ancestors with every node, and read ≈1 ms, 8 956
+// tuples and one full scan). bb examines 73 tuples either way;
+// materialization 131 068 and a full scan.
 func BenchmarkSameGeneration(b *testing.B) {
 	db, leafA, leafB := datagen.Genealogy(4, 7)
 	cases := []struct{ name, q string }{

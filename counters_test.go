@@ -98,19 +98,23 @@ func TestCountersPinned(t *testing.T) {
 		}},
 	}
 	// As counted at d89567b, where shard.lookup and Scan added every probe
-	// to Database.Stats as it happened.
+	// to Database.Stats as it happened — except the Magic Sets rows, which
+	// count the bound-first rewriting: sg is called bf, its magic set is
+	// n7's ancestors. Left to right it was called bb, its magic set the
+	// ancestors crossed with every node, and counted {9262, 40819, 1 full
+	// scan} on the chain and {673098, 613199, 4 full scans} on the digraph.
 	want := map[string][]Counters{
 		"chain": {
 			{TuplesExamined: 330, IndexLookups: 602, Inserts: 30},
 			{TuplesExamined: 41, IndexLookups: 168, Inserts: 41},
-			{TuplesExamined: 9262, IndexLookups: 40819, FullScans: 1, Inserts: 1},
+			{TuplesExamined: 32, IndexLookups: 93, Inserts: 1},
 			{TuplesExamined: 1, IndexLookups: 2, Inserts: 1},
 			{TuplesExamined: 743, IndexLookups: 2250, Retracts: 30},
 		},
 		"digraph": {
 			{TuplesExamined: 366, IndexLookups: 226, Inserts: 27},
 			{TuplesExamined: 360, IndexLookups: 484, Inserts: 120},
-			{TuplesExamined: 673098, IndexLookups: 613199, FullScans: 4, Inserts: 112},
+			{TuplesExamined: 154887, IndexLookups: 52630, Inserts: 112},
 			{TuplesExamined: 1, IndexLookups: 2, Inserts: 1},
 			{TuplesExamined: 1106, IndexLookups: 842},
 		},
@@ -130,8 +134,12 @@ func TestCountersPinned(t *testing.T) {
 				if ex.Mode != s.mode || ex.ResultCache != s.cache || rows.Len() == 0 {
 					t.Fatalf("%s: %v, %d answers; want mode %q, result-cache %s", s.query, ex, rows.Len(), s.mode, s.cache)
 				}
-				if got := rows.Counters(); got != want[graph][i] {
+				got := rows.Counters()
+				if got != want[graph][i] {
 					t.Errorf("%s (%s): counters %+v, want %+v", s.query, s.cache, got, want[graph][i])
+				}
+				if ex.Strategy == "magic" && got.FullScans != 0 {
+					t.Errorf("%s: Magic Sets plan made %d full scans; a bound argument must restrict it (Property 3)", s.query, got.FullScans)
 				}
 			}
 			// Run twice: the Magic Sets query alone, cold, on a fresh engine.
@@ -153,8 +161,13 @@ func TestCountersSurviveEarlyExit(t *testing.T) {
 	dying := func(after int) func() context.Context {
 		return func() context.Context { return &dyingCtx{Context: context.Background(), after: after} }
 	}
-	gas := func() context.Context { return WithGas(context.Background(), 50) }
-	// want is what the cut-short evaluation had counted at d89567b.
+	gas := func(budget int64) func() context.Context {
+		return func() context.Context { return WithGas(context.Background(), budget) }
+	}
+	// want is what the cut-short evaluation had counted at d89567b. The
+	// bound-first Magic Sets plan for sg(n7, Y) derives 16 facts in all,
+	// so a budget of 10 cuts it short (the left-to-right plan ran out at
+	// 50 with {2097, 7800, 1 full scan}).
 	cuts := []struct {
 		name, query string
 		ctx         func() context.Context
@@ -163,8 +176,8 @@ func TestCountersSurviveEarlyExit(t *testing.T) {
 	}{
 		{"cancel/context", "t(n0, Y)", dying(40), context.Canceled, Counters{TuplesExamined: 41, IndexLookups: 75, Inserts: 4}},
 		{"cancel/reduced", "t(X, n40)", dying(12), context.Canceled, Counters{TuplesExamined: 9, IndexLookups: 36}},
-		{"gas/context", "t(n0, Y)", gas, ErrGasExhausted, Counters{TuplesExamined: 51, IndexLookups: 93, Inserts: 5}},
-		{"gas/magic", "sg(n7, Y)", gas, ErrGasExhausted, Counters{TuplesExamined: 2097, IndexLookups: 7800, FullScans: 1}},
+		{"gas/context", "t(n0, Y)", gas(50), ErrGasExhausted, Counters{TuplesExamined: 51, IndexLookups: 93, Inserts: 5}},
+		{"gas/magic", "sg(n7, Y)", gas(10), ErrGasExhausted, Counters{TuplesExamined: 22, IndexLookups: 83}},
 	}
 	for _, c := range cuts {
 		t.Run(c.name, func(t *testing.T) {
@@ -205,7 +218,10 @@ func TestCountersSurviveEarlyExit(t *testing.T) {
 // every served strategy — counts exactly the probes it counted at
 // 367df24, before a conjunction's binding pattern was compiled and a
 // level's first-atom probes were staged: the same lookups, rows and scans,
-// whatever carries them out. The process is held to one processor, so the
+// whatever carries them out. genealogy, the Magic Sets example, counts the
+// bound-first rewriting instead and makes no full scan; left to right it
+// counted {110, 279, 1}, {644, 690, 1} and {770, 765, 1} (examined,
+// lookups, full scans). The process is held to one processor, so the
 // databases get one shard (an unrouted lookup counts one probe a shard).
 func TestCountersPinnedAcrossExamples(t *testing.T) {
 	was := runtime.GOMAXPROCS(1)
@@ -214,7 +230,7 @@ func TestCountersPinnedAcrossExamples(t *testing.T) {
 		"quickstart":    {{TuplesExamined: 5, IndexLookups: 8, Inserts: 2}, {TuplesExamined: 4, IndexLookups: 6, Inserts: 2}, {TuplesExamined: 2, IndexLookups: 4, Inserts: 1}, {TuplesExamined: 1, IndexLookups: 2, Inserts: 1}, {IndexLookups: 2}},
 		"quickstart-fb": {{TuplesExamined: 4, IndexLookups: 5, Inserts: 4}, {TuplesExamined: 2, IndexLookups: 3, Inserts: 2}, {IndexLookups: 1}},
 		"flights":       {{TuplesExamined: 139, IndexLookups: 106, Inserts: 3}, {TuplesExamined: 136, IndexLookups: 106, Inserts: 3}, {TuplesExamined: 137, IndexLookups: 106, Inserts: 3}, {TuplesExamined: 136, IndexLookups: 106, Inserts: 3}},
-		"genealogy":     {{TuplesExamined: 110, IndexLookups: 279, FullScans: 1, Inserts: 2}, {TuplesExamined: 644, IndexLookups: 690, FullScans: 1, Inserts: 8}, {TuplesExamined: 770, IndexLookups: 765, FullScans: 1, Inserts: 16}},
+		"genealogy":     {{TuplesExamined: 22, IndexLookups: 17, Inserts: 2}, {TuplesExamined: 98, IndexLookups: 59, Inserts: 8}, {TuplesExamined: 100, IndexLookups: 78, Inserts: 16}},
 		"marketbasket":  {{TuplesExamined: 6, IndexLookups: 11, Inserts: 1}, {TuplesExamined: 3, IndexLookups: 7}, {TuplesExamined: 5, IndexLookups: 9, Inserts: 1}, {TuplesExamined: 5, IndexLookups: 11}},
 		"appendixa":     {{TuplesExamined: 9, IndexLookups: 9, FullScans: 1, Inserts: 3}, {TuplesExamined: 9, IndexLookups: 9, FullScans: 1, Inserts: 3}, {IndexLookups: 1}},
 		"tworule":       {{TuplesExamined: 6, IndexLookups: 12, Inserts: 5}, {TuplesExamined: 2, IndexLookups: 6, Inserts: 2}, {IndexLookups: 1}},
@@ -230,10 +246,15 @@ func TestCountersPinnedAcrossExamples(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ex := rows.Explain(); ex.Strategy != exm.strategy || ex.ResultCache != "rebuilt" {
+				ex := rows.Explain()
+				if ex.Strategy != exm.strategy || ex.ResultCache != "rebuilt" {
 					t.Fatalf("%s: %v; want a cold %s evaluation", c, ex, exm.strategy)
 				}
-				got = append(got, rows.Counters())
+				counters := rows.Counters()
+				if ex.Strategy == "magic" && counters.FullScans != 0 {
+					t.Errorf("%s: Magic Sets plan made %d full scans; a bound argument must restrict it (Property 3)", c, counters.FullScans)
+				}
+				got = append(got, counters)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want[exm.name]) {
 				t.Errorf("counters per constant %v:\n got %#v\nwant %#v", exm.consts, got, want[exm.name])

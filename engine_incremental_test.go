@@ -365,11 +365,14 @@ func requery(t *testing.T, eng *Engine, query string, wantAnswers int) Counters 
 
 // testMaintainedMagicProbes is Property 3 under maintenance for the
 // Magic Sets plan: same-generation over a depth-6 binary tree (127
-// nodes), one p leaf inserted and retracted again. The delta variant
-// m_sg__bb(W,Z) :- m_sg__bf(X), p(X,W), Δp(Y,Z) is a cross product of the
-// delta with the rest of its body; it must enter that rest through the
-// magic relation and probe p, not scan p — and the retraction pass must
-// read p's old state where it is, with counted probes, not off a copy.
+// nodes), one p leaf inserted and retracted again. Every delta variant of
+// the bound-first rewriting has a bound argument after its Δ atom — Δp at
+// sg__bf(X,Y) :- m_sg__bf(X), p(X,W), sg__bf(W,Z), p(Y,Z)'s last atom
+// probes sg__bf by Z, then p by W — so no variant scans p (left to right
+// sg was called bb, and Δp(Y,Z) in m_sg__bb's rule left the rest of the
+// body a cross product to enter through the magic relation); and the
+// retraction pass must read p's old state where it is, with counted
+// probes, not off a copy.
 func testMaintainedMagicProbes(t *testing.T) {
 	eng, err := Open()
 	if err != nil {

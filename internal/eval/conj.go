@@ -18,8 +18,7 @@ type argRef struct {
 // the atom to be resolved against the alternate (delta) relation by the
 // resolver; idb marks derived predicates (an ordering tie-break, see
 // compileConj: derived relations — magic sets in particular — are skewed
-// toward the query constants, which makes them poor probe targets and
-// the right place to start from).
+// toward the query constants, which makes them poor probe targets).
 type catom struct {
 	pred string
 	args []argRef
@@ -200,8 +199,7 @@ type compileConjOpts struct {
 	// altFlags marks delta atoms (pinned to the front).
 	altFlags []bool
 	// idbFlags marks derived-predicate atoms (they lose ordering ties
-	// among atoms with a bound argument and win them among atoms with
-	// none).
+	// among atoms with a bound argument).
 	idbFlags []bool
 }
 
@@ -211,15 +209,10 @@ type compileConjOpts struct {
 // the front. Among atoms with a bound argument, derived-predicate atoms
 // lose ordering ties to base atoms (derived relations, magic sets
 // especially, are skewed toward the query constants and make poor probe
-// targets). When no remaining atom has a bound argument — the rest of the
-// body is a cross product with what came before, as in the delta variant
-// m_sg__bb(W,Z) :- m_sg__bf(X), p(X,W), Δp(Y,Z) after its Δ atom — the
-// tie goes the other way: that part is opened through its derived atom,
-// the magic or context relation that carries the query's binding (a
-// handful of tuples), and the base relation it restricts is then probed,
-// never scanned. Greedy bound-first ordering is what makes the selection
-// constant restrict the evaluation (Property 3). needed names the
-// variables the caller reads from solutions (nil means all).
+// targets); among atoms with none, written order decides. Greedy
+// bound-first ordering is what makes the selection constant restrict the
+// evaluation (Property 3). needed names the variables the caller reads
+// from solutions (nil means all).
 func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *storage.SymbolTable, initBound map[string]bool, needed map[string]bool) *compiledConj {
 	cs := make([]catom, len(atoms))
 	for i, a := range atoms {
@@ -252,9 +245,8 @@ func compileConj(atoms []ast.Atom, opts *compileConjOpts, ss *slotSpace, syms *s
 					score += 2
 				}
 			}
-			// Tie-break: probe base relations before derived ones, but with
-			// nothing to probe by, enter through the derived one.
-			if (score > 0) != c.idb {
+			// Tie-break: probe base relations before derived ones.
+			if score > 0 && !c.idb {
 				score++
 			}
 			if score > bestScore {

@@ -3,6 +3,8 @@ package eval
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -68,9 +70,41 @@ func boundArgs(a ast.Atom, ad string) []ast.Term {
 	return out
 }
 
+// sipOrder orders a rule body for sideways information passing [BR87]:
+// greedily, the atom with the most bound arguments goes next — constants,
+// variables of bound (what the head adornment binds) and variables of
+// atoms already placed count as bound — and ties keep written order. A
+// subgoal placed after the atoms that bind it keeps a narrow adornment,
+// and so a small magic set: in sg(X,Y) :- p(X,W), p(Y,Z), sg(W,Z) under
+// bf, sg(W,Z) goes before p(Y,Z) and is called bf, its magic set the
+// query node's ancestors; in written order it would be called bb, its
+// magic rule crossing those ancestors with every Z in p.
+func sipOrder(body []ast.Atom, bound map[string]bool) []ast.Atom {
+	placed := maps.Clone(bound)
+	rest := slices.Clone(body)
+	out := make([]ast.Atom, 0, len(body))
+	for len(rest) > 0 {
+		best, bestN := 0, -1
+		for i, a := range rest {
+			if n := strings.Count(adornment(a, placed), "b"); n > bestN {
+				best, bestN = i, n
+			}
+		}
+		a := rest[best]
+		rest = slices.Delete(rest, best, best+1)
+		out = append(out, a)
+		for _, t := range a.Args {
+			if t.IsVar() {
+				placed[t.Name] = true
+			}
+		}
+	}
+	return out
+}
+
 // MagicTransform applies the Magic Sets rewriting [BMSU86, BR87] to the
-// program for a query with some arguments bound to constants, using the
-// left-to-right sideways information passing strategy. The transformed
+// program for a query with some arguments bound to constants, passing
+// bindings sideways in sipOrder's bound-first order. The transformed
 // program evaluated bottom-up (SemiNaive) restricts derivations to tuples
 // relevant to the query — the general-purpose baseline the paper compares
 // one-sided evaluation against (Sections 1 and 4).
@@ -116,7 +150,7 @@ func MagicTransform(p *ast.Program, query ast.Atom) (*MagicResult, error) {
 			}
 			magicHead := ast.Atom{Pred: magicName(j.pred, j.ad), Args: boundArgs(r.Head, j.ad)}
 			newBody := []ast.Atom{magicHead}
-			for _, a := range r.Body {
+			for _, a := range sipOrder(r.Body, bound) {
 				if !idb[a.Pred] {
 					newBody = append(newBody, a)
 					for _, t := range a.Args {
@@ -129,12 +163,14 @@ func MagicTransform(p *ast.Program, query ast.Atom) (*MagicResult, error) {
 				ad := adornment(a, bound)
 				// Magic rule: the call context for this subgoal is
 				// derivable from the head context plus the body prefix.
-				// All-free subgoals get a zero-ary magic guard.
-				mr := ast.Rule{
-					Head: ast.Atom{Pred: magicName(a.Pred, ad), Args: boundArgs(a, ad)},
-					Body: append([]ast.Atom{}, newBody...),
+				// All-free subgoals get a zero-ary magic guard. A subgoal
+				// placed first and bound exactly as the head — t(Z,Y) in
+				// t(X,Y) :- a(X,Z), t(Z,Y) under fb — would get
+				// m_t__fb(Y) :- m_t__fb(Y), which derives nothing.
+				mh := ast.Atom{Pred: magicName(a.Pred, ad), Args: boundArgs(a, ad)}
+				if len(newBody) > 1 || !newBody[0].Equal(mh) {
+					out.Rules = append(out.Rules, ast.Rule{Head: mh, Body: slices.Clone(newBody)})
 				}
-				out.Rules = append(out.Rules, mr)
 				// Rewrite the subgoal to its adorned version and record it
 				// for processing.
 				newBody = append(newBody, ast.Atom{Pred: adornedName(a.Pred, ad), Args: a.Args})

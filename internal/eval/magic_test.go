@@ -3,8 +3,10 @@ package eval
 import (
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 	"repro/internal/storage"
 )
@@ -198,7 +200,12 @@ func TestMagicUnknownPredicate(t *testing.T) {
 }
 
 // TestMagicRandomPrograms property-tests magic against full evaluation on
-// the paper's recursions with random data and random selections.
+// the paper's recursions, a program with constants in rule bodies and one
+// with disconnected atoms (cross products the bound-first order must
+// still place), with random data and every bound/free pattern of the
+// query predicate — all-bound, all-free and repeated-variable queries
+// included. No rewritten rule may derive its own body: a magic rule
+// m(Y) :- m(Y) is dropped, not evaluated.
 func TestMagicRandomPrograms(t *testing.T) {
 	srcs := []string{
 		tcSrc,
@@ -210,20 +217,33 @@ func TestMagicRandomPrograms(t *testing.T) {
 		 t(X, Y, Z) :- t0(X, Y, Z).`,
 		`t(X, Y) :- a(X, Z), t(Z, Y), p(X, Y).
 		 t(X, Y) :- b(X, Y).`,
-	}
-	queries := map[string][]string{
-		srcs[0]: {"t(d0, Y)", "t(X, d1)", "t(d2, d3)"},
-		srcs[1]: {"t(d0, Y)", "t(X, d1)"},
-		srcs[2]: {"sg(d0, Y)", "sg(d0, d1)"},
-		srcs[3]: {"t(d0, Y, Z)", "t(X, d1, Z)", "t(X, Y, d2)"},
-		srcs[4]: {"t(d0, Y)", "t(X, d1)"},
+		`t(X, Y) :- a(X, d1), t(d1, Y).
+		 t(X, Y) :- a(X, Z), c(Z, d2), t(Z, Y).
+		 t(X, Y) :- b(X, Y).`,
+		`t(X, Y) :- a(X, Z), t(Z, Y), d(U, V).
+		 t(X, Y) :- b(X, W), c(V, Y).
+		 t(X, Y) :- e(X, Y), t(U, U).`,
 	}
 	for _, src := range srcs {
 		p := mustProgram(t, src)
-		for seed := int64(0); seed < 3; seed++ {
-			db := randomEDBFor(p, 6, 18, seed)
-			for _, qs := range queries[src] {
-				q := parser.MustParseAtom(qs)
+		arities, err := p.Arities()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := p.Rules[0].Head.Pred
+		for _, qs := range queryPatterns(pred, arities[pred]) {
+			q := parser.MustParseAtom(qs)
+			mr, err := MagicTransform(p, q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", src, qs, err)
+			}
+			for _, r := range mr.Program.Rules {
+				if len(r.Body) == 1 && r.Body[0].Equal(r.Head) {
+					t.Fatalf("%s %s: rewritten rule %s derives nothing", src, qs, r)
+				}
+			}
+			for seed := int64(0); seed < 3; seed++ {
+				db := randomEDBFor(p, 6, 18, seed)
 				ans, _, err := MagicEval(p, q, db)
 				if err != nil {
 					t.Fatalf("%s %s: %v", src, qs, err)
@@ -237,6 +257,79 @@ func TestMagicRandomPrograms(t *testing.T) {
 						AnswerStrings(ans, db.Syms), AnswerStrings(want, db.Syms))
 				}
 			}
+		}
+	}
+}
+
+// queryPatterns lists every query on pred: each argument is the constant
+// d<i>, an earlier argument's variable, or a fresh variable.
+func queryPatterns(pred string, arity int) []string {
+	var out []string
+	var walk func(args []string, vars int)
+	walk = func(args []string, vars int) {
+		i := len(args)
+		if i == arity {
+			out = append(out, pred+"("+strings.Join(args, ", ")+")")
+			return
+		}
+		walk(append(args[:i:i], "d"+strconv.Itoa(i)), vars)
+		for v := 0; v <= vars; v++ { // v == vars is a fresh variable
+			walk(append(args[:i:i], "V"+strconv.Itoa(v)), max(vars, v+1))
+		}
+	}
+	walk(nil, 0)
+	return out
+}
+
+// TestMagicSIPSShape pins the bound-first rewriting of same-generation
+// and transitive closure. Every recursive call keeps the query's
+// adornment, so no __bb predicate appears: left to right, sg bf called
+// sg bb and built m_sg__bb(W,Z) as the query's parent crossed with every
+// Z in p. Under t fb the recursive call is placed first, bound exactly as
+// the head, and its magic rule m_t__fb(Y) :- m_t__fb(Y) is dropped.
+func TestMagicSIPSShape(t *testing.T) {
+	sg := mustProgram(t, `
+		sg(X, Y) :- p(X, W), p(Y, Z), sg(W, Z).
+		sg(X, Y) :- sg0(X, Y).
+	`)
+	tc := mustProgram(t, tcSrc)
+	cases := []struct {
+		p     *ast.Program
+		query string
+		want  []string
+	}{
+		{sg, "sg(c, Y)", []string{
+			"m_sg__bf(W) :- m_sg__bf(X), p(X, W).",
+			"sg__bf(X, Y) :- m_sg__bf(X), p(X, W), sg__bf(W, Z), p(Y, Z).",
+			"sg__bf(X, Y) :- m_sg__bf(X), sg0(X, Y).",
+			"m_sg__bf(c).",
+		}},
+		{sg, "sg(X, c)", []string{
+			"m_sg__fb(Z) :- m_sg__fb(Y), p(Y, Z).",
+			"sg__fb(X, Y) :- m_sg__fb(Y), p(Y, Z), sg__fb(W, Z), p(X, W).",
+			"sg__fb(X, Y) :- m_sg__fb(Y), sg0(X, Y).",
+			"m_sg__fb(c).",
+		}},
+		{tc, "t(X, c)", []string{
+			"t__fb(X, Y) :- m_t__fb(Y), t__fb(Z, Y), a(X, Z).",
+			"t__fb(X, Y) :- m_t__fb(Y), b(X, Y).",
+			"m_t__fb(c).",
+		}},
+	}
+	for _, c := range cases {
+		mr, err := MagicTransform(c.p, parser.MustParseAtom(c.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range mr.Program.Rules {
+			got = append(got, r.String())
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s rewrites to\n%s\nwant\n%s", c.query, strings.Join(got, "\n"), strings.Join(c.want, "\n"))
+		}
+		if s := mr.Program.String(); strings.Contains(s, "__bb") {
+			t.Errorf("%s: a bb call in\n%s", c.query, s)
 		}
 	}
 }
