@@ -10,10 +10,11 @@ import (
 
 // Fact is one ground fact for the write entry points: the predicate
 // name plus its constant arguments. It is the wire-shaped twin of
-// InsertFact's variadic signature, usable in slices.
+// InsertFact's variadic signature, usable in slices, and its JSON form is
+// a /v1/facts member's: {"pred": ..., "args": [...]}.
 type Fact struct {
-	Pred string
-	Args []string
+	Pred string   `json:"pred"`
+	Args []string `json:"args"`
 }
 
 // ErrArityMismatch is returned by the insert entry points for a fact

@@ -132,26 +132,26 @@ func TestHitBodyEqualsTheBodyBeforeIt(t *testing.T) {
 			t(X, Y) :- b(X, Y).
 			a(paris, lyon). a(lyon, marseille). a(marseille, toulon).
 			b(toulon, nice). b(lyon, grenoble).`,
-			"t(lyon, Y)", "t(paris, Y)", fact{"b", []string{"marseille", "cassis"}}},
+			"t(lyon, Y)", "t(paris, Y)", fact{Pred: "b", Args: []string{"marseille", "cassis"}}},
 		{"flights", `
 			reach(X, Y) :- flight(X, Z), reach(Z, Y).
 			reach(X, Y) :- ferry(X, Y).
 			flight(apt1, apt2). flight(apt2, apt3). flight(apt3, apt1). flight(apt2, apt4).
 			ferry(apt3, island0). ferry(apt4, island1).`,
-			"reach(apt4, Y)", "reach(apt1, Y)", fact{"ferry", []string{"apt2", "island2"}}},
+			"reach(apt4, Y)", "reach(apt1, Y)", fact{Pred: "ferry", Args: []string{"apt2", "island2"}}},
 		{"genealogy", `
 			sg(X, Y) :- p(X, W), p(Y, Z), sg(W, Z).
 			sg(X, Y) :- sg0(X, Y).
 			p(c1, p1). p(c2, p2). p(d1, c1). p(d2, c2).
 			sg0(p1, p2).`,
-			"sg(c1, Y)", "sg(d1, Y)", fact{"p", []string{"d3", "c2"}}},
+			"sg(c1, Y)", "sg(d1, Y)", fact{Pred: "p", Args: []string{"d3", "c2"}}},
 		{"marketbasket", `
 			buys(X, Y) :- knows(X, W), buys(W, Y), cheap(Y).
 			buys(X, Y) :- likes(X, Y), cheap(Y).
 			knows(ann, bob). knows(bob, cy).
 			likes(cy, tea). likes(bob, caviar). likes(bob, rice).
 			cheap(tea). cheap(rice).`,
-			"buys(bob, Y)", "buys(ann, Y)", fact{"cheap", []string{"caviar"}}},
+			"buys(bob, Y)", "buys(ann, Y)", fact{Pred: "cheap", Args: []string{"caviar"}}},
 		{"appendixa", `
 			q(X1, X2, X3) :- c(X1), q(X1, X2, X3).
 			q(X1, X2, X3) :- q(X1, X2, W), eq(W, X3).
@@ -159,7 +159,7 @@ func TestHitBodyEqualsTheBodyBeforeIt(t *testing.T) {
 			c(u). c(w).
 			p0(u, v1). p0(w, v2).
 			bq(k0). eq(k0, k1). eq(k1, k2).`,
-			"q(w, X2, X3)", "q(u, X2, X3)", fact{"eq", []string{"k2", "k3"}}},
+			"q(w, X2, X3)", "q(u, X2, X3)", fact{Pred: "eq", Args: []string{"k2", "k3"}}},
 	}
 	for _, ex := range examples {
 		t.Run(ex.name, func(t *testing.T) {

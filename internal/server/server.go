@@ -45,7 +45,8 @@ type Config struct {
 	// AdmissionWait is how long a request may wait for an evaluation
 	// slot before 503. <= 0 means 100ms.
 	AdmissionWait time.Duration
-	// MaxBodyBytes caps request bodies. <= 0 means 8 MiB.
+	// MaxBodyBytes caps request bodies; a longer one is answered 413.
+	// <= 0 means 8 MiB.
 	MaxBodyBytes int64
 	// Repl, when set, is mounted under /v1/repl/ — a primary serves its
 	// write-ahead log to followers through it (replica.NewSource).
@@ -312,14 +313,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
 // ---------------------------------------------------------------------------
 // POST /v1/query
 
@@ -425,8 +418,7 @@ func (s *Server) writeAnswer(w http.ResponseWriter, build func(b []byte) []byte)
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decode(w, r, &req) {
-		s.badRequests.Add(1)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	name, ts := s.tenant(r)
@@ -472,8 +464,7 @@ type streamLine struct {
 
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decode(w, r, &req) {
-		s.badRequests.Add(1)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	name, ts := s.tenant(r)
@@ -548,8 +539,7 @@ type batchResponse struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if !decode(w, r, &req) {
-		s.badRequests.Add(1)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -596,20 +586,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // POST /v1/facts
 
 type factsRequest struct {
-	Facts []fact `json:"facts,omitempty"`
+	// Facts are facts to insert, each {"pred": ..., "args": [...]}.
+	Facts []onesided.Fact `json:"facts,omitempty"`
 	// Retracts are facts to remove. Retractions are applied after the
 	// inserts in the same request; retracting an absent tuple counts in
 	// the response's Missing, not as an error.
-	Retracts []fact `json:"retracts,omitempty"`
+	Retracts []onesided.Fact `json:"retracts,omitempty"`
 	// Rules are Prolog-syntax rule sources loaded into the engine's
 	// program (idempotent, like Engine.Load). Ground facts among them are
 	// inserts like Facts: same tenant admission, counted in Added.
 	Rules []string `json:"rules,omitempty"`
-}
-
-type fact struct {
-	Pred string   `json:"pred"`
-	Args []string `json:"args"`
 }
 
 type factsResponse struct {
@@ -666,8 +652,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req factsRequest
-	if !decode(w, r, &req) {
-		s.badRequests.Add(1)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	name, ts := s.tenant(r)
@@ -676,15 +661,13 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	// A fact with an empty predicate splits its side — the valid prefix is
 	// applied, as a per-fact loop would have, then the 400 reports the
 	// bad fact (and a bad insert leaves the retractions unattempted).
-	validPrefix := func(facts []fact) ([]onesided.Fact, bool) {
-		out := make([]onesided.Fact, 0, len(facts))
-		for _, f := range facts {
+	validPrefix := func(facts []onesided.Fact) ([]onesided.Fact, bool) {
+		for i, f := range facts {
 			if f.Pred == "" {
-				return out, false
+				return facts[:i], false
 			}
-			out = append(out, onesided.Fact{Pred: f.Pred, Args: f.Args})
 		}
-		return out, true
+		return facts, true
 	}
 	inserts, insertsOK := validPrefix(req.Facts)
 	var retracts []onesided.Fact

@@ -14,6 +14,9 @@ import (
 	onesided "repro"
 )
 
+// fact is a /v1/facts member; the struct marshals in the wire form.
+type fact = onesided.Fact
+
 // newTestServer opens an engine over the canonical TC chain (n edges)
 // and wraps it in a Server with the given config (Engine filled in).
 func newTestServer(t *testing.T, n int, cfg Config) *Server {
