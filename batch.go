@@ -59,8 +59,8 @@ var ErrDurability = errors.New("onesided: write-ahead log failed")
 // Apply is the write path: one write request is one commit. The facts of
 // both sides are resolved and grouped into one storage run per predicate
 // and sign, the runs are applied in order — inserts first, each run
-// sharing one shard-lock pass and one epoch stamp per shard, the
-// retraction runs under one hold of the retraction gate — and then the
+// under one acquisition of its relation's lock and with one epoch stamp,
+// the retraction runs under one hold of the retraction gate — and then the
 // whole request is published once: one journal call (a single group
 // commit, one fsync, under SyncAlways) and, after it, one watcher
 // notification, so subscribers observe the request as a single delta

@@ -76,7 +76,7 @@ func main() {
 	debugProfileRate := flag.Int("debug-profile-rate", 0, "enable mutex and block profiling at this sampling rate (0 = off; 1 = every event; requires -debug-addr to be useful)")
 	flag.Parse()
 	if *debugProfileRate > 0 {
-		// Lock contention on the write path (shard mutexes, the WAL's
+		// Lock contention on the write path (relation mutexes, the WAL's
 		// commit-group handoff) only shows up in the mutex and block
 		// profiles, which are off by default because sampling costs a
 		// little on every contended event. Opt in at a chosen rate:

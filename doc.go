@@ -55,10 +55,8 @@
 //
 // # Concurrency and streaming
 //
-// Relations are hash-sharded into partitions whose writers lock
-// independently and whose lookups take no lock (GOMAXPROCS shards by
-// default; Database.SetShards on a database handed to WithDatabase), so
-// one Engine serves concurrent queries beside concurrent writers. A
+// A relation's writers take its lock and its lookups take none, so one
+// Engine serves concurrent queries beside concurrent writers. A
 // query evaluates on the goroutine that asked for it: the cores are used
 // by concurrent requests, not by splitting one. QueryStream (or
 // PreparedQuery.Stream) evaluates in the background and yields answers as
@@ -70,8 +68,8 @@
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// Explain reports the shard count and the carry batches walked
-// alongside the strategy choice.
+// Explain reports the carry batches walked alongside the strategy
+// choice.
 //
 // A query writes nothing: it resolves its constants against the symbol
 // table (facts intern theirs when written, rules when loaded), and one

@@ -102,9 +102,8 @@ type Engine struct {
 	subs atomic.Int64
 }
 
-// Open creates an Engine. With no options it has an empty database
-// (relations sharded to GOMAXPROCS, for concurrent writers), an empty
-// program, the default strategy chain, a 256-entry plan cache, and a
+// Open creates an Engine. With no options it has an empty database, an
+// empty program, the default strategy chain, a 256-entry plan cache, and a
 // 64-entry bound-result cache (maintained answers, see WithResultCache).
 // Every query evaluates on the goroutine that asked for it; the cores are
 // used by concurrent requests.
@@ -366,11 +365,9 @@ type Explain struct {
 	// explicit-program plans, a disabled cache, or a query naming a
 	// constant the database has never seen, answered empty unevaluated).
 	ResultCache string
-	// Shards is the database's relation shard count and Batches the
-	// number of carry batches the Fig. 9 loop walked. Both are filled on
-	// the Explain a Rows reports after evaluation; a pre-evaluation
-	// PreparedQuery.Explain leaves them 0.
-	Shards  int
+	// Batches is the number of carry batches the Fig. 9 loop walked. It
+	// is filled on the Explain a Rows reports after evaluation; a
+	// pre-evaluation PreparedQuery.Explain leaves it 0.
 	Batches int
 	// Overdeleted and Rederived are what delete-rederive did over the
 	// maintenance passes the answers have absorbed since they were built
@@ -381,7 +378,7 @@ type Explain struct {
 
 // String renders the report in the compact key=value form the CLI and
 // examples print, e.g.
-// `strategy=onesided adornment=bf plan-cache=hit mode=context carry-arity=1 shards=2 batches=4`;
+// `strategy=onesided adornment=bf plan-cache=hit mode=context carry-arity=1 batches=4`;
 // answers that have absorbed retractions add `dred=<overdeleted>/<rederived>`.
 func (ex Explain) String() string {
 	var b strings.Builder
@@ -410,7 +407,6 @@ func (ex Explain) String() string {
 	if ex.Verdict != "" {
 		field(" verdict=", strconv.Quote(ex.Verdict))
 	}
-	count(" shards=", ex.Shards)
 	count(" batches=", ex.Batches)
 	if ex.Overdeleted > 0 || ex.Rederived > 0 {
 		b.WriteString(" dred=")
@@ -745,7 +741,6 @@ func (pq *PreparedQuery) resultCacheable() bool {
 // evaluation reported.
 func (pq *PreparedQuery) explainWithStats(stats eval.EvalStats) Explain {
 	ex := pq.Explain()
-	ex.Shards = stats.Shards
 	ex.Batches = stats.Batches
 	ex.Overdeleted, ex.Rederived = stats.Overdeleted, stats.Rederived
 	return ex

@@ -16,7 +16,6 @@ func streamEngine(t *testing.T, n int) (*Engine, string) {
 	t.Helper()
 	w := datagen.ChainTC(n)
 	w.DB.AddFact("b", w.Start, "zfirst")
-	w.DB.SetShards(4)
 	eng, err := Open(WithDatabase(w.DB))
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +31,8 @@ func streamEngine(t *testing.T, n int) (*Engine, string) {
 
 // TestEngineQueryStream checks that a streamed query yields exactly the
 // materialized answer set, reports a nil terminal error, and surfaces
-// the shard and batch counts in Explain; a second All over the finished
-// Rows reads the materialized set.
+// the batch count in its stats; a second All over the finished Rows
+// reads the materialized set.
 func TestEngineQueryStream(t *testing.T) {
 	eng, q := streamEngine(t, 50)
 	ctx := context.Background()
@@ -70,10 +69,6 @@ func TestEngineQueryStream(t *testing.T) {
 	}
 	if second != want.Len() {
 		t.Fatalf("second All over finished stream saw %d answers, want %d", second, want.Len())
-	}
-	ex := rows.Explain()
-	if ex.Shards != 4 {
-		t.Fatalf("Explain shards = %d, want 4", ex.Shards)
 	}
 	if st := rows.Stats(); st.Batches != st.Iterations+1 || st.Batches < 2 {
 		t.Fatalf("stats batches/iterations inconsistent: %+v", st)
@@ -167,16 +162,14 @@ func TestEngineQueryStreamFallback(t *testing.T) {
 }
 
 // TestEngineConcurrentShardedInsertsAndQueries is the engine-level -race
-// stress test: parallel writers load chain edges through AddFact while
-// parallel readers run prepared and streamed queries over the same
-// Engine. Afterwards the chain must be fully visible: the query reaches
+// stress test: parallel writers load chain edges through AddFact into
+// one relation while parallel readers run prepared and streamed queries
+// over the same Engine. Afterwards the chain must be fully visible: the query reaches
 // the terminal b-edge and the relation holds every inserted edge.
 func TestEngineConcurrentShardedInsertsAndQueries(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const n = 2000
-	db := NewDatabase()
-	db.SetShards(8)
-	eng, err := Open(WithDatabase(db))
+	eng, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}

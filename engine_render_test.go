@@ -128,7 +128,7 @@ func TestHitRenderingDroppedByTailOverflow(t *testing.T) {
 	}
 	query("rebuilt", 2)
 	query("hit", 2)
-	const bulk = 5000 // past every shard's 1024-entry tail
+	const bulk = 5000 // past the 2048-entry tail
 	facts := make([]Fact, bulk)
 	for i := range facts {
 		facts[i] = Fact{Pred: "b", Args: []string{"toulon", fmt.Sprintf("x%d", i)}}
@@ -325,9 +325,6 @@ func TestExplainStringMatchesFormatted(t *testing.T) {
 		if ex.Verdict != "" {
 			fmt.Fprintf(&b, " verdict=%q", ex.Verdict)
 		}
-		if ex.Shards > 0 {
-			fmt.Fprintf(&b, " shards=%d", ex.Shards)
-		}
 		if ex.Batches > 0 {
 			fmt.Fprintf(&b, " batches=%d", ex.Batches)
 		}
@@ -346,7 +343,7 @@ func TestExplainStringMatchesFormatted(t *testing.T) {
 		Rejected:    []StrategyAttempt{{"onesided", "not \"one-sided\"\n"}, {"multi", "one rule"}},
 		PlanCache:   "bind",
 		ResultCache: "updated",
-		Shards:      4, Batches: 17, Overdeleted: 3, Rederived: 0,
+		Batches:     17, Overdeleted: 3, Rederived: 0,
 	}
 	full.Strategy, full.Adornment, full.Mode, full.CarryArity = "magic", "bf", "context", 0
 	full.Verdict, full.Detail = "one-sided \"after\" optimisation\té", "answer predicate t_bf, 4 rewritten rules"

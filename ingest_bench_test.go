@@ -32,7 +32,7 @@ func mkIngestFacts(n int) []Fact {
 // BenchmarkIngestBatched compares a per-fact AddFact loop against one
 // InsertFacts call over the same facts. One op = bulk-loading 1024
 // facts into a fresh engine (built off the clock, so op cost doesn't
-// drift with table growth); the batched arm amortizes admission, shard
+// drift with table growth); the batched arm amortizes admission,
 // locking, and delta stamping across the whole run.
 func BenchmarkIngestBatched(b *testing.B) {
 	const batch = 1024

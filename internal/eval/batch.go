@@ -186,7 +186,6 @@ func addBatchStats(a, b EvalStats) EvalStats {
 	out.GProbes += b.GProbes
 	out.Batches += b.Batches
 	out.CarryArity = max(out.CarryArity, b.CarryArity)
-	out.Shards = max(out.Shards, b.Shards)
 	return out
 }
 
@@ -202,7 +201,7 @@ func (p *Plan) evalContextBatch(ctx context.Context, edb *storage.Database, boun
 	k := len(bound)
 	syms := edb.Syms
 	resolve := func(pred string, alt bool) *storage.Relation { return edb.Relation(pred) }
-	stats := EvalStats{CarryArity: p.CarryArity, Shards: edb.Shards()}
+	stats := EvalStats{CarryArity: p.CarryArity}
 	tally := edb.Stats.Tally()
 	defer tally.Flush()
 

@@ -66,7 +66,6 @@ func probeFacts(db *storage.Database, facts string) {
 // the plan then yields and counts.
 func TestCompiledProbePlans(t *testing.T) {
 	db := storage.NewDatabase()
-	db.SetShards(1)
 	probeFacts(db, "p(1,1) p(1,2) p(2,2) p(3,1) e(1,2) e(2,3) e(3,3) d(x) d(y)")
 	resolve := func(pred string, alt bool) *storage.Relation { return db.Relation(pred) }
 	cases := []struct {

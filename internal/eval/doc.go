@@ -32,11 +32,6 @@
 // variant) jobs one after the other, in rule order (runRound), so its
 // Property-3 counts repeat exactly.
 //
-// The state an evaluation owns — seen-set, answers, the derived relations
-// of a semi-naive fixpoint — is single-shard: one goroutine writes it, and
-// a shard count taken from GOMAXPROCS would make the order a round meets
-// its tuples in, and with it the counts, depend on the machine.
-//
 // Property 3's probe counts are kept like the scratch: an evaluation or
 // maintenance pass counts the lookups of its conjunctions in one
 // storage.Tally of its own (carried by conjScratch) and adds it into the

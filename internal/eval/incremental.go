@@ -274,6 +274,6 @@ func (p *Plan) build(ctx context.Context, edb *storage.Database, emit func(stora
 	if err != nil {
 		return nil, err
 	}
-	inc.stats.CarryArity, inc.stats.Shards = p.CarryArity, edb.Shards()
+	inc.stats.CarryArity = p.CarryArity
 	return inc, nil
 }

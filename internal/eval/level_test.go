@@ -78,7 +78,6 @@ func TestLevelShapesMatchSerial(t *testing.T) {
 			d := mustDef(t, tc.src, "t")
 			q := parser.MustParseAtom(tc.query)
 			db := hourglass(layers, wide, narrow, tc.labelled)
-			db.SetShards(4)
 			compile := func() *Plan {
 				plan, err := CompileSelection(d, q)
 				if err != nil {

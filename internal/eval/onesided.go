@@ -121,8 +121,6 @@ type EvalStats struct {
 	BatchQueries int
 	// CarryArity echoes the plan's state arity.
 	CarryArity int
-	// Shards is the database's relation shard count.
-	Shards int
 	// Batches is the number of carry batches the level loop walked: the
 	// seed batch plus one per Fig. 9 iteration (context mode only).
 	Batches int
@@ -808,7 +806,7 @@ func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bo
 	} else {
 		ce.seen = storage.NewRelation(ce.carryWidth, nil)
 	}
-	ce.stats = EvalStats{CarryArity: p.CarryArity, Shards: edb.Shards()}
+	ce.stats = EvalStats{CarryArity: p.CarryArity}
 	return ce
 }
 

@@ -363,10 +363,6 @@ func newSNState(p *ast.Program, edb *storage.Database) (*snState, error) {
 		return nil, err
 	}
 	st := &snState{cp: cp, edb: edb, idb: storage.NewDatabaseWith(edb.Syms), tally: edb.Stats.Tally()}
-	// One goroutine writes the derived relations: one shard each, so that
-	// the order a round meets its tuples in — and with it the probe counts
-	// — does not depend on GOMAXPROCS.
-	st.idb.SetShards(1)
 	// Seed: program facts and same-name EDB relations. The seeds need no
 	// delta bookkeeping because the first round evaluates every rule
 	// against the full (seeded) relations.

@@ -7,28 +7,8 @@ import (
 	"time"
 
 	onesided "repro"
+	"repro/internal/leakcheck"
 )
-
-// waitForGoroutines polls until the goroutine count drops back to (or
-// below) want — the same tolerance as the engine's stream leak tests:
-// the runtime keeps service goroutines, so equality is too strict.
-func waitForGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines stuck at %d, want <= %d\n%s",
-				runtime.NumGoroutine(), want, buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // TestEngineCloseStopsTailGoroutine is the regression for the follower
 // lifetime bind: Engine.Close on a follower mid-tail must stop the
@@ -65,7 +45,7 @@ func TestEngineCloseStopsTailGoroutine(t *testing.T) {
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
-		waitForGoroutines(t, baseline)
+		leakcheck.Wait(t, baseline)
 	}
 }
 
@@ -102,6 +82,6 @@ func TestFollowerCloseIsIdempotentWithEngineClose(t *testing.T) {
 			}
 			f.Close()
 		}
-		waitForGoroutines(t, baseline)
+		leakcheck.Wait(t, baseline)
 	}
 }

@@ -10,32 +10,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	onesided "repro"
+	"repro/internal/leakcheck"
 )
-
-// waitForGoroutines polls until the goroutine count drops back to (or
-// below) want — the server-layer twin of the engine's stream-leak
-// regression helper. Equality is too strict: the runtime and net/http
-// keep service goroutines alive.
-func waitForGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines stuck at %d, want <= %d\n%s",
-				runtime.NumGoroutine(), want, buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // TestStreamCancelNoLeak is the service-layer extension of the engine's
 // stream-abandonment regression: clients that cancel an in-flight
@@ -98,5 +76,5 @@ func TestStreamCancelNoLeak(t *testing.T) {
 	// Everything the rounds spawned — evaluation goroutines, stream
 	// channels, per-connection handlers — must wind down. net/http keeps
 	// idle/background workers, so allow a small fixed allowance.
-	waitForGoroutines(t, baseline+clients)
+	leakcheck.Wait(t, baseline+clients)
 }

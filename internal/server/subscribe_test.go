@@ -11,6 +11,7 @@ import (
 	"time"
 
 	onesided "repro"
+	"repro/internal/leakcheck"
 )
 
 // subscribeStream opens a /v1/subscribe stream against a live httptest
@@ -190,7 +191,7 @@ func TestSubscribeDisconnectNoLeak(t *testing.T) {
 		cancel()
 		resp.Body.Close()
 	}
-	waitForGoroutines(t, baseline+2)
+	leakcheck.Wait(t, baseline+2)
 	if n := eng.Subscriptions(); n != 0 {
 		t.Fatalf("engine still reports %d open subscriptions", n)
 	}

@@ -150,12 +150,10 @@ func BenchmarkDirectoryBuild(b *testing.B) {
 		b.Run(shape, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for s := range rel.shards {
-					sh := &rel.shards[s]
-					sh.mu.Lock()
-					sh.cols[0].Store(sh.buildDirectory(0))
-					sh.mu.Unlock()
-				}
+				st := rel.store
+				st.mu.Lock()
+				st.cols[0].Store(st.buildDirectory(0))
+				st.mu.Unlock()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rel.Len()), "ns/row")
 		})

@@ -12,7 +12,6 @@ import (
 // inserts after the delta read never reach the returned tuples.
 func TestDeltaSinceDoesNotAliasStore(t *testing.T) {
 	db := NewDatabase()
-	db.SetShards(4)
 	for i := 0; i < 100; i++ {
 		db.AddFact("e", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
 	}
@@ -58,14 +57,19 @@ func TestDeltaSinceDoesNotAliasStore(t *testing.T) {
 }
 
 // TestSnapshotIterationDuringInserts pins snapshot-iteration semantics
-// under concurrency for both layouts (single shard and sharded): a Scan
-// or Lookup racing with writers must yield only fully written rows —
-// every yielded tuple satisfies the writers' invariant — and at least
-// the rows inserted before the iteration started. Run under -race.
+// under concurrency: a Scan or Lookup racing with writers must yield only
+// fully written rows — every yielded tuple satisfies the writers'
+// invariant — and at least the rows inserted before the iteration
+// started. The shards=8 case builds its relation through the deprecated
+// NewShardedRelation, whose shard count is ignored: it must behave as a
+// plain relation. Run under -race.
 func TestSnapshotIterationDuringInserts(t *testing.T) {
 	for _, nshards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", nshards), func(t *testing.T) {
-			r := NewShardedRelation(2, nil, nshards)
+			r := NewRelation(2, nil)
+			if nshards > 1 {
+				r = NewShardedRelation(2, nil, nshards)
+			}
 			const pre = 500
 			for i := 0; i < pre; i++ {
 				r.Insert(Tuple{Value(i), Value(i + 1000)})
@@ -123,15 +127,15 @@ func TestSnapshotIterationDuringInserts(t *testing.T) {
 }
 
 // TestTombstoneCompactionCountsFromLastDrop pins the compaction rule: a
-// shard drops its posting lists when more than half of the rows they can
-// name are dead, counted from the previous drop. Counting every
-// tombstone the shard ever set made a relation that had retracted most
-// of what it ever held drop — and the next lookup rebuild — its indexes
-// on every further retraction.
+// relation drops its posting lists when more than half of the rows they
+// can name are dead, counted from the previous drop. Counting every
+// tombstone the relation ever set made a relation that had retracted
+// most of what it ever held drop — and the next lookup rebuild — its
+// indexes on every further retraction.
 func TestTombstoneCompactionCountsFromLastDrop(t *testing.T) {
 	const n = 400
-	rel := NewRelation(2, nil) // one shard: the drop points are exact
-	sh := &rel.shards[0]
+	rel := NewRelation(2, nil)
+	st := rel.store
 	edge := func(i int) Tuple { return Tuple{Value(i), Value(i + 1)} }
 	lookup := func(v int) int {
 		hits := 0
@@ -142,17 +146,17 @@ func TestTombstoneCompactionCountsFromLastDrop(t *testing.T) {
 		rel.Insert(edge(i))
 	}
 	lookup(0)
-	if sh.cols[0].Load() == nil {
+	if st.cols[0].Load() == nil {
 		t.Fatal("lookup built no index")
 	}
 	// One past half: the line is crossed by the last retraction.
 	for i := 0; i <= n/2; i++ {
-		if sh.cols[0].Load() == nil {
+		if st.cols[0].Load() == nil {
 			t.Fatalf("posting lists dropped after %d of %d rows died", i, n)
 		}
 		rel.Retract(edge(i))
 	}
-	if sh.cols[0].Load() != nil {
+	if st.cols[0].Load() != nil {
 		t.Fatal("posting lists kept past half dead")
 	}
 	for i := 0; i < n; i++ {
@@ -172,7 +176,7 @@ func TestTombstoneCompactionCountsFromLastDrop(t *testing.T) {
 			t.Fatalf("round %d: inserted tuple not found", round)
 		}
 		rel.Retract(edge(n + round))
-		if sh.cols[0].Load() == nil {
+		if st.cols[0].Load() == nil {
 			t.Fatalf("round %d: a single retraction dropped the posting lists again", round)
 		}
 		if lookup(n+round) != 0 {
@@ -184,7 +188,7 @@ func TestTombstoneCompactionCountsFromLastDrop(t *testing.T) {
 	for i := n/2 + 1; i < n; i++ {
 		rel.Retract(edge(i))
 	}
-	if sh.cols[0].Load() != nil {
+	if st.cols[0].Load() != nil {
 		t.Fatal("posting lists kept after every live row was retracted")
 	}
 }

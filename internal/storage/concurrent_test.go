@@ -106,7 +106,7 @@ func TestLookupProbesSelectiveColumn(t *testing.T) {
 // relation must equal a plain-map model. Run under -race.
 func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 	var stats Counters
-	r := NewShardedRelation(3, &stats, 2)
+	r := NewRelation(3, &stats)
 	// The writer's whole plan, fixed up front: tuple id is {key, seq, id}.
 	// Distinct keys first (blocks and directories grow, each key's row in
 	// its slot), then one hot key (its run doubles again and again), then a
@@ -212,16 +212,16 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 					if op == 0 {
 						read()
 					}
-				case 1, 2: // routed to one shard
+				case 1, 2: // bound on the first column
 					read(Binding{Col: 0, Val: key})
-				case 3: // fans out over the shards
+				case 3: // bound on the second
 					read(Binding{Col: 1, Val: Value(1 + rng.Intn(hot+late))})
 				case 4, 5: // the long run listed first, the short one chosen
 					read(Binding{Col: 1, Val: 0}, Binding{Col: 0, Val: key})
-				case 6: // staged: routed, with the hot key's long run among the short ones
+				case 6: // staged, with the hot key's long run among the short ones
 					readKeys(&st, 0, key, key+1, hotKey, Value(distinct+late), key)
 				case 7:
-					if op == 7 { // staged over every shard
+					if op == 7 { // staged on the second column
 						readKeys(&st, 1, Value(1+rng.Intn(hot+late)), Value(hot+late+1), Value(1+rng.Intn(hot)))
 						break
 					}
@@ -255,14 +255,11 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 		}
 	}
 	insert(early)
-	blocks, slots, chunks := 0, 0, 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		blocks = max(blocks, len(sh.blocks))
-		for c := range sh.cols[:2] { // the two columns the readers bind
-			d := sh.cols[c].Load()
-			slots, chunks = max(slots, len(d.slots)), max(chunks, len(*d.chunks.Load()))
-		}
+	st := r.store
+	blocks, slots, chunks := len(st.blocks), 0, 0
+	for c := range st.cols[:2] { // the two columns the readers bind
+		d := st.cols[c].Load()
+		slots, chunks = max(slots, len(d.slots)), max(chunks, len(*d.chunks.Load()))
 	}
 	if blocks < 2 || slots <= minDirSlots || chunks < 4 {
 		t.Fatalf("test premise: %d blocks, %d directory slots, %d arena chunks", blocks, slots, chunks)
@@ -282,10 +279,8 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	for i := range r.shards {
-		if r.shards[i].deadAtDrop == 0 {
-			t.Fatalf("test premise: shard %d never dropped its directories", i)
-		}
+	if st.deadAtDrop == 0 {
+		t.Fatal("test premise: the relation never dropped its directories")
 	}
 
 	if r.Len() != len(model) {
@@ -355,7 +350,7 @@ func TestLookupYieldsInInsertionOrder(t *testing.T) {
 	}
 	r.Retract(Tuple{1, 30})
 	r.Retract(Tuple{1, 20})
-	if r.shards[0].cols[0].Load() != nil {
+	if r.store.cols[0].Load() != nil {
 		t.Fatal("test premise: the retractions dropped no directory")
 	}
 	expect("rebuilt after compaction", 50, 40, 60, 10)
@@ -448,11 +443,11 @@ func TestDatabaseConcurrentEnsureAndSymbols(t *testing.T) {
 // and each round's retractions cross the compaction threshold and drop the
 // posting directories. A reader that finds no directory
 // builds one and must then probe what it built, or a later one — not
-// whatever a concurrent drop left behind. (With the shard RWMutex on the
+// whatever a concurrent drop left behind. (With the RWMutex on the
 // read path, a reader dropped the read lock to build, and re-took it to
 // probe a map that a retraction in between had set to nil.)
 func TestLookupDuringCompaction(t *testing.T) {
-	// Every rebuild walks all the rows the shard ever held, so tries at
+	// Every rebuild walks all the rows the relation ever held, so tries at
 	// the window are bought with fresh relations, not with more rounds.
 	for rep := 0; rep < 3 && !t.Failed(); rep++ {
 		lookupDuringCompaction(t)
@@ -525,19 +520,56 @@ func lookupDuringCompaction(t *testing.T) {
 			}
 		}(g)
 	}
-	sh := &r.shards[0]
+	st := r.store
 	for round := 0; round < 300; round++ {
 		for i := 0; i < churn; i++ {
 			r.Insert(Tuple{Value(1000 + i/2), Value(2*round + i%2)})
 		}
-		atDrop := sh.deadAtDrop
+		atDrop := st.deadAtDrop
 		for i := 0; i < churn; i++ {
 			r.Retract(Tuple{Value(1000 + i/2), Value(2*round + i%2)})
 		}
-		if sh.deadAtDrop == atDrop {
+		if st.deadAtDrop == atDrop {
 			t.Fatalf("test premise: round %d dropped no directory", round)
 		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestConcurrentInsertsExactlyOnce hammers one relation from many writers
+// with overlapping tuple sets and verifies exactly-once insert accounting:
+// the sum of true returns must equal the final Len. Run under -race.
+func TestConcurrentInsertsExactlyOnce(t *testing.T) {
+	r := NewRelation(2, nil)
+	const writers, perWriter = 8, 3000
+	counts := make([]int, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWriter; i++ {
+				// Overlapping key space: most inserts race with a duplicate.
+				tup := Tuple{Value(rng.Intn(200)), Value(rng.Intn(40))}
+				if r.Insert(tup) {
+					counts[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total != r.Len() {
+		t.Fatalf("accepted inserts = %d, Len = %d", total, r.Len())
+	}
+	for _, tup := range r.Tuples() {
+		if !r.Contains(tup) {
+			t.Fatalf("tuple %v in snapshot but Contains is false", tup)
+		}
+	}
 }

@@ -79,12 +79,11 @@ func TestDeltaSinceUntracked(t *testing.T) {
 	}
 }
 
-// TestDeltaTailEviction: overflowing the per-shard tail advances the
-// floor, and a request below it reports the full fallback while newer
-// stamps still answer exactly.
+// TestDeltaTailEviction: overflowing the tail advances the floor, and a
+// request below it reports the full fallback while newer stamps still
+// answer exactly.
 func TestDeltaTailEviction(t *testing.T) {
 	db := NewDatabase()
-	db.SetShards(1)
 	n := deltaTailBound + deltaTailBound/2
 	for i := 0; i < n; i++ {
 		db.AddFact("e", fmt.Sprintf("x%d", i), "y")
@@ -104,33 +103,81 @@ func TestDeltaTailEviction(t *testing.T) {
 	}
 }
 
-// TestDeltaSinceSharded: deltas assemble across shards and contain
-// exactly the post-stamp inserts.
-func TestDeltaSinceSharded(t *testing.T) {
+// TestDeltaTailWindow pins the tail's reach: 1 500 mutations — inserts
+// and retractions over 64 first-column keys — made after a stamp are all
+// still served by DeltaSince(stamp), exactly and netted (a tuple inserted
+// and retracted inside the window appears only in Removed). A 1024-entry
+// window falls back here.
+func TestDeltaTailWindow(t *testing.T) {
 	db := NewDatabase()
-	db.SetShards(8)
-	for i := 0; i < 100; i++ {
-		db.AddFact("e", fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+	r := db.Ensure("e", 2)
+	key := func(i int) Value { return db.Syms.Intern(fmt.Sprintf("k%d", i%64)) }
+	val := func(i int) Value { return db.Syms.Intern(fmt.Sprintf("v%d", i)) }
+	var before []Tuple
+	for i := 0; i < 200; i++ {
+		before = append(before, Tuple{key(i), val(i)})
 	}
+	r.InsertBatch(before)
 	stamp := db.Epoch()
-	var want []Tuple
-	for i := 0; i < 50; i++ {
-		x, y := fmt.Sprintf("n%d", i), fmt.Sprintf("m%d", i)
-		db.AddFact("e", x, y)
-		want = append(want, Tuple{db.Syms.Intern(x), db.Syms.Intern(y)})
+	var fresh []Tuple
+	for i := 200; i < 1500; i++ {
+		fresh = append(fresh, Tuple{key(i), val(i)})
 	}
-	delta, ok := db.Relation("e").DeltaSince(stamp)
+	r.InsertBatch(fresh)
+	wantAdded, wantRemoved := tupleSet(fresh), map[tupleKey]bool{}
+	for i := 0; i < 100; i++ { // retract half the old tuples
+		r.Retract(before[2*i])
+		wantRemoved[tkey(before[2*i])] = true
+	}
+	for i := 0; i < 100; i++ { // and a hundred of the new
+		r.Retract(fresh[3*i])
+		delete(wantAdded, tkey(fresh[3*i]))
+		wantRemoved[tkey(fresh[3*i])] = true
+	}
+	if got := db.Epoch() - stamp; got != 1500 {
+		t.Fatalf("test premise: %d mutations after the stamp, want 1500", got)
+	}
+	d, ok := r.DeltaSince(stamp)
 	if !ok {
-		t.Fatal("sharded DeltaSince fell back")
+		t.Fatalf("DeltaSince fell back over %d mutations with a %d-entry tail", db.Epoch()-stamp, deltaTailBound)
 	}
-	got, wantSet := tupleSet(delta.Added), tupleSet(want)
-	if len(got) != len(wantSet) {
-		t.Fatalf("delta has %d distinct tuples, want %d", len(got), len(wantSet))
-	}
-	for k := range wantSet {
-		if !got[k] {
-			t.Fatal("delta is missing an accepted insert")
+	for name, c := range map[string]struct {
+		got  []Tuple
+		want map[tupleKey]bool
+	}{"added": {d.Added, wantAdded}, "removed": {d.Removed, wantRemoved}} {
+		got := tupleSet(c.got)
+		if len(c.got) != len(c.want) || len(got) != len(c.want) {
+			t.Fatalf("%s: %d tuples (%d distinct), want %d", name, len(c.got), len(got), len(c.want))
 		}
+		for k := range c.want {
+			if !got[k] {
+				t.Fatalf("%s: missing %v", name, k)
+			}
+		}
+	}
+}
+
+// TestBatchStampsOneEpoch: a multi-tuple run is stamped once, with the
+// epoch it moves the counter away from, whatever its keys hash to — so a
+// relation's LastModified, and the snapshot epochs written from it, do
+// not depend on how the run's tuples would be spread.
+func TestBatchStampsOneEpoch(t *testing.T) {
+	db := NewDatabase()
+	r := db.Ensure("e", 2)
+	r.Insert(Tuple{db.Syms.Intern("a"), db.Syms.Intern("b")})
+	e0 := db.Epoch()
+	var run []Tuple
+	for i := 0; i < 500; i++ {
+		run = append(run, Tuple{db.Syms.Intern(fmt.Sprintf("x%d", i)), db.Syms.Intern("y")})
+	}
+	if n := r.InsertBatch(run); n != len(run) {
+		t.Fatalf("InsertBatch accepted %d of %d", n, len(run))
+	}
+	if r.LastModified() != e0 || db.LastModified() != e0 {
+		t.Fatalf("after one run from epoch %d: relation LastModified %d, database %d", e0, r.LastModified(), db.LastModified())
+	}
+	if db.Epoch() != e0+uint64(len(run)) {
+		t.Fatalf("epoch %d after the run, want %d", db.Epoch(), e0+uint64(len(run)))
 	}
 }
 
@@ -140,7 +187,6 @@ func TestDeltaSinceSharded(t *testing.T) {
 // initial stamp must cover everything (tail large enough here).
 func TestDeltaConcurrentInserts(t *testing.T) {
 	db := NewDatabase()
-	db.SetShards(4)
 	db.Ensure("e", 2)
 	const writers, each = 4, 200
 	var wg sync.WaitGroup
@@ -191,7 +237,6 @@ func TestDeltaConcurrentInserts(t *testing.T) {
 // round falls in between.
 func TestDeltaStampProtocolConcurrentWriters(t *testing.T) {
 	db := NewDatabase()
-	db.SetShards(4)
 	preds := []string{"p0", "p1", "p2"}
 	for _, p := range preds {
 		db.Ensure(p, 2)

@@ -2,7 +2,7 @@ package storage
 
 import "sync/atomic"
 
-// directory is one column's posting index in one shard: a flat
+// directory is one column's posting index in a relation: a flat
 // open-addressing table (linear probing, power-of-two size) from a value
 // to the ids of the rows holding it, in insertion order, and it holds no
 // pointer per key. A slot is one word,
@@ -18,7 +18,7 @@ import "sync/atomic"
 // not kept). Chunks never move and a run is never reused, so whatever a
 // reader was handed stays as it was.
 //
-// One writer at a time — whoever holds the shard's write lock — extends a
+// One writer at a time — whoever holds the relation's write lock — extends a
 // directory while any number of readers probe it without a lock, and one
 // rule orders them: a reference is stored after what it refers to. The
 // writer writes a run's ids and length, and publishes the chunk they are
@@ -33,11 +33,11 @@ import "sync/atomic"
 //
 // A key is never removed and a slot never moves: a table that must grow
 // is copied into a larger one — a new key's slot stored in it first — and
-// that one published in its place (shard.cols), the old one staying as it
+// that one published in its place (store.cols), the old one staying as it
 // was for the readers still in it. The copy carries the arena on: chunk
 // list, fill mark and tallies.
 //
-// Reach: row ids are below 2^31 (as everywhere in the shard — int32 ids),
+// Reach: row ids are below 2^31 (as everywhere in the store — int32 ids),
 // and a run reference is 31 bits: maxChunks chunks, each entered within
 // its first 1<<chunkShift words, 2^31 arena words (8 GiB) in all. A
 // directory that would need more panics, naming this limit.
@@ -78,9 +78,9 @@ func newDirectory() *directory { return &directory{slots: make([]uint64, minDirS
 // slotWord is the word of key's slot once its rows are at ref.
 func slotWord(key Value, ref uint32) uint64 { return uint64(uint32(key))<<32 | uint64(ref) }
 
-// hashValue spreads a column value over a directory. The low bits are
-// used: the high bits of the same product route the value to its shard,
-// so every ShardColumn key one shard holds has them in common.
+// hashValue spreads a column value over a directory: interned Values are
+// dense small integers, so a multiply spreads consecutive values, and the
+// high bits are folded into the low ones the table indexes by.
 func hashValue(v Value) uint32 {
 	h := uint32(v) * 2654435761
 	return h ^ h>>15
@@ -228,7 +228,7 @@ func (d *directory) reserve(c int32) (ref uint32, run []int32) {
 // directory): a key's second row moves both into a run, a full run moves
 // to one twice the size, and a larger table replaces d when a new key
 // needed a slot d had no room for. Caller holds the write lock.
-func (sh *shard) post(col int, d *directory, key Value, row int32) {
+func (st *store) post(col int, d *directory, key Value, row int32) {
 	i, in := d.claim(key)
 	slot := &in.slots[i]
 	switch w := *slot; {
@@ -253,23 +253,23 @@ func (sh *shard) post(col int, d *directory, key Value, row int32) {
 		atomic.StoreUint64(slot, slotWord(key, ref))
 	}
 	if in != d {
-		sh.cols[col].Store(in)
+		st.cols[col].Store(in)
 	}
 }
 
-// buildDirectory indexes column col of the shard's live rows (tombstoned
+// buildDirectory indexes column col of the store's live rows (tombstoned
 // rows are left out — the compaction path relies on this). It counts
 // each key's rows first, in the low word of the key's slot, so that the
 // table is sized once it stops growing and every run is carved, with room
 // by the same rule as a posted one's, out of one exact allocation; the
 // second pass fills the runs, a run's length word counting what it has so
 // far. Caller holds the write lock; the result is private until stored.
-func (sh *shard) buildDirectory(col int) *directory {
+func (st *store) buildDirectory(col int) *directory {
 	d := newDirectory()
 	live := func(yield func(row int, key Value)) {
-		for row := 0; row < sh.rows; row++ {
-			if sh.deadCnt == 0 || !sh.isDeadLocked(row) {
-				yield(row, sh.valueAt(row, col))
+		for row := 0; row < st.rows; row++ {
+			if st.deadCnt == 0 || !st.isDeadLocked(row) {
+				yield(row, st.valueAt(row, col))
 			}
 		}
 	}

@@ -26,7 +26,7 @@ func dirRows(t *testing.T, d *directory, key Value) []int32 {
 }
 
 // TestDirectoryAgainstModel runs one seeded history through two
-// single-shard relations — one whose column-0 directory exists from the
+// relations — one whose column-0 directory exists from the
 // start, so that every row is posted into it, one that builds it in bulk
 // from the rows — and checks both directories, key by key, against a
 // map[Value][]int32 of row ids in insertion order. The history has key 0
@@ -58,7 +58,7 @@ func TestDirectoryAgainstModel(t *testing.T) {
 	posted, bulk := NewRelation(2, nil), NewRelation(2, nil)
 	posted.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true }) // an empty directory
 	model := make(map[Value][]int32)
-	dir := func(r *Relation) *directory { return r.shards[0].index(0) }
+	dir := func(r *Relation) *directory { return r.store.index(0) }
 	check := func(when string, r *Relation, keys ...Value) {
 		t.Helper()
 		d := dir(r)
@@ -89,7 +89,7 @@ func TestDirectoryAgainstModel(t *testing.T) {
 	}
 	keys = append(keys, 99, long+1) // never inserted
 	check("posted, at the end", posted, keys...)
-	if dir(bulk) == nil || bulk.shards[0].cols[0].Load().abandoned != 0 {
+	if dir(bulk) == nil || bulk.store.cols[0].Load().abandoned != 0 {
 		t.Fatal("a bulk build abandoned runs")
 	}
 	check("built in bulk", bulk, keys...)
@@ -99,7 +99,7 @@ func TestDirectoryAgainstModel(t *testing.T) {
 			t.Fatalf("test premise: the %s arena has %d chunks", name, chunks)
 		}
 	}
-	if posted.shards[0].cols[0].Load().abandoned == 0 {
+	if posted.store.cols[0].Load().abandoned == 0 {
 		t.Fatal("test premise: posting moved no run")
 	}
 
@@ -114,7 +114,7 @@ func TestDirectoryAgainstModel(t *testing.T) {
 		}
 	}
 	for _, r := range []*Relation{posted, bulk} {
-		if r.shards[0].cols[0].Load() != nil {
+		if r.store.cols[0].Load() != nil {
 			t.Fatal("test premise: the retractions dropped no directory")
 		}
 	}
@@ -208,7 +208,6 @@ func TestDirectoryBytesPerKey(t *testing.T) {
 		budget float64
 	}{{1, 22}, {4, 44}} {
 		db := NewDatabase()
-		db.SetShards(1)
 		rel := db.Ensure("a", 2)
 		batch := make([]Tuple, 0, keys*c.fanout)
 		for k := 0; k < keys; k++ {
@@ -239,7 +238,6 @@ func TestDirectoryBytesPerKey(t *testing.T) {
 func TestFootprintCountsWhatIsThere(t *testing.T) {
 	build := func() *Database {
 		db := NewDatabase()
-		db.SetShards(1)
 		for i := 0; i < 10; i++ {
 			db.AddFact("e", fmt.Sprintf("n%d", i/2), fmt.Sprintf("n%d", i+1))
 		}

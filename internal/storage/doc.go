@@ -6,7 +6,7 @@
 //
 // # Columnar layout
 //
-// Each shard stores its tuples column-major in arena blocks: a block is
+// A Relation stores its tuples column-major in arena blocks: a block is
 // one flat []Value slab holding 1024 rows of every column, and a tuple
 // is identified by its dense row id — there are no per-tuple slice
 // headers anywhere in the store. Inserts append to the current block
@@ -27,56 +27,44 @@
 // them (Clone). Tuples, SortedTuples, and DeltaSince return fresh
 // arena-backed copies that never alias the live column arrays.
 //
-// # Sharding
-//
-// A Relation is hash-partitioned on ShardColumn into N shards (N is 1
-// for NewRelation; NewShardedRelation and Database.SetShards choose
-// larger powers of two, defaulting to GOMAXPROCS for databases). Each
-// shard owns its column blocks, dedup table, and lazily built per-column
-// directories, and has a lock of its own — for its writers: concurrent
-// inserts — several requests writing, a loader beside them — serialize
-// only when their tuples hash to the same partition, and the membership
-// probes (Contains, Offer) share that lock as readers. A relation one
-// goroutine owns (an evaluation's seen-set, answers and derived
-// relations) has one shard. Scan and Lookup take no lock at all. A Lookup bound on
-// ShardColumn probes exactly one shard; other lookups fan out across all
-// of them.
-//
 // # Concurrency and snapshots
 //
 // SymbolTable, Relation, and Database are safe for any number of
 // concurrent readers with concurrent writers, so one Engine can serve
-// parallel queries over a shared EDB while loaders insert. Iteration
-// (Scan, Lookup, Tuples) works on a snapshot captured at call time — a
-// shard's published row count, or the published length of a key's run —
-// without locking: blocks are append-only and rows are never mutated in
-// place, so what the snapshot names is immutable, and a goroutine may
-// insert into the very relation it is scanning — the fixpoint loops rely
-// on this — without deadlock. The shard's writer publishes a block before
-// any count or run that names a row in it, and readers load the block
-// list last (see shard in storage.go for the two rules). Lookup counts
-// its work in the Counters the relation reports to, or — LookupTally —
-// in a Tally the calling goroutine owns and adds in when its work is
-// done, so that a probe writes no shared memory at all; Counters are
-// therefore exact between evaluations, not during one. A probe is a chain
-// of dependent loads — the directory slot; the run, unless the key has one
-// row and the slot holds it (every key of a chain, a tree, a functional
-// column); the block row — and a caller with many independent keys for
-// one column hands them over together (LookupKeys): sixteen probes at a
-// time load their slots, then their runs, then up to sixty-four of their
-// rows, and only then yield, in key order — the tuples, order and counts
-// of one Lookup per key, with the misses overlapped. In a directory a
-// reference is stored after what it refers to, and a reader loads the
-// slot, then the arena's chunk list, then the run's length; every slot
-// and run of a stage is loaded before any block list, and every probe
-// reads its rows through one routine (shardView.readKeyed). Sharded relations do
-// not preserve global insertion order across shards; use SortedTuples
-// (or SortedColumns, which the WAL snapshot writer consumes directly)
-// for deterministic output. The one operation that breaks the
-// append-only rule is Relation.Reset, which empties an untracked scratch
-// relation in place for reuse (first block and dedup table kept): its
-// owner must have no reader or writer in flight, and a tracked relation
-// refuses it.
+// parallel queries over a shared EDB while loaders insert. A relation is
+// one store — column blocks, dedup table and directories — with one lock,
+// taken by its writers, and by the membership probes (Contains, Offer) as
+// readers; a commit's run is hashed and applied under one acquisition of
+// it. Scan and Lookup take no lock at all. Iteration (Scan, Lookup,
+// Tuples) works on a snapshot captured at call time — the store's
+// published row count, or the published length of a key's run — without
+// locking: blocks are append-only and rows are never mutated in place,
+// so what the snapshot names is immutable, and a goroutine may insert
+// into the very relation it is scanning — the fixpoint loops rely on this
+// — without deadlock. The writer publishes a block before any count or
+// run that names a row in it, and readers load the block list last (see
+// store in storage.go for the two rules). Lookup counts its work in the
+// Counters the relation reports to, or — LookupTally — in a Tally the
+// calling goroutine owns and adds in when its work is done, so that a
+// probe writes no shared memory at all; Counters are therefore exact
+// between evaluations, not during one. A probe is a chain of dependent
+// loads — the directory slot; the run, unless the key has one row and the
+// slot holds it (every key of a chain, a tree, a functional column); the
+// block row — and a caller with many independent keys for one column
+// hands them over together (LookupKeys): sixteen probes at a time load
+// their slots, then their runs, then up to sixty-four of their rows, and
+// only then yield, in key order — the tuples, order and counts of one
+// Lookup per key, with the misses overlapped. In a directory a reference
+// is stored after what it refers to, and a reader loads the slot, then
+// the arena's chunk list, then the run's length; every slot and run of a
+// stage is loaded before the block list, and every probe reads its rows
+// through one routine (storeView.readKeyed). Iteration follows insertion
+// order; use SortedTuples (or SortedColumns, which the WAL snapshot
+// writer consumes directly) for output that does not depend on it. The
+// one operation that breaks the append-only rule is Relation.Reset, which
+// empties an untracked scratch relation in place for reuse (first block
+// and dedup table kept): its owner must have no reader or writer in
+// flight, and a tracked relation refuses it.
 //
 // # The write path, epochs and delta tracking
 //
@@ -100,11 +88,12 @@
 // epoch counter that ticks once per accepted mutation — insert or
 // retraction, single or inside a run — so the epoch equals the number of
 // journaled records and a log replayed record by record reproduces it.
-// Each accepted mutation is stamped, under its shard's lock, with the
+// Each accepted mutation is stamped, under its relation's lock, with the
 // epoch its run moves the counter away from (Database.stampRun raises
 // the LastModified watermarks first, so a reader that has seen a later
-// epoch never skips the relation) and recorded in a bounded per-shard
-// delta tail. Relation.DeltaSince(epoch)
+// epoch never skips the relation) and recorded in the relation's bounded
+// delta tail, so a run's mutations share one stamp and LastModified
+// depends only on the history of commits. Relation.DeltaSince(epoch)
 // returns exactly the signed delta stamped at or after a given epoch
 // (falling back with ok=false once the tail evicted the requested
 // history), which is what the engine's materialized-answer cache and

@@ -7,8 +7,8 @@ import "fmt"
 // allocated for them, slack included — and never from the runtime's
 // statistics, so that equal histories report equal numbers. It covers the
 // structures whose size grows with the data; the fixed part of a relation
-// (shard headers, delta tails bounded at deltaTailBound entries a shard)
-// is left out.
+// (its header, and a delta tail bounded at deltaTailBound entries) is
+// left out.
 type Footprint struct {
 	// TupleBlocks is the column blocks and their tombstone bitsets.
 	TupleBlocks int64 `json:"tuple_blocks"`
@@ -47,9 +47,9 @@ const (
 )
 
 // Footprint reports what the database's relations and its symbol table
-// hold now. Each shard is read under its lock, one at a time: the report
-// is exact for a quiesced database and a sum of per-shard instants beside
-// writers.
+// hold now. Each relation is read under its lock, one at a time: the
+// report is exact for a quiesced database and a sum of per-relation
+// instants beside writers.
 func (db *Database) Footprint() Footprint {
 	db.mu.RLock()
 	rels := make([]*Relation, 0, len(db.rels))
@@ -67,25 +67,23 @@ func (db *Database) Footprint() Footprint {
 
 // footprint adds the relation's structures to f.
 func (r *Relation) footprint(f *Footprint) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for b := range sh.blocks {
-			f.TupleBlocks += int64(cap(sh.blocks[b]))*wordBytes + int64(cap(sh.dead[b]))*8
-		}
-		f.TupleBlocks += int64(cap(sh.blocks)+cap(sh.dead)) * headerBytes
-		f.DedupTables += int64(cap(sh.slots)+cap(sh.hashes)) * wordBytes
-		for c := range sh.cols {
-			if d := sh.cols[c].Load(); d != nil {
-				f.DirectorySlots += int64(cap(d.slots)) * 8
-				f.RunArenas += int64(d.words) * wordBytes
-				f.RunsAbandoned += int64(d.abandoned) * wordBytes
-				if list := d.chunks.Load(); list != nil {
-					f.RunArenas += int64(cap(*list)) * headerBytes
-				}
+	st := r.store
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	for b := range st.blocks {
+		f.TupleBlocks += int64(cap(st.blocks[b]))*wordBytes + int64(cap(st.dead[b]))*8
+	}
+	f.TupleBlocks += int64(cap(st.blocks)+cap(st.dead)) * headerBytes
+	f.DedupTables += int64(cap(st.slots)+cap(st.hashes)) * wordBytes
+	for c := range st.cols {
+		if d := st.cols[c].Load(); d != nil {
+			f.DirectorySlots += int64(cap(d.slots)) * 8
+			f.RunArenas += int64(d.words) * wordBytes
+			f.RunsAbandoned += int64(d.abandoned) * wordBytes
+			if list := d.chunks.Load(); list != nil {
+				f.RunArenas += int64(cap(*list)) * headerBytes
 			}
 		}
-		sh.mu.RUnlock()
 	}
 }
 

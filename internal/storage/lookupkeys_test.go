@@ -14,10 +14,9 @@ type keyed struct {
 }
 
 // TestLookupKeysMatchesSerialLookups is the staged probe's contract as a
-// seeded property: over random relations — 1, 2 and 8 shards, arity 1 to
-// 5, tombstones, a compaction on the way — and random key lists with
-// misses and duplicates, on the routed column and on the others,
-// LookupKeys yields the (ordinal, tuple) sequence of one single-binding
+// seeded property: over random relations — arity 1 to 5, tombstones, a
+// compaction on the way — and random key lists with misses and
+// duplicates, on every column, LookupKeys yields the (ordinal, tuple) sequence of one single-binding
 // Lookup per key. Run to the end it moves the Counters, or a Tally, by
 // what those lookups move them; stopped at a random solution it has
 // yielded the same prefix and counted no less than the serial loop and at
@@ -28,7 +27,7 @@ func TestLookupKeysMatchesSerialLookups(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var stats Counters
 		arity, domain := 1+rng.Intn(5), 4+rng.Intn(60)
-		r := NewShardedRelation(arity, &stats, []int{1, 2, 8}[rng.Intn(3)])
+		r := NewRelation(arity, &stats)
 		// A quarter of every column is value 0: a run longer than a stage's
 		// row buffer.
 		random := func() Tuple {
@@ -101,7 +100,7 @@ func TestLookupKeysMatchesSerialLookups(t *testing.T) {
 				})
 				return out, more
 			}
-			name := fmt.Sprintf("seed %d: %d shards, arity %d, column %d, %d keys", seed, r.Shards(), arity, col, len(keys))
+			name := fmt.Sprintf("seed %d: arity %d, column %d, %d keys", seed, arity, col, len(keys))
 
 			want, wantMoved := serial(-1)
 			before := stats.Snapshot()

@@ -17,62 +17,57 @@ func lookupCol(r *Relation, col int, v Value) []Tuple {
 // retracted and then Reset answers every question the way a fresh one
 // does, and goes through the same life again.
 func TestResetBehavesLikeNew(t *testing.T) {
-	for _, nshards := range []int{1, 4} {
-		var stats Counters
-		r := NewShardedRelation(2, &stats, nshards)
-		for round := 0; round < 3; round++ {
-			base := Value(100 * round)
-			for i := Value(0); i < 10; i++ {
-				if !r.Insert(Tuple{base + i, base + i%3}) {
-					t.Fatalf("shards=%d round %d: tuple %d rejected as a duplicate", nshards, round, i)
-				}
+	var stats Counters
+	r := NewRelation(2, &stats)
+	for round := 0; round < 3; round++ {
+		base := Value(100 * round)
+		for i := Value(0); i < 10; i++ {
+			if !r.Insert(Tuple{base + i, base + i%3}) {
+				t.Fatalf("round %d: tuple %d rejected as a duplicate", round, i)
 			}
-			if r.Insert(Tuple{base, base}) {
-				t.Fatalf("shards=%d round %d: duplicate accepted", nshards, round)
+		}
+		if r.Insert(Tuple{base, base}) {
+			t.Fatalf("round %d: duplicate accepted", round)
+		}
+		// An indexed lookup on the second column: the posting list
+		// is built from this round's rows only.
+		if got := lookupCol(r, 1, base+1); len(got) != 3 {
+			t.Fatalf("round %d: lookup on column 1 found %v, want 3 rows", round, got)
+		}
+		if round > 0 {
+			old := base - 100
+			if r.Contains(Tuple{old, old}) || len(lookupCol(r, 1, old+1)) != 0 || len(lookupCol(r, 0, old)) != 0 {
+				t.Fatalf("round %d: a tuple of the previous round survived Reset", round)
 			}
-			// An indexed lookup on a non-routing column: the posting list
-			// is built from this round's rows only.
-			if got := lookupCol(r, 1, base+1); len(got) != 3 {
-				t.Fatalf("shards=%d round %d: lookup on column 1 found %v, want 3 rows", nshards, round, got)
-			}
-			if round > 0 {
-				old := base - 100
-				if r.Contains(Tuple{old, old}) || len(lookupCol(r, 1, old+1)) != 0 || len(lookupCol(r, 0, old)) != 0 {
-					t.Fatalf("shards=%d round %d: a tuple of the previous round survived Reset", nshards, round)
-				}
-			}
-			if !r.Retract(Tuple{base + 4, base + 1}) || r.Retract(Tuple{base + 4, base + 1}) {
-				t.Fatalf("shards=%d round %d: retract of a live tuple / a dead one misreported", nshards, round)
-			}
-			if got := lookupCol(r, 1, base+1); len(got) != 2 {
-				t.Fatalf("shards=%d round %d: lookup after the retract found %v, want 2 rows", nshards, round, got)
-			}
-			if r.Len() != 9 || len(r.Tuples()) != 9 || r.tombs.Load() != 1 || r.Retracts() != 1 {
-				t.Fatalf("shards=%d round %d: len=%d tuples=%d tombstones=%d retracts=%d, want 9/9/1/1",
-					nshards, round, r.Len(), len(r.Tuples()), r.tombs.Load(), r.Retracts())
-			}
-			// Re-inserting the retracted tuple appends a fresh row.
-			if !r.Insert(Tuple{base + 4, base + 1}) || r.Len() != 10 {
-				t.Fatalf("shards=%d round %d: re-insert after retract failed", nshards, round)
-			}
+		}
+		if !r.Retract(Tuple{base + 4, base + 1}) || r.Retract(Tuple{base + 4, base + 1}) {
+			t.Fatalf("round %d: retract of a live tuple / a dead one misreported", round)
+		}
+		if got := lookupCol(r, 1, base+1); len(got) != 2 {
+			t.Fatalf("round %d: lookup after the retract found %v, want 2 rows", round, got)
+		}
+		if r.Len() != 9 || len(r.Tuples()) != 9 || r.tombs.Load() != 1 || r.Retracts() != 1 {
+			t.Fatalf("round %d: len=%d tuples=%d tombstones=%d retracts=%d, want 9/9/1/1",
+				round, r.Len(), len(r.Tuples()), r.tombs.Load(), r.Retracts())
+		}
+		// Re-inserting the retracted tuple appends a fresh row.
+		if !r.Insert(Tuple{base + 4, base + 1}) || r.Len() != 10 {
+			t.Fatalf("round %d: re-insert after retract failed", round)
+		}
 
-			r.Reset()
-			if r.Len() != 0 || len(r.Tuples()) != 0 || r.tombs.Load() != 0 || r.Retracts() != 0 {
-				t.Fatalf("shards=%d round %d: after Reset len=%d tuples=%d tombstones=%d retracts=%d",
-					nshards, round, r.Len(), len(r.Tuples()), r.tombs.Load(), r.Retracts())
-			}
-			scanned := 0
-			r.Scan(func(Tuple) bool { scanned++; return true })
-			if scanned != 0 || r.Contains(Tuple{base, base}) || !r.Equal(NewRelation(2, nil)) {
-				t.Fatalf("shards=%d round %d: a Reset relation is not empty (scanned %d)", nshards, round, scanned)
-			}
-			for i := range r.shards {
-				sh := &r.shards[i]
-				if sh.rows != 0 || sh.deadCnt != 0 || sh.deadAtDrop != 0 || sh.used != 0 {
-					t.Fatalf("shards=%d round %d: shard %d bookkeeping after Reset: %d rows, %d dead, %d at drop, %d slots used",
-						nshards, round, i, sh.rows, sh.deadCnt, sh.deadAtDrop, sh.used)
-				}
-			}
+		r.Reset()
+		if r.Len() != 0 || len(r.Tuples()) != 0 || r.tombs.Load() != 0 || r.Retracts() != 0 {
+			t.Fatalf("round %d: after Reset len=%d tuples=%d tombstones=%d retracts=%d",
+				round, r.Len(), len(r.Tuples()), r.tombs.Load(), r.Retracts())
+		}
+		scanned := 0
+		r.Scan(func(Tuple) bool { scanned++; return true })
+		if scanned != 0 || r.Contains(Tuple{base, base}) || !r.Equal(NewRelation(2, nil)) {
+			t.Fatalf("round %d: a Reset relation is not empty (scanned %d)", round, scanned)
+		}
+		if st := r.store; st.rows != 0 || st.deadCnt != 0 || st.deadAtDrop != 0 || st.used != 0 {
+			t.Fatalf("round %d: bookkeeping after Reset: %d rows, %d dead, %d at drop, %d slots used",
+				round, st.rows, st.deadCnt, st.deadAtDrop, st.used)
 		}
 	}
 }
@@ -83,14 +78,14 @@ func TestResetBehavesLikeNew(t *testing.T) {
 func TestResetReusesFirstBlock(t *testing.T) {
 	r := NewRelation(2, nil)
 	r.Insert(Tuple{1, 2})
-	sh := &r.shards[0]
-	block, slots := &sh.blocks[0][0], &sh.slots[0]
+	st := r.store
+	block, slots := &st.blocks[0][0], &st.slots[0]
 	r.Reset()
 	r.Insert(Tuple{3, 4})
-	if len(sh.blocks) != 1 || &sh.blocks[0][0] != block {
-		t.Fatalf("insert after Reset appended a block instead of reusing the first: %d blocks", len(sh.blocks))
+	if len(st.blocks) != 1 || &st.blocks[0][0] != block {
+		t.Fatalf("insert after Reset appended a block instead of reusing the first: %d blocks", len(st.blocks))
 	}
-	if &sh.slots[0] != slots {
+	if &st.slots[0] != slots {
 		t.Fatal("insert after Reset rebuilt the dedup table instead of reusing it")
 	}
 	if r.Contains(Tuple{1, 2}) || !r.Contains(Tuple{3, 4}) || r.Len() != 1 {
@@ -110,21 +105,21 @@ func TestResetReusesFirstBlock(t *testing.T) {
 	for i := Value(0); i < n; i++ {
 		r.Insert(Tuple{i, i})
 	}
-	if len(sh.blocks) != 3 || len(sh.slots) <= 2*blockRows {
-		t.Fatalf("test premise: %d blocks, %d slots", len(sh.blocks), len(sh.slots))
+	if len(st.blocks) != 3 || len(st.slots) <= 2*blockRows {
+		t.Fatalf("test premise: %d blocks, %d slots", len(st.blocks), len(st.slots))
 	}
 	r.Reset()
-	if len(sh.blocks) != 1 || len(sh.dead) != 1 || len(sh.slots) != 0 {
+	if len(st.blocks) != 1 || len(st.dead) != 1 || len(st.slots) != 0 {
 		t.Fatalf("after Reset of a three-block relation: %d blocks, %d tombstone sets, %d slots; want 1, 1, 0",
-			len(sh.blocks), len(sh.dead), len(sh.slots))
+			len(st.blocks), len(st.dead), len(st.slots))
 	}
 	for i := Value(0); i < n; i++ {
 		if !r.Insert(Tuple{i + 7, i}) {
 			t.Fatalf("refill: tuple %d rejected", i)
 		}
 	}
-	if r.Len() != n || len(sh.blocks) != 3 || !r.Contains(Tuple{n + 6, n - 1}) || r.Contains(Tuple{0, 0}) {
-		t.Fatalf("refill after Reset: len=%d blocks=%d", r.Len(), len(sh.blocks))
+	if r.Len() != n || len(st.blocks) != 3 || !r.Contains(Tuple{n + 6, n - 1}) || r.Contains(Tuple{0, 0}) {
+		t.Fatalf("refill after Reset: len=%d blocks=%d", r.Len(), len(st.blocks))
 	}
 }
 

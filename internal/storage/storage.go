@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -59,9 +58,9 @@ func (t Tuple) Clone() Tuple {
 // HashTuple returns a 32-bit hash of the tuple's values: word-at-a-time
 // FNV-1a with a final multiply-shift mix (interned Values are dense
 // small ints, so the plain FNV low bits would collide on consecutive
-// rows). It is the hash the shard dedup tables store, exported so other
-// layers can build tuple-keyed open-addressing tables without string
-// keys.
+// rows). It is the hash a relation's dedup table stores, exported so
+// other layers can build tuple-keyed open-addressing tables without
+// string keys.
 func HashTuple(t Tuple) uint32 {
 	h := uint32(2166136261)
 	for _, v := range t {
@@ -75,12 +74,10 @@ func HashTuple(t Tuple) uint32 {
 
 // Counters instruments relation access. TuplesExamined counts tuples
 // touched by lookups and scans; IndexLookups counts index probes — one
-// per shard a Lookup actually probes, so a lookup that cannot be routed
-// by a ShardColumn binding and fans out over an n-shard relation counts
-// n probes, not 1; FullScans counts scans with no bound column (the
-// unrestricted lookups Property 3 forbids); Inserts counts accepted
-// tuple insertions (a proxy for state size); Retracts counts accepted
-// tuple retractions.
+// per Lookup with a bound column, one per key of a LookupKeys; FullScans
+// counts scans with no bound column (the unrestricted lookups Property 3
+// forbids); Inserts counts accepted tuple insertions (a proxy for state
+// size); Retracts counts accepted tuple retractions.
 //
 // All updates are atomic, so Counters may be shared across goroutines.
 // Direct field reads are fine when the database is quiesced (the usual
@@ -169,16 +166,16 @@ func (t *Tally) Flush() {
 	}
 }
 
-// deltaTailBound caps the per-shard delta tail: the number of recent
-// mutations a shard remembers for DeltaSince. When the tail overflows,
-// the oldest half is evicted and the shard's floor advances — DeltaSince
-// calls asking for history below the floor report a full fallback.
-const deltaTailBound = 1024
+// deltaTailBound caps a relation's delta tail: the number of recent
+// mutations it remembers for DeltaSince. When the tail overflows, the
+// oldest half is evicted and the floor advances — DeltaSince calls asking
+// for history below the floor report a full fallback.
+const deltaTailBound = 2048
 
 // tailEntry records one accepted mutation for delta tracking: the
-// tuple's row id in the shard, the database epoch it was stamped with,
-// and the sign (del marks a retraction). Epochs are non-decreasing in
-// append order (the stamp is read under the shard lock from a monotone
+// tuple's row id, the database epoch it was stamped with, and the sign
+// (del marks a retraction). Epochs are non-decreasing in append order
+// (the stamp is read under the relation's write lock from a monotone
 // counter), so DeltaSince can binary-search. Retraction entries keep
 // referencing the tombstoned row — rows never move, so the dead row's
 // column values remain readable for delta reconstruction.
@@ -207,15 +204,15 @@ const slotDead = -1
 // deadWords is the tombstone-bitset words per block (one bit per row).
 const deadWords = blockRows / 64
 
-// shard is one partition of a Relation: a columnar tuple store with an
-// open-addressing dedup table over row ids and lazily built per-column
-// posting directories. Tuple identity is the dense row id; rows are
+// store is a Relation's columnar tuple store, with an open-addressing
+// dedup table over row ids and lazily built per-column posting
+// directories. Tuple identity is the dense row id; rows are
 // append-only and blocks are never moved. Retraction never moves rows
 // either: it sets the row's bit in the per-block tombstone bitset
 // (readers check it with atomic loads) and frees the dedup slot.
 //
-// mu serializes the shard's writers, and guards the dedup table and the
-// delta tail for their readers (Contains, Offer, DeltaSince). Scan and
+// mu serializes the relation's writers, and guards the dedup table and
+// the delta tail for their readers (Contains, Offer, DeltaSince). Scan and
 // Lookup take no lock: they read what the writer has published — the
 // block list, the row count, the directories — and two load orders make
 // what they read resolvable. A writer publishes a block (in the list)
@@ -224,7 +221,7 @@ const deadWords = blockRows / 64
 // reader that loads the row count, or a row id from a directory, and only
 // then the block list finds the block of every row it was told of, and the
 // values in it.
-type shard struct {
+type store struct {
 	mu sync.RWMutex
 	// blocks are the arena slabs (see the block geometry constants) and
 	// rows the number of rows written: the writer's own view, under mu.
@@ -272,7 +269,7 @@ type shard struct {
 	tailFloor uint64
 }
 
-// blockList is a shard's published block and tombstone lists. The slices
+// blockList is a store's published block and tombstone lists. The slices
 // are never written through: a block append publishes a new blockList
 // whose slices are one longer (they may share the backing arrays).
 type blockList struct {
@@ -280,15 +277,14 @@ type blockList struct {
 	dead   [][]uint64
 }
 
-// valueAt reads one column of one row. The caller must hold the shard
-// lock.
-func (sh *shard) valueAt(row, col int) Value {
-	return sh.blocks[row>>blockShift][col<<blockShift|row&blockMask]
+// valueAt reads one column of one row. The caller must hold the lock.
+func (st *store) valueAt(row, col int) Value {
+	return st.blocks[row>>blockShift][col<<blockShift|row&blockMask]
 }
 
 // rowEqual reports whether the stored row equals t.
-func (sh *shard) rowEqual(row int, t Tuple) bool {
-	blk := sh.blocks[row>>blockShift]
+func (st *store) rowEqual(row int, t Tuple) bool {
+	blk := st.blocks[row>>blockShift]
 	off := row & blockMask
 	for c, v := range t {
 		if blk[c<<blockShift|off] != v {
@@ -300,18 +296,18 @@ func (sh *shard) rowEqual(row int, t Tuple) bool {
 
 // findLocked probes the dedup table for t (hash h), returning its row id
 // or -1. Dead slots are skipped but do not end the probe chain. Caller
-// holds the shard lock (read or write).
-func (sh *shard) findLocked(t Tuple, h uint32) int {
-	if len(sh.slots) == 0 {
+// holds the lock (read or write).
+func (st *store) findLocked(t Tuple, h uint32) int {
+	if len(st.slots) == 0 {
 		return -1
 	}
-	mask := uint32(len(sh.slots) - 1)
+	mask := uint32(len(st.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := sh.slots[i]
+		s := st.slots[i]
 		if s == 0 {
 			return -1
 		}
-		if s != slotDead && sh.hashes[i] == h && sh.rowEqual(int(s-1), t) {
+		if s != slotDead && st.hashes[i] == h && st.rowEqual(int(s-1), t) {
 			return int(s - 1)
 		}
 	}
@@ -324,27 +320,27 @@ func (sh *shard) findLocked(t Tuple, h uint32) int {
 // run. Occupied slots rehash from their stored hashes and dead slots are
 // dropped, which is what reclaims probe-chain length after retraction
 // churn. Caller holds the write lock.
-func (sh *shard) reserveLocked(extra int) {
-	need := sh.used + extra
-	newCap := len(sh.slots)
+func (st *store) reserveLocked(extra int) {
+	need := st.used + extra
+	newCap := len(st.slots)
 	if newCap < 16 {
 		newCap = 16
 	}
 	for 4*need > 3*newCap {
 		newCap *= 2
 	}
-	if newCap == len(sh.slots) {
+	if newCap == len(st.slots) {
 		return
 	}
 	slots := make([]int32, newCap)
 	hashes := make([]uint32, newCap)
 	mask := uint32(newCap - 1)
 	used := 0
-	for i, s := range sh.slots {
+	for i, s := range st.slots {
 		if s == 0 || s == slotDead {
 			continue
 		}
-		h := sh.hashes[i]
+		h := st.hashes[i]
 		j := h & mask
 		for slots[j] != 0 {
 			j = (j + 1) & mask
@@ -352,18 +348,18 @@ func (sh *shard) reserveLocked(extra int) {
 		slots[j], hashes[j] = s, h
 		used++
 	}
-	sh.slots, sh.hashes, sh.used = slots, hashes, used
+	st.slots, st.hashes, st.used = slots, hashes, used
 }
 
 // insertLocked appends t (hash h) as a fresh row and posts it in the
 // built directories, returning the row id, or -1 when t is already
 // present. Caller holds the write lock and has reserved table space
-// (reserveLocked); commitShard publishes the row count.
-func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
-	mask := uint32(len(sh.slots) - 1)
+// (reserveLocked); apply publishes the row count.
+func (st *store) insertLocked(t Tuple, h uint32, arity int) int {
+	mask := uint32(len(st.slots) - 1)
 	reuse := -1
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := sh.slots[i]
+		s := st.slots[i]
 		if s == slotDead {
 			if reuse < 0 {
 				reuse = int(i)
@@ -371,34 +367,34 @@ func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
 			continue
 		}
 		if s == 0 {
-			row := sh.rows
-			if row>>blockShift == len(sh.blocks) { // the row's block is not there yet (after a Reset, block 0 is)
-				sh.blocks = append(sh.blocks, make([]Value, arity<<blockShift))
-				sh.dead = append(sh.dead, make([]uint64, deadWords))
-				sh.publishBlocks()
+			row := st.rows
+			if row>>blockShift == len(st.blocks) { // the row's block is not there yet (after a Reset, block 0 is)
+				st.blocks = append(st.blocks, make([]Value, arity<<blockShift))
+				st.dead = append(st.dead, make([]uint64, deadWords))
+				st.publishBlocks()
 			}
-			blk := sh.blocks[row>>blockShift]
+			blk := st.blocks[row>>blockShift]
 			off := row & blockMask
 			for c, v := range t {
 				blk[c<<blockShift|off] = v
 			}
-			sh.rows = row + 1
+			st.rows = row + 1
 			slot := uint32(i)
 			if reuse >= 0 {
 				slot = uint32(reuse) // reclaim a dead slot on the probe path
 			} else {
-				sh.used++
+				st.used++
 			}
-			sh.slots[slot] = int32(row + 1)
-			sh.hashes[slot] = h
-			for c := range sh.cols {
-				if d := sh.cols[c].Load(); d != nil {
-					sh.post(c, d, t[c], int32(row))
+			st.slots[slot] = int32(row + 1)
+			st.hashes[slot] = h
+			for c := range st.cols {
+				if d := st.cols[c].Load(); d != nil {
+					st.post(c, d, t[c], int32(row))
 				}
 			}
 			return row
 		}
-		if sh.hashes[i] == h && sh.rowEqual(int(s-1), t) {
+		if st.hashes[i] == h && st.rowEqual(int(s-1), t) {
 			return -1
 		}
 	}
@@ -408,23 +404,23 @@ func (sh *shard) insertLocked(t Tuple, h uint32, arity int) int {
 // -1 when absent. The dedup slot is marked dead (so the tuple can be
 // re-inserted as a fresh row) and the row's tombstone bit set. Caller
 // holds the write lock.
-func (sh *shard) retractLocked(t Tuple, h uint32) int {
-	if len(sh.slots) == 0 {
+func (st *store) retractLocked(t Tuple, h uint32) int {
+	if len(st.slots) == 0 {
 		return -1
 	}
-	mask := uint32(len(sh.slots) - 1)
+	mask := uint32(len(st.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := sh.slots[i]
+		s := st.slots[i]
 		if s == 0 {
 			return -1
 		}
-		if s != slotDead && sh.hashes[i] == h && sh.rowEqual(int(s-1), t) {
+		if s != slotDead && st.hashes[i] == h && st.rowEqual(int(s-1), t) {
 			row := int(s - 1)
-			sh.slots[i] = slotDead
-			w := &sh.dead[row>>blockShift][(row&blockMask)>>6]
+			st.slots[i] = slotDead
+			w := &st.dead[row>>blockShift][(row&blockMask)>>6]
 			atomic.StoreUint64(w, atomic.LoadUint64(w)|1<<(uint(row)&63))
-			if sh.deadCnt++; sh.deadCnt == 1 {
-				sh.anyDead.Store(true)
+			if st.deadCnt++; st.deadCnt == 1 {
+				st.anyDead.Store(true)
 			}
 			// Tombstone compaction: once more than half the rows the
 			// posting lists can name are dead, drop the lists so the next
@@ -432,30 +428,30 @@ func (sh *shard) retractLocked(t Tuple, h uint32) int {
 			// from the last drop — a rebuilt list names no row that was
 			// dead then — so a relation that has retracted most of what it
 			// ever held pays for one rebuild, not one per retraction.
-			if 2*(sh.deadCnt-sh.deadAtDrop) > sh.rows-sh.deadAtDrop {
-				for c := range sh.cols {
-					sh.cols[c].Store(nil)
+			if 2*(st.deadCnt-st.deadAtDrop) > st.rows-st.deadAtDrop {
+				for c := range st.cols {
+					st.cols[c].Store(nil)
 				}
-				sh.deadAtDrop = sh.deadCnt
+				st.deadAtDrop = st.deadCnt
 			}
 			return row
 		}
 	}
 }
 
-// isDeadLocked reports whether row is tombstoned. Caller holds the shard
-// lock (read or write).
-func (sh *shard) isDeadLocked(row int) bool {
-	return atomic.LoadUint64(&sh.dead[row>>blockShift][(row&blockMask)>>6])>>(uint(row)&63)&1 == 1
+// isDeadLocked reports whether row is tombstoned. Caller holds the lock
+// (read or write).
+func (st *store) isDeadLocked(row int) bool {
+	return atomic.LoadUint64(&st.dead[row>>blockShift][(row&blockMask)>>6])>>(uint(row)&63)&1 == 1
 }
 
-// shardView is a snapshot of a shard's rows, capturable in O(1): the
+// storeView is a snapshot of a store's rows, capturable in O(1): the
 // published row count and block list at capture time. Blocks are
 // append-only and rows are fully written before the row count covers
 // them, so reading rows < v.rows off a view races with nothing —
 // concurrent inserts touch only elements the view never reads.
 //
-// dead is the tombstone bitset list, captured only when the shard had
+// dead is the tombstone bitset list, captured only when the store had
 // tombstones at capture time (nil otherwise, keeping the insert-only
 // fast path free of per-row checks). Tombstone bits are read with
 // atomic loads and set concurrently by writers, so a view may observe a
@@ -463,7 +459,7 @@ func (sh *shard) isDeadLocked(row int) bool {
 // some instant during the scan rather than a frozen cut. The epoch/delta
 // protocol absorbs the skew — any mutation a reader misses or
 // half-observes carries a stamp the next DeltaSince reconstructs.
-type shardView struct {
+type storeView struct {
 	blocks [][]Value
 	dead   [][]uint64
 	rows   int
@@ -471,37 +467,37 @@ type shardView struct {
 
 // publishBlocks publishes the block and tombstone lists as they are
 // now. Caller holds the write lock.
-func (sh *shard) publishBlocks() {
-	sh.published.Store(&blockList{
-		blocks: sh.blocks[:len(sh.blocks):len(sh.blocks)],
-		dead:   sh.dead[:len(sh.dead):len(sh.dead)],
+func (st *store) publishBlocks() {
+	st.published.Store(&blockList{
+		blocks: st.blocks[:len(st.blocks):len(st.blocks)],
+		dead:   st.dead[:len(st.dead):len(st.dead)],
 	})
 }
 
-// view captures a snapshot of the shard: the row count first, the block
-// list after it (see shard).
-func (sh *shard) view() shardView {
-	v := shardView{rows: int(sh.rowsPublished.Load())}
+// view captures a snapshot of the store: the row count first, the block
+// list after it (see store).
+func (st *store) view() storeView {
+	v := storeView{rows: int(st.rowsPublished.Load())}
 	if v.rows > 0 {
-		v.resolve(sh)
+		v.resolve(st)
 	}
 	return v
 }
 
-// resolve loads the shard's published block list into v, with the
-// tombstone list only when the shard has tombstones. Whoever calls it has
+// resolve loads the store's published block list into v, with the
+// tombstone list only when the store has tombstones. Whoever calls it has
 // already loaded what names the rows it will read.
-func (v *shardView) resolve(sh *shard) {
-	bl := sh.published.Load()
+func (v *storeView) resolve(st *store) {
+	bl := st.published.Load()
 	v.blocks = bl.blocks
-	if sh.anyDead.Load() {
+	if st.anyDead.Load() {
 		v.dead = bl.dead
 	}
 }
 
 // isDead reports whether row is tombstoned (always false for views
-// captured from shards with no tombstones).
-func (v shardView) isDead(row int) bool {
+// captured from stores with no tombstones).
+func (v storeView) isDead(row int) bool {
 	if v.dead == nil {
 		return false
 	}
@@ -511,7 +507,7 @@ func (v shardView) isDead(row int) bool {
 // live bounds the rows an iteration of v can yield: the view's rows less
 // the tombstones among them. Bits set after the count only lower what the
 // iteration finds (a set bit never clears), so a buffer of this size fits.
-func (v shardView) live() int {
+func (v storeView) live() int {
 	n := v.rows
 	if v.dead == nil {
 		return n
@@ -535,7 +531,7 @@ func (v shardView) live() int {
 }
 
 // read copies row's columns into dst (len(dst) = arity).
-func (v shardView) read(row int, dst Tuple) {
+func (v storeView) read(row int, dst Tuple) {
 	blk := v.blocks[row>>blockShift]
 	off := row & blockMask
 	for c := range dst {
@@ -549,7 +545,7 @@ func (v shardView) read(row int, dst Tuple) {
 // them lazily). Only the other columns are read from the block, one cache
 // line less per row, and the key is filled in. Every probe reads its rows
 // through here.
-func (v *shardView) readKeyed(row int32, col int, key Value, dst Tuple) bool {
+func (v *storeView) readKeyed(row int32, col int, key Value, dst Tuple) bool {
 	if v.isDead(int(row)) {
 		return false
 	}
@@ -563,24 +559,14 @@ func (v *shardView) readKeyed(row int32, col int, key Value, dst Tuple) bool {
 	return true
 }
 
-// ShardColumn is the column whose value routes a tuple to its shard. The
-// Fig. 9 loop probes the join column of the recursive rule's EDB atoms,
-// which for the canonical left-linear shapes is the first column, so
-// hashing column 0 lets a probe bound on it touch exactly one shard while
-// keeping concurrent inserts spread across all of them.
-const ShardColumn = 0
-
-// Relation is a set of tuples of fixed arity, hash-sharded on ShardColumn
-// into partitions whose writers lock independently and whose Scan and
-// Lookup readers do not lock at all. Each shard stores its tuples
-// columnar in arena blocks with an open-addressing dedup table and
-// lazily built per-column posting directories — inserts and membership
-// probes allocate nothing on the steady state. The zero value is not
-// usable; construct with NewRelation (one shard) or NewShardedRelation.
-// Methods are safe for concurrent use; with n shards, n concurrent
-// writers make progress independently as long as their tuples hash to
-// different partitions. See the package comment for the snapshot
-// semantics of iteration.
+// Relation is a set of tuples of fixed arity in one columnar store whose
+// writers take its lock and whose Scan and Lookup readers do not lock at
+// all. The store keeps its tuples in arena blocks with an open-addressing
+// dedup table and lazily built per-column posting directories — inserts
+// and membership probes allocate nothing on the steady state. The zero
+// value is not usable; construct with NewRelation. Methods are safe for
+// concurrent use. See the package comment for the snapshot semantics of
+// iteration.
 type Relation struct {
 	arity int
 	stats *Counters
@@ -589,81 +575,39 @@ type Relation struct {
 	// free-standing relations such as answer sets).
 	name string
 	// db, when non-nil, is the tracked database this relation belongs to:
-	// mutations are stamped with its epoch counter, recorded in the shard
-	// delta tails, reflected in its modification watermark and reported
-	// to its journal. Derived and free-standing relations (answer sets,
+	// mutations are stamped with its epoch counter, recorded in the delta
+	// tail, reflected in its modification watermark and reported to its
+	// journal. Derived and free-standing relations (answer sets,
 	// seen-sets, semi-naive IDB databases) leave it nil and pay no
 	// tracking overhead.
 	db *Database
 	// lastMod is the epoch stamp of the newest accepted mutation (0 when
 	// the relation is untracked or empty).
 	lastMod atomic.Uint64
-	// tombs counts tombstoned rows across shards; retracts counts
-	// accepted retractions since creation (never reset — the WAL's
-	// differential-checkpoint decision compares it against the manifest,
-	// since "unchanged count" no longer implies "identical set" once a
-	// relation has seen removals).
+	// tombs counts tombstoned rows; retracts counts accepted retractions
+	// since creation (never reset — the WAL's differential-checkpoint
+	// decision compares it against the manifest, since "unchanged count"
+	// no longer implies "identical set" once a relation has seen
+	// removals).
 	tombs    atomic.Int64
 	retracts atomic.Int64
-	// shardShift turns the 32-bit hash of the routing value into a shard
-	// index: idx = hash >> shardShift. len(shards) is a power of two.
-	shardShift uint32
-	shards     []shard
+	// store is held through a pointer: locking a store leaks it to the
+	// heap, and were it part of the Relation that would leak the Relation
+	// too — and, through Run.Rel, every commit's tuple slice.
+	store *store
 }
 
-// NewRelation creates an empty single-shard relation of the given arity,
-// reporting instrumentation to stats (which may be nil). Single-shard
-// relations have no routing overhead; use NewShardedRelation for
-// relations written by concurrent workers.
+// NewRelation creates an empty relation of the given arity, reporting
+// instrumentation to stats (which may be nil).
 func NewRelation(arity int, stats *Counters) *Relation {
-	return NewShardedRelation(arity, stats, 1)
+	return &Relation{arity: arity, stats: stats, store: &store{cols: make([]atomic.Pointer[directory], arity)}}
 }
 
-// NewShardedRelation creates an empty relation partitioned into nshards
-// independently-locked shards (rounded up to a power of two; values < 1,
-// and any value for arity-0 relations, mean one shard).
-func NewShardedRelation(arity int, stats *Counters, nshards int) *Relation {
-	n := 1
-	if arity > 0 {
-		for n < nshards {
-			n <<= 1
-		}
-	}
-	r := &Relation{
-		arity:      arity,
-		stats:      stats,
-		shardShift: 32 - log2(n),
-		shards:     make([]shard, n),
-	}
-	for i := range r.shards {
-		r.shards[i].cols = make([]atomic.Pointer[directory], arity)
-	}
-	return r
-}
-
-// log2 returns the exponent of a power of two.
-func log2(n int) uint32 {
-	var e uint32
-	for n > 1 {
-		n >>= 1
-		e++
-	}
-	return e
-}
-
-// shardIndex routes a value of ShardColumn to a shard ordinal via a
-// multiplicative (Fibonacci) hash: interned Values are dense small
-// integers, so the multiply spreads consecutive values across shards.
-func (r *Relation) shardIndex(v Value) int {
-	return int((uint32(v) * 2654435761) >> r.shardShift)
-}
-
-// shardFor returns the shard holding tuples with t's routing value.
-func (r *Relation) shardFor(t Tuple) *shard {
-	if len(r.shards) == 1 {
-		return &r.shards[0]
-	}
-	return &r.shards[r.shardIndex(t[ShardColumn])]
+// NewShardedRelation is NewRelation.
+//
+// Deprecated: relations have one store; kept for bench/traced.go until ROADMAP item 4 rewrites it.
+func NewShardedRelation(arity int, stats *Counters, _ int) *Relation {
+	return NewRelation(arity, stats)
 }
 
 // Arity returns the relation's arity.
@@ -672,9 +616,6 @@ func (r *Relation) Arity() int { return r.arity }
 // Name returns the predicate the relation serves inside its Database
 // ("" for a free-standing relation).
 func (r *Relation) Name() string { return r.name }
-
-// Shards returns the number of partitions.
-func (r *Relation) Shards() int { return len(r.shards) }
 
 // Len returns the number of live tuples.
 func (r *Relation) Len() int { return int(r.count.Load()) }
@@ -685,78 +626,73 @@ func (r *Relation) Retracts() int64 { return r.retracts.Load() }
 
 // Reset empties the relation in place so its storage serves another
 // round of inserts: afterwards it behaves exactly like a relation fresh
-// from NewShardedRelation — no rows, no tombstones, no posting lists, all
-// counts zero — but each shard keeps its first arena block and a dedup
-// table that indexes no more than one block, so refilling a small
-// relation allocates nothing. What a larger use grew beyond that is
-// released: a scratch relation that was once wide does not charge every
-// later reset for clearing a wide table.
+// from NewRelation — no rows, no tombstones, no posting lists, all counts
+// zero — but it keeps its first arena block and a dedup table that
+// indexes no more than one block, so refilling a small relation allocates
+// nothing. What a larger use grew beyond that is released: a scratch
+// relation that was once wide does not charge every later reset for
+// clearing a wide table.
 //
 // Reset is for scratch relations a single owner fills, reads and empties
 // in turn (a semi-naive pass's delta relations). It is the one writer
 // that breaks what Scan and Lookup rely on without a lock — the next
 // inserts overwrite rows one still in flight would read — so the caller
 // must hold the relation exclusively, every reader and writer finished,
-// and it panics on a tracked relation, whose rows the delta tails
-// reference.
+// and it panics on a tracked relation, whose rows the delta tail
+// references.
 func (r *Relation) Reset() {
 	if r.db != nil {
 		panic("storage: Reset of a tracked relation")
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		if len(sh.blocks) > 0 {
-			clear(sh.blocks[1:])
-			clear(sh.dead[1:])
-			sh.blocks, sh.dead = sh.blocks[:1], sh.dead[:1]
-			clear(sh.dead[0])
-			if len(sh.published.Load().blocks) > 1 {
-				sh.publishBlocks()
-			}
+	st := r.store
+	st.mu.Lock()
+	if len(st.blocks) > 0 {
+		clear(st.blocks[1:])
+		clear(st.dead[1:])
+		st.blocks, st.dead = st.blocks[:1], st.dead[:1]
+		clear(st.dead[0])
+		if len(st.published.Load().blocks) > 1 {
+			st.publishBlocks()
 		}
-		sh.rows, sh.deadCnt, sh.deadAtDrop = 0, 0, 0
-		sh.rowsPublished.Store(0)
-		sh.anyDead.Store(false)
-		if len(sh.slots) > 2*blockRows {
-			sh.slots, sh.hashes = nil, nil
-		}
-		clear(sh.slots)
-		sh.used = 0
-		for c := range sh.cols {
-			sh.cols[c].Store(nil)
-		}
-		sh.mu.Unlock()
 	}
+	st.rows, st.deadCnt, st.deadAtDrop = 0, 0, 0
+	st.rowsPublished.Store(0)
+	st.anyDead.Store(false)
+	if len(st.slots) > 2*blockRows {
+		st.slots, st.hashes = nil, nil
+	}
+	clear(st.slots)
+	st.used = 0
+	for c := range st.cols {
+		st.cols[c].Store(nil)
+	}
+	st.mu.Unlock()
 	r.count.Store(0)
 	r.tombs.Store(0)
 	r.retracts.Store(0)
 }
 
-// Insert adds a tuple (copied into the shard's column blocks), returning
-// true when it was not already present: a commit of a run of one. Only
-// the tuple's shard is locked, so inserts from parallel workers
-// serialize only on hash collisions; the steady-state path allocates
-// nothing (block and table growth amortize).
+// Insert adds a tuple (copied into the column blocks), returning true
+// when it was not already present: a commit of a run of one. The
+// steady-state path allocates nothing (block and table growth amortize).
 func (r *Relation) Insert(t Tuple) bool { return r.commit([]Tuple{t}, false) == 1 }
 
-// Offer is Insert tuned for duplicate-heavy concurrent callers — the
-// evaluator's answer and seen sets, where most offered tuples are
-// already present. A read-locked probe rejects duplicates without
-// touching the shard's write lock, so parallel workers re-offering
-// known tuples don't serialize; only first sightings fall through to
-// Insert (which re-checks under the write lock, keeping the claim
-// exactly-once under races). Fresh-heavy callers should use Insert
-// directly: the extra probe is pure overhead there.
+// Offer is Insert tuned for duplicate-heavy callers — the evaluator's
+// answer and seen sets, where most offered tuples are already present. A
+// read-locked probe rejects duplicates without taking the write lock, so
+// callers re-offering known tuples never wait on each other; only first
+// sightings fall through to Insert (which re-checks under the write
+// lock, keeping the claim exactly-once under races). Fresh-heavy callers
+// should use Insert directly: the extra probe is pure overhead there.
 func (r *Relation) Offer(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: arity-%d tuple offered to arity-%d relation", len(t), r.arity))
 	}
 	h := HashTuple(t)
-	sh := r.shardFor(t)
-	sh.mu.RLock()
-	dup := sh.findLocked(t, h) >= 0
-	sh.mu.RUnlock()
+	st := r.store
+	st.mu.RLock()
+	dup := st.findLocked(t, h) >= 0
+	st.mu.RUnlock()
 	if dup {
 		return false
 	}
@@ -767,7 +703,7 @@ func (r *Relation) Offer(t Tuple) bool {
 // of a signed run of one. The row is tombstoned in place — blocks never
 // move, so lock-free views stay sound — its dedup slot is freed (a later
 // Insert of the same tuple appends a fresh row), and posting lists
-// filter the dead row lazily until the shard's compaction threshold
+// filter the dead row lazily until the compaction threshold
 // drops them for a rebuild.
 func (r *Relation) Retract(t Tuple) bool { return r.commit([]Tuple{t}, true) == 1 }
 
@@ -889,47 +825,72 @@ func commitRuns(db *Database, first Run, more []Run) (added, removed int) {
 	return added, removed
 }
 
-// apply claims (or, with del, tombstones) a run's tuples and advances the
-// relation's bookkeeping. It returns the number of accepted mutations
-// and, for a run longer than one, which tuples they were (a run of one
-// is accepted exactly when n is 1).
+// apply claims (or, with del, tombstones) a run's tuples under one
+// acquisition of the write lock and advances the relation's bookkeeping.
+// It returns the number of accepted mutations and, for a run longer than
+// one, which tuples they were (a run of one is accepted exactly when n is
+// 1).
 //
-// Tuples are grouped per shard; each touched shard is locked once. On a
-// tracked relation (one created by a primary Database) every accepted
-// mutation is appended to its shard's delta tail as a signed entry, and
-// each shard's run is stamped and the database epoch advanced by its
-// accepted count still under that shard's lock (Database.stampRun) — one
-// tick per accepted mutation, for a run exactly as for the same tuples
-// committed one at a time, which is what lets a log replayed record by
-// record land on the writer's epoch.
+// On a tracked relation (one created by a primary Database) every
+// accepted mutation is appended to the delta tail as a signed entry, and
+// the run is stamped and the database epoch advanced by its accepted
+// count before the lock is released (Database.stampRun) — one tick per
+// accepted mutation, for a run exactly as for the same tuples committed
+// one at a time, which is what lets a log replayed record by record land
+// on the writer's epoch. A reader that has seen the epoch beyond the
+// stamp finds the relation's watermark raised and, once it gets the lock,
+// the entries.
 func (r *Relation) apply(tuples []Tuple, del bool) (n int, accepted []bool) {
 	for _, t := range tuples {
 		if len(t) != r.arity {
 			panic(fmt.Sprintf("storage: arity-%d tuple committed to arity-%d relation", len(t), r.arity))
 		}
 	}
-	switch len(tuples) {
-	case 0:
+	if len(tuples) == 0 {
 		return 0, nil
-	case 1:
-		// A run of one needs no grouping: stack arrays stand in for
-		// batchOrder's output, so the single-tuple claim allocates nothing.
-		var idx [1]int32
-		var acc [1]bool
-		hash := [1]uint32{HashTuple(tuples[0])}
-		n = r.commitShard(r.shardFor(tuples[0]), tuples, idx[:], hash[:], acc[:], del)
-	default:
-		order, starts, hashes := r.batchOrder(tuples)
+	}
+	if len(tuples) > 1 {
 		accepted = make([]bool, len(tuples))
-		for s := 0; s+1 < len(starts); s++ {
-			if idxs := order[starts[s]:starts[s+1]]; len(idxs) > 0 {
-				n += r.commitShard(&r.shards[s], tuples, idxs, hashes, accepted, del)
-			}
+	}
+	st := r.store
+	st.mu.Lock()
+	if !del {
+		st.reserveLocked(len(tuples))
+	}
+	first := len(st.tail)
+	for i, t := range tuples {
+		var row int
+		if del {
+			row = st.retractLocked(t, HashTuple(t))
+		} else {
+			row = st.insertLocked(t, HashTuple(t), r.arity)
 		}
+		if row < 0 {
+			continue
+		}
+		if r.db != nil {
+			st.tail = append(st.tail, tailEntry{row: row, del: del})
+		}
+		if accepted != nil {
+			accepted[i] = true
+		}
+		n++
 	}
 	if n == 0 {
+		st.mu.Unlock()
 		return 0, nil
 	}
+	if !del {
+		st.rowsPublished.Store(int64(st.rows))
+	}
+	if r.db != nil {
+		stamp := r.db.stampRun(&r.lastMod, n)
+		for k := first; k < len(st.tail); k++ {
+			st.tail[k].epoch = stamp
+		}
+		st.trimTailLocked()
+	}
+	st.mu.Unlock()
 	d := int64(n)
 	if del {
 		r.count.Add(-d)
@@ -948,106 +909,23 @@ func (r *Relation) apply(tuples []Tuple, del bool) (n int, accepted []bool) {
 	return n, accepted
 }
 
-// commitShard applies the tuples at idxs (all routed to sh; hashes holds
-// each tuple's HashTuple) under one acquisition of the shard lock,
-// marking the accepted ones and returning their number. On a tracked
-// relation the accepted mutations' delta-tail entries are stamped, and
-// the epoch moved past them, before the lock is released: a reader that
-// has seen the epoch beyond a stamp finds the relation's watermark raised
-// and, once it gets the shard lock, the entries.
-func (r *Relation) commitShard(sh *shard, tuples []Tuple, idxs []int32, hashes []uint32, accepted []bool, del bool) (n int) {
-	sh.mu.Lock()
-	if !del {
-		sh.reserveLocked(len(idxs))
-	}
-	first := len(sh.tail)
-	for _, i := range idxs {
-		var row int
-		if del {
-			row = sh.retractLocked(tuples[i], hashes[i])
-		} else {
-			row = sh.insertLocked(tuples[i], hashes[i], r.arity)
-		}
-		if row < 0 {
-			continue
-		}
-		if r.db != nil {
-			sh.tail = append(sh.tail, tailEntry{row: row, del: del})
-		}
-		accepted[i] = true
-		n++
-	}
-	if !del && n > 0 {
-		sh.rowsPublished.Store(int64(sh.rows))
-	}
-	if r.db != nil && n > 0 {
-		stamp := r.db.stampRun(&r.lastMod, n)
-		for k := first; k < len(sh.tail); k++ {
-			sh.tail[k].epoch = stamp
-		}
-		sh.trimTailLocked()
-	}
-	sh.mu.Unlock()
-	return n
-}
-
-// trimTailLocked bounds the shard's delta tail: past the bound all but
-// the newest half-bound of entries are evicted and the floor rises past
-// the newest evicted stamp, so incomplete coverage is never served (a
-// run larger than the bound evicts part of itself). Caller holds the
-// write lock.
-func (sh *shard) trimTailLocked() {
-	if len(sh.tail) <= deltaTailBound {
+// trimTailLocked bounds the delta tail: past the bound all but the newest
+// half-bound of entries are evicted and the floor rises past the newest
+// evicted stamp, so incomplete coverage is never served (a run larger
+// than the bound evicts part of itself). Caller holds the write lock.
+func (st *store) trimTailLocked() {
+	if len(st.tail) <= deltaTailBound {
 		return
 	}
-	drop := len(sh.tail) - deltaTailBound/2
-	sh.tailFloor = sh.tail[drop-1].epoch + 1
-	kept := sh.tail[drop:]
-	if cap(sh.tail) > 2*deltaTailBound {
+	drop := len(st.tail) - deltaTailBound/2
+	st.tailFloor = st.tail[drop-1].epoch + 1
+	kept := st.tail[drop:]
+	if cap(st.tail) > 2*deltaTailBound {
 		// A large run grew the backing array; do not keep it.
-		sh.tail = append(make([]tailEntry, 0, deltaTailBound+1), kept...)
+		st.tail = append(make([]tailEntry, 0, deltaTailBound+1), kept...)
 	} else {
-		sh.tail = append(sh.tail[:0], kept...)
+		st.tail = append(st.tail[:0], kept...)
 	}
-}
-
-// batchOrder groups a run's tuple indexes by destination shard with a
-// counting sort, preserving input order within each shard: order holds
-// the indexes of shard 0's tuples, then shard 1's, and so on, with
-// starts[s] the offset of shard s's run. hashes carries each tuple's
-// precomputed HashTuple.
-func (r *Relation) batchOrder(tuples []Tuple) (order []int32, starts []int32, hashes []uint32) {
-	n := len(tuples)
-	hashes = make([]uint32, n)
-	nsh := len(r.shards)
-	if nsh == 1 {
-		order = make([]int32, n)
-		for i, t := range tuples {
-			hashes[i] = HashTuple(t)
-			order[i] = int32(i)
-		}
-		return order, []int32{0, int32(n)}, hashes
-	}
-	shardOf := make([]int32, n)
-	starts = make([]int32, nsh+1)
-	for i, t := range tuples {
-		hashes[i] = HashTuple(t)
-		s := int32(r.shardIndex(t[ShardColumn]))
-		shardOf[i] = s
-		starts[s+1]++
-	}
-	for s := 0; s < nsh; s++ {
-		starts[s+1] += starts[s]
-	}
-	order = make([]int32, n)
-	next := make([]int32, nsh)
-	copy(next, starts[:nsh])
-	for i := range tuples {
-		s := shardOf[i]
-		order[next[s]] = int32(i)
-		next[s]++
-	}
-	return order, starts, hashes
 }
 
 // storeMax raises a to at least v.
@@ -1081,14 +959,13 @@ func (d SignedDelta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) =
 
 // DeltaSince returns the signed delta of mutations accepted with an
 // epoch stamp >= epoch. ok is false when the delta cannot be
-// reconstructed — the relation is untracked, or some shard's tail
-// evicted entries the request needs — in which case the caller must
-// fall back to treating the relation as fully changed. The returned
-// tuples are fresh copies backed by one arena per shard: they never
-// alias the live column blocks, so they stay valid however the relation
-// is mutated afterwards. Tuples stamped exactly at the requested epoch
-// may overlap state the caller already has; replaying them is
-// idempotent under set semantics.
+// reconstructed — the relation is untracked, or its tail evicted entries
+// the request needs — in which case the caller must fall back to treating
+// the relation as fully changed. The returned tuples are fresh copies
+// backed by one arena: they never alias the live column blocks, so they
+// stay valid however the relation is mutated afterwards. Tuples stamped
+// exactly at the requested epoch may overlap state the caller already
+// has; replaying them is idempotent under set semantics.
 func (r *Relation) DeltaSince(epoch uint64) (SignedDelta, bool) {
 	var out SignedDelta
 	if r.db == nil {
@@ -1097,77 +974,63 @@ func (r *Relation) DeltaSince(epoch uint64) (SignedDelta, bool) {
 	if r.lastMod.Load() < epoch {
 		return out, true
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		if sh.tailFloor > epoch {
-			sh.mu.RUnlock()
-			return SignedDelta{}, false
+	st := r.store
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if st.tailFloor > epoch {
+		return out, false
+	}
+	lo := sort.Search(len(st.tail), func(k int) bool { return st.tail[k].epoch >= epoch })
+	arena := make([]Value, (len(st.tail)-lo)*r.arity)
+	for j, te := range st.tail[lo:] {
+		dst := Tuple(arena[j*r.arity : (j+1)*r.arity])
+		for c := range dst {
+			dst[c] = st.valueAt(te.row, c)
 		}
-		lo := sort.Search(len(sh.tail), func(k int) bool { return sh.tail[k].epoch >= epoch })
-		if n := len(sh.tail) - lo; n > 0 {
-			arena := make([]Value, n*r.arity)
-			for j, te := range sh.tail[lo:] {
-				dst := Tuple(arena[j*r.arity : (j+1)*r.arity])
-				for c := range dst {
-					dst[c] = sh.valueAt(te.row, c)
-				}
-				// Net each entry against the current state: an insert
-				// whose row has since died (or a retraction whose tuple
-				// is live again) cancelled out inside the window.
-				if te.del {
-					if sh.findLocked(dst, HashTuple(dst)) < 0 {
-						out.Removed = append(out.Removed, dst)
-					}
-				} else if !sh.isDeadLocked(te.row) {
-					out.Added = append(out.Added, dst)
-				}
+		// Net each entry against the current state: an insert whose row
+		// has since died (or a retraction whose tuple is live again)
+		// cancelled out inside the window.
+		if te.del {
+			if st.findLocked(dst, HashTuple(dst)) < 0 {
+				out.Removed = append(out.Removed, dst)
 			}
+		} else if !st.isDeadLocked(te.row) {
+			out.Added = append(out.Added, dst)
 		}
-		sh.mu.RUnlock()
 	}
 	return out, true
 }
 
-// Contains reports membership, locking only the tuple's shard. It
-// allocates nothing.
+// Contains reports membership under the read lock. It allocates nothing.
 func (r *Relation) Contains(t Tuple) bool {
 	h := HashTuple(t)
-	sh := r.shardFor(t)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.findLocked(t, h) >= 0
+	st := r.store
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.findLocked(t, h) >= 0
 }
 
-// Tuples returns a materialized snapshot of the tuple set, backed by a
-// single value arena (two allocations however many tuples there are),
-// sized by the rows that are live — not by every row ever appended, which
-// on a relation that churns is mostly tombstones.
+// Tuples returns a materialized snapshot of the tuple set in insertion
+// order, backed by a single value arena (two allocations however many
+// tuples there are), sized by the rows that are live — not by every row
+// ever appended, which on a relation that churns is mostly tombstones.
 // The snapshot never aliases live column blocks; callers must still not
-// modify it (tuples share the arena). For sharded relations the
-// per-shard segments concatenate, so global insertion order is not
-// preserved — use SortedTuples for deterministic order. This accessor is
-// not instrumented; use Scan for measured access.
+// modify it (tuples share the arena). This accessor is not instrumented;
+// use Scan for measured access.
 func (r *Relation) Tuples() []Tuple {
-	views := make([]shardView, len(r.shards))
-	total := 0
-	for i := range r.shards {
-		views[i] = r.shards[i].view()
-		total += views[i].live()
-	}
+	v := r.store.view()
+	total := v.live()
 	out := make([]Tuple, total)
 	arena := make([]Value, total*r.arity)
 	k := 0
-	for _, v := range views {
-		for row := 0; row < v.rows; row++ {
-			if v.isDead(row) {
-				continue
-			}
-			dst := Tuple(arena[k*r.arity : (k+1)*r.arity])
-			v.read(row, dst)
-			out[k] = dst
-			k++
+	for row := 0; row < v.rows; row++ {
+		if v.isDead(row) {
+			continue
 		}
+		dst := Tuple(arena[k*r.arity : (k+1)*r.arity])
+		v.read(row, dst)
+		out[k] = dst
+		k++
 	}
 	return out[:k]
 }
@@ -1180,20 +1043,18 @@ func (r *Relation) Scan(yield func(Tuple) bool) {
 	r.LookupTally(nil, make(Tuple, r.arity), nil, yield)
 }
 
-// scan yields every live row of every shard through scratch until yield
-// stops it, returning the number of tuples it yielded.
+// scan yields every live row through scratch until yield stops it,
+// returning the number of tuples it yielded.
 func (r *Relation) scan(scratch Tuple, yield func(Tuple) bool) (examined int64) {
-	for i := range r.shards {
-		v := r.shards[i].view()
-		for row := 0; row < v.rows; row++ {
-			if v.isDead(row) {
-				continue
-			}
-			v.read(row, scratch)
-			examined++
-			if !yield(scratch) {
-				return examined
-			}
+	v := r.store.view()
+	for row := 0; row < v.rows; row++ {
+		if v.isDead(row) {
+			continue
+		}
+		v.read(row, scratch)
+		examined++
+		if !yield(scratch) {
+			return examined
 		}
 	}
 	return examined
@@ -1206,23 +1067,18 @@ type Binding struct {
 }
 
 // Lookup iterates the tuples matching all bindings. With at least one
-// binding it probes posting-list indexes — per shard, the index of the
-// most selective bound column, the one whose posting list for its value
-// is shortest — and filters the remaining bindings row by row against
-// the column blocks; with none it degrades to a full scan. A binding on
-// ShardColumn restricts the probe to the single shard that can hold
-// matches; otherwise every shard is probed. IndexLookups counts one
-// probe per shard actually probed — a ShardColumn-bound lookup costs 1,
-// an unrouted lookup over n shards costs up to n (fewer when yield stops
-// the iteration early) — so the Property-3 accounting reflects the real
-// number of restricted index probes rather than the number of Lookup
-// calls. Indexes for bound columns are built per shard on first use, so
-// selectivity is compared on actual posting lists rather than guessed.
+// binding it probes a posting-list index — that of the most selective
+// bound column, the one whose posting list for its value is shortest —
+// and filters the remaining bindings row by row against the column
+// blocks; with none it degrades to a full scan. IndexLookups counts one
+// probe per bound Lookup. Indexes for bound columns are built on first
+// use, so selectivity is compared on actual posting lists rather than
+// guessed.
 //
 // The yielded tuple is a reused scratch buffer, valid only until yield
 // returns — copy it to keep it. Tuples matching one binding are yielded
-// in the order they were inserted (per shard), which callers that stop at
-// the first match rely on for repeatable TuplesExamined counts.
+// in the order they were inserted, which callers that stop at the first
+// match rely on for repeatable TuplesExamined counts.
 func (r *Relation) Lookup(bindings []Binding, yield func(Tuple) bool) {
 	r.LookupTally(bindings, make(Tuple, r.arity), nil, yield)
 }
@@ -1244,38 +1100,22 @@ func (r *Relation) LookupTally(bindings []Binding, buf Tuple, tally *Tally, yiel
 		r.tallyUp(tally, 0, 1, r.scan(scratch, yield))
 		return
 	}
-	lo, hi := 0, len(r.shards)
-	if hi > 1 {
-		for _, b := range bindings {
-			if b.Col == ShardColumn {
-				lo = r.shardIndex(b.Val)
-				hi = lo + 1
-				break
-			}
-		}
-	}
-	// Several bindings: per shard the fewest rows are walked — the most
-	// selective column — and every binding filters its rows.
+	// Several bindings: the fewest rows are walked — the most selective
+	// column — and every binding filters its rows.
 	var filter []Binding
 	if len(bindings) > 1 {
 		filter = bindings
 	}
-	var probes, examined int64
-	for more := true; more && lo < hi; lo++ {
-		sh := &r.shards[lo]
-		by, d := bindings[0], sh.index(bindings[0].Col)
-		w := d.slot(by.Val)
-		for _, b := range bindings[1:] {
-			in := sh.index(b.Col)
-			if cand := in.slot(b.Val); in.count(cand) < d.count(w) {
-				by, d, w = b, in, cand
-			}
+	st := r.store
+	by, d := bindings[0], st.index(bindings[0].Col)
+	w := d.slot(by.Val)
+	for _, b := range bindings[1:] {
+		in := st.index(b.Col)
+		if cand := in.slot(b.Val); in.count(cand) < d.count(w) {
+			by, d, w = b, in, cand
 		}
-		var n int64
-		n, more = sh.walk(d, w, by, filter, scratch, yield)
-		probes, examined = probes+1, examined+n
 	}
-	r.tallyUp(tally, probes, 0, examined)
+	r.tallyUp(tally, 1, 0, st.walk(d, w, by, filter, scratch, yield))
 }
 
 // tallyUp records one call's probes, scans and examined tuples: in tally
@@ -1305,34 +1145,34 @@ func (r *Relation) tallyUp(tally *Tally, probes, scans, examined int64) {
 // index returns column col's directory, building it under the write lock
 // when there is none: never built, or dropped by tombstone compaction.
 // What it returns stays good for the caller's probe even if it is
-// dropped again the next instant (see shard.cols).
-func (sh *shard) index(col int) *directory {
-	d := sh.cols[col].Load()
+// dropped again the next instant (see store.cols).
+func (st *store) index(col int) *directory {
+	d := st.cols[col].Load()
 	if d == nil {
-		sh.mu.Lock()
-		if d = sh.cols[col].Load(); d == nil {
-			d = sh.buildDirectory(col)
-			sh.cols[col].Store(d)
+		st.mu.Lock()
+		if d = st.cols[col].Load(); d == nil {
+			d = st.buildDirectory(col)
+			st.cols[col].Store(d)
 		}
-		sh.mu.Unlock()
+		st.mu.Unlock()
 	}
 	return d
 }
 
 // walk yields, through scratch, the live rows that w stands for — the
-// word of by.Val's slot in d, column by.Col's directory in this shard —
-// and that satisfy every binding of filter, returning the number of live
-// rows it read and false when yield stopped it. It takes no lock; the
-// block list is loaded here, after the slot (see shard). The key is filled
-// in per row, because yield may reuse the buffer for a nested probe.
-func (sh *shard) walk(d *directory, w uint64, by Binding, filter []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64, more bool) {
+// word of by.Val's slot in d, column by.Col's directory — and that
+// satisfy every binding of filter, until yield stops it, returning the
+// number of live rows it read. It takes no lock; the block list is loaded
+// here, after the slot (see store). The key is filled in per row, because
+// yield may reuse the buffer for a nested probe.
+func (st *store) walk(d *directory, w uint64, by Binding, filter []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64) {
 	if w == 0 {
-		return 0, true
+		return 0
 	}
 	var lone [1]int32
 	run := d.rows(w, &lone)
-	var v shardView
-	v.resolve(sh)
+	var v storeView
+	v.resolve(st)
 rows:
 	for _, row := range run {
 		if !v.readKeyed(row, by.Col, by.Val, scratch) {
@@ -1345,10 +1185,10 @@ rows:
 			}
 		}
 		if !yield(scratch) {
-			return examined, false
+			return examined
 		}
 	}
-	return examined, true
+	return examined
 }
 
 // Sizes of a staged probe (LookupKeys): sixteen independent misses are
@@ -1363,13 +1203,11 @@ const (
 // goroutine, reused from call to call, so that a call neither allocates
 // nor clears it. The zero value is ready to use.
 type KeyStage struct {
-	// Per probe of the stage: its shard, its run — a view of lone when the
-	// key has the one row its directory slot holds — the ordinal of its key,
-	// and where its rows end among those gathered.
-	sh   [stageProbes]*shard
+	// Per probe of the stage: its run — a view of lone when the key has the
+	// one row its directory slot holds — and where its rows end among those
+	// gathered. The probe's key is keys[k+p] for the stage's first key k.
 	run  [stageProbes][]int32
 	lone [stageProbes]int32
-	k    [stageProbes]int32
 	end  [stageProbes]int32
 	// Per gathered row: its id, then — once read — the ordinal of its key
 	// and its values in vals (arity apiece).
@@ -1384,11 +1222,9 @@ type KeyStage struct {
 // probe is a chain of dependent loads — the directory slot, the run unless
 // the slot holds the key's one row itself, the block row — each a miss on
 // a relation larger than the cache; the keys are independent, so the
-// probes go in stages of stageProbes: every directory slot, then every
+// probes go in stages of stageProbes keys: every directory slot, then every
 // run's length, then the rows named, stageRows at a time, and only then
-// the yields. A probe that is not routed by ShardColumn is one key ×
-// shard pair per shard, staged alike. It reports false when yield stopped
-// it.
+// the yields. It reports false when yield stopped it.
 //
 // The counts of a call that runs to its end are those of the lookups it
 // stands for; a call yield stops has counted the whole stage it stopped
@@ -1396,83 +1232,72 @@ type KeyStage struct {
 // never fewer. A yielded tuple is valid until yield returns, and was live
 // when its row was read — at some instant during the call, not
 // necessarily at its yield.
-func (r *Relation) LookupKeys(col int, keys []Value, st *KeyStage, tally *Tally, yield func(k int, t Tuple) bool) (more bool) {
+func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally, yield func(k int, t Tuple) bool) (more bool) {
 	arity := r.arity
-	if len(st.vals) < stageRows*arity {
-		st.vals = make([]Value, stageRows*arity)
+	if len(ks.vals) < stageRows*arity {
+		ks.vals = make([]Value, stageRows*arity)
 	}
-	fan := len(r.shards)
-	if col == ShardColumn {
-		fan = 1
-	}
+	st := r.store
 	var probes, examined int64
 	more = true
-	for k, s := 0, 0; k < len(keys) && more; {
+	for k := 0; k < len(keys) && more; {
 		// Directory slots: every probe of the stage finds its lone row, or
 		// where its run is; then the runs' lengths. All the runs are loaded
-		// before any block list (see shard).
-		np, unread := 0, uint32(0)
-		for ; np < stageProbes && k < len(keys); np++ {
-			sh := &r.shards[s]
-			if fan == 1 {
-				sh = &r.shards[r.shardIndex(keys[k])]
-			}
-			st.sh[np], st.k[np] = sh, int32(k)
-			d := sh.index(col)
-			switch w := d.slot(keys[k]); {
+		// before the block list (see store).
+		stage := keys[k:min(k+stageProbes, len(keys))]
+		d, unread := st.index(col), uint32(0)
+		for p, key := range stage {
+			switch w := d.slot(key); {
 			case w == 0:
-				st.run[np] = nil
+				ks.run[p] = nil
 			case w&inlineRow != 0:
-				st.lone[np] = loneRow(w)
-				st.run[np] = st.lone[np : np+1]
+				ks.lone[p] = loneRow(w)
+				ks.run[p] = ks.lone[p : p+1]
 			default:
-				st.run[np] = d.room(uint32(w))
-				unread |= 1 << np
-			}
-			if s++; s == fan {
-				k, s = k+1, 0
+				ks.run[p] = d.room(uint32(w))
+				unread |= 1 << p
 			}
 		}
-		probes += int64(np)
+		probes += int64(len(stage))
 		for ; unread != 0; unread &= unread - 1 {
 			p := bits.TrailingZeros32(unread)
-			st.run[p] = runIDs(st.run[p])
+			ks.run[p] = runIDs(ks.run[p])
 		}
-		for p, at := 0, 0; p < np && more; {
+		var v storeView
+		for p, at := 0, 0; p < len(stage) && more; {
 			// Runs: the ids of the rows to read, while the buffer has room;
 			// end[q] closes probe q's share of it.
 			n, from := 0, p
-			for p < np && n < stageRows {
-				run := st.run[p]
+			for p < len(stage) && n < stageRows {
+				run := ks.run[p]
 				for ; at < len(run) && n < stageRows; at, n = at+1, n+1 {
-					st.id[n] = run[at]
+					ks.id[n] = run[at]
 				}
-				st.end[p] = int32(n)
+				ks.end[p] = int32(n)
 				if at < len(run) {
 					break
 				}
 				p, at = p+1, 0
 			}
 			// Rows: read into the buffer, closing up over tombstoned ones.
+			if n > 0 && v.blocks == nil {
+				v.resolve(st)
+			}
 			live := 0
 			for q, i := from, 0; i < n; q++ {
-				if i == int(st.end[q]) {
-					continue
-				}
-				var v shardView
-				v.resolve(st.sh[q])
-				for ord := st.k[q]; i < int(st.end[q]); i++ {
-					if v.readKeyed(st.id[i], col, keys[ord], st.vals[live*arity:(live+1)*arity]) {
-						st.of[live] = ord
+				for ord := int32(k + q); i < int(ks.end[q]); i++ {
+					if v.readKeyed(ks.id[i], col, keys[ord], ks.vals[live*arity:(live+1)*arity]) {
+						ks.of[live] = ord
 						live++
 					}
 				}
 			}
 			examined += int64(live)
 			for i := 0; i < live && more; i++ {
-				more = yield(int(st.of[i]), st.vals[i*arity:(i+1)*arity:(i+1)*arity])
+				more = yield(int(ks.of[i]), ks.vals[i*arity:(i+1)*arity:(i+1)*arity])
 			}
 		}
+		k += len(stage)
 	}
 	r.tallyUp(tally, probes, 0, examined)
 	return more
@@ -1490,16 +1315,14 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	scratch := make(Tuple, r.arity)
-	for i := range r.shards {
-		v := r.shards[i].view()
-		for row := 0; row < v.rows; row++ {
-			if v.isDead(row) {
-				continue
-			}
-			v.read(row, scratch)
-			if !o.Contains(scratch) {
-				return false
-			}
+	v := r.store.view()
+	for row := 0; row < v.rows; row++ {
+		if v.isDead(row) {
+			continue
+		}
+		v.read(row, scratch)
+		if !o.Contains(scratch) {
+			return false
 		}
 	}
 	return true
@@ -1545,24 +1368,12 @@ func (r *Relation) SortedColumns() (cols [][]Value, rows int) {
 	return cols, rows
 }
 
-// defaultShards picks the shard count for a database's relations: the
-// smallest power of two covering GOMAXPROCS, capped at 64.
-func defaultShards() int {
-	n := 1
-	for n < runtime.GOMAXPROCS(0) && n < 64 {
-		n <<= 1
-	}
-	return n
-}
-
 // Database is a named collection of relations sharing a symbol table and
-// instrumentation counters. It is safe for concurrent use. Relations
-// created through Ensure/AddFact are sharded according to the database's
-// shard setting (default: smallest power of two >= GOMAXPROCS).
+// instrumentation counters. It is safe for concurrent use.
 //
 // A primary database (NewDatabase) tracks epochs: every accepted insert
 // into one of its relations is stamped with the current epoch, recorded
-// in a bounded per-shard delta tail (Relation.DeltaSince), and advances
+// in the relation's bounded delta tail (Relation.DeltaSince), and advances
 // the counter. Derived databases (NewDatabaseWith — semi-naive IDB
 // state, magic-set scratch space) skip the tracking entirely.
 type Database struct {
@@ -1578,9 +1389,8 @@ type Database struct {
 	mutations atomic.Int64
 	track     bool
 
-	mu     sync.RWMutex
-	rels   map[string]*Relation
-	shards int
+	mu   sync.RWMutex
+	rels map[string]*Relation
 
 	// journal, when non-nil, receives every commit's accepted mutations
 	// (tracked databases only). An atomic pointer, so a journal can attach
@@ -1605,7 +1415,7 @@ type Database struct {
 // NewDatabase creates an empty epoch-tracked database with a fresh
 // symbol table.
 func NewDatabase() *Database {
-	return &Database{Syms: NewSymbolTable(), rels: make(map[string]*Relation), shards: defaultShards(), track: true}
+	return &Database{Syms: NewSymbolTable(), rels: make(map[string]*Relation), track: true}
 }
 
 // NewDatabaseWith creates an empty database sharing an existing symbol
@@ -1613,7 +1423,7 @@ func NewDatabase() *Database {
 // epochs — their relations stamp nothing and keep no delta tails — and
 // their relations report to no Counters: Stats stays zero.
 func NewDatabaseWith(syms *SymbolTable) *Database {
-	return &Database{Syms: syms, rels: make(map[string]*Relation), shards: defaultShards()}
+	return &Database{Syms: syms, rels: make(map[string]*Relation)}
 }
 
 // Epoch returns the database's current epoch. An evaluation that records
@@ -1632,7 +1442,7 @@ func (db *Database) LastModified() uint64 { return db.lastMod.Load() }
 // databases always report 0).
 func (db *Database) Mutations() int64 { return db.mutations.Load() }
 
-// stampRun stamps a shard's run of n accepted mutations of one relation
+// stampRun stamps a run of n accepted mutations of one relation
 // (rel is its watermark): it returns the epoch their delta-tail entries
 // carry and moves the epoch, and the mutation count, n past it. Both
 // watermarks reach the stamp BEFORE the epoch leaves it, and the
@@ -1641,7 +1451,8 @@ func (db *Database) Mutations() int64 { return db.mutations.Load() }
 // DeltaSince bound — already finds LastModified at or above it and
 // cannot step over the mutation for good. (A failed attempt leaves the
 // watermarks below the final stamp, which is harmless.) The caller holds
-// the shard lock, so the entries themselves appear when it is released.
+// the relation's write lock, so the entries themselves appear when it is
+// released.
 func (db *Database) stampRun(rel *atomic.Uint64, n int) uint64 {
 	for {
 		stamp := db.epoch.Load()
@@ -1714,26 +1525,10 @@ func (db *Database) NotifyWatchers() {
 	db.watchMu.Unlock()
 }
 
-// SetShards sets the shard count for relations created afterwards,
-// rounded up to a power of two so the stored value matches what the
-// relations actually get (< 1 means one shard). Existing relations keep
-// their partitioning.
-func (db *Database) SetShards(n int) {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	db.mu.Lock()
-	db.shards = p
-	db.mu.Unlock()
-}
-
-// Shards returns the shard count used for newly created relations.
-func (db *Database) Shards() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.shards
-}
+// Shards returns 1.
+//
+// Deprecated: relations have one store; kept for bench/traced.go until ROADMAP item 4 rewrites it.
+func (db *Database) Shards() int { return 1 }
 
 // SetJournal attaches a journal (or detaches, with nil) to a primary
 // database: every fresh symbol intern and every commit's accepted
@@ -1806,7 +1601,7 @@ func (db *Database) Declare(pred string, arity int) (r *Relation, ok bool) {
 	// The name is copied for the same reason a symbol's is (SymbolTable):
 	// the caller's may be a slice of a whole source text.
 	pred = strings.Clone(pred)
-	r = NewShardedRelation(arity, stats, db.shards)
+	r = NewRelation(arity, stats)
 	r.name = pred
 	if db.track {
 		r.db = db

@@ -126,6 +126,93 @@ func TestScanCountsAsFullScan(t *testing.T) {
 	}
 }
 
+// TestZeroArityRelation pins the degenerate case: an arity-0 relation is
+// a set of at most one empty tuple.
+func TestZeroArityRelation(t *testing.T) {
+	r := NewRelation(0, nil)
+	if !r.Insert(Tuple{}) || r.Insert(Tuple{}) {
+		t.Fatal("arity-0 insert dedup broken")
+	}
+	if r.Len() != 1 || !r.Contains(Tuple{}) {
+		t.Fatal("arity-0 membership broken")
+	}
+}
+
+// TestLookupCountsOneProbe is the Property-3 accounting: a Lookup with a
+// bound column costs one IndexLookups whichever column is bound — the
+// first, another, several, or one the caller stops early.
+func TestLookupCountsOneProbe(t *testing.T) {
+	var stats Counters
+	r := NewRelation(2, &stats)
+	for i := 0; i < 64; i++ {
+		r.Insert(Tuple{Value(i), Value(i % 7)})
+	}
+	for _, c := range []struct {
+		bindings []Binding
+		stop     bool
+		want     int
+	}{
+		{[]Binding{{Col: 0, Val: 3}}, false, 1},
+		{[]Binding{{Col: 1, Val: 2}}, false, 9},
+		{[]Binding{{Col: 1, Val: 2}, {Col: 0, Val: 9}}, false, 1},
+		{[]Binding{{Col: 1, Val: 2}}, true, 5},
+	} {
+		stats.Reset()
+		n := 0
+		r.Lookup(c.bindings, func(Tuple) bool { n++; return !c.stop || n < 5 })
+		if n != c.want {
+			t.Fatalf("%v: yielded %d tuples, want %d", c.bindings, n, c.want)
+		}
+		if got := stats.Snapshot(); got.IndexLookups != 1 || got.FullScans != 0 {
+			t.Fatalf("%v: recorded %d probes and %d full scans, want 1 and 0", c.bindings, got.IndexLookups, got.FullScans)
+		}
+	}
+}
+
+// TestShardedLookupEarlyStop checks that a yield returning false stops a
+// lookup bound on a non-first column mid-way.
+func TestShardedLookupEarlyStop(t *testing.T) {
+	r := NewRelation(2, nil)
+	for i := 0; i < 100; i++ {
+		r.Insert(Tuple{Value(i), 7})
+	}
+	seen := 0
+	r.Lookup([]Binding{{Col: 1, Val: 7}}, func(Tuple) bool {
+		seen++
+		return seen < 5
+	})
+	if seen != 5 {
+		t.Fatalf("yield called %d times after early stop, want 5", seen)
+	}
+}
+
+// TestShardedLookupCountsPerShardProbes pins the deprecated sharded
+// constructor to the one-store accounting: whatever shard count it is
+// given, a lookup bound on any column is one IndexLookups probe, and the
+// database reports one shard.
+func TestShardedLookupCountsPerShardProbes(t *testing.T) {
+	var stats Counters
+	r := NewShardedRelation(2, &stats, 8)
+	for i := 0; i < 64; i++ {
+		r.Insert(Tuple{Value(i), Value(i % 7)})
+	}
+	for _, col := range []int{0, 1} {
+		stats.Reset()
+		n := 0
+		r.Lookup([]Binding{{Col: col, Val: 3}}, func(Tuple) bool { n++; return true })
+		if n == 0 {
+			t.Fatalf("lookup on column %d found nothing", col)
+		}
+		if got := stats.Snapshot(); got.IndexLookups != 1 || got.FullScans != 0 {
+			t.Fatalf("lookup on column %d recorded %d probes and %d full scans, want 1 and 0",
+				col, got.IndexLookups, got.FullScans)
+		}
+	}
+	if got := NewDatabase().Shards(); got != 1 {
+		t.Fatalf("Database.Shards() = %d, want 1", got)
+	}
+}
+
 func TestScanEarlyStop(t *testing.T) {
 	r := NewRelation(1, nil)
 	for i := 0; i < 5; i++ {
@@ -274,44 +361,42 @@ func TestCountersAddReset(t *testing.T) {
 // and snapshot them on every tick.
 func TestTuplesSizedByLiveRows(t *testing.T) {
 	const inserted, kept = 10000, 10
-	for _, shards := range []int{1, 4} {
-		r := NewShardedRelation(2, nil, shards)
-		for i := 0; i < inserted; i++ {
-			r.Insert(Tuple{Value(i), Value(i + 1)})
+	r := NewRelation(2, nil)
+	for i := 0; i < inserted; i++ {
+		r.Insert(Tuple{Value(i), Value(i + 1)})
+	}
+	for i := kept; i < inserted; i++ {
+		if !r.Retract(Tuple{Value(i), Value(i + 1)}) {
+			t.Fatalf("retract %d refused", i)
 		}
-		for i := kept; i < inserted; i++ {
-			if !r.Retract(Tuple{Value(i), Value(i + 1)}) {
-				t.Fatalf("shards=%d: retract %d refused", shards, i)
-			}
+	}
+	want := map[tupleKey]bool{}
+	r.Scan(func(tup Tuple) bool { want[tkey(tup)] = true; return true })
+	got := r.Tuples()
+	if len(got) != kept || len(want) != kept {
+		t.Fatalf("Tuples has %d rows, Scan %d, want %d", len(got), len(want), kept)
+	}
+	for _, tup := range got {
+		if !want[tkey(tup)] {
+			t.Fatalf("Tuples yields %v, Scan does not", tup)
 		}
-		want := map[tupleKey]bool{}
-		r.Scan(func(tup Tuple) bool { want[tkey(tup)] = true; return true })
-		got := r.Tuples()
-		if len(got) != kept || len(want) != kept {
-			t.Fatalf("shards=%d: Tuples has %d rows, Scan %d, want %d", shards, len(got), len(want), kept)
-		}
-		for _, tup := range got {
-			if !want[tkey(tup)] {
-				t.Fatalf("shards=%d: Tuples yields %v, Scan does not", shards, tup)
-			}
-		}
-		if c := cap(got); c != kept {
-			t.Errorf("shards=%d: Tuples sized for %d rows, %d are live", shards, c, kept)
-		}
-		if n := testing.AllocsPerRun(20, func() { r.Tuples() }); n > 3 {
-			t.Errorf("shards=%d: Tuples allocates %v objects, want the view list and two arenas", shards, n)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 100; i++ {
-			r.Tuples()
-		}
-		runtime.ReadMemStats(&after)
-		// 10 tuple headers and 20 values are 400 bytes; the view list is 56
-		// bytes a shard. The arena of every row ever appended was 400 KB.
-		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1024 {
-			t.Errorf("shards=%d: Tuples allocates %d bytes for %d live rows", shards, per, kept)
-		}
+	}
+	if c := cap(got); c != kept {
+		t.Errorf("Tuples sized for %d rows, %d are live", c, kept)
+	}
+	if n := testing.AllocsPerRun(20, func() { r.Tuples() }); n > 2 {
+		t.Errorf("Tuples allocates %v objects, want two arenas", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100; i++ {
+		r.Tuples()
+	}
+	runtime.ReadMemStats(&after)
+	// 10 tuple headers and 20 values are 400 bytes. The arena of every row
+	// ever appended was 400 KB.
+	if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 1024 {
+		t.Errorf("Tuples allocates %d bytes for %d live rows", per, kept)
 	}
 }
 
@@ -324,7 +409,7 @@ func TestTuplesCountsOnlyTheViewsTombstones(t *testing.T) {
 		r.Insert(Tuple{Value(i)})
 	}
 	r.Retract(Tuple{Value(3)})
-	v := r.shards[0].view()
+	v := r.store.view()
 	for i := 70; i < 100; i++ {
 		r.Insert(Tuple{Value(i)})
 		r.Retract(Tuple{Value(i)})

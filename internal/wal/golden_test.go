@@ -57,14 +57,17 @@ func goldenWorkload(db *storage.Database, l *Log) {
 	l.AppendRules("t(X, Y) :- edge(X, Z), t(Z, Y).", "t(X, Y) :- edge(X, Y).")
 }
 
-// TestGoldenBytes pins the log and snapshot formats to the bytes the
-// commit before the symbol table owned its text wrote (testdata/golden-*,
-// generated there with -update-golden): a segment and a snapshot of the
-// same history must come out byte for byte the same — Values are assigned
-// in the same order, and the intern hook sees the same names in that
-// order — and recovering the committed files must give the same symbol
-// table and the same facts, so that either side reads what the other
-// wrote.
+// TestGoldenBytes pins the log and snapshot formats to committed bytes
+// (testdata/golden-*, written with -update-golden): the segment as the
+// commit before the symbol table owned its text wrote it, the snapshot as
+// the commit that gave each relation one store did — it differs from the
+// earlier one in a single RelSnap.Epoch, which since then is the stamp of
+// the relation's last run and no longer depends on GOMAXPROCS. A segment
+// and a snapshot of the same history must come out byte for byte the same
+// — Values are assigned in the same order, and the intern hook sees the
+// same names in that order — and recovering the committed files must give
+// the same symbol table and the same facts, so that either side reads
+// what the other wrote.
 func TestGoldenBytes(t *testing.T) {
 	dir := t.TempDir()
 	db, l, _, _ := openJournaled(t, dir, SyncBatch)

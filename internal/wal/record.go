@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -35,11 +36,22 @@ func appendString(b []byte, s string) []byte {
 
 // readString consumes a uvarint-length-prefixed string.
 func readString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
+	n, sz := uvarint(b)
 	if sz <= 0 || n > uint64(len(b)-sz) {
-		return "", nil, fmt.Errorf("wal: truncated string")
+		return "", nil, errors.New("truncated string")
 	}
 	return string(b[sz : sz+int(n)]), b[sz+int(n):], nil
+}
+
+// uvarint is binary.Uvarint refusing, like a malformed one, an encoding
+// longer than it needs to be (sz <= 0): every value it accepts re-encodes
+// to the bytes it was read from.
+func uvarint(b []byte) (n uint64, sz int) {
+	n, sz = binary.Uvarint(b)
+	if sz > 1 && b[sz-1] == 0 {
+		return 0, -sz
+	}
+	return n, sz
 }
 
 // frame completes the record whose header was reserved at dst[start:]
@@ -78,7 +90,7 @@ func appendTupleRecord(dst []byte, kind byte, pred string, t storage.Tuple) []by
 func decodeFact(body []byte) (pred string, vals []storage.Value, err error) {
 	pred, body, err = readString(body)
 	if err != nil {
-		return "", nil, err
+		return "", nil, fmt.Errorf("wal: fact: %w", err)
 	}
 	arity, sz := binary.Uvarint(body)
 	if sz <= 0 {

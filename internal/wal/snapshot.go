@@ -28,6 +28,11 @@ const snapMagic = "OSRSNAP3"
 // were pruned, so skipping it would silently drop data.
 var ErrSnapshotVersion = errors.New("wal: snapshot written in a retired format")
 
+// ErrCorruptSnapshot reports snapshot bytes that are not a well-formed
+// snapshot: a wrong magic, a checksum mismatch, or a body that does not
+// decode.
+var ErrCorruptSnapshot = errors.New("wal: corrupt snapshot")
+
 // RelSnap is one relation's block in a snapshot: the predicate, its
 // arity, the epoch stamp of its newest insert and its tuple count at
 // collection time, and either the tuple set in sorted order (a full
@@ -150,11 +155,22 @@ func (s *Snapshot) encode() []byte {
 
 // readUvarint consumes a uvarint.
 func readUvarint(b []byte) (uint64, []byte, error) {
-	n, sz := binary.Uvarint(b)
+	n, sz := uvarint(b)
 	if sz <= 0 {
-		return 0, nil, fmt.Errorf("wal: truncated snapshot varint")
+		return 0, nil, errors.New("malformed varint")
 	}
 	return n, b[sz:], nil
+}
+
+// readCount consumes the length of a list whose entries take at least a
+// byte each, refusing one the rest of the body cannot hold — so a
+// damaged length fails here rather than in an allocation.
+func readCount(b []byte) (uint64, []byte, error) {
+	n, b, err := readUvarint(b)
+	if err == nil && n > uint64(len(b)) {
+		err = fmt.Errorf("%d entries in %d bytes", n, len(b))
+	}
+	return n, b, err
 }
 
 // decodeSnapshot parses a snapshot body.
@@ -165,7 +181,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 	if s.SymBase, b, err = readUvarint(b); err != nil {
 		return nil, err
 	}
-	if n, b, err = readUvarint(b); err != nil {
+	if n, b, err = readCount(b); err != nil {
 		return nil, err
 	}
 	s.Syms = make([]string, n)
@@ -174,7 +190,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	if n, b, err = readUvarint(b); err != nil {
+	if n, b, err = readCount(b); err != nil {
 		return nil, err
 	}
 	s.Rels = make([]RelSnap, n)
@@ -196,7 +212,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		}
 		r.Retracts = int64(ret)
 		if len(b) == 0 {
-			return nil, fmt.Errorf("wal: truncated relation block kind")
+			return nil, errors.New("truncated relation block kind")
 		}
 		kind := b[0]
 		b = b[1:]
@@ -213,14 +229,19 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 			continue
 		}
 		if kind != 0 {
-			return nil, fmt.Errorf("wal: unknown relation block kind %d", kind)
+			return nil, fmt.Errorf("unknown relation block kind %d", kind)
 		}
 		var count uint64
 		if count, b, err = readUvarint(b); err != nil {
 			return nil, err
 		}
+		// Every value takes at least a byte; an arity-0 relation holds the
+		// empty tuple or nothing.
+		if arity == 0 && count > 1 || arity > 0 && count > uint64(len(b))/arity {
+			return nil, fmt.Errorf("%s: %d tuples of arity %d in %d bytes", r.Pred, count, arity, len(b))
+		}
 		r.Count = int(count)
-		if arity > 0 {
+		if arity > 0 && count > 0 {
 			r.Cols = make([][]storage.Value, arity)
 			for c := range r.Cols {
 				r.Cols[c] = make([]storage.Value, count)
@@ -233,13 +254,13 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 					return nil, err
 				}
 				if v > 0xFFFFFFFF {
-					return nil, fmt.Errorf("wal: snapshot value out of range")
+					return nil, errors.New("value out of range")
 				}
 				r.Cols[k][j] = storage.Value(uint32(v))
 			}
 		}
 	}
-	if n, b, err = readUvarint(b); err != nil {
+	if n, b, err = readCount(b); err != nil {
 		return nil, err
 	}
 	s.Rules = make([]string, n)
@@ -248,7 +269,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 			return nil, err
 		}
 	}
-	if n, b, err = readUvarint(b); err != nil {
+	if n, b, err = readCount(b); err != nil {
 		return nil, err
 	}
 	s.Shapes = make([]string, n)
@@ -258,7 +279,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing snapshot bytes", len(b))
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
 	}
 	return s, nil
 }
@@ -299,29 +320,31 @@ func writeSnapshot(dir string, seq uint64, s *Snapshot) error {
 
 // DecodeSnapshotBytes parses and CRC-validates a complete snapshot file
 // image and returns the covered sequence and the decoded snapshot; a
-// file in a retired format is ErrSnapshotVersion. A replication follower
-// uses this on snapshot bytes fetched over HTTP before writing them to
-// its local mirror.
+// file in a retired format is ErrSnapshotVersion, any other that does
+// not decode ErrCorruptSnapshot. An accepted snapshot re-encodes to the
+// very body it was read from. A replication follower uses this on
+// snapshot bytes fetched over HTTP before writing them to its local
+// mirror.
 func DecodeSnapshotBytes(data []byte) (uint64, *Snapshot, error) {
 	if len(data) < len(snapMagic)+12 {
-		return 0, nil, fmt.Errorf("wal: not a snapshot file")
+		return 0, nil, fmt.Errorf("%w: not a snapshot file", ErrCorruptSnapshot)
 	}
 	switch string(data[:len(snapMagic)]) {
 	case snapMagic:
 	case "OSRSNAP1", "OSRSNAP2":
 		return 0, nil, ErrSnapshotVersion
 	default:
-		return 0, nil, fmt.Errorf("wal: not a snapshot file")
+		return 0, nil, fmt.Errorf("%w: not a snapshot file", ErrCorruptSnapshot)
 	}
 	seq := binary.LittleEndian.Uint64(data[len(snapMagic):])
 	body := data[len(snapMagic)+8 : len(data)-4]
 	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, castagnoli) != crc {
-		return 0, nil, fmt.Errorf("wal: snapshot checksum mismatch")
+		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptSnapshot)
 	}
 	s, err := decodeSnapshot(body)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
 	return seq, s, nil
 }

@@ -141,9 +141,8 @@ func (rs *Rows) Len() int {
 // All streams the answers. On a live Rows the first call yields each
 // answer as it is derived, in derivation order; breaking out of the
 // range stops the evaluation early. On a materialized Rows (and on
-// repeated calls) it iterates the answer set; sharded answer relations
-// do not preserve global derivation order there — use Sorted for
-// deterministic output.
+// repeated calls) it iterates the answer set, in an order maintenance
+// may have changed — use Sorted for deterministic output.
 func (rs *Rows) All() iter.Seq[Row] {
 	return func(yield func(Row) bool) {
 		if rs.claimStream() {
@@ -211,7 +210,7 @@ func (rs *Rows) Strings() []string {
 }
 
 // Stats returns the evaluation statistics (Fig. 9 iterations, seen-set
-// size, carry arity, shards, batches), waiting for a
+// size, carry arity, batches), waiting for a
 // streaming evaluation to finish.
 func (rs *Rows) Stats() EvalStats {
 	rs.Wait()
@@ -230,7 +229,7 @@ func (rs *Rows) Counters() Counters {
 }
 
 // Explain returns the plan report: chosen strategy, Theorem 3.4 verdict,
-// Fig. 9 mode, shards and batches, and the strategies that declined. It waits for a streaming evaluation to
+// Fig. 9 mode and batches, and the strategies that declined. It waits for a streaming evaluation to
 // finish.
 func (rs *Rows) Explain() Explain {
 	rs.Wait()

@@ -15,7 +15,7 @@ import (
 // The BenchmarkOneSided* family measures the Fig. 9 machinery. An
 // evaluation runs on the goroutine that asked for it, so the family says
 // nothing more with more threads, BenchmarkOneSidedIngest excepted
-// (concurrent writers on a sharded relation). Reproduce with:
+// (concurrent writers on one relation). Reproduce with:
 //
 //	go test -run '^$' -bench 'OneSided' -benchtime 5x .
 
@@ -55,7 +55,6 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 		st := rows.Stats()
 		b.ReportMetric(float64(rows.Len()), "answers")
 		b.ReportMetric(float64(st.SeenSize), "seen")
-		b.ReportMetric(float64(st.Shards), "shards")
 		b.ReportMetric(float64(st.Batches), "batches")
 	})
 	b.Run("permissions/random=8000x32000", func(b *testing.B) {
@@ -103,28 +102,19 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 }
 
 // BenchmarkOneSidedIngest measures raw concurrent insert throughput into
-// a relation, the contention the sharding removes: all procs hammer one
-// relation, sharded to GOMAXPROCS versus a single partition.
+// a relation: all procs hammer one relation's write lock.
 func BenchmarkOneSidedIngest(b *testing.B) {
-	for _, shards := range []int{1, 0} { // 0 = GOMAXPROCS
-		name := fmt.Sprintf("shards=%d", shards)
-		n := shards
-		if n == 0 {
-			name = "shards=gomaxprocs"
-			n = runtime.GOMAXPROCS(0)
-		}
-		b.Run(name, func(b *testing.B) {
-			rel := storage.NewShardedRelation(2, nil, n)
-			var ctr atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := ctr.Add(1)
-					rel.Insert(storage.Tuple{storage.Value(i % 100003), storage.Value(i / 7)})
-				}
-			})
+	b.Run("parallel", func(b *testing.B) {
+		rel := storage.NewRelation(2, nil)
+		var ctr atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := ctr.Add(1)
+				rel.Insert(storage.Tuple{storage.Value(i % 100003), storage.Value(i / 7)})
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkOneSidedStreamFirstAnswer measures time-to-first-answer of a

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
+
+	"repro/internal/leakcheck"
 )
 
 // chainEngine builds an engine over a long a-chain so the Fig. 9
@@ -25,28 +26,6 @@ func chainEngine(t *testing.T, n int) *Engine {
 		eng.AddFact("b", fmt.Sprintf("n%d", i), fmt.Sprintf("m%d", i))
 	}
 	return eng
-}
-
-// waitForGoroutines polls until the goroutine count drops back to (or
-// below) want, failing after a deadline. Direct equality is too strict —
-// the runtime keeps service goroutines — so the check is "no more than
-// the baseline".
-func waitForGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC() // nudge finalizers; cheap in tests
-		if runtime.NumGoroutine() <= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines stuck at %d, want <= %d\n%s",
-				runtime.NumGoroutine(), want, buf[:n])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // TestStreamEarlyAbandonmentNoGoroutineLeak is the regression for the
@@ -75,7 +54,7 @@ func TestStreamEarlyAbandonmentNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("round %d: early break reported %v", round, err)
 		}
 	}
-	waitForGoroutines(t, baseline)
+	leakcheck.Wait(t, baseline)
 }
 
 // TestStreamAbandonWithoutDrainLeavesNoSender abandons the stream
@@ -95,5 +74,5 @@ func TestStreamAbandonWithoutDrainLeavesNoSender(t *testing.T) {
 		}
 		// No Err/Wait/Len: the Rows is dropped on the floor here.
 	}
-	waitForGoroutines(t, baseline)
+	leakcheck.Wait(t, baseline)
 }
