@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -95,18 +96,26 @@ func main() {
 			}
 		}()
 	}
-	if err := run(*addr, *program, *dataDir, *follow, *promote, onesided.Quota{
-		MaxFacts:         *quotaFacts,
-		MaxDerived:       *quotaGas,
-		MaxDeadline:      *quotaDeadline,
-		MaxSubscriptions: *quotaSubs,
-	}, *maxConcurrent); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	ln, err := net.Listen("tcp", *addr)
+	if err == nil {
+		err = run(ctx, ln, *program, *dataDir, *follow, *promote, onesided.Quota{
+			MaxFacts:         *quotaFacts,
+			MaxDerived:       *quotaGas,
+			MaxDeadline:      *quotaDeadline,
+			MaxSubscriptions: *quotaSubs,
+		}, *maxConcurrent)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "osrd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, program, dataDir, follow string, promote bool, quota onesided.Quota, maxConcurrent int) error {
+// run serves on ln until ctx ends, then shuts the server down and closes
+// the engine.
+func run(ctx context.Context, ln net.Listener, program, dataDir, follow string, promote bool, quota onesided.Quota, maxConcurrent int) error {
 	switch {
 	case follow != "" && promote:
 		return errors.New("-follow and -promote are mutually exclusive")
@@ -170,19 +179,17 @@ func run(addr, program, dataDir, follow string, promote bool, quota onesided.Quo
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: addr, Handler: srv}
+	hs := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 	log.Printf("osrd listening on %s (quota: facts=%d gas=%d deadline=%s)",
-		addr, quota.MaxFacts, quota.MaxDerived, quota.MaxDeadline)
+		ln.Addr(), quota.MaxFacts, quota.MaxDerived, quota.MaxDeadline)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err
-	case s := <-sig:
-		log.Printf("received %s; shutting down", s)
+	case <-ctx.Done():
+		log.Print("shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -91,8 +91,7 @@
 //	eng.Load(src)
 //	eng.Checkpoint()                   // snapshot + log truncation
 //
-// WithSyncPolicy selects the fsync cadence (SyncBatch, SyncAlways,
-// SyncOS).
+// WithSyncPolicy selects the fsync cadence (SyncBatch or SyncAlways).
 //
 // A write request is one commit: Engine.Apply takes a request's inserts
 // and retractions (InsertFacts, RetractFacts, AddFact and Retract are

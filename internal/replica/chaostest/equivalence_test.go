@@ -45,8 +45,8 @@ func dumpDB(db *storage.Database, prefix string, out []eqFact) []eqFact {
 	return out
 }
 
-// buildPrograms assembles scaled-down versions of the five loadgen
-// workloads: quickstart (chain TC), flights (graph reachability),
+// buildPrograms assembles scaled-down versions of the five example
+// programs: quickstart (chain TC), flights (graph reachability),
 // genealogy (same-generation), marketbasket (buys/likes/cheap), and
 // appendix A's bounded recursion.
 func buildPrograms() []program {

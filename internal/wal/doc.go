@@ -72,8 +72,7 @@
 // Appends are buffered; SyncPolicy controls when the buffer reaches the
 // disk platter: SyncBatch (default) fsyncs whenever the batch buffer
 // fills and at every rotation, SyncAlways fsyncs before acknowledging each
-// journal call (concurrent writers share fsyncs by group commit), SyncOS
-// only writes to the OS page cache and fsyncs at rotation/close. See
+// journal call (concurrent writers share fsyncs by group commit). See
 // the benchmarks for the cost spread.
 //
 // A journal call is the unit of durability: JournalRuns frames the

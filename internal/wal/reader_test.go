@@ -79,7 +79,7 @@ func TestCheckSegmentHeader(t *testing.T) {
 
 func TestReadSegmentAtSeesUnsyncedAppends(t *testing.T) {
 	dir := t.TempDir()
-	db, l, _, _ := openJournaled(t, dir, SyncOS) // nothing fsynced per record
+	db, l, _, _ := openJournaled(t, dir, SyncBatch) // nothing fsynced below 64 KiB
 	defer l.Close()
 	db.AddFact("edge", "a", "b")
 	db.AddFact("edge", "b", "c")
@@ -226,7 +226,7 @@ func TestRecoverReportsCursorAndReplaysState(t *testing.T) {
 
 func TestApplierMatchesRecoveryTranslation(t *testing.T) {
 	dir := t.TempDir()
-	db, l, _, _ := openJournaled(t, dir, SyncOS)
+	db, l, _, _ := openJournaled(t, dir, SyncBatch)
 	defer l.Close()
 	db.AddFact("edge", "a", "b")
 	if err := l.Checkpoint(func() (*Snapshot, error) {

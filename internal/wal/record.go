@@ -92,14 +92,16 @@ func decodeFact(body []byte) (pred string, vals []storage.Value, err error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("wal: fact: %w", err)
 	}
-	arity, sz := binary.Uvarint(body)
-	if sz <= 0 {
+	// Every value takes at least a byte: an arity the rest of the body
+	// cannot hold is refused before it sizes an allocation.
+	arity, sz := uvarint(body)
+	if sz <= 0 || arity > uint64(len(body)-sz) {
 		return "", nil, fmt.Errorf("wal: truncated fact arity")
 	}
 	body = body[sz:]
 	vals = make([]storage.Value, arity)
 	for i := range vals {
-		v, sz := binary.Uvarint(body)
+		v, sz := uvarint(body)
 		if sz <= 0 || v > 0xFFFFFFFF {
 			return "", nil, fmt.Errorf("wal: truncated fact value")
 		}

@@ -203,7 +203,7 @@ func TestRecoveryRepairedTailStaysRecoverable(t *testing.T) {
 // replaying it into a fresh one.
 func BenchmarkCheckpointRecover(b *testing.B) {
 	dir := b.TempDir()
-	db, l, _, _ := openJournaled(b, dir, SyncOS)
+	db, l, _, _ := openJournaled(b, dir, SyncBatch)
 	for i := 0; i < 5000; i++ {
 		db.AddFact("edge", fmt.Sprintf("n%d", i%700), fmt.Sprintf("n%d", (i*13+1)%700))
 	}
@@ -219,7 +219,7 @@ func BenchmarkCheckpointRecover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := storage.NewDatabase()
 		replay, _, _ := dbReplay(rec)
-		l, err := Open(dir, SyncOS, replay)
+		l, err := Open(dir, SyncBatch, replay)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -203,6 +203,11 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		if arity, b, err = readUvarint(b); err != nil {
 			return nil, err
 		}
+		// A fact of arity n takes at least n bytes of one record, so no
+		// log holds a relation wider than a record.
+		if arity > maxRecordSize {
+			return nil, fmt.Errorf("%s: arity %d wider than a record", r.Pred, arity)
+		}
 		r.Arity = int(arity)
 		if r.Epoch, b, err = readUvarint(b); err != nil {
 			return nil, err

@@ -44,22 +44,14 @@ const (
 	// group, then releases all of its waiters, so the fsync rate scales
 	// with commit groups rather than with records.
 	SyncAlways
-	// SyncOS hands filled batches to the OS page cache without fsync;
-	// the log only fsyncs at checkpoint rotation and Close. Fastest, and
-	// a power failure may lose everything since the last checkpoint.
-	SyncOS
 )
 
 // String names the policy for Explain-style output.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
+	if p == SyncAlways {
 		return "always"
-	case SyncOS:
-		return "os"
-	default:
-		return "batch"
 	}
+	return "batch"
 }
 
 // ErrClosed is returned by operations on a closed log.
@@ -568,6 +560,9 @@ func (st *replayState) applySnapshot(s *Snapshot, resolvedSyms []string, bases m
 			base := findRelBlock(bases[r.BaseSeq], r.Pred)
 			cols, count = base.Cols, base.Count
 		}
+		if count == 0 {
+			continue // an empty block's arity may be up to maxRecordSize
+		}
 		t := make(storage.Tuple, r.Arity)
 		for j := 0; j < count; j++ {
 			for c := range cols {
@@ -707,8 +702,7 @@ func (l *Log) openSegment() error {
 
 // write puts a framed run of records records into the log under the
 // sync policy: SyncAlways returns only after a covering group-commit
-// fsync, SyncBatch fsyncs per filled batch, and SyncOS leaves flushing
-// to the bufio buffer filling (checkpoint and close still fsync).
+// fsync, SyncBatch fsyncs per filled batch.
 func (l *Log) write(rec []byte, records int) {
 	if l.policy == SyncAlways {
 		l.groupCommit(rec, records)
@@ -719,7 +713,7 @@ func (l *Log) write(rec []byte, records int) {
 	if !l.writeLocked(rec, records) {
 		return
 	}
-	if l.policy == SyncBatch && l.pending >= batchBytes {
+	if l.pending >= batchBytes {
 		l.fail(l.syncLocked())
 	}
 }

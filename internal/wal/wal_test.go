@@ -111,7 +111,7 @@ func TestLogCheckpointPrunesAndRecovers(t *testing.T) {
 }
 
 func TestLogSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncBatch, SyncAlways, SyncOS} {
+	for _, pol := range []SyncPolicy{SyncBatch, SyncAlways} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			db, l, _, _ := openJournaled(t, dir, pol)

@@ -85,16 +85,14 @@ func WithAutoCheckpoint(inserts int) Option {
 
 // SyncPolicy selects when the persistence log fsyncs appended records:
 // SyncBatch (the default) amortizes one fsync over a filled batch
-// buffer, SyncAlways fsyncs every accepted insert, SyncOS leaves
-// flushing to the OS page cache between checkpoints. See the wal
-// package for the durability/throughput trade-off.
+// buffer, SyncAlways fsyncs every accepted insert. See the wal package
+// for the durability/throughput trade-off.
 type SyncPolicy = wal.SyncPolicy
 
 // Sync policy values for WithSyncPolicy.
 const (
 	SyncBatch  = wal.SyncBatch
 	SyncAlways = wal.SyncAlways
-	SyncOS     = wal.SyncOS
 )
 
 // WithPersistence makes the engine durable: dir holds an append-only,
