@@ -94,8 +94,8 @@ type Engine struct {
 	// budget withGasCtx attaches.
 	quota Quota
 
-	hits, misses, evictions, rewarmed atomic.Int64
-	resHits, resUpdated, resRebuilt   atomic.Int64
+	hits, misses, evictions, rewarmed           atomic.Int64
+	resHits, resUpdated, resRebuilt, resRefixed atomic.Int64
 
 	// subs counts the open subscriptions (Subscribe), gated by the
 	// quota's MaxSubscriptions.
@@ -374,12 +374,16 @@ type Explain struct {
 	// (eval.EvalStats): candidates taken out, and candidates put back.
 	Overdeleted int
 	Rederived   int
+	// Refixes counts the maintenance passes since the build that overran
+	// their round budget and re-ran the Fig. 9 loop instead (context mode).
+	Refixes int
 }
 
 // String renders the report in the compact key=value form the CLI and
 // examples print, e.g.
 // `strategy=onesided adornment=bf plan-cache=hit mode=context carry-arity=1 batches=4`;
-// answers that have absorbed retractions add `dred=<overdeleted>/<rederived>`.
+// answers that have absorbed retractions add `dred=<overdeleted>/<rederived>`,
+// and answers a maintenance pass refixed `refix=<passes>`.
 func (ex Explain) String() string {
 	var b strings.Builder
 	field := func(key, val string) {
@@ -414,6 +418,7 @@ func (ex Explain) String() string {
 		b.WriteByte('/')
 		b.WriteString(strconv.Itoa(ex.Rederived))
 	}
+	count(" refix=", ex.Refixes)
 	if ex.Detail != "" {
 		b.WriteString(" (")
 		b.WriteString(ex.Detail)
@@ -743,6 +748,7 @@ func (pq *PreparedQuery) explainWithStats(stats eval.EvalStats) Explain {
 	ex := pq.Explain()
 	ex.Batches = stats.Batches
 	ex.Overdeleted, ex.Rederived = stats.Overdeleted, stats.Rederived
+	ex.Refixes = stats.Refixes
 	return ex
 }
 
@@ -974,7 +980,11 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 				mode = "hit"
 			default:
 				entry.stamp = newStamp
+				refixes := entry.stats.Refixes
 				entry.stats = entry.inc.Stats()
+				if entry.stats.Refixes > refixes {
+					e.resRefixed.Add(1)
+				}
 				e.resUpdated.Add(1)
 				mode = "updated"
 			}
@@ -1473,15 +1483,21 @@ func (e *Engine) rewarmShapes(shapes []string) {
 // Updated moved a retained fixpoint by just the signed delta, Rebuilt
 // evaluated in full (first build, LRU eviction, a batch-shared answer
 // set gone stale, an overflowed delta tail, or a maintenance pass cut
-// short by cancellation or gas). Entries counts the resident answer sets.
+// short by cancellation or gas). Refixed counts the Updated passes that
+// overran their round budget and re-ran the Fig. 9 loop instead. Entries
+// counts the resident answer sets.
 type ResultCacheStats struct {
-	Hits, Updated, Rebuilt int64
-	Entries                int
+	Hits, Updated, Rebuilt, Refixed int64
+	Entries                         int
 }
 
 func (rs ResultCacheStats) String() string {
-	return fmt.Sprintf("hits=%d updated=%d rebuilt=%d entries=%d",
+	s := fmt.Sprintf("hits=%d updated=%d rebuilt=%d entries=%d",
 		rs.Hits, rs.Updated, rs.Rebuilt, rs.Entries)
+	if rs.Refixed > 0 {
+		s += fmt.Sprintf(" refixed=%d", rs.Refixed)
+	}
+	return s
 }
 
 // CacheStats reports the plan cache's effectiveness: hits and misses
@@ -1525,6 +1541,7 @@ func (e *Engine) CacheStats() CacheStats {
 			Hits:    e.resHits.Load(),
 			Updated: e.resUpdated.Load(),
 			Rebuilt: e.resRebuilt.Load(),
+			Refixed: e.resRefixed.Load(),
 			Entries: resEntries,
 		},
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -1087,5 +1088,253 @@ func TestResultCacheConvergesUnderConcurrentWriters(t *testing.T) {
 					round, query, rows.Explain().ResultCache, have, missing)
 			}
 		}
+	}
+}
+
+// TestRefixMatchesBottomUp: a context-mode entry over ten 2 000-node
+// chains absorbs a seeded random sequence of writes. A cut or a splice
+// near a chain's head cascades more rounds than a pass's budget allows
+// and refixes; a cut in a chain's second half stays under it; exits come
+// and go, and the anchor-free guard d flips off and on. After every write
+// the maintained answers equal a from-scratch bottom-up evaluation, an
+// open subscription's folded events equal the answers, and the entry is
+// never rebuilt.
+func TestRefixMatchesBottomUp(t *testing.T) {
+	const chains, n = 10, 2000
+	eng, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load("t(X, Y) :- a(X, Z), t(Z, Y), d(W).\nt(X, Y) :- b(X, Y).\n"); err != nil {
+		t.Fatal(err)
+	}
+	node := func(k, i int) string { return fmt.Sprintf("c%d_%d", k, i) }
+	edge := func(k, i int) Fact { return Fact{"a", []string{node(k, i), node(k, i+1)}} }
+	guard := Fact{"d", []string{"on"}}
+	exits := []Fact{{"b", []string{"r", "direct"}}}
+	facts := []Fact{guard}
+	for k := 0; k < chains; k++ {
+		facts = append(facts, Fact{"a", []string{"r", node(k, 0)}})
+		for i := 0; i < n-1; i++ {
+			facts = append(facts, edge(k, i))
+			if i%100 == 99 {
+				exits = append(exits, Fact{"b", []string{node(k, i), fmt.Sprintf("x%d_%d", k, i)}})
+			}
+		}
+	}
+	if _, err := eng.InsertFacts(append(facts, exits...)); err != nil {
+		t.Fatal(err)
+	}
+	// The oracle: the query's reachable contexts and answers, evaluated
+	// bottom-up from scratch over the current facts.
+	oracle, _, err := ParseSource(`
+		reach(Z) :- a(r, Z), d(W).
+		reach(Z) :- reach(X), a(X, Z).
+		ans(Y) :- b(r, Y).
+		ans(Y) :- reach(X), b(X, Y).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rows, err := eng.Query(ctx, "t(r, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := rows.Explain(); ex.Mode != "context" || ex.ResultCache != "rebuilt" || rows.Len() != len(exits) {
+		t.Fatalf("first query: %v, %d answers; want a context-mode build with %d", ex, rows.Len(), len(exits))
+	}
+	sub, err := eng.Subscribe(ctx, "t(r, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	folded := make(map[string]bool)
+
+	refixes := 0
+	check := func(step int, what string) (refixed bool) {
+		t.Helper()
+		rows, err := eng.Query(ctx, "t(r, Y)")
+		if err != nil {
+			t.Fatalf("step %d %s: %v", step, what, err)
+		}
+		ex := rows.Explain()
+		if ex.ResultCache == "rebuilt" {
+			t.Fatalf("step %d %s: the entry was rebuilt: %v", step, what, ex)
+		}
+		res, err := eval.SemiNaive(oracle, eng.DB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, y := range Answers(res.IDB.Relation("ans"), eng.DB()) {
+			want = append(want, "r,"+y)
+		}
+		sort.Strings(want)
+		if got := rows.Strings(); fmt.Sprint(got) != fmt.Sprint(want) {
+			have := make(map[string]bool, len(got))
+			for _, row := range got {
+				have[row] = true
+			}
+			var missing []string
+			for _, row := range want {
+				if !have[row] {
+					missing = append(missing, row)
+				}
+				delete(have, row)
+			}
+			t.Fatalf("step %d %s: maintained answers hold %d rows bottom-up lacks %v and lack %v", step, what, len(have), have, missing)
+		}
+		// The pump re-derives on its own goroutine: fold its events until
+		// they reach the answers.
+		deadline := time.After(10 * time.Second)
+		for len(folded) != len(want) || !containsAll(folded, want) {
+			select {
+			case ev, ok := <-sub.Events():
+				if !ok {
+					t.Fatalf("step %d %s: subscription closed: %v", step, what, sub.Err())
+				}
+				applyEvent(folded, ev)
+			case <-deadline:
+				t.Fatalf("step %d %s: folded subscription %d rows never reached the %d answers", step, what, len(folded), len(want))
+			}
+		}
+		refixed = ex.Refixes > refixes
+		refixes = ex.Refixes
+		return refixed
+	}
+	check(0, "subscribe")
+
+	rng := rand.New(rand.NewSource(29))
+	var cut []Fact
+	headRefixed, deepMaintained := 0, 0
+	for step := 1; step <= 40; step++ {
+		var what string
+		retract := func(f Fact) bool {
+			removed, err := eng.RetractFacts([]Fact{f})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return removed == 1
+		}
+		insert := func(f Fact) {
+			if _, err := eng.InsertFacts([]Fact{f}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op := rng.Intn(5)
+		switch {
+		case step == 20:
+			what, op = "guard off", -1
+			retract(guard)
+		case step == 21:
+			what, op = "guard on", -1
+			insert(guard)
+		case op == 0:
+			e := edge(rng.Intn(chains), rng.Intn(50))
+			what = fmt.Sprintf("head cut %v", e.Args)
+			if retract(e) {
+				cut = append(cut, e)
+			}
+		case op == 1 && len(cut) > 0:
+			j := rng.Intn(len(cut))
+			what = fmt.Sprintf("splice %v", cut[j].Args)
+			insert(cut[j])
+			cut = append(cut[:j], cut[j+1:]...)
+		case op == 2:
+			e := edge(rng.Intn(chains), n/2+rng.Intn(n/2-1))
+			what = fmt.Sprintf("deep cut %v", e.Args)
+			if retract(e) {
+				cut = append(cut, e)
+			}
+		case op == 3:
+			k, i := rng.Intn(chains), rng.Intn(n)
+			e := Fact{"b", []string{node(k, i), fmt.Sprintf("y%d", step)}}
+			what = fmt.Sprintf("exit insert %v", e.Args)
+			insert(e)
+			exits = append(exits, e)
+		default:
+			j := rng.Intn(len(exits))
+			what = fmt.Sprintf("exit retract %v", exits[j].Args)
+			retract(exits[j])
+			exits = append(exits[:j], exits[j+1:]...)
+		}
+		refixed := check(step, what)
+		switch {
+		case op == 0 && refixed:
+			headRefixed++
+		case op == 2 && !refixed:
+			deepMaintained++
+		}
+	}
+	if headRefixed == 0 || deepMaintained == 0 {
+		t.Fatalf("%d head cuts refixed, %d deep cuts maintained by rounds; the sequence must take both paths", headRefixed, deepMaintained)
+	}
+	if cs := eng.CacheStats().Results; cs.Rebuilt != 1 || cs.Refixed != int64(refixes) {
+		t.Fatalf("result cache %v; want one build and the entry's %d refixes", cs, refixes)
+	}
+	t.Logf("%d refixes: %d head cuts refixed, %d deep cuts maintained by rounds", refixes, headRefixed, deepMaintained)
+}
+
+// containsAll reports whether set holds every row of rows.
+func containsAll(set map[string]bool, rows []string) bool {
+	for _, r := range rows {
+		if !set[r] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRefixOutOfGasPoisons: a refix charges gas as a cold evaluation
+// does, and running out inside one poisons the entry like any failed
+// maintenance pass.
+func TestRefixOutOfGasPoisons(t *testing.T) {
+	const n = 2000
+	eng, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load("t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\n"); err != nil {
+		t.Fatal(err)
+	}
+	var facts []Fact
+	for i := 0; i < n; i++ {
+		facts = append(facts, Fact{"a", []string{fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1)}})
+		if i%100 == 99 {
+			facts = append(facts, Fact{"b", []string{fmt.Sprintf("c%d", i), fmt.Sprintf("x%d", i)}})
+		}
+	}
+	if _, err := eng.InsertFacts(facts); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	query := func(ctx context.Context) (*Rows, error) { return eng.Query(ctx, "t(c0, Y)") }
+	if _, err := query(ctx); err != nil {
+		t.Fatal(err)
+	}
+	splice := Fact{"a", []string{"c5", "c6"}}
+	if _, err := eng.RetractFacts([]Fact{splice}); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := query(ctx); err != nil || rows.Explain().Refixes != 1 || rows.Len() != 0 {
+		t.Fatalf("head cut: %v, err %v; want a refix and no answers", rows.Explain(), err)
+	}
+	// Splicing the cut back cascades ≈2 000 rounds against a budget of
+	// 125: the pass charges one context a round for its 125 rounds, then
+	// the refix charges the ≈2 000 contexts it claims — over the 1 000
+	// allowed.
+	if _, err := eng.InsertFacts([]Fact{splice}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := query(WithGas(ctx, 1000)); !errors.Is(err, ErrGasExhausted) {
+		t.Fatalf("splice on 1 000 gas: err %v, want ErrGasExhausted", err)
+	}
+	rows, err := query(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := rows.Explain(); ex.ResultCache != "rebuilt" || rows.Len() != n/100 {
+		t.Fatalf("after the failed refix: %v, %d answers; want rebuilt with %d", ex, rows.Len(), n/100)
 	}
 }

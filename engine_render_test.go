@@ -331,6 +331,9 @@ func TestExplainStringMatchesFormatted(t *testing.T) {
 		if ex.Overdeleted > 0 || ex.Rederived > 0 {
 			fmt.Fprintf(&b, " dred=%d/%d", ex.Overdeleted, ex.Rederived)
 		}
+		if ex.Refixes > 0 {
+			fmt.Fprintf(&b, " refix=%d", ex.Refixes)
+		}
 		if ex.Detail != "" {
 			fmt.Fprintf(&b, " (%s)", ex.Detail)
 		}
@@ -343,7 +346,7 @@ func TestExplainStringMatchesFormatted(t *testing.T) {
 		Rejected:    []StrategyAttempt{{"onesided", "not \"one-sided\"\n"}, {"multi", "one rule"}},
 		PlanCache:   "bind",
 		ResultCache: "updated",
-		Batches:     17, Overdeleted: 3, Rederived: 0,
+		Batches:     17, Overdeleted: 3, Rederived: 0, Refixes: 2,
 	}
 	full.Strategy, full.Adornment, full.Mode, full.CarryArity = "magic", "bf", "context", 0
 	full.Verdict, full.Detail = "one-sided \"after\" optimisation\té", "answer predicate t_bf, 4 rewritten rules"

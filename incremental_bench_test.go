@@ -79,12 +79,16 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 //     names are unchanged);
 //   - context mode, t(n0, Y), exit: one b exit mid-chain — an O(|delta|)
 //     join against the adopted context relation;
-//   - context mode, t(n0, Y), edge: a mid-chain a edge — the worst case,
+//   - context mode, t(n0, Y), edge: a mid-chain a edge — the worst case:
 //     a cascade of one semi-naive round per context below the cut, which
-//     costs more per level than the Fig. 9 loop it replaces;
-//   - the same cut with 60 000 unrelated a edges loaded beside the chain:
-//     the pass reads a's old state where it is, so this costs what the
-//     case above costs;
+//     costs ten times what a Fig. 9 level does, so the pass stops at its
+//     round budget (5 000/16 rounds here) and re-runs the loop instead;
+//     cut and splice together cost ≈3–4× what recomputing both does;
+//   - context mode, t(n0, Y), edge/head: the same, ten levels below the
+//     head, where the refix is cheap and the restore is not;
+//   - the mid-chain cut with 60 000 unrelated a edges loaded beside the
+//     chain: the pass reads a's old state where it is, so this costs what
+//     the case without them costs;
 //   - Magic Sets, sg(leaf, Y) under a depth-10 binary tree: one p leaf,
 //     whose delta variants are cross products with the rest of the body
 //     and must enter it through the magic relation, not through p.
@@ -138,6 +142,7 @@ func BenchmarkRetractMaintain(b *testing.B) {
 		{fmt.Sprintf("chain=%d", n), "t(X, goal)", chain, Fact{"a", []string{node(cut), node(cut + 1)}}, cut + 1},
 		{fmt.Sprintf("context/exit/chain=%d", n), "t(n0, Y)", chain, Fact{"b", []string{node(n / 2), "mid"}}, 1},
 		{fmt.Sprintf("context/edge/chain=%d", n), "t(n0, Y)", chain, Fact{"a", []string{node(n / 2), node(n/2 + 1)}}, 1},
+		{fmt.Sprintf("context/edge/head/chain=%d", n), "t(n0, Y)", chain, Fact{"a", []string{node(10), node(11)}}, 2},
 		{fmt.Sprintf("context/edge/ballast=60000/chain=%d", n), "t(n0, Y)", withBallast, Fact{"a", []string{node(n / 2), node(n/2 + 1)}}, 1},
 		{"magic/sg/depth=10", "sg(g1024, Y)", tree, Fact{"p", []string{"leaf", "g1023"}}, 1},
 	}
@@ -182,6 +187,7 @@ func BenchmarkRetractMaintain(b *testing.B) {
 			cs := eng.CacheStats().Results
 			b.ReportMetric(float64(cs.Updated), "updated")
 			b.ReportMetric(float64(cs.Rebuilt), "rebuilt")
+			b.ReportMetric(float64(cs.Refixed), "refixes")
 		}
 		b.Run(tc.name+"/maintained", func(b *testing.B) {
 			run(b, tc.open(b), "updated")

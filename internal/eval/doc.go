@@ -89,19 +89,30 @@
 // the first delta arrives; a base-relation lookup does the same with a
 // one-rule program.
 //
-// A maintenance pass costs probes in proportion to the delta and the
-// tuples it moves — Property 3 applied to maintenance. Three things
-// keep it so. DRed's pre-deletion state is read, not built: a traversal
-// of retractPass binds each non-delta atom to its live relation and to
-// the tuples that left it (compiledConj.bindLeft) and probes the two in
-// turn. A delta variant is entered from its Δ atom outward, and the part
-// of a body no binding reaches is opened through its derived atom — the
-// magic or context relation carrying the query's binding — so the base
-// relation beside it is probed, never scanned (compileConj). And a pass
-// owns its scratch: delta, candidate and round-delete relations come from
-// a free list that lives from the start of initialFixpoint or update to
-// its end and are emptied in place between rounds
-// (storage.Relation.Reset), so a one-tuple round allocates nothing and a
-// state at rest retains nothing. EvalStats.Overdeleted and Rederived
-// report DRed's share of the work.
+// The two machines price a long move differently: a transition edge cut
+// or spliced near the head of a long chain cascades one semi-naive round
+// (≈2 µs) per level below it, where the loop walks a level for
+// ≈0.1–0.2 µs. So a context-mode pass runs on a round budget,
+// max(64, contexts/16) — the ski-rental rule, stop once the cascade has
+// cost what starting over costs — and a pass that overruns it stops and
+// refixes: Incremental.refix re-runs the loop over the current database
+// (its operators compiled once per entry, on the first refix) and moves
+// the live answers and the two derived relations to what the loop
+// reached by their differences. EvalStats.Refixes counts those passes.
+//
+// Within its budget, a maintenance pass costs probes in proportion to
+// the delta and the tuples it moves — Property 3 applied to maintenance.
+// Three things keep it so. DRed's pre-deletion state is read, not built:
+// a traversal of retractPass binds each non-delta atom to its live
+// relation and to the tuples that left it (compiledConj.bindLeft) and
+// probes the two in turn. A delta variant is entered from its Δ atom
+// outward, and the part of a body no binding reaches is opened through
+// its derived atom — the magic or context relation carrying the query's
+// binding — so the base relation beside it is probed, never scanned
+// (compileConj). And a pass owns its scratch: delta, candidate and
+// round-delete relations come from a free list that lives from the start
+// of initialFixpoint or update to its end and are emptied in place
+// between rounds (storage.Relation.Reset), so a one-tuple round
+// allocates nothing and a state at rest retains nothing.
+// EvalStats.Overdeleted and Rederived report DRed's share of the work.
 package eval

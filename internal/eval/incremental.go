@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -16,7 +17,9 @@ import (
 // (snState.retractPass). Plans whose cold evaluator is not semi-naive
 // (the Fig. 9 context loop, the base-relation lookup) keep that evaluator
 // for the build and hand the state it reached to the machine when the
-// first delta arrives (see Incremental.adopt).
+// first delta arrives (see Incremental.adopt). A context plan keeps its
+// loop for one more job: a pass that cascades past its round budget stops,
+// and the loop refixes the state (see Incremental.refix).
 
 // Delta describes the base-relation changes since a retained
 // evaluation's build epoch, signed: Add holds one relation of newly
@@ -76,7 +79,31 @@ type Incremental struct {
 	// a copy instead of an initialFixpoint.
 	st    *snState
 	adopt func(idb *storage.Database)
+
+	// plan is set for a context-mode plan, whose Fig. 9 loop refixes the
+	// state when a maintenance pass overruns its round budget (see
+	// refixBudget); ops are that loop's operators, compiled on the first
+	// refix and kept for the next. Every other plan's cold evaluator is
+	// semi-naive itself, so it has nothing cheaper to fall back to.
+	plan *Plan
+	ops  *contextOps
 }
+
+// A context-mode maintenance pass may run refixBudget(n) rounds over a
+// state of n contexts before it stops and re-runs the Fig. 9 loop
+// instead — the ski-rental rule: quit renting once the rent paid equals
+// the price of buying. On a 2-vCPU Xeon a semi-naive round costs ≈2 µs
+// (two probes, a claim in the derived relation, a scratch relation
+// emptied) and a Fig. 9 level ≈0.1–0.2 µs a context, so a refix over n
+// contexts costs what ≈n/16 rounds do. The floor keeps a move of up to
+// 64 levels on the O(|Δ|) path however small the state: below it neither
+// way costs enough to matter.
+const (
+	refixFloor       = 64
+	contextsPerRound = 16
+)
+
+func refixBudget(contexts int) int { return max(refixFloor, contexts/contextsPerRound) }
 
 // Answers returns the live answer relation.
 func (inc *Incremental) Answers() *storage.Relation { return inc.ans }
@@ -146,13 +173,70 @@ func (inc *Incremental) Update(ctx context.Context, delta Delta) error {
 		st.rounds = inc.stats.Iterations
 		inc.st, inc.adopt = st, nil
 	}
-	if err := inc.st.update(ctx, delta, inc.onNew, inc.onDel); err != nil {
+	if inc.plan != nil {
+		inc.st.budget = refixBudget(inc.seenSize())
+	}
+	err := inc.st.update(ctx, delta, inc.onNew, inc.onDel)
+	if errors.Is(err, errOverBudget) {
+		err = inc.refix(ctx)
+	}
+	if err != nil {
 		return err
 	}
 	inc.stats.Iterations = inc.st.rounds
 	inc.stats.Overdeleted, inc.stats.Rederived = inc.st.overdeleted, inc.st.rederived
 	inc.stats.SeenSize = inc.seenSize()
 	return nil
+}
+
+// refix brings a context-mode state to the current database's fixpoint
+// the cold way, after a pass overran its budget: it re-runs the plan's
+// Fig. 9 loop and moves the live answers and the retained context
+// program's two relations to what the loop reached, in place, by their
+// differences — which also undoes whatever the abandoned pass had moved.
+// The loop charges the context's gas as a cold evaluation does.
+func (inc *Incremental) refix(ctx context.Context) error {
+	p := inc.plan
+	if inc.ops == nil {
+		ops := p.compileContextOps(inc.edb.Syms)
+		inc.ops = &ops
+	}
+	ce := p.newContextEval(inc.edb, nil)
+	ce.ops = inc.ops
+	if _, _, err := ce.run(ctx); err != nil {
+		return err
+	}
+	ctxPred, ansPred := p.contextPreds()
+	moveTo(inc.st.idb.Ensure(ctxPred, ce.carryWidth), ce.seen)
+	moveTo(inc.st.idb.Ensure(ansPred, ce.ans.Arity()), ce.ans)
+	moveTo(inc.ans, ce.ans)
+	inc.st.rounds += ce.stats.Iterations
+	inc.stats.Refixes++
+	return nil
+}
+
+// moveTo makes rel hold exactly want's tuples: it inserts what rel lacks
+// and retracts what want lacks. Finding the latter walks every row rel
+// ever held, tombstones included, so it is skipped when the tuples the
+// two share are all rel holds — a move that only grows rel.
+func moveTo(rel *storage.Relation, want seenSet) {
+	tuples := want.Tuples()
+	missing := tuples[:0]
+	for _, t := range tuples {
+		if !rel.Contains(t) {
+			missing = append(missing, t)
+		}
+	}
+	if len(tuples)-len(missing) < rel.Len() {
+		for _, t := range rel.Tuples() {
+			if !want.Contains(t) {
+				rel.Retract(t)
+			}
+		}
+	}
+	if len(missing) > 0 {
+		rel.InsertBatch(missing)
+	}
 }
 
 // seenSize is the SeenSize statistic of the retained fixpoint.
@@ -257,7 +341,7 @@ func (p *Plan) build(ctx context.Context, edb *storage.Database, emit func(stora
 		// operators and factor-group tables are garbage from here on.
 		seen, ans, carryWidth := ce.seen, ce.ans, ce.carryWidth
 		return &Incremental{
-			render: p.contextProgram, watch: ansPred, seenOf: ctxPred, edb: edb, ans: ans, stats: ce.stats,
+			render: p.contextProgram, watch: ansPred, seenOf: ctxPred, edb: edb, ans: ans, stats: ce.stats, plan: p,
 			adopt: func(idb *storage.Database) {
 				idb.Ensure(ctxPred, carryWidth).InsertBatch(seen.Tuples())
 				idb.Ensure(ansPred, ans.Arity()).InsertBatch(ans.Tuples())

@@ -131,6 +131,10 @@ type EvalStats struct {
 	// difference is what actually left the fixpoint.
 	Overdeleted int
 	Rederived   int
+	// Refixes counts the maintenance passes since the build that overran
+	// their round budget and re-ran the Fig. 9 loop instead (context mode
+	// only, see Incremental.refix).
+	Refixes int
 }
 
 // CompileSelection compiles a "column = constant" selection (possibly
@@ -485,6 +489,8 @@ type contextEval struct {
 	p       *Plan
 	syms    *storage.SymbolTable
 	resolve resolver
+	// ops are the compiled operators; nil compiles them afresh at run.
+	ops *contextOps
 
 	ans        *storage.Relation
 	seen       seenSet
@@ -510,6 +516,20 @@ type contextEval struct {
 	carry   carryBuf
 	claimed int
 	tally   storage.Tally
+}
+
+// contextOps is a bound context-mode plan's compiled Fig. 9 operators.
+// They are immutable, so one set serves any number of runs.
+type contextOps struct {
+	d0   d0Ops
+	seed seedOps
+	f    fOps
+	g    gOps
+}
+
+// compileContextOps compiles the depth-0 join, the seed, f and g.
+func (p *Plan) compileContextOps(syms *storage.SymbolTable) contextOps {
+	return contextOps{d0: p.compileD0(syms), seed: p.compileSeed(syms), f: p.compileF(syms), g: p.compileG(syms)}
 }
 
 // d0Ops is the compiled depth-0 exit join of a bound context-mode plan:
@@ -812,12 +832,13 @@ func (p *Plan) newContextEval(edb *storage.Database, emit func(storage.Tuple) bo
 
 // seenSet is the carry-loop dedup/claim set: Offer returns true exactly
 // once per tuple, and Tuples materializes the members (the incremental
-// layer adopts them as the context program's context relation). The loop
-// counts what it claimed itself (contextEval.claimed). *storage.Relation
-// implements it directly; bitsetSeen replaces the relation for unary
-// carries.
+// layer adopts them as the context program's context relation, and a
+// refix folds them in with Contains). The loop counts what it claimed
+// itself (contextEval.claimed). *storage.Relation implements it directly;
+// bitsetSeen replaces the relation for unary carries.
 type seenSet interface {
 	Offer(storage.Tuple) bool
+	Contains(storage.Tuple) bool
 	Tuples() []storage.Tuple
 }
 
@@ -827,6 +848,8 @@ type bitsetSeen struct {
 }
 
 func (b *bitsetSeen) Offer(t storage.Tuple) bool { return b.set.Add(int(t[0])) }
+
+func (b *bitsetSeen) Contains(t storage.Tuple) bool { return b.set.Has(int(t[0])) }
 
 func (b *bitsetSeen) Tuples() []storage.Tuple {
 	arena := make([]storage.Value, 0, b.set.Len())
@@ -870,10 +893,17 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		return err
 	}
 
+	var ops contextOps
+	if ce.ops != nil {
+		ops = *ce.ops
+	} else {
+		ops = p.compileContextOps(syms)
+	}
+
 	// Depth-0: exit rule with the bound head columns substituted. These
 	// are the first streamed answers — no fixpoint work precedes them.
 	ce.stats.GProbes++
-	p.compileD0(syms).run(p, syms, ce.resolve, &ce.tally, ce.emitAnswer)
+	ops.d0.run(p, syms, ce.resolve, &ce.tally, ce.emitAnswer)
 	if ce.stopped {
 		return ce.finish(ctx)
 	}
@@ -890,14 +920,12 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	}
 	ce.groups = groups
 
-	f := p.compileF(syms)
-	g := p.compileG(syms)
 	// Fill the query-constant sources (kind 0) with this plan's values.
-	ce.srcs = fillQueryConsts(g.srcs, queryConsts(p.Query, syms))
+	ce.srcs = fillQueryConsts(ops.g.srcs, queryConsts(p.Query, syms))
 	// The two halves of a level. A context is claimed through the seen-set:
 	// Offer returns true exactly once per tuple, so the next level is a set.
 	// Only g's answers can stop the evaluation.
-	w := newLevelWorker(&f, &g, ce.nAnchors, p.Def.Arity(), ce.resolve, &ce.tally)
+	w := newLevelWorker(&ops.f, &ops.g, ce.nAnchors, p.Def.Arity(), ce.resolve, &ce.tally)
 	ce.w = w
 	w.f.emit = func(s []storage.Value) bool {
 		if t := w.successor(s); ce.seen.Offer(t) {
@@ -911,7 +939,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 
 	// Seed contexts, claimed exactly as a level's successors are and
 	// collected in the same buffer.
-	p.compileSeed(syms).run(p, syms, ce.resolve, &ce.tally, func(tup storage.Tuple) {
+	ops.seed.run(p, syms, ce.resolve, &ce.tally, func(tup storage.Tuple) {
 		if ce.seen.Offer(tup) {
 			w.next.push(tup)
 		}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -343,6 +344,12 @@ type snState struct {
 	// tally counts the running pass's probes of the base relations; it is
 	// empty between passes.
 	tally storage.Tally
+	// budget, when positive, bounds the rounds one update may run: the
+	// delta rounds plus DRed's in-component cascade rounds, counted in
+	// spent. A pass that would run one more stops with errOverBudget,
+	// leaving the state half-moved for its owner to repair (see
+	// Incremental.refix).
+	budget, spent int
 
 	// Deletion-maintenance machinery, built lazily by ensureStrata on
 	// the first retraction: the SCC condensation of the IDB dependency
@@ -421,10 +428,23 @@ func (st *snState) resolve(useDelta *map[string]*storage.Relation) resolver {
 // database's Counters. Deferred, it runs however the pass ends.
 func (st *snState) beginPass() (end func()) {
 	st.free = make(map[int][]*storage.Relation)
+	st.spent = 0
 	return func() {
 		st.free = nil
 		st.tally.Flush()
 	}
+}
+
+// errOverBudget stops a maintenance pass that has run its round budget.
+var errOverBudget = errors.New("eval: maintenance pass over its round budget")
+
+// spend counts one round of the running pass against the budget.
+func (st *snState) spend() error {
+	st.spent++
+	if st.budget > 0 && st.spent > st.budget {
+		return errOverBudget
+	}
+	return nil
 }
 
 // scratch returns an empty untracked relation for the running pass, a
@@ -555,6 +575,9 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 			st.recycle(delta)
 			return nil
 		}
+		if err := st.spend(); err != nil {
+			return err
+		}
 		newDelta = st.roundDelta(spare, jobs)
 		st.runRound(jobs, res, newDelta, false)
 		st.rounds++
@@ -578,6 +601,8 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 // tuple that actually left the fixpoint (over-deleted tuples that
 // re-derive are reported through neither); either hook may be nil, and
 // the tuple a hook receives is only valid for the duration of the call.
+// A pass that overruns st.budget returns errOverBudget with the state
+// and the hooks' view of it half-moved.
 func (st *snState) update(ctx context.Context, delta Delta, onNew, onDel func(pred string, t storage.Tuple)) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -819,6 +844,9 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 				fresh += rd.Len()
 			}
 			if err := meter.Charge(fresh); err != nil {
+				return err
+			}
+			if err := st.spend(); err != nil {
 				return err
 			}
 			roundDel, spare = spare, roundDel

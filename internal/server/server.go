@@ -846,11 +846,13 @@ type tenantStats struct {
 // resultCacheStats is the bound-result cache's effectiveness as served
 // by /v1/stats: hits answered from still-current materialized answers,
 // updated extended a retained fixpoint with the signed delta, rebuilt
-// evaluated in full.
+// evaluated in full, refixed counts the updated passes that overran their
+// round budget and re-ran the Fig. 9 loop.
 type resultCacheStats struct {
 	Hits    int64 `json:"hits"`
 	Updated int64 `json:"updated"`
 	Rebuilt int64 `json:"rebuilt"`
+	Refixed int64 `json:"refixed"`
 	Entries int   `json:"entries"`
 }
 
@@ -922,6 +924,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Hits:    cs.Results.Hits,
 			Updated: cs.Results.Updated,
 			Rebuilt: cs.Results.Rebuilt,
+			Refixed: cs.Results.Refixed,
 			Entries: cs.Results.Entries,
 		},
 		Subscriptions: s.subsOpen.Load(),

@@ -117,6 +117,46 @@ func TestQueryExplainCarriesDRed(t *testing.T) {
 	}
 }
 
+// TestRefixIsObservable: a cut ten levels below the head of a 2 000-node
+// chain overruns its maintenance pass's round budget, and the pass
+// re-runs the Fig. 9 loop instead. The /v1/query explain says so with
+// refix=1, and /v1/stats counts the refixed pass.
+func TestRefixIsObservable(t *testing.T) {
+	srv := newTestServer(t, 2000, Config{})
+	query := func() queryResponse {
+		t.Helper()
+		w := do(t, srv, "POST", "/v1/query", "", queryRequest{Query: "t(n0, Y)"})
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d, body %s", w.Code, w.Body)
+		}
+		var resp queryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := query(); strings.Contains(resp.Explain, "refix=") {
+		t.Fatalf("cold explain mentions a refix: %q", resp.Explain)
+	}
+	cut := factsRequest{Retracts: []fact{{Pred: "a", Args: []string{"n10", "n11"}}}}
+	if w := do(t, srv, "POST", "/v1/facts", "", cut); w.Code != http.StatusOK {
+		t.Fatalf("facts: status = %d, body %s", w.Code, w.Body)
+	}
+	if resp := query(); resp.Count != 11 || !strings.Contains(resp.Explain, "result-cache=updated") || !strings.Contains(resp.Explain, " refix=1") {
+		t.Fatalf("after the cut: %d answers, explain %q; want 11 answers, updated, refix=1", resp.Count, resp.Explain)
+	}
+	w := do(t, srv, "GET", "/v1/stats", "", nil)
+	var stats struct {
+		ResultCache struct{ Updated, Rebuilt, Refixed int64 } `json:"result_cache"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if rc := stats.ResultCache; rc.Updated != 1 || rc.Rebuilt != 1 || rc.Refixed != 1 {
+		t.Fatalf("/v1/stats result_cache = %+v, want one build and one updated pass that refixed", rc)
+	}
+}
+
 func TestQueryBadRequest(t *testing.T) {
 	srv := newTestServer(t, 3, Config{})
 	req := httptest.NewRequest("POST", "/v1/query", strings.NewReader("{not json"))
