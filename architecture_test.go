@@ -1,0 +1,119 @@
+package onesided
+
+import (
+	"fmt"
+	goast "go/ast"
+	goparser "go/parser"
+	"go/token"
+	"os"
+	"regexp"
+	"testing"
+)
+
+var (
+	// codeAnchor is ARCHITECTURE.md's way of pointing into the code: a
+	// path from the repository root and a top-level declaration of that
+	// file, `file.go:Name` or `file.go:Type.Method`.
+	codeAnchor = regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go):([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)?)`")
+	// lineAnchor is the form anchors must not take: a line number drifts
+	// with every edit above it.
+	lineAnchor = regexp.MustCompile(`[A-Za-z0-9_]\.go:[0-9]+`)
+)
+
+// TestArchitectureAnchors: every code anchor in ARCHITECTURE.md names a
+// declaration its file still holds, and none is a line number.
+func TestArchitectureAnchors(t *testing.T) {
+	doc, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(codeAnchor.FindAll(doc, -1)); n < 20 {
+		t.Fatalf("found %d code anchors in ARCHITECTURE.md; the pattern no longer matches how it cites code", n)
+	}
+	for _, err := range anchorErrors(doc) {
+		t.Error(err)
+	}
+
+	// The check itself: a line number and a declaration that is gone are
+	// each reported; a method that exists is not.
+	stale := []byte("`engine.go:231` `engine.go:Engine.noSuchMethod` `engine.go:Engine.Prepare` `internal/eval/onesided.go:evalContext`")
+	if errs := anchorErrors(stale); len(errs) != 3 {
+		t.Fatalf("anchorErrors on three bad anchors and one good one = %v", errs)
+	}
+}
+
+// anchorErrors reports every line-number anchor in doc and every
+// `file.go:Name` anchor whose file does not declare Name.
+func anchorErrors(doc []byte) []error {
+	var errs []error
+	for _, m := range lineAnchor.FindAll(doc, -1) {
+		errs = append(errs, fmt.Errorf("line-number anchor %s: cite file.go:Name instead", m))
+	}
+	declared := make(map[string]map[string]bool)
+	for _, m := range codeAnchor.FindAllSubmatch(doc, -1) {
+		file, name := string(m[1]), string(m[2])
+		names, ok := declared[file]
+		if !ok {
+			var err error
+			if names, err = declarations(file); err != nil {
+				errs = append(errs, err)
+			}
+			declared[file] = names
+		}
+		if names != nil && !names[name] {
+			errs = append(errs, fmt.Errorf("anchor %s:%s: %s declares no %s", file, name, file, name))
+		}
+	}
+	return errs
+}
+
+// declarations parses a Go file and returns its top-level names: funcs,
+// types, constants and variables, and methods as Type.Method.
+func declarations(file string) (map[string]bool, error) {
+	f, err := goparser.ParseFile(token.NewFileSet(), file, nil, goparser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	names := make(map[string]bool)
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *goast.FuncDecl:
+			name := d.Name.Name
+			if d.Recv != nil && len(d.Recv.List) == 1 {
+				name = receiverType(d.Recv.List[0].Type) + "." + name
+			}
+			names[name] = true
+		case *goast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *goast.TypeSpec:
+					names[s.Name.Name] = true
+				case *goast.ValueSpec:
+					for _, n := range s.Names {
+						names[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return names, nil
+}
+
+// receiverType is the type name of a method receiver: T for T, *T, T[P]
+// and *T[P].
+func receiverType(e goast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *goast.StarExpr:
+			e = x.X
+		case *goast.IndexExpr:
+			e = x.X
+		case *goast.IndexListExpr:
+			e = x.X
+		case *goast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}

@@ -19,12 +19,12 @@ package onesided
 //	state_arity  carry tuple width
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/eval"
-	"repro/internal/multi"
 	"repro/internal/parser"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
@@ -560,18 +560,22 @@ func BenchmarkMultiRule(b *testing.B) {
 	datagen.RandomGraph(db, "bus", "s", 800, 1600, 43)
 	db.AddFact("home", "s7", "depot")
 	q := parser.MustParseAtom("t(X, depot)")
+	ps, err := eval.OneSided().Prepare(md.Program(), eval.AdornQuery(q))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if mode := ps.Explain().Mode; mode != "reduced" {
+		b.Fatalf("mode = %s", mode)
+	}
 
 	b.Run("reduced", func(b *testing.B) {
 		db.Stats.Reset()
 		var ans int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, mode, err := multi.EvalSelection(md, q, db)
+			rel, _, err := eval.Eval(context.Background(), ps, db)
 			if err != nil {
 				b.Fatal(err)
-			}
-			if mode != "reduced" {
-				b.Fatalf("mode = %s", mode)
 			}
 			ans = rel.Len()
 		}

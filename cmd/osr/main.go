@@ -306,11 +306,11 @@ func cmdExpand(args []string) error {
 
 // strategyChains maps the -engine flag to the Engine strategy chain.
 // "onesided" (the default) is the full auto-selection chain: the paper's
-// planner, the Section 5 multi-rule reduction, Magic Sets fallback, and
+// planner (multi-rule recursions included), Magic Sets fallback, and
 // base-relation lookup — the optimize-then-detect behavior the old CLI
 // hand-rolled.
 var strategyChains = map[string][]string{
-	"onesided":  nil, // engine default: onesided, multi, magic, edb
+	"onesided":  nil, // engine default: onesided, magic, edb
 	"magic":     {"magic", "edb"},
 	"seminaive": {"seminaive", "edb"},
 }

@@ -6,7 +6,7 @@
 // "column = constant" selections, whose instantiations reproduce the
 // Aho–Ullman (Fig. 7) and Henschen–Naqvi (Fig. 8) algorithms. Magic Sets
 // and semi-naive evaluation are served as strategies beside it ("onesided",
-// "multi", "magic", "seminaive", "edb" — see WithStrategies); the Counting
+// "magic", "seminaive", "edb" — see WithStrategies); the Counting
 // method and naive bottom-up evaluation are library baselines for the
 // paper's comparisons (eval.Plan.EvalCounting, eval.CountingTC,
 // eval.Naive).

@@ -26,9 +26,10 @@ import (
 //
 // Query planning is Naughton's optimize-then-detect procedure made
 // operational: for each query the engine walks its strategy chain —
-// by default the one-sided planner (Theorem 3.4 + the Fig. 9 schema),
-// then the Section 5 multi-rule reduction, then Magic Sets (the paper's
-// own general baseline), then plain base-relation lookup — and the first
+// by default the one-sided planner (Theorem 3.4 + the Fig. 9 schema, and
+// the persistent-column reduction for Section 5's multi-rule
+// recursions), then Magic Sets (the paper's own general baseline), then
+// plain base-relation lookup — and the first
 // strategy that accepts the query plans it. Explain reports the chosen
 // strategy and why the others declined.
 //

@@ -44,9 +44,10 @@ func openWith(t *testing.T, db *Database, src string, opts ...Option) *Engine {
 // adornments), genealogy (same generation, the Magic Sets fallback),
 // marketbasket (buys/likes/cheap, one-sided after optimization), and
 // appendixa (the Theorem 3.2 construction, a two-recursive-rule
-// definition served by the Section 5 multi reduction). Three more rows
-// complete the served set: tworule (the plain Section 5 shape, planned by
-// multi), seminaive (the quickstart program on an engine restricted to
+// definition the one-sided planner serves by the Section 5 persistent-
+// column reduction). Three more rows complete the served set: tworule
+// (the plain Section 5 shape, a reduced one-sided plan too), seminaive
+// (the quickstart program on an engine restricted to
 // materialize-then-select) and edb (a base relation of quickstart).
 func bindExamples() []bindExample {
 	return []bindExample{
@@ -137,7 +138,7 @@ func bindExamples() []bindExample {
 			},
 			shape:    "q(%s, X2, X3)",
 			consts:   []string{"u", "w", "v1"},
-			strategy: "multi",
+			strategy: "onesided",
 		},
 		{
 			name: "tworule",
@@ -152,7 +153,7 @@ func bindExamples() []bindExample {
 			},
 			shape:    "t(%s, Y)",
 			consts:   []string{"u", "w", "n1"},
-			strategy: "multi",
+			strategy: "onesided",
 		},
 		{
 			name: "seminaive",

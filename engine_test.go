@@ -110,7 +110,8 @@ func TestEngineFallsBackToMagic(t *testing.T) {
 }
 
 // TestEngineMultiStrategy: a two-recursive-rule recursion with the bound
-// column persistent in both rules goes to the Section 5 reduction.
+// column persistent in both rules is planned by the one-sided strategy
+// as the Section 5 reduction, with no strategy declining first.
 func TestEngineMultiStrategy(t *testing.T) {
 	eng, err := Open()
 	if err != nil {
@@ -128,11 +129,46 @@ func TestEngineMultiStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rows.Explain().Strategy; got != "multi" {
-		t.Fatalf("strategy = %q, want multi (explain: %v)", got, rows.Explain())
+	ex := rows.Explain()
+	if ex.Strategy != "onesided" || ex.Mode != "reduced" || ex.CarryArity != 1 ||
+		ex.Detail != "2 recursive rules, persistent-column reduction" || len(ex.Rejected) != 0 {
+		t.Fatalf("explain = %v, want a reduced onesided plan of 2 rules", ex)
 	}
 	if got := rows.Strings(); len(got) != 3 {
 		t.Fatalf("answers = %v, want u->n1,n2,n3", got)
+	}
+}
+
+// TestMultiRuleRepeatedQueryVariable: the persistent-column reduction
+// drops t(u, Y, Y)'s bound column and evaluates the rest bottom-up, with
+// nothing left to check that the two Y columns agree. The default engine
+// must still answer as materialization does: the one-sided planner
+// declines the repeated variable, as it does for one rule, and Magic
+// Sets answers.
+func TestMultiRuleRepeatedQueryVariable(t *testing.T) {
+	const src = `
+		t(X, Y, W) :- a(Y, Z), t(X, Z, W).
+		t(X, Y, W) :- c(Y, Z), t(X, Z, W).
+		t(X, Y, W) :- b(X, Y, W).
+		b(u, n1, n2). b(u, n3, n3). a(n0, n1). c(n9, n3).
+	`
+	answer := func(opts ...Option) *Rows {
+		rows, err := openWith(t, nil, src, opts...).Query(context.Background(), "t(u, Y, Y)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	want := answer(WithStrategies("seminaive")).Strings()
+	if fmt.Sprint(want) != "[u,n3,n3]" {
+		t.Fatalf("seminaive answers %v, want [u,n3,n3]", want)
+	}
+	rows := answer()
+	if got := rows.Strings(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("default engine answers %v, seminaive %v", got, want)
+	}
+	if ex := rows.Explain(); ex.Strategy != "magic" {
+		t.Fatalf("explain = %v, want Magic Sets after onesided declines", ex)
 	}
 }
 
@@ -281,8 +317,9 @@ func chainSrc(n int) string {
 // the Fig. 9 while loop and through the semi-naive delta rounds; both
 // must surface context.Canceled instead of completing.
 func TestEngineCancellationMidFixpoint(t *testing.T) {
-	// The Section 5 shape multi claims: X persists through both recursive
-	// rules, and the a-chain is walked backwards from the one b edge.
+	// The Section 5 shape the reduction claims: X persists through both
+	// recursive rules, and the a-chain is walked backwards from the one b
+	// edge.
 	multiSrc := "t(X, Y) :- a(Y, Z), t(X, Z).\nt(X, Y) :- c(Y, Z), t(X, Z).\nt(X, Y) :- b(X, Y).\nb(u, n200).\n"
 	for i := 0; i < 200; i++ {
 		multiSrc += fmt.Sprintf("a(n%d, n%d).\n", i, i+1)
@@ -292,11 +329,12 @@ func TestEngineCancellationMidFixpoint(t *testing.T) {
 		strategies []string
 		src, query string
 		answers    int
+		want       string // Explain().Strategy
 	}{
-		{"onesided", nil, chainSrc(200), "t(n0, Y)", 1},
-		{"multi", nil, multiSrc, "t(u, Y)", 201},
-		{"magic", []string{"magic"}, chainSrc(200), "t(n0, Y)", 1},
-		{"seminaive", []string{"seminaive"}, chainSrc(200), "t(n0, Y)", 1},
+		{"onesided", nil, chainSrc(200), "t(n0, Y)", 1, "onesided"},
+		{"multi", nil, multiSrc, "t(u, Y)", 201, "onesided"},
+		{"magic", []string{"magic"}, chainSrc(200), "t(n0, Y)", 1, "magic"},
+		{"seminaive", []string{"seminaive"}, chainSrc(200), "t(n0, Y)", 1, "seminaive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The result cache would serve the repeat query without
@@ -321,8 +359,8 @@ func TestEngineCancellationMidFixpoint(t *testing.T) {
 			if rows.Len() != tc.answers {
 				t.Fatalf("answers = %v", rows.Strings())
 			}
-			if got := rows.Explain().Strategy; got != tc.name {
-				t.Fatalf("strategy = %q, want %q", got, tc.name)
+			if got := rows.Explain().Strategy; got != tc.want {
+				t.Fatalf("strategy = %q, want %q", got, tc.want)
 			}
 			// Cancel after a handful of loop checks: the 200-round fixpoint
 			// must abort.
@@ -534,15 +572,17 @@ func TestEngineWithStrategiesRestriction(t *testing.T) {
 	}
 	// The served set is closed: the paper-comparison baselines are library
 	// functions (eval.Naive, Plan.EvalCounting), not strategy names.
-	if got := fmt.Sprint(StrategyNames()); got != "[edb magic multi onesided seminaive]" {
+	if got := fmt.Sprint(StrategyNames()); got != "[edb magic onesided seminaive]" {
 		t.Fatalf("served strategies = %s", got)
 	}
-	for _, name := range []string{"nosuch", "naive", "counting"} {
+	// multi-rule recursions are the one-sided planner's: "multi" names no
+	// strategy.
+	for _, name := range []string{"nosuch", "naive", "counting", "multi"} {
 		_, err := Open(WithStrategies(name))
 		if err == nil {
 			t.Fatalf("strategy name %q should fail Open", name)
 		}
-		if want := fmt.Sprintf("unknown strategy %q (have [edb magic multi onesided seminaive])", name); !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("unknown strategy %q (have [edb magic onesided seminaive])", name); !strings.Contains(err.Error(), want) {
 			t.Fatalf("Open(WithStrategies(%q)) = %v, want %q", name, err, want)
 		}
 	}

@@ -1,10 +1,10 @@
 package onesided
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/eval"
-	"repro/internal/multi"
 )
 
 // TestPublicAPIProofs exercises the proof facade: find, verify, minimize.
@@ -89,12 +89,16 @@ func TestPublicAPIMultiRule(t *testing.T) {
 	db.AddFact("bus", "y", "z")
 	db.AddFact("home", "z", "base")
 	q, _ := ParseQuery("t(X, base)")
-	ans, mode, err := multi.EvalSelection(md, q, db)
+	ps, err := eval.OneSided().Prepare(md.Program(), eval.AdornQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode != "reduced" {
+	if mode := ps.Explain().Mode; mode != "reduced" {
 		t.Fatalf("mode = %s", mode)
+	}
+	ans, _, err := eval.Eval(context.Background(), ps, db)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := Answers(ans, db)
 	if len(got) != 3 {

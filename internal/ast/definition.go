@@ -124,6 +124,22 @@ func (d *Definition) HasRepeatedNonrecursivePredicates() bool {
 // one linear recursive rule and exactly one nonrecursive rule. It returns an
 // error if the program's rules for pred do not have that shape.
 func ExtractDefinition(p *Program, pred string) (*Definition, error) {
+	defs, err := ExtractRecursion(p, pred)
+	if err != nil {
+		return nil, err
+	}
+	if len(defs) != 1 {
+		return nil, fmt.Errorf("ast: predicate %s has %d recursive rules, want 1", pred, len(defs))
+	}
+	return defs[0], nil
+}
+
+// ExtractRecursion locates a recursion of one or more linear recursive
+// rules for pred that share exactly one nonrecursive rule — the paper's
+// class, or Section 5's combination of several rules. It returns one
+// validated Definition per recursive rule, in program order, each pairing
+// that rule with the shared exit rule.
+func ExtractRecursion(p *Program, pred string) ([]*Definition, error) {
 	var rec, exit []Rule
 	for _, r := range p.RulesFor(pred) {
 		if r.IsRecursiveFor() {
@@ -132,15 +148,18 @@ func ExtractDefinition(p *Program, pred string) (*Definition, error) {
 			exit = append(exit, r)
 		}
 	}
-	if len(rec) != 1 {
-		return nil, fmt.Errorf("ast: predicate %s has %d recursive rules, want 1", pred, len(rec))
+	if len(rec) == 0 {
+		return nil, fmt.Errorf("ast: predicate %s has no recursive rule", pred)
 	}
 	if len(exit) != 1 {
 		return nil, fmt.Errorf("ast: predicate %s has %d nonrecursive rules, want 1", pred, len(exit))
 	}
-	d := &Definition{Recursive: rec[0], Exit: exit[0]}
-	if err := d.Validate(); err != nil {
-		return nil, err
+	defs := make([]*Definition, len(rec))
+	for i, r := range rec {
+		defs[i] = &Definition{Recursive: r, Exit: exit[0]}
+		if err := defs[i].Validate(); err != nil {
+			return nil, err
+		}
 	}
-	return d, nil
+	return defs, nil
 }

@@ -54,6 +54,12 @@ func (p *Plan) Bind(consts []ast.Term) (*Plan, error) {
 		Recursive: ast.BindRule(p.reduced.Recursive, consts),
 		Exit:      ast.BindRule(p.reduced.Exit, consts),
 	}
+	if len(p.more) > 0 {
+		np.more = make([]ast.Rule, len(p.more))
+		for i, r := range p.more {
+			np.more[i] = ast.BindRule(r, consts)
+		}
+	}
 	if len(p.fixedCols) > 0 {
 		np.fixedCols = make(map[int]string, len(p.fixedCols))
 		for j, name := range p.fixedCols {

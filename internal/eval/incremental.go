@@ -290,13 +290,13 @@ func buildSelect(ctx context.Context, prog *ast.Program, watch string, query ast
 	return buildIncremental(ctx, prog, watch, "", edb, ans, selectBy(query, edb.Syms))
 }
 
-// BuildReduced is buildIncremental for the persistent-column reduction
-// (Section 4, and rule-by-rule for Section 5's multi-rule recursions):
+// buildReduced is buildIncremental for the persistent-column reduction
+// (Section 4, and rule by rule for Section 5's multi-rule recursions):
 // reduced is the recursion for query's predicate after the bound
 // persistent columns were substituted and dropped, keep the original
 // column of each reduced column. The reduced recursion materializes and
 // every reduced tuple re-expands through the dropped constant columns.
-func BuildReduced(ctx context.Context, reduced *ast.Program, query ast.Atom, keep []int, edb *storage.Database) (*Incremental, error) {
+func buildReduced(ctx context.Context, reduced *ast.Program, query ast.Atom, keep []int, edb *storage.Database) (*Incremental, error) {
 	if query.HasSlots() {
 		return nil, errUnboundSkeleton(query)
 	}
@@ -351,7 +351,11 @@ func (p *Plan) build(ctx context.Context, edb *storage.Database, emit func(stora
 	var inc *Incremental
 	var err error
 	if p.Mode == ModeReduced {
-		inc, err = BuildReduced(ctx, p.reduced.Program(), p.Query, p.keepCols, edb)
+		prog := p.reduced.Program()
+		for _, r := range p.more {
+			prog.Rules = append(prog.Rules, r.Clone())
+		}
+		inc, err = buildReduced(ctx, prog, p.Query, p.keepCols, edb)
 	} else {
 		inc, err = buildSelect(ctx, p.Def.Program(), p.Query.Pred, p.Query, edb)
 	}

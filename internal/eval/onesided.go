@@ -63,7 +63,9 @@ func (e *ErrUnsupported) Error() string { return "eval: unsupported selection: "
 // only on which columns are bound, so the template is shared across
 // every ground query of the shape.
 type Plan struct {
-	// Def is the original definition.
+	// Def is the original definition. A Section 5 recursion of several
+	// linear rules is planned with its first recursive rule here and the
+	// others, which share Def's exit rule, reduced alongside (see more).
 	Def *ast.Definition
 	// Query is the selection atom (constants at bound columns).
 	Query ast.Atom
@@ -86,6 +88,9 @@ type Plan struct {
 	// bound columns were substituted and dropped.
 	reduced  *ast.Definition
 	keepCols []int // original column index of each reduced column
+	// more holds a multi-rule recursion's further recursive rules,
+	// reduced like reduced.Recursive; a plan with more is ModeReduced.
+	more []ast.Rule
 
 	// Context mode internals.
 	ctxCols       []int          // reduced recursive-call columns carried, sorted
@@ -142,6 +147,17 @@ type EvalStats struct {
 // atom must use the definition's predicate with constants at bound columns
 // and distinct variables elsewhere.
 func CompileSelection(d *ast.Definition, query ast.Atom) (*Plan, error) {
+	return compileSelection(d, nil, query)
+}
+
+// compileSelection is CompileSelection for a recursion of one or more
+// linear rules: d pairs the first recursive rule with the exit rule and
+// more holds the others, which share that exit rule. Several rules
+// combine the way Section 5 notes they can — through the Section 4
+// persistent-column reduction, rule by rule — so with more rules every
+// bound column must be persistent in every rule and the plan is
+// ModeReduced; any other selection is unsupported.
+func compileSelection(d *ast.Definition, more []ast.Rule, query ast.Atom) (*Plan, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -159,7 +175,19 @@ func CompileSelection(d *ast.Definition, query ast.Atom) (*Plan, error) {
 	}
 
 	p := &Plan{Def: d, Query: query.Clone(), NSlots: query.SlotCount()}
-	split := analysis.SplitBinding(d, ast.AdornmentOf(query))
+	ad := ast.AdornmentOf(query)
+	split := analysis.SplitBinding(d, ad)
+	if len(more) > 0 {
+		for i, r := range append([]ast.Rule{d.Recursive}, more...) {
+			if s := analysis.SplitBinding(&ast.Definition{Recursive: r, Exit: d.Exit}, ad); len(s.Context) > 0 {
+				return nil, &ErrUnsupported{Reason: fmt.Sprintf(
+					"bound column %d is not persistent in recursive rule %d", s.Context[0]+1, i+1)}
+			}
+		}
+		if len(split.Persistent) == 0 {
+			return nil, &ErrUnsupported{Reason: fmt.Sprintf("%d recursive rules and no bound column", len(more)+1)}
+		}
+	}
 	if len(split.Persistent) == 0 && len(split.Context) == 0 {
 		p.Mode = ModeFull
 		p.CarryArity = d.Arity()
@@ -171,8 +199,12 @@ func CompileSelection(d *ast.Definition, query ast.Atom) (*Plan, error) {
 	// Reduce persistent bound columns: substitute the constant (or slot
 	// placeholder, for a skeleton) for the head variable in each rule,
 	// then drop the column everywhere.
-	p.reduced, p.keepCols = rewrite.ReducePersistent(d, split.Persistent,
-		func(col int) ast.Term { return query.Args[col] })
+	constFor := func(col int) ast.Term { return query.Args[col] }
+	p.reduced, p.keepCols = rewrite.ReducePersistent(d, split.Persistent, constFor)
+	for _, r := range more {
+		red, _ := rewrite.ReducePersistent(&ast.Definition{Recursive: r, Exit: d.Exit}, split.Persistent, constFor)
+		p.more = append(p.more, red.Recursive)
+	}
 
 	if len(split.Context) == 0 {
 		p.Mode = ModeReduced

@@ -140,14 +140,33 @@ type oneSidedStrategy struct{}
 // OneSided returns the strategy that runs the Theorem 3.4
 // optimize-then-detect procedure and, when it concludes the recursion is
 // (convertible to) one-sided, compiles the selection into a Fig. 9 plan.
+// A recursion of several linear rules sharing one exit rule (Section 5)
+// skips the procedure: it is planned only when the persistent-column
+// reduction applies to every rule, as a ModeReduced plan.
 func OneSided() Strategy { return oneSidedStrategy{} }
 
 func (oneSidedStrategy) Name() string { return StrategyOneSided }
 
 func (oneSidedStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrategy, error) {
-	dec, err := decideForQuery(p, q.Atom)
+	def, more, err := extractForQuery(p, q.Atom)
 	if err != nil {
 		return nil, err
+	}
+	if len(more) > 0 {
+		plan, err := compileSelection(def, more, q.Atom)
+		if err != nil {
+			return nil, err
+		}
+		return &oneSidedPrepared{plan: plan, adornment: q.Adornment}, nil
+	}
+	dec, err := rewrite.DecideOneSided(def)
+	if err != nil {
+		return nil, err
+	}
+	switch dec.Verdict {
+	case rewrite.VerdictOneSided, rewrite.VerdictConverted, rewrite.VerdictBounded:
+	default:
+		return nil, fmt.Errorf("decision procedure: %s", dec.Verdict)
 	}
 	plan, err := CompileSelection(dec.Optimized, q.Atom)
 	if err != nil {
@@ -156,33 +175,29 @@ func (oneSidedStrategy) Prepare(p *ast.Program, q AdornedQuery) (PreparedStrateg
 	return &oneSidedPrepared{plan: plan, verdict: dec.Verdict.String(), adornment: q.Adornment}, nil
 }
 
-// decideForQuery extracts the two-rule recursion for the query predicate,
-// checks that the Fig. 9 schema's EDB assumption holds (no body atom of
-// the definition is derived by other rules of the program), and runs the
-// Theorem 3.4 decision procedure.
-func decideForQuery(p *ast.Program, query ast.Atom) (*rewrite.Decision, error) {
-	def, err := ast.ExtractDefinition(p, query.Pred)
+// extractForQuery extracts the recursion for the query predicate — the
+// first linear recursive rule paired with the exit rule, and any further
+// recursive rules sharing that exit rule — and checks that the Fig. 9
+// schema's EDB assumption holds: no body atom of the recursion is derived
+// by other rules of the program.
+func extractForQuery(p *ast.Program, query ast.Atom) (*ast.Definition, []ast.Rule, error) {
+	defs, err := ast.ExtractRecursion(p, query.Pred)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var more []ast.Rule
+	for _, d := range defs[1:] {
+		more = append(more, d.Recursive)
 	}
 	idb := p.IDBPreds()
-	for _, r := range []ast.Rule{def.Recursive, def.Exit} {
+	for _, r := range append([]ast.Rule{defs[0].Recursive, defs[0].Exit}, more...) {
 		for _, a := range r.Body {
 			if a.Pred != query.Pred && idb[a.Pred] {
-				return nil, fmt.Errorf("body atom %s is derived by other rules; the Fig. 9 schema needs base relations", a.Pred)
+				return nil, nil, fmt.Errorf("body atom %s is derived by other rules; the Fig. 9 schema needs base relations", a.Pred)
 			}
 		}
 	}
-	dec, err := rewrite.DecideOneSided(def)
-	if err != nil {
-		return nil, err
-	}
-	switch dec.Verdict {
-	case rewrite.VerdictOneSided, rewrite.VerdictConverted, rewrite.VerdictBounded:
-		return dec, nil
-	default:
-		return nil, fmt.Errorf("decision procedure: %s", dec.Verdict)
-	}
+	return defs[0], more, nil
 }
 
 type oneSidedPrepared struct {
@@ -192,13 +207,17 @@ type oneSidedPrepared struct {
 }
 
 func (o *oneSidedPrepared) Explain() StrategyExplain {
-	return StrategyExplain{
+	ex := StrategyExplain{
 		Strategy:   StrategyOneSided,
 		Adornment:  o.adornment.String(),
 		Verdict:    o.verdict,
 		Mode:       o.plan.Mode.String(),
 		CarryArity: o.plan.CarryArity,
 	}
+	if n := len(o.plan.more); n > 0 {
+		ex.Detail = fmt.Sprintf("%d recursive rules, persistent-column reduction", n+1)
+	}
+	return ex
 }
 
 // Build evaluates the plan with its mode's evaluator and retains the

@@ -48,70 +48,167 @@ func TestSemiNaiveCtxCancellation(t *testing.T) {
 	}
 }
 
+// twoChainSrc combines two one-sided rules that walk the same side: Y
+// persists through both, X does not.
+const twoChainSrc = `
+	t(X, Y) :- a(X, Z), t(Z, Y).
+	t(X, Y) :- c(X, Z), t(Z, Y).
+	t(X, Y) :- b(X, Y).
+`
+
+// conflictSrc combines two individually one-sided rules whose
+// combination grows both sides (Section 5's caveat): no column persists
+// through both rules.
+const conflictSrc = `
+	t(X, Y) :- a(X, Z), t(Z, Y).
+	t(X, Y) :- c(Y, W), t(X, W).
+	t(X, Y) :- b(X, Y).
+`
+
+// TestStrategyAdaptersAgree: every rule strategy answers a query as naive
+// bottom-up evaluation does, for a recursion of one linear rule and for
+// Section 5's recursions of several. The one-sided planner takes a
+// several-rule recursion only when every bound column persists through
+// every rule, as a reduced plan; it declines anything else, and Magic Sets
+// and materialization still answer.
 func TestStrategyAdaptersAgree(t *testing.T) {
-	prog, err := parser.ParseProgram(`
-		t(X, Y) :- a(X, Z), t(Z, Y).
-		t(X, Y) :- b(X, Y).
-	`)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, src string
+		facts     [][]string
+		query     string
+		mode      string // the one-sided plan's mode; "" when it declines
+		answers   int
+	}{
+		{"1rule", tcSrc, [][]string{{"a", "x", "y"}, {"a", "y", "x"}, {"b", "y", "z"}}, "t(x, Y)", "context", 1},
+		// x reaches goal through a, then c, then b.
+		{"2rules-reduced", twoChainSrc, [][]string{{"a", "x", "y"}, {"c", "y", "z"}, {"b", "z", "goal"}}, "t(X, goal)", "reduced", 3},
+		// X does not persist: Magic Sets answers.
+		{"2rules-declined", twoChainSrc, [][]string{{"a", "x", "y"}, {"b", "y", "goal"}}, "t(x, Y)", "", 1},
+		// The reduction drops the bound column X, so nothing would check
+		// that both Y columns agree.
+		{"2rules-repeated-var", `
+			t(X, Y, W) :- a(Y, Z), t(X, Z, W).
+			t(X, Y, W) :- c(Y, Z), t(X, Z, W).
+			t(X, Y, W) :- b(X, Y, W).
+		`, [][]string{{"b", "u", "n1", "n2"}, {"b", "u", "n3", "n3"}, {"a", "n0", "n1"}, {"c", "n9", "n3"}}, "t(u, Y, Y)", "", 1},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog := mustProgram(t, c.src)
+			db := storage.NewDatabase()
+			for _, f := range c.facts {
+				db.AddFact(f[0], f[1:]...)
+			}
+			query := mustParseAtom(t, c.query)
+			want := naiveSelect(t, prog, query, db)
+			if want.Len() != c.answers {
+				t.Fatalf("oracle derived %v, want %d answers", AnswerStrings(want, db.Syms), c.answers)
+			}
+			if mode := strategiesAgree(t, prog, query, db, want); mode != c.mode {
+				t.Fatalf("one-sided mode %q, want %q", mode, c.mode)
+			}
+		})
+	}
+	t.Run("2rules-random", func(t *testing.T) {
+		reduced := 0
+		for _, src := range []string{twoChainSrc, conflictSrc} {
+			prog := mustProgram(t, src)
+			for seed := int64(0); seed < 3; seed++ {
+				db := randomEDBFor(prog, 6, 14, seed)
+				for _, qs := range queryPatterns("t", 2) {
+					query := mustParseAtom(t, qs)
+					if strategiesAgree(t, prog, query, db, naiveSelect(t, prog, query, db)) == "reduced" {
+						reduced++
+					}
+				}
+			}
+		}
+		if reduced == 0 {
+			t.Fatal("no query was planned by the reduction")
+		}
+	})
+
+	// The base-relation lookup answers what the relation holds.
 	db := storage.NewDatabase()
 	db.AddFact("a", "x", "y")
-	db.AddFact("a", "y", "x")
-	db.AddFact("b", "y", "z")
-	query := mustParseAtom(t, "t(x, Y)")
-
-	// The oracle is naive bottom-up evaluation, selected by the query.
-	res, err := Naive(prog, db)
+	ps, err := EDBLookup().Prepare(mustProgram(t, tcSrc), AdornQuery(mustParseAtom(t, "a(x, Y)")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := storage.NewRelation(query.Arity(), nil)
-	for _, tup := range res.IDB.Relation(query.Pred).Tuples() {
-		if matchesQuery(tup, query, db.Syms) {
-			want.Insert(tup)
-		}
-	}
-	if want.Len() == 0 {
-		t.Fatal("oracle derived no answers")
-	}
-
-	// multi, the fifth served strategy, needs two recursive rules and
-	// lives above this package: the engine's equivalence tables cover it.
-	ctx := context.Background()
-	for _, s := range []Strategy{OneSided(), Magic(), Materialize()} {
-		ps, err := s.Prepare(prog, AdornQuery(query))
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if ps.Explain().Strategy != s.Name() {
-			t.Fatalf("%s: explain names %q", s.Name(), ps.Explain().Strategy)
-		}
-		// A prepared plan is reusable: evaluate twice.
-		for i := 0; i < 2; i++ {
-			rel, _, err := Eval(ctx, ps, db)
-			if err != nil {
-				t.Fatalf("%s eval %d: %v", s.Name(), i, err)
-			}
-			if !rel.Equal(want) {
-				t.Fatalf("%s eval %d: %v != naive %v", s.Name(), i,
-					AnswerStrings(rel, db.Syms), AnswerStrings(want, db.Syms))
-			}
-		}
-	}
-	// The base-relation lookup answers what the relation holds.
-	ps, err := EDBLookup().Prepare(prog, AdornQuery(mustParseAtom(t, "a(x, Y)")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, _, err := Eval(ctx, ps, db)
+	rel, _, err := Eval(context.Background(), ps, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := AnswerStrings(rel, db.Syms); len(got) != 1 || got[0] != "x,y" {
 		t.Fatalf("edb answers = %v, want [x,y]", got)
 	}
+}
+
+// strategiesAgree prepares query under every rule strategy, from the
+// ground atom and from its skeleton bound by BindArgs, and checks each
+// plan's answers — evaluated twice, since a prepared plan is reusable —
+// against want. Only the one-sided planner may decline, with
+// ErrUnsupported when the recursion has several rules; the returned
+// string is its plan's mode, or "" when it declined.
+func strategiesAgree(t *testing.T, prog *ast.Program, query ast.Atom, db *storage.Database, want *storage.Relation) string {
+	t.Helper()
+	defs, err := ast.ExtractRecursion(prog, query.Pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skel := ast.Skeletonize(query)
+	mode := ""
+	ctx := context.Background()
+	for _, s := range []Strategy{OneSided(), Magic(), Materialize()} {
+		ps, err := s.Prepare(prog, AdornQuery(query))
+		if err != nil {
+			var unsupported *ErrUnsupported
+			if s.Name() == StrategyOneSided && (len(defs) == 1 || errors.As(err, &unsupported)) {
+				continue
+			}
+			t.Fatalf("%s %v: %v", s.Name(), query, err)
+		}
+		ex := ps.Explain()
+		if ex.Strategy != s.Name() {
+			t.Fatalf("%s: explain names %q", s.Name(), ex.Strategy)
+		}
+		if s.Name() == StrategyOneSided {
+			mode = ex.Mode
+			if len(defs) > 1 {
+				detail := fmt.Sprintf("%d recursive rules, persistent-column reduction", len(defs))
+				if ex.Mode != "reduced" || ex.Detail != detail || ex.Verdict != "" {
+					t.Fatalf("%v: explain %v, want mode reduced and detail %q", query, ex, detail)
+				}
+			}
+		}
+		sps, err := s.Prepare(prog, AdornedQuery{Atom: skel.Atom, Adornment: skel.Adornment})
+		if err != nil {
+			t.Fatalf("%s skeleton %v: %v", s.Name(), skel.Atom, err)
+		}
+		if sps.Explain() != ex {
+			t.Fatalf("%s: skeleton explains %v, ground plan %v", s.Name(), sps.Explain(), ex)
+		}
+		if len(skel.Consts) > 0 {
+			if _, err := sps.Build(ctx, db); err == nil {
+				t.Fatalf("%s: an unbound skeleton built", s.Name())
+			}
+		}
+		bound, err := sps.BindArgs(skel.Consts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range []PreparedStrategy{ps, ps, bound} {
+			rel, _, err := Eval(ctx, p, db)
+			if err != nil {
+				t.Fatalf("%s %v eval %d: %v", s.Name(), query, i, err)
+			}
+			if !rel.Equal(want) {
+				t.Fatalf("%s %v eval %d: %v != naive %v", s.Name(), query, i,
+					AnswerStrings(rel, db.Syms), AnswerStrings(want, db.Syms))
+			}
+		}
+	}
+	return mode
 }
 
 func TestEDBStrategyDeclinesDerived(t *testing.T) {

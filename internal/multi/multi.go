@@ -4,14 +4,16 @@
 // one-sided recursive rules always produce a one-sided recursion in
 // combination".
 //
-// The package provides: per-rule classification (each recursive rule
-// paired with the exit rule is a paper-class definition), a combination
-// analysis on the union A/V graph (the full A/V graphs of the rules with
-// distinguished-variable nodes identified by head position), empirical
-// sidedness sampling over the multi-rule expansion (Definition 3.3
-// applied directly), and selection evaluation: the persistent-column
-// reduction generalizes rule-by-rule, everything else falls back to Magic
-// Sets.
+// The package is analysis only: per-rule classification (each recursive
+// rule paired with the exit rule is a paper-class definition), a
+// combination analysis on the union A/V graph (the full A/V graphs of the
+// rules with distinguished-variable nodes identified by head position),
+// empirical sidedness sampling over the multi-rule expansion (Definition
+// 3.3 applied directly), and expansion along a chosen rule sequence.
+// Evaluating a selection is the one-sided planner's business
+// (eval.OneSided): when every bound column is persistent in every rule it
+// applies the persistent-column reduction rule by rule; Magic Sets
+// answers everything else.
 //
 // The union-graph test is the package's extension heuristic; it is
 // validated against expansion sampling in the tests, not proved in the
@@ -19,7 +21,6 @@
 package multi
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -27,10 +28,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/avgraph"
-	"repro/internal/eval"
 	"repro/internal/expand"
-	"repro/internal/rewrite"
-	"repro/internal/storage"
 	"repro/internal/unify"
 )
 
@@ -75,24 +73,13 @@ func (d *Definition) Validate() error {
 // Extract locates a multi-rule recursion for pred in a program: one or
 // more linear recursive rules and exactly one nonrecursive rule.
 func Extract(p *ast.Program, pred string) (*Definition, error) {
-	var rec []ast.Rule
-	var exit []ast.Rule
-	for _, r := range p.RulesFor(pred) {
-		if r.IsRecursiveFor() {
-			if !r.IsLinearFor() {
-				return nil, fmt.Errorf("multi: rule %v is not linear", r)
-			}
-			rec = append(rec, r)
-		} else {
-			exit = append(exit, r)
-		}
-	}
-	if len(exit) != 1 {
-		return nil, fmt.Errorf("multi: predicate %s has %d nonrecursive rules, want 1", pred, len(exit))
-	}
-	d := &Definition{Recursive: rec, Exit: exit[0]}
-	if err := d.Validate(); err != nil {
+	defs, err := ast.ExtractRecursion(p, pred)
+	if err != nil {
 		return nil, err
+	}
+	d := &Definition{Exit: defs[0].Exit}
+	for _, sub := range defs {
+		d.Recursive = append(d.Recursive, sub.Recursive)
 	}
 	return d, nil
 }
@@ -377,190 +364,4 @@ func ExpandSequence(d *Definition, seq []int) expand.String {
 		insts = append(insts, expand.Instance{Atom: a, Iter: len(seq), Exit: true, BodyIndex: bi})
 	}
 	return expand.String{K: len(seq), Head: head, Instances: insts}
-}
-
-// SelectionPlan is a prepared "column = constant" selection on a
-// multi-rule recursion: the Section 4 persistent-column reduction applied
-// rule-by-rule. Build one with PrepareSelection; Build may run many
-// times and concurrently.
-type SelectionPlan struct {
-	def     *Definition
-	query   ast.Atom
-	reduced *ast.Program
-	keep    []int // original column index of each reduced column
-}
-
-// PrepareSelection plans a selection on the multi-rule recursion. It
-// succeeds only when every bound column is persistent in every recursive
-// rule (the shape the Section 5 extension reduces); anything else returns
-// an error so callers can fall back to a general method.
-func PrepareSelection(d *Definition, query ast.Atom) (*SelectionPlan, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if query.Pred != d.Pred() || query.Arity() != d.Arity() {
-		return nil, fmt.Errorf("multi: query %v does not match %s/%d", query, d.Pred(), d.Arity())
-	}
-	var bound []int
-	for i, a := range query.Args {
-		if a.IsConst() {
-			bound = append(bound, i)
-		}
-	}
-	if len(bound) == 0 {
-		return nil, fmt.Errorf("multi: query %v binds no column", query)
-	}
-	for i := range d.Recursive {
-		pc := d.SubDefinition(i).PersistentColumns()
-		for _, c := range bound {
-			if !pc[c] {
-				return nil, fmt.Errorf("multi: bound column %d is not persistent in rule %d", c+1, i+1)
-			}
-		}
-	}
-	// Reduce every rule once; evaluation replays the reduced program. The
-	// reduction substitutes whatever the query holds at each bound column
-	// — real constants for a ground query, slot placeholders for an
-	// adornment-keyed skeleton (instantiated later by Bind).
-	reducedProg := ast.NewProgram()
-	var keep []int
-	for i := range d.Recursive {
-		sub := d.SubDefinition(i)
-		red, kc := rewrite.ReducePersistent(sub, bound,
-			func(col int) ast.Term { return query.Args[col] })
-		reducedProg.Rules = append(reducedProg.Rules, red.Recursive)
-		keep = kc
-		if i == 0 {
-			reducedProg.Rules = append(reducedProg.Rules, red.Exit)
-		}
-	}
-	return &SelectionPlan{def: d, query: query.Clone(), reduced: reducedProg, keep: keep}, nil
-}
-
-// Bind instantiates a skeleton SelectionPlan's slot placeholders,
-// returning an evaluable copy sharing the structural analysis.
-func (sp *SelectionPlan) Bind(consts []ast.Term) (*SelectionPlan, error) {
-	want := sp.query.SlotCount()
-	if len(consts) != want {
-		return nil, fmt.Errorf("multi: bind got %d constants, plan has %d slots", len(consts), want)
-	}
-	for i, c := range consts {
-		if !c.IsConst() {
-			return nil, fmt.Errorf("multi: bind argument %d (%v) is not a constant", i, c)
-		}
-	}
-	if want == 0 {
-		return sp, nil
-	}
-	return &SelectionPlan{
-		def:     sp.def,
-		query:   ast.BindAtom(sp.query, consts),
-		reduced: ast.BindProgram(sp.reduced, consts),
-		keep:    sp.keep,
-	}, nil
-}
-
-// Build runs the reduced program bottom-up, re-expanding the dropped
-// constant columns into the answers, and retains the fixpoint — the
-// builder the one-sided planner's reduced mode uses, so the plan absorbs
-// signed deltas the same way. A skeleton plan with unbound slots refuses
-// to build; call Bind first.
-func (sp *SelectionPlan) Build(ctx context.Context, db *storage.Database) (*eval.Incremental, error) {
-	return eval.BuildReduced(ctx, sp.reduced, sp.query, sp.keep, db)
-}
-
-// EvalSelection evaluates a "column = constant" selection on the
-// multi-rule recursion. When every bound column is persistent in every
-// recursive rule, the reduction of Section 4 applies rule-by-rule
-// (substitute the constant, drop the column, evaluate bottom-up);
-// otherwise the query goes to Magic Sets. The returned mode string names
-// the path taken.
-func EvalSelection(d *Definition, query ast.Atom, db *storage.Database) (*storage.Relation, string, error) {
-	sp, err := PrepareSelection(d, query)
-	if err != nil {
-		if verr := d.Validate(); verr != nil {
-			return nil, "", verr
-		}
-		if query.Pred != d.Pred() || query.Arity() != d.Arity() {
-			return nil, "", fmt.Errorf("multi: query %v does not match %s/%d", query, d.Pred(), d.Arity())
-		}
-		ans, _, merr := eval.MagicEval(d.Program(), query, db)
-		return ans, "magic", merr
-	}
-	inc, err := sp.Build(context.Background(), db)
-	if err != nil {
-		return nil, "", err
-	}
-	return inc.Answers(), "reduced", nil
-}
-
-// StrategyName is the name the multi-rule adapter is served under.
-const StrategyName = "multi"
-
-// Strategy adapts the Section 5 extension to the Engine's strategy
-// chain: it claims queries whose predicate is a multi-rule (>= 2
-// recursive rules) linear recursion with every bound column persistent in
-// every rule, and declines everything else so the engine can fall back to
-// a general method. Single-rule recursions are left to the one-sided
-// strategy.
-func Strategy() eval.Strategy { return strategy{} }
-
-type strategy struct{}
-
-func (strategy) Name() string { return StrategyName }
-
-func (strategy) Prepare(p *ast.Program, q eval.AdornedQuery) (eval.PreparedStrategy, error) {
-	query := q.Atom
-	d, err := Extract(p, query.Pred)
-	if err != nil {
-		return nil, err
-	}
-	if len(d.Recursive) < 2 {
-		return nil, fmt.Errorf("multi: single-rule recursion; use the one-sided strategy")
-	}
-	idb := p.IDBPreds()
-	for _, r := range append(append([]ast.Rule{}, d.Recursive...), d.Exit) {
-		for _, a := range r.Body {
-			if a.Pred != query.Pred && idb[a.Pred] {
-				return nil, fmt.Errorf("multi: body atom %s is derived by other rules", a.Pred)
-			}
-		}
-	}
-	sp, err := PrepareSelection(d, query)
-	if err != nil {
-		return nil, err
-	}
-	return &preparedStrategy{plan: sp, adornment: q.Adornment}, nil
-}
-
-type preparedStrategy struct {
-	plan      *SelectionPlan
-	adornment ast.Adornment
-}
-
-func (ps *preparedStrategy) Explain() eval.StrategyExplain {
-	return eval.StrategyExplain{
-		Strategy:   StrategyName,
-		Adornment:  ps.adornment.String(),
-		Mode:       "reduced",
-		CarryArity: len(ps.plan.keep),
-		Detail:     fmt.Sprintf("%d recursive rules, persistent-column reduction", len(ps.plan.def.Recursive)),
-	}
-}
-
-func (ps *preparedStrategy) Build(ctx context.Context, edb *storage.Database) (*eval.Incremental, error) {
-	return ps.plan.Build(ctx, edb)
-}
-
-// BindArgs implements eval.PreparedStrategy: instantiate the skeleton's
-// slot table.
-func (ps *preparedStrategy) BindArgs(consts ...ast.Term) (eval.PreparedStrategy, error) {
-	bp, err := ps.plan.Bind(consts)
-	if err != nil {
-		return nil, err
-	}
-	if bp == ps.plan {
-		return ps, nil
-	}
-	return &preparedStrategy{plan: bp, adornment: ps.adornment}, nil
 }

@@ -3,10 +3,7 @@ package multi
 import (
 	"testing"
 
-	"repro/internal/ast"
-	"repro/internal/eval"
 	"repro/internal/parser"
-	"repro/internal/storage"
 )
 
 func mustMulti(t *testing.T, src, pred string) *Definition {
@@ -140,110 +137,4 @@ func TestExpandSequence(t *testing.T) {
 	if s.K != 3 {
 		t.Fatalf("K = %d", s.K)
 	}
-}
-
-func TestEvalSelectionReduced(t *testing.T) {
-	d := mustMulti(t, twoChainSrc, "t")
-	db := storage.NewDatabase()
-	db.AddFact("a", "x", "y")
-	db.AddFact("c", "y", "z")
-	db.AddFact("b", "z", "goal")
-	q := parser.MustParseAtom("t(X, goal)")
-	ans, mode, err := EvalSelection(d, q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != "reduced" {
-		t.Fatalf("mode = %s, want reduced", mode)
-	}
-	want, _, err := eval.SelectEval(d.Program(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.Equal(want) {
-		t.Fatalf("answers %v != %v", eval.AnswerStrings(ans, db.Syms), eval.AnswerStrings(want, db.Syms))
-	}
-	// x reaches goal via a then c then b.
-	if ans.Len() != 3 {
-		t.Fatalf("answers = %v", eval.AnswerStrings(ans, db.Syms))
-	}
-}
-
-func TestEvalSelectionMagicFallback(t *testing.T) {
-	d := mustMulti(t, twoChainSrc, "t")
-	db := storage.NewDatabase()
-	db.AddFact("a", "x", "y")
-	db.AddFact("b", "y", "goal")
-	q := parser.MustParseAtom("t(x, Y)")
-	ans, mode, err := EvalSelection(d, q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mode != "magic" {
-		t.Fatalf("mode = %s, want magic", mode)
-	}
-	want, _, err := eval.SelectEval(d.Program(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.Equal(want) {
-		t.Fatal("magic fallback disagrees with full evaluation")
-	}
-}
-
-// TestEvalSelectionRandom cross-validates both paths against full
-// evaluation on random data.
-func TestEvalSelectionRandom(t *testing.T) {
-	srcs := []string{twoChainSrc, conflictSrc}
-	queries := []string{"t(d0, Y)", "t(X, d1)", "t(d0, d1)", "t(X, Y)"}
-	for _, src := range srcs {
-		d := mustMulti(t, src, "t")
-		for seed := int64(0); seed < 3; seed++ {
-			db := randomEDB(d.Program(), 6, 14, seed)
-			for _, qs := range queries {
-				q := parser.MustParseAtom(qs)
-				ans, _, err := EvalSelection(d, q, db)
-				if err != nil {
-					t.Fatalf("%s %s: %v", src, qs, err)
-				}
-				want, _, err := eval.SelectEval(d.Program(), q, db)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ans.Equal(want) {
-					t.Fatalf("%s %s seed %d: %v != %v", src, qs, seed,
-						eval.AnswerStrings(ans, db.Syms), eval.AnswerStrings(want, db.Syms))
-				}
-			}
-		}
-	}
-}
-
-func randomEDB(p *ast.Program, domain, facts int, seed int64) *storage.Database {
-	db := storage.NewDatabase()
-	arities, _ := p.Arities()
-	idb := make(map[string]bool)
-	for _, r := range p.Rules {
-		idb[r.Head.Pred] = true
-	}
-	state := uint64(seed)*0x9E3779B97F4A7C15 + 1
-	next := func(n int) int {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return int(state % uint64(n))
-	}
-	for pred, ar := range arities {
-		if idb[pred] {
-			continue
-		}
-		for i := 0; i < facts; i++ {
-			args := make([]string, ar)
-			for j := range args {
-				args[j] = "d" + string(rune('0'+next(domain)))
-			}
-			db.AddFact(pred, args...)
-		}
-	}
-	return db
 }

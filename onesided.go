@@ -33,10 +33,6 @@ type (
 	Adornment = ast.Adornment
 )
 
-// QueryAdornment computes the adornment of a query atom: 'b' at columns
-// holding constants, 'f' elsewhere.
-func QueryAdornment(q Atom) Adornment { return ast.AdornmentOf(q) }
-
 // QueryShape returns the canonical shape of a query — the plan-cache key
 // rendered for humans, e.g. "t($0, V0)" for t(paris, Y). Queries with
 // equal shapes share one compiled plan skeleton (PreparedQuery.BindAtom
@@ -127,16 +123,6 @@ func LoadFacts(p *Program, db *Database) *Program {
 
 // Classify runs the full A/V-graph analysis (Theorems 3.1 and 3.3).
 func Classify(d *Definition) (*Classification, error) { return analysis.Classify(d) }
-
-// IsOneSided applies the Theorem 3.1 test.
-func IsOneSided(d *Definition) (bool, error) { return analysis.IsOneSided(d) }
-
-// Sidedness returns k such that the definition is k-sided.
-func Sidedness(d *Definition) (int, error) { return analysis.Sidedness(d) }
-
-// Optimize removes recursively redundant atoms ([Nau89b] step), returning
-// the optimized definition and the removed atoms.
-func Optimize(d *Definition) (*Definition, []Atom, error) { return rewrite.RemoveRedundant(d) }
 
 // Decide runs the paper's complete optimize-then-detect procedure.
 func Decide(d *Definition) (*Decision, error) { return rewrite.DecideOneSided(d) }

@@ -39,10 +39,11 @@ func WithProgram(p *Program) Option {
 // WithStrategies restricts and orders the strategy chain the engine
 // tries at Prepare time. Names resolve against the served set
 // (StrategyNames); Open fails on an unknown name. The default chain is
-// ["onesided", "multi", "magic", "edb"]: the paper's planner first, the
-// Section 5 multi-rule reduction next, Magic Sets as the general
-// fallback (exactly the paper's own baseline for many-sided recursions),
-// and plain indexed lookup for base relations.
+// ["onesided", "magic", "edb"]: the paper's planner first (it also plans
+// Section 5's multi-rule recursions whose bound columns persist in every
+// rule), Magic Sets as the general fallback (exactly the paper's own
+// baseline for many-sided recursions), and plain indexed lookup for base
+// relations.
 func WithStrategies(names ...string) Option {
 	return func(c *engineConfig) { c.strategyNames = names }
 }

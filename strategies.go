@@ -4,16 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/eval"
-	"repro/internal/multi"
 )
 
 // Strategy is an evaluation method an Engine can plan a query with: it
 // analyses the query against a program once and returns a reusable
 // prepared form. The served set is closed — "onesided" (the paper's
-// Theorem 3.4 planner + Fig. 9 schema), "multi" (the Section 5 multi-rule
-// reduction), "magic" (Magic Sets), "seminaive" (materialize then
-// select) and "edb" (indexed base-relation lookup) — and every prepared
-// plan of every one of them builds a maintained evaluation.
+// Theorem 3.4 planner + Fig. 9 schema, which also plans Section 5's
+// multi-rule recursions by the persistent-column reduction), "magic"
+// (Magic Sets), "seminaive" (materialize then select) and "edb" (indexed
+// base-relation lookup) — and every prepared plan of every one of them
+// builds a maintained evaluation.
 type Strategy = eval.Strategy
 
 // PreparedStrategy is the reusable plan a Strategy produces. A plan
@@ -36,7 +36,6 @@ type BatchPrepared = eval.BatchPrepared
 var servedStrategies = []Strategy{
 	eval.EDBLookup(),
 	eval.Magic(),
-	multi.Strategy(),
 	eval.OneSided(),
 	eval.Materialize(),
 }
@@ -53,7 +52,6 @@ func StrategyNames() []string {
 // defaultStrategyNames is the auto-selection chain.
 var defaultStrategyNames = []string{
 	eval.StrategyOneSided,
-	multi.StrategyName,
 	eval.StrategyMagic,
 	eval.StrategyEDB,
 }
