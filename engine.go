@@ -882,18 +882,16 @@ func (e *Engine) resultEntryFor(key string, gen uint64, create bool) *resultEntr
 }
 
 // collectDelta gathers, for each of the given predicates whose relation
-// was modified at or after stamp, its signed (netted) DeltaSince tuples
-// as an eval.Delta. ok is false when one of those relations' delta tail
-// was evicted and the caller must fall back to a full re-evaluation;
-// relations the maintained program never reads are not consulted.
-func (e *Engine) collectDelta(preds []string, stamp uint64) (eval.Delta, bool) {
-	d := eval.Delta{Add: make(map[string]*storage.Relation), Del: make(map[string]*storage.Relation)}
-	put := func(side map[string]*storage.Relation, pred string, arity int, tuples []storage.Tuple) {
-		if len(tuples) > 0 {
-			side[pred] = storage.NewRelation(arity, nil)
-			side[pred].InsertBatch(tuples)
-		}
-	}
+// was modified at or after stamp, its signed (netted) DeltaSince as an
+// eval.Delta: the inserts as the window DeltaSince returns over the base
+// relation's own rows, nothing copied, and the retractions as a relation
+// of their own, which DRed probes by key (their rows are tombstoned, and
+// may have left the base directories). The windows are sound only under
+// the retraction hold the caller keeps until the pass that reads them
+// ends. ok is false when one of those relations' delta tail was evicted
+// and the caller must fall back to a full re-evaluation; relations the
+// maintained program never reads are not consulted.
+func (e *Engine) collectDelta(preds []string, stamp uint64) (d eval.Delta, ok bool) {
 	for _, pred := range preds {
 		r := e.db.Relation(pred)
 		if r == nil || r.LastModified() < stamp {
@@ -903,8 +901,19 @@ func (e *Engine) collectDelta(preds []string, stamp uint64) (eval.Delta, bool) {
 		if !ok {
 			return eval.Delta{}, false
 		}
-		put(d.Add, pred, r.Arity(), sd.Added)
-		put(d.Del, pred, r.Arity(), sd.Removed)
+		if sd.Added != nil {
+			if d.Add == nil {
+				d.Add = make(map[string]*storage.Relation)
+			}
+			d.Add[pred] = sd.Added
+		}
+		if len(sd.Removed) > 0 {
+			if d.Del == nil {
+				d.Del = make(map[string]*storage.Relation)
+			}
+			d.Del[pred] = storage.NewRelation(r.Arity(), nil)
+			d.Del[pred].InsertBatch(sd.Removed)
+		}
 	}
 	return d, true
 }
@@ -912,9 +921,11 @@ func (e *Engine) collectDelta(preds []string, stamp uint64) (eval.Delta, bool) {
 // maintain brings entry's retained state up to date: it reads the epoch
 // the entry will be current as of, collects the signed delta since the
 // entry's stamp and applies it. No retraction may land between collecting
-// the delta and the end of the pass that applies it, so both happen under
-// one Database.HoldRetractions, released however the pass ends (a pass
-// that panics under a recovering caller must not leave writers waiting).
+// the delta and the end of the pass that applies it — DRed reconstructs
+// the old state from it, and the insert windows read the base relations'
+// rows in place — so both happen under one Database.HoldRetractions,
+// released however the pass ends (a pass that panics under a recovering
+// caller must not leave writers waiting).
 // changed reports a non-empty delta; ok is false when a delta tail was
 // evicted. The caller holds entry.mu.
 func (e *Engine) maintain(ctx context.Context, entry *resultEntry) (newStamp uint64, changed, ok bool, err error) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -510,5 +511,72 @@ func TestQueryHitAllocationBudget(t *testing.T) {
 			t.Errorf("answers=%d: a hit allocates %v objects, budget %d", n, allocs, budget)
 		}
 		t.Logf("answers=%d: %v allocs per hit", n, allocs)
+	}
+}
+
+// TestMaintainAllocationBudget pins what a maintained re-query allocates
+// in Engine.Query when its delta derives no answer: a reduced-mode
+// t(X, goal) entry re-queried after |Δ| b facts that do not reach goal.
+// The pass reads the inserts where they are — a window over b's own rows
+// — so what it allocates does not grow with |Δ|: 41 objects at |Δ| = 32
+// and 53 at 576 when the delta was copied into a scratch relation and
+// indexed there, 16 at both since.
+func TestMaintainAllocationBudget(t *testing.T) {
+	const budget, spread, runs = 20, 2, 20
+	ctx := context.Background()
+	counts := map[int]uint64{}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{32, 576} {
+		eng := openWith(t, nil, "t(X, Y) :- a(X, Z), t(Z, Y).\nt(X, Y) :- b(X, Y).\nb(n1, goal).")
+		for i := 0; i < 64; i++ {
+			eng.AddFact("a", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
+		}
+		pq, err := eng.Prepare(nil, mustAtom(t, "t(X, goal)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := pq.Query(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode := rows.Explain().Mode; mode != "reduced" {
+			t.Fatalf("t(X, goal) runs in mode %q, want reduced", mode)
+		}
+		answers := rows.Len()
+		writes := make([][]Fact, runs)
+		for r := range writes {
+			writes[r] = make([]Fact, n)
+			for i := range writes[r] {
+				writes[r][i] = Fact{"b", []string{fmt.Sprintf("n%d", i%64), fmt.Sprintf("m%d_%d", r, i)}}
+			}
+		}
+		// Measured as testing.AllocsPerRun does — on one processor, the
+		// average over the runs — but around the query alone: each run
+		// first commits its delta.
+		var before, after runtime.MemStats
+		var total uint64
+		for _, w := range writes {
+			if _, err := eng.InsertFacts(w); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			rows, err := pq.Query(ctx)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex := rows.Explain(); ex.ResultCache != "updated" || rows.Len() != answers {
+				t.Fatalf("|Δ|=%d: re-query result-cache=%s with %d answers, want updated with %d", n, ex.ResultCache, rows.Len(), answers)
+			}
+			total += after.Mallocs - before.Mallocs
+		}
+		counts[n] = total / runs
+		if counts[n] > budget {
+			t.Errorf("|Δ|=%d: a maintained re-query allocates %d objects, budget %d", n, counts[n], budget)
+		}
+		t.Logf("|Δ|=%d: %d allocs per maintained re-query", n, counts[n])
+	}
+	if lo, hi := min(counts[32], counts[576]), max(counts[32], counts[576]); hi-lo > spread {
+		t.Errorf("a maintained re-query allocates %d objects at |Δ|=32 and %d at |Δ|=576: more than %d apart", counts[32], counts[576], spread)
 	}
 }

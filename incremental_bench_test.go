@@ -29,8 +29,8 @@ func incrementalBenchEngine(b *testing.B, n int, opts ...Option) *Engine {
 // re-runs the same bound query. The "maintained" variant extends the
 // retained fixpoint with just the delta (result-cache=updated); the
 // "recompute" variant disables the result cache and re-runs the Fig. 9
-// evaluation from the seed — the from-scratch baseline this PR's
-// acceptance criterion compares against (>= 10x).
+// evaluation from the seed — the from-scratch baseline maintenance is
+// held to (>= 10x).
 func BenchmarkIncrementalInsert(b *testing.B) {
 	ctx := context.Background()
 	const n = 5000
@@ -65,6 +65,51 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 	b.Run(fmt.Sprintf("chain=%d/recompute", n), func(b *testing.B) {
 		run(b, incrementalBenchEngine(b, n, WithResultCache(0)), "")
 	})
+	// Stale: the entry is re-queried only after staleWrites writes of
+	// staleFacts b facts each (|Δ| = 576, the shape of a churn_durable
+	// re-query), which are not timed. The reduced t(X, goal) derives no
+	// answer from them; the context t(n0, Y) derives one apiece.
+	const staleWrites, staleFacts = 24, 24
+	for _, q := range []string{"t(X, goal)", "t(n0, Y)"} {
+		b.Run(fmt.Sprintf("chain=%d/stale/%s", n, q), func(b *testing.B) {
+			eng := incrementalBenchEngine(b, n)
+			pq, err := eng.Prepare(nil, parserMustAtom(b, q))
+			if err != nil {
+				b.Fatal(err)
+			}
+			// The build, then a first maintained pass: a context plan's state
+			// is adopted by the incremental machine on its first delta.
+			for _, warm := range []string{"", "warm"} {
+				if warm != "" {
+					eng.AddFact("b", "n1", warm)
+				}
+				if _, err := pq.Query(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			write := make([]Fact, staleFacts)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for w := 0; w < staleWrites; w++ {
+					for f := range write {
+						write[f] = Fact{"b", []string{fmt.Sprintf("n%d", (w*staleFacts+f)*7%n), fmt.Sprintf("s%d_%d_%d", i, w, f)}}
+					}
+					if _, err := eng.InsertFacts(write); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				rows, err := pq.Query(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := rows.Explain().ResultCache; got != "updated" {
+					b.Fatalf("iteration %d result-cache = %q, want updated", i, got)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkRetractMaintain measures the retract→re-query cycle: each

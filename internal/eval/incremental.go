@@ -24,12 +24,17 @@ import (
 // Delta describes the base-relation changes since a retained
 // evaluation's build epoch, signed: Add holds one relation of newly
 // inserted tuples per predicate and Del one relation of retracted
-// tuples (each indexed like any relation, so delta-restricted
-// conjunction atoms probe them). Predicates absent from a map are
-// unchanged in that direction. An Add entry may overlap state the
-// evaluation already saw — replaying overlap is idempotent under set
-// semantics — and a Del entry may name tuples the base never held;
-// both directions net out against the maintained state.
+// tuples, which delta-restricted conjunction atoms probe like any
+// relation. Predicates absent from a map are unchanged in that
+// direction. An Add entry may overlap state the evaluation already saw —
+// replaying overlap is idempotent under set semantics — and a Del entry
+// may name tuples the base never held; both directions net out against
+// the maintained state.
+//
+// An Add relation is read, never written, and only during the Update it
+// is passed to: the engine hands in the window storage.Relation.DeltaSince
+// returns over the base relation's own rows, which is sound only while
+// the caller holds the database's retraction hold.
 type Delta struct {
 	Add map[string]*storage.Relation
 	Del map[string]*storage.Relation

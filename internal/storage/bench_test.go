@@ -152,7 +152,7 @@ func BenchmarkDirectoryBuild(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st := rel.store
 				st.mu.Lock()
-				st.cols[0].Store(st.buildDirectory(0))
+				st.cols[0].Store(st.buildDirectory(0, 0, st.rows))
 				st.mu.Unlock()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rel.Len()), "ns/row")

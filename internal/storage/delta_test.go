@@ -45,19 +45,19 @@ func TestEpochStampingAndDeltaSince(t *testing.T) {
 	if !ok {
 		t.Fatal("DeltaSince fell back to full for a live tail")
 	}
-	if len(delta.Added) != 1 || tkey(delta.Added[0]) != tkey(Tuple{db.Syms.Intern("c"), db.Syms.Intern("d")}) {
-		t.Fatalf("delta = %v, want exactly the (c,d) insert", delta.Added)
+	if len(added(delta)) != 1 || tkey(added(delta)[0]) != tkey(Tuple{db.Syms.Intern("c"), db.Syms.Intern("d")}) {
+		t.Fatalf("delta = %v, want exactly the (c,d) insert", added(delta))
 	}
 	if len(delta.Removed) != 0 {
 		t.Fatalf("insert-only delta carries removals: %v", delta.Removed)
 	}
 	// Nothing newer than the current epoch.
-	if d, ok := r.DeltaSince(db.Epoch()); !ok || len(d.Added) != 0 || len(d.Removed) != 0 {
+	if d, ok := r.DeltaSince(db.Epoch()); !ok || len(added(d)) != 0 || len(d.Removed) != 0 {
 		t.Fatalf("DeltaSince(current) = %v/%v, want empty/ok", d, ok)
 	}
 	// Epoch 0 covers the whole history while the tail is intact.
-	if d, ok := r.DeltaSince(0); !ok || len(d.Added) != 3 {
-		t.Fatalf("DeltaSince(0) = %d tuples/%v, want 3/ok", len(d.Added), ok)
+	if d, ok := r.DeltaSince(0); !ok || len(added(d)) != 3 {
+		t.Fatalf("DeltaSince(0) = %d tuples/%v, want 3/ok", len(added(d)), ok)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestDeltaTailEviction(t *testing.T) {
 	if !ok {
 		t.Fatalf("DeltaSince(%d) fell back; floor too aggressive", stamp)
 	}
-	if len(delta.Added) != 10 {
-		t.Fatalf("recent delta has %d tuples, want 10", len(delta.Added))
+	if len(added(delta)) != 10 {
+		t.Fatalf("recent delta has %d tuples, want 10", len(added(delta)))
 	}
 }
 
@@ -144,7 +144,7 @@ func TestDeltaTailWindow(t *testing.T) {
 	for name, c := range map[string]struct {
 		got  []Tuple
 		want map[tupleKey]bool
-	}{"added": {d.Added, wantAdded}, "removed": {d.Removed, wantRemoved}} {
+	}{"added": {added(d), wantAdded}, "removed": {d.Removed, wantRemoved}} {
 		got := tupleSet(c.got)
 		if len(c.got) != len(c.want) || len(got) != len(c.want) {
 			t.Fatalf("%s: %d tuples (%d distinct), want %d", name, len(c.got), len(got), len(c.want))
@@ -205,7 +205,7 @@ func TestDeltaConcurrentInserts(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			if delta, ok := db.Relation("e").DeltaSince(0); ok {
 				r := db.Relation("e")
-				for _, tup := range delta.Added {
+				for _, tup := range added(delta) {
 					if !r.Contains(tup) {
 						t.Error("delta tuple not in relation")
 						return
@@ -220,8 +220,8 @@ func TestDeltaConcurrentInserts(t *testing.T) {
 	if !ok {
 		t.Fatal("final DeltaSince fell back (tail should hold all inserts)")
 	}
-	if len(delta.Added) != writers*each {
-		t.Fatalf("final delta has %d tuples, want %d", len(delta.Added), writers*each)
+	if len(added(delta)) != writers*each {
+		t.Fatalf("final delta has %d tuples, want %d", len(added(delta)), writers*each)
 	}
 }
 
@@ -282,7 +282,7 @@ func TestDeltaStampProtocolConcurrentWriters(t *testing.T) {
 			for _, tup := range d.Removed {
 				delete(m.sets[p], tkey(tup))
 			}
-			for _, tup := range d.Added {
+			for _, tup := range added(d) {
 				m.sets[p][tkey(tup)] = true
 			}
 		}

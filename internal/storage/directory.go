@@ -257,17 +257,19 @@ func (st *store) post(col int, d *directory, key Value, row int32) {
 	}
 }
 
-// buildDirectory indexes column col of the store's live rows (tombstoned
-// rows are left out — the compaction path relies on this). It counts
+// buildDirectory indexes column col of the store's live rows in [lo, hi)
+// (tombstoned rows are left out — the compaction path relies on this). It counts
 // each key's rows first, in the low word of the key's slot, so that the
 // table is sized once it stops growing and every run is carved, with room
 // by the same rule as a posted one's, out of one exact allocation; the
 // second pass fills the runs, a run's length word counting what it has so
-// far. Caller holds the write lock; the result is private until stored.
-func (st *store) buildDirectory(col int) *directory {
+// far. Caller holds the lock — the write lock for a directory of the
+// store's own, the read lock for a window's — and the result is private
+// until stored.
+func (st *store) buildDirectory(col, lo, hi int) *directory {
 	d := newDirectory()
 	live := func(yield func(row int, key Value)) {
-		for row := 0; row < st.rows; row++ {
+		for row := lo; row < hi; row++ {
 			if st.deadCnt == 0 || !st.isDeadLocked(row) {
 				yield(row, st.valueAt(row, col))
 			}

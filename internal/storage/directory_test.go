@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -263,5 +264,30 @@ func TestFootprintCountsWhatIsThere(t *testing.T) {
 	}
 	if f.Total() != f.TupleBlocks+f.DedupTables+f.DirectorySlots+f.RunArenas+f.SymbolText+f.SymbolIndex {
 		t.Fatalf("total %d", f.Total())
+	}
+}
+
+// TestFootprintCountsDeadRows: N insert/retract cycles over ten keys leave
+// N dead rows behind, across relations, and nothing live — the growth a
+// compaction of churned stores is to bound.
+func TestFootprintCountsDeadRows(t *testing.T) {
+	db := NewDatabase()
+	const cycles = 3 * blockRows
+	for i := 0; i < cycles; i++ {
+		pred := []string{"e", "f"}[i%2]
+		key := fmt.Sprintf("k%d", i%10)
+		if !db.AddFact(pred, key, "v") || !db.RemoveFact(pred, key, "v") {
+			t.Fatalf("cycle %d: the insert or the retraction was not accepted", i)
+		}
+	}
+	f := db.Footprint()
+	if f.DeadRows != cycles {
+		t.Fatalf("DeadRows = %d after %d insert/retract cycles, want %d", f.DeadRows, cycles, cycles)
+	}
+	if db.TupleCount() != 0 {
+		t.Fatalf("%d tuples live after the cycles", db.TupleCount())
+	}
+	if !strings.Contains(f.String(), fmt.Sprintf("dead-rows=%d", cycles)) {
+		t.Fatalf("String() leaves out the dead rows: %s", f)
 	}
 }

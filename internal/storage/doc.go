@@ -24,8 +24,9 @@
 // holds, from lengths and capacities. Scan and Lookup
 // yield rows through a reused buffer: the yielded Tuple is valid only
 // for the duration of the callback, and callers that keep tuples copy
-// them (Clone). Tuples, SortedTuples, and DeltaSince return fresh
-// arena-backed copies that never alias the live column arrays.
+// them (Clone). Tuples and SortedTuples return fresh arena-backed copies
+// that never alias the live column arrays; DeltaSince copies nothing it
+// need not (see below).
 //
 // # Concurrency and snapshots
 //
@@ -96,8 +97,15 @@
 // depends only on the history of commits. Relation.DeltaSince(epoch)
 // returns exactly the signed delta stamped at or after a given epoch
 // (falling back with ok=false once the tail evicted the requested
-// history), which is what the engine's materialized-answer cache and
-// the WAL's differential checkpoints run on. Derived databases
+// history), which is what the engine's materialized-answer cache runs on
+// (the WAL's differential checkpoints read LastModified and Retracts
+// instead). Its inserts are not copied out: rows are appended and
+// stamped in row order, so they are a window [lo, hi) of the relation's
+// own rows, handed out as a read-only Relation that probes the base
+// relation's directories narrowed to it (window.go). The window is sound
+// while no retraction can tombstone a row in it — a maintenance pass
+// reads it under Database.HoldRetractions — and its retractions, whose
+// rows are dead, are copied. Derived databases
 // (NewDatabaseWith) and free-standing relations skip all of this
 // tracking, and a derived database's relations count into no Counters.
 package storage

@@ -12,6 +12,11 @@ import "fmt"
 type Footprint struct {
 	// TupleBlocks is the column blocks and their tombstone bitsets.
 	TupleBlocks int64 `json:"tuple_blocks"`
+	// DeadRows counts rows, not bytes: the tombstoned rows the blocks
+	// still hold. A retraction tombstones its row and a re-insert appends
+	// a fresh one, so under insert/retract churn it grows with every
+	// retraction while the live set stays flat.
+	DeadRows int64 `json:"dead_rows"`
 	// DedupTables is the open-addressing tables over row ids.
 	DedupTables int64 `json:"dedup_tables"`
 	// DirectorySlots is the slot tables of the built posting directories.
@@ -29,15 +34,16 @@ type Footprint struct {
 }
 
 // Total is the sum over the structures (RunsAbandoned is part of
-// RunArenas and not added again).
+// RunArenas and not added again; DeadRows is a count of rows).
 func (f Footprint) Total() int64 {
 	return f.TupleBlocks + f.DedupTables + f.DirectorySlots + f.RunArenas + f.SymbolText + f.SymbolIndex
 }
 
-// String renders the footprint on one line, bytes throughout.
+// String renders the footprint on one line, bytes throughout but for the
+// dead-row count.
 func (f Footprint) String() string {
-	return fmt.Sprintf("total=%d tuple-blocks=%d dedup-tables=%d directory-slots=%d run-arenas=%d (abandoned=%d) symbol-text=%d symbol-index=%d",
-		f.Total(), f.TupleBlocks, f.DedupTables, f.DirectorySlots, f.RunArenas, f.RunsAbandoned, f.SymbolText, f.SymbolIndex)
+	return fmt.Sprintf("total=%d tuple-blocks=%d (dead-rows=%d) dedup-tables=%d directory-slots=%d run-arenas=%d (abandoned=%d) symbol-text=%d symbol-index=%d",
+		f.Total(), f.TupleBlocks, f.DeadRows, f.DedupTables, f.DirectorySlots, f.RunArenas, f.RunsAbandoned, f.SymbolText, f.SymbolIndex)
 }
 
 // Sizes of the element types the structures are made of.
@@ -74,6 +80,7 @@ func (r *Relation) footprint(f *Footprint) {
 		f.TupleBlocks += int64(cap(st.blocks[b]))*wordBytes + int64(cap(st.dead[b]))*8
 	}
 	f.TupleBlocks += int64(cap(st.blocks)+cap(st.dead)) * headerBytes
+	f.DeadRows += int64(st.deadCnt)
 	f.DedupTables += int64(cap(st.slots)+cap(st.hashes)) * wordBytes
 	for c := range st.cols {
 		if d := st.cols[c].Load(); d != nil {

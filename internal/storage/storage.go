@@ -595,6 +595,9 @@ type Relation struct {
 	// heap, and were it part of the Relation that would leak the Relation
 	// too — and, through Run.Rel, every commit's tuple slice.
 	store *store
+	// win, when non-nil, makes the relation a read-only window over rows
+	// of another relation's store (see DeltaSince).
+	win *window
 }
 
 // NewRelation creates an empty relation of the given arity, reporting
@@ -620,6 +623,13 @@ func (r *Relation) Name() string { return r.name }
 // Len returns the number of live tuples.
 func (r *Relation) Len() int { return int(r.count.Load()) }
 
+// writable panics on a window, which no write may reach.
+func (r *Relation) writable() {
+	if r.win != nil {
+		panic("storage: write to a delta window")
+	}
+}
+
 // Retracts returns the number of retractions the relation has accepted
 // since creation (monotone; it never decreases).
 func (r *Relation) Retracts() int64 { return r.retracts.Load() }
@@ -644,6 +654,7 @@ func (r *Relation) Reset() {
 	if r.db != nil {
 		panic("storage: Reset of a tracked relation")
 	}
+	r.writable()
 	st := r.store
 	st.mu.Lock()
 	if len(st.blocks) > 0 {
@@ -685,6 +696,7 @@ func (r *Relation) Insert(t Tuple) bool { return r.commit([]Tuple{t}, false) == 
 // lock, keeping the claim exactly-once under races). Fresh-heavy callers
 // should use Insert directly: the extra probe is pure overhead there.
 func (r *Relation) Offer(t Tuple) bool {
+	r.writable()
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("storage: arity-%d tuple offered to arity-%d relation", len(t), r.arity))
 	}
@@ -841,6 +853,7 @@ func commitRuns(db *Database, first Run, more []Run) (added, removed int) {
 // stamp finds the relation's watermark raised and, once it gets the lock,
 // the entries.
 func (r *Relation) apply(tuples []Tuple, del bool) (n int, accepted []bool) {
+	r.writable()
 	for _, t := range tuples {
 		if len(t) != r.arity {
 			panic(fmt.Sprintf("storage: arity-%d tuple committed to arity-%d relation", len(t), r.arity))
@@ -943,71 +956,31 @@ func storeMax(a *atomic.Uint64, v uint64) {
 // S is stale exactly when LastModified() >= S.
 func (r *Relation) LastModified() uint64 { return r.lastMod.Load() }
 
-// SignedDelta is DeltaSince's result: the tuples that entered and left
-// the relation over the requested window, netted against the current
-// state — a tuple retracted and later re-inserted appears only in Added,
-// one inserted and later retracted only in Removed, so applying "remove
-// Removed, add Added" to the caller's stale view converges on the
-// relation's present tuple set regardless of interleaving.
-type SignedDelta struct {
-	Added   []Tuple
-	Removed []Tuple
-}
-
-// Empty reports whether the delta carries no change.
-func (d SignedDelta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
-
-// DeltaSince returns the signed delta of mutations accepted with an
-// epoch stamp >= epoch. ok is false when the delta cannot be
-// reconstructed — the relation is untracked, or its tail evicted entries
-// the request needs — in which case the caller must fall back to treating
-// the relation as fully changed. The returned tuples are fresh copies
-// backed by one arena: they never alias the live column blocks, so they
-// stay valid however the relation is mutated afterwards. Tuples stamped
-// exactly at the requested epoch may overlap state the caller already
-// has; replaying them is idempotent under set semantics.
-func (r *Relation) DeltaSince(epoch uint64) (SignedDelta, bool) {
-	var out SignedDelta
-	if r.db == nil {
-		return out, false
-	}
-	if r.lastMod.Load() < epoch {
-		return out, true
-	}
-	st := r.store
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if st.tailFloor > epoch {
-		return out, false
-	}
-	lo := sort.Search(len(st.tail), func(k int) bool { return st.tail[k].epoch >= epoch })
-	arena := make([]Value, (len(st.tail)-lo)*r.arity)
-	for j, te := range st.tail[lo:] {
-		dst := Tuple(arena[j*r.arity : (j+1)*r.arity])
-		for c := range dst {
-			dst[c] = st.valueAt(te.row, c)
-		}
-		// Net each entry against the current state: an insert whose row
-		// has since died (or a retraction whose tuple is live again)
-		// cancelled out inside the window.
-		if te.del {
-			if st.findLocked(dst, HashTuple(dst)) < 0 {
-				out.Removed = append(out.Removed, dst)
-			}
-		} else if !st.isDeadLocked(te.row) {
-			out.Added = append(out.Added, dst)
-		}
-	}
-	return out, true
-}
-
 // Contains reports membership under the read lock. It allocates nothing.
 func (r *Relation) Contains(t Tuple) bool {
 	h := HashTuple(t)
 	st := r.store
 	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.findLocked(t, h) >= 0
+	row := st.findLocked(t, h)
+	st.mu.RUnlock()
+	if r.win != nil {
+		return r.win.holds(row)
+	}
+	return row >= 0
+}
+
+// view captures a snapshot of the relation's rows (see storeView) and the
+// first row of it that is the relation's: 0, or a window's lo. A window's
+// view ends at its hi.
+func (r *Relation) view() (v storeView, lo int) {
+	if r.win == nil {
+		return r.store.view(), 0
+	}
+	v.rows = r.win.hi
+	if v.rows > 0 {
+		v.resolve(r.store)
+	}
+	return v, r.win.lo
 }
 
 // Tuples returns a materialized snapshot of the tuple set in insertion
@@ -1018,12 +991,17 @@ func (r *Relation) Contains(t Tuple) bool {
 // modify it (tuples share the arena). This accessor is not instrumented;
 // use Scan for measured access.
 func (r *Relation) Tuples() []Tuple {
-	v := r.store.view()
-	total := v.live()
+	v, lo := r.view()
+	// A window's count was taken at DeltaSince: its rows can only have
+	// died since.
+	total := r.Len()
+	if r.win == nil {
+		total = v.live()
+	}
 	out := make([]Tuple, total)
 	arena := make([]Value, total*r.arity)
 	k := 0
-	for row := 0; row < v.rows; row++ {
+	for row := lo; row < v.rows; row++ {
 		if v.isDead(row) {
 			continue
 		}
@@ -1095,6 +1073,10 @@ func (r *Relation) LookupBuf(bindings []Binding, buf Tuple, yield func(Tuple) bo
 // tally per goroutine. It takes no lock and, given a tally, writes no
 // memory another goroutine reads.
 func (r *Relation) LookupTally(bindings []Binding, buf Tuple, tally *Tally, yield func(Tuple) bool) {
+	if r.win != nil {
+		r.lookupWindow(bindings, buf[:r.arity], yield)
+		return
+	}
 	scratch := buf[:r.arity]
 	if len(bindings) == 0 {
 		r.tallyUp(tally, 0, 1, r.scan(scratch, yield))
@@ -1151,7 +1133,7 @@ func (st *store) index(col int) *directory {
 	if d == nil {
 		st.mu.Lock()
 		if d = st.cols[col].Load(); d == nil {
-			d = st.buildDirectory(col)
+			d = st.buildDirectory(col, 0, st.rows)
 			st.cols[col].Store(d)
 		}
 		st.mu.Unlock()
@@ -1233,6 +1215,9 @@ type KeyStage struct {
 // when its row was read — at some instant during the call, not
 // necessarily at its yield.
 func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally, yield func(k int, t Tuple) bool) (more bool) {
+	if r.win != nil {
+		return r.lookupKeysWindow(col, keys, ks, yield)
+	}
 	arity := r.arity
 	if len(ks.vals) < stageRows*arity {
 		ks.vals = make([]Value, stageRows*arity)
@@ -1315,8 +1300,8 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	scratch := make(Tuple, r.arity)
-	v := r.store.view()
-	for row := 0; row < v.rows; row++ {
+	v, lo := r.view()
+	for row := lo; row < v.rows; row++ {
 		if v.isDead(row) {
 			continue
 		}

@@ -12,3 +12,11 @@ func tkey(t Tuple) tupleKey {
 	copy(k[1:], t)
 	return k
 }
+
+// added returns the tuples of d's insert window (none when it is nil).
+func added(d SignedDelta) []Tuple {
+	if d.Added == nil {
+		return nil
+	}
+	return d.Added.Tuples()
+}
