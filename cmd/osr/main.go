@@ -69,9 +69,9 @@ subcommands:
 engines: onesided (default: auto-select with magic fallback),
          magic, seminaive
 -data dir persists facts, rules, and plan shapes across runs (the
-engine checkpoints on exit — differentially, skipping unchanged
-relations — and recovers on the next start); -checkpoint-every n also
-checkpoints automatically after every n accepted fact inserts.
+engine checkpoints on exit to one snapshot and recovers from it on the
+next start); -checkpoint-every n also checkpoints automatically after
+every n accepted fact inserts.
 Repeated queries report result-cache=hit|updated|rebuilt in their
 explain line: the engine serves materialized answers and maintains
 them incrementally across inserts instead of recomputing.

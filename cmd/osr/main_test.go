@@ -163,11 +163,9 @@ func TestCmdQueryPersistence(t *testing.T) {
 			snaps++
 		}
 	}
-	// The second run's exit checkpoint is differential: nothing changed,
-	// so it references the first run's snapshot (kept on disk as the
-	// base) instead of rewriting the state.
-	if snaps < 1 || snaps > 2 {
-		t.Fatalf("data dir holds %d snapshots, want a checkpoint plus at most its base", snaps)
+	// The second run's exit checkpoint replaces the first run's snapshot.
+	if snaps != 1 {
+		t.Fatalf("data dir holds %d snapshots, want one", snaps)
 	}
 }
 
@@ -189,8 +187,8 @@ func TestCmdQueryCheckpointEvery(t *testing.T) {
 			snaps++
 		}
 	}
-	if snaps == 0 {
-		t.Fatal("auto-checkpoint left no snapshot")
+	if snaps != 1 {
+		t.Fatalf("auto-checkpoints left %d snapshots, want one", snaps)
 	}
 	// Without -data the flag is rejected.
 	if err := cmdQuery([]string{"-checkpoint-every", "5", path}); err == nil {

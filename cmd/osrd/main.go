@@ -19,12 +19,12 @@
 //
 // Replication: a primary started with -data serves its write-ahead log
 // under /v1/repl/. A follower (-follow http://primary -data mirrordir)
-// bootstraps from the primary's newest checkpoint chain, tails its live
-// segments into mirrordir, and serves reads; writes are rejected with
+// bootstraps from the primary's newest checkpoint snapshot, tails its
+// live segments into mirrordir, and serves reads; writes are rejected with
 // 421 and a Location header naming the primary. /v1/stats reports the
 // follower's lag in epochs and bytes. To fail over, stop the follower
 // and restart it with -promote -data mirrordir: recovery selects the
-// longest validated chain in the mirror and the node comes up as a
+// newest readable snapshot in the mirror and the node comes up as a
 // primary over it.
 //
 // Endpoints (all JSON; tenant identity via the X-Tenant header,
@@ -130,7 +130,7 @@ func run(ctx context.Context, ln net.Listener, program, dataDir, follow string, 
 	if dataDir != "" && follow == "" {
 		// Primary (or promotion): own the directory as the write-ahead
 		// log. Promotion is just recovery over the mirror — wal.Open
-		// selects the newest resolvable checkpoint chain and truncates a
+		// starts from the newest readable snapshot and truncates a
 		// torn tail, so the promoted node serves exactly the validated
 		// replicated history.
 		opts = append(opts, onesided.WithPersistence(dataDir))

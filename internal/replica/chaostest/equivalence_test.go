@@ -137,9 +137,9 @@ func compareAnswers(t *testing.T, primary, follower *onesided.Engine, q string) 
 // invariant: all five example programs stream through replication while
 // the follower is restarted at random points (recovering from its
 // mirror each time), the primary checkpoints at random points (forcing
-// chain resyncs), and at random quiesce points both engines must give
-// identical answers at the matching epoch. The final state must be
-// byte-identical.
+// resyncs from its new snapshot), and at random quiesce points both
+// engines must give identical answers at the matching epoch. The final
+// state must be byte-identical.
 func TestRandomizedEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

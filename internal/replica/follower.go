@@ -87,8 +87,8 @@ func (t terminalErr) Unwrap() error { return t.error }
 // Start begins replication: the engine is flipped read-only, any
 // existing mirror state in cfg.Dir is recovered into it (resuming the
 // cursor at the recovered byte boundary), and a background goroutine
-// bootstraps from the primary's checkpoint chain and tails its live
-// segments. The goroutine's lifetime is bound to the engine: Close on
+// bootstraps from the primary's newest checkpoint snapshot and tails its
+// live segments. The goroutine's lifetime is bound to the engine: Close on
 // either stops it.
 func Start(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Engine == nil || cfg.Primary == "" || cfg.Dir == "" {
@@ -196,14 +196,14 @@ func (f *Follower) finish(err error) {
 	f.err = err
 }
 
-// bootstrap fetches the primary's manifest, applies its checkpoint
-// chain, and positions the cursor at the lowest live segment.
+// bootstrap fetches the primary's manifest, applies its head snapshot,
+// and positions the cursor at the lowest live segment.
 func (f *Follower) bootstrap() error {
 	m, err := f.fetchManifestRetry()
 	if err != nil {
 		return err
 	}
-	if err := f.applyChain(m); err != nil {
+	if err := f.applyHead(m); err != nil {
 		return err
 	}
 	f.setCursor(f.firstLiveCursor(m))
@@ -222,56 +222,46 @@ func (f *Follower) firstLiveCursor(m Manifest) Cursor {
 	return Cursor{Seq: next}
 }
 
-// applyChain fetches, verifies, applies, and mirrors the manifest's
-// snapshot chain. Applying is idempotent — inserts are set operations
-// and the symbol translation dedups — so a resync over partially
-// applied state is safe.
-func (f *Follower) applyChain(m Manifest) error {
+// applyHead fetches, verifies, applies, and mirrors the manifest's head
+// snapshot. Applying is idempotent — inserts are set operations and the
+// symbol translation dedups — so a resync over partially applied state
+// is safe.
+func (f *Follower) applyHead(m Manifest) error {
 	if m.HeadSnapshot == 0 {
 		return nil
 	}
-	raws := make(map[uint64][]byte, len(m.Chain))
-	snaps := make(map[uint64]*wal.Snapshot, len(m.Chain))
-	load := func(seq uint64) (*wal.Snapshot, error) {
-		if s, ok := snaps[seq]; ok {
-			return s, nil
-		}
-		raw, err := f.fetchSnapshotRetry(seq)
-		if err != nil {
-			return nil, err
-		}
-		fileSeq, s, err := wal.DecodeSnapshotBytes(raw)
-		if err != nil || fileSeq != seq {
-			return nil, fmt.Errorf("%w: snapshot %d: %v", ErrCorrupt, seq, err)
-		}
-		raws[seq], snaps[seq] = raw, s
-		return s, nil
-	}
-	head, err := load(m.HeadSnapshot)
+	raw, err := f.fetchSnapshotRetry(m.HeadSnapshot)
 	if err != nil {
 		return err
 	}
-	for _, seq := range m.Chain {
-		if _, err := load(seq); err != nil {
-			return err
-		}
+	snap, err := decodeSnapshot(raw, m.HeadSnapshot)
+	if err != nil {
+		return err
 	}
-	if err := f.ap.ApplySnapshot(m.HeadSnapshot, head, load); err != nil {
-		return fmt.Errorf("%w: chain %d: %v", ErrCorrupt, m.HeadSnapshot, err)
-	}
-	// Mirror only after the whole chain verified and applied.
-	for seq, raw := range raws {
-		if err := f.mirrorSnapshot(seq, raw); err != nil {
-			return terminalErr{err}
-		}
+	f.ap.ApplySnapshot(snap)
+	if err := f.mirrorSnapshot(m.HeadSnapshot, raw); err != nil {
+		return terminalErr{err}
 	}
 	f.mu.Lock()
-	f.snapshots += int64(len(raws))
+	f.snapshots++
 	if m.Epoch > f.primaryEpoch {
 		f.primaryEpoch = m.Epoch
 	}
 	f.mu.Unlock()
 	return nil
+}
+
+// decodeSnapshot verifies fetched bytes as the snapshot file covering
+// seq.
+func decodeSnapshot(raw []byte, seq uint64) (*wal.Snapshot, error) {
+	got, snap, err := wal.DecodeSnapshotBytes(raw)
+	if err == nil && got != seq {
+		err = fmt.Errorf("file covers segment %d", got)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: snapshot %d: %v", ErrCorrupt, seq, err)
+	}
+	return snap, nil
 }
 
 // tailLoop applies live segment bytes until closed or a terminal error.
@@ -306,7 +296,7 @@ func (f *Follower) tailLoop() error {
 		}
 		if r.notFound {
 			// The segment was pruned under us: a checkpoint advanced
-			// past the cursor. Resync from the manifest's new chain.
+			// past the cursor. Resync from the manifest's new head.
 			next, err := f.resync(cur)
 			if err != nil {
 				return err
@@ -437,8 +427,8 @@ func (f *Follower) consume(cur Cursor, buf []byte) (Cursor, []byte, bool, error)
 }
 
 // resync handles a pruned cursor segment: refetch the manifest, apply
-// the (idempotent) new chain, prune the local mirror to match, and
-// resume at the lowest live segment.
+// the (idempotent) new head snapshot, prune the local mirror to match,
+// and resume at the lowest live segment.
 func (f *Follower) resync(cur Cursor) (Cursor, error) {
 	m, err := f.fetchManifestRetry()
 	if err != nil {
@@ -450,7 +440,7 @@ func (f *Follower) resync(cur Cursor) (Cursor, error) {
 		return cur, fmt.Errorf("%w: segment %d missing, snapshot head is %d",
 			ErrDiverged, cur.Seq, m.HeadSnapshot)
 	}
-	if err := f.applyChain(m); err != nil {
+	if err := f.applyHead(m); err != nil {
 		return cur, err
 	}
 	f.closeMirror()
@@ -460,49 +450,36 @@ func (f *Follower) resync(cur Cursor) (Cursor, error) {
 	return next, nil
 }
 
-// syncCheckpoints mirrors any new checkpoint chain after a segment
-// boundary and prunes the local mirror. Best effort: the stream itself
-// does not depend on it, it only bounds restart/bootstrap cost.
+// syncCheckpoints mirrors a new head snapshot after a segment boundary
+// and prunes the local mirror. Best effort: the stream itself does not
+// depend on it, it only bounds restart/bootstrap cost.
 func (f *Follower) syncCheckpoints() {
 	m, err := f.fetchManifest()
 	if err != nil || m.HeadSnapshot == 0 {
 		return
 	}
-	have := true
-	for _, seq := range m.Chain {
-		if _, err := os.Stat(filepath.Join(f.cfg.Dir, wal.SnapshotFileName(seq))); err != nil {
-			have = false
-			break
+	if _, err := os.Stat(filepath.Join(f.cfg.Dir, wal.SnapshotFileName(m.HeadSnapshot))); err != nil {
+		raw, err := f.fetchSnapshot(m.HeadSnapshot)
+		if err != nil {
+			return
 		}
-	}
-	if !have {
-		for _, seq := range m.Chain {
-			raw, err := f.fetchSnapshot(seq)
-			if err != nil {
-				return
-			}
-			if fileSeq, _, derr := wal.DecodeSnapshotBytes(raw); derr != nil || fileSeq != seq {
-				return
-			}
-			if err := f.mirrorSnapshot(seq, raw); err != nil {
-				return
-			}
+		if _, err := decodeSnapshot(raw, m.HeadSnapshot); err != nil {
+			return
+		}
+		if err := f.mirrorSnapshot(m.HeadSnapshot, raw); err != nil {
+			return
 		}
 	}
 	f.pruneMirror(m)
 }
 
 // pruneMirror deletes mirrored segments at or below the manifest head
-// (and below the cursor — never a segment still being applied) and
-// mirrored snapshots outside the chain.
+// (and below the cursor — never a segment still being applied) and the
+// mirrored snapshots older than the head. Callers mirror the head first.
 func (f *Follower) pruneMirror(m Manifest) {
 	limit := m.HeadSnapshot
 	if cur := f.curSnapshot(); cur.Seq > 0 && cur.Seq <= limit {
 		limit = cur.Seq - 1
-	}
-	chain := make(map[uint64]bool, len(m.Chain))
-	for _, s := range m.Chain {
-		chain[s] = true
 	}
 	entries, err := os.ReadDir(f.cfg.Dir)
 	if err != nil {
@@ -513,7 +490,7 @@ func (f *Follower) pruneMirror(m Manifest) {
 		if seq, ok := parseName(e.Name(), "seg-", ".wal"); ok && seq <= limit {
 			stale = true
 		}
-		if seq, ok := parseName(e.Name(), "snap-", ".snap"); ok && seq <= m.HeadSnapshot && !chain[seq] {
+		if seq, ok := parseName(e.Name(), "snap-", ".snap"); ok && seq < m.HeadSnapshot {
 			stale = true
 		}
 		if stale {
@@ -815,8 +792,8 @@ func (f *Follower) Close() error {
 }
 
 // Promote stops replication and turns the follower into a primary: the
-// local mirror — which wal recovery validates, selecting the newest
-// resolvable checkpoint chain exactly as a crash restart would — is
+// local mirror — which wal recovery validates, starting from the newest
+// readable snapshot exactly as a crash restart would — is
 // attached as the engine's write-ahead log, and the engine starts
 // accepting writes. A follower whose stream failed cannot be promoted.
 func (f *Follower) Promote(policy wal.SyncPolicy) error {

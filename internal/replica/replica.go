@@ -1,6 +1,6 @@
 // Package replica implements log-shipping replication for onesided
-// engines: a Source serves a primary's write-ahead log — checkpoint
-// chain plus live segments — over HTTP, and a Follower consumes that
+// engines: a Source serves a primary's write-ahead log — its newest
+// checkpoint snapshot plus live segments — over HTTP, and a Follower consumes that
 // stream into a read-only engine, mirroring verified bytes locally so
 // restarts resume from disk and promotion turns the mirror into the
 // new primary's log.
@@ -37,16 +37,14 @@ var (
 	ErrClosed = errors.New("replica: follower closed")
 )
 
-// Manifest is the primary's replication advertisement: the newest
-// snapshot chain a follower bootstraps from, the live segments, and the
-// primary's current epoch.
+// Manifest is the primary's replication advertisement: the snapshot a
+// follower bootstraps from, the live segments, and the primary's
+// current epoch.
 type Manifest struct {
 	// HeadSnapshot is the newest checkpoint's sequence (0 when the
-	// primary has never checkpointed).
+	// primary has never checkpointed). The snapshot is self-contained:
+	// a bootstrap fetches this one file.
 	HeadSnapshot uint64 `json:"head_snapshot"`
-	// Chain lists every snapshot sequence the head references, itself
-	// included, ascending. A bootstrap fetches exactly these.
-	Chain []uint64 `json:"chain,omitempty"`
 	// Segments lists the live segments ascending; replay starts at the
 	// lowest and follows the active one.
 	Segments []wal.SegmentInfo `json:"segments"`
@@ -67,7 +65,7 @@ type Cursor struct {
 type State int32
 
 const (
-	// StateBootstrapping: fetching and applying the checkpoint chain.
+	// StateBootstrapping: fetching and applying the head snapshot.
 	StateBootstrapping State = iota
 	// StateTailing: applying live segment records as they appear.
 	StateTailing

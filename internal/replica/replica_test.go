@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -70,8 +72,8 @@ func waitConverged(t testing.TB, primary, follower *onesided.Engine, f *Follower
 
 func TestFollowerConvergesLive(t *testing.T) {
 	primary, ts := newPrimary(t)
-	// Pre-follower history: some in the checkpoint chain, some in the
-	// live tail.
+	// Pre-follower history: some in the checkpoint snapshot, some in
+	// the live tail.
 	for i := 0; i < 20; i++ {
 		primary.AddFact("edge", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
 	}
@@ -171,6 +173,48 @@ func TestFollowerSurvivesPrimaryCheckpointPrune(t *testing.T) {
 	waitConverged(t, primary, feng, f)
 	if pe, fe := primary.DB().Epoch(), feng.DB().Epoch(); pe != fe {
 		t.Fatalf("epochs diverge after prune resync: %d vs %d", pe, fe)
+	}
+}
+
+// After two primary checkpoints the follower's mirror holds one
+// snapshot, the primary's newest, and a follower restarted over the
+// mirror recovers from it and reaches the primary's state.
+func TestFollowerMirrorHoldsOneSnapshot(t *testing.T) {
+	primary, ts := newPrimary(t)
+	mirror := t.TempDir()
+	feng, f := startFollower(t, ts.URL, mirror)
+	for i := 0; i < 2; i++ {
+		primary.AddFact("p", fmt.Sprintf("c%d", i))
+		if err := primary.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary.AddFact("p", "tail")
+	waitConverged(t, primary, feng, f)
+
+	head := primary.Log().SnapshotHead()
+	want := []string{wal.SnapshotFileName(head)}
+	var snaps []string
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		snaps, _ = filepath.Glob(filepath.Join(mirror, "snap-*.snap"))
+		for i := range snaps {
+			snaps[i] = filepath.Base(snaps[i])
+		}
+		if slices.Equal(snaps, want) {
+			break
+		}
+	}
+	if !slices.Equal(snaps, want) {
+		t.Fatalf("mirror snapshots = %v, want %v", snaps, want)
+	}
+	f.Close()
+	feng.Close()
+
+	primary.AddFact("p", "after")
+	feng2, f2 := startFollower(t, ts.URL, mirror)
+	waitConverged(t, primary, feng2, f2)
+	if st := f2.Stats(); st.SnapshotsApplied != 0 {
+		t.Fatalf("restarted follower fetched %d snapshots, want to recover from its mirror", st.SnapshotsApplied)
 	}
 }
 

@@ -74,14 +74,13 @@ func (s *Source) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Manifest builds the current replication advertisement.
 func (s *Source) Manifest() (Manifest, error) {
-	head, chain := s.log.SnapshotChain()
+	head := s.log.SnapshotHead()
 	segs, err := s.log.Segments()
 	if err != nil {
 		return Manifest{}, err
 	}
 	return Manifest{
 		HeadSnapshot: head,
-		Chain:        chain,
 		Segments:     segs,
 		ActiveSeq:    s.log.ActiveSeq(),
 		Epoch:        s.db.Epoch(),

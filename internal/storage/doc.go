@@ -97,9 +97,8 @@
 // depends only on the history of commits. Relation.DeltaSince(epoch)
 // returns exactly the signed delta stamped at or after a given epoch
 // (falling back with ok=false once the tail evicted the requested
-// history), which is what the engine's materialized-answer cache runs on
-// (the WAL's differential checkpoints read LastModified and Retracts
-// instead). Its inserts are not copied out: rows are appended and
+// history), which is what the engine's materialized-answer cache runs on.
+// Its inserts are not copied out: rows are appended and
 // stamped in row order, so they are a window [lo, hi) of the relation's
 // own rows, handed out as a read-only Relation that probes the base
 // relation's directories narrowed to it (window.go). The window is sound

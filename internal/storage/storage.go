@@ -585,10 +585,8 @@ type Relation struct {
 	// the relation is untracked or empty).
 	lastMod atomic.Uint64
 	// tombs counts tombstoned rows; retracts counts accepted retractions
-	// since creation (never reset — the WAL's differential-checkpoint
-	// decision compares it against the manifest, since "unchanged count"
-	// no longer implies "identical set" once a relation has seen
-	// removals).
+	// since creation (never reset; it fills the WAL snapshot's per-relation
+	// retraction field).
 	tombs    atomic.Int64
 	retracts atomic.Int64
 	// store is held through a pointer: locking a store leaks it to the

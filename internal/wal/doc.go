@@ -5,9 +5,9 @@
 //
 // # On-disk layout
 //
-// A log directory holds numbered segment files and at most a couple of
-// snapshot files (the freshly written one and, transiently, its
-// predecessor):
+// A log directory holds numbered segment files and one snapshot file
+// (two only in the moment between a checkpoint's snapshot write and its
+// prune):
 //
 //	data/
 //	  seg-0000000000000007.wal    sealed segment (covered by the snapshot)
@@ -37,35 +37,29 @@
 // # Snapshots and recovery
 //
 // A snapshot (written by Engine.Checkpoint via Log.Checkpoint) is the
-// engine state through a segment sequence number: the symbol table in
-// Value order, every relation's tuples (sorted, as compact value
-// blocks) with per-relation epoch/count metadata, the program's rules,
-// and the plan cache's query shapes for LRU rewarming. It is written to
-// a temp file, fsynced, and renamed, so a crash mid-checkpoint leaves
-// the previous snapshot authoritative; once the rename lands, segments
-// the snapshot covers are deleted, along with snapshots outside the
-// live reference chain.
+// engine state through a segment sequence number, self-contained: the
+// symbol table in Value order, every relation's tuples (sorted, as
+// compact value blocks) with per-relation epoch/count metadata, the
+// program's rules, and the plan cache's query shapes for LRU rewarming.
+// It is written to a temp file, fsynced, and renamed, so a crash
+// mid-checkpoint leaves the previous snapshot authoritative; once the
+// rename lands, the segments it covers and every other snapshot are
+// deleted. Each checkpoint rewrites the whole database.
 //
-// Snapshots are differential: a relation whose tuple count is unchanged
-// since the previous checkpoint (relations are insert-only sets, so an
-// equal count means an identical set) is written as a one-hop reference
-// to the snapshot that physically holds its full block, and the
-// append-only symbol table is written as a tail over the previous
-// head's (CRC-verified) prefix, rewritten in full every few snapshots
-// so chains stay short. A checkpoint after a small delta therefore
-// writes bytes proportional to the delta, and disk usage is bounded by
-// one retained full block per relation plus the symbol-chain depth.
-//
-// Recovery (Log.Open) loads the newest snapshot whose whole chain —
-// symbol tails and relation bases — reads and validates (a broken
-// chain falls back to the predecessor; a snapshot in a retired format
-// fails recovery with ErrSnapshotVersion), stitches it, replays the
-// segments above it in sequence order, and appends to a fresh segment.
-// In the final — active at crash time — segment, replay stops at the
-// first invalid record and truncates the file there: a torn last append
-// costs exactly the facts that had not finished reaching the OS, never
-// the prefix. An invalid record in a sealed (non-final) segment is real
-// corruption and fails recovery loudly.
+// Recovery (Log.Open) loads the newest snapshot that reads and
+// validates, replays the segments above it in sequence order, and
+// appends to a fresh segment. An unreadable snapshot falls back to its
+// predecessor (or to none) only when every segment above that one is
+// still on disk — the crash window between a checkpoint's rename and its
+// prune; a gap in the segments fails recovery, with ErrCorruptSnapshot
+// when a skipped snapshot covered it, instead of silently replaying
+// around it. A snapshot in a retired format, the differential OSRSNAP3
+// form included, fails recovery with ErrSnapshotVersion. In the final —
+// active at crash time — segment, replay stops at the first invalid
+// record and truncates the file there: a torn last append costs exactly
+// the facts that had not finished reaching the OS, never the prefix. An
+// invalid record in a sealed (non-final) segment is real corruption and
+// fails recovery loudly.
 //
 // # Sync policies
 //

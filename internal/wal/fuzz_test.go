@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -46,16 +45,17 @@ func FuzzSplitRecord(f *testing.F) {
 // does with snapshot bytes fetched from its primary. DecodeSnapshotBytes
 // must never panic: it returns ErrCorruptSnapshot or ErrSnapshotVersion,
 // or a snapshot that re-encodes to the very body it was read from and
-// that an Applier takes or refuses without panicking (with no ancestor
-// snapshot to load). Each input is decoded twice: as it is, and with its
-// checksum recomputed, so that a mutated body reaches the body decoder.
-// The committed seeds (testdata/fuzz/FuzzDecodeSnapshotBytes) are
+// that an Applier applies whole — one Fact callback per tuple of every
+// block. Each input is decoded twice: as it is, and with its checksum
+// recomputed, so that a mutated body reaches the body decoder. The
+// committed seeds (testdata/fuzz/FuzzDecodeSnapshotBytes) are
 // testdata/golden-snap.snap whole, truncated, and with a wrong checksum,
-// and an empty relation block claiming arity 2^63.
+// an empty relation block claiming arity 2^63, and the two retired
+// differential forms (retiredBodies).
 func FuzzDecodeSnapshotBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(data []byte) {
-			seq, s, err := DecodeSnapshotBytes(data)
+			_, s, err := DecodeSnapshotBytes(data)
 			if err != nil {
 				if !errors.Is(err, ErrCorruptSnapshot) && !errors.Is(err, ErrSnapshotVersion) {
 					t.Fatalf("untyped error %v", err)
@@ -65,7 +65,14 @@ func FuzzDecodeSnapshotBytes(f *testing.F) {
 			if body := data[len(snapMagic)+8 : len(data)-4]; !bytes.Equal(s.encode(), body) {
 				t.Fatalf("accepted snapshot re-encodes to other bytes than its %d-byte body", len(body))
 			}
-			NewApplier(Replay{}).ApplySnapshot(seq, s, refuseLoad)
+			want, facts := 0, 0
+			for _, r := range s.Rels {
+				want += r.Count
+			}
+			NewApplier(Replay{Fact: func(string, []string) { facts++ }}).ApplySnapshot(s)
+			if facts != want {
+				t.Fatalf("applied %d facts of the %d the snapshot holds", facts, want)
+			}
 		}
 		check(data)
 		if len(data) >= len(snapMagic)+12 {
@@ -75,11 +82,6 @@ func FuzzDecodeSnapshotBytes(f *testing.F) {
 			check(sealed)
 		}
 	})
-}
-
-// refuseLoad is an ApplySnapshot loader that has no snapshot to give.
-func refuseLoad(seq uint64) (*Snapshot, error) {
-	return nil, fmt.Errorf("no snapshot %d", seq)
 }
 
 // FuzzApplyRecord applies one record payload, as a follower does with a
@@ -153,8 +155,10 @@ func TestFactArityBeyondBodyRefused(t *testing.T) {
 }
 
 // snapshotImage frames s as the snapshot file covering seq.
-func snapshotImage(seq uint64, s *Snapshot) []byte {
-	body := s.encode()
+func snapshotImage(seq uint64, s *Snapshot) []byte { return frameSnapshot(seq, s.encode()) }
+
+// frameSnapshot frames a snapshot body as the file covering seq.
+func frameSnapshot(seq uint64, body []byte) []byte {
 	img := append(binary.LittleEndian.AppendUint64([]byte(snapMagic), seq), body...)
 	return binary.LittleEndian.AppendUint32(img, crc32.Checksum(body, castagnoli))
 }
@@ -168,15 +172,13 @@ func TestEmptyBlockArity(t *testing.T) {
 		t.Fatalf("empty block of arity 2^63: err = %v, want ErrCorruptSnapshot", err)
 	}
 	img = snapshotImage(1, &Snapshot{Rels: []RelSnap{{Pred: "a", Arity: maxRecordSize}}})
-	seq, s, err := DecodeSnapshotBytes(img)
+	_, s, err := DecodeSnapshotBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := NewApplier(Replay{}).ApplySnapshot(seq, s, refuseLoad); err != nil {
-		t.Fatal(err)
-	}
+	NewApplier(Replay{}).ApplySnapshot(s)
 	runtime.ReadMemStats(&after)
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
 		t.Fatalf("applying an empty block of arity %d allocated %d bytes", maxRecordSize, n)

@@ -133,19 +133,12 @@ func (l *Log) Segments() ([]SegmentInfo, error) {
 	return infos, nil
 }
 
-// SnapshotChain returns the newest snapshot's sequence (0 when the log
-// has never checkpointed) and every snapshot sequence its differential
-// chain references — itself included — in ascending order. A follower
-// bootstraps by fetching exactly these files.
-func (l *Log) SnapshotChain() (head uint64, chain []uint64) {
+// SnapshotHead returns the newest snapshot's sequence, 0 when the log
+// has never checkpointed. A follower bootstraps from that one file.
+func (l *Log) SnapshotHead() uint64 {
 	l.ckptMu.Lock()
 	defer l.ckptMu.Unlock()
-	head = l.headSeq
-	for s := range l.chain {
-		chain = append(chain, s)
-	}
-	sort.Slice(chain, func(i, j int) bool { return chain[i] < chain[j] })
-	return head, chain
+	return l.headSeq
 }
 
 // ReadSnapshotRaw returns the raw bytes of the snapshot file at seq —
@@ -195,7 +188,7 @@ func (l *Log) ReadSegmentAt(seq uint64, offset int64, max int) (data []byte, siz
 	return data, size, sealed, nil
 }
 
-// Applier streams replication input — resolved snapshot chains and
+// Applier streams replication input — decoded snapshots and
 // CRC-verified record payloads — into Replay callbacks, maintaining the
 // same Value-to-name translation recovery builds. One Applier serves a
 // follower for its whole life: bootstrap snapshots first, then live
@@ -215,23 +208,9 @@ func NewApplier(replay Replay) *Applier {
 // Applier by routing Recover's Sym callback here.
 func (a *Applier) ApplySym(name string) { a.st.sym(name) }
 
-// ApplySnapshot resolves a snapshot chain head and streams the resolved
-// state into the callbacks. load fetches referenced ancestor snapshots
-// by sequence (symbol-tail bases and relation reference blocks). Unlike
-// recovery, a resolution failure here is an error, not a fallback: the
-// follower asked for a specific advertised chain.
-func (a *Applier) ApplySnapshot(headSeq uint64, head *Snapshot, load func(uint64) (*Snapshot, error)) error {
-	syms, _, err := resolveSyms(headSeq, head, load)
-	if err != nil {
-		return err
-	}
-	bases, err := resolveRelRefs(headSeq, head, len(syms), load)
-	if err != nil {
-		return err
-	}
-	a.st.applySnapshot(head, syms, bases)
-	return nil
-}
+// ApplySnapshot streams a snapshot decoded by DecodeSnapshotBytes into
+// the callbacks.
+func (a *Applier) ApplySnapshot(s *Snapshot) { a.st.applySnapshot(s) }
 
 // ApplyRecord applies one verified record payload (as returned by
 // SplitRecord) through the callbacks.

@@ -123,13 +123,13 @@ func TestReadSegmentAtSeesUnsyncedAppends(t *testing.T) {
 	}
 }
 
-func TestSegmentsAndChainAcrossCheckpoint(t *testing.T) {
+func TestSegmentsAndHeadAcrossCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, l, _, _ := openJournaled(t, dir, SyncBatch)
 	defer l.Close()
 	db.AddFact("p", "x")
 
-	if head, _ := l.SnapshotChain(); head != 0 {
+	if head := l.SnapshotHead(); head != 0 {
 		t.Fatalf("head before checkpoint = %d", head)
 	}
 	infos, err := l.Segments()
@@ -147,9 +147,9 @@ func TestSegmentsAndChainAcrossCheckpoint(t *testing.T) {
 	}
 	db.AddFact("p", "y")
 
-	head, chain := l.SnapshotChain()
-	if head == 0 || len(chain) == 0 || chain[len(chain)-1] != head {
-		t.Fatalf("chain after checkpoint = head %d, %v", head, chain)
+	head := l.SnapshotHead()
+	if head == 0 || head >= l.ActiveSeq() {
+		t.Fatalf("head after checkpoint = %d, active segment %d", head, l.ActiveSeq())
 	}
 	raw, err := l.ReadSnapshotRaw(head)
 	if err != nil {
@@ -175,6 +175,15 @@ func TestSegmentsAndChainAcrossCheckpoint(t *testing.T) {
 	}
 	if len(infos) != 1 || infos[0].Sealed {
 		t.Fatalf("segments after checkpoint = %+v (covered segment should be pruned)", infos)
+	}
+
+	// A second checkpoint moves the head, and its snapshot is the only one.
+	checkpoint(t, db, l)
+	if next := l.SnapshotHead(); next <= head {
+		t.Fatalf("head after second checkpoint = %d, was %d", next, head)
+	}
+	if snaps := snapshotFiles(t, dir); len(snaps) != 1 || snaps[l.SnapshotHead()] == 0 {
+		t.Fatalf("snapshots after second checkpoint = %v, want only %d", snaps, l.SnapshotHead())
 	}
 }
 
@@ -237,28 +246,21 @@ func TestApplierMatchesRecoveryTranslation(t *testing.T) {
 	db.AddFact("edge", "b", "c")
 	db.AddFact("node", "c")
 
-	// Follower side: apply the advertised chain, then the live segment's
-	// records, through an Applier into a fresh database.
+	// Follower side: apply the advertised snapshot, then the live
+	// segment's records, through an Applier into a fresh database.
 	fdb := storage.NewDatabase()
 	replay, _, _ := dbReplay(fdb)
 	ap := NewApplier(replay)
 
-	head, _ := l.SnapshotChain()
-	load := func(seq uint64) (*Snapshot, error) {
-		raw, err := l.ReadSnapshotRaw(seq)
-		if err != nil {
-			return nil, err
-		}
-		_, s, err := DecodeSnapshotBytes(raw)
-		return s, err
-	}
-	headSnap, err := load(head)
+	raw, err := l.ReadSnapshotRaw(l.SnapshotHead())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ap.ApplySnapshot(head, headSnap, load); err != nil {
+	_, headSnap, err := DecodeSnapshotBytes(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ap.ApplySnapshot(headSnap)
 	seq := l.ActiveSeq()
 	data, _, _, err := l.ReadSegmentAt(seq, 0, 1<<20)
 	if err != nil {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -195,6 +196,144 @@ func TestRecoveryRepairedTailStaysRecoverable(t *testing.T) {
 	}
 	if strings.Contains(dump, "p(b).") {
 		t.Fatalf("torn record resurrected:\n%s", dump)
+	}
+}
+
+// TestRecoveryAcrossRestartCheckpoints: each process checkpoints what it
+// recovered plus its own writes. After each checkpoint the directory
+// holds exactly one snapshot, and the next process recovers the whole
+// history from it and the tail.
+func TestRecoveryAcrossRestartCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	var want string
+	for run := 0; run < 3; run++ {
+		db, l, _, _ := openJournaled(t, dir, SyncBatch)
+		if got := db.Dump(); got != want {
+			t.Fatalf("run %d recovered:\n%s\nwant:\n%s", run, got, want)
+		}
+		for i := 0; i < 100; i++ {
+			db.AddFact("bulk", fmt.Sprintf("r%dx%d", run, i), "y")
+		}
+		db.RemoveFact("bulk", fmt.Sprintf("r%dx0", run), "y")
+		checkpoint(t, db, l)
+		if snaps := snapshotFiles(t, dir); len(snaps) != 1 {
+			t.Fatalf("run %d: snapshots after checkpoint = %v, want one", run, snaps)
+		}
+		db.AddFact("small", fmt.Sprintf("tail%d", run))
+		want = db.Dump()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, l, _, _ := openJournaled(t, dir, SyncBatch)
+	defer l.Close()
+	if got := db.Dump(); got != want {
+		t.Fatalf("final recovery:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRecoveryCorruptNewestSnapshotFallsBack: a crash between a
+// checkpoint's snapshot write and its prune leaves the older snapshot
+// and every segment it needs on disk. When the newer snapshot then does
+// not read, recovery starts from the older one and loses nothing.
+func TestRecoveryCorruptNewestSnapshotFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	db, l, _, _ := openJournaled(t, dir, SyncBatch)
+	for i := 0; i < 50; i++ {
+		db.AddFact("bulk", fmt.Sprintf("x%d", i), "y")
+	}
+	checkpoint(t, db, l)
+	db.AddFact("small", "a", "b")
+	newer := l.ActiveSeq()
+	want := db.Dump()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The newer snapshot as the crashed checkpoint left it: written, its
+	// covered segments not yet pruned — and then damaged.
+	if err := writeSnapshot(dir, newer, CollectDatabase(db, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(newer))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2, l2, _, _ := openJournaled(t, dir, SyncBatch)
+	defer l2.Close()
+	if got := db2.Dump(); got != want {
+		t.Fatalf("fallback recovery:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRecoveryRefusesGapAfterCorruptSnapshot: a checkpoint pruned the
+// segments its snapshot covers, so when that snapshot does not read,
+// replaying the segments left would come back without its facts.
+// Recovery fails instead, with the reason the snapshot was skipped.
+func TestRecoveryRefusesGapAfterCorruptSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	db, l, _, _ := openJournaled(t, dir, SyncBatch)
+	for i := 0; i < 50; i++ {
+		db.AddFact("bulk", fmt.Sprintf("x%d", i), "y")
+	}
+	checkpoint(t, db, l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	for s := range snapshotFiles(t, dir) {
+		seq = s
+	}
+	path := filepath.Join(dir, snapshotName(seq))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir, Replay{}); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("Recover: err = %v, want ErrCorruptSnapshot", err)
+	}
+	rec := storage.NewDatabase()
+	replay, _, _ := dbReplay(rec)
+	if lg, err := Open(dir, SyncBatch, replay); !errors.Is(err, ErrCorruptSnapshot) {
+		if lg != nil {
+			lg.Close()
+		}
+		t.Fatalf("Open: err = %v with %d of 50 tuples, want ErrCorruptSnapshot", err, rec.TupleCount())
+	}
+}
+
+// TestRecoveryRefusesMissingSegment: the segments recovery replays must
+// follow one another. With one gone from the middle, replaying the rest
+// would silently drop its records: segment 3 names only constants that
+// segment 1 interned, so nothing but the sequence gap shows the loss.
+func TestRecoveryRefusesMissingSegment(t *testing.T) {
+	dir := t.TempDir()
+	for _, facts := range [][][]string{{{"p", "a"}, {"q", "b"}}, {{"p", "b"}}, {{"q", "a"}}} {
+		db, l, _, _ := openJournaled(t, dir, SyncBatch) // appends to a fresh segment
+		for _, f := range facts {
+			db.AddFact(f[0], f[1])
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, segmentName(2))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir, Replay{}); err == nil || !strings.Contains(err.Error(), "segment 2 is missing") {
+		t.Fatalf("Recover: err = %v, want segment 2 missing", err)
+	}
+	if lg, err := Open(dir, SyncBatch, Replay{}); err == nil {
+		lg.Close()
+		t.Fatal("Open replayed around a missing segment")
 	}
 }
 

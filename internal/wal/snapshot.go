@@ -12,54 +12,52 @@ import (
 )
 
 // snapMagic opens every snapshot file: format 3, whose relation blocks
-// carry per-relation epoch/count metadata, differential reference blocks
-// and each relation's cumulative retraction counter (the signal the
-// differential-checkpoint decision needs now that tuple sets can
-// shrink). Snapshot bodies hold only live rows — tombstoned rows are
-// omitted at collection, so recovery from a snapshot starts compact. The
-// magic is followed by the covered segment sequence (uint64 LE), the
-// body, and a trailing CRC32C of the body.
+// carry per-relation epoch/count metadata and each relation's cumulative
+// retraction counter. Snapshot bodies hold only live rows — tombstoned
+// rows are omitted at collection, so recovery from a snapshot starts
+// compact. The magic is followed by the covered segment sequence (uint64
+// LE), the body, and a trailing CRC32C of the body.
+//
+// Every snapshot is self-contained: its body opens with a symbol base of
+// 0 and every relation block is of kind 0 (tuples inline). The other
+// values of those two fields encoded the retired differential form — a
+// symbol-table tail over an earlier snapshot and a block referring to an
+// earlier snapshot's tuples — and decode as ErrSnapshotVersion.
 const snapMagic = "OSRSNAP3"
 
-// ErrSnapshotVersion reports a snapshot file written in a retired format
-// (OSRSNAP1, OSRSNAP2 — no writer has emitted either since format 3).
-// Recovery fails with it instead of treating the file as unreadable and
-// falling back to a predecessor: the segments such a snapshot covers
-// were pruned, so skipping it would silently drop data.
+// ErrSnapshotVersion reports a snapshot file written in a retired format:
+// OSRSNAP1, OSRSNAP2, or an OSRSNAP3 snapshot in the differential form
+// (a non-zero symbol base or a reference block). Recovery fails with it
+// instead of treating the file as unreadable and falling back to a
+// predecessor: the segments such a snapshot covers were pruned, so
+// skipping it would silently drop data.
 var ErrSnapshotVersion = errors.New("wal: snapshot written in a retired format")
 
 // ErrCorruptSnapshot reports snapshot bytes that are not a well-formed
 // snapshot: a wrong magic, a checksum mismatch, or a body that does not
-// decode.
+// decode — among them a tuple value outside the symbol table and a name
+// listed twice in it.
 var ErrCorruptSnapshot = errors.New("wal: corrupt snapshot")
 
 // RelSnap is one relation's block in a snapshot: the predicate, its
-// arity, the epoch stamp of its newest insert and its tuple count at
-// collection time, and either the tuple set in sorted order (a full
-// block; deterministic bytes for equal states) or — in a differential
-// snapshot — a reference to the earlier snapshot whose full block for
-// this predicate still describes the identical tuple set (Ref set,
-// BaseSeq naming that snapshot, Cols nil).
+// arity, the epoch stamp of its newest insert, its tuple count and
+// cumulative retraction counter at collection time, and the tuple set in
+// sorted order (deterministic bytes for equal states).
 //
-// Full blocks hold their tuples as columns: Cols[c][j] is column c of
-// row j, with rows in sorted tuple order. The columnar relation layout
-// hands these arrays over in Arity+1 allocations (storage.SortedColumns)
-// and the encoder serializes them without ever materializing per-tuple
-// slices; the on-disk bytes remain row-major and identical to the
-// historical format. Arity-0 relations have nil Cols and carry their
-// 0-or-1 tuple count in Count.
+// The tuples are held as columns: Cols[c][j] is column c of row j, with
+// rows in sorted tuple order. The columnar relation layout hands these
+// arrays over in Arity+1 allocations (storage.SortedColumns) and the
+// encoder serializes them without ever materializing per-tuple slices;
+// the on-disk bytes remain row-major and identical to the historical
+// format. Arity-0 relations have nil Cols and carry their 0-or-1 tuple
+// count in Count. Epoch and Retracts are written for the format's sake;
+// recovery does not read them.
 type RelSnap struct {
-	Pred  string
-	Arity int
-	Epoch uint64
-	Count int
-	// Retracts is the relation's cumulative retraction counter at
-	// collection time (v3; zero when decoded from older formats, which
-	// predate retraction). The checkpoint manifest compares it to decide
-	// whether a reference block is still sound.
+	Pred     string
+	Arity    int
+	Epoch    uint64
+	Count    int
 	Retracts int64
-	Ref      bool
-	BaseSeq  uint64
 	Cols     [][]storage.Value
 }
 
@@ -68,31 +66,20 @@ type RelSnap struct {
 // re-interns the names in this exact order), every relation, the
 // program's rules in concrete syntax, and the plan cache's query shapes
 // (representative atoms, LRU-oldest first) for rewarming.
-//
-// In a differential snapshot SymBase is non-zero and Syms holds only
-// the TAIL of the symbol table: the names interned since the snapshot
-// at sequence SymBase, whose resolved symbol list (recursively) forms
-// the prefix. The symbol table is append-only, so the prefix property
-// holds by construction; the writer verifies it with a CRC before
-// choosing the differential form.
 type Snapshot struct {
-	SymBase uint64
-	Syms    []string
-	Rels    []RelSnap
-	Rules   []string
-	Shapes  []string
+	Syms   []string
+	Rels   []RelSnap
+	Rules  []string
+	Shapes []string
 }
 
 // CollectDatabase builds a snapshot of db plus the caller's rule and
-// shape sections, recording each relation's last-modified epoch and
-// tuple count (the differential-checkpoint skip decision runs on the
-// count: relations are insert-only, so an unchanged count over the same
-// predicate means an identical tuple set). Relations are collected
-// before the symbol table: every Value in a tuple was interned before
-// the tuple was inserted, so reading the symbols last guarantees each
-// collected Value resolves — even while concurrent writers keep
-// inserting during the collection (their overlap is also journaled in
-// the post-rotation segment, and replay is idempotent).
+// shape sections. Relations are collected before the symbol table:
+// every Value in a tuple was interned before the tuple was inserted, so
+// reading the symbols last guarantees each collected Value resolves —
+// even while concurrent writers keep inserting during the collection
+// (their overlap is also journaled in the post-rotation segment, and
+// replay is idempotent).
 func CollectDatabase(db *storage.Database, rules, shapes []string) *Snapshot {
 	s := &Snapshot{Rules: rules, Shapes: shapes}
 	for _, pred := range db.Preds() {
@@ -114,8 +101,7 @@ func CollectDatabase(db *storage.Database, rules, shapes []string) *Snapshot {
 // encode renders the snapshot body (everything between the header and
 // the trailing CRC) in the v3 format.
 func (s *Snapshot) encode() []byte {
-	var b []byte
-	b = binary.AppendUvarint(b, s.SymBase)
+	b := []byte{0} // symbol base: self-contained
 	b = binary.AppendUvarint(b, uint64(len(s.Syms)))
 	for _, name := range s.Syms {
 		b = appendString(b, name)
@@ -126,13 +112,7 @@ func (s *Snapshot) encode() []byte {
 		b = binary.AppendUvarint(b, uint64(r.Arity))
 		b = binary.AppendUvarint(b, r.Epoch)
 		b = binary.AppendUvarint(b, uint64(r.Retracts))
-		if r.Ref {
-			b = append(b, 1)
-			b = binary.AppendUvarint(b, r.BaseSeq)
-			b = binary.AppendUvarint(b, uint64(r.Count))
-			continue
-		}
-		b = append(b, 0)
+		b = append(b, 0) // block kind: tuples inline
 		b = binary.AppendUvarint(b, uint64(r.Count))
 		// Row-major on disk (the historical byte layout), read straight
 		// out of the column arrays.
@@ -173,22 +153,33 @@ func readCount(b []byte) (uint64, []byte, error) {
 	return n, b, err
 }
 
-// decodeSnapshot parses a snapshot body.
+// decodeSnapshot parses a snapshot body. A body in the retired
+// differential form is ErrSnapshotVersion; any other error means the
+// body is malformed.
 func decodeSnapshot(b []byte) (*Snapshot, error) {
 	s := &Snapshot{}
 	var n uint64
 	var err error
-	if s.SymBase, b, err = readUvarint(b); err != nil {
+	if n, b, err = readUvarint(b); err != nil {
 		return nil, err
+	}
+	if n != 0 {
+		return nil, fmt.Errorf("%w: symbol table is a tail over snapshot %d", ErrSnapshotVersion, n)
 	}
 	if n, b, err = readCount(b); err != nil {
 		return nil, err
 	}
 	s.Syms = make([]string, n)
+	seen := make(map[string]bool, n)
 	for i := range s.Syms {
 		if s.Syms[i], b, err = readString(b); err != nil {
 			return nil, err
 		}
+		// A repeated name would shift every later Value's translation.
+		if seen[s.Syms[i]] {
+			return nil, fmt.Errorf("symbol %q listed twice", s.Syms[i])
+		}
+		seen[s.Syms[i]] = true
 	}
 	if n, b, err = readCount(b); err != nil {
 		return nil, err
@@ -219,23 +210,14 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		if len(b) == 0 {
 			return nil, errors.New("truncated relation block kind")
 		}
-		kind := b[0]
-		b = b[1:]
-		if kind == 1 {
-			r.Ref = true
-			var base, count uint64
-			if base, b, err = readUvarint(b); err != nil {
-				return nil, err
-			}
-			if count, b, err = readUvarint(b); err != nil {
-				return nil, err
-			}
-			r.BaseSeq, r.Count = base, int(count)
-			continue
-		}
-		if kind != 0 {
+		switch kind := b[0]; kind {
+		case 0:
+		case 1:
+			return nil, fmt.Errorf("%w: %s is a reference block", ErrSnapshotVersion, r.Pred)
+		default:
 			return nil, fmt.Errorf("unknown relation block kind %d", kind)
 		}
+		b = b[1:]
 		var count uint64
 		if count, b, err = readUvarint(b); err != nil {
 			return nil, err
@@ -258,8 +240,8 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 				if v, b, err = readUvarint(b); err != nil {
 					return nil, err
 				}
-				if v > 0xFFFFFFFF {
-					return nil, errors.New("value out of range")
+				if v >= uint64(len(s.Syms)) {
+					return nil, fmt.Errorf("%s: value %d outside a symbol table of %d", r.Pred, v, len(s.Syms))
 				}
 				r.Cols[k][j] = storage.Value(uint32(v))
 			}
@@ -348,23 +330,31 @@ func DecodeSnapshotBytes(data []byte) (uint64, *Snapshot, error) {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptSnapshot)
 	}
 	s, err := decodeSnapshot(body)
+	if errors.Is(err, ErrSnapshotVersion) {
+		return 0, nil, err
+	}
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
 	return seq, s, nil
 }
 
-// readSnapshot loads and validates a snapshot file.
-func readSnapshot(path string) (uint64, *Snapshot, error) {
+// readSnapshot loads and validates the snapshot file covering seq. Any
+// failure but a retired format is ErrCorruptSnapshot.
+func readSnapshot(dir string, seq uint64) (*Snapshot, error) {
+	path := filepath.Join(dir, snapshotName(seq))
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCorruptSnapshot, err)
 	}
-	seq, s, err := DecodeSnapshotBytes(data)
+	fileSeq, s, err := DecodeSnapshotBytes(data)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return seq, s, nil
+	if fileSeq != seq {
+		return nil, fmt.Errorf("%w: %s claims sequence %d", ErrCorruptSnapshot, path, fileSeq)
+	}
+	return s, nil
 }
 
 // syncDir fsyncs a directory so renames and unlinks are durable.

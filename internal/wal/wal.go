@@ -5,10 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -128,75 +128,8 @@ type Log struct {
 	gcCur    *commitGroup
 	gcActive bool // a leader currently owns the commit pipeline
 
-	ckptMu sync.Mutex // serializes Checkpoint callers and guards manifest/chain
-	// manifest records, per relation, the state the newest snapshot chain
-	// describes: its count/epoch/retraction-counter at collection and the
-	// sequence of the snapshot physically holding its full tuple block.
-	// Checkpoint diffs fresh collections against it — a relation whose
-	// count AND cumulative retraction counter are both unchanged has seen
-	// neither retractions (counter equal) nor inserts (no retractions +
-	// equal count), so its tuple set is identical and it becomes a
-	// reference block, its prior full block retained on disk. Count alone
-	// stopped being sufficient when Retract arrived: a retract/insert
-	// pair leaves the count unchanged with a different set.
-	manifest map[string]relManifest
-	// Symbol-table diff state: the resolved symbol count and prefix CRC
-	// of the newest snapshot chain, the head's sequence, and the sym-tail
-	// chain depth (bounded by maxSymChainDepth before a full rewrite) and
-	// ancestor set.
-	headSeq    uint64
-	symsLen    int
-	symsCRC    uint32
-	symDepth   int
-	symAnchors map[uint64]bool
-	// chain is the set of snapshot sequences the newest snapshot
-	// references (itself included); prune keeps exactly these.
-	chain map[uint64]bool
-}
-
-// relManifest is one relation's entry in the differential manifest.
-// retracts is the relation's cumulative retraction counter at
-// collection; -1 marks an entry restored from disk whose counter is not
-// comparable to the live process's (see Open), forcing one full block.
-type relManifest struct {
-	arity    int
-	epoch    uint64
-	count    int
-	retracts int64
-	seq      uint64 // snapshot holding this relation's full tuple block
-}
-
-// maxSymChainDepth bounds the symbol-tail chain: after this many
-// differential snapshots in a row, the next one rewrites the full
-// symbol table, so recovery reads at most this many extra files for
-// symbols and stale tails become prunable.
-const maxSymChainDepth = 3
-
-// symPrefixCRC fingerprints a symbol-list prefix (length-prefixed, so
-// name boundaries cannot alias).
-func symPrefixCRC(names []string) uint32 {
-	h := crc32.New(castagnoli)
-	var lenBuf [10]byte
-	for _, n := range names {
-		b := binary.AppendUvarint(lenBuf[:0], uint64(len(n)))
-		h.Write(b)
-		h.Write([]byte(n))
-	}
-	return h.Sum32()
-}
-
-// relManifestOf builds the per-relation manifest described by a
-// resolved snapshot at headSeq.
-func relManifestOf(headSeq uint64, s *Snapshot) map[string]relManifest {
-	man := make(map[string]relManifest, len(s.Rels))
-	for _, r := range s.Rels {
-		seq := headSeq
-		if r.Ref {
-			seq = r.BaseSeq
-		}
-		man[r.Pred] = relManifest{arity: r.Arity, epoch: r.Epoch, count: r.Count, retracts: r.Retracts, seq: seq}
-	}
-	return man
+	ckptMu  sync.Mutex // serializes Checkpoint callers and guards headSeq
+	headSeq uint64     // sequence of the newest snapshot (0 when none)
 }
 
 // segmentName renders a segment file name for a sequence number.
@@ -218,25 +151,28 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return n, true
 }
 
-// recovered is the directory state recoverDir reconstructs: the
-// resolved snapshot chain, the differential manifest the next checkpoint
-// diffs against, and the segment high-water mark.
+// recovered is where recoverDir left off: the snapshot it started from
+// and the segments it replayed.
 type recovered struct {
-	snapSeq   uint64
-	haveSnap  bool
-	manifest  map[string]relManifest
-	syms      []string
-	ancestors []uint64
-	chain     map[uint64]bool
-	maxSeq    uint64
-	lastSeq   uint64 // newest live segment replayed (0 when none)
+	snapSeq uint64 // snapshot applied (0 when none)
+	maxSeq  uint64 // highest sequence in use, snapshot or segment
+	lastSeq uint64 // newest live segment replayed (0 when none)
 }
 
 // recoverDir replays the state persisted in dir (creating it if
-// missing) — newest readable snapshot first, then every segment above
+// missing) — the newest readable snapshot first, then every segment above
 // it in sequence order, tolerating a torn final record in the last
 // segment by truncating it — streaming the state into the replay
 // callbacks.
+//
+// A snapshot that does not read is skipped for its predecessor, or for
+// none: a crash between a checkpoint's snapshot write and its prune
+// leaves the predecessor and the segments it needs on disk. That is only
+// sound while those segments are all there, so the segments above the
+// snapshot S that recovery starts from (S = 0 when none) must be exactly
+// S+1, S+2, …; a gap fails recovery (with ErrCorruptSnapshot when a
+// skipped snapshot covered it) before anything is replayed. A snapshot
+// in a retired format fails it outright.
 func recoverDir(dir string, replay Replay) (*recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -257,90 +193,46 @@ func recoverDir(dir string, replay Replay) (*recovered, error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
 
-	// Newest readable snapshot whose full differential chain resolves
-	// wins; an unreadable head or a broken chain (torn checkpoint racing
-	// a crash before its segment prune, a corrupted base) falls back to
-	// the predecessor, whose covered segments are still on disk.
-	st := &replayState{replay: replay}
-	var snapSeq uint64
-	var haveSnap bool
-	var manifest map[string]relManifest
-	var resolvedSyms []string
-	var symAncestors []uint64
-	chain := map[uint64]bool{}
-	cache := make(map[uint64]*Snapshot)
-	var retired error // a retired-format snapshot was needed: fail, never fall back past it
-	load := func(seq uint64) (*Snapshot, error) {
-		if s, ok := cache[seq]; ok {
-			return s, nil
+	rec := &recovered{}
+	var snap *Snapshot
+	var skipped error // why the newest unreadable snapshot was skipped
+	for _, seq := range snaps {
+		s, err := readSnapshot(dir, seq)
+		if errors.Is(err, ErrSnapshotVersion) {
+			return nil, err
 		}
-		fileSeq, s, err := readSnapshot(filepath.Join(dir, snapshotName(seq)))
 		if err != nil {
-			if errors.Is(err, ErrSnapshotVersion) {
-				retired = err
+			if skipped == nil {
+				skipped = err
+			}
+			continue
+		}
+		snap, rec.snapSeq = s, seq
+		break
+	}
+	live := segs[:0]
+	for _, seq := range segs {
+		if seq > rec.snapSeq {
+			live = append(live, seq)
+		}
+	}
+	for i, seq := range live {
+		if want := rec.snapSeq + 1 + uint64(i); seq != want {
+			err := fmt.Errorf("wal: %s: segment %d is missing (the next is %d)", dir, want, seq)
+			if skipped != nil {
+				err = fmt.Errorf("%w; a newer snapshot that would cover it was skipped: %w", err, skipped)
 			}
 			return nil, err
 		}
-		if fileSeq != seq {
-			return nil, fmt.Errorf("wal: snapshot %d claims sequence %d", seq, fileSeq)
-		}
-		cache[seq] = s
-		return s, nil
 	}
-	for _, seq := range snaps {
-		if retired != nil {
-			break
-		}
-		snap, err := load(seq)
-		if err != nil {
-			continue
-		}
-		syms, ancestors, err := resolveSyms(seq, snap, load)
-		if err != nil {
-			continue
-		}
-		bases, err := resolveRelRefs(seq, snap, len(syms), load)
-		if err != nil {
-			continue
-		}
-		st.applySnapshot(snap, syms, bases)
-		snapSeq, haveSnap = seq, true
-		manifest = relManifestOf(seq, snap)
-		resolvedSyms, symAncestors = syms, ancestors
-		chain[seq] = true
-		for _, a := range ancestors {
-			chain[a] = true
-		}
-		for _, r := range snap.Rels {
-			if r.Ref {
-				chain[r.BaseSeq] = true
-			}
-		}
-		break
-	}
-	if retired != nil {
-		return nil, retired
+	rec.maxSeq = rec.snapSeq
+	if len(live) > 0 {
+		rec.maxSeq = live[len(live)-1]
 	}
 
-	maxSeq := snapSeq
-	live := segs[:0]
-	for _, seq := range segs {
-		if haveSnap && seq <= snapSeq {
-			continue // covered by the snapshot; prune below
-		}
-		live = append(live, seq)
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-	rec := &recovered{
-		snapSeq:   snapSeq,
-		haveSnap:  haveSnap,
-		manifest:  manifest,
-		syms:      resolvedSyms,
-		ancestors: symAncestors,
-		chain:     chain,
-		maxSeq:    maxSeq,
+	st := &replayState{replay: replay}
+	if snap != nil {
+		st.applySnapshot(snap)
 	}
 	for i, seq := range live {
 		final := i == len(live)-1
@@ -360,30 +252,7 @@ func Open(dir string, policy SyncPolicy, replay Replay) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, policy: policy, seq: rec.maxSeq + 1, manifest: rec.manifest, chain: rec.chain}
-	// A persisted retraction counter is the ORIGINAL process's cumulative
-	// count; the restarted process's relations count from zero again, so
-	// equality against it would be coincidence, not proof of an identical
-	// set. Entries with retraction history are marked incomparable — their
-	// first post-restart checkpoint writes a full block and re-bases the
-	// counter. Never-retracted relations (counter 0) stay comparable: a
-	// live counter of 0 really does mean no retraction ever happened.
-	for pred, m := range l.manifest {
-		if m.retracts != 0 {
-			m.retracts = -1
-			l.manifest[pred] = m
-		}
-	}
-	if rec.haveSnap {
-		l.headSeq = rec.snapSeq
-		l.symsLen = len(rec.syms)
-		l.symsCRC = symPrefixCRC(rec.syms)
-		l.symDepth = len(rec.ancestors)
-		l.symAnchors = make(map[uint64]bool, len(rec.ancestors))
-		for _, a := range rec.ancestors {
-			l.symAnchors[a] = true
-		}
-	}
+	l := &Log{dir: dir, policy: policy, seq: rec.maxSeq + 1, headSeq: rec.snapSeq}
 	if err := l.openSegment(); err != nil {
 		return nil, err
 	}
@@ -393,7 +262,7 @@ func Open(dir string, policy SyncPolicy, replay Replay) (*Log, error) {
 // RecoverResult reports where a replay-only recovery left off, so a
 // replication cursor can resume exactly at the recovered boundary.
 type RecoverResult struct {
-	SnapshotSeq uint64 // newest resolved snapshot (0 when none)
+	SnapshotSeq uint64 // snapshot recovery started from (0 when none)
 	LastSeq     uint64 // newest live segment replayed (0 when none)
 	LastSize    int64  // size of that segment after torn-tail truncation
 }
@@ -409,10 +278,7 @@ func Recover(dir string, replay Replay) (RecoverResult, error) {
 	if err != nil {
 		return RecoverResult{}, err
 	}
-	res := RecoverResult{LastSeq: rec.lastSeq}
-	if rec.haveSnap {
-		res.SnapshotSeq = rec.snapSeq
-	}
+	res := RecoverResult{SnapshotSeq: rec.snapSeq, LastSeq: rec.lastSeq}
 	if rec.lastSeq != 0 {
 		fi, err := os.Stat(filepath.Join(dir, segmentName(rec.lastSeq)))
 		if err != nil {
@@ -423,86 +289,12 @@ func Recover(dir string, replay Replay) (RecoverResult, error) {
 	return res, nil
 }
 
-// resolveSyms resolves a snapshot's full symbol list: its own Syms when
-// self-contained, or the base snapshot's resolved list (recursively;
-// sequences strictly decrease, so the walk terminates) followed by the
-// tail. It also returns the ancestor sequences the resolution loaded.
-func resolveSyms(seq uint64, s *Snapshot, load func(uint64) (*Snapshot, error)) ([]string, []uint64, error) {
-	if s.SymBase == 0 {
-		return s.Syms, nil, nil
-	}
-	if s.SymBase >= seq {
-		return nil, nil, fmt.Errorf("wal: snapshot %d: symbol base %d is not earlier", seq, s.SymBase)
-	}
-	base, err := load(s.SymBase)
-	if err != nil {
-		return nil, nil, err
-	}
-	prefix, ancestors, err := resolveSyms(s.SymBase, base, load)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]string, 0, len(prefix)+len(s.Syms))
-	out = append(append(out, prefix...), s.Syms...)
-	return out, append(ancestors, s.SymBase), nil
-}
-
-// resolveRelRefs validates a candidate snapshot's differential relation
-// references: every Ref block must point at a readable earlier snapshot
-// holding a FULL block of the same predicate and arity (references are
-// always one hop — a new reference copies the base sequence of the
-// block it extends, never pointing at another reference), and every
-// referenced tuple value must resolve in the head's symbol list (the
-// append-only prefix property the writer verified). Returns the loaded
-// bases by sequence.
-func resolveRelRefs(headSeq uint64, head *Snapshot, nsyms int, load func(uint64) (*Snapshot, error)) (map[uint64]*Snapshot, error) {
-	bases := make(map[uint64]*Snapshot)
-	for _, r := range head.Rels {
-		if !r.Ref {
-			continue
-		}
-		if r.BaseSeq >= headSeq {
-			return nil, fmt.Errorf("wal: snapshot %d references non-earlier snapshot %d", headSeq, r.BaseSeq)
-		}
-		base, ok := bases[r.BaseSeq]
-		if !ok {
-			var err error
-			if base, err = load(r.BaseSeq); err != nil {
-				return nil, err
-			}
-			bases[r.BaseSeq] = base
-		}
-		blk := findRelBlock(base, r.Pred)
-		if blk == nil || blk.Ref || blk.Arity != r.Arity {
-			return nil, fmt.Errorf("wal: snapshot %d: base %d has no full block for %s", headSeq, r.BaseSeq, r.Pred)
-		}
-		for _, col := range blk.Cols {
-			for _, v := range col {
-				if int(v) < 0 || int(v) >= nsyms {
-					return nil, fmt.Errorf("wal: snapshot %d: %s tuple value %d outside symbol table", headSeq, r.Pred, v)
-				}
-			}
-		}
-	}
-	return bases, nil
-}
-
-// findRelBlock returns the snapshot's block for pred, or nil.
-func findRelBlock(s *Snapshot, pred string) *RelSnap {
-	for i := range s.Rels {
-		if s.Rels[i].Pred == pred {
-			return &s.Rels[i]
-		}
-	}
-	return nil
-}
-
 // replayState accumulates the Value->name translation while streaming
 // recovered records into the user's callbacks.
 type replayState struct {
 	replay Replay
 	names  []string
-	seen   map[string]bool
+	seen   map[string]bool // the names in names; nil until sym needs it
 }
 
 func (st *replayState) sym(name string) {
@@ -512,7 +304,10 @@ func (st *replayState) sym(name string) {
 	// everything after it. First occurrence wins — that is the original
 	// process's dense id order.
 	if st.seen == nil {
-		st.seen = make(map[string]bool)
+		st.seen = make(map[string]bool, len(st.names)+1)
+		for _, n := range st.names {
+			st.seen[n] = true
+		}
 	}
 	if st.seen[name] {
 		return
@@ -540,36 +335,39 @@ func (st *replayState) tuple(cb func(pred string, consts []string), pred string,
 	return nil
 }
 
-// applySnapshot streams a resolved snapshot into the callbacks:
-// resolvedSyms is the full symbol list (sym-tail chains already
-// stitched), and ref blocks read their tuples from the base snapshots.
-// Tuple values — full and referenced alike — translate through the
-// resolved list: the symbol table is append-only, so every earlier
-// snapshot's values index into a prefix of it (resolveRelRefs bounds-
-// checked the referenced ones).
-func (st *replayState) applySnapshot(s *Snapshot, resolvedSyms []string, bases map[uint64]*Snapshot) {
-	for _, name := range resolvedSyms {
-		st.sym(name)
+// applySnapshot streams a snapshot into the callbacks: its names in
+// Value order, then every relation's tuples translated through them.
+func (st *replayState) applySnapshot(s *Snapshot) {
+	if len(st.names) == 0 {
+		// decodeSnapshot refused a repeated name, so a fresh translation
+		// is the snapshot's list as it stands; sym indexes it only once a
+		// logged name arrives.
+		st.names = slices.Clip(s.Syms)
+		for _, name := range s.Syms {
+			if st.replay.Sym != nil {
+				st.replay.Sym(name)
+			}
+		}
+	} else {
+		for _, name := range s.Syms {
+			st.sym(name)
+		}
 	}
 	for _, r := range s.Rels {
 		if st.replay.Rel != nil {
 			st.replay.Rel(r.Pred, r.Arity)
 		}
-		cols, count := r.Cols, r.Count
-		if r.Ref {
-			base := findRelBlock(bases[r.BaseSeq], r.Pred)
-			cols, count = base.Cols, base.Count
-		}
-		if count == 0 {
+		if r.Count == 0 {
 			continue // an empty block's arity may be up to maxRecordSize
 		}
 		t := make(storage.Tuple, r.Arity)
-		for j := 0; j < count; j++ {
-			for c := range cols {
-				t[c] = cols[c][j]
+		for j := 0; j < r.Count; j++ {
+			for c, col := range r.Cols {
+				t[c] = col[j]
 			}
-			// Errors are impossible here: values were validated against
-			// (full blocks: encoded against) the resolved symbol list.
+			// Errors are impossible here: decodeSnapshot refused a value
+			// outside the snapshot's symbol table and a name listed twice,
+			// and st.names now holds at least as many names as it does.
 			st.tuple(st.replay.Fact, r.Pred, t)
 		}
 	}
@@ -974,16 +772,11 @@ func (l *Log) flushActive() error {
 	return l.fail(l.w.Flush())
 }
 
-// Checkpoint compacts the log differentially: it seals the active
-// segment and opens a fresh one, calls collect for a full snapshot of
-// the state as of (at least) the seal point, converts each relation
-// whose tuple set is unchanged since the previous checkpoint into a
-// reference block (its prior snapshot's full block stays on disk and is
-// linked), writes the snapshot atomically, and deletes the segments it
-// covers plus every snapshot outside the new reference chain. Recovery
-// cost and checkpoint bytes therefore scale with what actually changed,
-// not with the database size. collect runs after the rotation, so any
-// mutation it observes is either inside the snapshot or journaled in
+// Checkpoint compacts the log: it seals the active segment and opens a
+// fresh one, calls collect for a snapshot of the state as of (at least)
+// the seal point, writes it atomically, and deletes the segments it
+// covers and every other snapshot. collect runs after the rotation, so
+// any mutation it observes is either inside the snapshot or journaled in
 // the new segment — replay tolerates the overlap because inserts are
 // idempotent set operations.
 func (l *Log) Checkpoint(collect func() (*Snapshot, error)) error {
@@ -1020,64 +813,17 @@ func (l *Log) Checkpoint(collect func() (*Snapshot, error)) error {
 	if err != nil {
 		return err
 	}
-	// Differential conversion. The prefix check re-fingerprints the
-	// first symsLen names: append-only symbol tables make it pass by
-	// construction, and if it ever does not, every reference is unsafe
-	// (referenced tuple values would translate through the wrong names),
-	// so the snapshot falls back to fully self-contained.
-	fullSyms := snap.Syms
-	fullLen := len(fullSyms)
-	prefixOK := l.headSeq != 0 && l.symsLen <= fullLen &&
-		symPrefixCRC(fullSyms[:l.symsLen]) == l.symsCRC
-	if prefixOK {
-		// Relations: an unchanged count plus an unchanged retraction
-		// counter means an identical tuple set (no retraction happened,
-		// so the set only grew, and equal count rules growth out), so the
-		// prior full block (wherever in the chain it physically lives)
-		// still describes it. A relation with removals since its base
-		// falls back to a full block.
-		for i := range snap.Rels {
-			r := &snap.Rels[i]
-			if man, ok := l.manifest[r.Pred]; ok && man.arity == r.Arity && man.count == r.Count && man.retracts == r.Retracts {
-				r.Ref, r.BaseSeq, r.Cols = true, man.seq, nil
-			}
-		}
-	}
-	newAnchors := map[uint64]bool{}
-	newDepth := 0
-	if prefixOK && l.symDepth < maxSymChainDepth {
-		// Symbols: write only the tail interned since the previous head.
-		snap.SymBase = l.headSeq
-		snap.Syms = fullSyms[l.symsLen:]
-		for a := range l.symAnchors {
-			newAnchors[a] = true
-		}
-		newAnchors[l.headSeq] = true
-		newDepth = l.symDepth + 1
-	}
 	if err := writeSnapshot(l.dir, covered, snap); err != nil {
 		return err
 	}
 	l.headSeq = covered
-	l.manifest = relManifestOf(covered, snap)
-	l.symsLen, l.symsCRC = fullLen, symPrefixCRC(fullSyms)
-	l.symDepth, l.symAnchors = newDepth, newAnchors
-	l.chain = map[uint64]bool{covered: true}
-	for a := range newAnchors {
-		l.chain[a] = true
-	}
-	for _, r := range snap.Rels {
-		if r.Ref {
-			l.chain[r.BaseSeq] = true
-		}
-	}
 	return l.prune(covered)
 }
 
-// prune deletes segments covered by the snapshot at seq and snapshots
-// outside the current reference chain. Failures are returned but leave
-// recovery correct: an undeleted covered segment is skipped at Open, an
-// undeleted stale snapshot is shadowed by the newer chain.
+// prune deletes the segments covered by the snapshot at seq and every
+// other snapshot. Failures are returned but leave recovery correct: an
+// undeleted covered segment is skipped at Open, an undeleted older
+// snapshot is shadowed by the newer one.
 func (l *Log) prune(seq uint64) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -1085,15 +831,16 @@ func (l *Log) prune(seq uint64) error {
 	}
 	var firstErr error
 	for _, e := range entries {
-		if s, ok := parseSeq(e.Name(), "seg-", ".wal"); ok && s <= seq {
-			if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		s, isSeg := parseSeq(e.Name(), "seg-", ".wal")
+		stale := isSeg && s <= seq
+		if s, ok := parseSeq(e.Name(), "snap-", ".snap"); ok && s != seq {
+			stale = true
 		}
-		if s, ok := parseSeq(e.Name(), "snap-", ".snap"); ok && s <= seq && !l.chain[s] {
-			if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if !stale {
+			continue
+		}
+		if err := os.Remove(filepath.Join(l.dir, e.Name())); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr != nil {
