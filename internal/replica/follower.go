@@ -368,6 +368,14 @@ func (f *Follower) tailLoop() error {
 					}
 					continue
 				}
+				if cur.Offset == 0 {
+					// An empty sealed segment (a crash before its
+					// header) is mirrored empty: recovery refuses a
+					// missing segment between live ones.
+					if err := f.mirrorWrite(cur.Seq, 0, nil); err != nil {
+						return terminalErr{err}
+					}
+				}
 				if err := f.finishSegment(); err != nil {
 					return terminalErr{err}
 				}

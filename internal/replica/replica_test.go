@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -18,7 +19,13 @@ import (
 // HTTP server.
 func newPrimary(t testing.TB) (*onesided.Engine, *httptest.Server) {
 	t.Helper()
-	eng, err := onesided.Open(onesided.WithPersistence(t.TempDir()))
+	return newPrimaryIn(t, t.TempDir())
+}
+
+// newPrimaryIn is newPrimary over an existing data directory.
+func newPrimaryIn(t testing.TB, dir string) (*onesided.Engine, *httptest.Server) {
+	t.Helper()
+	eng, err := onesided.Open(onesided.WithPersistence(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +222,59 @@ func TestFollowerMirrorHoldsOneSnapshot(t *testing.T) {
 	waitConverged(t, primary, feng2, f2)
 	if st := f2.Stats(); st.SnapshotsApplied != 0 {
 		t.Fatalf("restarted follower fetched %d snapshots, want to recover from its mirror", st.SnapshotsApplied)
+	}
+}
+
+// A primary keeps a 0-byte segment that a crash before its header left
+// between two live ones. The follower must mirror it (empty), or its
+// mirror has a gap that recovery refuses: a restart and a promotion over
+// the mirror would fail with "segment 2 is missing".
+func TestFollowerMirrorsEmptySealedSegment(t *testing.T) {
+	pdir := t.TempDir()
+	seed, err := onesided.Open(onesided.WithPersistence(pdir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed.AddFact("p", "before")
+	if err := seed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(pdir, wal.SegmentFileName(2))
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	primary, ts := newPrimaryIn(t, pdir)
+	if seq := primary.Log().ActiveSeq(); seq != 3 {
+		t.Fatalf("primary appends to segment %d, want 3 (after the empty segment 2)", seq)
+	}
+	primary.AddFact("p", "after")
+
+	mirror := t.TempDir()
+	feng, f := startFollower(t, ts.URL, mirror)
+	waitConverged(t, primary, feng, f)
+	if fi, err := os.Stat(filepath.Join(mirror, wal.SegmentFileName(2))); err != nil || fi.Size() != 0 {
+		t.Fatalf("mirrored empty segment: %v, %v", fi, err)
+	}
+	f.Close()
+	feng.Close()
+
+	primary.AddFact("p", "restart")
+	feng2, f2 := startFollower(t, ts.URL, mirror)
+	waitConverged(t, primary, feng2, f2)
+	want := primary.DB().Dump()
+	if err := f2.Promote(wal.SyncBatch); err != nil {
+		t.Fatal(err)
+	}
+	if err := feng2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reng, err := onesided.Open(onesided.WithPersistence(mirror))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reng.Close()
+	if got := reng.DB().Dump(); got != want {
+		t.Fatalf("restart after promote:\n%s\nwant:\n%s", got, want)
 	}
 }
 
