@@ -33,7 +33,9 @@ type FollowerConfig struct {
 	// written here under the wal's own file names, so a restart
 	// recovers locally and Promote turns the mirror into the log.
 	Dir string
-	// Client is the HTTP client (default http.DefaultClient).
+	// Client is the HTTP client. The default is a client of the
+	// follower's own, on a clone of http.DefaultTransport, whose idle
+	// connections are closed when the tail goroutine exits.
 	Client *http.Client
 	// PollInterval is the long-poll wait per tail fetch (default 1s).
 	PollInterval time.Duration
@@ -55,7 +57,10 @@ type Follower struct {
 	cfg    FollowerConfig
 	eng    *onesided.Engine
 	client *http.Client
-	ap     *wal.Applier
+	// own is the transport of the default client, nil when the caller
+	// supplied one: its connections are the follower's to close.
+	own *http.Transport
+	ap  *wal.Applier
 
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -97,8 +102,12 @@ func Start(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Engine.Log() != nil {
 		return nil, fmt.Errorf("replica: follower engine must not have its own persistence")
 	}
+	var own *http.Transport
 	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
+		// Not http.DefaultClient: its pool would keep the follower's idle
+		// keep-alive connections, and their goroutines, past Close.
+		own = http.DefaultTransport.(*http.Transport).Clone()
+		cfg.Client = &http.Client{Transport: own}
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
@@ -115,7 +124,7 @@ func Start(cfg FollowerConfig) (*Follower, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	f := &Follower{cfg: cfg, eng: cfg.Engine, client: cfg.Client, state: StateBootstrapping}
+	f := &Follower{cfg: cfg, eng: cfg.Engine, client: cfg.Client, own: own, state: StateBootstrapping}
 	cb := f.replayCallbacks()
 	f.ap = wal.NewApplier(cb)
 	cfg.Engine.SetReadOnly(true)
@@ -167,10 +176,15 @@ func (f *Follower) replayCallbacks() wal.Replay {
 }
 
 // run is the tail goroutine: bootstrap (unless the mirror resumed a
-// cursor), then tail until closed or failed.
+// cursor), then tail until closed or failed. It makes every request the
+// follower makes, so on its way out it closes its own transport's idle
+// connections: none is left for a later request.
 func (f *Follower) run() {
 	defer close(f.done)
 	defer f.closeMirror()
+	if f.own != nil {
+		defer f.own.CloseIdleConnections()
+	}
 	if f.curSnapshot().Seq == 0 {
 		if err := f.bootstrap(); err != nil {
 			f.finish(err)

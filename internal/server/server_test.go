@@ -402,9 +402,11 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("engine stats missing: %+v", resp)
 	}
 	// The storage block: bytes by structure, the directories the two
-	// queries built among them, and exactly what the database reports.
-	if st := resp.Storage; st.TupleBlocks == 0 || st.DedupTables == 0 || st.DirectorySlots == 0 || st.SymbolText == 0 || st.SymbolIndex == 0 ||
-		st != srv.eng.DB().Footprint() || !strings.Contains(w.Body.String(), `"storage":{"tuple_blocks":`) {
+	// queries built among them and the keys they index, what a key costs,
+	// and exactly what the database reports.
+	if st := resp.Storage; st.TupleBlocks == 0 || st.DedupTables == 0 || st.DirectorySlots == 0 || st.DirectoryKeys == 0 || st.SymbolText == 0 || st.SymbolIndex == 0 ||
+		st != srv.eng.DB().Footprint() || !strings.Contains(w.Body.String(), `"storage":{"tuple_blocks":`) ||
+		!strings.Contains(w.Body.String(), fmt.Sprintf(`"directory_bytes_per_key":%v`, st.DirectoryBytesPerKey())) {
 		t.Fatalf("storage stats = %+v in %s", st, w.Body)
 	}
 }

@@ -10,8 +10,9 @@ import (
 // edge relations into a tracked database relation (so probes are counted):
 // "digraph" is 120 000 random edges over 30 000 values, degree ≈ 4, and
 // "chain" 20 000 edges in a line, degree 1. universe is the number of
-// values that occur in column 0.
-func benchGraph(shape string) (rel *Relation, stats *Counters, universe int) {
+// values that occur in column 0; with spread 2 they are its first
+// universe even numbers instead of 0, 1, 2, ….
+func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, universe int) {
 	db := NewDatabase()
 	rel = db.Ensure("a", 2)
 	rng := rand.New(rand.NewSource(1))
@@ -20,12 +21,12 @@ func benchGraph(shape string) (rel *Relation, stats *Counters, universe int) {
 	case "digraph":
 		universe = 30000
 		for i := 0; i < 120000; i++ {
-			edges = append(edges, Tuple{Value(rng.Intn(universe)), Value(rng.Intn(universe))})
+			edges = append(edges, Tuple{Value(spread * rng.Intn(universe)), Value(rng.Intn(universe))})
 		}
 	case "chain":
 		universe = 20000
 		for i := 0; i < universe; i++ {
-			edges = append(edges, Tuple{Value(i), Value(i + 1)})
+			edges = append(edges, Tuple{Value(spread * i), Value(i + 1)})
 		}
 	}
 	rel.InsertBatch(edges)
@@ -35,25 +36,38 @@ func benchGraph(shape string) (rel *Relation, stats *Counters, universe int) {
 
 // BenchmarkRelationLookup is the restricted lookup on column 0 — the
 // probe Property 3 prices — over both graph shapes, for keys that are
-// there and keys that are not, counted in the shared Counters (LookupBuf)
-// or in a tally the goroutine owns (LookupTally), from one goroutine and
-// from GOMAXPROCS of them — and for the same keys probed through
-// LookupKeys (tallied, serial), one key a call and sixteen: the staged
-// probe's overhead on a lone key and what overlapping a stage's misses
-// buys. One op is a pass over 4096 random keys, so that a fixed small
-// -benchtime still times something; it must not allocate.
+// there, in random order (hit) and in the order a Fig. 9 level walks a
+// chain, 0, 1, 2, … (walk), and for keys that are not: beyond every key
+// (miss), and between the keys, odd ones probed against a column of even
+// ones (gap). Each is counted in the shared Counters (LookupBuf) or in a
+// tally the goroutine owns (LookupTally), from one goroutine and from
+// GOMAXPROCS of them — and the same keys are probed through LookupKeys
+// (tallied, serial), one key a call and sixteen: the staged probe's
+// overhead on a lone key and what overlapping a stage's misses buys. One
+// op is a pass over 4096 keys, so that a fixed small -benchtime still
+// times something; it must not allocate.
 func BenchmarkRelationLookup(b *testing.B) {
 	for _, shape := range []string{"digraph", "chain"} {
-		rel, stats, universe := benchGraph(shape)
-		for _, keys := range []string{"hit", "miss"} {
-			base := 0
-			if keys == "miss" {
-				base = universe + 1 // beyond every value in either column
-			}
+		rel, stats, universe := benchGraph(shape, 1)
+		even, evenStats, _ := benchGraph(shape, 2)
+		for _, keys := range []string{"hit", "walk", "miss", "gap"} {
+			rel, stats := rel, stats
 			rng := rand.New(rand.NewSource(2))
 			probe := make([]Value, 1<<12)
 			for i := range probe {
-				probe[i] = Value(base + rng.Intn(universe))
+				switch keys {
+				case "hit":
+					probe[i] = Value(rng.Intn(universe))
+				case "walk":
+					probe[i] = Value(i)
+				case "miss":
+					probe[i] = Value(universe + 1 + rng.Intn(universe)) // beyond every value in either column
+				case "gap":
+					probe[i] = Value(2*rng.Intn(universe) + 1)
+				}
+			}
+			if keys == "gap" {
+				rel, stats = even, evenStats
 			}
 			perLookup := func(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(probe)), "ns/lookup")
@@ -146,7 +160,7 @@ func BenchmarkIndexedInsert(b *testing.B) {
 // allocation for every run.
 func BenchmarkDirectoryBuild(b *testing.B) {
 	for _, shape := range []string{"digraph", "chain"} {
-		rel, _, _ := benchGraph(shape)
+		rel, _, _ := benchGraph(shape, 1)
 		b.Run(shape, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,11 +1,33 @@
 package storage
 
-import "sync/atomic"
+import (
+	"math"
+	"math/bits"
+	"sync/atomic"
+)
 
-// directory is one column's posting index in a relation: a flat
-// open-addressing table (linear probing, power-of-two size) from a value
-// to the ids of the rows holding it, in insertion order, and it holds no
-// pointer per key. A slot is one word,
+// directory is one column's posting index in a relation: a flat table
+// from a value to the ids of the rows holding it, in insertion order, and
+// it holds no pointer per key. A key's probe starts at its home slot,
+//
+//	home(key) = uint32(key-base) * mul >> shift
+//
+// and the table is one of two kinds, chosen from its keys when it is built
+// or grown and fixed for its life (see sized):
+//
+//   - dense: mul 1 and shift 0, so key v's slot is slots[v-base], and
+//     holds v or nothing: there is no hash and no probe walk. Interned
+//     Values are dense in first-seen order, so the columns a chain, a tree
+//     or most edge relations are keyed by go dense, and the keys a walk
+//     down a chain visits in turn are neighbours in the table.
+//   - hashed: Fibonacci hashing (mul is fibonacci, base 0, and home the top
+//     bits of the product), linear probing, a power-of-two size.
+//
+// Either kind keeps the range [lo, hi] of its keys, and a probe outside it
+// reads no slot; a dense table spans at least that range, so a probe
+// inside it reads one.
+//
+// A slot is one word,
 //
 //	key<<32 | ref        (0: empty)
 //
@@ -21,7 +43,8 @@ import "sync/atomic"
 // One writer at a time — whoever holds the relation's write lock — extends a
 // directory while any number of readers probe it without a lock, and one
 // rule orders them: a reference is stored after what it refers to. The
-// writer writes a run's ids and length, and publishes the chunk they are
+// writer widens [lo, hi] to a new key before it stores the key's slot
+// word; it writes a run's ids and length, and publishes the chunk they are
 // in, before the atomic store of the slot word that names the run; it
 // appends an id before the atomic store of the longer length; a run that
 // is full is copied into room twice the size, and the slot word then
@@ -31,11 +54,12 @@ import "sync/atomic"
 // after a chunk list holding the run's chunk and after a length whose ids
 // are there, and every later list and length covers as much.
 //
-// A key is never removed and a slot never moves: a table that must grow
-// is copied into a larger one — a new key's slot stored in it first — and
-// that one published in its place (store.cols), the old one staying as it
-// was for the readers still in it. The copy carries the arena on: chunk
-// list, fill mark and tallies.
+// A key is never removed and a slot never moves: a table that must grow —
+// a hashed one past 3/4 full, a dense one for a key beyond its ends — is
+// copied into a new one sized for its keys and the new key, whose slot is
+// stored in it first, and that one is published in its place (store.cols),
+// the old one staying as it was for the readers still in it. The copy
+// carries the arena on: chunk list, fill mark and tallies.
 //
 // Reach: row ids are below 2^31 (as everywhere in the store — int32 ids),
 // and a run reference is 31 bits: maxChunks chunks, each entered within
@@ -43,6 +67,14 @@ import "sync/atomic"
 // directory that would need more panics, naming this limit.
 type directory struct {
 	slots []uint64
+	// base, mul and shift place a key's home slot (see above). The
+	// arithmetic wraps, so a dense table may straddle the ends of Value.
+	base  Value
+	mul   uint32
+	shift uint8
+	// lo and hi bound the keys, lo > hi in a table with none. A writer
+	// widens them before it stores the slot of a key beyond them.
+	lo, hi atomic.Int32
 	// used counts occupied slots (the load-factor input); writer only.
 	used int
 	// chunks is the arena's chunk list as published to readers: replaced,
@@ -69,29 +101,72 @@ const (
 	// minChunkWords is the size of a directory's first chunk; each later
 	// one is as large as all before it together, up to 1<<chunkShift.
 	minChunkWords = 16
-	// minDirSlots is the size of the smallest directory.
+	// minDirSlots is the size of the smallest hashed table.
 	minDirSlots = 8
+	// fibonacci is a hashed table's multiplier, 2^32 over the golden
+	// ratio: consecutive keys' products land far apart in their top bits,
+	// which is where home takes them from.
+	fibonacci = 2654435761
 )
 
-func newDirectory() *directory { return &directory{slots: make([]uint64, minDirSlots)} }
+// newDirectory returns a directory without keys: a dense table of no
+// slots, which its first key grows.
+func newDirectory() *directory {
+	d := &directory{mul: 1}
+	d.lo.Store(math.MaxInt32)
+	d.hi.Store(math.MinInt32)
+	return d
+}
+
+// sized returns an empty table for n >= 1 keys in [lo, hi], its arena the
+// caller's to fill or carry over. Where a hashed table is at most 3/4
+// full, and so holds at most 8/3 slots a key right after it doubles, a
+// dense one holds no more:
+//
+//   - Built for keys it will not outgrow (grow false, a bulk build), it is
+//     dense when they span at most 8/3 slots a key, and holds the span.
+//   - Grown by a key (grow true), it is dense when the keys span at most
+//     2 slots a key. It holds 8/3 slots a key, so that the keys fill at
+//     least 3/4 of it, as a hashed table's do, and the rest is split
+//     between its two ends: room for keys beyond either, so that a run of
+//     new keys, however it walks, grows the table by a constant factor.
+//
+// Otherwise it is hashed, at most 3/4 full.
+func sized(n int, lo, hi Value, grow bool) *directory {
+	d := &directory{mul: 1}
+	d.lo.Store(int32(lo))
+	d.hi.Store(int32(hi))
+	keys, span := int64(n), int64(hi)-int64(lo)+1
+	switch {
+	case !grow && 3*span <= 8*keys:
+		d.base, d.slots = lo, make([]uint64, span)
+	case grow && span <= 2*keys:
+		size := 8 * keys / 3
+		d.base, d.slots = lo-Value((size-span)/2), make([]uint64, size)
+	default:
+		size := minDirSlots
+		for 4*n > 3*size {
+			size *= 2
+		}
+		d.mul, d.shift, d.slots = fibonacci, uint8(33-bits.Len(uint(size))), make([]uint64, size)
+	}
+	return d
+}
+
+// dense reports whether d is a dense table.
+func (d *directory) dense() bool { return d.mul == 1 }
 
 // slotWord is the word of key's slot once its rows are at ref.
 func slotWord(key Value, ref uint32) uint64 { return uint64(uint32(key))<<32 | uint64(ref) }
 
-// hashValue spreads a column value over a directory: interned Values are
-// dense small integers, so a multiply spreads consecutive values, and the
-// high bits are folded into the low ones the table indexes by.
-func hashValue(v Value) uint32 {
-	h := uint32(v) * 2654435761
-	return h ^ h>>15
-}
-
 // slot returns the word of key's slot, 0 when the key has none. Safe
-// without a lock.
-func (d *directory) slot(key Value) uint64 {
-	mask := uint32(len(d.slots) - 1)
-	for i := hashValue(key) & mask; ; i = (i + 1) & mask {
-		if w := atomic.LoadUint64(&d.slots[i]); w == 0 || Value(w>>32) == key {
+// without a lock. (It is small enough to inline, as the probe loops need.)
+func (d *directory) slot(key Value) (w uint64) {
+	if int32(key) < d.lo.Load() || int32(key) > d.hi.Load() {
+		return 0
+	}
+	for i := uint32(key-d.base) * d.mul >> d.shift; ; i = (i + 1) & uint32(len(d.slots)-1) {
+		if w = atomic.LoadUint64(&d.slots[i]); w == 0 || Value(w>>32) == key {
 			return w
 		}
 	}
@@ -135,11 +210,18 @@ func (d *directory) rows(w uint64, lone *[1]int32) []int32 {
 	return runIDs(d.room(uint32(w)))
 }
 
-// probe returns the index of key's slot, or of the empty slot that ends
-// its probe chain. Writer side.
+// probe returns the index of key's slot — in a hashed table, of the
+// empty slot that ends its probe walk when it has none — or -1 when key
+// is beyond a dense table's ends. Writer side.
 func (d *directory) probe(key Value) int {
+	i := uint32(key-d.base) * d.mul >> d.shift
+	if d.dense() {
+		if i < uint32(len(d.slots)) {
+			return int(i)
+		}
+		return -1
+	}
 	mask := uint32(len(d.slots) - 1)
-	i := hashValue(key) & mask
 	for w := d.slots[i]; w != 0 && Value(w>>32) != key; w = d.slots[i] {
 		i = (i + 1) & mask
 	}
@@ -152,25 +234,35 @@ func (d *directory) probe(key Value) int {
 // the caller publishes if d was. Writer side.
 func (d *directory) claim(key Value) (int, *directory) {
 	i := d.probe(key)
-	if d.slots[i] == 0 {
-		if 4*(d.used+1) > 3*len(d.slots) {
-			d = d.grown()
-			i = d.probe(key)
-		}
-		d.used++
+	if i >= 0 && d.slots[i] != 0 {
+		return i, d
+	}
+	if i < 0 || !d.dense() && 4*(d.used+1) > 3*len(d.slots) {
+		d = d.grown(key)
+		i = d.probe(key)
+	}
+	d.used++
+	if int32(key) < d.lo.Load() {
+		d.lo.Store(int32(key))
+	}
+	if int32(key) > d.hi.Load() {
+		d.hi.Store(int32(key))
 	}
 	return i, d
 }
 
-// grown returns a copy of d with twice the slots, the arena carried over:
-// the writer goes on extending the same runs through the copy, beyond what
-// d's slots and chunk list name.
-func (d *directory) grown() *directory {
-	g := &directory{
-		slots: make([]uint64, 2*len(d.slots)),
-		used:  d.used,
-		free:  d.free, words: d.words, abandoned: d.abandoned,
-	}
+// grown returns a copy of d sized for its keys and key (see sized), the
+// arena carried over: the writer goes on extending the same runs through
+// the copy, beyond what d's slots and chunk list name.
+func (d *directory) grown(key Value) *directory {
+	lo, hi := min(Value(d.lo.Load()), key), max(Value(d.hi.Load()), key)
+	return d.into(sized(d.used+1, lo, hi, true))
+}
+
+// into copies d's slots and arena into g, an empty table with room for
+// them, and returns g.
+func (d *directory) into(g *directory) *directory {
+	g.used, g.free, g.words, g.abandoned = d.used, d.free, d.words, d.abandoned
 	g.chunks.Store(d.chunks.Load())
 	for _, w := range d.slots {
 		if w != 0 {
@@ -258,22 +350,32 @@ func (st *store) post(col int, d *directory, key Value, row int32) {
 }
 
 // buildDirectory indexes column col of the store's live rows in [lo, hi)
-// (tombstoned rows are left out — the compaction path relies on this). It counts
-// each key's rows first, in the low word of the key's slot, so that the
-// table is sized once it stops growing and every run is carved, with room
-// by the same rule as a posted one's, out of one exact allocation; the
-// second pass fills the runs, a run's length word counting what it has so
-// far. Caller holds the lock — the write lock for a directory of the
-// store's own, the read lock for a window's — and the result is private
-// until stored.
+// (tombstoned rows are left out — the compaction path relies on this). A
+// first pass finds the keys' range: when it spans at most 8/3 slots a row,
+// the table is dense and exactly that span from the start, and is rehashed
+// once the keys are counted if there are too few of them for it (see
+// sized); otherwise it is hashed and grows as the keys come in. The second
+// pass counts each key's rows, in the low word of the key's slot, so that
+// every run is carved, with room by the same rule as a posted one's, out
+// of one exact allocation; the third fills the runs, a run's length word
+// counting what it has so far. Caller holds the lock — the write lock for
+// a directory of the store's own, the read lock for a window's — and the
+// result is private until stored.
 func (st *store) buildDirectory(col, lo, hi int) *directory {
-	d := newDirectory()
 	live := func(yield func(row int, key Value)) {
 		for row := lo; row < hi; row++ {
 			if st.deadCnt == 0 || !st.isDeadLocked(row) {
 				yield(row, st.valueAt(row, col))
 			}
 		}
+	}
+	rows, kmin, kmax := 0, Value(math.MaxInt32), Value(math.MinInt32)
+	live(func(_ int, key Value) {
+		rows, kmin, kmax = rows+1, min(kmin, key), max(kmax, key)
+	})
+	d := newDirectory()
+	if span := int64(kmax) - int64(kmin) + 1; rows > 0 && 3*span <= 8*int64(rows) {
+		d = sized(rows, kmin, kmax, false) // dense: there are no more keys than rows
 	}
 	live(func(_ int, key Value) {
 		var i int
@@ -283,6 +385,9 @@ func (st *store) buildDirectory(col, lo, hi int) *directory {
 		}
 		d.slots[i]++
 	})
+	if d.dense() && 3*len(d.slots) > 8*d.used {
+		d = d.into(sized(d.used, kmin, kmax, false))
+	}
 	// Counts become references: of a bulk arena, whose chunks are views of
 	// one allocation, a run's reference is its offset in it.
 	total := 1 // word 0 is no run's: see reserve

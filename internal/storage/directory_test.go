@@ -1,10 +1,14 @@
 package storage
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -197,39 +201,47 @@ func TestLoneRowProbeDoesNotAllocate(t *testing.T) {
 }
 
 // TestDirectoryBytesPerKey pins what a key costs in a posting directory
-// built in bulk, by Footprint, at the slot table's worst load — 3/8, the
-// table having just doubled: a column of unique keys (a slot apiece, the
-// row in it) and one of fan-out four (a slot, and a run of a length word
-// and four ids). The 16-byte slot and separately allocated runs this
-// layout replaced cost 51 and 59 bytes.
+// built in bulk, by Footprint, for a column of unique keys (a slot apiece,
+// the row in it) and one of fan-out four (a slot, and a run of a length
+// word and four ids), in both kinds of table. Keys three apart span more
+// than 8/3 slots a key, so they are hashed, and there are as many as puts
+// the table at its worst load — 3/8, having just doubled. Keys 0, 1, 2, …
+// are dense and cost no more: their table is their span, a slot a key.
+// The 16-byte slot and separately allocated runs this layout replaced
+// cost 51 and 59 bytes a key hashed.
 func TestDirectoryBytesPerKey(t *testing.T) {
 	const keys = 3<<15 + 1 // one past 3/4 of 2^17 slots
 	for _, c := range []struct {
-		fanout int
-		budget float64
-	}{{1, 22}, {4, 44}} {
+		stride, fanout int
+		slots          int64
+		budget         float64
+	}{
+		{3, 1, 1 << 18, 22}, {3, 4, 1 << 18, 44},
+		{1, 1, keys, 9}, {1, 4, keys, 29},
+	} {
 		db := NewDatabase()
 		rel := db.Ensure("a", 2)
 		batch := make([]Tuple, 0, keys*c.fanout)
 		for k := 0; k < keys; k++ {
 			for j := 0; j < c.fanout; j++ {
-				batch = append(batch, Tuple{Value(k), Value(j)})
+				batch = append(batch, Tuple{Value(k * c.stride), Value(j)})
 			}
 		}
 		rel.InsertBatch(batch)
 		before := db.Footprint()
 		rel.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
 		f := db.Footprint()
+		name := fmt.Sprintf("stride %d, fan-out %d", c.stride, c.fanout)
 		if before.DirectorySlots+before.RunArenas != 0 || f.RunsAbandoned != 0 {
-			t.Fatalf("fan-out %d: %d directory bytes before any lookup, %d abandoned after", c.fanout, before.DirectorySlots+before.RunArenas, f.RunsAbandoned)
+			t.Fatalf("%s: %d directory bytes before any lookup, %d abandoned after", name, before.DirectorySlots+before.RunArenas, f.RunsAbandoned)
 		}
-		if slots := f.DirectorySlots / 8; slots != 1<<18 {
-			t.Fatalf("test premise: %d keys in %d slots is not the worst load", keys, slots)
+		if dense := c.stride == 1; f.DirectorySlots/8 != c.slots || f.DirectoryKeys != keys || (f.DenseDirectories == 1) != dense {
+			t.Fatalf("test premise: %d keys in %d slots (%d dense), want %d slots, dense %v", f.DirectoryKeys, f.DirectorySlots/8, f.DenseDirectories, c.slots, dense)
 		}
-		perKey := float64(f.DirectorySlots+f.RunArenas) / keys
-		t.Logf("fan-out %d: %.1f B/key (%d slot bytes, %d arena bytes)", c.fanout, perKey, f.DirectorySlots, f.RunArenas)
+		perKey := f.DirectoryBytesPerKey()
+		t.Logf("%s: %.1f B/key (%d slot bytes, %d arena bytes)", name, perKey, f.DirectorySlots, f.RunArenas)
 		if perKey > c.budget {
-			t.Errorf("fan-out %d: %.1f bytes a key, budget %v", c.fanout, perKey, c.budget)
+			t.Errorf("%s: %.1f bytes a key, budget %v", name, perKey, c.budget)
 		}
 	}
 }
@@ -248,16 +260,24 @@ func TestFootprintCountsWhatIsThere(t *testing.T) {
 	}
 	f := build().Footprint()
 	want := Footprint{
-		TupleBlocks:    2*blockRows*4 + deadWords*8 + 2*headerBytes, // one block of two columns, its bitset, two list entries
-		DedupTables:    16 * 8,                                      // the smallest table
-		DirectorySlots: 8 * 8,                                       // five keys in the smallest table
-		RunArenas:      (16+16)*4 + 2*headerBytes,                   // 1 + 5×3 words filled the first chunk; a second for the moved run
-		RunsAbandoned:  3 * 4,
-		SymbolText:     256 + 16, // one text chunk, one list entry
-		SymbolIndex:    16*8 + 16*8,
+		TupleBlocks:      2*blockRows*4 + deadWords*8 + 2*headerBytes, // one block of two columns, its bitset, two list entries
+		DedupTables:      16 * 8,                                      // the smallest table
+		DirectorySlots:   5 * 8,                                       // keys n0…n4 are Values 0…4: a dense table, a slot each
+		DirectoryKeys:    5,
+		DenseDirectories: 1,
+		RunArenas:        (16+16)*4 + 2*headerBytes, // 1 + 5×3 words filled the first chunk; a second for the moved run
+		RunsAbandoned:    3 * 4,
+		SymbolText:       256 + 16, // one text chunk, one list entry
+		SymbolIndex:      16*8 + 16*8,
 	}
 	if f != want {
 		t.Fatalf("footprint\n got %+v\nwant %+v", f, want)
+	}
+	// (40 slot bytes + 176 arena bytes) / 5 keys, in the line and the JSON.
+	if perKey := "43.2"; !strings.Contains(f.String(), "keys=5 dense-directories=1 bytes-per-key="+perKey) {
+		t.Fatalf("String() = %s, want 5 keys, 1 dense directory, %s B/key", f, perKey)
+	} else if js, err := json.Marshal(f); err != nil || !strings.Contains(string(js), `"directory_keys":5,"dense_directories":1,`) || !strings.Contains(string(js), `"directory_bytes_per_key":`+perKey) {
+		t.Fatalf("JSON %s (%v)", js, err)
 	}
 	if again := build().Footprint(); again != f {
 		t.Fatalf("the same history reported %+v, then %+v", f, again)
@@ -289,5 +309,339 @@ func TestFootprintCountsDeadRows(t *testing.T) {
 	}
 	if !strings.Contains(f.String(), fmt.Sprintf("dead-rows=%d", cycles)) {
 		t.Fatalf("String() leaves out the dead rows: %s", f)
+	}
+}
+
+// dirModel is a relation's live rows as a plain map: each key's values in
+// the second column, in the order their rows were inserted.
+type dirModel map[Value][]Value
+
+func (m dirModel) has(key, v Value) bool { return slices.Contains(m[key], v) }
+
+func (m dirModel) retract(key, v Value) {
+	m[key] = slices.DeleteFunc(m[key], func(x Value) bool { return x == v })
+	if len(m[key]) == 0 {
+		delete(m, key)
+	}
+}
+
+// TestDirectoryMatchesModel runs seeded histories of inserts,
+// retractions and re-inserts through column 0's directory in four key
+// patterns — ascending, descending, random within a band, and a band with
+// far outliers, Value's two ends among them — and after every step
+// compares LookupTally, LookupKeys, Contains and the probes of a delta
+// window with a plain map, for every key the model holds and for keys it
+// does not: between its keys, just beyond them and far away. A probe that
+// finds nothing still counts as one lookup. The patterns take the
+// directory through both ways of finding a slot, and the test sees each
+// switch happen: the outliers turn a dense table hashed, and the
+// compaction rebuild once they are retracted turns it dense again.
+func TestDirectoryMatchesModel(t *testing.T) {
+	const keys = 160
+	band := func(rng *rand.Rand) Value { return 5000 + Value(rng.Intn(keys)) }
+	outliers := []Value{-1 << 31, 1<<31 - 1, -3_000_000, 7_000_000}
+	patterns := []struct {
+		name string
+		key  func(rng *rand.Rand, step int) Value
+		// outliers: far keys join at the middle step, and retracting them
+		// with most of the band drops the directory for a rebuild.
+		outliers bool
+	}{
+		{"ascending", func(_ *rand.Rand, step int) Value { return Value(step / 2) }, false},
+		{"descending", func(_ *rand.Rand, step int) Value { return Value(keys - step/2) }, false},
+		{"band", func(rng *rand.Rand, _ int) Value { return band(rng) }, false},
+		{"outliers", func(rng *rand.Rand, _ int) Value { return band(rng) }, true},
+	}
+	for _, p := range patterns {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			db := NewDatabase()
+			r := db.Ensure("e", 2)
+			st, model := r.store, dirModel{}
+			buf, tally := make(Tuple, 2), db.Stats.Tally()
+			var ks KeyStage
+			at := fmt.Sprintf("%s, seed %d", p.name, seed)
+			// The probe keys: every key the model holds, and around them
+			// keys it does not.
+			probeKeys := func() []Value {
+				ks := []Value{-1 << 31, 1<<31 - 1, -1, 0, 1, 4999, 5000 + keys, 1 << 20}
+				for k := range model {
+					ks = append(ks, k, k-1, k+1)
+				}
+				return ks
+			}
+			lookup := func(rel *Relation, key Value) []Value {
+				var got []Value
+				rel.LookupTally([]Binding{{Col: 0, Val: key}}, buf, &tally, func(tup Tuple) bool {
+					if tup[0] != key {
+						t.Fatalf("%s: lookup of %d yielded %v", at, key, tup)
+					}
+					got = append(got, tup[1])
+					return true
+				})
+				return got
+			}
+			check := func(step int, since dirModel, win *Relation) {
+				t.Helper()
+				probes := probeKeys()
+				counted := func(what string, probe func()) {
+					before := db.Stats.Snapshot().IndexLookups
+					probe()
+					tally.Flush()
+					if n := db.Stats.Snapshot().IndexLookups - before; n != int64(len(probes)) {
+						t.Fatalf("%s, step %d: %d %s counted %d", at, step, len(probes), what, n)
+					}
+				}
+				counted("lookups", func() {
+					for _, k := range probes {
+						if got := lookup(r, k); !slices.Equal(got, model[k]) {
+							t.Fatalf("%s, step %d: lookup of %d yields %v, model %v", at, step, k, got, model[k])
+						}
+					}
+				})
+				staged := map[Value][]Value{}
+				counted("staged lookups", func() {
+					r.LookupKeys(0, probes, &ks, &tally, func(k int, tup Tuple) bool {
+						if tup[0] != probes[k] {
+							t.Fatalf("%s, step %d: staged probe of %d yielded %v", at, step, probes[k], tup)
+						}
+						if len(staged[tup[0]]) < len(model[tup[0]]) { // a key probed three times yields three times
+							staged[tup[0]] = append(staged[tup[0]], tup[1])
+						}
+						return true
+					})
+				})
+				for k, vs := range model {
+					if !slices.Equal(staged[k], vs) {
+						t.Fatalf("%s, step %d: staged probe of %d yields %v, model %v", at, step, k, staged[k], vs)
+					}
+					for _, v := range vs {
+						if !r.Contains(Tuple{k, v}) {
+							t.Fatalf("%s, step %d: %v is live, Contains says not", at, step, Tuple{k, v})
+						}
+					}
+				}
+				if win == nil {
+					if len(since) != 0 {
+						t.Fatalf("%s, step %d: no window, %d keys inserted since the stamp", at, step, len(since))
+					}
+					return
+				}
+				for _, k := range probes {
+					if got := lookup(win, k); !slices.Equal(got, since[k]) {
+						t.Fatalf("%s, step %d: window lookup of %d yields %v, model %v", at, step, k, got, since[k])
+					}
+					for _, v := range model[k] {
+						if win.Contains(Tuple{k, v}) != since.has(k, v) {
+							t.Fatalf("%s, step %d: window Contains(%v) = %v", at, step, Tuple{k, v}, !since.has(k, v))
+						}
+					}
+				}
+				win.LookupKeys(0, probes, &ks, nil, func(k int, tup Tuple) bool {
+					if tup[0] != probes[k] || !since.has(tup[0], tup[1]) {
+						t.Fatalf("%s, step %d: staged window probe of %d yielded %v", at, step, probes[k], tup)
+					}
+					return true
+				})
+			}
+			// A step is a batch of up to eight writes: mostly inserts of a
+			// pattern key (its value counting rows, so every tuple is new),
+			// some retractions, and re-inserts of retracted tuples.
+			var gone []Tuple
+			seq := Value(0)
+			stamp, since := db.Epoch(), dirModel{}
+			var modes []bool // each directory built or grown, dense or not
+			note := func() {
+				if d := st.cols[0].Load(); d != nil && (len(modes) == 0 || modes[len(modes)-1] != d.dense()) {
+					modes = append(modes, d.dense())
+				}
+			}
+			insert := func(tup Tuple) {
+				if !r.Insert(tup) {
+					t.Fatalf("%s: insert of %v refused", at, tup)
+				}
+				model[tup[0]] = append(model[tup[0]], tup[1])
+				since[tup[0]] = append(since[tup[0]], tup[1])
+			}
+			retract := func(tup Tuple) {
+				if !r.Retract(tup) {
+					t.Fatalf("%s: retraction of %v refused", at, tup)
+				}
+				model.retract(tup[0], tup[1])
+				since.retract(tup[0], tup[1])
+				gone = append(gone, tup)
+			}
+			const steps = 2 * keys
+			for step := 0; step < steps; step++ {
+				if step%40 == 0 {
+					stamp, since = db.Epoch(), dirModel{}
+				}
+				if p.outliers && step == steps/2 {
+					for i, k := range outliers {
+						insert(Tuple{k, Value(-1 - i)})
+					}
+				}
+				for n := 1 + rng.Intn(8); n > 0; n-- {
+					switch op := rng.Intn(10); {
+					case op < 7 || len(model) == 0:
+						seq++
+						insert(Tuple{p.key(rng, step), seq})
+					case op < 9:
+						for k, vs := range model { // some live tuple
+							retract(Tuple{k, vs[rng.Intn(len(vs))]})
+							break
+						}
+					case len(gone) > 0:
+						i := rng.Intn(len(gone))
+						tup := gone[i]
+						gone = slices.Delete(gone, i, i+1)
+						insert(tup)
+					}
+				}
+				d, ok := r.DeltaSince(stamp)
+				if !ok {
+					t.Fatalf("%s, step %d: DeltaSince fell back", at, step)
+				}
+				check(step, since, d.Added)
+				note()
+			}
+			// Ascending and descending keys are dense from the first. A
+			// band's first few keys are sparse in it — hashed, whether or not
+			// the very first was dense — and dense once the band fills in.
+			want := []bool{true}
+			if p.name != "ascending" && p.name != "descending" {
+				want = []bool{false, true}
+				if modes[0] {
+					modes = modes[1:]
+				}
+			}
+			if p.outliers {
+				// Retract the outliers and the top three quarters of the
+				// band: past the compaction threshold, so the lookups rebuild
+				// the table from the bottom quarter alone, which is dense;
+				// then insert a few more.
+				atDrop := st.deadAtDrop
+				for i, k := range outliers {
+					if model.has(k, Value(-1-i)) {
+						retract(Tuple{k, Value(-1 - i)})
+					}
+				}
+				for k, vs := range model {
+					if k >= 5000+keys/4 {
+						for _, v := range slices.Clone(vs) {
+							retract(Tuple{k, v})
+						}
+					}
+				}
+				if st.deadAtDrop == atDrop {
+					t.Fatalf("%s: test premise: the retractions dropped no directory", at)
+				}
+				stamp, since = db.Epoch(), dirModel{}
+				for i := 0; i < 10; i++ {
+					seq++
+					insert(Tuple{5000 + Value(rng.Intn(keys/4)), seq})
+				}
+				d, ok := r.DeltaSince(stamp)
+				if !ok {
+					t.Fatalf("%s: DeltaSince fell back", at)
+				}
+				check(steps, since, d.Added)
+				note()
+				want = []bool{false, true, false, true}
+			}
+			if !slices.Equal(modes, want) {
+				t.Fatalf("%s: the directory went dense %v, want %v", at, modes, want)
+			}
+		}
+	}
+}
+
+// TestDirectoryModesBesideReaders puts three lock-free readers beside a
+// writer that grows column 0's directory as a dense table, down and up,
+// turns it hashed with far keys, and retracts past the compaction
+// threshold so that it is rebuilt dense. Whatever a reader is handed must
+// be a tuple the writer had at least started to insert, under the key it
+// asked for. Run under -race.
+func TestDirectoryModesBesideReaders(t *testing.T) {
+	const n = 1500
+	var plan []Tuple
+	for i := 0; i < n; i++ { // dense, grown up and down by turns
+		k := Value(i / 2)
+		if i%2 == 1 {
+			k = -k
+		}
+		plan = append(plan, Tuple{k, Value(len(plan))})
+	}
+	for _, k := range []Value{-1 << 31, 1<<31 - 1, 1 << 24} { // hashed
+		plan = append(plan, Tuple{k, Value(len(plan))})
+	}
+	for i := 0; i < n; i++ { // more rows under the same keys: runs
+		plan = append(plan, Tuple{Value(i%200 - 100), Value(len(plan))})
+	}
+	r := NewRelation(2, nil)
+	r.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
+	var started atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			buf := make(Tuple, 2)
+			var ks KeyStage
+			check := func(key Value, tup Tuple) bool {
+				id := int(tup[1])
+				if tup[0] != key || id < 0 || id >= len(plan) || tkey(plan[id]) != tkey(tup) || int64(id) >= started.Load() {
+					t.Errorf("probe of %d yielded %v", key, tup)
+					return false
+				}
+				return true
+			}
+			for !t.Failed() {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := plan[rng.Intn(len(plan))][0] + Value(rng.Intn(3)-1)
+				if rng.Intn(2) == 0 {
+					r.LookupTally([]Binding{{Col: 0, Val: key}}, buf, nil, func(tup Tuple) bool { return check(key, tup) })
+				} else {
+					keys := []Value{key, key + 1, 1 << 30, key - 1}
+					r.LookupKeys(0, keys, &ks, nil, func(k int, tup Tuple) bool { return check(keys[k], tup) })
+				}
+				runtime.Gosched()
+			}
+		}(int64(g))
+	}
+	var modes []bool
+	note := func() {
+		if d := r.store.cols[0].Load(); d != nil && (len(modes) == 0 || modes[len(modes)-1] != d.dense()) {
+			modes = append(modes, d.dense())
+		}
+	}
+	for i, tup := range plan {
+		started.Store(int64(i + 1))
+		r.Insert(tup)
+		note()
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	// The outliers first, then the first stretch from its far ends in: a
+	// reader may rebuild the dropped table at any point after the drop,
+	// and must find only keys near the runs' then.
+	first := slices.Clone(plan[:n])
+	slices.Reverse(first)
+	for _, tup := range append(slices.Clone(plan[n:n+3]), first...) {
+		r.Retract(tup)
+	}
+	r.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
+	note()
+	close(stop)
+	wg.Wait()
+	if want := []bool{true, false, true}; !slices.Equal(modes, want) {
+		t.Fatalf("test premise: the directory went dense %v, want %v", modes, want)
 	}
 }

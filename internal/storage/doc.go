@@ -13,10 +13,17 @@
 // and dedup through an open-addressing hash table over row ids keyed by
 // a word-at-a-time tuple hash (HashTuple), so neither insertion nor
 // membership builds a string key. Per-column indexes are posting
-// directories built lazily on first use: a flat open-addressing table of
-// 8-byte slots — a value, and beside it either the id of the one row that
-// carries it or a reference to the run of ids that do, in an arena of
-// chunks that never move (directory.go). Neither the directories nor the
+// directories built lazily on first use: a flat table of 8-byte slots — a
+// value, and beside it either the id of the one row that carries it or a
+// reference to the run of ids that do, in an arena of chunks that never
+// move (directory.go). A table whose keys are dense addresses a key's slot
+// by value, slots[v-base]: built in bulk when the keys span at most 8/3
+// slots a key, grown when they span at most 2 of the 8/3 it gets — never
+// more slots than a hashed table holds right after it doubles at 3/4
+// load. Any other table is Fibonacci-hashed, linear probing. Either keeps
+// its keys' range, and a probe outside it reads no slot. Interned Values
+// are dense in first-seen order, so the consecutive keys a walk down a
+// chain probes sit side by side. Neither the directories nor the
 // symbol table hold a pointer per entry: the table copies each name into
 // a few large text chunks and indexes them by position (symbols.go), so
 // nothing a caller passes in — a slice of a source text, a decoded

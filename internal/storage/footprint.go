@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // Footprint is the memory a database's storage structures hold, in bytes
 // by structure, computed from their lengths and capacities — what was
@@ -21,6 +24,12 @@ type Footprint struct {
 	DedupTables int64 `json:"dedup_tables"`
 	// DirectorySlots is the slot tables of the built posting directories.
 	DirectorySlots int64 `json:"directory_slots"`
+	// DirectoryKeys counts keys, not bytes: the distinct values the built
+	// directories index, summed over the columns. DenseDirectories counts
+	// the built directories that address their slots by value (see
+	// directory); the rest hash.
+	DirectoryKeys    int64 `json:"directory_keys"`
+	DenseDirectories int64 `json:"dense_directories"`
 	// RunArenas is the directories' run arenas, chunk lists included;
 	// RunsAbandoned is the part of it held by runs that have since moved
 	// to larger room and stay behind for readers (reclaimed when tombstone
@@ -34,16 +43,35 @@ type Footprint struct {
 }
 
 // Total is the sum over the structures (RunsAbandoned is part of
-// RunArenas and not added again; DeadRows is a count of rows).
+// RunArenas and not added again; DeadRows, DirectoryKeys and
+// DenseDirectories are counts).
 func (f Footprint) Total() int64 {
 	return f.TupleBlocks + f.DedupTables + f.DirectorySlots + f.RunArenas + f.SymbolText + f.SymbolIndex
 }
 
+// DirectoryBytesPerKey is what an indexed key costs, slots and runs
+// together: (DirectorySlots + RunArenas) / DirectoryKeys, 0 with no key.
+func (f Footprint) DirectoryBytesPerKey() float64 {
+	if f.DirectoryKeys == 0 {
+		return 0
+	}
+	return float64(f.DirectorySlots+f.RunArenas) / float64(f.DirectoryKeys)
+}
+
 // String renders the footprint on one line, bytes throughout but for the
-// dead-row count.
+// counts in parentheses.
 func (f Footprint) String() string {
-	return fmt.Sprintf("total=%d tuple-blocks=%d (dead-rows=%d) dedup-tables=%d directory-slots=%d run-arenas=%d (abandoned=%d) symbol-text=%d symbol-index=%d",
-		f.Total(), f.TupleBlocks, f.DeadRows, f.DedupTables, f.DirectorySlots, f.RunArenas, f.RunsAbandoned, f.SymbolText, f.SymbolIndex)
+	return fmt.Sprintf("total=%d tuple-blocks=%d (dead-rows=%d) dedup-tables=%d directory-slots=%d (keys=%d dense-directories=%d bytes-per-key=%.1f) run-arenas=%d (abandoned=%d) symbol-text=%d symbol-index=%d",
+		f.Total(), f.TupleBlocks, f.DeadRows, f.DedupTables, f.DirectorySlots, f.DirectoryKeys, f.DenseDirectories, f.DirectoryBytesPerKey(), f.RunArenas, f.RunsAbandoned, f.SymbolText, f.SymbolIndex)
+}
+
+// MarshalJSON adds directory_bytes_per_key to the fields.
+func (f Footprint) MarshalJSON() ([]byte, error) {
+	type fields Footprint
+	return json.Marshal(struct {
+		fields
+		DirectoryBytesPerKey float64 `json:"directory_bytes_per_key"`
+	}{fields(f), f.DirectoryBytesPerKey()})
 }
 
 // Sizes of the element types the structures are made of.
@@ -85,6 +113,10 @@ func (r *Relation) footprint(f *Footprint) {
 	for c := range st.cols {
 		if d := st.cols[c].Load(); d != nil {
 			f.DirectorySlots += int64(cap(d.slots)) * 8
+			f.DirectoryKeys += int64(d.used)
+			if d.dense() {
+				f.DenseDirectories++
+			}
 			f.RunArenas += int64(d.words) * wordBytes
 			f.RunsAbandoned += int64(d.abandoned) * wordBytes
 			if list := d.chunks.Load(); list != nil {
