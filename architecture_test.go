@@ -15,39 +15,52 @@ var (
 	// path from the repository root and a top-level declaration of that
 	// file, `file.go:Name` or `file.go:Type.Method`.
 	codeAnchor = regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go):([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*)?)`")
+	// fileCitation is a bare `path.go`: a file cited from the repository
+	// root without a declaration.
+	fileCitation = regexp.MustCompile("`([A-Za-z0-9_./-]+\\.go)`")
 	// lineAnchor is the form anchors must not take: a line number drifts
 	// with every edit above it.
 	lineAnchor = regexp.MustCompile(`[A-Za-z0-9_]\.go:[0-9]+`)
 )
 
-// TestArchitectureAnchors: every code anchor in ARCHITECTURE.md names a
-// declaration its file still holds, and none is a line number.
+// TestArchitectureAnchors: every code anchor in ARCHITECTURE.md and
+// README.md names a declaration its file still holds, every file they
+// cite bare exists, and no anchor is a line number.
 func TestArchitectureAnchors(t *testing.T) {
-	doc, err := os.ReadFile("ARCHITECTURE.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(codeAnchor.FindAll(doc, -1)); n < 20 {
-		t.Fatalf("found %d code anchors in ARCHITECTURE.md; the pattern no longer matches how it cites code", n)
-	}
-	for _, err := range anchorErrors(doc) {
-		t.Error(err)
+	for _, name := range []string{"ARCHITECTURE.md", "README.md"} {
+		doc, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(codeAnchor.FindAll(doc, -1)); name == "ARCHITECTURE.md" && n < 20 {
+			t.Fatalf("found %d code anchors in %s; the pattern no longer matches how it cites code", n, name)
+		}
+		for _, err := range anchorErrors(doc) {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 
-	// The check itself: a line number and a declaration that is gone are
-	// each reported; a method that exists is not.
-	stale := []byte("`engine.go:231` `engine.go:Engine.noSuchMethod` `engine.go:Engine.Prepare` `internal/eval/onesided.go:evalContext`")
-	if errs := anchorErrors(stale); len(errs) != 3 {
-		t.Fatalf("anchorErrors on three bad anchors and one good one = %v", errs)
+	// The check itself: a line number, a declaration that is gone and a
+	// file that is gone are each reported; a method and a file that exist
+	// are not.
+	stale := []byte("`engine.go:231` `engine.go:Engine.noSuchMethod` `engine.go:Engine.Prepare` `internal/eval/onesided.go:evalContext` `internal/eval/nosuchfile.go` `internal/eval/level.go`")
+	if errs := anchorErrors(stale); len(errs) != 4 {
+		t.Fatalf("anchorErrors on four bad citations and two good ones = %v", errs)
 	}
 }
 
-// anchorErrors reports every line-number anchor in doc and every
+// anchorErrors reports every line-number anchor in doc, every bare
+// `file.go` citation of a file that does not exist, and every
 // `file.go:Name` anchor whose file does not declare Name.
 func anchorErrors(doc []byte) []error {
 	var errs []error
 	for _, m := range lineAnchor.FindAll(doc, -1) {
 		errs = append(errs, fmt.Errorf("line-number anchor %s: cite file.go:Name instead", m))
+	}
+	for _, m := range fileCitation.FindAllSubmatch(doc, -1) {
+		if _, err := os.Stat(string(m[1])); err != nil {
+			errs = append(errs, fmt.Errorf("citation %s: %w", m[1], err))
+		}
 	}
 	declared := make(map[string]map[string]bool)
 	for _, m := range codeAnchor.FindAllSubmatch(doc, -1) {

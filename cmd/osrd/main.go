@@ -196,6 +196,8 @@ func run(ctx context.Context, ln net.Listener, program, dataDir, follow string, 
 			return err
 		}
 	}
-	// Close (deferred) checkpoints and flushes the persistence log.
+	// Close (deferred) stops a follower, then flushes and closes the
+	// persistence log. It does not checkpoint: the next start recovers
+	// from the last snapshot and replays the log tail written since.
 	return nil
 }

@@ -45,11 +45,8 @@
 //	lyon, _ := pq.Bind("lyon")         // same skeleton, new constants
 //	rows, _ := lyon.Query(ctx)
 //
-// QueryBatch evaluates several queries together; same-shape selections
-// share one traversal (the paper's Section 5 observation): context-mode
-// plans explore the union of the queries' context graphs with owner
-// tags so overlapping contexts are g-joined once, and Magic Sets plans
-// union the queries' seed facts into a single semi-naive fixpoint.
+// QueryBatch answers several queries under one gas budget; each member
+// is a single Query — plan cache, result cache and all.
 //
 // context.Context cancels the fixpoint loops mid-evaluation.
 //

@@ -361,10 +361,10 @@ type Explain struct {
 	// "updated" (maintained answers moved by the signed delta since their
 	// stamp), "rebuilt" (evaluated in full — first build, eviction, an
 	// overflowed delta tail, or after a maintenance pass was cut short
-	// by cancellation or gas), or "" when the result
-	// cache did not participate (streaming, batch-shared traversals,
-	// explicit-program plans, a disabled cache, or a query naming a
-	// constant the database has never seen, answered empty unevaluated).
+	// by cancellation or gas), or "" when the result cache did not
+	// participate (streaming, explicit-program plans, a disabled cache,
+	// or a query naming a constant the database has never seen, answered
+	// empty unevaluated).
 	ResultCache string
 	// Batches is the number of carry batches the Fig. 9 loop walked. It
 	// is filled on the Explain a Rows reports after evaluation; a
@@ -684,7 +684,7 @@ func (pq *PreparedQuery) Query(ctx context.Context) (*Rows, error) {
 	}
 	ctx = pq.engine.withGasCtx(ctx)
 	if pq.resultCacheable() {
-		rows, handled, err := pq.engine.queryCached(ctx, pq, true)
+		rows, handled, err := pq.engine.queryCached(ctx, pq)
 		if handled || err != nil {
 			return rows, err
 		}
@@ -755,8 +755,8 @@ func (pq *PreparedQuery) explainWithStats(stats eval.EvalStats) Explain {
 
 // resultEntry is one bound-result cache slot: the materialized answers
 // of a (skeleton, slot values) pair, stamped with the database epoch
-// they are current as of, plus the retained fixpoint state that absorbs
-// deltas (nil only for an answer set a shared batch traversal produced). The entry lock serializes
+// they are current as of, plus the retained fixpoint state they are read
+// from, which absorbs deltas. The entry lock serializes
 // concurrent queries of the same bound query, so a burst of identical
 // queries evaluates once.
 type resultEntry struct {
@@ -775,10 +775,14 @@ type resultEntry struct {
 	rendered *rendering
 }
 
-// setAnswers replaces the entry's answer set (nil, nil poisons it) and
-// drops the rendering of the one it had. The caller holds entry.mu.
-func (entry *resultEntry) setAnswers(inc *eval.Incremental, rel *storage.Relation, stats eval.EvalStats) {
-	entry.inc, entry.rel, entry.stats = inc, rel, stats
+// setAnswers replaces the entry's retained evaluation and the answer set
+// read from it (nil poisons the entry), and drops the rendering of the
+// one it had. The caller holds entry.mu.
+func (entry *resultEntry) setAnswers(inc *eval.Incremental) {
+	entry.inc, entry.rel, entry.stats = inc, nil, eval.EvalStats{}
+	if inc != nil {
+		entry.rel, entry.stats = inc.Answers(), inc.Stats()
+	}
 	entry.rendered = nil
 }
 
@@ -860,16 +864,13 @@ func (e *Engine) currentGen() uint64 {
 }
 
 // resultEntryFor returns the cache entry for key, creating (and LRU-
-// bounding) it when create is set.
-func (e *Engine) resultEntryFor(key string, gen uint64, create bool) *resultEntry {
+// bounding) it when absent.
+func (e *Engine) resultEntryFor(key string, gen uint64) *resultEntry {
 	e.resMu.Lock()
 	defer e.resMu.Unlock()
 	if el, ok := e.resCache[key]; ok {
 		e.resLRU.MoveToFront(el)
 		return el.Value.(*resultEntry)
-	}
-	if !create {
-		return nil
 	}
 	entry := &resultEntry{key: key, gen: gen}
 	e.resCache[key] = e.resLRU.PushFront(entry)
@@ -940,13 +941,12 @@ func (e *Engine) maintain(ctx context.Context, entry *resultEntry) (newStamp uin
 }
 
 // queryCached serves a prepared query through the bound-result cache.
-// handled is false when the cache stood aside (stale plan generation, or
-// allowBuild was false and serving would have required an evaluation) —
+// handled is false when the cache stood aside (stale plan generation) —
 // the caller then evaluates directly. The protocol that keeps stamps
 // sound under concurrent inserts: the new stamp is read from the epoch
 // counter BEFORE any relation is read, so an insert the evaluation
 // missed is stamped at or after it and DeltaSince(stamp) replays it.
-func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild bool) (rows *Rows, handled bool, err error) {
+func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery) (rows *Rows, handled bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, true, err
 	}
@@ -955,10 +955,7 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 	if pq.gen != curGen {
 		return nil, false, nil
 	}
-	entry := e.resultEntryFor(resultKey(pq.skeleton.key, pq.consts), curGen, allowBuild)
-	if entry == nil {
-		return nil, false, nil
-	}
+	entry := e.resultEntryFor(resultKey(pq.skeleton.key, pq.consts), curGen)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
 	if e.currentGen() != curGen {
@@ -972,7 +969,7 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 		if db.LastModified() < entry.stamp {
 			e.resHits.Add(1)
 			mode = "hit"
-		} else if entry.inc != nil {
+		} else {
 			newStamp, changed, ok, uerr := e.maintain(ctx, entry)
 			switch {
 			case uerr != nil:
@@ -980,7 +977,7 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 				// gas budget) leaves the retained fixpoint half-moved, so
 				// replaying the delta would silently skip answers. Poison
 				// the entry: the next query rebuilds from scratch.
-				entry.setAnswers(nil, nil, eval.EvalStats{})
+				entry.setAnswers(nil)
 				return nil, true, uerr
 			case !ok:
 				// A delta tail was evicted: rebuild below.
@@ -1003,9 +1000,6 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 		}
 	}
 	if mode == "" {
-		if !allowBuild {
-			return nil, false, nil
-		}
 		plan, berr := pq.plan()
 		if berr != nil {
 			return nil, true, berr
@@ -1015,7 +1009,7 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 		if berr != nil {
 			return nil, true, berr
 		}
-		entry.setAnswers(inc, inc.Answers(), inc.Stats())
+		entry.setAnswers(inc)
 		entry.gen = curGen
 		entry.stamp = newStamp
 		e.resRebuilt.Add(1)
@@ -1035,22 +1029,6 @@ func (e *Engine) queryCached(ctx context.Context, pq *PreparedQuery, allowBuild 
 		rows.explain.ResultCache = mode
 	}
 	return rows, true, nil
-}
-
-// storeBatchResult caches one query's relation produced by a shared
-// batch traversal (no retained state: a later delta rebuilds it).
-func (e *Engine) storeBatchResult(pq *PreparedQuery, gen, stamp uint64, rel *storage.Relation, stats eval.EvalStats) {
-	if e.resCacheCap <= 0 || pq.gen != gen {
-		return
-	}
-	entry := e.resultEntryFor(resultKey(pq.skeleton.key, pq.consts), gen, true)
-	entry.mu.Lock()
-	defer entry.mu.Unlock()
-	if e.currentGen() != gen {
-		return
-	}
-	entry.gen, entry.stamp = gen, stamp
-	entry.setAnswers(nil, rel, stats)
 }
 
 // Stream starts evaluating the prepared plan in a background goroutine
@@ -1176,16 +1154,11 @@ func (e *Engine) QueryStream(ctx context.Context, query string) (*Rows, error) {
 	return pq.Stream(ctx), nil
 }
 
-// QueryBatch plans and evaluates several queries (Prolog syntax)
-// together, returning one Rows per query in input order. Queries of the
-// same shape share one plan skeleton, and — when the chosen strategy
-// supports it — one traversal: context-mode one-sided plans explore the
-// union of the queries' context graphs with per-query owner tags, so a
-// context reached by several queries is g-joined once (the Section 5
-// both-sides observation), and Magic Sets plans union the queries' seed
-// facts into a single semi-naive run. Rows of a shared group report the
-// group's EvalStats (BatchQueries names the group size) and share the
-// group's instrumentation delta.
+// QueryBatch plans and evaluates several queries (Prolog syntax),
+// returning one Rows per query in input order. One gas budget governs
+// the whole batch; each member is answered as a single Query is, through
+// the plan cache and the bound-result cache. The first error ends the
+// batch.
 func (e *Engine) QueryBatch(ctx context.Context, queries []string) ([]*Rows, error) {
 	atoms := make([]Atom, len(queries))
 	for i, s := range queries {
@@ -1203,99 +1176,14 @@ func (e *Engine) QueryBatchAtoms(ctx context.Context, queries []Atom) ([]*Rows, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// One budget governs the whole batch: a shared traversal cannot
-	// attribute derived contexts to individual member queries.
 	ctx = e.withGasCtx(ctx)
 	rows := make([]*Rows, len(queries))
-	type group struct {
-		pq    *PreparedQuery
-		idx   []int
-		binds [][]ast.Term
-	}
-	groups := make(map[string]*group)
-	var order []string
 	for i, q := range queries {
-		skel := ast.Skeletonize(q)
-		g, ok := groups[skel.Key()]
-		if !ok {
-			pq, err := e.Prepare(nil, q)
-			if err != nil {
-				return nil, fmt.Errorf("query %v: %w", q, err)
-			}
-			g = &group{pq: pq}
-			groups[skel.Key()] = g
-			order = append(order, skel.Key())
+		r, err := e.QueryAtom(ctx, q)
+		if err != nil {
+			return nil, fmt.Errorf("query %v: %w", q, err)
 		}
-		g.idx = append(g.idx, i)
-		g.binds = append(g.binds, skel.Consts)
-	}
-	db := e.db
-	for _, key := range order {
-		g := groups[key]
-		// Bind one PreparedQuery per member and let the bound-result
-		// cache serve whatever it can without evaluating (current
-		// entries, and stale maintainable entries via their delta);
-		// only the rest joins the shared traversal.
-		pqs := make([]*PreparedQuery, len(g.idx))
-		var pending []int
-		for j, i := range g.idx {
-			pq := g.pq
-			if j > 0 {
-				var err error
-				pq, err = e.bindSkeleton(g.pq.skeleton, queries[i], g.binds[j], g.pq.bindState(), g.pq.gen)
-				if err != nil {
-					return nil, fmt.Errorf("query %v: %w", queries[i], err)
-				}
-			}
-			pqs[j] = pq
-			if pq.unseenConst() {
-				rows[i] = pq.noAnswers()
-				continue
-			}
-			if pq.resultCacheable() {
-				r, handled, err := e.queryCached(ctx, pq, false)
-				if err != nil {
-					return nil, fmt.Errorf("query %v: %w", queries[i], err)
-				}
-				if handled {
-					rows[i] = r
-					continue
-				}
-			}
-			pending = append(pending, j)
-		}
-		if len(pending) == 0 {
-			continue
-		}
-		bp, batchable := g.pq.skeleton.prepared.(eval.BatchPrepared)
-		if batchable && len(pending) > 1 {
-			gen := g.pq.gen
-			stamp := db.Epoch()
-			binds := make([][]ast.Term, len(pending))
-			for bi, j := range pending {
-				binds[bi] = g.binds[j]
-			}
-			before := db.Stats.Snapshot()
-			rels, stats, err := bp.EvalBatch(ctx, db, binds)
-			if err != nil {
-				return nil, fmt.Errorf("batch %s: %w", g.pq.Shape(), err)
-			}
-			delta := db.Stats.Snapshot().Sub(before)
-			ex := g.pq.explainWithStats(stats)
-			for bi, j := range pending {
-				i := g.idx[j]
-				rows[i] = &Rows{rel: rels[bi], syms: db.Syms, stats: stats, counters: delta, explain: ex}
-				e.storeBatchResult(pqs[j], gen, stamp, rels[bi], stats)
-			}
-			continue
-		}
-		for _, j := range pending {
-			r, err := pqs[j].Query(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("query %v: %w", queries[g.idx[j]], err)
-			}
-			rows[g.idx[j]] = r
-		}
+		rows[i] = r
 	}
 	return rows, nil
 }
@@ -1493,11 +1381,10 @@ func (e *Engine) rewarmShapes(shapes []string) {
 // ResultCacheStats reports the bound-result cache's effectiveness:
 // Hits served materialized answers still current at the database epoch,
 // Updated moved a retained fixpoint by just the signed delta, Rebuilt
-// evaluated in full (first build, LRU eviction, a batch-shared answer
-// set gone stale, an overflowed delta tail, or a maintenance pass cut
-// short by cancellation or gas). Refixed counts the Updated passes that
-// overran their round budget and re-ran the Fig. 9 loop instead. Entries
-// counts the resident answer sets.
+// evaluated in full (first build, LRU eviction, an overflowed delta
+// tail, or a maintenance pass cut short by cancellation or gas). Refixed
+// counts the Updated passes that overran their round budget and re-ran
+// the Fig. 9 loop instead. Entries counts the resident answer sets.
 type ResultCacheStats struct {
 	Hits, Updated, Rebuilt, Refixed int64
 	Entries                         int

@@ -747,7 +747,7 @@ func TestResultCacheFailedUpdatePoisons(t *testing.T) {
 		}
 		// Cancel mid-pass: queryCached refuses a dead context up front, so
 		// the context dies a few Err checks into the maintenance loop.
-		if _, _, err := eng.queryCached(&dyingCtx{Context: context.Background(), after: 3}, pq, true); !errors.Is(err, context.Canceled) {
+		if _, _, err := eng.queryCached(&dyingCtx{Context: context.Background(), after: 3}, pq); !errors.Is(err, context.Canceled) {
 			t.Fatalf("mid-pass cancellation returned %v, want context.Canceled", err)
 		}
 		rebuildsCorrectly(t, eng)
@@ -954,7 +954,7 @@ func TestResultCacheRetractionWaitsForMaintenance(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}}
-	rows, _, err := eng.queryCached(ctx, pq, true)
+	rows, _, err := eng.queryCached(ctx, pq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,48 +141,39 @@ func TestHitRenderingDroppedByTailOverflow(t *testing.T) {
 	query("hit", 2+bulk)
 }
 
-// TestHitRenderingDroppedByBatchStore: a shared batch traversal that
-// overwrites an entry (storeBatchResult) overwrites what its hits render.
-func TestHitRenderingDroppedByBatchStore(t *testing.T) {
+// TestQueryBatchMembersAreMaintained: a batch member is a single Query,
+// so it leaves a maintained result-cache entry behind. After a write the
+// same batch moves each entry by the delta instead of rebuilding it, and
+// a later hit renders the moved answers.
+func TestQueryBatchMembersAreMaintained(t *testing.T) {
 	ctx := context.Background()
 	eng := openQuickstart(t)
 	queries := []string{"t(paris, Y)", "t(lyon, Y)"}
-	batch := func() {
+	batch := func(mode string) {
 		t.Helper()
 		list, err := eng.QueryBatch(ctx, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, rows := range list {
-			if rows.Explain().ResultCache != "" || rows.Stats().BatchQueries != len(queries) {
-				t.Fatalf("%s was not served by a shared traversal: %v", queries[i], rows.Explain())
+			if got := rows.Explain().ResultCache; got != mode {
+				t.Fatalf("%s: result-cache=%q, want %q (%v)", queries[i], got, mode, rows.Explain())
 			}
 		}
 	}
-	hit := func(want string) {
-		t.Helper()
-		rows, err := eng.Query(ctx, queries[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprint(renderedRows(t, rows)); got != want {
-			t.Fatalf("hit renders %s (%v), want %s", got, rows.Explain(), want)
-		}
-	}
-	batch()
-	hit("[paris,grenoble paris,nice]")
-	// The batch-shared entries hold no fixpoint state: stale, they rejoin
-	// the traversal, and its store replaces answers and rendering alike.
+	batch("rebuilt")
+	rebuilt := eng.CacheStats().Results.Rebuilt
 	eng.AddFact("b", "marseille", "cassis")
-	batch()
-	hit("[paris,cassis paris,grenoble paris,nice]")
-	// A batch member the pre-pass serves from the cache is a hit like any.
-	list, err := eng.QueryBatch(ctx, queries[:1])
+	batch("updated")
+	if got := eng.CacheStats().Results.Rebuilt; got != rebuilt {
+		t.Fatalf("Rebuilt grew from %d to %d across a maintained batch", rebuilt, got)
+	}
+	rows, err := eng.Query(ctx, queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(renderedRows(t, list[0])); got != "[paris,cassis paris,grenoble paris,nice]" {
-		t.Fatalf("batch member served as a hit renders %s (%v)", got, list[0].Explain())
+	if got := fmt.Sprint(renderedRows(t, rows)); got != "[paris,cassis paris,grenoble paris,nice]" {
+		t.Fatalf("hit renders %s (%v)", got, rows.Explain())
 	}
 }
 
@@ -223,7 +214,7 @@ func TestHitRenderingDroppedByPoisonedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.queryCached(&dyingCtx{Context: ctx, after: 3}, pq, true); !errors.Is(err, context.Canceled) {
+	if _, _, err := eng.queryCached(&dyingCtx{Context: ctx, after: 3}, pq); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-pass cancellation returned %v, want context.Canceled", err)
 	}
 	query("rebuilt", "")

@@ -1,55 +1,11 @@
-// Package bitset provides the dense bit-vector primitives the evaluator
-// and storage layers share: Mask, the multi-word owner bitmask that
-// QueryBatch's label propagation runs on, and Set, a growable
-// single-writer bitset for unary seen-sets — the Fig. 9 carry loop's when
-// the carried context is a single Value (interned Values are dense small
-// ints, so a membership test is one word operation instead of a map
-// probe).
+// Package bitset provides Set, the dense bit-vector the evaluator and
+// storage layers share: a growable single-writer bitset for unary
+// seen-sets — the Fig. 9 carry loop's when the carried context is a
+// single Value (interned Values are dense small ints, so a membership
+// test is one word operation instead of a map probe).
 package bitset
 
 import "math/bits"
-
-// Mask is a multi-word bitmask of small ordinals (batch query owners).
-// Masks grow by the word; there is no 64-bit chunking limit.
-type Mask []uint64
-
-// NewMask allocates a mask wide enough for n ordinals.
-func NewMask(n int) Mask { return make(Mask, (n+63)/64) }
-
-// Bit returns a fresh n-wide mask with only bit i set.
-func Bit(n, i int) Mask {
-	m := NewMask(n)
-	m[i/64] |= 1 << uint(i%64)
-	return m
-}
-
-// Test reports whether bit i is set.
-func (m Mask) Test(i int) bool { return m[i/64]&(1<<uint(i%64)) != 0 }
-
-// OrNew ors src into m in place, and the bits that were newly set into
-// fresh, reporting whether there were any — the label-propagation step of
-// a shared traversal.
-func (m Mask) OrNew(src, fresh Mask) bool {
-	any := false
-	for w, sv := range src {
-		if nb := sv &^ m[w]; nb != 0 {
-			m[w] |= nb
-			fresh[w] |= nb
-			any = true
-		}
-	}
-	return any
-}
-
-// Empty reports whether no bit is set.
-func (m Mask) Empty() bool {
-	for _, w := range m {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Set is a growable bitset over non-negative ints. The zero value is an
 // empty set. Not safe for concurrent use.

@@ -2,25 +2,6 @@ package bitset
 
 import "testing"
 
-func TestMaskOrNew(t *testing.T) {
-	m, fresh := NewMask(130), NewMask(130)
-	if !fresh.Empty() || !m.OrNew(Bit(130, 7), fresh) || !fresh.Test(7) || fresh.Empty() {
-		t.Fatalf("first or should report bit 7 fresh")
-	}
-	clear(fresh)
-	if m.OrNew(Bit(130, 7), fresh) || !fresh.Empty() {
-		t.Fatalf("second or of bit 7 reported fresh bits %v", fresh)
-	}
-	if !m.Test(7) || m.Test(8) {
-		t.Fatalf("mask state wrong after or")
-	}
-	// Cross-word bits, added to what fresh already holds.
-	fresh[0] = 1
-	if !m.OrNew(Bit(130, 129), fresh) || !m.Test(129) || !fresh.Test(129) || !fresh.Test(0) || fresh.Test(7) {
-		t.Fatalf("bit 129 lost: mask %v fresh %v", m, fresh)
-	}
-}
-
 func TestSetAddHasRange(t *testing.T) {
 	// Sized for [0, 128): 1000 is past it and grows the set.
 	s := NewSet(128)

@@ -10,8 +10,8 @@
 //
 // # One query, one goroutine
 //
-// Every evaluation — a cold Fig. 9 run, a shared batch traversal, a
-// semi-naive build, a maintenance pass — runs on the goroutine that asked
+// Every evaluation — a cold Fig. 9 run, a semi-naive build, a
+// maintenance pass — runs on the goroutine that asked
 // for it; the cores are used by concurrent requests. (Levels and rounds
 // were once split across a worker pool; on the two hardware threads any
 // session has had the split never won and sometimes lost, and it was
@@ -59,19 +59,14 @@
 // lets Engine.QueryStream yield first answers before the fixpoint
 // completes.
 //
-// # Adornment-keyed skeletons and batching
+// # Adornment-keyed skeletons
 //
 // Strategy.Prepare receives an AdornedQuery — possibly a canonical
 // skeleton whose bound columns hold ast.SlotConst placeholders — and
 // every prepared plan implements BindArgs, which instantiates the slot
 // table with a shallow substitution (bind.go). One compiled skeleton
 // per (program, predicate, adornment) therefore serves every ground
-// query of the shape. BatchPrepared (batch.go) extends this to
-// multi-query evaluation: context-mode plans traverse the union of the
-// queries' context graphs with per-query owner bitmasks, g-joining each
-// distinct context once (EvalStats.GProbes measures the sharing), and
-// Magic Sets plans union the queries' seed facts into one semi-naive
-// fixpoint.
+// query of the shape.
 //
 // # Incremental maintenance
 //

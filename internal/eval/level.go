@@ -21,11 +21,11 @@ import "repro/internal/storage"
 // probes go to storage together when they can (walk); solutions arrive in
 // context order either way.
 //
-// The single-query loop (contextEval) and the shared batch traversal
-// (evalContextBatch) both drive their levels through this type, on the
-// goroutine that asked for the evaluation. All of it belongs to that one
-// evaluation and is garbage when it returns: what a retained Incremental
-// keeps is the seen-set and the answers, never the worker or an arena.
+// The context-mode loop (contextEval) drives its levels through this
+// type, on the goroutine that asked for the evaluation. All of it belongs
+// to that one evaluation and is garbage when it returns: what a retained
+// Incremental keeps is the seen-set and the answers, never the worker or
+// an arena.
 
 // probeChunk is the number of contexts whose first-atom probes the worker
 // stages together: one stage of a routed LookupKeys.
@@ -88,13 +88,11 @@ type levelWorker struct {
 	nAnchors int
 	width    int
 
-	// carry is the buffer whose contexts are being walked and cur the index
-	// in it of the one a solution is being produced for (owners that tag
-	// contexts — the batch traversal's masks — read it); anchors is that
-	// context's anchor part, aliasing the arena. base is where the staged
-	// chunk starts, keys its probe values and stage storage's scratch.
+	// carry is the buffer whose contexts are being walked; anchors is the
+	// anchor part of the context a solution is being produced for, aliasing
+	// the arena. base is where the staged chunk starts, keys its probe
+	// values and stage storage's scratch.
 	carry   *carryBuf
-	cur     int
 	anchors storage.Tuple
 	base    int
 	keys    [probeChunk]storage.Value
@@ -167,7 +165,7 @@ func (w *levelWorker) enter(op *levelOp, i int) {
 	for j, sl := range op.ctxSlots {
 		op.slots[sl] = c[w.nAnchors+j]
 	}
-	w.cur, w.anchors = i, c[:w.nAnchors]
+	w.anchors = c[:w.nAnchors]
 }
 
 // walk runs op over the contexts of carry until an emit stops it. An

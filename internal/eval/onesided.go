@@ -116,14 +116,8 @@ type EvalStats struct {
 	SeenSize int
 	// GProbes is the number of g-join probes a context-mode evaluation
 	// performed: one per depth-0 exit join plus one per carried context
-	// joined against the exit rule. A batched evaluation g-joins each
-	// distinct context once no matter how many queries reach it, so its
-	// GProbes undercut the sum of the per-query counts — the measurable
-	// form of the Section 5 sharing observation.
+	// joined against the exit rule.
 	GProbes int
-	// BatchQueries is the number of same-skeleton queries a batched
-	// evaluation served (0 for single-query evaluations).
-	BatchQueries int
 	// CarryArity echoes the plan's state arity.
 	CarryArity int
 	// Batches is the number of carry batches the level loop walked: the
@@ -742,9 +736,8 @@ func (p *Plan) compileF(syms *storage.SymbolTable) fOps {
 
 // gOps is the compiled answer-join operator g: the exit rule probed per
 // carried context, plus the head-assembly map. Sources of kind 0 (query
-// constants) carry no value — the evaluation fills them per query (see
-// colSrc), which is what lets a batch share one compiled g across
-// queries with different constants.
+// constants) carry no value — the evaluation fills them with its plan's
+// constants (fillQueryConsts).
 type gOps struct {
 	conj     *compiledConj
 	ctxSlots []int

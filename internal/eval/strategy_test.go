@@ -264,3 +264,67 @@ func mustParseAtom(t *testing.T, s string) ast.Atom {
 	}
 	return q
 }
+
+// chainDB builds a linear a-chain of n edges ending in one b-edge.
+func batchChainDB(t testing.TB, n int) (*ast.Program, *storage.Database) {
+	t.Helper()
+	prog, err := parser.ParseProgram(`
+		t(X, Y) :- a(X, Z), t(Z, Y).
+		t(X, Y) :- b(X, Y).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDatabase()
+	for i := 0; i < n; i++ {
+		db.AddFact("a", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
+	}
+	db.AddFact("b", fmt.Sprintf("n%d", n), "goal")
+	return prog, db
+}
+
+// TestPlanSkeletonBindMatchesGround: a skeleton compiled from the
+// canonical t^bf adornment, bound per query, answers identically to a
+// plan compiled directly from the ground query.
+func TestPlanSkeletonBindMatchesGround(t *testing.T) {
+	prog, db := batchChainDB(t, 20)
+	skel := ast.Skeletonize(mustParseAtom(t, "t(n0, Y)"))
+	ps, err := OneSided().Prepare(prog, AdornedQuery{Atom: skel.Atom, Adornment: skel.Adornment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Evaluating the unbound skeleton must fail loudly.
+	if _, _, err := Eval(context.Background(), ps, db); err == nil {
+		t.Fatal("unbound skeleton evaluated without error")
+	}
+	for _, start := range []string{"n0", "n7", "n19"} {
+		ground := mustParseAtom(t, fmt.Sprintf("t(%s, Y)", start))
+		direct, err := OneSided().Prepare(prog, AdornQuery(ground))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRel, _, err := Eval(context.Background(), direct, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundPs, err := ps.BindArgs(ast.C(start))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRel, _, err := Eval(context.Background(), boundPs, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gotRel.Equal(wantRel) {
+			t.Fatalf("%s: bound skeleton answers %v != ground %v",
+				start, AnswerStrings(gotRel, db.Syms), AnswerStrings(wantRel, db.Syms))
+		}
+	}
+	// Wrong slot-table width is rejected.
+	if _, err := ps.BindArgs(); err == nil {
+		t.Fatal("bind with missing slot accepted")
+	}
+	if _, err := ps.BindArgs(ast.C("a"), ast.C("b")); err == nil {
+		t.Fatal("bind with extra slot accepted")
+	}
+}

@@ -556,8 +556,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.release()
-	// One deadline and one gas budget govern the whole batch: shared
-	// traversals cannot attribute derived contexts to member queries.
+	// One deadline and one gas budget govern the whole batch: a batch is
+	// one request, so its members draw on one request's budget.
 	ctx, cancel := govern(r.Context(), s.quotaFor(name), req.TimeoutMS)
 	defer cancel()
 

@@ -26,12 +26,6 @@ type PreparedStrategy = eval.PreparedStrategy
 // plus its adornment.
 type AdornedQuery = eval.AdornedQuery
 
-// BatchPrepared is implemented by prepared plans that can evaluate
-// several same-shape queries over one shared traversal; Engine.QueryBatch
-// uses it to share seen-set exploration and g-join probes (one-sided
-// context plans) or magic-seed fixpoints (Magic Sets) across a batch.
-type BatchPrepared = eval.BatchPrepared
-
 // servedStrategies is the strategy table, in name order.
 var servedStrategies = []Strategy{
 	eval.EDBLookup(),
