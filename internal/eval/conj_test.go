@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/datagen"
 	"repro/internal/parser"
 	"repro/internal/storage"
 )
@@ -212,13 +213,16 @@ func tupleRel(t storage.Tuple) *storage.Relation {
 	return r
 }
 
-// TestLevelEntriesStagedAndPerContext runs the level loop through both
-// of its entries on levels several contexts wide. Transitive closure's f
-// and g are one atom probed by the context value: the worker stages them.
-// The second recursion's f is three atoms whose first takes both context
-// columns as keys, and its g likewise: no single key to stage by, so each
-// context walks the whole conjunction. Either way the answers are naive
-// evaluation's.
+// TestLevelEntriesStagedAndPerContext runs the level loop through each of
+// its entries. Transitive closure's f and g are one atom probed by the
+// context value: the worker probes them itself, staged on a wide level and
+// one lookup per level on a chain, and a row of f is claimed as the
+// successor directly — carrying the context's anchors along when the plan
+// folds some. A staged f with a second atom continues each row at that
+// atom (solve). The pair recursion's f is three atoms whose first takes
+// both context columns as keys, and its g likewise: no single key to probe
+// by, so each context walks the whole conjunction. Either way the answers
+// are naive evaluation's.
 func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 	const pairSrc = `
 		t(X, Y, Z) :- a(X, Y, X1), b(X1, Y1), c(Y1, W), t(X1, Y1, Z).
@@ -241,13 +245,34 @@ func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 			pairs.AddFact("e", n(i), m(i), fmt.Sprint("z", i%7))
 		}
 	}
+	// The hourglass with a guard on f's successor: c drops the nodes whose
+	// name ends in 7.
+	const guardSrc = `
+		t(X, Y) :- a(X, Z), c(Z), t(Z, Y).
+		t(X, Y) :- b(X, Y).
+	`
+	guarded := hourglass(3, 60, 4, false)
+	for _, tup := range guarded.Relation("a").Tuples() {
+		if name := guarded.Syms.Name(tup[1]); !strings.HasSuffix(name, "7") {
+			guarded.AddFact("c", name)
+		}
+	}
+	chain := datagen.ChainTC(300)
 	for _, tc := range []struct {
 		name, src, query string
 		db               *storage.Database
 		fKey, gKey       int
+		// claim: f's rows are claimed as successors (levelWorker.claimRow);
+		// staged: some level is at least two chunks wide, else every level
+		// is one context.
+		claim, staged bool
+		anchors       int
 	}{
-		{"staged", tcSrc, "t(s, Y)", hourglass(3, 60, 4, false), 0, 0},
-		{"per-context", pairSrc, "t(n0, m0, Z)", pairs, -1, -1},
+		{"staged", tcSrc, "t(s, Y)", hourglass(3, 60, 4, false), 0, 0, true, true, 0},
+		{"lone", tcSrc, "t(" + chain.Start + ", Y)", chain.DB, 0, 0, true, false, 0},
+		{"anchored", anchorsSrc, "t(s, Y, P)", hourglass(3, 60, 4, true), 0, 0, true, true, 1},
+		{"second-atom", guardSrc, "t(s, Y)", guarded, 0, 0, false, true, 0},
+		{"per-context", pairSrc, "t(n0, m0, Z)", pairs, -1, -1, false, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, q := mustDef(t, tc.src, "t"), parser.MustParseAtom(tc.query)
@@ -267,7 +292,13 @@ func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 				t.Fatalf("f staged by context column %d, g by %d; want %d and %d\nf: %s\ng: %s", w.f.keyCol, w.g.keyCol, tc.fKey, tc.gKey,
 					planString(w.f.conj, tc.db.Syms), planString(w.g.conj, tc.db.Syms))
 			}
-			if widest < 2*probeChunk {
+			if claim := w.f.rowCols != nil; claim != tc.claim || w.g.rowCols != nil {
+				t.Fatalf("f claims its rows: %v, want %v (g: %v)\nf: %s", claim, tc.claim, w.g.rowCols != nil, planString(w.f.conj, tc.db.Syms))
+			}
+			if w.nAnchors != tc.anchors {
+				t.Fatalf("contexts carry %d anchors, want %d", w.nAnchors, tc.anchors)
+			}
+			if staged := widest >= 2*probeChunk; staged != tc.staged || !staged && widest != 1 {
 				t.Fatalf("test premise: widest level %d contexts", widest)
 			}
 			want := naiveSelect(t, d.Program(), q, tc.db)

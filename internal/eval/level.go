@@ -19,7 +19,10 @@ import "repro/internal/storage"
 //
 // The worker takes a level as chunks of up to probeChunk contexts, whose
 // probes go to storage together when they can (walk); solutions arrive in
-// context order either way.
+// context order either way. When f is one atom the worker probes itself,
+// a row of it is the successor: the worker copies the row's columns into
+// the successor scratch and claims it (claimRow), so such a level is its
+// probes, its claims and nothing between them.
 //
 // The context-mode loop (contextEval) drives its levels through this
 // type, on the goroutine that asked for the evaluation. All of it belongs
@@ -70,6 +73,9 @@ type levelOp struct {
 	// probes that atom itself, key being the binding — else -1.
 	keyCol int
 	key    [1]storage.Binding
+	// rowCols is f's row map (fOps.rowCols) when the worker probes f's
+	// one atom itself: a row of it is the successor, claimed directly.
+	rowCols []int
 	// emit receives each solution: the owner's, installed once, after
 	// newLevelWorker. row and first receive the first atom's rows when the
 	// worker probes it — of a staged chunk, by context ordinal, and of a
@@ -101,6 +107,10 @@ type levelWorker struct {
 	// succ and out are the successor-context and answer scratch tuples.
 	succ, out storage.Tuple
 	proj      *carryProj
+	// claim receives each successor context f produces: the owner's,
+	// installed once, after newLevelWorker. f.emit projects a solution
+	// and hands it here; a row of a one-atom f comes here directly.
+	claim func(t storage.Tuple)
 
 	// next collects the contexts the owner keeps for the level being
 	// built. Between levels it is empty: advance hands it over.
@@ -109,7 +119,7 @@ type levelWorker struct {
 
 // newLevelWorker builds an evaluation's worker: its scratch as one block,
 // its conjunctions' relations bound, its probes counted in tally. The
-// owner installs f.emit and g.emit before the first level.
+// owner installs claim, f.emit and g.emit before the first level.
 func newLevelWorker(f *fOps, g *gOps, nAnchors, arity int, resolve resolver, tally *storage.Tally) *levelWorker {
 	width := nAnchors + len(f.headSlots) // anchors plus context columns
 	w := &levelWorker{nAnchors: nAnchors, width: width, proj: f.proj}
@@ -119,6 +129,9 @@ func newLevelWorker(f *fOps, g *gOps, nAnchors, arity int, resolve resolver, tal
 	w.succ, w.out = vals[:width:width], vals[width:]
 	w.f.build(f.conj, f.headSlots, fSlots, resolve, tally)
 	w.g.build(g.conj, g.ctxSlots, gSlots, resolve, tally)
+	if w.f.keyCol >= 0 {
+		w.f.rowCols = f.rowCols
+	}
 	return w
 }
 
@@ -143,8 +156,8 @@ func (op *levelOp) build(conj *compiledConj, ctxSlots []int, slots []storage.Val
 	op.key[0].Col = pp.keys[0].col
 }
 
-// expand applies f to every context of carry: every solution of the
-// recursive rule one level deeper goes to f.emit.
+// expand applies f to every context of carry: every successor context —
+// a solution of the recursive rule one level deeper — goes to claim.
 func (w *levelWorker) expand(carry *carryBuf) { w.walk(&w.f, carry) }
 
 // exits joins every context of carry with the exit rule: every solution
@@ -174,8 +187,9 @@ func (w *levelWorker) enter(op *levelOp, i int) {
 // recursion's f and g — a chunk's probes of that atom are independent
 // lookups of one column: the worker probes it itself, the chunk's keys
 // staged together so that their cache misses overlap (LookupKeys), and
-// continues each row at the second atom (solve). A lone context — every
-// level of a chain — is one plain lookup, which must not pay for staging.
+// continues each row (solve): at the second atom, or for a one-atom f by
+// claiming the successor the row names. A lone context — every level of a
+// chain — is one plain lookup, which must not pay for staging.
 func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 	w.carry = carry
 	lo, hi := 0, carry.n
@@ -216,10 +230,29 @@ func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 	}
 }
 
-// solve continues context i's solution from a row of op's first atom.
+// solve continues context i's solution from a row of op's first atom: a
+// one-atom f claims the successor the row names (claimRow), any other
+// operator continues at the second atom.
 func (w *levelWorker) solve(op *levelOp, i int, t storage.Tuple) bool {
+	if op.rowCols != nil {
+		w.claimRow(op.rowCols, i, t)
+		return true
+	}
 	w.enter(op, i)
 	return !op.conj.probes[0].accept(t, op.slots) || op.conj.step(1, op.slots, op.sc, op.emit)
+}
+
+// claimRow claims the successor of context i that a row of f's one atom
+// names: the context's anchors, then the row's columns cols.
+func (w *levelWorker) claimRow(cols []int, i int, t storage.Tuple) {
+	if w.nAnchors > 0 {
+		at := i * w.width
+		copy(w.succ, w.carry.vals[at:at+w.nAnchors])
+	}
+	for j, c := range cols {
+		w.succ[w.nAnchors+j] = t[c]
+	}
+	w.claim(w.succ)
 }
 
 // successor projects an f solution onto the worker's successor scratch:

@@ -697,6 +697,11 @@ type fOps struct {
 	proj      *carryProj
 	headSlots []int
 	nslots    int
+	// rowCols, when f is one atom probed by one context column, is the
+	// column of that atom's row each successor context column copies:
+	// the level worker then builds the successor from the row itself
+	// (levelWorker.claimRow). nil for any other f.
+	rowCols []int
 }
 
 // compileF builds the f operator. It reads only the reduced definition
@@ -731,7 +736,42 @@ func (p *Plan) compileF(syms *storage.SymbolTable) fOps {
 		f.headSlots[i] = fSS.slot(head.Args[j].Name)
 	}
 	f.nslots = len(fSS.varSlot)
+	f.rowCols = rowCols(f.conj, f.proj)
 	return f
+}
+
+// rowCols maps each context column of a carry projection to the column of
+// a one-atom conjunction's row it is read from. It is nil unless the
+// conjunction is one non-existential atom with one slot key and no
+// repeated variable, and every context column is a variable of that atom
+// — then a row matching the key is the solution, column for column.
+func rowCols(c *compiledConj, proj *carryProj) []int {
+	if len(c.probes) != 1 {
+		return nil
+	}
+	pp := &c.probes[0]
+	if len(pp.keys) != 1 || pp.keys[0].ref.isConst || pp.exist || len(pp.eqs) > 0 {
+		return nil
+	}
+	cols := make([]int, len(proj.ctxRefs))
+	for i, r := range proj.ctxRefs {
+		if r.isConst {
+			return nil
+		}
+		cols[i] = -1
+		if r.slot == pp.keys[0].ref.slot {
+			cols[i] = pp.keys[0].col
+		}
+		for _, o := range pp.outs {
+			if o.slot == r.slot {
+				cols[i] = o.col
+			}
+		}
+		if cols[i] < 0 {
+			return nil
+		}
+	}
+	return cols
 }
 
 // gOps is the compiled answer-join operator g: the exit rule probed per
@@ -952,10 +992,13 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// Only g's answers can stop the evaluation.
 	w := newLevelWorker(&ops.f, &ops.g, ce.nAnchors, p.Def.Arity(), ce.resolve, &ce.tally)
 	ce.w = w
-	w.f.emit = func(s []storage.Value) bool {
-		if t := w.successor(s); ce.seen.Offer(t) {
+	w.claim = func(t storage.Tuple) {
+		if ce.seen.Offer(t) {
 			w.next.push(t)
 		}
+	}
+	w.f.emit = func(s []storage.Value) bool {
+		w.claim(w.successor(s))
 		return true
 	}
 	w.g.emit = func(s []storage.Value) bool {

@@ -497,7 +497,7 @@ func (v *storeView) resolve(st *store) {
 
 // isDead reports whether row is tombstoned (always false for views
 // captured from stores with no tombstones).
-func (v storeView) isDead(row int) bool {
+func (v *storeView) isDead(row int) bool {
 	if v.dead == nil {
 		return false
 	}
@@ -531,7 +531,7 @@ func (v storeView) live() int {
 }
 
 // read copies row's columns into dst (len(dst) = arity).
-func (v storeView) read(row int, dst Tuple) {
+func (v *storeView) read(row int, dst Tuple) {
 	blk := v.blocks[row>>blockShift]
 	off := row & blockMask
 	for c := range dst {

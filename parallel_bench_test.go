@@ -20,42 +20,30 @@ import (
 //	go test -run '^$' -bench 'OneSided' -benchtime 5x .
 
 // BenchmarkOneSidedParallel evaluates a context-mode selection on large
-// random-graph workloads: wide carry frontiers, so a level's first-atom
-// probes are staged sixteen contexts at a time. The permissions variant
-// carries binary state and joins a p-edge per context — more work per
-// carry tuple than plain transitive closure.
+// workloads. On the random graph the carry frontiers are wide, so a
+// level's first-atom probes are staged sixteen contexts at a time; on the
+// chain every level is one context, so the per-level fixed cost is the
+// whole cost. The permissions variant carries binary state and joins a
+// p-edge per context — more work per carry tuple than plain transitive
+// closure.
 func BenchmarkOneSidedParallel(b *testing.B) {
-	ctx := context.Background()
 	b.Run("tc/random=30000x120000", func(b *testing.B) {
 		w := datagen.RandomTC(30000, 120000, 300, 7)
-		// Result cache off: these benchmarks measure the evaluation itself.
-		eng, err := Open(WithDatabase(w.DB), WithResultCache(0))
-		if err != nil {
-			b.Fatal(err)
+		benchTC(b, context.Background(), w.DB, w.Start)
+	})
+	b.Run("tc/chain=20000", func(b *testing.B) {
+		// A 20 000-edge chain with 64 exits in its last 2 000 nodes,
+		// queried from its head: about 20 000 levels of one context each.
+		db := storage.NewDatabase()
+		first, _ := datagen.Chain(db, "a", "n", 20000)
+		rng := rand.New(rand.NewSource(5))
+		for e := 0; e < 64; e++ {
+			db.AddFact("b", fmt.Sprintf("n%d", 20000-rng.Intn(2000)), fmt.Sprintf("e%d", e))
 		}
-		if _, err := eng.Load(`
-			t(X, Y) :- a(X, Z), t(Z, Y).
-			t(X, Y) :- b(X, Y).
-		`); err != nil {
-			b.Fatal(err)
-		}
-		pq, err := eng.Prepare(nil, parserMustAtom(b, "t("+w.Start+", Y)"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var rows *Rows
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rows, err = pq.Query(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		st := rows.Stats()
-		b.ReportMetric(float64(rows.Len()), "answers")
-		b.ReportMetric(float64(st.SeenSize), "seen")
-		b.ReportMetric(float64(st.Batches), "batches")
+		// A cancellable context: the level loop polls its Done channel.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		benchTC(b, ctx, db, first)
 	})
 	b.Run("permissions/random=8000x32000", func(b *testing.B) {
 		// Binary-carry variant: a random a-graph with random (node, item)
@@ -88,7 +76,7 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 		var rows *Rows
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rows, err = pq.Query(ctx)
+			rows, err = pq.Query(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,6 +87,39 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 		b.ReportMetric(float64(st.SeenSize), "seen")
 		b.ReportMetric(float64(st.Batches), "batches")
 	})
+}
+
+// benchTC times transitive closure over db's a-edges and b-exits,
+// selected at start, with the result cache off: the evaluation itself.
+func benchTC(b *testing.B, ctx context.Context, db *storage.Database, start string) {
+	eng, err := Open(WithDatabase(db), WithResultCache(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Load(`
+		t(X, Y) :- a(X, Z), t(Z, Y).
+		t(X, Y) :- b(X, Y).
+	`); err != nil {
+		b.Fatal(err)
+	}
+	pq, err := eng.Prepare(nil, parserMustAtom(b, "t("+start+", Y)"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rows *Rows
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows, err = pq.Query(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := rows.Stats()
+	b.ReportMetric(float64(rows.Len()), "answers")
+	b.ReportMetric(float64(st.SeenSize), "seen")
+	b.ReportMetric(float64(st.Batches), "batches")
+	b.ReportMetric(float64(st.Iterations), "levels")
 }
 
 // BenchmarkOneSidedIngest measures raw concurrent insert throughput into
