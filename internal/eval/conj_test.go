@@ -215,14 +215,15 @@ func tupleRel(t storage.Tuple) *storage.Relation {
 
 // TestLevelEntriesStagedAndPerContext runs the level loop through each of
 // its entries. Transitive closure's f and g are one atom probed by the
-// context value: the worker probes them itself, staged on a wide level and
-// one lookup per level on a chain, and a row of f is claimed as the
-// successor directly — carrying the context's anchors along when the plan
-// folds some. A staged f with a second atom continues each row at that
-// atom (solve). The pair recursion's f is three atoms whose first takes
-// both context columns as keys, and its g likewise: no single key to probe
-// by, so each context walks the whole conjunction. Either way the answers
-// are naive evaluation's.
+// context value: the worker probes them itself, and f gathers — storage
+// hands it the successors' columns, staged on a wide level and one key at
+// a time on a chain, and no row of f reaches solve — carrying the
+// context's anchors along when the plan folds some; g's rows are yielded
+// to solve. A staged f with a second atom continues each row at that atom
+// (solve). The pair recursion's f is three atoms whose first takes both
+// context columns as keys, and its g likewise: no single key to probe by,
+// so each context walks the whole conjunction (step(0)). Either way the
+// answers are naive evaluation's.
 func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 	const pairSrc = `
 		t(X, Y, Z) :- a(X, Y, X1), b(X1, Y1), c(Y1, W), t(X1, Y1, Z).
@@ -262,17 +263,20 @@ func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 		name, src, query string
 		db               *storage.Database
 		fKey, gKey       int
-		// claim: f's rows are claimed as successors (levelWorker.claimRow);
+		// fEntry is how f takes a context: "gather" (levelWorker.gather),
+		// "solve" (its first atom's rows yielded, each continued) or
+		// "step(0)" (the whole conjunction per context).
+		fEntry string
 		// staged: some level is at least two chunks wide, else every level
 		// is one context.
-		claim, staged bool
-		anchors       int
+		staged  bool
+		anchors int
 	}{
-		{"staged", tcSrc, "t(s, Y)", hourglass(3, 60, 4, false), 0, 0, true, true, 0},
-		{"lone", tcSrc, "t(" + chain.Start + ", Y)", chain.DB, 0, 0, true, false, 0},
-		{"anchored", anchorsSrc, "t(s, Y, P)", hourglass(3, 60, 4, true), 0, 0, true, true, 1},
-		{"second-atom", guardSrc, "t(s, Y)", guarded, 0, 0, false, true, 0},
-		{"per-context", pairSrc, "t(n0, m0, Z)", pairs, -1, -1, false, true, 0},
+		{"staged", tcSrc, "t(s, Y)", hourglass(3, 60, 4, false), 0, 0, "gather", true, 0},
+		{"lone", tcSrc, "t(" + chain.Start + ", Y)", chain.DB, 0, 0, "gather", false, 0},
+		{"anchored", anchorsSrc, "t(s, Y, P)", hourglass(3, 60, 4, true), 0, 0, "gather", true, 1},
+		{"second-atom", guardSrc, "t(s, Y)", guarded, 0, 0, "solve", true, 0},
+		{"per-context", pairSrc, "t(n0, m0, Z)", pairs, -1, -1, "step(0)", true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, q := mustDef(t, tc.src, "t"), parser.MustParseAtom(tc.query)
@@ -292,8 +296,20 @@ func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 				t.Fatalf("f staged by context column %d, g by %d; want %d and %d\nf: %s\ng: %s", w.f.keyCol, w.g.keyCol, tc.fKey, tc.gKey,
 					planString(w.f.conj, tc.db.Syms), planString(w.g.conj, tc.db.Syms))
 			}
-			if claim := w.f.rowCols != nil; claim != tc.claim || w.g.rowCols != nil {
-				t.Fatalf("f claims its rows: %v, want %v (g: %v)\nf: %s", claim, tc.claim, w.g.rowCols != nil, planString(w.f.conj, tc.db.Syms))
+			// What f took: a row callback is built the first time solve is
+			// needed, and only then.
+			entry := "step(0)"
+			switch {
+			case w.f.row != nil || w.f.first != nil:
+				entry = "solve"
+			case w.f.rowCols != nil:
+				entry = "gather"
+			}
+			if entry != tc.fEntry || w.g.rowCols != nil {
+				t.Fatalf("f took %s (row map %v, g's %v), want %s\nf: %s", entry, w.f.rowCols, w.g.rowCols, tc.fEntry, planString(w.f.conj, tc.db.Syms))
+			}
+			if g := w.g.row != nil || w.g.first != nil; g != (tc.gKey >= 0) {
+				t.Fatalf("g's rows went to solve: %v, want %v", g, tc.gKey >= 0)
 			}
 			if w.nAnchors != tc.anchors {
 				t.Fatalf("contexts carry %d anchors, want %d", w.nAnchors, tc.anchors)

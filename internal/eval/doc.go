@@ -28,7 +28,11 @@
 // context value — every linear recursion's — the chunk's probes go to
 // storage together (storage.Relation.LookupKeys) and each row continues
 // its context's solution at the second atom; a lone context, every level
-// of a chain, is one plain lookup. A semi-naive round runs its (rule,
+// of a chain, is one plain lookup. When f is that atom alone, a row's
+// columns are the successor: storage gathers them for the chunk, lone
+// context or not (storage.Relation.GatherKeys), and the run's claim-all
+// loop offers them to the seen-set, with no callback per row and no row
+// copied whole. A semi-naive round runs its (rule,
 // variant) jobs one after the other, in rule order (runRound), so its
 // Property-3 counts repeat exactly.
 //

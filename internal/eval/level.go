@@ -19,10 +19,11 @@ import "repro/internal/storage"
 //
 // The worker takes a level as chunks of up to probeChunk contexts, whose
 // probes go to storage together when they can (walk); solutions arrive in
-// context order either way. When f is one atom the worker probes itself,
-// a row of it is the successor: the worker copies the row's columns into
-// the successor scratch and claims it (claimRow), so such a level is its
-// probes, its claims and nothing between them.
+// context order either way. When f is one atom keyed by a context column,
+// a row of it is the successor: the worker has storage gather the chunk's
+// successor columns (Relation.GatherKeys) and hands them to the owner's
+// claim-all loop, so such a level is its probes, its claims and nothing
+// between them — no row copy, no callback per row.
 //
 // The context-mode loop (contextEval) drives its levels through this
 // type, on the goroutine that asked for the evaluation. All of it belongs
@@ -31,7 +32,7 @@ import "repro/internal/storage"
 // an arena.
 
 // probeChunk is the number of contexts whose first-atom probes the worker
-// stages together: one stage of a routed LookupKeys.
+// stages together: one stage of a LookupKeys or a GatherKeys.
 const probeChunk = 16
 
 // carryBuf is a flat arena of equal-width context tuples: context i is
@@ -74,13 +75,14 @@ type levelOp struct {
 	keyCol int
 	key    [1]storage.Binding
 	// rowCols is f's row map (fOps.rowCols) when the worker probes f's
-	// one atom itself: a row of it is the successor, claimed directly.
+	// one atom itself: the columns of a row of it are the successor's
+	// context columns, gathered by storage.
 	rowCols []int
 	// emit receives each solution: the owner's, installed once, after
 	// newLevelWorker. row and first receive the first atom's rows when the
-	// worker probes it — of a staged chunk, by context ordinal, and of a
-	// lone context — each built the first time it is needed (a chain never
-	// stages).
+	// worker probes it and the op does not gather — of a staged chunk, by
+	// context ordinal, and of a lone context — each built the first time
+	// it is needed (a chain never stages).
 	emit  func(s []storage.Value) bool
 	row   func(k int, t storage.Tuple) bool
 	first func(t storage.Tuple) bool
@@ -109,8 +111,16 @@ type levelWorker struct {
 	proj      *carryProj
 	// claim receives each successor context f produces: the owner's,
 	// installed once, after newLevelWorker. f.emit projects a solution
-	// and hands it here; a row of a one-atom f comes here directly.
-	claim func(t storage.Tuple)
+	// and hands it here, as does a gathering f with anchors, context by
+	// context. claimAll takes a gathering f's successors without anchors
+	// — a chunk's gathered columns, width-wide tuples end to end — in one
+	// call.
+	claim    func(t storage.Tuple)
+	claimAll func(succ []storage.Value)
+	// gathered and ends are a gathering f's chunk: the successor columns
+	// storage appended, and where each context's rows end (GatherKeys).
+	gathered []storage.Value
+	ends     [probeChunk]int
 
 	// next collects the contexts the owner keeps for the level being
 	// built. Between levels it is empty: advance hands it over.
@@ -123,10 +133,14 @@ type levelWorker struct {
 func newLevelWorker(f *fOps, g *gOps, nAnchors, arity int, resolve resolver, tally *storage.Tally) *levelWorker {
 	width := nAnchors + len(f.headSlots) // anchors plus context columns
 	w := &levelWorker{nAnchors: nAnchors, width: width, proj: f.proj}
-	vals := make([]storage.Value, f.nslots+g.nslots+width+arity)
+	// The gather buffer starts as room for a chunk of one row a context;
+	// a wider chunk grows it once.
+	gather := probeChunk * len(f.rowCols)
+	vals := make([]storage.Value, f.nslots+g.nslots+width+arity+gather)
 	fSlots, vals := vals[:f.nslots:f.nslots], vals[f.nslots:]
 	gSlots, vals := vals[:g.nslots:g.nslots], vals[g.nslots:]
-	w.succ, w.out = vals[:width:width], vals[width:]
+	w.succ, vals = vals[:width:width], vals[width:]
+	w.out, w.gathered = vals[:arity:arity], vals[arity:arity]
 	w.f.build(f.conj, f.headSlots, fSlots, resolve, tally)
 	w.g.build(g.conj, g.ctxSlots, gSlots, resolve, tally)
 	if w.f.keyCol >= 0 {
@@ -185,11 +199,11 @@ func (w *levelWorker) enter(op *levelOp, i int) {
 // operator whose first atom is not probed by one context value takes the
 // conjunction whole, context by context. Otherwise — every linear
 // recursion's f and g — a chunk's probes of that atom are independent
-// lookups of one column: the worker probes it itself, the chunk's keys
-// staged together so that their cache misses overlap (LookupKeys), and
-// continues each row (solve): at the second atom, or for a one-atom f by
-// claiming the successor the row names. A lone context — every level of a
-// chain — is one plain lookup, which must not pay for staging.
+// lookups of one column, staged together so that their cache misses
+// overlap. A one-atom f gathers the chunk's successors (gather), lone
+// context or not; any other operator has the rows yielded (LookupKeys) and
+// continues each at the second atom (solve), and a lone context — every
+// level of a chain — is one plain lookup, which must not pay for staging.
 func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 	w.carry = carry
 	lo, hi := 0, carry.n
@@ -209,7 +223,7 @@ func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 	at := w.nAnchors + op.keyCol
 	for ; lo < hi; lo += probeChunk {
 		w.base = lo
-		if hi-lo == 1 {
+		if hi-lo == 1 && op.rowCols == nil {
 			if op.first == nil {
 				op.first = func(t storage.Tuple) bool { return w.solve(op, w.base, t) }
 			}
@@ -217,12 +231,16 @@ func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 			rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
 			return
 		}
-		if op.row == nil {
-			op.row = func(k int, t storage.Tuple) bool { return w.solve(op, w.base+k, t) }
-		}
 		n := min(probeChunk, hi-lo)
 		for j := 0; j < n; j++ {
 			w.keys[j] = carry.vals[(lo+j)*w.width+at]
+		}
+		if op.rowCols != nil {
+			w.gather(op, rel, n)
+			continue
+		}
+		if op.row == nil {
+			op.row = func(k int, t storage.Tuple) bool { return w.solve(op, w.base+k, t) }
 		}
 		if !rel.LookupKeys(op.key[0].Col, w.keys[:n], &w.stage, op.sc.tally, op.row) {
 			return
@@ -230,29 +248,32 @@ func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 	}
 }
 
-// solve continues context i's solution from a row of op's first atom: a
-// one-atom f claims the successor the row names (claimRow), any other
-// operator continues at the second atom.
-func (w *levelWorker) solve(op *levelOp, i int, t storage.Tuple) bool {
-	if op.rowCols != nil {
-		w.claimRow(op.rowCols, i, t)
-		return true
+// gather claims the successors a one-atom f finds for the chunk's n
+// contexts: storage appends each row's context columns (op.rowCols), key
+// by key, and without anchors those are the successors, claimed in one
+// call; with them, each context's anchors go before each of its rows.
+func (w *levelWorker) gather(op *levelOp, rel *storage.Relation, n int) {
+	w.gathered = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, w.gathered[:0], w.ends[:n])
+	if w.nAnchors == 0 {
+		w.claimAll(w.gathered)
+		return
 	}
-	w.enter(op, i)
-	return !op.conj.probes[0].accept(t, op.slots) || op.conj.step(1, op.slots, op.sc, op.emit)
+	from, cols := 0, len(op.rowCols)
+	for k, end := range w.ends[:n] {
+		at := (w.base + k) * w.width
+		copy(w.succ, w.carry.vals[at:at+w.nAnchors])
+		for ; from < end; from += cols {
+			copy(w.succ[w.nAnchors:], w.gathered[from:from+cols])
+			w.claim(w.succ)
+		}
+	}
 }
 
-// claimRow claims the successor of context i that a row of f's one atom
-// names: the context's anchors, then the row's columns cols.
-func (w *levelWorker) claimRow(cols []int, i int, t storage.Tuple) {
-	if w.nAnchors > 0 {
-		at := i * w.width
-		copy(w.succ, w.carry.vals[at:at+w.nAnchors])
-	}
-	for j, c := range cols {
-		w.succ[w.nAnchors+j] = t[c]
-	}
-	w.claim(w.succ)
+// solve continues context i's solution from a row of op's first atom, at
+// the second atom.
+func (w *levelWorker) solve(op *levelOp, i int, t storage.Tuple) bool {
+	w.enter(op, i)
+	return !op.conj.probes[0].accept(t, op.slots) || op.conj.step(1, op.slots, op.sc, op.emit)
 }
 
 // successor projects an f solution onto the worker's successor scratch:

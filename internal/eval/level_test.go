@@ -165,7 +165,9 @@ func TestLevelShapesMatchSerial(t *testing.T) {
 // TestLevelLoopAllocationBudget pins the loop's memory discipline as a
 // number: a cold context-mode evaluation of a chain twice as deep must
 // not allocate more, because a level reuses its worker's scratch and the
-// carry arena instead of building them.
+// carry arena instead of building them, and neither may allocate more than
+// levelAllocBudget — the gather's buffer is carved out of the worker's
+// scratch block, and its claim-all loop is built once a run.
 func TestLevelLoopAllocationBudget(t *testing.T) {
 	d := mustDef(t, tcSrc, "t")
 	measure := func(edges int) (allocs float64, levels int) {
@@ -191,6 +193,10 @@ func TestLevelLoopAllocationBudget(t *testing.T) {
 		t.Fatalf("chains ran %d and %d levels; the deep one should run about 2000 more", shallowLevels, deepLevels)
 	}
 	t.Logf("%.0f allocs over %d levels, %.0f over %d", shallow, shallowLevels, deep, deepLevels)
+	const levelAllocBudget = 121
+	if max(shallow, deep) > levelAllocBudget {
+		t.Fatalf("%.0f and %.0f allocs, over the budget of %d", shallow, deep, levelAllocBudget)
+	}
 	if grown := deep - shallow; grown > 16 || grown/float64(extra) >= 0.25 {
 		t.Fatalf("allocations grow with depth: %.0f over %d levels vs %.0f over %d (%.3f per extra level)",
 			shallow, shallowLevels, deep, deepLevels, grown/float64(extra))

@@ -699,8 +699,8 @@ type fOps struct {
 	nslots    int
 	// rowCols, when f is one atom probed by one context column, is the
 	// column of that atom's row each successor context column copies:
-	// the level worker then builds the successor from the row itself
-	// (levelWorker.claimRow). nil for any other f.
+	// the level worker then has storage gather those columns
+	// (levelWorker.gather). nil for any other f.
 	rowCols []int
 }
 
@@ -989,12 +989,31 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	ce.srcs = fillQueryConsts(ops.g.srcs, queryConsts(p.Query, syms))
 	// The two halves of a level. A context is claimed through the seen-set:
 	// Offer returns true exactly once per tuple, so the next level is a set.
-	// Only g's answers can stop the evaluation.
+	// A gathering f's successors come as one run of values a chunk, which a
+	// unary carry claims value by value in its bitset. Only g's answers can
+	// stop the evaluation.
 	w := newLevelWorker(&ops.f, &ops.g, ce.nAnchors, p.Def.Arity(), ce.resolve, &ce.tally)
 	ce.w = w
 	w.claim = func(t storage.Tuple) {
 		if ce.seen.Offer(t) {
 			w.next.push(t)
+		}
+	}
+	if bs, ok := ce.seen.(*bitsetSeen); ok {
+		set := bs.set
+		w.claimAll = func(succ []storage.Value) {
+			for _, v := range succ {
+				if set.Add(int(v)) {
+					w.next.vals = append(w.next.vals, v)
+					w.next.n++
+				}
+			}
+		}
+	} else {
+		w.claimAll = func(succ []storage.Value) {
+			for i, width := 0, w.width; i < len(succ); i += width {
+				w.claim(succ[i : i+width : i+width])
+			}
 		}
 	}
 	w.f.emit = func(s []storage.Value) bool {

@@ -43,9 +43,11 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 // tally the goroutine owns (LookupTally), from one goroutine and from
 // GOMAXPROCS of them — and the same keys are probed through LookupKeys
 // (tallied, serial), one key a call and sixteen: the staged probe's
-// overhead on a lone key and what overlapping a stage's misses buys. One
-// op is a pass over 4096 keys, so that a fixed small -benchtime still
-// times something; it must not allocate.
+// overhead on a lone key and what overlapping a stage's misses buys — and
+// through GatherKeys (gather/keys=…), column 1 of every row appended to a
+// buffer the caller reuses, as a one-atom f's level reads it. One op is a
+// pass over 4096 keys, so that a fixed small -benchtime still times
+// something; it must not allocate.
 func BenchmarkRelationLookup(b *testing.B) {
 	for _, shape := range []string{"digraph", "chain"} {
 		rel, stats, universe := benchGraph(shape, 1)
@@ -82,6 +84,21 @@ func BenchmarkRelationLookup(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						for at := 0; at < len(probe); at += group {
 							rel.LookupKeys(0, probe[at:at+group], &st, &tally, yield)
+						}
+					}
+					tally.Flush()
+					perLookup(b)
+				})
+				b.Run(fmt.Sprintf("%s/%s/gather/keys=%d", shape, keys, group), func(b *testing.B) {
+					var st KeyStage
+					tally := stats.Tally()
+					outs, ends := []int{1}, make([]int, group)
+					var dst []Value
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for at := 0; at < len(probe); at += group {
+							dst = rel.GatherKeys(0, outs, probe[at:at+group], &st, &tally, dst[:0], ends)
 						}
 					}
 					tally.Flush()

@@ -96,8 +96,9 @@ func TestLookupProbesSelectiveColumn(t *testing.T) {
 	}
 }
 
-// TestRelationConcurrentReadersOneWriter drives lock-free Scan and Lookup
-// (and Contains) against a relation while one writer takes it through
+// TestRelationConcurrentReadersOneWriter drives lock-free Scan and Lookup,
+// the staged LookupKeys and GatherKeys (and Contains) against a relation
+// while one writer takes it through
 // every kind of republication: a block append, directory growth, a
 // posting run outgrowing its capacity while readers hold the old one,
 // retractions, and a tombstone compaction with the rebuild that follows.
@@ -182,6 +183,33 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 			t.Errorf("staged read of column %d by %v yielded tuple %d before the writer started on it", col, keys, newest)
 		}
 	}
+	// gatherKeys is readKeys for the gather: the whole tuple gathered, key
+	// by key.
+	whole := []int{0, 1, 2}
+	gatherKeys := func(st *KeyStage, dst []Value, col int, keys ...Value) []Value {
+		var ends [8]int
+		dst = r.GatherKeys(col, whole, keys, st, nil, dst[:0], ends[:len(keys)])
+		newest, from := int64(-1), 0
+		for k, end := range ends[:len(keys)] {
+			if end < from || end > len(dst) {
+				t.Errorf("gather of column %d by %v ended key %d at %d, after %d of %d values", col, keys, k, end, from, len(dst))
+				return dst
+			}
+			for ; from < end; from += len(whole) {
+				tup := Tuple(dst[from : from+len(whole)])
+				id := int64(tup[2])
+				if tup[col] != keys[k] || id < 0 || id >= int64(len(plan)) || tkey(plan[id]) != tkey(tup) {
+					t.Errorf("gather of column %d by %v gathered %v for key %d", col, keys, tup, k)
+					return dst
+				}
+				newest = max(newest, id)
+			}
+		}
+		if newest >= started.Load() {
+			t.Errorf("gather of column %d by %v gathered tuple %d before the writer started on it", col, keys, newest)
+		}
+		return dst
+	}
 	// Build both directories before the writer starts, so that all of its
 	// inserts go through them.
 	r.Lookup([]Binding{{Col: 0, Val: 0}, {Col: 1, Val: 0}}, func(Tuple) bool { return true })
@@ -194,6 +222,7 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			var st KeyStage
+			var gathered []Value
 			for !t.Failed() {
 				select {
 				case <-stop:
@@ -219,15 +248,20 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 				case 4, 5: // the long run listed first, the short one chosen
 					read(Binding{Col: 1, Val: 0}, Binding{Col: 0, Val: key})
 				case 6: // staged, with the hot key's long run among the short ones
-					readKeys(&st, 0, key, key+1, hotKey, Value(distinct+late), key)
-				case 7:
-					if op == 7 { // staged on the second column
-						readKeys(&st, 1, Value(1+rng.Intn(hot+late)), Value(hot+late+1), Value(1+rng.Intn(hot)))
-						break
+					if op&8 == 0 {
+						readKeys(&st, 0, key, key+1, hotKey, Value(distinct+late), key)
+					} else { // or gathered
+						gathered = gatherKeys(&st, gathered, 0, key, key+1, hotKey, Value(distinct+late), key)
 					}
-					fallthrough
-				default:
-					r.Contains(plan[rng.Intn(len(plan))])
+				case 7:
+					switch op {
+					case 7: // staged on the second column
+						readKeys(&st, 1, Value(1+rng.Intn(hot+late)), Value(hot+late+1), Value(1+rng.Intn(hot)))
+					case 15: // gathered on the second column
+						gathered = gatherKeys(&st, gathered, 1, Value(1+rng.Intn(hot+late)), Value(hot+late+1), Value(1+rng.Intn(hot)))
+					default:
+						r.Contains(plan[rng.Intn(len(plan))])
+					}
 				}
 				reads.Add(1)
 			}

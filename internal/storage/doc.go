@@ -62,11 +62,17 @@
 // hands them over together (LookupKeys): sixteen probes at a time load
 // their slots, then their runs, then up to sixty-four of their rows, and
 // only then yield, in key order — the tuples, order and counts of one
-// Lookup per key, with the misses overlapped. In a directory a reference
-// is stored after what it refers to, and a reader loads the slot, then
-// the arena's chunk list, then the run's length; every slot and run of a
-// stage is loaded before the block list, and every probe reads its rows
-// through one routine (storeView.readKeyed). Iteration follows insertion
+// Lookup per key, with the misses overlapped. A caller that wants only
+// some columns and no callback gathers instead (GatherKeys): the same
+// stages, then each live row's wanted columns appended to the caller's
+// buffer, key by key, with where each key's rows end — no row copied
+// whole, nothing yielded, the counts those of LookupKeys run to its end.
+// In a directory a reference is stored after what it refers to, and a
+// reader loads the slot, then the arena's chunk list, then the run's
+// length; every slot and run of a stage is loaded before the block list,
+// and every probe reads its rows through one routine (storeView.readKeyed),
+// a gather through its column-picking twin (storeView.appendRun) after
+// the same tombstone check. Iteration follows insertion
 // order; use SortedTuples (or SortedColumns, which the WAL snapshot
 // writer consumes directly) for output that does not depend on it. The
 // one operation that breaks the append-only rule is Relation.Reset, which

@@ -74,7 +74,8 @@ func HashTuple(t Tuple) uint32 {
 
 // Counters instruments relation access. TuplesExamined counts tuples
 // touched by lookups and scans; IndexLookups counts index probes — one
-// per Lookup with a bound column, one per key of a LookupKeys; FullScans
+// per Lookup with a bound column, one per key of a LookupKeys or a
+// GatherKeys; FullScans
 // counts scans with no bound column (the unrestricted lookups Property 3
 // forbids); Inserts counts accepted tuple insertions (a proxy for state
 // size); Retracts counts accepted tuple retractions.
@@ -1179,9 +1180,9 @@ const (
 	stageRows   = 64
 )
 
-// KeyStage is the scratch of LookupKeys, owned by the caller — one per
-// goroutine, reused from call to call, so that a call neither allocates
-// nor clears it. The zero value is ready to use.
+// KeyStage is the scratch of LookupKeys and GatherKeys, owned by the
+// caller — one per goroutine, reused from call to call, so that a call
+// neither allocates nor clears it. The zero value is ready to use.
 type KeyStage struct {
 	// Per probe of the stage: its run — a view of lone when the key has the
 	// one row its directory slot holds — and where its rows end among those
@@ -1284,6 +1285,99 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 	}
 	r.tallyUp(tally, probes, 0, examined)
 	return more
+}
+
+// GatherKeys is LookupKeys for a caller that wants only some columns of
+// the rows and no callback: for each key, in key order, and each live row
+// of its run, in run order, it appends the row's columns outs to dst, and
+// it sets ends[k] to len(dst) after key k's rows (len(ends) >= len(keys)).
+// It returns the grown dst. The stages are LookupKeys's — every directory
+// slot of a stage, then every run's length, then the block list once, then
+// the rows — but the rows are read straight into dst: no row id is copied
+// out and nothing is yielded. A lone key has nothing to overlap and takes
+// LookupTally's path. Its counts are those of LookupKeys run to its end,
+// one probe per key and every live row examined. A gathered row was live
+// at some instant during the call.
+func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, tally *Tally, dst []Value, ends []int) []Value {
+	if r.win != nil {
+		return r.gatherKeysWindow(col, outs, keys, dst, ends)
+	}
+	st := r.store
+	var probes, examined int64
+	if len(keys) == 1 {
+		d := st.index(col)
+		if w := d.slot(keys[0]); w != 0 {
+			var lone [1]int32
+			run := d.rows(w, &lone)
+			var v storeView
+			v.resolve(st)
+			dst, examined = v.appendRun(dst, run, col, keys[0], outs)
+		}
+		ends[0] = len(dst)
+		r.tallyUp(tally, 1, 0, examined)
+		return dst
+	}
+	for k := 0; k < len(keys); k += stageProbes {
+		stage := keys[k:min(k+stageProbes, len(keys))]
+		d, unread, hit := st.index(col), uint32(0), false
+		for p, key := range stage {
+			switch w := d.slot(key); {
+			case w == 0:
+				ks.run[p] = nil
+			case w&inlineRow != 0:
+				ks.lone[p] = loneRow(w)
+				ks.run[p] = ks.lone[p : p+1]
+				hit = true
+			default:
+				ks.run[p] = d.room(uint32(w))
+				unread |= 1 << p
+				hit = true
+			}
+		}
+		probes += int64(len(stage))
+		for ; unread != 0; unread &= unread - 1 {
+			p := bits.TrailingZeros32(unread)
+			ks.run[p] = runIDs(ks.run[p])
+		}
+		// Every slot and run of the stage is loaded: now the block list.
+		var v storeView
+		if hit {
+			v.resolve(st)
+		}
+		for p, key := range stage {
+			if run := ks.run[p]; len(run) > 0 {
+				var n int64
+				dst, n = v.appendRun(dst, run, col, key, outs)
+				examined += n
+			}
+			ends[k+p] = len(dst)
+		}
+	}
+	r.tallyUp(tally, probes, 0, examined)
+	return dst
+}
+
+// appendRun appends to dst the columns outs of each live row of run —
+// rows that column col's posting run for key names — the key filled in,
+// the other columns read from the block, and reports how many rows it
+// appended.
+func (v *storeView) appendRun(dst []Value, run []int32, col int, key Value, outs []int) ([]Value, int64) {
+	live := int64(0)
+	for _, row := range run {
+		if v.isDead(int(row)) {
+			continue
+		}
+		blk := v.blocks[row>>blockShift][row&blockMask:]
+		for _, c := range outs {
+			if c == col {
+				dst = append(dst, key)
+			} else {
+				dst = append(dst, blk[c<<blockShift])
+			}
+		}
+		live++
+	}
+	return dst, live
 }
 
 // Equal reports whether two relations hold the same tuple sets.

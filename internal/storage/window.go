@@ -240,3 +240,18 @@ func (r *Relation) lookupKeysWindow(col int, keys []Value, ks *KeyStage, yield f
 	}
 	return true
 }
+
+// gatherKeysWindow is GatherKeys on a window: one probe per key, in key
+// order, each key's run trimmed to the window. It counts nothing.
+func (r *Relation) gatherKeysWindow(col int, outs []int, keys []Value, dst []Value, ends []int) []Value {
+	win, st := r.win, r.store
+	var lone [1]int32
+	var v storeView
+	v.resolve(st)
+	for k, key := range keys {
+		d := win.index(st, col)
+		dst, _ = v.appendRun(dst, win.rows(d, d.slot(key), &lone), col, key, outs)
+		ends[k] = len(dst)
+	}
+	return dst
+}
