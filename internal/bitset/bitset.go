@@ -19,20 +19,23 @@ type Set struct {
 func NewSet(n int) *Set { return &Set{words: make([]uint64, (n+63)/64)} }
 
 // Add inserts i, reporting whether it was absent.
-func (s *Set) Add(i int) bool {
-	w := i >> 6
+func (s *Set) Add(i int) bool { return s.Claim(i) == 1 }
+
+// Claim inserts i and returns 1 if it was absent, 0 if not: the word is
+// or-ed and the old bit read out, with no branch on which it was, so that
+// a loop may advance by the result.
+func (s *Set) Claim(i int) int {
+	w, b := i>>6, uint(i&63)
 	if w >= len(s.words) {
 		grown := make([]uint64, max(w+1, 2*len(s.words)))
 		copy(grown, s.words)
 		s.words = grown
 	}
-	bit := uint64(1) << uint(i&63)
-	if s.words[w]&bit != 0 {
-		return false
-	}
-	s.words[w] |= bit
-	s.n++
-	return true
+	word := s.words[w]
+	s.words[w] = word | 1<<b
+	fresh := int(^word >> b & 1)
+	s.n += fresh
+	return fresh
 }
 
 // Has reports membership.

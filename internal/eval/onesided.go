@@ -1002,12 +1002,16 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	if bs, ok := ce.seen.(*bitsetSeen); ok {
 		set := bs.set
 		w.claimAll = func(succ []storage.Value) {
+			// Every successor is written, and the end moves past it only
+			// when it was new: no branch on the outcome of a claim. (The
+			// append makes the room; the loop closes the values up.)
+			at := len(w.next.vals)
+			next := append(w.next.vals, succ...)
 			for _, v := range succ {
-				if set.Add(int(v)) {
-					w.next.vals = append(w.next.vals, v)
-					w.next.n++
-				}
+				next[at] = v
+				at += set.Claim(int(v))
 			}
+			w.next.vals, w.next.n = next[:at], at
 		}
 	} else {
 		w.claimAll = func(succ []storage.Value) {

@@ -8,10 +8,12 @@ import (
 
 // benchGraph loads a binary relation shaped like the benchmark workloads'
 // edge relations into a tracked database relation (so probes are counted):
-// "digraph" is 120 000 random edges over 30 000 values, degree ≈ 4, and
-// "chain" 20 000 edges in a line, degree 1. universe is the number of
-// values that occur in column 0; with spread 2 they are its first
-// universe even numbers instead of 0, 1, 2, ….
+// "digraph" is 120 000 random edges over 30 000 values, degree ≈ 4,
+// "chain" 20 000 edges in a line, degree 1, and "exits" 300 random edges
+// over the digraph's 30 000 values — wide_cold's exit relation, whose
+// column 0 is a hashed directory with a presence bitmap. universe is the
+// number of values column 0 is drawn from; with spread 2 they are its
+// first universe even numbers instead of 0, 1, 2, ….
 func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, universe int) {
 	db := NewDatabase()
 	rel = db.Ensure("a", 2)
@@ -28,6 +30,11 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 		for i := 0; i < universe; i++ {
 			edges = append(edges, Tuple{Value(spread * i), Value(i + 1)})
 		}
+	case "exits":
+		universe = 30000
+		for i := 0; i < 300; i++ {
+			edges = append(edges, Tuple{Value(spread * rng.Intn(universe)), Value(rng.Intn(universe))})
+		}
 	}
 	rel.InsertBatch(edges)
 	rel.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true }) // build the directory
@@ -39,7 +46,9 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 // there, in random order (hit) and in the order a Fig. 9 level walks a
 // chain, 0, 1, 2, … (walk), and for keys that are not: beyond every key
 // (miss), and between the keys, odd ones probed against a column of even
-// ones (gap). Each is counted in the shared Counters (LookupBuf) or in a
+// ones (gap); on the exit relation, keys drawn from the whole span of the
+// digraph's values, as a wide level's exit probes are, ≈99 % of them
+// misses inside the key range (span). Each is counted in the shared Counters (LookupBuf) or in a
 // tally the goroutine owns (LookupTally), from one goroutine and from
 // GOMAXPROCS of them — and the same keys are probed through LookupKeys
 // (tallied, serial), one key a call and sixteen: the staged probe's
@@ -49,16 +58,20 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 // pass over 4096 keys, so that a fixed small -benchtime still times
 // something; it must not allocate.
 func BenchmarkRelationLookup(b *testing.B) {
-	for _, shape := range []string{"digraph", "chain"} {
+	for _, shape := range []string{"digraph", "chain", "exits"} {
 		rel, stats, universe := benchGraph(shape, 1)
 		even, evenStats, _ := benchGraph(shape, 2)
-		for _, keys := range []string{"hit", "walk", "miss", "gap"} {
+		kinds := []string{"hit", "walk", "miss", "gap"}
+		if shape == "exits" {
+			kinds = []string{"span"}
+		}
+		for _, keys := range kinds {
 			rel, stats := rel, stats
 			rng := rand.New(rand.NewSource(2))
 			probe := make([]Value, 1<<12)
 			for i := range probe {
 				switch keys {
-				case "hit":
+				case "hit", "span":
 					probe[i] = Value(rng.Intn(universe))
 				case "walk":
 					probe[i] = Value(i)

@@ -350,6 +350,81 @@ func TestRelationConcurrentReadersOneWriter(t *testing.T) {
 	}
 }
 
+// TestPresenceBitBeforeSlotWord puts readers beside a writer that posts
+// new keys into a hashed directory with a presence bitmap, key after key
+// inside its range, growing it table after table. A reader loads the
+// published table, walks it for a key the writer is at (walkSlot, which
+// reads no bit), then probes it (slot): once the walk found the key's slot
+// word, the probe must find it too, since the writer sets a key's bit
+// before it stores the key's word and a bit is never cleared. Run under
+// -race.
+func TestPresenceBitBeforeSlotWord(t *testing.T) {
+	const base, added = 300, 6000
+	r := NewRelation(2, nil)
+	for k := 0; k < base; k++ {
+		r.Insert(Tuple{Value(100 * k), 0}) // 300 keys over 30 000 values: hashed, with a bitmap
+	}
+	r.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
+	if d := r.store.cols[0].Load(); d.dense() || d.bits == nil {
+		t.Fatal("test premise: a hashed table with a bitmap")
+	}
+	rng := rand.New(rand.NewSource(1))
+	plan := make([]Value, 0, added)
+	for _, k := range rng.Perm(100 * base) {
+		if k%100 != 0 && len(plan) < added {
+			plan = append(plan, Value(k))
+		}
+	}
+	var started atomic.Int64
+	var probes, found atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; !t.Failed(); i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				at := int(started.Load()) - 1 + rng.Intn(3) - 1 // the key being posted, or one beside it
+				if at < 0 || at >= len(plan) {
+					runtime.Gosched()
+					continue
+				}
+				key := plan[at]
+				d := r.store.cols[0].Load()
+				if walkSlot(d, key) != 0 {
+					found.Add(1)
+					if d.slot(key) == 0 {
+						t.Errorf("key %d: its slot word is in the table, its bit is not", key)
+					}
+				}
+				probes.Add(1)
+				if i%64 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(int64(g))
+	}
+	for i, key := range plan {
+		started.Store(int64(i + 1))
+		r.Insert(Tuple{key, 1})
+		if i%16 == 0 {
+			runtime.Gosched()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if d := r.store.cols[0].Load(); d.bits == nil || d.used != base+added || found.Load() == 0 {
+		t.Fatalf("test premise: %d keys, bitmap %v, %d of %d probes found their key", d.used, d.bits != nil, found.Load(), probes.Load())
+	}
+	t.Logf("%d probes, %d found their key's slot word", probes.Load(), found.Load())
+}
+
 // TestLookupYieldsInInsertionOrder pins the order Lookup yields a key's
 // tuples in — the order they were inserted — across a posting run that
 // outgrows its capacity, a directory rebuilt after compaction and one

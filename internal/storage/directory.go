@@ -20,12 +20,21 @@ import (
 //     Values are dense in first-seen order, so the columns a chain, a tree
 //     or most edge relations are keyed by go dense, and the keys a walk
 //     down a chain visits in turn are neighbours in the table.
-//   - hashed: Fibonacci hashing (mul is fibonacci, base 0, and home the top
-//     bits of the product), linear probing, a power-of-two size.
+//   - hashed: Fibonacci hashing (mul is fibonacci, base the lowest key
+//     when the table was made, and home the top bits of the product),
+//     linear probing, a power-of-two size.
 //
 // Either kind keeps the range [lo, hi] of its keys, and a probe outside it
 // reads no slot; a dense table spans at least that range, so a probe
-// inside it reads one.
+// inside it reads one. A hashed table whose keys, when it was made, span
+// at most 64 values a slot — so that one bit a value takes no more memory
+// than the slots — also keeps an exact presence bitmap: bit key-base of
+// bits is set for every key it holds, over a range fixed for the table's
+// life, from base to the end of the bitmap's last word. A probe inside
+// that range tests the key's bit first, and one whose bit is clear — a
+// miss, most probes of an exit relation — reads no slot and walks
+// nothing; a probe beyond it (a key posted after the table was made)
+// checks [lo, hi] and walks as before.
 //
 // A slot is one word,
 //
@@ -43,13 +52,16 @@ import (
 // One writer at a time — whoever holds the relation's write lock — extends a
 // directory while any number of readers probe it without a lock, and one
 // rule orders them: a reference is stored after what it refers to. The
-// writer widens [lo, hi] to a new key before it stores the key's slot
-// word; it writes a run's ids and length, and publishes the chunk they are
+// writer widens [lo, hi] to a new key, and sets the key's bit in the
+// bitmap's range, before it stores the key's slot word, and clears no
+// bit; it writes a run's ids and length, and publishes the chunk they are
 // in, before the atomic store of the slot word that names the run; it
 // appends an id before the atomic store of the longer length; a run that
 // is full is copied into room twice the size, and the slot word then
 // stored, the old run staying behind, abandoned, for the readers still on
-// it. The reader makes one atomic 64-bit load of the slot, then loads the
+// it. The reader loads the key's bit or [lo, hi] before the slot — a
+// clear bit, or a key outside the range, means no word was there to
+// load — then makes one atomic 64-bit load of the slot, then loads the
 // chunk list, then the length (slot, rows): the word it got was stored
 // after a chunk list holding the run's chunk and after a length whose ids
 // are there, and every later list and length covers as much.
@@ -59,7 +71,8 @@ import (
 // copied into a new one sized for its keys and the new key, whose slot is
 // stored in it first, and that one is published in its place (store.cols),
 // the old one staying as it was for the readers still in it. The copy
-// carries the arena on: chunk list, fill mark and tallies.
+// carries the arena on: chunk list, fill mark and tallies; its bitmap, if
+// it has room for one, is built afresh over its keys' range.
 //
 // Reach: row ids are below 2^31 (as everywhere in the store — int32 ids),
 // and a run reference is 31 bits: maxChunks chunks, each entered within
@@ -72,6 +85,10 @@ type directory struct {
 	base  Value
 	mul   uint32
 	shift uint8
+	// bits is a hashed table's presence bitmap, bit key-base per key, or
+	// nil (see above). Its length is fixed; the writer sets a key's bit
+	// before it stores the key's slot word, and no bit is cleared.
+	bits []uint64
 	// lo and hi bound the keys, lo > hi in a table with none. A writer
 	// widens them before it stores the slot of a key beyond them.
 	lo, hi atomic.Int32
@@ -131,7 +148,8 @@ func newDirectory() *directory {
 //     between its two ends: room for keys beyond either, so that a run of
 //     new keys, however it walks, grows the table by a constant factor.
 //
-// Otherwise it is hashed, at most 3/4 full.
+// Otherwise it is hashed, at most 3/4 full, based at lo, with a presence
+// bitmap over [lo, hi] where that is no larger than its slots.
 func sized(n int, lo, hi Value, grow bool) *directory {
 	d := &directory{mul: 1}
 	d.lo.Store(int32(lo))
@@ -148,7 +166,10 @@ func sized(n int, lo, hi Value, grow bool) *directory {
 		for 4*n > 3*size {
 			size *= 2
 		}
-		d.mul, d.shift, d.slots = fibonacci, uint8(33-bits.Len(uint(size))), make([]uint64, size)
+		d.base, d.mul, d.shift, d.slots = lo, fibonacci, uint8(33-bits.Len(uint(size))), make([]uint64, size)
+		if words := (span + 63) / 64; words <= int64(size) {
+			d.bits = make([]uint64, words)
+		}
 	}
 	return d
 }
@@ -159,13 +180,19 @@ func (d *directory) dense() bool { return d.mul == 1 }
 // slotWord is the word of key's slot once its rows are at ref.
 func slotWord(key Value, ref uint32) uint64 { return uint64(uint32(key))<<32 | uint64(ref) }
 
-// slot returns the word of key's slot, 0 when the key has none. Safe
-// without a lock. (It is small enough to inline, as the probe loops need.)
+// slot returns the word of key's slot, 0 when the key has none: read off
+// the bitmap when the key is in its range and its bit is clear. Safe
+// without a lock.
 func (d *directory) slot(key Value) (w uint64) {
-	if int32(key) < d.lo.Load() || int32(key) > d.hi.Load() {
+	i := uint32(key - d.base)
+	if i>>6 < uint32(len(d.bits)) {
+		if atomic.LoadUint64(&d.bits[i>>6])>>(i&63)&1 == 0 {
+			return 0
+		}
+	} else if int32(key) < d.lo.Load() || int32(key) > d.hi.Load() {
 		return 0
 	}
-	for i := uint32(key-d.base) * d.mul >> d.shift; ; i = (i + 1) & uint32(len(d.slots)-1) {
+	for i = i * d.mul >> d.shift; ; i = (i + 1) & uint32(len(d.slots)-1) {
 		if w = atomic.LoadUint64(&d.slots[i]); w == 0 || Value(w>>32) == key {
 			return w
 		}
@@ -248,7 +275,17 @@ func (d *directory) claim(key Value) (int, *directory) {
 	if int32(key) > d.hi.Load() {
 		d.hi.Store(int32(key))
 	}
+	d.mark(key)
 	return i, d
+}
+
+// mark sets key's bit in the presence bitmap, if the table has one and
+// the key is in its range. Writer side, before the key's slot word is
+// stored.
+func (d *directory) mark(key Value) {
+	if i := uint32(key - d.base); i>>6 < uint32(len(d.bits)) {
+		atomic.OrUint64(&d.bits[i>>6], 1<<(i&63))
+	}
 }
 
 // grown returns a copy of d sized for its keys and key (see sized), the
@@ -260,13 +297,15 @@ func (d *directory) grown(key Value) *directory {
 }
 
 // into copies d's slots and arena into g, an empty table with room for
-// them, and returns g.
+// them, marking their keys in g's bitmap, and returns g.
 func (d *directory) into(g *directory) *directory {
 	g.used, g.free, g.words, g.abandoned = d.used, d.free, d.words, d.abandoned
 	g.chunks.Store(d.chunks.Load())
 	for _, w := range d.slots {
 		if w != 0 {
-			g.slots[g.probe(Value(w>>32))] = w
+			key := Value(w >> 32)
+			g.slots[g.probe(key)] = w
+			g.mark(key)
 		}
 	}
 	return g
@@ -354,7 +393,9 @@ func (st *store) post(col int, d *directory, key Value, row int32) {
 // first pass finds the keys' range: when it spans at most 8/3 slots a row,
 // the table is dense and exactly that span from the start, and is rehashed
 // once the keys are counted if there are too few of them for it (see
-// sized); otherwise it is hashed and grows as the keys come in. The second
+// sized); otherwise it is hashed and grows as the keys come in, every
+// table it grows through made for the whole range, so that the last one's
+// bitmap, if it has room for one, covers every key. The second
 // pass counts each key's rows, in the low word of the key's slot, so that
 // every run is carved, with room by the same rule as a posted one's, out
 // of one exact allocation; the third fills the runs, a run's length word
@@ -376,6 +417,9 @@ func (st *store) buildDirectory(col, lo, hi int) *directory {
 	d := newDirectory()
 	if span := int64(kmax) - int64(kmin) + 1; rows > 0 && 3*span <= 8*int64(rows) {
 		d = sized(rows, kmin, kmax, false) // dense: there are no more keys than rows
+	} else if rows > 0 {
+		d.lo.Store(int32(kmin))
+		d.hi.Store(int32(kmax))
 	}
 	live(func(_ int, key Value) {
 		var i int

@@ -239,7 +239,7 @@ func TestDirectoryBytesPerKey(t *testing.T) {
 			t.Fatalf("test premise: %d keys in %d slots (%d dense), want %d slots, dense %v", f.DirectoryKeys, f.DirectorySlots/8, f.DenseDirectories, c.slots, dense)
 		}
 		perKey := f.DirectoryBytesPerKey()
-		t.Logf("%s: %.1f B/key (%d slot bytes, %d arena bytes)", name, perKey, f.DirectorySlots, f.RunArenas)
+		t.Logf("%s: %.1f B/key (%d slot bytes, %d bitmap bytes, %d arena bytes)", name, perKey, f.DirectorySlots, f.DirectoryBitmaps, f.RunArenas)
 		if perKey > c.budget {
 			t.Errorf("%s: %.1f bytes a key, budget %v", name, perKey, c.budget)
 		}
@@ -282,8 +282,37 @@ func TestFootprintCountsWhatIsThere(t *testing.T) {
 	if again := build().Footprint(); again != f {
 		t.Fatalf("the same history reported %+v, then %+v", f, again)
 	}
-	if f.Total() != f.TupleBlocks+f.DedupTables+f.DirectorySlots+f.RunArenas+f.SymbolText+f.SymbolIndex {
+	if f.Total() != f.TupleBlocks+f.DedupTables+f.DirectorySlots+f.DirectoryBitmaps+f.RunArenas+f.SymbolText+f.SymbolIndex {
 		t.Fatalf("total %d", f.Total())
+	}
+
+	// A hashed directory: keys 0, 100, …, 900 span 901 values, more than
+	// 8/3 slots a key, so the bulk build hashes them, growing from 8 slots
+	// to 16 at the seventh key. 901 values are 15 bitmap words: too many
+	// for 8 slots, not for 16. Every key has one row, in its slot: no run.
+	db := NewDatabase()
+	for k := 0; k < 10; k++ {
+		db.Ensure("h", 2).Insert(Tuple{Value(100 * k), 0})
+	}
+	db.Ensure("h", 2).Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
+	h := db.Footprint()
+	want = Footprint{
+		TupleBlocks:      2*blockRows*4 + deadWords*8 + 2*headerBytes,
+		DedupTables:      16 * 8,
+		DirectorySlots:   16 * 8,
+		DirectoryBitmaps: 15 * 8,
+		DirectoryKeys:    10,
+		SymbolText:       h.SymbolText, // the empty symbol table is the first case's business
+		SymbolIndex:      h.SymbolIndex,
+	}
+	if h != want {
+		t.Fatalf("hashed footprint\n got %+v\nwant %+v", h, want)
+	}
+	// (128 slot bytes + 120 bitmap bytes) / 10 keys.
+	if perKey := "24.8"; !strings.Contains(h.String(), "keys=10 dense-directories=0 bytes-per-key="+perKey+") directory-bitmaps=120 ") {
+		t.Fatalf("String() = %s, want 10 keys, no dense directory, %s B/key, 120 bitmap bytes", h, perKey)
+	} else if js, err := json.Marshal(h); err != nil || !strings.Contains(string(js), `"directory_bitmaps":120,`) || !strings.Contains(string(js), `"directory_bytes_per_key":`+perKey) {
+		t.Fatalf("JSON %s (%v)", js, err)
 	}
 }
 
@@ -643,5 +672,137 @@ func TestDirectoryModesBesideReaders(t *testing.T) {
 	wg.Wait()
 	if want := []bool{true, false, true}; !slices.Equal(modes, want) {
 		t.Fatalf("test premise: the directory went dense %v, want %v", modes, want)
+	}
+}
+
+// walkSlot is slot without the presence bitmap and without [lo, hi]: what
+// the table itself holds for key, found from its home slot.
+func walkSlot(d *directory, key Value) uint64 {
+	i := uint32(key-d.base) * d.mul >> d.shift
+	if d.dense() {
+		if i >= uint32(len(d.slots)) {
+			return 0
+		}
+		return atomic.LoadUint64(&d.slots[i])
+	}
+	for ; ; i = (i + 1) & uint32(len(d.slots)-1) {
+		if w := atomic.LoadUint64(&d.slots[i]); w == 0 || Value(w>>32) == key {
+			return w
+		}
+	}
+}
+
+// filteredBy reports whether d's bitmap answers a probe of key by itself:
+// the key is in its range and its bit is clear.
+func filteredBy(d *directory, key Value) bool {
+	i := uint32(key - d.base)
+	return i>>6 < uint32(len(d.bits)) && d.bits[i>>6]>>(i&63)&1 == 0
+}
+
+// TestDirectoryFilterMatchesProbe checks the presence bitmap against the
+// table it filters: for every key from two below a directory's lowest to
+// two above its highest, slot returns what a walk of the table without
+// bitmap or key range finds. The directories are dense; hashed with a
+// bitmap, and without one (keys too sparse for a bitmap no larger than
+// the slots); hashed over negative keys; hashed with keys posted beyond
+// the bitmap's range, then grown by more so that the new table's bitmap
+// covers them; and rebuilt by tombstone compaction. Seeded.
+func TestDirectoryFilterMatchesProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	// distinct returns n distinct random keys from [lo, lo+span).
+	distinct := func(n int, lo Value, span int) []Value {
+		seen := map[Value]bool{}
+		var keys []Value
+		for len(keys) < n {
+			if k := lo + Value(rng.Intn(span)); !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}
+	type premise int
+	const (
+		dense premise = iota
+		bitmap
+		noBitmap
+	)
+	check := func(name string, r *Relation, want premise) *directory {
+		t.Helper()
+		r.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
+		d := r.store.cols[0].Load()
+		if got := map[bool]premise{true: dense}[d.dense()]; !d.dense() {
+			got = map[bool]premise{true: bitmap, false: noBitmap}[d.bits != nil]
+			if got != want {
+				t.Fatalf("%s: test premise: table kind %d, want %d (%d keys in %d slots over [%d, %d], base %d, %d words)", name, got, want, d.used, len(d.slots), d.lo.Load(), d.hi.Load(), d.base, len(d.bits))
+			}
+		} else if want != dense {
+			t.Fatalf("%s: test premise: a dense table", name)
+		}
+		lo, hi := int64(d.lo.Load()), int64(d.hi.Load())
+		filtered := 0
+		for k := lo - 2; k <= hi+2; k++ {
+			key := Value(k)
+			if got, want := d.slot(key), walkSlot(d, key); got != want {
+				t.Fatalf("%s: slot(%d) = %#x, the table holds %#x", name, key, got, want)
+			}
+			if filteredBy(d, key) {
+				filtered++
+			}
+		}
+		if (filtered > 0) != (want == bitmap) {
+			t.Fatalf("%s: test premise: the bitmap answered %d probes", name, filtered)
+		}
+		t.Logf("%s: keys %d in %d slots over [%d, %d], %d bitmap words, %d probes answered by the bitmap", name, d.used, len(d.slots), lo, hi, len(d.bits), filtered)
+		return d
+	}
+	fill := func(keys []Value) *Relation {
+		r := NewRelation(2, nil)
+		for _, k := range keys {
+			for j := 0; j <= rng.Intn(3); j++ {
+				r.Insert(Tuple{k, Value(j)})
+			}
+		}
+		return r
+	}
+	check("dense", fill(distinct(1000, 0, 1000)), dense)
+	check("hashed, no bitmap", fill(distinct(50, 0, 10_000_000)), noBitmap)
+	check("hashed over negative keys", fill(distinct(300, -30000, 30000)), bitmap)
+	r := fill(distinct(300, 0, 30000))
+	d := check("hashed", r, bitmap)
+
+	// Keys beyond the bitmap's range, on both sides, too few to grow the
+	// table: they are found by the walk.
+	end := int64(d.base) + 64*int64(len(d.bits))
+	var beyond []Value
+	for _, k := range distinct(40, Value(end), 1000) {
+		beyond = append(beyond, k, Value(d.lo.Load())-1-(k-Value(end))) // as far above the bitmap as below the lowest key
+	}
+	for _, k := range beyond {
+		r.Insert(Tuple{k, 0})
+	}
+	if d2 := check("keys beyond the bitmap", r, bitmap); d2 != d {
+		t.Fatalf("test premise: the table grew")
+	}
+	for _, k := range beyond {
+		if i := uint32(k - d.base); i>>6 < uint32(len(d.bits)) || d.slot(k) == 0 {
+			t.Fatalf("test premise: key %d beyond the bitmap, and found", k)
+		}
+	}
+	// More keys: the table grows, and the new one's bitmap spans them all.
+	for _, k := range distinct(200, 0, 30000) {
+		r.Insert(Tuple{k, 7})
+	}
+	if d2 := check("grown", r, bitmap); d2 == d || 64*int64(len(d2.bits)) < int64(d2.hi.Load())-int64(d2.lo.Load())+1 {
+		t.Fatalf("test premise: a grown table whose bitmap covers its keys (%d words over [%d, %d])", len(d2.bits), d2.lo.Load(), d2.hi.Load())
+	}
+	// More than half the rows retracted: compaction drops the table, the
+	// next lookup rebuilds it from what is left.
+	before := r.store.cols[0].Load()
+	live := r.Tuples()
+	rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	r.RetractBatch(live[:len(live)*11/20])
+	if d2 := check("rebuilt", r, bitmap); d2 == before {
+		t.Fatalf("test premise: a rebuilt table")
 	}
 }

@@ -21,7 +21,10 @@
 // slots a key, grown when they span at most 2 of the 8/3 it gets — never
 // more slots than a hashed table holds right after it doubles at 3/4
 // load. Any other table is Fibonacci-hashed, linear probing. Either keeps
-// its keys' range, and a probe outside it reads no slot. Interned Values
+// its keys' range, and a probe outside it reads no slot; a hashed table
+// whose keys span at most 64 values a slot also keeps a presence bitmap,
+// one bit per value over that span, and a probe whose bit is clear
+// reads no slot either — no probe walk for a miss. Interned Values
 // are dense in first-seen order, so the consecutive keys a walk down a
 // chain probes sit side by side. Neither the directories nor the
 // symbol table hold a pointer per entry: the table copies each name into
@@ -67,12 +70,14 @@
 // stages, then each live row's wanted columns appended to the caller's
 // buffer, key by key, with where each key's rows end — no row copied
 // whole, nothing yielded, the counts those of LookupKeys run to its end.
-// In a directory a reference is stored after what it refers to, and a
-// reader loads the slot, then the arena's chunk list, then the run's
-// length; every slot and run of a stage is loaded before the block list,
-// and every probe reads its rows through one routine (storeView.readKeyed),
-// a gather through its column-picking twin (storeView.appendRun) after
-// the same tombstone check. Iteration follows insertion
+// In a directory a reference is stored after what it refers to — a key's
+// presence bit is set before its slot word — and a reader loads the slot,
+// then the arena's chunk list, then the run's length; every slot and run
+// of a stage is loaded before the block list, and every probe reads its
+// rows through one routine (storeView.readKeyed), a gather through its
+// column-at-a-time twin (storeView.appendRun), which copies each wanted
+// column of a run's rows in its own loop and only then, where the view
+// has tombstones, closes up over the dead rows. Iteration follows insertion
 // order; use SortedTuples (or SortedColumns, which the WAL snapshot
 // writer consumes directly) for output that does not depend on it. The
 // one operation that breaks the append-only rule is Relation.Reset, which

@@ -22,8 +22,11 @@ type Footprint struct {
 	DeadRows int64 `json:"dead_rows"`
 	// DedupTables is the open-addressing tables over row ids.
 	DedupTables int64 `json:"dedup_tables"`
-	// DirectorySlots is the slot tables of the built posting directories.
-	DirectorySlots int64 `json:"directory_slots"`
+	// DirectorySlots is the slot tables of the built posting directories,
+	// DirectoryBitmaps the presence bitmaps of those that hash (see
+	// directory).
+	DirectorySlots   int64 `json:"directory_slots"`
+	DirectoryBitmaps int64 `json:"directory_bitmaps"`
 	// DirectoryKeys counts keys, not bytes: the distinct values the built
 	// directories index, summed over the columns. DenseDirectories counts
 	// the built directories that address their slots by value (see
@@ -46,23 +49,24 @@ type Footprint struct {
 // RunArenas and not added again; DeadRows, DirectoryKeys and
 // DenseDirectories are counts).
 func (f Footprint) Total() int64 {
-	return f.TupleBlocks + f.DedupTables + f.DirectorySlots + f.RunArenas + f.SymbolText + f.SymbolIndex
+	return f.TupleBlocks + f.DedupTables + f.DirectorySlots + f.DirectoryBitmaps + f.RunArenas + f.SymbolText + f.SymbolIndex
 }
 
-// DirectoryBytesPerKey is what an indexed key costs, slots and runs
-// together: (DirectorySlots + RunArenas) / DirectoryKeys, 0 with no key.
+// DirectoryBytesPerKey is what an indexed key costs, slots, bitmaps and
+// runs together: (DirectorySlots + DirectoryBitmaps + RunArenas) /
+// DirectoryKeys, 0 with no key.
 func (f Footprint) DirectoryBytesPerKey() float64 {
 	if f.DirectoryKeys == 0 {
 		return 0
 	}
-	return float64(f.DirectorySlots+f.RunArenas) / float64(f.DirectoryKeys)
+	return float64(f.DirectorySlots+f.DirectoryBitmaps+f.RunArenas) / float64(f.DirectoryKeys)
 }
 
 // String renders the footprint on one line, bytes throughout but for the
 // counts in parentheses.
 func (f Footprint) String() string {
-	return fmt.Sprintf("total=%d tuple-blocks=%d (dead-rows=%d) dedup-tables=%d directory-slots=%d (keys=%d dense-directories=%d bytes-per-key=%.1f) run-arenas=%d (abandoned=%d) symbol-text=%d symbol-index=%d",
-		f.Total(), f.TupleBlocks, f.DeadRows, f.DedupTables, f.DirectorySlots, f.DirectoryKeys, f.DenseDirectories, f.DirectoryBytesPerKey(), f.RunArenas, f.RunsAbandoned, f.SymbolText, f.SymbolIndex)
+	return fmt.Sprintf("total=%d tuple-blocks=%d (dead-rows=%d) dedup-tables=%d directory-slots=%d (keys=%d dense-directories=%d bytes-per-key=%.1f) directory-bitmaps=%d run-arenas=%d (abandoned=%d) symbol-text=%d symbol-index=%d",
+		f.Total(), f.TupleBlocks, f.DeadRows, f.DedupTables, f.DirectorySlots, f.DirectoryKeys, f.DenseDirectories, f.DirectoryBytesPerKey(), f.DirectoryBitmaps, f.RunArenas, f.RunsAbandoned, f.SymbolText, f.SymbolIndex)
 }
 
 // MarshalJSON adds directory_bytes_per_key to the fields.
@@ -113,6 +117,7 @@ func (r *Relation) footprint(f *Footprint) {
 	for c := range st.cols {
 		if d := st.cols[c].Load(); d != nil {
 			f.DirectorySlots += int64(cap(d.slots)) * 8
+			f.DirectoryBitmaps += int64(cap(d.bits)) * 8
 			f.DirectoryKeys += int64(d.used)
 			if d.dense() {
 				f.DenseDirectories++

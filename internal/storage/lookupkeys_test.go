@@ -396,3 +396,52 @@ func gatherBesideWriter(t *testing.T) {
 	cur.Store(nil)
 	<-done
 }
+
+// TestStageLoadsRunLengthsBeforeBlocks runs a writer inside a stage of
+// LookupKeys and of GatherKeys, between its slot loads and its run-length
+// loads (stageHook): key 1's run, of three rows in block 0 with room for
+// four, grows by a row that opens block 1. The stage then reads four run
+// ids, the last in block 1, and must read it from a block list loaded
+// after the lengths; one loaded before them has no block 1.
+func TestStageLoadsRunLengthsBeforeBlocks(t *testing.T) {
+	defer func() { stageHook = nil }()
+	for _, probe := range []string{"LookupKeys", "GatherKeys"} {
+		r := NewRelation(2, nil)
+		r.InsertBatch([]Tuple{{1, 100}, {1, 101}, {1, 102}, {2, 200}})
+		for i := r.Len(); i < blockRows; i++ {
+			r.Insert(Tuple{3, Value(1000 + i)})
+		}
+		r.Lookup([]Binding{{Col: 0, Val: 1}}, func(Tuple) bool { return true }) // column 0's directory: key 1's run has room for four
+		stageHook = func() {
+			stageHook = nil
+			r.Insert(Tuple{1, 999}) // row blockRows: the first of block 1
+		}
+		var got []string
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s: a stage whose run grew into a new block panicked: %v", probe, p)
+				}
+			}()
+			keys, ends := []Value{1, 2}, make([]int, 2)
+			var ks KeyStage
+			if probe == "LookupKeys" {
+				r.LookupKeys(0, keys, &ks, nil, func(k int, tup Tuple) bool {
+					got = append(got, fmt.Sprint(tup))
+					return true
+				})
+				return
+			}
+			dst := r.GatherKeys(0, []int{0, 1}, keys, &ks, nil, nil, ends)
+			for i := 0; i < len(dst); i += 2 {
+				got = append(got, fmt.Sprint(Tuple(dst[i:i+2])))
+			}
+		}()
+		if stageHook != nil {
+			t.Fatalf("%s: test premise: the stage ran no writer", probe)
+		}
+		if want := "[[1 100] [1 101] [1 102] [1 999] [2 200]]"; fmt.Sprint(got) != want {
+			t.Fatalf("%s: got %v, want %s", probe, got, want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1180,6 +1181,12 @@ const (
 	stageRows   = 64
 )
 
+// stageHook, nil outside tests, runs in every stage of LookupKeys and
+// GatherKeys between the stage's slot loads and its run-length loads: a
+// test's writer put there shows whether the block list is loaded after
+// the run lengths, as it must be (see store).
+var stageHook func()
+
 // KeyStage is the scratch of LookupKeys and GatherKeys, owned by the
 // caller — one per goroutine, reused from call to call, so that a call
 // neither allocates nor clears it. The zero value is ready to use.
@@ -1243,6 +1250,9 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 			}
 		}
 		probes += int64(len(stage))
+		if stageHook != nil {
+			stageHook()
+		}
 		for ; unread != 0; unread &= unread - 1 {
 			p := bits.TrailingZeros32(unread)
 			ks.run[p] = runIDs(ks.run[p])
@@ -1311,7 +1321,7 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 			run := d.rows(w, &lone)
 			var v storeView
 			v.resolve(st)
-			dst, examined = v.appendRun(dst, run, col, keys[0], outs)
+			dst, examined = v.appendRun(dst, run, outs)
 		}
 		ends[0] = len(dst)
 		r.tallyUp(tally, 1, 0, examined)
@@ -1335,6 +1345,9 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 			}
 		}
 		probes += int64(len(stage))
+		if stageHook != nil {
+			stageHook()
+		}
 		for ; unread != 0; unread &= unread - 1 {
 			p := bits.TrailingZeros32(unread)
 			ks.run[p] = runIDs(ks.run[p])
@@ -1344,10 +1357,10 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 		if hit {
 			v.resolve(st)
 		}
-		for p, key := range stage {
+		for p := range stage {
 			if run := ks.run[p]; len(run) > 0 {
 				var n int64
-				dst, n = v.appendRun(dst, run, col, key, outs)
+				dst, n = v.appendRun(dst, run, outs)
 				examined += n
 			}
 			ends[k+p] = len(dst)
@@ -1357,27 +1370,36 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 	return dst
 }
 
-// appendRun appends to dst the columns outs of each live row of run —
-// rows that column col's posting run for key names — the key filled in,
-// the other columns read from the block, and reports how many rows it
-// appended.
-func (v *storeView) appendRun(dst []Value, run []int32, col int, key Value, outs []int) ([]Value, int64) {
-	live := int64(0)
-	for _, row := range run {
-		if v.isDead(int(row)) {
-			continue
-		}
-		blk := v.blocks[row>>blockShift][row&blockMask:]
-		for _, c := range outs {
-			if c == col {
-				dst = append(dst, key)
-			} else {
-				dst = append(dst, blk[c<<blockShift])
-			}
-		}
-		live++
+// appendRun appends to dst the columns outs of each live row of run, and
+// reports how many rows it appended. dst grows once; then each column is
+// copied on its own, one load and one store a row — the probed column too,
+// whose value in the block is the key the run is posted under — and only
+// a view with tombstones closes up over the dead rows afterwards. Every
+// gather reads its rows through here.
+func (v *storeView) appendRun(dst []Value, run []int32, outs []int) ([]Value, int64) {
+	if len(run) == 0 {
+		return dst, 0
 	}
-	return dst, live
+	at, width := len(dst), len(outs)
+	dst = slices.Grow(dst, len(run)*width)[:at+len(run)*width]
+	rows := dst[at:]
+	for j, c := range outs {
+		off, col := c<<blockShift, rows[j:]
+		for i, row := range run {
+			col[i*width] = v.blocks[row>>blockShift][off+int(row&blockMask)]
+		}
+	}
+	if v.dead == nil {
+		return dst, int64(len(run))
+	}
+	live := 0
+	for i, row := range run {
+		if !v.isDead(int(row)) {
+			copy(rows[live*width:(live+1)*width], rows[i*width:(i+1)*width])
+			live++
+		}
+	}
+	return dst[:at+live*width], int64(live)
 }
 
 // Equal reports whether two relations hold the same tuple sets.

@@ -250,7 +250,7 @@ func (r *Relation) gatherKeysWindow(col int, outs []int, keys []Value, dst []Val
 	v.resolve(st)
 	for k, key := range keys {
 		d := win.index(st, col)
-		dst, _ = v.appendRun(dst, win.rows(d, d.slot(key), &lone), col, key, outs)
+		dst, _ = v.appendRun(dst, win.rows(d, d.slot(key), &lone), outs)
 		ends[k] = len(dst)
 	}
 	return dst
