@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -219,7 +220,9 @@ func tupleRel(t storage.Tuple) *storage.Relation {
 // hands it the successors' columns, staged on a wide level and one key at
 // a time on a chain, and no row of f reaches solve — carrying the
 // context's anchors along when the plan folds some; g's rows are yielded
-// to solve. A staged f with a second atom continues each row at that atom
+// to solve. Every level of the chain is one context, which takes the
+// straight path — no probe staged, g's rows through first — and the wide
+// levels of the staged cases do not. A staged f with a second atom continues each row at that atom
 // (solve). The pair recursion's f is three atoms whose first takes both
 // context columns as keys, and its g likewise: no single key to probe by,
 // so each context walks the whole conjunction (step(0)). Either way the
@@ -310,6 +313,13 @@ func TestLevelEntriesStagedAndPerContext(t *testing.T) {
 			}
 			if g := w.g.row != nil || w.g.first != nil; g != (tc.gKey >= 0) {
 				t.Fatalf("g's rows went to solve: %v, want %v", g, tc.gKey >= 0)
+			}
+			// A level of one context is one probe of f and one of g, issued
+			// straight through: it stages nothing, and g's rows go to first.
+			// A wider level's probes are staged, and g's rows go to row.
+			staged, row, first := !reflect.ValueOf(w.stage).IsZero(), w.g.row != nil, w.g.first != nil
+			if tc.gKey >= 0 && (staged != tc.staged || row != tc.staged || !tc.staged && !first) {
+				t.Fatalf("probes staged: %v, g's row callback built: %v, first: %v; want staged levels %v", staged, row, first, tc.staged)
 			}
 			if w.nAnchors != tc.anchors {
 				t.Fatalf("contexts carry %d anchors, want %d", w.nAnchors, tc.anchors)

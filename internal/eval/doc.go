@@ -23,18 +23,19 @@
 // level, the carry is a flat arena rather than a slice of tuples, and the
 // next level becomes the carry by a buffer swap, so a level allocates
 // nothing. Newly discovered contexts are claimed through the seen-set,
-// whose Offer admits each tuple exactly once. The worker takes a level in
-// chunks of sixteen contexts: when f's or g's first atom is probed by one
-// context value — every linear recursion's — the chunk's probes go to
-// storage together (storage.Relation.LookupKeys) and each row continues
-// its context's solution at the second atom; a lone context, every level
-// of a chain, is one plain lookup. When f is that atom alone, a row's
-// columns are the successor: storage gathers them for the chunk, lone
-// context or not (storage.Relation.GatherKeys), and the run's claim-all
-// loop offers them to the seen-set, with no callback per row and no row
-// copied whole. A semi-naive round runs its (rule,
-// variant) jobs one after the other, in rule order (runRound), so its
-// Property-3 counts repeat exactly.
+// whose Offer admits each tuple exactly once. When f's or g's first atom
+// is probed by one context value — every linear recursion's — a level of
+// one context, every level of a chain, runs straight through: that atom
+// is one storage call issued by the worker, with no chunk around it. A
+// wider level goes in chunks of sixteen contexts whose probes go to
+// storage together (storage.Relation.LookupKeys), and each row continues
+// its context's solution at the second atom. When f is that atom alone, a
+// row's columns are the successor: storage gathers them, for a chunk or a
+// lone context (storage.Relation.GatherKeys), a unary carry's straight
+// into the next level's arena, where the seen-set's bitset claims them in
+// place — no callback per row, no row copied whole, no buffer between.
+// A semi-naive round runs its (rule, variant) jobs one after the other,
+// in rule order (runRound), so its Property-3 counts repeat exactly.
 //
 // Property 3's probe counts are kept like the scratch: an evaluation or
 // maintenance pass counts the lookups of its conjunctions in one

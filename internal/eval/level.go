@@ -1,6 +1,9 @@
 package eval
 
-import "repro/internal/storage"
+import (
+	"repro/internal/bitset"
+	"repro/internal/storage"
+)
 
 // This file holds the memory discipline of the Fig. 9 level loop. A
 // level is one application of f (and one g-join) to every context of the
@@ -17,13 +20,17 @@ import "repro/internal/storage"
 //   - the per-solution callbacks are closures built once per run, so
 //     neither a level nor a context creates one.
 //
-// The worker takes a level as chunks of up to probeChunk contexts, whose
-// probes go to storage together when they can (walk); solutions arrive in
-// context order either way. When f is one atom keyed by a context column,
-// a row of it is the successor: the worker has storage gather the chunk's
-// successor columns (Relation.GatherKeys) and hands them to the owner's
-// claim-all loop, so such a level is its probes, its claims and nothing
-// between them — no row copy, no callback per row.
+// A level whose carry is one context — every level of a chain — runs
+// straight through: f's and g's first-atom probes are one storage call
+// each, issued by the worker, with no chunk to stage. A wider level goes
+// as chunks of up to probeChunk contexts, whose probes go to storage
+// together (walk); solutions arrive in context order either way. When f is
+// one atom keyed by a context column, a row of it is the successor: the
+// worker has storage gather the successor columns (Relation.GatherKeys),
+// and a unary carry's straight into the next level's arena, where the
+// seen-set's bitset claims them in place (gather). Such a level is its
+// probes, its claims and nothing between them — no row copy, no callback
+// per row, no buffer between the two.
 //
 // The context-mode loop (contextEval) drives its levels through this
 // type, on the goroutine that asked for the evaluation. All of it belongs
@@ -96,10 +103,10 @@ type levelWorker struct {
 	nAnchors int
 	width    int
 
-	// carry is the buffer whose contexts are being walked; anchors is the
-	// anchor part of the context a solution is being produced for, aliasing
-	// the arena. base is where the staged chunk starts, keys its probe
-	// values and stage storage's scratch.
+	// carry is the evaluation's carry, the level being read; anchors is
+	// the anchor part of the context a solution is being produced for,
+	// aliasing the arena. base is where the staged chunk starts, keys its
+	// probe values and stage storage's scratch.
 	carry   *carryBuf
 	anchors storage.Tuple
 	base    int
@@ -109,16 +116,15 @@ type levelWorker struct {
 	// succ and out are the successor-context and answer scratch tuples.
 	succ, out storage.Tuple
 	proj      *carryProj
-	// claim receives each successor context f produces: the owner's,
-	// installed once, after newLevelWorker. f.emit projects a solution
-	// and hands it here, as does a gathering f with anchors, context by
-	// context. claimAll takes a gathering f's successors without anchors
-	// — a chunk's gathered columns, width-wide tuples end to end — in one
-	// call.
-	claim    func(t storage.Tuple)
-	claimAll func(succ []storage.Value)
+	// seen is the evaluation's seen-set: a successor context is claimed
+	// through it (claim), and one it takes goes to next. bits is the same
+	// set when it is a bitset (a unary carry), which a gathering f claims
+	// in directly.
+	seen seenSet
+	bits *bitset.Set
 	// gathered and ends are a gathering f's chunk: the successor columns
 	// storage appended, and where each context's rows end (GatherKeys).
+	// A unary carry's columns go straight to next, and it has no gathered.
 	gathered []storage.Value
 	ends     [probeChunk]int
 
@@ -127,15 +133,23 @@ type levelWorker struct {
 	next carryBuf
 }
 
-// newLevelWorker builds an evaluation's worker: its scratch as one block,
-// its conjunctions' relations bound, its probes counted in tally. The
-// owner installs claim, f.emit and g.emit before the first level.
-func newLevelWorker(f *fOps, g *gOps, nAnchors, arity int, resolve resolver, tally *storage.Tally) *levelWorker {
+// newLevelWorker builds an evaluation's worker over its carry and
+// seen-set: its scratch as one block, its conjunctions' relations bound,
+// its probes counted in tally. The owner installs f.emit and g.emit
+// before the first level.
+func newLevelWorker(f *fOps, g *gOps, nAnchors, arity int, carry *carryBuf, seen seenSet, resolve resolver, tally *storage.Tally) *levelWorker {
 	width := nAnchors + len(f.headSlots) // anchors plus context columns
-	w := &levelWorker{nAnchors: nAnchors, width: width, proj: f.proj}
+	w := &levelWorker{nAnchors: nAnchors, width: width, proj: f.proj, carry: carry, seen: seen}
+	if bs, ok := seen.(*bitsetSeen); ok {
+		w.bits = bs.set
+	}
 	// The gather buffer starts as room for a chunk of one row a context;
-	// a wider chunk grows it once.
-	gather := probeChunk * len(f.rowCols)
+	// a wider chunk grows it once. A unary carry gathers into next and
+	// needs none.
+	gather := 0
+	if w.bits == nil {
+		gather = probeChunk * len(f.rowCols)
+	}
 	vals := make([]storage.Value, f.nslots+g.nslots+width+arity+gather)
 	fSlots, vals := vals[:f.nslots:f.nslots], vals[f.nslots:]
 	gSlots, vals := vals[:g.nslots:g.nslots], vals[g.nslots:]
@@ -170,19 +184,28 @@ func (op *levelOp) build(conj *compiledConj, ctxSlots []int, slots []storage.Val
 	op.key[0].Col = pp.keys[0].col
 }
 
-// expand applies f to every context of carry: every successor context —
-// a solution of the recursive rule one level deeper — goes to claim.
-func (w *levelWorker) expand(carry *carryBuf) { w.walk(&w.f, carry) }
+// expand applies f to every context of the carry: every successor
+// context — a solution of the recursive rule one level deeper — is
+// claimed.
+func (w *levelWorker) expand() { w.walk(&w.f) }
 
-// exits joins every context of carry with the exit rule: every solution
-// goes to g.emit.
-func (w *levelWorker) exits(carry *carryBuf) { w.walk(&w.g, carry) }
+// exits joins every context of the carry with the exit rule: every
+// solution goes to g.emit.
+func (w *levelWorker) exits() { w.walk(&w.g) }
 
 // advance makes the level collected in next the carry; the old carry's
 // storage, emptied, collects the level after it — no copy.
-func (w *levelWorker) advance(carry *carryBuf) {
-	carry.reset()
-	*carry, w.next = w.next, *carry
+func (w *levelWorker) advance() {
+	w.carry.reset()
+	*w.carry, w.next = w.next, *w.carry
+}
+
+// claim offers the seen-set a successor context, and collects it in next
+// when the seen-set takes it.
+func (w *levelWorker) claim(t storage.Tuple) {
+	if w.seen.Offer(t) {
+		w.next.push(t)
+	}
 }
 
 // enter makes context i of the carry the one op's solutions are for: its
@@ -195,20 +218,21 @@ func (w *levelWorker) enter(op *levelOp, i int) {
 	w.anchors = c[:w.nAnchors]
 }
 
-// walk runs op over the contexts of carry until an emit stops it. An
+// walk runs op over the contexts of the carry until an emit stops it. An
 // operator whose first atom is not probed by one context value takes the
 // conjunction whole, context by context. Otherwise — every linear
-// recursion's f and g — a chunk's probes of that atom are independent
-// lookups of one column, staged together so that their cache misses
-// overlap. A one-atom f gathers the chunk's successors (gather), lone
-// context or not; any other operator has the rows yielded (LookupKeys) and
-// continues each at the second atom (solve), and a lone context — every
-// level of a chain — is one plain lookup, which must not pay for staging.
-func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
-	w.carry = carry
-	lo, hi := 0, carry.n
+// recursion's f and g — that atom is probed by a column of the carry. A
+// lone context, every level of a chain, is one probe issued here and
+// nothing around it: a one-atom f gathers the context's successors
+// (gather), any other operator has the rows yielded (LookupTally) and
+// continues each at the second atom (solve). A wider level goes in chunks
+// whose probes are independent lookups of one column, staged together so
+// that their cache misses overlap: a chunk's successors gathered, or its
+// rows yielded (LookupKeys) and each continued.
+func (w *levelWorker) walk(op *levelOp) {
+	carry := w.carry
 	if op.keyCol < 0 {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < carry.n; i++ {
 			w.enter(op, i)
 			if !op.conj.step(0, op.slots, op.sc, op.emit) {
 				return
@@ -221,16 +245,21 @@ func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 		return
 	}
 	at := w.nAnchors + op.keyCol
-	for ; lo < hi; lo += probeChunk {
-		w.base = lo
-		if hi-lo == 1 && op.rowCols == nil {
-			if op.first == nil {
-				op.first = func(t storage.Tuple) bool { return w.solve(op, w.base, t) }
-			}
-			op.key[0].Val = carry.vals[lo*w.width+at]
-			rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
+	if carry.n == 1 {
+		if op.rowCols != nil {
+			w.base, w.keys[0] = 0, carry.vals[at]
+			w.gather(op, rel, 1)
 			return
 		}
+		if op.first == nil {
+			op.first = func(t storage.Tuple) bool { return w.solve(op, 0, t) }
+		}
+		op.key[0].Val = carry.vals[at]
+		rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
+		return
+	}
+	for lo, hi := 0, carry.n; lo < hi; lo += probeChunk {
+		w.base = lo
 		n := min(probeChunk, hi-lo)
 		for j := 0; j < n; j++ {
 			w.keys[j] = carry.vals[(lo+j)*w.width+at]
@@ -248,16 +277,27 @@ func (w *levelWorker) walk(op *levelOp, carry *carryBuf) {
 	}
 }
 
-// gather claims the successors a one-atom f finds for the chunk's n
-// contexts: storage appends each row's context columns (op.rowCols), key
-// by key, and without anchors those are the successors, claimed in one
-// call; with them, each context's anchors go before each of its rows.
+// gather claims the successors a one-atom f finds for the n contexts
+// whose keys are staged, from base on: storage appends each row's context
+// columns (op.rowCols), key by key. A unary carry's successors are those
+// values themselves: they are appended to next and claimed where they
+// lie, each written over the first one not kept and the end moved past
+// it only when the bitset took it, with no branch on the outcome. A wider
+// context is put together in succ — the context's anchors, then each of
+// its rows — and claimed whole.
 func (w *levelWorker) gather(op *levelOp, rel *storage.Relation, n int) {
-	w.gathered = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, w.gathered[:0], w.ends[:n])
-	if w.nAnchors == 0 {
-		w.claimAll(w.gathered)
+	if set := w.bits; set != nil {
+		from := len(w.next.vals)
+		next := rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, w.next.vals, w.ends[:n])
+		at := from
+		for _, v := range next[from:] {
+			next[at] = v
+			at += set.Claim(int(v))
+		}
+		w.next.vals, w.next.n = next[:at], w.next.n+at-from
 		return
 	}
+	w.gathered = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, w.gathered[:0], w.ends[:n])
 	from, cols := 0, len(op.rowCols)
 	for k, end := range w.ends[:n] {
 		at := (w.base + k) * w.width

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -200,5 +202,262 @@ func TestLevelLoopAllocationBudget(t *testing.T) {
 	if grown := deep - shallow; grown > 16 || grown/float64(extra) >= 0.25 {
 		t.Fatalf("allocations grow with depth: %.0f over %d levels vs %.0f over %d (%.3f per extra level)",
 			shallow, shallowLevels, deep, deepLevels, grown/float64(extra))
+	}
+}
+
+// beads builds a seeded a-graph whose Fig. 9 levels from node "s"
+// alternate between one context and many: segments of 2 to 9 chain
+// edges, each ending in a fan of 2 to 48 nodes that all lead into the
+// next segment's head (a diamond). Back edges re-offer contexts the
+// seen-set already holds. b holds exits — an item (i0, i1) for the
+// permissions shape or a name — p every node's permission for i0 and
+// some nodes' for i1, c (a guard) all but a few fan nodes, and d an
+// answer behind each exit value. With labelled set a and b take a third
+// column, as anchorsSrc reads them, and s has one edge out.
+func beads(seed int64, labelled bool) *storage.Database {
+	rng := rand.New(rand.NewSource(seed))
+	db := storage.NewDatabase()
+	nodes := 0
+	fresh := func() string { nodes++; return "n" + strconv.Itoa(nodes) }
+	var seen []string
+	node := func(n string, fan bool) {
+		seen = append(seen, n)
+		if !fan || rng.Intn(10) != 0 {
+			db.AddFact("c", n)
+		}
+		db.AddFact("p", n, "i0")
+		if rng.Intn(3) != 0 {
+			db.AddFact("p", n, "i1")
+		}
+		if rng.Intn(4) == 0 {
+			exit := []string{"i0", "i1", "e" + strconv.Itoa(rng.Intn(5))}[rng.Intn(3)]
+			if labelled {
+				db.AddFact("b", n, exit, "r")
+			} else {
+				db.AddFact("b", n, exit)
+			}
+		}
+	}
+	edge := func(from, to string) {
+		if labelled {
+			db.AddFact("a", from, to, "q")
+		} else {
+			db.AddFact("a", from, to)
+		}
+	}
+	for _, v := range []string{"i0", "i1", "e0", "e1", "e2", "e3", "e4"} {
+		db.AddFact("d", v, "z"+v)
+	}
+	db.AddFact("p", "s", "i0")
+	db.AddFact("p", "s", "i1")
+	head := fresh()
+	if labelled {
+		db.AddFact("a", "s", head, "p0")
+	} else {
+		edge("s", head)
+	}
+	node(head, false)
+	for seg := 0; seg < 12; seg++ {
+		cur := head
+		for i := 1 + rng.Intn(8); i > 0; i-- {
+			n := fresh()
+			edge(cur, n)
+			node(n, false)
+			cur = n
+		}
+		head = fresh()
+		for k := 2 + rng.Intn(47); k > 0; k-- {
+			m := fresh()
+			edge(cur, m)
+			edge(m, head)
+			node(m, true)
+			if rng.Intn(8) == 0 {
+				edge(m, seen[rng.Intn(len(seen))])
+			}
+		}
+		node(head, false)
+	}
+	return db
+}
+
+// errAfter is a context whose Done channel is closed from the start and
+// whose Err turns non-nil on its call after the first `after`: it cuts an
+// evaluation at a chosen cancellation poll.
+type errAfter struct {
+	context.Context
+	after int
+}
+
+func (c *errAfter) Done() <-chan struct{} { return closedDone }
+
+func (c *errAfter) Err() error {
+	if c.after--; c.after < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+var closedDone = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// TestLoneLevelsMatchWalk runs the level loop over graphs whose levels
+// alternate between one context — which the worker probes straight
+// through — and many, which it stages: a unary carry, the permissions
+// shape's binary carry, a folded anchor, a guard atom behind f's first and
+// a two-atom g. Run to its end, each gives naive evaluation's answers. Cut
+// short — by a context at each of its first 41 Err calls, and by gas
+// budgets — each stops at the poll it should, keeps only answers naive
+// evaluation has, and adds to Database.Stats exactly what the same cut
+// counts with every probe counted as it happens, no tally between. Where
+// f and g are one atom each, that is one probe a context expanded and one
+// a context joined: IndexLookups = the seed's probe + Σ expanded contexts
+// + GProbes (which counts depth 0's probe with the joined contexts').
+func TestLoneLevelsMatchWalk(t *testing.T) {
+	const (
+		permSrc = `
+			t(X, Y) :- a(X, Z), t(Z, Y), p(X, Y).
+			t(X, Y) :- b(X, Y).
+		`
+		guardSrc = `
+			t(X, Y) :- a(X, Z), c(Z), t(Z, Y).
+			t(X, Y) :- b(X, Y).
+		`
+		twoExitSrc = `
+			t(X, Y) :- a(X, Z), t(Z, Y).
+			t(X, Y) :- b(X, W), d(W, Y).
+		`
+	)
+	shapes := []struct {
+		name, src, query string
+		labelled         bool
+		carry            int
+		// oneAtom: f and g are one probe a context.
+		oneAtom bool
+	}{
+		{"unary", tcSrc, "t(s, Y)", false, 1, true},
+		{"binary", permSrc, "t(s, Y)", false, 2, false},
+		{"anchored", anchorsSrc, "t(s, Y, P)", true, 2, true},
+		{"second-atom-f", guardSrc, "t(s, Y)", false, 1, false},
+		{"two-atom-g", twoExitSrc, "t(s, Y)", false, 1, false},
+	}
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(sh.name+"/seed="+strconv.Itoa(int(seed)), func(t *testing.T) {
+				db := beads(seed, sh.labelled)
+				d, q := mustDef(t, sh.src, "t"), parser.MustParseAtom(sh.query)
+				plan, err := CompileSelection(d, q)
+				if err != nil || plan.Mode != ModeContext || plan.CarryArity != sh.carry {
+					t.Fatalf("plan %v, err %v; want a context-mode plan carrying %d", plan, err, sh.carry)
+				}
+				want := naiveSelect(t, d.Program(), q, db)
+
+				// cut runs the loop under ctx, its probes counted through
+				// the run's tally or, live, straight into Database.Stats.
+				// polls holds what the gas meter had been charged at each
+				// level's poll, and widths each level's contexts.
+				type cut struct {
+					ce            *contextEval
+					stats         EvalStats
+					err           error
+					counted       storage.Counters
+					polls, widths []int
+				}
+				run := func(ctx context.Context, live bool) cut {
+					var c cut
+					c.ce = plan.newContextEval(db, nil)
+					if live {
+						var elsewhere storage.Counters
+						c.ce.tally = elsewhere.Tally()
+					}
+					plan.TestIterHook = func(int) {
+						ce := c.ce
+						c.polls = append(c.polls, ce.claimed-ce.carry.n+ce.ans.Len())
+						c.widths = append(c.widths, ce.carry.n)
+					}
+					defer func() { plan.TestIterHook = nil }()
+					before := db.Stats.Snapshot()
+					_, c.stats, c.err = c.ce.run(ctx)
+					c.counted = db.Stats.Snapshot().Sub(before)
+					return c
+				}
+				check := func(what string, c cut) {
+					t.Helper()
+					if !c.ce.ans.Equal(want) {
+						for _, tup := range c.ce.ans.Tuples() {
+							if !want.Contains(tup) {
+								t.Fatalf("%s: answer %v naive evaluation lacks", what, AnswerStrings(tupleRel(tup), db.Syms))
+							}
+						}
+					}
+					if c.stats.Iterations != len(c.widths) {
+						t.Fatalf("%s: %d levels, %d hook calls", what, c.stats.Iterations, len(c.widths))
+					}
+					if c.stats.SeenSize == 0 {
+						return
+					}
+					if expanded := c.stats.SeenSize - c.ce.carry.n; sh.oneAtom && c.counted.IndexLookups != int64(1+expanded+c.stats.GProbes) {
+						t.Fatalf("%s: %d lookups; one-atom f and g make 1 + %d expanded + %d g-probes", what, c.counted.IndexLookups, expanded, c.stats.GProbes)
+					}
+				}
+
+				full := run(context.Background(), false)
+				if full.err != nil || !full.ce.ans.Equal(want) {
+					t.Fatalf("err %v; answers %v, naive evaluation's %v", full.err, AnswerStrings(full.ce.ans, db.Syms), AnswerStrings(want, db.Syms))
+				}
+				check("full run", full)
+				lone, wide := 0, 0
+				for _, n := range full.widths {
+					switch {
+					case n == 1:
+						lone++
+					case n > probeChunk:
+						wide++
+					}
+				}
+				if lone < 10 || wide < 2 {
+					t.Fatalf("test premise: level widths %v", full.widths)
+				}
+
+				same := func(what string, c cut, ctx func() context.Context) {
+					t.Helper()
+					check(what, c)
+					if live := run(ctx(), true); live.counted != c.counted || live.stats != c.stats {
+						t.Fatalf("%s: Database.Stats moved by %+v, %+v counted live; stats %+v, %+v", what, c.counted, live.counted, c.stats, live.stats)
+					}
+				}
+				// Err is asked once before the loop and once a level: the
+				// k-th answer that is not nil cuts the loop after k-1 levels.
+				for k := 0; k <= 40; k++ {
+					ctx := func() context.Context { return &errAfter{Context: context.Background(), after: k} }
+					c := run(ctx(), false)
+					if !errors.Is(c.err, context.Canceled) || k > 0 && c.stats.Iterations != k-1 {
+						t.Fatalf("cut at Err call %d: err %v after %d levels", k+1, c.err, c.stats.Iterations)
+					}
+					same("cut at Err call "+strconv.Itoa(k+1), c, ctx)
+				}
+				// The meter is charged at every level's poll with what was
+				// claimed and answered since the last: the run stops at the
+				// first poll that takes it past its budget.
+				for _, budget := range []int64{1, 2, 7, 30, int64(full.stats.SeenSize) / 2, int64(full.stats.SeenSize)} {
+					ctx := func() context.Context { return WithMeter(context.Background(), NewMeter(budget)) }
+					c := run(ctx(), false)
+					if !errors.Is(c.err, ErrGasExhausted) {
+						t.Fatalf("budget %d: err %v", budget, c.err)
+					}
+					for i, charged := range c.polls {
+						if int64(charged) > budget {
+							t.Fatalf("budget %d: poll %d passed at %d charged", budget, i+1, charged)
+						}
+					}
+					if charged := c.ce.claimed + c.ce.ans.Len(); int64(charged) <= budget {
+						t.Fatalf("budget %d: cut at %d charged", budget, charged)
+					}
+					same("budget "+strconv.Itoa(int(budget)), c, ctx)
+				}
+			})
+		}
 	}
 }

@@ -987,39 +987,11 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 
 	// Fill the query-constant sources (kind 0) with this plan's values.
 	ce.srcs = fillQueryConsts(ops.g.srcs, queryConsts(p.Query, syms))
-	// The two halves of a level. A context is claimed through the seen-set:
-	// Offer returns true exactly once per tuple, so the next level is a set.
-	// A gathering f's successors come as one run of values a chunk, which a
-	// unary carry claims value by value in its bitset. Only g's answers can
-	// stop the evaluation.
-	w := newLevelWorker(&ops.f, &ops.g, ce.nAnchors, p.Def.Arity(), ce.resolve, &ce.tally)
+	// The two halves of a level. A context is claimed through the seen-set
+	// (levelWorker.claim): Offer returns true exactly once per tuple, so
+	// the next level is a set. Only g's answers can stop the evaluation.
+	w := newLevelWorker(&ops.f, &ops.g, ce.nAnchors, p.Def.Arity(), &ce.carry, ce.seen, ce.resolve, &ce.tally)
 	ce.w = w
-	w.claim = func(t storage.Tuple) {
-		if ce.seen.Offer(t) {
-			w.next.push(t)
-		}
-	}
-	if bs, ok := ce.seen.(*bitsetSeen); ok {
-		set := bs.set
-		w.claimAll = func(succ []storage.Value) {
-			// Every successor is written, and the end moves past it only
-			// when it was new: no branch on the outcome of a claim. (The
-			// append makes the room; the loop closes the values up.)
-			at := len(w.next.vals)
-			next := append(w.next.vals, succ...)
-			for _, v := range succ {
-				next[at] = v
-				at += set.Claim(int(v))
-			}
-			w.next.vals, w.next.n = next[:at], at
-		}
-	} else {
-		w.claimAll = func(succ []storage.Value) {
-			for i, width := 0, w.width; i < len(succ); i += width {
-				w.claim(succ[i : i+width : i+width])
-			}
-		}
-	}
 	w.f.emit = func(s []storage.Value) bool {
 		w.claim(w.successor(s))
 		return true
@@ -1030,19 +1002,15 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 
 	// Seed contexts, claimed exactly as a level's successors are and
 	// collected in the same buffer.
-	ops.seed.run(p, syms, ce.resolve, &ce.tally, func(tup storage.Tuple) {
-		if ce.seen.Offer(tup) {
-			w.next.push(tup)
-		}
-	})
-	w.advance(&ce.carry)
+	ops.seed.run(p, syms, ce.resolve, &ce.tally, w.claim)
+	w.advance()
 	ce.claimed += ce.carry.n
 
 	// Fig. 9 while loop, one batch per level: g joins the new contexts
 	// (streaming their answers), f produces the next level.
 	ce.stats.Batches++
 	ce.stats.GProbes += ce.carry.n
-	w.exits(&ce.carry)
+	w.exits()
 	done := ctx.Done()
 	for ce.carry.n > 0 && !ce.stopped {
 		if err := expired(ctx, done); err != nil {
@@ -1054,14 +1022,14 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
-		w.expand(&ce.carry)
-		w.advance(&ce.carry)
+		w.expand()
+		w.advance()
 		ce.claimed += ce.carry.n
 		if p.TestIterHook != nil {
 			p.TestIterHook(ce.stats.Iterations)
 		}
 		ce.stats.GProbes += ce.carry.n
-		w.exits(&ce.carry)
+		w.exits()
 	}
 	if err := charge(); err != nil {
 		ce.stats.SeenSize = ce.claimed

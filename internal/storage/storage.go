@@ -1097,7 +1097,12 @@ func (r *Relation) LookupTally(bindings []Binding, buf Tuple, tally *Tally, yiel
 			by, d, w = b, in, cand
 		}
 	}
-	r.tallyUp(tally, 1, 0, st.walk(d, w, by, filter, scratch, yield))
+	// A miss — most probes of an exit relation — reads no row.
+	var examined int64
+	if w != 0 {
+		examined = st.walk(d, w, by, filter, scratch, yield)
+	}
+	r.tallyUp(tally, 1, 0, examined)
 }
 
 // tallyUp records one call's probes, scans and examined tuples: in tally
@@ -1124,33 +1129,39 @@ func (r *Relation) tallyUp(tally *Tally, probes, scans, examined int64) {
 	}
 }
 
-// index returns column col's directory, building it under the write lock
-// when there is none: never built, or dropped by tombstone compaction.
-// What it returns stays good for the caller's probe even if it is
-// dropped again the next instant (see store.cols).
-func (st *store) index(col int) *directory {
+// index returns column col's directory: the published one, or, when
+// there is none — never built, or dropped by tombstone compaction — one
+// built under the write lock (build). What it returns stays good for the
+// caller's probe even if it is dropped again the next instant (see
+// store.cols). The published case is small enough to inline into every
+// probe.
+func (st *store) index(col int) (d *directory) {
+	if d = st.cols[col].Load(); d != nil {
+		return
+	}
+	return st.build(col)
+}
+
+// build is index's slow path: it builds column col's directory under the
+// write lock, unless another caller got there first.
+func (st *store) build(col int) *directory {
+	st.mu.Lock()
 	d := st.cols[col].Load()
 	if d == nil {
-		st.mu.Lock()
-		if d = st.cols[col].Load(); d == nil {
-			d = st.buildDirectory(col, 0, st.rows)
-			st.cols[col].Store(d)
-		}
-		st.mu.Unlock()
+		d = st.buildDirectory(col, 0, st.rows)
+		st.cols[col].Store(d)
 	}
+	st.mu.Unlock()
 	return d
 }
 
 // walk yields, through scratch, the live rows that w stands for — the
-// word of by.Val's slot in d, column by.Col's directory — and that
-// satisfy every binding of filter, until yield stops it, returning the
-// number of live rows it read. It takes no lock; the block list is loaded
+// word of by.Val's occupied slot in d, column by.Col's directory — and
+// that satisfy every binding of filter, until yield stops it, returning
+// the number of live rows it read. It takes no lock; the block list is loaded
 // here, after the slot (see store). The key is filled in per row, because
 // yield may reuse the buffer for a nested probe.
 func (st *store) walk(d *directory, w uint64, by Binding, filter []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64) {
-	if w == 0 {
-		return 0
-	}
 	var lone [1]int32
 	run := d.rows(w, &lone)
 	var v storeView
@@ -1305,9 +1316,11 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 // slot of a stage, then every run's length, then the block list once, then
 // the rows — but the rows are read straight into dst: no row id is copied
 // out and nothing is yielded. A lone key has nothing to overlap and takes
-// LookupTally's path. Its counts are those of LookupKeys run to its end,
-// one probe per key and every live row examined. A gathered row was live
-// at some instant during the call.
+// LookupTally's path, but for a key whose one row is in its slot word —
+// every level of a chain — that row's columns are appended straight off
+// the block, with no run to view and no room to make. Its counts are
+// those of LookupKeys run to its end, one probe per key and every live row
+// examined. A gathered row was live at some instant during the call.
 func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, tally *Tally, dst []Value, ends []int) []Value {
 	if r.win != nil {
 		return r.gatherKeysWindow(col, outs, keys, dst, ends)
@@ -1316,9 +1329,21 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 	var probes, examined int64
 	if len(keys) == 1 {
 		d := st.index(col)
-		if w := d.slot(keys[0]); w != 0 {
-			var lone [1]int32
-			run := d.rows(w, &lone)
+		switch w := d.slot(keys[0]); {
+		case w&inlineRow != 0:
+			// The key's one row is in its slot word: read its columns
+			// straight off the block.
+			var v storeView
+			v.resolve(st)
+			if row := loneRow(w); !v.isDead(int(row)) {
+				blk := v.blocks[row>>blockShift][row&blockMask:]
+				for _, c := range outs {
+					dst = append(dst, blk[c<<blockShift])
+				}
+				examined = 1
+			}
+		case w != 0:
+			run := runIDs(d.room(uint32(w)))
 			var v storeView
 			v.resolve(st)
 			dst, examined = v.appendRun(dst, run, outs)

@@ -90,7 +90,8 @@ func BenchmarkOneSidedParallel(b *testing.B) {
 }
 
 // benchTC times transitive closure over db's a-edges and b-exits,
-// selected at start, with the result cache off: the evaluation itself.
+// selected at start, with the result cache off: the evaluation itself,
+// also as ns/level — ns/op over the levels the loop ran.
 func benchTC(b *testing.B, ctx context.Context, db *storage.Database, start string) {
 	eng, err := Open(WithDatabase(db), WithResultCache(0))
 	if err != nil {
@@ -120,6 +121,9 @@ func benchTC(b *testing.B, ctx context.Context, db *storage.Database, start stri
 	b.ReportMetric(float64(st.SeenSize), "seen")
 	b.ReportMetric(float64(st.Batches), "batches")
 	b.ReportMetric(float64(st.Iterations), "levels")
+	// The per-level cost of the Fig. 9 loop: on the chain, where every
+	// level is one context, what one f step and one g-join cost.
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(max(st.Iterations, 1)), "ns/level")
 }
 
 // BenchmarkOneSidedIngest measures raw concurrent insert throughput into
