@@ -24,12 +24,12 @@
 // next level becomes the carry by a buffer swap, so a level allocates
 // nothing. Newly discovered contexts are claimed through the seen-set,
 // whose Offer admits each tuple exactly once. When f's or g's first atom
-// is probed by one context value — every linear recursion's — a level of
-// one context, every level of a chain, runs straight through: that atom
-// is one storage call issued by the worker, with no chunk around it. A
-// wider level goes in chunks of sixteen contexts whose probes go to
-// storage together (storage.Relation.LookupKeys), and each row continues
-// its context's solution at the second atom. When f is that atom alone, a
+// is probed by one context value — every linear recursion's — a level
+// goes in chunks of sixteen contexts whose probes go to storage together
+// (storage.Relation.LookupKeys), and each row continues its context's
+// solution at the second atom. A chunk of one context — every level of a
+// chain — has nothing to stage and is one plain lookup
+// (storage.Relation.LookupTally). When f is that atom alone, a
 // row's columns are the successor: storage gathers them, for a chunk or a
 // lone context (storage.Relation.GatherKeys), a unary carry's straight
 // into the next level's arena, where the seen-set's bitset claims them in

@@ -20,11 +20,10 @@ import (
 //   - the per-solution callbacks are closures built once per run, so
 //     neither a level nor a context creates one.
 //
-// A level whose carry is one context — every level of a chain — runs
-// straight through: f's and g's first-atom probes are one storage call
-// each, issued by the worker, with no chunk to stage. A wider level goes
-// as chunks of up to probeChunk contexts, whose probes go to storage
-// together (walk); solutions arrive in context order either way. When f is
+// A level goes as chunks of up to probeChunk contexts, whose probes go to
+// storage together (walk); solutions arrive in context order either way.
+// A chunk of one context — every level of a chain — has nothing to stage:
+// f's and g's first-atom probes are one plain storage call each. When f is
 // one atom keyed by a context column, a row of it is the successor: the
 // worker has storage gather the successor columns (Relation.GatherKeys),
 // and a unary carry's straight into the next level's arena, where the
@@ -88,8 +87,8 @@ type levelOp struct {
 	// emit receives each solution: the owner's, installed once, after
 	// newLevelWorker. row and first receive the first atom's rows when the
 	// worker probes it and the op does not gather — of a staged chunk, by
-	// context ordinal, and of a lone context — each built the first time
-	// it is needed (a chain never stages).
+	// context ordinal, and of a one-context chunk — each built the first
+	// time it is needed (a chain never stages).
 	emit  func(s []storage.Value) bool
 	row   func(k int, t storage.Tuple) bool
 	first func(t storage.Tuple) bool
@@ -221,14 +220,14 @@ func (w *levelWorker) enter(op *levelOp, i int) {
 // walk runs op over the contexts of the carry until an emit stops it. An
 // operator whose first atom is not probed by one context value takes the
 // conjunction whole, context by context. Otherwise — every linear
-// recursion's f and g — that atom is probed by a column of the carry. A
-// lone context, every level of a chain, is one probe issued here and
-// nothing around it: a one-atom f gathers the context's successors
-// (gather), any other operator has the rows yielded (LookupTally) and
-// continues each at the second atom (solve). A wider level goes in chunks
-// whose probes are independent lookups of one column, staged together so
-// that their cache misses overlap: a chunk's successors gathered, or its
-// rows yielded (LookupKeys) and each continued.
+// recursion's f and g — that atom is probed by a column of the carry, in
+// chunks whose probes are independent lookups of one column, staged
+// together so that their cache misses overlap: a one-atom f gathers a
+// chunk's successors (gather), any other operator has its rows yielded
+// (LookupKeys) and continues each at the second atom (solve). A chunk of
+// one context — every level of a chain, or the last of a wider level —
+// has nothing to overlap: storage probes its one key straight (GatherKeys'
+// lone key, or LookupTally).
 func (w *levelWorker) walk(op *levelOp) {
 	carry := w.carry
 	if op.keyCol < 0 {
@@ -245,19 +244,6 @@ func (w *levelWorker) walk(op *levelOp) {
 		return
 	}
 	at := w.nAnchors + op.keyCol
-	if carry.n == 1 {
-		if op.rowCols != nil {
-			w.base, w.keys[0] = 0, carry.vals[at]
-			w.gather(op, rel, 1)
-			return
-		}
-		if op.first == nil {
-			op.first = func(t storage.Tuple) bool { return w.solve(op, 0, t) }
-		}
-		op.key[0].Val = carry.vals[at]
-		rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
-		return
-	}
 	for lo, hi := 0, carry.n; lo < hi; lo += probeChunk {
 		w.base = lo
 		n := min(probeChunk, hi-lo)
@@ -267,6 +253,16 @@ func (w *levelWorker) walk(op *levelOp) {
 		if op.rowCols != nil {
 			w.gather(op, rel, n)
 			continue
+		}
+		if n == 1 {
+			// The last chunk, one context: its rows come one at a time,
+			// so an emit that stops the run stops the rows counted too.
+			if op.first == nil {
+				op.first = func(t storage.Tuple) bool { return w.solve(op, w.base, t) }
+			}
+			op.key[0].Val = w.keys[0]
+			rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
+			return
 		}
 		if op.row == nil {
 			op.row = func(k int, t storage.Tuple) bool { return w.solve(op, w.base+k, t) }

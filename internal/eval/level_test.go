@@ -168,8 +168,8 @@ func TestLevelShapesMatchSerial(t *testing.T) {
 // number: a cold context-mode evaluation of a chain twice as deep must
 // not allocate more, because a level reuses its worker's scratch and the
 // carry arena instead of building them, and neither may allocate more than
-// levelAllocBudget — the gather's buffer is carved out of the worker's
-// scratch block, and its claim-all loop is built once a run.
+// levelAllocBudget — a unary carry's gather appends to the next level's
+// arena and claims there, and no closure is built per level.
 func TestLevelLoopAllocationBudget(t *testing.T) {
 	d := mustDef(t, tcSrc, "t")
 	measure := func(edges int) (allocs float64, levels int) {
@@ -459,5 +459,41 @@ func TestLoneLevelsMatchWalk(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTrailingLoneChunkCountsToItsStop: the last chunk of a wide level
+// can hold one context, which is probed alone, its rows yielded one at a
+// time; when its first answer stops the run, only the rows read up to
+// the stop are counted, not the rest of its run. s's successors are a
+// level of probeChunk+1 contexts, and only the last has exit rows: one of
+// them or thirty, a run stopped at its first answer counts the same.
+func TestTrailingLoneChunkCountsToItsStop(t *testing.T) {
+	d := mustDef(t, tcSrc, "t")
+	plan, err := CompileSelection(d, parser.MustParseAtom("t(s, Y)"))
+	if err != nil || plan.Mode != ModeContext {
+		t.Fatalf("plan %v, err %v; want a context-mode plan", plan, err)
+	}
+	stopped := func(exits int) storage.Counters {
+		db := storage.NewDatabase()
+		last := "m" + strconv.Itoa(probeChunk)
+		for i := 0; i <= probeChunk; i++ {
+			db.AddFact("a", "s", "m"+strconv.Itoa(i))
+		}
+		for i := 0; i < exits; i++ {
+			db.AddFact("b", last, "y"+strconv.Itoa(i))
+		}
+		ce := plan.newContextEval(db, func(storage.Tuple) bool { return false })
+		before := db.Stats.Snapshot()
+		if _, _, err := ce.run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if ce.carry.n != probeChunk+1 || ce.ans.Len() != 1 {
+			t.Fatalf("test premise: stopped at a level of %d contexts, %d answers", ce.carry.n, ce.ans.Len())
+		}
+		return db.Stats.Snapshot().Sub(before)
+	}
+	if one, thirty := stopped(1), stopped(30); one != thirty {
+		t.Fatalf("stopped at the first answer: %+v counted with one exit row, %+v with thirty", one, thirty)
 	}
 }

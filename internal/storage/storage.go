@@ -1316,11 +1316,9 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 // slot of a stage, then every run's length, then the block list once, then
 // the rows — but the rows are read straight into dst: no row id is copied
 // out and nothing is yielded. A lone key has nothing to overlap and takes
-// LookupTally's path, but for a key whose one row is in its slot word —
-// every level of a chain — that row's columns are appended straight off
-// the block, with no run to view and no room to make. Its counts are
-// those of LookupKeys run to its end, one probe per key and every live row
-// examined. A gathered row was live at some instant during the call.
+// LookupTally's path. Its counts are those of LookupKeys run to its end,
+// one probe per key and every live row examined. A gathered row was live
+// at some instant during the call.
 func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, tally *Tally, dst []Value, ends []int) []Value {
 	if r.win != nil {
 		return r.gatherKeysWindow(col, outs, keys, dst, ends)
@@ -1329,21 +1327,9 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 	var probes, examined int64
 	if len(keys) == 1 {
 		d := st.index(col)
-		switch w := d.slot(keys[0]); {
-		case w&inlineRow != 0:
-			// The key's one row is in its slot word: read its columns
-			// straight off the block.
-			var v storeView
-			v.resolve(st)
-			if row := loneRow(w); !v.isDead(int(row)) {
-				blk := v.blocks[row>>blockShift][row&blockMask:]
-				for _, c := range outs {
-					dst = append(dst, blk[c<<blockShift])
-				}
-				examined = 1
-			}
-		case w != 0:
-			run := runIDs(d.room(uint32(w)))
+		if w := d.slot(keys[0]); w != 0 {
+			var lone [1]int32
+			run := d.rows(w, &lone)
 			var v storeView
 			v.resolve(st)
 			dst, examined = v.appendRun(dst, run, outs)
