@@ -243,26 +243,16 @@ func (w *levelWorker) walk(op *levelOp) {
 	if rel == nil {
 		return
 	}
-	at := w.nAnchors + op.keyCol
-	for lo, hi := 0, carry.n; lo < hi; lo += probeChunk {
+	at, lo := w.nAnchors+op.keyCol, 0
+	for ; carry.n-lo > 1; lo += probeChunk {
 		w.base = lo
-		n := min(probeChunk, hi-lo)
+		n := min(probeChunk, carry.n-lo)
 		for j := 0; j < n; j++ {
 			w.keys[j] = carry.vals[(lo+j)*w.width+at]
 		}
 		if op.rowCols != nil {
 			w.gather(op, rel, n)
 			continue
-		}
-		if n == 1 {
-			// The last chunk, one context: its rows come one at a time,
-			// so an emit that stops the run stops the rows counted too.
-			if op.first == nil {
-				op.first = func(t storage.Tuple) bool { return w.solve(op, w.base, t) }
-			}
-			op.key[0].Val = w.keys[0]
-			rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
-			return
 		}
 		if op.row == nil {
 			op.row = func(k int, t storage.Tuple) bool { return w.solve(op, w.base+k, t) }
@@ -271,6 +261,22 @@ func (w *levelWorker) walk(op *levelOp) {
 			return
 		}
 	}
+	if lo >= carry.n {
+		return
+	}
+	// One context left: the whole level, on a chain, or the last chunk
+	// of a wider one. Its rows come one at a time, so an emit that stops
+	// the run stops the rows counted too.
+	w.base, w.keys[0] = lo, carry.vals[lo*w.width+at]
+	if op.rowCols != nil {
+		w.gather(op, rel, 1)
+		return
+	}
+	if op.first == nil {
+		op.first = func(t storage.Tuple) bool { return w.solve(op, w.base, t) }
+	}
+	op.key[0].Val = w.keys[0]
+	rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
 }
 
 // gather claims the successors a one-atom f finds for the n contexts
