@@ -1316,9 +1316,11 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 // slot of a stage, then every run's length, then the block list once, then
 // the rows — but the rows are read straight into dst: no row id is copied
 // out and nothing is yielded. A lone key has nothing to overlap and takes
-// LookupTally's path. Its counts are those of LookupKeys run to its end,
-// one probe per key and every live row examined. A gathered row was live
-// at some instant during the call.
+// LookupTally's path, but for a key whose one row is in its slot word —
+// every level of a chain — that row's columns are appended straight off
+// the block, with no run to view and no room to make. Its counts are
+// those of LookupKeys run to its end, one probe per key and every live row
+// examined. A gathered row was live at some instant during the call.
 func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, tally *Tally, dst []Value, ends []int) []Value {
 	if r.win != nil {
 		return r.gatherKeysWindow(col, outs, keys, dst, ends)
@@ -1327,9 +1329,21 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 	var probes, examined int64
 	if len(keys) == 1 {
 		d := st.index(col)
-		if w := d.slot(keys[0]); w != 0 {
-			var lone [1]int32
-			run := d.rows(w, &lone)
+		switch w := d.slot(keys[0]); {
+		case w&inlineRow != 0:
+			// The key's one row is in its slot word: read its columns
+			// straight off the block.
+			var v storeView
+			v.resolve(st)
+			if row := loneRow(w); !v.isDead(int(row)) {
+				blk := v.blocks[row>>blockShift][row&blockMask:]
+				for _, c := range outs {
+					dst = append(dst, blk[c<<blockShift])
+				}
+				examined = 1
+			}
+		case w != 0:
+			run := runIDs(d.room(uint32(w)))
 			var v storeView
 			v.resolve(st)
 			dst, examined = v.appendRun(dst, run, outs)
@@ -1386,7 +1400,8 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 // copied on its own, one load and one store a row — the probed column too,
 // whose value in the block is the key the run is posted under — and only
 // a view with tombstones closes up over the dead rows afterwards. Every
-// gather reads its rows through here.
+// gather reads its rows through here, but for a lone key's one row held
+// in its slot word (GatherKeys).
 func (v *storeView) appendRun(dst []Value, run []int32, outs []int) ([]Value, int64) {
 	if len(run) == 0 {
 		return dst, 0
