@@ -43,23 +43,30 @@ import (
 // and ref says where the rows are. With its top bit (inlineRow) set the
 // rest of it IS the id of the key's one row — every key of a chain, a
 // tree, any functional column — and a probe is done with the slot.
-// Otherwise ref names a run in the directory's arena: chunk ref>>chunkShift,
-// word ref&chunkMask, where one length word is followed by the ids, in room
-// for runCap(length) of them (the capacity follows from the length and is
-// not kept). Chunks never move and a run is never reused, so whatever a
-// reader was handed stays as it was.
+// Otherwise ref names an entry in the directory's arena: chunk
+// ref>>chunkShift, word ref&chunkMask, which starts with a length word. An
+// entry whose length word has its top bit (rangeBit) set is a range: one
+// more word, the first row, and the key's rows are the length rows from it
+// on, one contiguous stretch of the blocks — what a build finds for every
+// key of a clustered relation (store.cluster), and for any key whose rows
+// happen to lie side by side. A range is never written again once its slot
+// word names it. Any other entry is a run: the length word is followed by
+// the ids, in room for runCap(length) of them (the capacity follows from
+// the length and is not kept). Chunks never move and an entry is never
+// reused, so whatever a reader was handed stays as it was.
 //
 // One writer at a time — whoever holds the relation's write lock — extends a
 // directory while any number of readers probe it without a lock, and one
 // rule orders them: a reference is stored after what it refers to. The
 // writer widens [lo, hi] to a new key, and sets the key's bit in the
 // bitmap's range, before it stores the key's slot word, and clears no
-// bit; it writes a run's ids and length, and publishes the chunk they are
-// in, before the atomic store of the slot word that names the run; it
-// appends an id before the atomic store of the longer length; a run that
-// is full is copied into room twice the size, and the slot word then
-// stored, the old run staying behind, abandoned, for the readers still on
-// it. The reader loads the key's bit or [lo, hi] before the slot — a
+// bit; it writes an entry — a run's ids and length, a range's two words —
+// and publishes the chunk it is in, before the atomic store of the slot
+// word that names it; it appends an id to a run before the atomic store
+// of the longer length; a run that is full, or a range, which is never
+// extended, is copied into a run with room for twice as many, and the slot
+// word then stored, the old entry staying behind, abandoned, for the
+// readers still on it. The reader loads the key's bit or [lo, hi] before the slot — a
 // clear bit, or a key outside the range, means no word was there to
 // load — then makes one atomic 64-bit load of the slot, then loads the
 // chunk list, then the length (slot, rows): the word it got was stored
@@ -110,6 +117,8 @@ type directory struct {
 const (
 	// inlineRow is the reference bit that makes the rest a row id.
 	inlineRow = 1 << 31
+	// rangeBit is the length-word bit that makes an entry a range.
+	rangeBit = math.MinInt32
 	// chunkShift splits a run reference into chunk and word.
 	chunkShift = 16
 	chunkMask  = 1<<chunkShift - 1
@@ -199,42 +208,59 @@ func (d *directory) slot(key Value) (w uint64) {
 	}
 }
 
-// room returns the room of the run ref names, from its length word on,
+// room returns the room of the entry ref names, from its length word on,
 // without looking at it. Safe without a lock, for a ref loaded before.
 func (d *directory) room(ref uint32) []int32 {
 	return (*d.chunks.Load())[ref>>chunkShift][ref&chunkMask:]
 }
 
+// rowSet is the rows a slot word stands for: the ids of a run, or — ids
+// nil — the n rows from first on, a key's lone row or a range. A run's ids
+// ascend, as a range's rows do.
+type rowSet struct {
+	ids   []int32
+	first int32
+	n     int32
+}
+
+// at is the set's i-th row, for i < n.
+func (s *rowSet) at(i int) int32 {
+	if s.ids != nil {
+		return s.ids[i]
+	}
+	return s.first + int32(i)
+}
+
 // count returns how many rows w — the word slot returned, of a slot of d —
 // stands for. Safe without a lock.
 func (d *directory) count(w uint64) int {
-	switch {
-	case w == 0:
+	if w == 0 {
 		return 0
-	case w&inlineRow != 0:
-		return 1
 	}
-	return len(runIDs(d.room(uint32(w))))
+	return int(d.rows(w).n)
 }
 
 // loneRow is the row id in a slot word whose inlineRow bit is set.
-func loneRow(w uint64) int32 { return int32(w & (inlineRow - 1)) }
+func loneRow(w uint64) int32 { return int32(w) & math.MaxInt32 }
 
-// runIDs returns the ids of the run whose room this is (see room): as
-// many as its length word says now. Safe without a lock.
-func runIDs(room []int32) []int32 { return room[1 : 1+atomic.LoadInt32(&room[0])] }
-
-// rows returns the ids w — the word of an occupied slot of d — stands
-// for: the run's, as many as its length word says now, or the one in the
-// word, seen through lone. (The storage is the caller's because a view of
-// the word that travelled with it would point into itself, and move every
-// probe's to the heap.) Safe without a lock.
-func (d *directory) rows(w uint64, lone *[1]int32) []int32 {
-	if w&inlineRow != 0 {
-		lone[0] = loneRow(w)
-		return lone[:]
+// runIDs returns the rows of the entry whose room this is (see room): a
+// range's, or as many of a run's ids as its length word says now. Safe
+// without a lock.
+func runIDs(room []int32) rowSet {
+	n := atomic.LoadInt32(&room[0])
+	if n < 0 {
+		return rowSet{first: room[1], n: n &^ rangeBit}
 	}
-	return runIDs(d.room(uint32(w)))
+	return rowSet{ids: room[1 : 1+n], n: n}
+}
+
+// rows returns the rows w — the word of an occupied slot of d — stands
+// for: the one in the word, or its entry's (runIDs). Safe without a lock.
+func (d *directory) rows(w uint64) rowSet {
+	if w&inlineRow == 0 {
+		return runIDs(d.room(uint32(w)))
+	}
+	return rowSet{first: int32(w) & math.MaxInt32, n: 1} // loneRow, spelled out to keep this inlinable
 }
 
 // probe returns the index of key's slot — in a hashed table, of the
@@ -356,31 +382,31 @@ func (d *directory) reserve(c int32) (ref uint32, run []int32) {
 
 // post appends row to key's rows in d, the published directory of column
 // col, publishing in turn what a reader could not otherwise reach (see
-// directory): a key's second row moves both into a run, a full run moves
-// to one twice the size, and a larger table replaces d when a new key
-// needed a slot d had no room for. Caller holds the write lock.
+// directory): a run with room takes the row in place; a key's lone row, a
+// full run and a range move, with the row, to a run with room for twice
+// as many; and a larger table replaces d when a new key needed a slot d
+// had no room for. Caller holds the write lock.
 func (st *store) post(col int, d *directory, key Value, row int32) {
 	i, in := d.claim(key)
 	slot := &in.slots[i]
-	switch w := *slot; {
-	case w == 0:
+	if w := *slot; w == 0 {
 		atomic.StoreUint64(slot, slotWord(key, inlineRow|uint32(row)))
-	case uint32(w)&inlineRow != 0:
-		ref, run := in.reserve(runCap(2))
-		run[0], run[1], run[2] = 2, loneRow(w), row
-		atomic.StoreUint64(slot, slotWord(key, ref))
-	default:
-		run := in.room(uint32(w))
-		n := run[0]
-		if n < runCap(n) {
-			run[1+n] = row
-			atomic.StoreInt32(&run[0], n+1)
-			break
+	} else if old := in.rows(w); old.ids != nil && old.n < runCap(old.n) {
+		room := in.room(uint32(w))
+		room[1+old.n] = row
+		atomic.StoreInt32(&room[0], old.n+1)
+	} else {
+		ref, moved := in.reserve(runCap(old.n + 1))
+		for j := range int(old.n) {
+			moved[1+j] = old.at(j)
 		}
-		ref, moved := in.reserve(2 * n)
-		copy(moved[1:], run[1:1+n])
-		moved[0], moved[1+n] = n+1, row
-		in.abandoned += 1 + int(n)
+		moved[0], moved[1+old.n] = old.n+1, row
+		switch {
+		case old.ids != nil:
+			in.abandoned += 1 + int(old.n)
+		case w&inlineRow == 0:
+			in.abandoned += 2
+		}
 		atomic.StoreUint64(slot, slotWord(key, ref))
 	}
 	if in != d {
@@ -388,30 +414,28 @@ func (st *store) post(col int, d *directory, key Value, row int32) {
 	}
 }
 
-// buildDirectory indexes column col of the store's live rows in [lo, hi)
-// (tombstoned rows are left out — the compaction path relies on this). A
-// first pass finds the keys' range: when it spans at most 8/3 slots a row,
-// the table is dense and exactly that span from the start, and is rehashed
-// once the keys are counted if there are too few of them for it (see
-// sized); otherwise it is hashed and grows as the keys come in, every
-// table it grows through made for the whole range, so that the last one's
-// bitmap, if it has room for one, covers every key. The second
-// pass counts each key's rows, in the low word of the key's slot, so that
-// every run is carved, with room by the same rule as a posted one's, out
-// of one exact allocation; the third fills the runs, a run's length word
-// counting what it has so far. Caller holds the lock — the write lock for
-// a directory of the store's own, the read lock for a window's — and the
-// result is private until stored.
-func (st *store) buildDirectory(col, lo, hi int) *directory {
-	live := func(yield func(row int, key Value)) {
-		for row := lo; row < hi; row++ {
-			if st.deadCnt == 0 || !st.isDeadLocked(row) {
-				yield(row, st.valueAt(row, col))
-			}
+// eachLive calls fn with each live row in [lo, hi) and its column col, in
+// row order. Caller holds the lock.
+func (st *store) eachLive(col, lo, hi int, fn func(row int, key Value)) {
+	for row := lo; row < hi; row++ {
+		if st.deadCnt == 0 || !st.isDeadLocked(row) {
+			fn(row, st.valueAt(row, col))
 		}
 	}
+}
+
+// keyTable returns a table of the keys of column col among the store's
+// live rows in [lo, hi), the low word of each key's slot its count of
+// them, and no arena. A first pass finds the keys' range: when it spans at
+// most 8/3 slots a row, the table is dense and exactly that span from the
+// start, and is rehashed once the keys are counted if there are too few
+// of them for it (see sized); otherwise it is hashed and grows as the keys
+// come in, every table it grows through made for the whole range, so that
+// the last one's bitmap, if it has room for one, covers every key. The
+// second pass counts each key's rows. Caller holds the lock.
+func (st *store) keyTable(col, lo, hi int) *directory {
 	rows, kmin, kmax := 0, Value(math.MaxInt32), Value(math.MinInt32)
-	live(func(_ int, key Value) {
+	st.eachLive(col, lo, hi, func(_ int, key Value) {
 		rows, kmin, kmax = rows+1, min(kmin, key), max(kmax, key)
 	})
 	d := newDirectory()
@@ -421,7 +445,7 @@ func (st *store) buildDirectory(col, lo, hi int) *directory {
 		d.lo.Store(int32(kmin))
 		d.hi.Store(int32(kmax))
 	}
-	live(func(_ int, key Value) {
+	st.eachLive(col, lo, hi, func(_ int, key Value) {
 		var i int
 		i, d = d.claim(key)
 		if d.slots[i] == 0 {
@@ -432,16 +456,47 @@ func (st *store) buildDirectory(col, lo, hi int) *directory {
 	if d.dense() && 3*len(d.slots) > 8*d.used {
 		d = d.into(sized(d.used, kmin, kmax, false))
 	}
+	return d
+}
+
+// buildDirectory indexes column col of the store's live rows in [lo, hi)
+// (tombstoned rows are left out — the compaction path relies on this). On
+// the key table (keyTable), a third pass finds each key's first row and
+// whether its rows are contiguous; every entry is then carved out of one
+// exact allocation: a key with one row goes in its slot word, a key whose
+// rows are contiguous gets a range, any other a run, with room by the same
+// rule as a posted one's, which a last pass fills — a run's length word
+// counting what it has so far. Caller holds the lock — the write lock for
+// a directory of the store's own, the read lock for a window's — and the
+// result is private until stored.
+func (st *store) buildDirectory(col, lo, hi int) *directory {
+	d := st.keyTable(col, lo, hi)
+	// first[i] is the first row of slot i's key, -1 before it is seen and
+	// -2 once a row of the key lies past first + count: rows ascend, so a
+	// key's rows are contiguous exactly when none does.
+	first := make([]int32, len(d.slots))
+	for i := range first {
+		first[i] = -1
+	}
+	st.eachLive(col, lo, hi, func(row int, key Value) {
+		i := d.probe(key)
+		switch f := first[i]; {
+		case f == -1:
+			first[i] = int32(row)
+		case f >= 0 && row-int(f) >= int(uint32(d.slots[i])):
+			first[i] = -2
+		}
+	})
 	// Counts become references: of a bulk arena, whose chunks are views of
-	// one allocation, a run's reference is its offset in it.
-	total := 1 // word 0 is no run's: see reserve
+	// one allocation, an entry's reference is its offset in it.
+	total, runs := 1, false // word 0 is no entry's: see reserve
 	for i, w := range d.slots {
-		switch key, n := Value(w>>32), int32(uint32(w)); {
-		case n == 1:
-			d.slots[i] = slotWord(key, inlineRow) // the row's id is or-ed in below
+		switch n := int32(uint32(w)); {
+		case n > 1 && first[i] >= 0:
+			total += 2
 		case n > 1:
-			d.slots[i] = slotWord(key, uint32(total))
 			total += 1 + int(runCap(n))
+			runs = true
 		}
 	}
 	if total > 1<<31 {
@@ -457,15 +512,29 @@ func (st *store) buildDirectory(col, lo, hi int) *directory {
 		d.chunks.Store(&list)
 		d.free, d.words = len(list[len(list)-1]), total
 	}
-	live(func(row int, key Value) {
-		i := d.probe(key)
-		if ref := uint32(d.slots[i]); ref&inlineRow != 0 {
-			d.slots[i] |= uint64(row)
-		} else {
-			run := arena[ref:]
-			run[0]++
-			run[run[0]] = int32(row)
+	at := 1
+	for i, w := range d.slots {
+		switch key, n := Value(w>>32), int32(uint32(w)); {
+		case n == 1:
+			d.slots[i] = slotWord(key, inlineRow|uint32(first[i]))
+		case n > 1 && first[i] >= 0:
+			arena[at], arena[at+1] = rangeBit|n, first[i]
+			d.slots[i] = slotWord(key, uint32(at))
+			at += 2
+		case n > 1:
+			d.slots[i] = slotWord(key, uint32(at))
+			at += 1 + int(runCap(n))
 		}
-	})
+	}
+	if runs {
+		st.eachLive(col, lo, hi, func(row int, key Value) {
+			i := d.probe(key)
+			if ref := uint32(d.slots[i]); ref&inlineRow == 0 && first[i] < 0 {
+				run := arena[ref:]
+				run[0]++
+				run[run[0]] = int32(row)
+			}
+		})
+	}
 	return d
 }

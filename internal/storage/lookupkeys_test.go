@@ -407,11 +407,14 @@ func TestStageLoadsRunLengthsBeforeBlocks(t *testing.T) {
 	defer func() { stageHook = nil }()
 	for _, probe := range []string{"LookupKeys", "GatherKeys"} {
 		r := NewRelation(2, nil)
-		r.InsertBatch([]Tuple{{1, 100}, {1, 101}, {1, 102}, {2, 200}})
+		r.InsertBatch([]Tuple{{1, 100}, {2, 200}, {1, 101}, {1, 102}}) // key 1's rows apart: a run, not a range
 		for i := r.Len(); i < blockRows; i++ {
 			r.Insert(Tuple{3, Value(1000 + i)})
 		}
 		r.Lookup([]Binding{{Col: 0, Val: 1}}, func(Tuple) bool { return true }) // column 0's directory: key 1's run has room for four
+		if d := r.store.cols[0].Load(); d.rows(d.slot(1)).ids == nil {
+			t.Fatal("test premise: key 1's rows are not a run")
+		}
 		stageHook = func() {
 			stageHook = nil
 			r.Insert(Tuple{1, 999}) // row blockRows: the first of block 1

@@ -75,13 +75,12 @@ func (r *Relation) tallyUp(tally *Tally, probes, scans, examined int64) {
 // here, after the slot (see store). The key is filled in per row, because
 // yield may reuse the buffer for a nested probe.
 func (st *store) walk(d *directory, w uint64, by Binding, filter []Binding, scratch Tuple, yield func(Tuple) bool) (examined int64) {
-	var lone [1]int32
-	run := d.rows(w, &lone)
+	s := d.rows(w)
 	var v storeView
 	v.resolve(st)
 rows:
-	for _, row := range run {
-		if !v.readKeyed(row, by.Col, by.Val, scratch) {
+	for i := range int(s.n) {
+		if !v.readKeyed(s.at(i), by.Col, by.Val, scratch) {
 			continue
 		}
 		examined++
@@ -106,20 +105,19 @@ const (
 )
 
 // stageHook, nil outside tests, runs in every stage of LookupKeys and
-// GatherKeys between the stage's slot loads and its run-length loads: a
+// GatherKeys between the stage's slot loads and its entries' loads: a
 // test's writer put there shows whether the block list is loaded after
-// the run lengths, as it must be (see store).
+// the entries, as it must be (see store).
 var stageHook func()
 
 // KeyStage is the scratch of LookupKeys and GatherKeys, owned by the
 // caller — one per goroutine, reused from call to call, so that a call
 // neither allocates nor clears it. The zero value is ready to use.
 type KeyStage struct {
-	// Per probe of the stage: its run — a view of lone when the key has the
-	// one row its directory slot holds — and where its rows end among those
-	// gathered. The probe's key is keys[k+p] for the stage's first key k.
-	run  [stageProbes][]int32
-	lone [stageProbes]int32
+	// Per probe of the stage: its rows — until its entry is read, ids is
+	// the entry's room — and where they end among those gathered. The
+	// probe's key is keys[k+p] for the stage's first key k.
+	rows [stageProbes]rowSet
 	end  [stageProbes]int32
 	// Per gathered row: its id, then — once read — the ordinal of its key
 	// and its values in vals (arity apiece).
@@ -164,12 +162,11 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 		for p, key := range stage {
 			switch w := d.slot(key); {
 			case w == 0:
-				ks.run[p] = nil
+				ks.rows[p] = rowSet{}
 			case w&inlineRow != 0:
-				ks.lone[p] = loneRow(w)
-				ks.run[p] = ks.lone[p : p+1]
+				ks.rows[p] = rowSet{first: loneRow(w), n: 1}
 			default:
-				ks.run[p] = d.room(uint32(w))
+				ks.rows[p] = rowSet{ids: d.room(uint32(w))}
 				unread |= 1 << p
 			}
 		}
@@ -179,7 +176,7 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 		}
 		for ; unread != 0; unread &= unread - 1 {
 			p := bits.TrailingZeros32(unread)
-			ks.run[p] = runIDs(ks.run[p])
+			ks.rows[p] = runIDs(ks.rows[p].ids)
 		}
 		var v storeView
 		for p, at := 0, 0; p < len(stage) && more; {
@@ -187,12 +184,12 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 			// end[q] closes probe q's share of it.
 			n, from := 0, p
 			for p < len(stage) && n < stageRows {
-				run := ks.run[p]
-				for ; at < len(run) && n < stageRows; at, n = at+1, n+1 {
-					ks.id[n] = run[at]
+				s := &ks.rows[p]
+				for ; at < int(s.n) && n < stageRows; at, n = at+1, n+1 {
+					ks.id[n] = s.at(at)
 				}
 				ks.end[p] = int32(n)
-				if at < len(run) {
+				if at < int(s.n) {
 					break
 				}
 				p, at = p+1, 0
@@ -256,10 +253,10 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 				examined = 1
 			}
 		case w != 0:
-			run := runIDs(d.room(uint32(w)))
+			s := d.rows(w)
 			var v storeView
 			v.resolve(st)
-			dst, examined = v.appendRun(dst, run, outs)
+			dst, examined = v.appendRows(dst, s, outs)
 		}
 		ends[0] = len(dst)
 		r.tallyUp(tally, 1, 0, examined)
@@ -271,13 +268,12 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 		for p, key := range stage {
 			switch w := d.slot(key); {
 			case w == 0:
-				ks.run[p] = nil
+				ks.rows[p] = rowSet{}
 			case w&inlineRow != 0:
-				ks.lone[p] = loneRow(w)
-				ks.run[p] = ks.lone[p : p+1]
+				ks.rows[p] = rowSet{first: loneRow(w), n: 1}
 				hit = true
 			default:
-				ks.run[p] = d.room(uint32(w))
+				ks.rows[p] = rowSet{ids: d.room(uint32(w))}
 				unread |= 1 << p
 				hit = true
 			}
@@ -288,7 +284,7 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 		}
 		for ; unread != 0; unread &= unread - 1 {
 			p := bits.TrailingZeros32(unread)
-			ks.run[p] = runIDs(ks.run[p])
+			ks.rows[p] = runIDs(ks.rows[p].ids)
 		}
 		// Every slot and run of the stage is loaded: now the block list.
 		var v storeView
@@ -296,9 +292,9 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 			v.resolve(st)
 		}
 		for p := range stage {
-			if run := ks.run[p]; len(run) > 0 {
+			if ks.rows[p].n > 0 {
 				var n int64
-				dst, n = v.appendRun(dst, run, outs)
+				dst, n = v.appendRows(dst, ks.rows[p], outs)
 				examined += n
 			}
 			ends[k+p] = len(dst)
@@ -308,32 +304,49 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 	return dst
 }
 
-// appendRun appends to dst the columns outs of each live row of run, and
+// appendRows appends to dst the columns outs of each live row of s, and
 // reports how many rows it appended. dst grows once; then each column is
-// copied on its own, one load and one store a row — the probed column too,
-// whose value in the block is the key the run is posted under — and only
-// a view with tombstones closes up over the dead rows afterwards. Every
-// gather reads its rows through here, but for a lone key's one row held
-// in its slot word (GatherKeys).
-func (v *storeView) appendRun(dst []Value, run []int32, outs []int) ([]Value, int64) {
-	if len(run) == 0 {
+// copied on its own — the probed column too, whose value in the block is
+// the key the rows are posted under: of a range, as one slice of each
+// block the range crosses, and of a run one load and one store a row. Only
+// a view with tombstones then closes up over the dead rows. Every gather
+// reads its rows through here, but for a lone key's one row held in its
+// slot word (GatherKeys).
+func (v *storeView) appendRows(dst []Value, s rowSet, outs []int) ([]Value, int64) {
+	n := int(s.n)
+	if n == 0 {
 		return dst, 0
 	}
 	at, width := len(dst), len(outs)
-	dst = slices.Grow(dst, len(run)*width)[:at+len(run)*width]
+	dst = slices.Grow(dst, n*width)[:at+n*width]
 	rows := dst[at:]
-	for j, c := range outs {
-		off, col := c<<blockShift, rows[j:]
-		for i, row := range run {
-			col[i*width] = v.blocks[row>>blockShift][off+int(row&blockMask)]
+	if s.ids == nil {
+		for i := 0; i < n; {
+			row := int(s.first) + i
+			blk, off := v.blocks[row>>blockShift], row&blockMask
+			m := min(n-i, blockRows-off)
+			for j, c := range outs {
+				col := rows[i*width+j:]
+				for k, x := range blk[c<<blockShift|off:][:m] {
+					col[k*width] = x
+				}
+			}
+			i += m
+		}
+	} else {
+		for j, c := range outs {
+			off, col := c<<blockShift, rows[j:]
+			for i, row := range s.ids {
+				col[i*width] = v.blocks[row>>blockShift][off+int(row&blockMask)]
+			}
 		}
 	}
 	if v.dead == nil {
-		return dst, int64(len(run))
+		return dst, int64(n)
 	}
 	live := 0
-	for i, row := range run {
-		if !v.isDead(int(row)) {
+	for i := range n {
+		if !v.isDead(int(s.at(i))) {
 			copy(rows[live*width:(live+1)*width], rows[i*width:(i+1)*width])
 			live++
 		}

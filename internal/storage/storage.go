@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -268,6 +271,12 @@ type store struct {
 	// completely.
 	tail      []tailEntry
 	tailFloor uint64
+	// fixedFrom bounds the rows a first directory may move (cluster): those
+	// from it on never do. A tracked relation's store starts it at
+	// MaxInt64, and DeltaSince lowers it to the lo of every window it hands
+	// out, which may outlive the tail entries that named its rows; an
+	// untracked store leaves it at 0, so that none of its rows ever moves.
+	fixedFrom atomic.Int64
 }
 
 // blockList is a store's published block and tombstone lists. The slices
@@ -1080,16 +1089,107 @@ func (st *store) index(col int) (d *directory) {
 }
 
 // build is index's slow path: it builds column col's directory under the
-// write lock, unless another caller got there first.
+// write lock, unless another caller got there first. The first directory a
+// store builds, while it has no tombstone, clusters its rows first.
 func (st *store) build(col int) *directory {
 	st.mu.Lock()
 	d := st.cols[col].Load()
 	if d == nil {
+		if st.deadCnt == 0 && !st.indexed() {
+			st.cluster(col)
+		}
 		d = st.buildDirectory(col, 0, st.rows)
 		st.cols[col].Store(d)
 	}
 	st.mu.Unlock()
 	return d
+}
+
+// indexed reports whether any column has a published directory.
+func (st *store) indexed() bool {
+	for c := range st.cols {
+		if st.cols[c].Load() != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// cluster lays the store's movable rows out afresh, sorted by column col
+// and, within a key, in insertion order, so that a directory then built on
+// col finds each key's rows there contiguous and names them by a range
+// (see directory) — a gather copies them as slices of their blocks instead
+// of reading an id and then a row. The rows that may move are those below
+// p, the lowest of the row count, the first row the delta tail names (the
+// tail's windows are runs of rows from there on) and fixedFrom (the
+// windows already handed out); the rest stay where they are, and a key
+// with rows on both sides of p gets a run. Nothing else may name a row: no
+// directory is built and none was ever dropped, which only a tombstone
+// does. A layout that is the one there already is left as it is.
+//
+// The moved rows go into fresh blocks — the block that holds row p too,
+// its rows from p on copied as they are — and the new block list is
+// published before the directory that names the new places; a lock-free
+// reader that loaded the old list finishes on the old blocks, which are
+// never written again. The dedup table's row ids are remapped. Caller
+// holds the write lock.
+func (st *store) cluster(col int) {
+	p := min(int64(st.rows), st.fixedFrom.Load())
+	if len(st.tail) > 0 {
+		p = min(p, int64(st.tail[0].row))
+	}
+	if p < 2 {
+		return
+	}
+	// The sort is a counting sort: each key's count among the rows, and
+	// from the counts in key order — a dense table's slot order — each
+	// key's first place, in the low word of its slot.
+	t := st.keyTable(col, 0, int(p))
+	keys := make([]int, 0, t.used)
+	for i, w := range t.slots {
+		if w != 0 {
+			keys = append(keys, i)
+		}
+	}
+	if !t.dense() {
+		slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(Value(t.slots[a]>>32), Value(t.slots[b]>>32)) })
+	}
+	at := uint64(0)
+	for _, i := range keys {
+		n := uint64(uint32(t.slots[i]))
+		t.slots[i] = t.slots[i]&^(1<<32-1) | at
+		at += n
+	}
+	to, moved := make([]int32, p), false
+	for row := range to {
+		i := t.probe(st.valueAt(row, col))
+		to[row] = int32(uint32(t.slots[i]))
+		t.slots[i]++
+		moved = moved || int(to[row]) != row
+	}
+	if !moved {
+		return
+	}
+	blocks, last := slices.Clone(st.blocks), int(p-1)>>blockShift
+	for b := 0; b <= last; b++ {
+		blocks[b] = make([]Value, len(st.cols)<<blockShift)
+	}
+	for c := range st.cols {
+		off := c << blockShift
+		for row := int(p); row < min(st.rows, (last+1)<<blockShift); row++ {
+			blocks[last][off|row&blockMask] = st.blocks[last][off|row&blockMask]
+		}
+		for row, dst := range to {
+			blocks[dst>>blockShift][off|int(dst)&blockMask] = st.blocks[row>>blockShift][off|row&blockMask]
+		}
+	}
+	for i, s := range st.slots {
+		if s > 0 && int64(s) <= p {
+			st.slots[i] = to[s-1] + 1
+		}
+	}
+	st.blocks = blocks
+	st.publishBlocks()
 }
 
 // Equal reports whether two relations hold the same tuple sets.
@@ -1394,6 +1494,7 @@ func (db *Database) Declare(pred string, arity int) (r *Relation, ok bool) {
 	r.name = pred
 	if db.track {
 		r.db = db
+		r.store.fixedFrom.Store(math.MaxInt64)
 	}
 	db.rels[pred] = r
 	return r, true

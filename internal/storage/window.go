@@ -77,6 +77,14 @@ func (r *Relation) DeltaSince(epoch uint64) (SignedDelta, bool) {
 	if live > 0 {
 		out.Added = &Relation{arity: r.arity, name: r.name, store: st, win: &window{lo: lo, hi: st.rows}}
 		out.Added.count.Store(int64(live))
+		// The window may outlive the tail entries that name its rows: no
+		// directory build may move them (store.cluster).
+		for {
+			at := st.fixedFrom.Load()
+			if at <= int64(lo) || st.fixedFrom.CompareAndSwap(at, int64(lo)) {
+				break
+			}
+		}
 	}
 	if dels == 0 {
 		return out, true
@@ -107,9 +115,10 @@ func (r *Relation) DeltaSince(epoch uint64) (SignedDelta, bool) {
 // not test it per row.
 //
 // A keyed probe reads the base relation's posting directory for the
-// column and narrows the key's run to [lo, hi) by binary search — a run
-// holds its row ids ascending: they are posted in row order, a moved run
-// is copied in order, and a directory is built in row order. A window
+// column and narrows the key's rows to [lo, hi): a range by its ends, a
+// run by binary search — a run holds its row ids ascending: they are
+// posted in row order, a moved run or range is copied in order, and a
+// directory is built in row order. A window
 // never builds a directory on its base, which would cost every later
 // insert a post; when the column has none it indexes its own rows in a
 // private directory.
@@ -122,20 +131,24 @@ type window struct {
 // holds reports whether row is one of the window's.
 func (w *window) holds(row int) bool { return row >= w.lo && row < w.hi }
 
-// trim returns the part of run — ascending row ids — inside the window.
-func (w *window) trim(run []int32) []int32 {
-	i, _ := slices.BinarySearch(run, int32(w.lo))
-	j, _ := slices.BinarySearch(run[i:], int32(w.hi))
-	return run[i : i+j]
+// trim returns the part of s inside the window.
+func (w *window) trim(s rowSet) rowSet {
+	if s.ids == nil {
+		from, end := max(int(s.first), w.lo), min(int(s.first)+int(s.n), w.hi)
+		return rowSet{first: int32(from), n: int32(max(end-from, 0))}
+	}
+	i, _ := slices.BinarySearch(s.ids, int32(w.lo))
+	j, _ := slices.BinarySearch(s.ids[i:], int32(w.hi))
+	return rowSet{ids: s.ids[i : i+j], n: int32(j)}
 }
 
-// rows returns the ids of the window's rows that the slot word w of d
-// stands for, as directory.rows does.
-func (w *window) rows(d *directory, word uint64, lone *[1]int32) []int32 {
+// rows returns the window's rows that the slot word w of d stands for, as
+// directory.rows does.
+func (w *window) rows(d *directory, word uint64) rowSet {
 	if word == 0 {
-		return nil
+		return rowSet{}
 	}
-	return w.trim(d.rows(word, lone))
+	return w.trim(d.rows(word))
 }
 
 // index returns the directory a probe of column col reads: the base
@@ -183,27 +196,22 @@ func (r *Relation) lookupWindow(bindings []Binding, scratch Tuple, yield func(Tu
 	if len(bindings) > 1 {
 		filter = bindings
 	}
-	// A candidate's run may be a view of the lone row it was read into, so
-	// the run kept and the one being compared use separate storage.
-	var lones [2][1]int32
-	kept, next := &lones[0], &lones[1]
-	var run []int32
+	var s rowSet
 	by := bindings[0]
 	for i, b := range bindings {
 		in := win.index(st, b.Col)
-		cand := win.rows(in, in.slot(b.Val), next)
-		if len(cand) == 0 {
+		cand := win.rows(in, in.slot(b.Val))
+		if cand.n == 0 {
 			return
 		}
-		if i == 0 || len(cand) < len(run) {
-			by, run = b, cand
-			kept, next = next, kept
+		if i == 0 || cand.n < s.n {
+			by, s = b, cand
 		}
 	}
 	v.resolve(st)
 rows:
-	for _, row := range run {
-		if !v.readKeyed(row, by.Col, by.Val, scratch) {
+	for i := range int(s.n) {
+		if !v.readKeyed(s.at(i), by.Col, by.Val, scratch) {
 			continue
 		}
 		for _, b := range filter {
@@ -225,15 +233,15 @@ func (r *Relation) lookupKeysWindow(col int, keys []Value, ks *KeyStage, yield f
 		ks.vals = make([]Value, stageRows*r.arity)
 	}
 	buf := Tuple(ks.vals[:r.arity:r.arity])
-	var lone [1]int32
 	// Every row of the window was published before DeltaSince returned, so
 	// one block list, loaded now, has them all.
 	var v storeView
 	v.resolve(st)
 	for k, key := range keys {
 		d := win.index(st, col)
-		for _, row := range win.rows(d, d.slot(key), &lone) {
-			if v.readKeyed(row, col, key, buf) && !yield(k, buf) {
+		s := win.rows(d, d.slot(key))
+		for i := range int(s.n) {
+			if v.readKeyed(s.at(i), col, key, buf) && !yield(k, buf) {
 				return false
 			}
 		}
@@ -245,12 +253,11 @@ func (r *Relation) lookupKeysWindow(col int, keys []Value, ks *KeyStage, yield f
 // order, each key's run trimmed to the window. It counts nothing.
 func (r *Relation) gatherKeysWindow(col int, outs []int, keys []Value, dst []Value, ends []int) []Value {
 	win, st := r.win, r.store
-	var lone [1]int32
 	var v storeView
 	v.resolve(st)
 	for k, key := range keys {
 		d := win.index(st, col)
-		dst, _ = v.appendRun(dst, win.rows(d, d.slot(key), &lone), outs)
+		dst, _ = v.appendRows(dst, win.rows(d, d.slot(key)), outs)
 		ends[k] = len(dst)
 	}
 	return dst

@@ -303,7 +303,7 @@ func checkRunsAscending(t *testing.T, st *store) {
 			if w == 0 || w&inlineRow != 0 {
 				continue
 			}
-			run := runIDs(d.room(uint32(w)))
+			run := d.rows(w).ids
 			for i := 1; i < len(run); i++ {
 				if run[i-1] >= run[i] {
 					t.Fatalf("column %d, key %d: run %v is not ascending", col, Value(w>>32), run)
