@@ -7,7 +7,7 @@ import (
 )
 
 // directory is one column's posting index in a relation: a flat table
-// from a value to the ids of the rows holding it, in insertion order, and
+// from a value to the ids of the rows holding it, in row order, and
 // it holds no pointer per key. A key's probe starts at its home slot,
 //
 //	home(key) = uint32(key-base) * mul >> shift

@@ -15,8 +15,15 @@
 // membership builds a string key. Per-column indexes are posting
 // directories built lazily on first use: a flat table of 8-byte slots — a
 // value, and beside it either the id of the one row that carries it or a
-// reference to the run of ids that do, in an arena of chunks that never
-// move (directory.go). A table whose keys are dense addresses a key's slot
+// reference to an entry in an arena of chunks that never move
+// (directory.go): a range, two words naming rows that lie side by side,
+// or a run of ids. The first directory a tracked relation builds, while
+// it has no tombstone, first lays its rows out afresh sorted by that
+// column (store.cluster), so that each key's rows there are one range and
+// a gather copies them as slices of their blocks; the rows the delta tail
+// or a handed-out window can still name stay where they are, and a
+// relation whose rows are already in that order is left as it is. A table
+// whose keys are dense addresses a key's slot
 // by value, slots[v-base]: built in bulk when the keys span at most 8/3
 // slots a key, grown when they span at most 2 of the 8/3 it gets — never
 // more slots than a hashed table holds right after it doubles at 3/4
@@ -72,15 +79,24 @@
 // whole, nothing yielded, the counts those of LookupKeys run to its end.
 // In a directory a reference is stored after what it refers to — a key's
 // presence bit is set before its slot word — and a reader loads the slot,
-// then the arena's chunk list, then the run's length; every slot and run
-// of a stage is loaded before the block list, and every probe reads its
-// rows through one routine (storeView.readKeyed), a gather through its
-// column-at-a-time twin (storeView.appendRun), which copies each wanted
-// column of a run's rows in its own loop and only then, where the view
-// has tombstones, closes up over the dead rows. Iteration follows insertion
-// order; use SortedTuples (or SortedColumns, which the WAL snapshot
-// writer consumes directly) for output that does not depend on it. The
-// one operation that breaks the append-only rule is Relation.Reset, which
+// then the arena's chunk list, then the entry; every slot and entry of a
+// stage is loaded before the block list. A probe that yields reads its
+// rows through one routine (storeView.readKeyed); a gather reads a run's
+// or a range's through its column-at-a-time twin (storeView.appendRows),
+// which copies each wanted column in its own loop — a range's as a slice
+// of each block it crosses — and only then, where the view has
+// tombstones, closes up over the dead rows; and a gather of one key whose
+// one row is in its slot word reads that row's columns straight off the
+// block. Iteration follows insertion order until a tracked relation's
+// first directory clusters its rows, and the clustered order after that;
+// the rows of one key of the clustering column keep their insertion order
+// always, and so do those of any key of an untracked relation (answer
+// sets, seen-sets, derived databases' relations), whose rows never move.
+// Use SortedTuples (or SortedColumns, which the WAL snapshot writer
+// consumes directly) for output that does not depend on it. Besides the
+// first directory's move, which writes only fresh blocks and publishes
+// them before the directory that names the rows' new places, the one
+// operation that breaks the append-only rule is Relation.Reset, which
 // empties an untracked scratch relation in place for reuse (first block
 // and dedup table kept): its owner must have no reader or writer in
 // flight, and a tracked relation refuses it.
@@ -122,7 +138,9 @@
 // relation's directories narrowed to it (window.go). The window is sound
 // while no retraction can tombstone a row in it — a maintenance pass
 // reads it under Database.HoldRetractions — and its retractions, whose
-// rows are dead, are copied. Derived databases
+// rows are dead, are copied. A window may outlive the tail entries that
+// named its rows, so DeltaSince also lowers a watermark that keeps the
+// first directory's move below every window it handed out. Derived databases
 // (NewDatabaseWith) and free-standing relations skip all of this
 // tracking, and a derived database's relations count into no Counters.
 package storage

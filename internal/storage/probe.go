@@ -129,12 +129,12 @@ type KeyStage struct {
 // LookupKeys is one single-binding LookupTally of column col per key, in
 // key order — yield receives the key's ordinal with each tuple, the same
 // tuples in the same order — with the probes' cache misses overlapped. A
-// probe is a chain of dependent loads — the directory slot, the run unless
-// the slot holds the key's one row itself, the block row — each a miss on
-// a relation larger than the cache; the keys are independent, so the
-// probes go in stages of stageProbes keys: every directory slot, then every
-// run's length, then the rows named, stageRows at a time, and only then
-// the yields. It reports false when yield stopped it.
+// probe is a chain of dependent loads — the directory slot, its arena
+// entry unless the slot holds the key's one row itself, the block row —
+// each a miss on a relation larger than the cache; the keys are
+// independent, so the probes go in stages of stageProbes keys: every
+// directory slot, then every entry, then the rows named, stageRows at a
+// time, and only then the yields. It reports false when yield stopped it.
 //
 // The counts of a call that runs to its end are those of the lookups it
 // stands for; a call yield stops has counted the whole stage it stopped
@@ -155,7 +155,7 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 	more = true
 	for k := 0; k < len(keys) && more; {
 		// Directory slots: every probe of the stage finds its lone row, or
-		// where its run is; then the runs' lengths. All the runs are loaded
+		// where its entry is; then the entries. All of them are loaded
 		// before the block list (see store).
 		stage := keys[k:min(k+stageProbes, len(keys))]
 		d, unread := st.index(col), uint32(0)
@@ -219,16 +219,16 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 }
 
 // GatherKeys is LookupKeys for a caller that wants only some columns of
-// the rows and no callback: for each key, in key order, and each live row
-// of its run, in run order, it appends the row's columns outs to dst, and
-// it sets ends[k] to len(dst) after key k's rows (len(ends) >= len(keys)).
+// the rows and no callback: for each key, in key order, and each of its
+// live rows, in order, it appends the row's columns outs to dst, and it
+// sets ends[k] to len(dst) after key k's rows (len(ends) >= len(keys)).
 // It returns the grown dst. The stages are LookupKeys's — every directory
-// slot of a stage, then every run's length, then the block list once, then
-// the rows — but the rows are read straight into dst: no row id is copied
-// out and nothing is yielded. A lone key has nothing to overlap and takes
-// LookupTally's path, but for a key whose one row is in its slot word —
-// every level of a chain — that row's columns are appended straight off
-// the block, with no run to view and no room to make. Its counts are
+// slot of a stage, then every entry, then the block list once, then the
+// rows — but the rows are read straight into dst (appendRows): no row id
+// is copied out and nothing is yielded. A lone key has nothing to overlap
+// and takes LookupTally's path, but for a key whose one row is in its slot
+// word — every level of a chain — that row's columns are appended straight
+// off the block, with no set to make and no grow for one row. Its counts are
 // those of LookupKeys run to its end, one probe per key and every live row
 // examined. A gathered row was live at some instant during the call.
 func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, tally *Tally, dst []Value, ends []int) []Value {
@@ -286,7 +286,7 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 			p := bits.TrailingZeros32(unread)
 			ks.rows[p] = runIDs(ks.rows[p].ids)
 		}
-		// Every slot and run of the stage is loaded: now the block list.
+		// Every slot and entry of the stage is loaded: now the block list.
 		var v storeView
 		if hit {
 			v.resolve(st)

@@ -181,8 +181,9 @@ const deltaTailBound = 2048
 // (del marks a retraction). Epochs are non-decreasing in append order
 // (the stamp is read under the relation's write lock from a monotone
 // counter), so DeltaSince can binary-search. Retraction entries keep
-// referencing the tombstoned row — rows never move, so the dead row's
-// column values remain readable for delta reconstruction.
+// referencing the tombstoned row — the rows a tail entry names never move
+// (store.cluster stops below them), so the dead row's column values remain
+// readable for delta reconstruction.
 type tailEntry struct {
 	row   int
 	epoch uint64
@@ -211,9 +212,12 @@ const deadWords = blockRows / 64
 // store is a Relation's columnar tuple store, with an open-addressing
 // dedup table over row ids and lazily built per-column posting
 // directories. Tuple identity is the dense row id; rows are
-// append-only and blocks are never moved. Retraction never moves rows
-// either: it sets the row's bit in the per-block tombstone bitset
-// (readers check it with atomic loads) and frees the dedup slot.
+// append-only and a published block is never written but to append rows
+// to it. The one move is the first directory's (cluster), which writes the
+// moved rows into fresh blocks and publishes them before the directory
+// that names their new places. Retraction never moves rows: it sets the
+// row's bit in the per-block tombstone bitset (readers check it with
+// atomic loads) and frees the dedup slot.
 //
 // mu serializes the relation's writers, and guards the dedup table and
 // the delta tail for their readers (Contains, Offer, DeltaSince). Scan and
@@ -549,12 +553,12 @@ func (v *storeView) read(row int, dst Tuple) {
 	}
 }
 
-// readKeyed reads into dst a row that column col's posting run for key
-// names, reporting false — dst untouched — when the row is tombstoned
-// (runs may name rows retracted since they were posted; readers filter
-// them lazily). Only the other columns are read from the block, one cache
-// line less per row, and the key is filled in. Every probe reads its rows
-// through here.
+// readKeyed reads into dst a row that column col's directory names for
+// key, reporting false — dst untouched — when the row is tombstoned
+// (directories may name rows retracted since they were posted; readers
+// filter them lazily). Only the other columns are read from the block, one
+// cache line less per row, and the key is filled in. Every probe that
+// yields reads its rows through here.
 func (v *storeView) readKeyed(row int32, col int, key Value, dst Tuple) bool {
 	if v.isDead(int(row)) {
 		return false
@@ -991,8 +995,8 @@ func (r *Relation) view() (v storeView, lo int) {
 	return v, r.win.lo
 }
 
-// Tuples returns a materialized snapshot of the tuple set in insertion
-// order, backed by a single value arena (two allocations however many
+// Tuples returns a materialized snapshot of the tuple set in row order
+// (insertion order until a first directory clusters the rows), backed by a single value arena (two allocations however many
 // tuples there are), sized by the rows that are live — not by every row
 // ever appended, which on a relation that churns is mostly tombstones.
 // The snapshot never aliases live column blocks; callers must still not
@@ -1063,8 +1067,10 @@ type Binding struct {
 //
 // The yielded tuple is a reused scratch buffer, valid only until yield
 // returns — copy it to keep it. Tuples matching one binding are yielded
-// in the order they were inserted, which callers that stop at the first
-// match rely on for repeatable TuplesExamined counts.
+// in row order, which callers that stop at the first match rely on for
+// repeatable TuplesExamined counts: the order they were inserted, but on
+// a column other than the one a tracked relation's rows were clustered by
+// (see store.cluster).
 func (r *Relation) Lookup(bindings []Binding, yield func(Tuple) bool) {
 	r.LookupTally(bindings, make(Tuple, r.arity), nil, yield)
 }
