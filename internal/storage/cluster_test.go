@@ -84,7 +84,7 @@ func TestClusteredMatchesUnclustered(t *testing.T) {
 				plain.Lookup([]Binding{{Col: 0, Val: key}}, func(Tuple) bool { n++; return true })
 				for stop := 1; stop <= max(n, 1); stop++ {
 					same(fmt.Sprintf("LookupTally of %d stopped after %d", key, stop), func(r *Relation) (got []string) {
-						var buf Tuple = make(Tuple, 2)
+						buf := make(Tuple, 2)
 						r.LookupTally([]Binding{{Col: 0, Val: key}}, buf, nil, func(tup Tuple) bool {
 							got = append(got, fmt.Sprint(tup))
 							return len(got) < stop

@@ -85,9 +85,10 @@
 // or a range's through its column-at-a-time twin (storeView.appendRows),
 // which copies each wanted column in its own loop — a range's as a slice
 // of each block it crosses — and only then, where the view has
-// tombstones, closes up over the dead rows; and a gather of one key whose
-// one row is in its slot word reads that row's columns straight off the
-// block. Iteration follows insertion order until a tracked relation's
+// tombstones, closes up over the dead rows; a gather of one key whose one
+// row is in its slot word reads that row's columns straight off the
+// block; and a staged gather appends a range inside one block, of which
+// one column is wanted and none is dead, as one slice of it. Iteration follows insertion order until a tracked relation's
 // first directory clusters its rows, and the clustered order after that;
 // the rows of one key of the clustering column keep their insertion order
 // always, and so do those of any key of an untracked relation (answer

@@ -292,9 +292,19 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 			v.resolve(st)
 		}
 		for p := range stage {
-			if ks.rows[p].n > 0 {
+			switch s := &ks.rows[p]; {
+			case s.n == 0:
+			case s.ids == nil && v.dead == nil && len(outs) == 1 && int(s.first)&blockMask+int(s.n) <= blockRows:
+				// A range in one block, one column wanted, no tombstone —
+				// a clustered key's successors, most keys of a wide level
+				// — is one slice of the block, appended here: a call to
+				// appendRows a key cost a wide level about a tenth.
+				row := int(s.first)
+				dst = append(dst, v.blocks[row>>blockShift][outs[0]<<blockShift|row&blockMask:][:s.n]...)
+				examined += int64(s.n)
+			default:
 				var n int64
-				dst, n = v.appendRows(dst, ks.rows[p], outs)
+				dst, n = v.appendRows(dst, *s, outs)
 				examined += n
 			}
 			ends[k+p] = len(dst)
@@ -311,7 +321,8 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 // block the range crosses, and of a run one load and one store a row. Only
 // a view with tombstones then closes up over the dead rows. Every gather
 // reads its rows through here, but for a lone key's one row held in its
-// slot word (GatherKeys).
+// slot word, and a stage's range in one block of which one column is
+// wanted (GatherKeys).
 func (v *storeView) appendRows(dst []Value, s rowSet, outs []int) ([]Value, int64) {
 	n := int(s.n)
 	if n == 0 {
