@@ -996,8 +996,9 @@ func (r *Relation) view() (v storeView, lo int) {
 }
 
 // Tuples returns a materialized snapshot of the tuple set in row order
-// (insertion order until a first directory clusters the rows), backed by a single value arena (two allocations however many
-// tuples there are), sized by the rows that are live — not by every row
+// (insertion order until a first directory clusters the rows), backed by
+// a single value arena (two allocations however many tuples there are),
+// sized by the rows that are live — not by every row
 // ever appended, which on a relation that churns is mostly tombstones.
 // The snapshot never aliases live column blocks; callers must still not
 // modify it (tuples share the arena). This accessor is not instrumented;
@@ -1126,9 +1127,10 @@ func (st *store) indexed() bool {
 // col finds each key's rows there contiguous and names them by a range
 // (see directory) — a gather copies them as slices of their blocks instead
 // of reading an id and then a row. The rows that may move are those below
-// p, the lowest of the row count, the first row the delta tail names (the
-// tail's windows are runs of rows from there on) and fixedFrom (the
-// windows already handed out); the rest stay where they are, and a key
+// p, the lowest of the row count, the first row the delta tail names (a
+// window DeltaSince hands out later starts at a tail entry's row) and
+// fixedFrom (the windows already handed out); the rest stay where they
+// are, and a key
 // with rows on both sides of p gets a run. Nothing else may name a row: no
 // directory is built and none was ever dropped, which only a tombstone
 // does. A layout that is the one there already is left as it is.
