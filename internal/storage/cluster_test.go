@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -17,6 +18,38 @@ func ranges(st *store, col int) (n int) {
 		}
 	}
 	return n
+}
+
+// crossesKeyZero reports whether the key table of column 0 over rows
+// [0, p) — the one store.cluster counts by — is hashed and holds a key
+// with a row before key 0's first row whose probe path runs over key 0's
+// slot: the key a move that read key 0's place 0 in its slot word as an
+// empty slot would send to key 0's place.
+func crossesKeyZero(st *store, p int) bool {
+	t := st.keyTable(0, 0, p)
+	if t.dense() {
+		return false
+	}
+	zero := t.probe(0)
+	first := map[Value]int{}
+	for row := p - 1; row >= 0; row-- {
+		first[st.valueAt(row, 0)] = row
+	}
+	if _, ok := first[0]; !ok {
+		return false
+	}
+	for i, w := range t.slots {
+		key := Value(w >> 32)
+		if w == 0 || key == 0 || first[key] > first[0] {
+			continue
+		}
+		for j := int(uint32(key-t.base) * t.mul >> t.shift); j != i; j = (j + 1) & (len(t.slots) - 1) {
+			if j == zero {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // probeCounts is the probe half of a Counters.
@@ -36,116 +69,154 @@ func probeCounts(c *Counters) Counters {
 // other keys, so that the move stops at the window and leaves keys with
 // rows on both sides of it; then posts extend ranges into runs, and
 // retractions drop the directories, which rebuild from the live rows.
+//
+// The keys are 0 to 299, whose key tables are dense, and then the same
+// keys spread 7 919 apart, whose tables are hashed; there key 0 comes in
+// only after rows of keys whose probe paths run over its slot.
 func TestClusteredMatchesUnclustered(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		db := NewDatabase()
-		clustered := db.Ensure("e", 2)
-		var stats Counters
-		plain := NewRelation(2, &stats)
-		const keys = 300
-		insert := func(n, lo, hi int) {
-			for i := range n {
-				key := lo + rng.Intn(hi-lo)
-				if i%50 == 49 {
-					key = rng.Intn(keys)
-				}
-				tup := Tuple{Value(key), Value(rng.Intn(4 * keys))}
-				if clustered.Insert(tup) != plain.Insert(tup) {
-					t.Fatalf("seed %d: the relations disagree on inserting %v", seed, tup)
-				}
-			}
+	for _, spread := range []int{1, 7919} {
+		for seed := int64(1); seed <= 3; seed++ {
+			clusteredMatchesUnclustered(t, seed, spread)
 		}
-		insert(400, 0, keys/2)
-		stamp := db.Epoch()
-		insert(60, 0, keys/2)
-		if d, _ := clustered.DeltaSince(stamp); d.Added == nil {
-			t.Fatalf("seed %d: test premise: no window", seed)
-		}
-		insert(deltaTailBound+deltaTailBound/2, keys/2, keys)
+	}
+}
 
-		compare := func(phase string) {
+// clusteredMatchesUnclustered is TestClusteredMatchesUnclustered for one
+// seed and key spread.
+func clusteredMatchesUnclustered(t *testing.T, seed int64, spread int) {
+	rng := rand.New(rand.NewSource(seed))
+	// val is key k's value, k times spread — but for keys 1 and 2 of
+	// the hashed tables: two values whose probes start at the last
+	// slot of a table of any size up to 4 096 slots, so that one of
+	// them wraps round to slot 0, key 0's home, before key 0 comes in.
+	var wrap []Value
+	for v := Value(1); spread > 1 && len(wrap) < 2; v++ {
+		if uint32(v)*fibonacci>>20 == 1<<12-1 && int(v)%spread != 0 {
+			wrap = append(wrap, v)
+		}
+	}
+	val := func(k int) Value {
+		if spread > 1 && (k == 1 || k == 2) {
+			return wrap[k-1]
+		}
+		return Value(k * spread)
+	}
+	db := NewDatabase()
+	clustered := db.Ensure("e", 2)
+	var stats Counters
+	plain := NewRelation(2, &stats)
+	const keys = 300
+	insert := func(n, lo, hi int) {
+		for i := range n {
+			key := lo + rng.Intn(hi-lo)
+			if i%50 == 49 {
+				key = rng.Intn(keys)
+			}
+			tup := Tuple{val(key), Value(rng.Intn(4 * keys))}
+			if clustered.Insert(tup) != plain.Insert(tup) {
+				t.Fatalf("seed %d: the relations disagree on inserting %v", seed, tup)
+			}
+		}
+	}
+	if spread == 1 {
+		insert(400, 0, keys/2)
+	} else {
+		insert(200, 1, keys/2)
+		insert(1, 0, 1)
+		insert(199, 0, keys)
+	}
+	stamp := db.Epoch()
+	insert(60, 0, keys/2)
+	if d, _ := clustered.DeltaSince(stamp); d.Added == nil {
+		t.Fatalf("seed %d: test premise: no window", seed)
+	}
+	insert(deltaTailBound+deltaTailBound/2, keys/2, keys)
+
+	compare := func(phase string) {
+		t.Helper()
+		probe := func(r *Relation, c *Counters, f func(r *Relation) []string) ([]string, Counters) {
+			before := probeCounts(c)
+			got := f(r)
+			return got, probeCounts(c).Sub(before)
+		}
+		same := func(what string, f func(r *Relation) []string) {
 			t.Helper()
-			probe := func(r *Relation, c *Counters, f func(r *Relation) []string) ([]string, Counters) {
-				before := probeCounts(c)
-				got := f(r)
-				return got, probeCounts(c).Sub(before)
+			a, ca := probe(clustered, &db.Stats, f)
+			b, cb := probe(plain, &stats, f)
+			if !slices.Equal(a, b) || ca != cb {
+				t.Fatalf("seed %d, spread %d, %s, %s:\nclustered %v %+v\nplain     %v %+v", seed, spread, phase, what, a, ca, b, cb)
 			}
-			same := func(what string, f func(r *Relation) []string) {
-				t.Helper()
-				a, ca := probe(clustered, &db.Stats, f)
-				b, cb := probe(plain, &stats, f)
-				if !slices.Equal(a, b) || ca != cb {
-					t.Fatalf("seed %d, %s, %s:\nclustered %v %+v\nplain     %v %+v", seed, phase, what, a, ca, b, cb)
-				}
-			}
-			for key := Value(0); key < keys+2; key++ {
-				var n int
-				plain.Lookup([]Binding{{Col: 0, Val: key}}, func(Tuple) bool { n++; return true })
-				for stop := 1; stop <= max(n, 1); stop++ {
-					same(fmt.Sprintf("LookupTally of %d stopped after %d", key, stop), func(r *Relation) (got []string) {
-						buf := make(Tuple, 2)
-						r.LookupTally([]Binding{{Col: 0, Val: key}}, buf, nil, func(tup Tuple) bool {
-							got = append(got, fmt.Sprint(tup))
-							return len(got) < stop
-						})
-						return got
-					})
-				}
-			}
-			list := make([]Value, 24)
-			for i := range list {
-				list[i] = Value(rng.Intn(keys + 2))
-			}
-			var total int
-			plain.LookupKeys(0, list, &KeyStage{}, nil, func(int, Tuple) bool { total++; return true })
-			for stop := 0; stop <= total; stop++ {
-				same(fmt.Sprintf("LookupKeys stopped after %d", stop), func(r *Relation) (got []string) {
-					r.LookupKeys(0, list, &KeyStage{}, nil, func(k int, tup Tuple) bool {
-						got = append(got, fmt.Sprint(k, tup))
+		}
+		for k := range keys + 2 {
+			key := val(k)
+			var n int
+			plain.Lookup([]Binding{{Col: 0, Val: key}}, func(Tuple) bool { n++; return true })
+			for stop := 1; stop <= max(n, 1); stop++ {
+				same(fmt.Sprintf("LookupTally of %d stopped after %d", key, stop), func(r *Relation) (got []string) {
+					buf := make(Tuple, 2)
+					r.LookupTally([]Binding{{Col: 0, Val: key}}, buf, nil, func(tup Tuple) bool {
+						got = append(got, fmt.Sprint(tup))
 						return len(got) < stop
 					})
 					return got
 				})
 			}
-			all := make([]Value, keys+2)
-			for i := range all {
-				all[i] = Value(i)
-			}
-			for _, outs := range [][]int{{1}, {1, 0}} {
-				same(fmt.Sprintf("GatherKeys of %v", outs), func(r *Relation) []string {
-					ends := make([]int, len(all))
-					dst := r.GatherKeys(0, outs, all, &KeyStage{}, nil, nil, ends)
-					return []string{fmt.Sprint(dst), fmt.Sprint(ends)}
+		}
+		list := make([]Value, 24)
+		for i := range list {
+			list[i] = val(rng.Intn(keys + 2))
+		}
+		var total int
+		plain.LookupKeys(0, list, &KeyStage{}, nil, func(int, Tuple) bool { total++; return true })
+		for stop := 0; stop <= total; stop++ {
+			same(fmt.Sprintf("LookupKeys stopped after %d", stop), func(r *Relation) (got []string) {
+				r.LookupKeys(0, list, &KeyStage{}, nil, func(k int, tup Tuple) bool {
+					got = append(got, fmt.Sprint(k, tup))
+					return len(got) < stop
 				})
-			}
+				return got
+			})
 		}
-
-		compare("first directory")
-		if ranges(clustered.store, 0) < keys/8 {
-			t.Fatalf("seed %d: test premise: the first directory names %d keys by a range", seed, ranges(clustered.store, 0))
+		all := make([]Value, keys+2)
+		for i := range all {
+			all[i] = val(i)
 		}
-		if tail := clustered.store.tail[0].row; tail == clustered.store.rows || clustered.store.fixedFrom.Load() >= int64(tail) {
-			t.Fatalf("seed %d: test premise: the window's rows are not below the tail's (%d)", seed, tail)
+		for _, outs := range [][]int{{1}, {1, 0}} {
+			same(fmt.Sprintf("GatherKeys of %v", outs), func(r *Relation) []string {
+				ends := make([]int, len(all))
+				dst := r.GatherKeys(0, outs, all, &KeyStage{}, nil, nil, ends)
+				return []string{fmt.Sprint(dst), fmt.Sprint(ends)}
+			})
 		}
-		insert(300, 0, keys)
-		compare("after posts")
-		var live []Tuple
-		for _, tup := range plain.Tuples() {
-			live = append(live, tup.Clone())
-		}
-		for i, tup := range live {
-			if i%3 != 0 && clustered.Retract(tup) != plain.Retract(tup) {
-				t.Fatalf("seed %d: the relations disagree on retracting %v", seed, tup)
-			}
-		}
-		if clustered.store.cols[0].Load() != nil {
-			t.Fatalf("seed %d: test premise: the retractions dropped no directory", seed)
-		}
-		compare("rebuilt after compaction")
-		insert(200, 0, keys)
-		compare("posted after the rebuild")
 	}
+
+	if spread > 1 && !crossesKeyZero(clustered.store, int(clustered.store.fixedFrom.Load())) {
+		t.Fatalf("seed %d: test premise: no key's probe path runs over key 0's slot before key 0's first row", seed)
+	}
+	compare("first directory")
+	if ranges(clustered.store, 0) < keys/8 {
+		t.Fatalf("seed %d: test premise: the first directory names %d keys by a range", seed, ranges(clustered.store, 0))
+	}
+	if tail := clustered.store.tail[0].row; tail == clustered.store.rows || clustered.store.fixedFrom.Load() >= int64(tail) {
+		t.Fatalf("seed %d: test premise: the window's rows are not below the tail's (%d)", seed, tail)
+	}
+	insert(300, 0, keys)
+	compare("after posts")
+	var live []Tuple
+	for _, tup := range plain.Tuples() {
+		live = append(live, tup.Clone())
+	}
+	for i, tup := range live {
+		if i%3 != 0 && clustered.Retract(tup) != plain.Retract(tup) {
+			t.Fatalf("seed %d: the relations disagree on retracting %v", seed, tup)
+		}
+	}
+	if clustered.store.cols[0].Load() != nil {
+		t.Fatalf("seed %d: test premise: the retractions dropped no directory", seed)
+	}
+	compare("rebuilt after compaction")
+	insert(200, 0, keys)
+	compare("posted after the rebuild")
 }
 
 // TestWindowOutlivesItsTailEntries hands out a DeltaSince window, pushes
@@ -236,11 +307,14 @@ func TestWindowOutlivesItsTailEntries(t *testing.T) {
 
 // TestClusterBesideReaders puts readers — Scan, and GatherKeys of column
 // 0, the first of which builds the first directory and so clusters the
-// rows — on a relation at once, round after round: a reader on the old
-// block list must finish on it, and one on the new list must find every
-// key's rows where the directory says, in insertion order. The keys of
-// the last inserts, which the delta tail names and which do not move, are
-// others than those of the rows before them.
+// rows — on a relation at once, round after round, and a writer that,
+// once the directory is there, retracts some of the moved tuples: a
+// reader on the old block list must finish on it, and one on the new list
+// must find every key's rows where the directory says, in insertion
+// order. Each must yield every tuple that was live all through its call,
+// and none that never was. The keys of the last inserts, which the delta
+// tail names and which do not move, are others than those of the rows
+// before them.
 func TestClusterBesideReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 20; round++ {
@@ -248,7 +322,8 @@ func TestClusterBesideReaders(t *testing.T) {
 		r := db.Ensure("e", 2)
 		const keys = 400
 		want := make([][]Value, keys)
-		set := map[tupleKey]bool{}
+		set, gone := map[tupleKey]bool{}, map[tupleKey]bool{}
+		var retract []Tuple
 		for i := range 3000 + deltaTailBound {
 			tup := Tuple{Value(rng.Intn(keys / 2)), Value(rng.Intn(5000))}
 			if i >= 3000 {
@@ -257,7 +332,24 @@ func TestClusterBesideReaders(t *testing.T) {
 			if r.Insert(tup) {
 				want[tup[0]] = append(want[tup[0]], tup[1])
 				set[tkey(tup)] = true
+				if i%100 == 0 {
+					retract = append(retract, tup)
+					gone[tkey(tup)] = true
+				}
 			}
+		}
+		// kept reports whether got is want less some retracted values of
+		// key, in want's order.
+		kept := func(key Value, got, want []Value) bool {
+			i := 0
+			for _, v := range want {
+				if i < len(got) && got[i] == v {
+					i++
+				} else if !gone[tkey(Tuple{key, v})] {
+					return false
+				}
+			}
+			return i == len(got)
 		}
 		all := make([]Value, keys)
 		for i := range all {
@@ -266,6 +358,18 @@ func TestClusterBesideReaders(t *testing.T) {
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for r.store.cols[0].Load() == nil {
+				runtime.Gosched()
+			}
+			for _, tup := range retract {
+				r.Retract(tup)
+				runtime.Gosched()
+			}
+		}()
 		for g := 0; g < 6; g++ {
 			wg.Add(1)
 			go func() {
@@ -273,17 +377,19 @@ func TestClusterBesideReaders(t *testing.T) {
 				<-start
 				for range 5 {
 					if g%2 == 0 {
-						n := 0
+						seen := map[tupleKey]bool{}
 						for tup := range r.Scan {
-							if !set[tkey(tup)] {
+							if !set[tkey(tup)] || seen[tkey(tup)] {
 								errs <- fmt.Errorf("round %d: Scan yielded %v", round, tup)
 								return
 							}
-							n++
+							seen[tkey(tup)] = true
 						}
-						if n != len(set) {
-							errs <- fmt.Errorf("round %d: Scan yielded %d tuples, want %d", round, n, len(set))
-							return
+						for k := range set {
+							if !seen[k] && !gone[k] {
+								errs <- fmt.Errorf("round %d: Scan missed %v", round, k)
+								return
+							}
 						}
 						continue
 					}
@@ -294,7 +400,7 @@ func TestClusterBesideReaders(t *testing.T) {
 						if k > 0 {
 							from = ends[k-1]
 						}
-						if !slices.Equal(dst[from:at], want[k]) {
+						if !kept(Value(k), dst[from:at], want[k]) {
 							errs <- fmt.Errorf("round %d: key %d gathered %v, want %v", round, k, dst[from:at], want[k])
 							return
 						}
@@ -311,5 +417,60 @@ func TestClusterBesideReaders(t *testing.T) {
 		if ranges(r.store, 0) == 0 {
 			t.Fatalf("round %d: test premise: the first directory named no range", round)
 		}
+	}
+}
+
+// TestRetractAfterClusterSparesOldTombstones stands where a lock-free
+// reader can stand: between its load of the block list, made before the
+// first directory moved the rows, and its load of whether the store has
+// tombstones, made after a retraction that followed the move. Read through
+// the old list with the tombstone bitsets that list carries, every tuple
+// there must still be there but the retracted one.
+func TestRetractAfterClusterSparesOldTombstones(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := NewDatabase()
+	r := db.Ensure("e", 2)
+	for i := range 3000 + deltaTailBound {
+		tup := Tuple{Value(rng.Intn(200)), Value(rng.Intn(5000))}
+		if i >= 3000 {
+			tup[0] += 200
+		}
+		r.Insert(tup)
+	}
+	st := r.store
+	rows, old := int(st.rowsPublished.Load()), st.published.Load()
+	r.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
+	was := storeView{blocks: old.blocks, rows: rows}
+	now := st.view()
+	moved := -1
+	a, b := make(Tuple, 2), make(Tuple, 2)
+	for row := range rows {
+		was.read(row, a)
+		if now.read(row, b); !slices.Equal(a, b) {
+			moved = row
+			break
+		}
+	}
+	if moved < 0 {
+		t.Fatal("test premise: the first directory moved no row")
+	}
+	// The tuple now at row moved is retracted, which sets row moved's bit;
+	// on the old blocks that row is another tuple, live throughout.
+	now.read(moved, b)
+	if !r.Retract(b) {
+		t.Fatalf("retracting %v", b)
+	}
+	was.dead = old.dead
+	var got, want []string
+	for row := range rows {
+		if was.read(row, a); !slices.Equal(a, b) {
+			want = append(want, fmt.Sprint(a))
+		}
+		if !was.isDead(row) && !slices.Equal(a, b) {
+			got = append(got, fmt.Sprint(a))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("through the old blocks, %d of the %d tuples live throughout read as live", len(got), len(want))
 	}
 }

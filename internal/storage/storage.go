@@ -1139,7 +1139,8 @@ func (st *store) indexed() bool {
 // its rows from p on copied as they are — and the new block list is
 // published before the directory that names the new places; a lock-free
 // reader that loaded the old list finishes on the old blocks, which are
-// never written again. The dedup table's row ids are remapped. Caller
+// never written again, nor are their tombstone bitsets (the moved blocks
+// get fresh ones). The dedup table's row ids are remapped. Caller
 // holds the write lock.
 func (st *store) cluster(col int) {
 	p := min(int64(st.rows), st.fixedFrom.Load())
@@ -1151,7 +1152,9 @@ func (st *store) cluster(col int) {
 	}
 	// The sort is a counting sort: each key's count among the rows, and
 	// from the counts in key order — a dense table's slot order — each
-	// key's first place, in the low word of its slot.
+	// key's next place, in next by slot. The places are kept apart from
+	// the slot words, whose probe would read a word of key 0 at place 0 as
+	// an empty slot.
 	t := st.keyTable(col, 0, int(p))
 	keys := make([]int, 0, t.used)
 	for i, w := range t.slots {
@@ -1162,25 +1165,29 @@ func (st *store) cluster(col int) {
 	if !t.dense() {
 		slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(Value(t.slots[a]>>32), Value(t.slots[b]>>32)) })
 	}
-	at := uint64(0)
+	next, at := make([]int32, len(t.slots)), int32(0)
 	for _, i := range keys {
-		n := uint64(uint32(t.slots[i]))
-		t.slots[i] = t.slots[i]&^(1<<32-1) | at
-		at += n
+		next[i] = at
+		at += int32(uint32(t.slots[i]))
 	}
 	to, moved := make([]int32, p), false
 	for row := range to {
 		i := t.probe(st.valueAt(row, col))
-		to[row] = int32(uint32(t.slots[i]))
-		t.slots[i]++
+		to[row] = next[i]
+		next[i]++
 		moved = moved || int(to[row]) != row
 	}
 	if !moved {
 		return
 	}
-	blocks, last := slices.Clone(st.blocks), int(p-1)>>blockShift
+	// The moved blocks get fresh tombstone bitsets as well (all clear: the
+	// store has no tombstone), so that a retraction after the move sets
+	// bits only in the new list, and a reader still on the old blocks
+	// never tests an old place against a new place's bit.
+	blocks, dead, last := slices.Clone(st.blocks), slices.Clone(st.dead), int(p-1)>>blockShift
 	for b := 0; b <= last; b++ {
 		blocks[b] = make([]Value, len(st.cols)<<blockShift)
+		dead[b] = make([]uint64, deadWords)
 	}
 	for c := range st.cols {
 		off := c << blockShift
@@ -1196,7 +1203,7 @@ func (st *store) cluster(col int) {
 			st.slots[i] = to[s-1] + 1
 		}
 	}
-	st.blocks = blocks
+	st.blocks, st.dead = blocks, dead
 	st.publishBlocks()
 }
 
