@@ -241,7 +241,8 @@ type store struct {
 	published     atomic.Pointer[blockList]
 	rowsPublished atomic.Int64
 	// dead[b] is block b's tombstone bitset (deadWords uint64 words,
-	// allocated with the block). Bits are set with atomic stores under
+	// allocated with the block, and afresh with it when store.cluster
+	// moves its rows). Bits are set with atomic stores under
 	// the write lock and read with atomic loads, possibly lock-free off a
 	// captured view; a set bit never clears (re-inserting a retracted
 	// tuple appends a fresh row). deadCnt counts set bits; deadAtDrop is
