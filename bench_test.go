@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/parser"
@@ -527,14 +528,14 @@ func BenchmarkDetection(b *testing.B) {
 		d := parser.MustParseDefinition(src, "t")
 		b.Run("classify/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Classify(d); err != nil {
+				if _, err := analysis.Classify(d); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run("decide/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Decide(d); err != nil {
+				if _, err := rewrite.DecideOneSided(d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -551,16 +552,12 @@ func BenchmarkMultiRule(b *testing.B) {
 		t(X, Y) :- bus(X, Z), t(Z, Y).
 		t(X, Y) :- home(X, Y).
 	`)
-	md, err := ExtractMulti(prog, "t")
-	if err != nil {
-		b.Fatal(err)
-	}
 	db := storage.NewDatabase()
 	datagen.RandomGraph(db, "rail", "s", 800, 1600, 41)
 	datagen.RandomGraph(db, "bus", "s", 800, 1600, 43)
 	db.AddFact("home", "s7", "depot")
 	q := parser.MustParseAtom("t(X, depot)")
-	ps, err := eval.OneSided().Prepare(md.Program(), eval.AdornQuery(q))
+	ps, err := eval.OneSided().Prepare(prog, eval.AdornQuery(q))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -586,7 +583,7 @@ func BenchmarkMultiRule(b *testing.B) {
 		var ans int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rel, _, err := eval.MagicEval(md.Program(), q, db)
+			rel, _, err := eval.MagicEval(prog, q, db)
 			if err != nil {
 				b.Fatal(err)
 			}

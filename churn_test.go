@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 // liveFact is one base fact the churn test knows to be present.
@@ -183,7 +185,7 @@ func TestChurnEquivalenceAcrossExamples(t *testing.T) {
 				oracle := naiveOracle(t, prog, ground, eng.DB())
 				if !rows.Relation().Equal(oracle) {
 					t.Fatalf("step %d %v: maintained %v != scratch %v",
-						step, ground, rows.Strings(), Answers(oracle, eng.DB()))
+						step, ground, rows.Strings(), eval.AnswerStrings(oracle, eng.DB().Syms))
 				}
 				built.check(t, step, ground, rows.Explain())
 				// Flush on a stride so batches span several steps and mix

@@ -1,18 +1,22 @@
-// Command osr is the one-sided-recursion workbench: it classifies
-// recursions (Theorem 3.1 / 3.3 / 3.4), renders A/V graphs (Figs. 2–6),
-// prints expansion prefixes (Fig. 1), and evaluates queries with the
-// paper's one-sided schema or the baseline engines.
+// Command osr is the one-sided-recursion workbench: it reports, per
+// recursion, the paper's analysis of each recursive rule (Theorem 3.1 /
+// 3.3 / 3.4) and the strategy the engine chooses for each adornment,
+// renders A/V graphs (Figs. 2–6), prints expansion prefixes (Fig. 1),
+// and evaluates queries with the paper's one-sided schema or the
+// baseline engines.
 //
 // Usage:
 //
-//	osr classify file.dl            # per-predicate classification + decision
+//	osr classify file.dl            # per-rule analysis + per-adornment strategy
 //	osr graph -pred t [-plain] file.dl
 //	osr expand -pred t -k 4 file.dl
 //	osr query [-engine onesided|magic|seminaive] [-data dir] [-checkpoint-every n] [-timeout d] file.dl
 //
 // The query command drives the Engine façade: plans are prepared once
 // per query, the planner auto-selects the one-sided schema or a
-// fallback, and the chosen strategy is reported per query.
+// fallback, and the chosen strategy is reported per query. classify
+// reports the same planner's choice (Engine.Analyze), so what it prints
+// for an adornment is what query does with a query of that adornment.
 //
 // Input files use Prolog syntax; facts live alongside rules and queries
 // are written "?- t(a, Y).".
@@ -22,10 +26,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	onesided "repro"
+	"repro/internal/ast"
+	"repro/internal/avgraph"
+	"repro/internal/eval"
+	"repro/internal/expand"
+	"repro/internal/proof"
 )
 
 func main() {
@@ -36,7 +47,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "classify":
-		err = cmdClassify(os.Args[2:])
+		err = cmdClassify(os.Args[2:], os.Stdout)
 	case "graph":
 		err = cmdGraph(os.Args[2:])
 	case "expand":
@@ -60,7 +71,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `osr - one-sided recursion workbench
 subcommands:
-  classify <file>                      classify every recursion in the file
+  classify <file>                      analyse every recursion in the file and
+                                       print the strategy chosen per adornment
   graph -pred <p> [-plain] <file>      render the (full) A/V graph
   expand -pred <p> [-k n] <file>       print expansion strings
   query [-engine e] [-data dir] [-checkpoint-every n] [-timeout d] <file>
@@ -87,24 +99,26 @@ func loadSource(path string) (*onesided.Program, []onesided.Atom, error) {
 	return onesided.ParseSource(string(data))
 }
 
-// definitions extracts every two-rule recursion in the program.
-func definitions(p *onesided.Program) map[string]*onesided.Definition {
-	preds := make(map[string]bool)
+// recursions returns the program's linear recursions: per predicate,
+// its recursive rules each paired with the one exit rule, in program
+// order.
+func recursions(p *ast.Program) map[string][]*ast.Definition {
+	out := make(map[string][]*ast.Definition)
 	for _, r := range p.Rules {
-		if len(r.Body) > 0 {
-			preds[r.Head.Pred] = true
+		pred := r.Head.Pred
+		if _, seen := out[pred]; seen || !r.IsRecursiveFor() {
+			continue
 		}
-	}
-	out := make(map[string]*onesided.Definition)
-	for pred := range preds {
-		if d, err := onesided.ExtractDefinition(p, pred); err == nil {
-			out[pred] = d
+		if defs, err := ast.ExtractRecursion(p, pred); err == nil {
+			out[pred] = defs
 		}
 	}
 	return out
 }
 
-func cmdClassify(args []string) error {
+// cmdClassify prints Engine.Analyze's report for every recursion in the
+// file, in predicate order.
+func cmdClassify(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("classify", flag.ExitOnError)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -116,80 +130,22 @@ func cmdClassify(args []string) error {
 	if err != nil {
 		return err
 	}
-	preds := make(map[string]bool)
-	for _, r := range prog.Rules {
-		if len(r.Body) > 0 {
-			preds[r.Head.Pred] = true
-		}
-	}
-	names := make([]string, 0, len(preds))
-	for n := range preds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	reported := 0
-	for _, name := range names {
-		if d, err := onesided.ExtractDefinition(prog, name); err == nil {
-			if err := classifySingle(d); err != nil {
-				return err
-			}
-			reported++
-			continue
-		}
-		if md, err := onesided.ExtractMulti(prog, name); err == nil {
-			if err := classifyMulti(name, md); err != nil {
-				return err
-			}
-			reported++
-		}
-	}
-	if reported == 0 {
+	recs := recursions(prog)
+	if len(recs) == 0 {
 		return fmt.Errorf("no linear recursion found")
 	}
-	return nil
-}
-
-func classifySingle(d *onesided.Definition) error {
-	cls, err := onesided.Classify(d)
+	eng, err := onesided.Open(onesided.WithProgram(prog))
 	if err != nil {
 		return err
 	}
-	fmt.Println(cls.Summary())
-	dec, err := onesided.Decide(d)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  decision: %v\n", dec.Verdict)
-	for _, rm := range dec.Removed {
-		fmt.Printf("  removed redundant atom: %v\n", rm)
-	}
-	if dec.Verdict == onesided.VerdictConverted {
-		fmt.Printf("  optimized rule: %v\n", dec.Optimized.Recursive)
-	}
-	if k, ok := onesided.BoundednessLevel(d, 3); ok {
-		fmt.Printf("  expansion collapses at depth %d (uniformly bounded)\n", k)
-	}
-	return nil
-}
-
-func classifyMulti(name string, md *onesided.MultiDefinition) error {
-	cls, err := onesided.ClassifyMulti(md)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("predicate %s: %d recursive rules (Section 5 extension)\n", name, len(md.Recursive))
-	for i, pr := range cls.PerRule {
-		tag := "many-sided"
-		if pr.OneSided {
-			tag = "one-sided"
+	defer eng.Close()
+	for _, pred := range slices.Sorted(maps.Keys(recs)) {
+		a, err := eng.Analyze(pred)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("  rule %d alone: %d-sided (%s)\n", i+1, pr.Sidedness, tag)
+		fmt.Fprint(w, a)
 	}
-	fmt.Printf("  combination (union graph): %d-sided", cls.UnionSidedness)
-	if cls.UnionOneSided {
-		fmt.Printf(" — one-sided")
-	}
-	fmt.Println()
 	return nil
 }
 
@@ -212,12 +168,12 @@ func cmdProve(args []string) error {
 		return err
 	}
 	db := onesided.NewDatabase()
-	rules := onesided.LoadFacts(prog, db)
+	rules := eval.SplitFacts(prog, func(pred string, consts []string) { db.AddFact(pred, consts...) })
 	want := *pred
 	if want == "" {
 		want = goal.Pred
 	}
-	d, err := onesided.ExtractDefinition(rules, want)
+	d, err := ast.ExtractDefinition(rules, want)
 	if err != nil {
 		return err
 	}
@@ -228,12 +184,12 @@ func cmdProve(args []string) error {
 		}
 		consts[i] = a.Name
 	}
-	p := onesided.FindProof(d, db, consts)
+	p := proof.Find(d, db, consts)
 	if p == nil {
 		fmt.Printf("no derivation of %v\n", goal)
 		return nil
 	}
-	report := func(tag string, pr *onesided.Proof) {
+	report := func(tag string, pr *proof.Proof) {
 		fmt.Printf("%s derivation (depth %d):\n", tag, pr.Depth())
 		for _, a := range pr.GroundAtoms() {
 			fmt.Printf("  %v\n", a)
@@ -269,13 +225,13 @@ func cmdGraph(args []string) error {
 		return err
 	}
 	if *dot {
-		fmt.Print(onesided.FullAVGraphDOT(d))
+		fmt.Print(avgraph.NewFull(d).DOT(d.Pred()))
 		return nil
 	}
 	if *plain {
-		fmt.Print(onesided.AVGraph(d))
+		fmt.Print(avgraph.New(d).Render())
 	} else {
-		fmt.Print(onesided.FullAVGraph(d))
+		fmt.Print(avgraph.NewFull(d).Render())
 	}
 	return nil
 }
@@ -298,8 +254,8 @@ func cmdExpand(args []string) error {
 	if err != nil {
 		return err
 	}
-	for i, s := range onesided.ExpandStrings(d, *k) {
-		fmt.Printf("s%d: %s\n", i, s)
+	for i, s := range expand.Expand(d, *k) {
+		fmt.Printf("s%d: %v\n", i, s)
 	}
 	return nil
 }
@@ -425,8 +381,15 @@ func cmdQuery(args []string) error {
 	return eng.Close()
 }
 
-func pickDefinition(p *onesided.Program, pred string) (*onesided.Definition, error) {
-	defs := definitions(p)
+// pickDefinition returns the two-rule recursion for pred, or the file's
+// only one when pred is empty.
+func pickDefinition(p *onesided.Program, pred string) (*ast.Definition, error) {
+	defs := make(map[string]*ast.Definition)
+	for name, rec := range recursions(p) {
+		if len(rec) == 1 {
+			defs[name] = rec[0]
+		}
+	}
 	if pred != "" {
 		d, ok := defs[pred]
 		if !ok {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	onesided "repro"
 )
 
 // write saves a source file in a temp dir.
@@ -24,27 +28,109 @@ const tcFile = `
 	?- t(u, Y).
 `
 
-func TestCmdClassify(t *testing.T) {
-	path := write(t, "tc.dl", tcFile)
-	if err := cmdClassify([]string{path}); err != nil {
+const multiFile = `
+	t(X, Y) :- a(X, Z), t(Z, Y).
+	t(X, Y) :- c(X, Z), t(Z, Y).
+	t(X, Y) :- b(X, Y).
+	a(u, w). c(w, v). b(v, goal).
+`
+
+// classify runs the classify command on src and returns what it printed.
+func classify(t *testing.T, src string) string {
+	t.Helper()
+	var out strings.Builder
+	if err := cmdClassify([]string{write(t, "in.dl", src)}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdClassify([]string{}); err == nil {
+	return out.String()
+}
+
+func TestCmdClassify(t *testing.T) {
+	want := `recursion t: 1 linear recursive rule, exit t(X, Y) :- b(X, Y).
+  rule 1: t(X, Y) :- a(X, Z), t(Z, Y).
+    predicate t: 1-sided (one-sided: Theorem 3.1 holds); uniformly bounded: false
+    decision: one-sided
+  plan bb: strategy=onesided mode=context carry-arity=1 verdict="one-sided"
+  plan bf: strategy=onesided mode=context carry-arity=1 verdict="one-sided"
+  plan fb: strategy=onesided mode=reduced carry-arity=1 verdict="one-sided"
+  plan ff: strategy=onesided mode=full carry-arity=2 verdict="one-sided"
+`
+	if got := classify(t, tcFile); got != want {
+		t.Fatalf("classify printed\n%s\nwant\n%s", got, want)
+	}
+	if err := cmdClassify([]string{}, io.Discard); err == nil {
 		t.Fatal("expected error without file")
 	}
-	if err := cmdClassify([]string{filepath.Join(t.TempDir(), "missing.dl")}); err == nil {
+	if err := cmdClassify([]string{filepath.Join(t.TempDir(), "missing.dl")}, io.Discard); err == nil {
 		t.Fatal("expected error for missing file")
+	}
+	if err := cmdClassify([]string{write(t, "flat.dl", `p(X) :- q(X).`)}, io.Discard); err == nil {
+		t.Fatal("expected error for a file without a recursion")
 	}
 }
 
+// TestCmdClassifyMulti: each rule of a two-rule recursion is one-sided
+// alone, but only a query whose bound column persists in both rules gets
+// a one-sided plan; classify says so per adornment.
 func TestCmdClassifyMulti(t *testing.T) {
-	path := write(t, "multi.dl", `
-		t(X, Y) :- a(X, Z), t(Z, Y).
-		t(X, Y) :- c(X, Z), t(Z, Y).
-		t(X, Y) :- b(X, Y).
-	`)
-	if err := cmdClassify([]string{path}); err != nil {
-		t.Fatal(err)
+	want := `recursion t: 2 linear recursive rules, exit t(X, Y) :- b(X, Y).
+  rule 1: t(X, Y) :- a(X, Z), t(Z, Y).
+    predicate t: 1-sided (one-sided: Theorem 3.1 holds); uniformly bounded: false
+    decision: one-sided
+  rule 2: t(X, Y) :- c(X, Z), t(Z, Y).
+    predicate t: 1-sided (one-sided: Theorem 3.1 holds); uniformly bounded: false
+    decision: one-sided
+  plan bb: strategy=magic (answer predicate t__bb, 6 rewritten rules); onesided declined: eval: unsupported selection: bound column 1 is not persistent in recursive rule 1
+  plan bf: strategy=magic (answer predicate t__bf, 6 rewritten rules); onesided declined: eval: unsupported selection: bound column 1 is not persistent in recursive rule 1
+  plan fb: strategy=onesided mode=reduced carry-arity=1 (2 recursive rules, persistent-column reduction)
+  plan ff: strategy=magic (answer predicate t__ff, 11 rewritten rules); onesided declined: eval: unsupported selection: 2 recursive rules and no bound column
+`
+	if got := classify(t, multiFile); got != want {
+		t.Fatalf("classify printed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestClassifyMatchesPrepare ties classify to the engine: for every
+// adornment, its plan line is what Prepare explains for a query of that
+// adornment over the same file (less the adornment, which labels the
+// line, and the plan-cache state).
+func TestClassifyMatchesPrepare(t *testing.T) {
+	for name, src := range map[string]string{"tc": tcFile, "multi": multiFile} {
+		out := classify(t, src)
+		eng, err := onesided.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Load(src); err != nil {
+			t.Fatal(err)
+		}
+		for _, ad := range []string{"bb", "bf", "fb", "ff"} {
+			args := make([]string, len(ad))
+			for i := range ad {
+				args[i] = "u"
+				if ad[i] == 'f' {
+					args[i] = fmt.Sprintf("X%d", i)
+				}
+			}
+			q, err := onesided.ParseQuery("t(" + strings.Join(args, ", ") + ")")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := eng.Prepare(nil, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := pq.Explain()
+			if ex.Adornment != ad {
+				t.Fatalf("%s: %v has adornment %s", name, q, ex.Adornment)
+			}
+			ex.Adornment, ex.PlanCache = "", ""
+			line := "  plan " + ad + ": " + ex.String() + "\n"
+			if !strings.Contains(out, line) {
+				t.Errorf("%s: classify printed\n%s\nwithout Prepare's line for %v\n%s", name, out, q, line)
+			}
+		}
+		eng.Close()
 	}
 }
 

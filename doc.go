@@ -99,7 +99,14 @@
 // once the log has failed, writes report ErrDurability instead of
 // success.
 //
-// The lower-level analysis surface (Classify, Decide, CompileSelection,
-// A/V graphs, expansions, proofs) remains available for working with the
-// paper's constructions directly.
+// # Analysis
+//
+// Engine.Analyze reports on one recursion of the engine's program: each
+// linear recursive rule paired with the exit rule gets the paper's
+// classification (Theorems 3.1 and 3.3) and optimize-then-detect verdict
+// (Theorem 3.4), and each adornment of the predicate gets the plan the
+// engine's own strategy chain picks for it, as Prepare would, without
+// touching the plan cache. The paper's constructions themselves (A/V
+// graphs, expansions, proofs) live in the internal packages the osr
+// workbench drives.
 package onesided

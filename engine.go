@@ -457,6 +457,19 @@ func displayShape(key string) string {
 // display renders the skeleton key for humans.
 func (ps *planSkeleton) display() string { return displayShape(ps.key) }
 
+// explain is the skeleton's plan report: the chosen strategy's and the
+// reasons of those that declined before it. A skeleton no strategy
+// accepted reports strategy "none".
+func (ps *planSkeleton) explain() Explain {
+	ex := Explain{Rejected: ps.rejected}
+	if ps.prepared == nil {
+		ex.Strategy, ex.Adornment = "none", ps.adorned.Adornment.String()
+	} else {
+		ex.StrategyExplain = ps.prepared.Explain()
+	}
+	return ex
+}
+
 // PreparedQuery is a planned, reusable, concurrency-safe query: the
 // strategy analysis (Decide/Optimize, Magic rewriting, ...) ran once at
 // skeleton-compile time, and each Query call only evaluates. The query's
@@ -568,22 +581,34 @@ func (e *Engine) cacheInsertLocked(ps *planSkeleton) *planSkeleton {
 // query is the ground atom that triggered the compile, used only to
 // phrase the all-strategies-declined error.
 func (e *Engine) compileSkeleton(program *ast.Program, skel ast.SkeletonQuery, query ast.Atom) (*planSkeleton, error) {
-	adorned := eval.AdornedQuery{Atom: skel.Atom, Adornment: skel.Adornment}
-	var rejected []StrategyAttempt
-	for _, s := range e.strategies {
-		prepared, err := s.Prepare(program, adorned)
-		if err != nil {
-			rejected = append(rejected, StrategyAttempt{Strategy: s.Name(), Reason: err.Error()})
-			continue
-		}
-		return &planSkeleton{key: skel.Key(), adorned: adorned, prepared: prepared, rejected: rejected, slots: skel.Atom.SlotCount()}, nil
+	ps := e.planChain(program, skel)
+	if ps.prepared != nil {
+		return ps, nil
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "onesided: no strategy accepts query %v:", query)
-	for _, r := range rejected {
+	for _, r := range ps.rejected {
 		fmt.Fprintf(&b, "\n  %s: %s", r.Strategy, r.Reason)
 	}
 	return nil, fmt.Errorf("%s", b.String())
+}
+
+// planChain offers a canonical query shape to each strategy of the chain
+// in turn. The skeleton holds the first plan and the reasons of the
+// strategies that declined before it, or, when every strategy declined,
+// no plan and all their reasons.
+func (e *Engine) planChain(program *ast.Program, skel ast.SkeletonQuery) *planSkeleton {
+	ps := &planSkeleton{key: skel.Key(), adorned: eval.AdornedQuery{Atom: skel.Atom, Adornment: skel.Adornment}, slots: skel.Atom.SlotCount()}
+	for _, s := range e.strategies {
+		prepared, err := s.Prepare(program, ps.adorned)
+		if err != nil {
+			ps.rejected = append(ps.rejected, StrategyAttempt{Strategy: s.Name(), Reason: err.Error()})
+			continue
+		}
+		ps.prepared = prepared
+		break
+	}
+	return ps
 }
 
 // bindSkeleton makes the PreparedQuery of a ground query over a
@@ -654,7 +679,9 @@ func (pq *PreparedQuery) BindAtom(q Atom) (*PreparedQuery, error) {
 // not depend on its constants (eval.PreparedStrategy), so the skeleton
 // answers for every query bound from it.
 func (pq *PreparedQuery) Explain() Explain {
-	return Explain{StrategyExplain: pq.skeleton.prepared.Explain(), Rejected: pq.skeleton.rejected, PlanCache: pq.cache}
+	ex := pq.skeleton.explain()
+	ex.PlanCache = pq.cache
+	return ex
 }
 
 // Query evaluates the prepared plan against the engine's database,

@@ -249,11 +249,11 @@ func TestBindMatchesPrepareAcrossExamples(t *testing.T) {
 				oracle := naiveOracle(t, prog, ground, eng.DB())
 				if !got.Relation().Equal(oracle) {
 					t.Fatalf("%s: bound answers %v != oracle %v",
-						c, got.Strings(), Answers(oracle, eng.DB()))
+						c, got.Strings(), eval.AnswerStrings(oracle, eng.DB().Syms))
 				}
 				if !freshRows.Relation().Equal(oracle) {
 					t.Fatalf("%s: fresh answers %v != oracle %v",
-						c, freshRows.Strings(), Answers(oracle, eng.DB()))
+						c, freshRows.Strings(), eval.AnswerStrings(oracle, eng.DB().Syms))
 				}
 			}
 			// Engine.Query on a same-shape query must hit the skeleton

@@ -262,7 +262,7 @@ func TestIncrementalEquivalenceAcrossExamples(t *testing.T) {
 				oracle := naiveOracle(t, prog, ground, eng.DB())
 				if !rows.Relation().Equal(oracle) {
 					t.Fatalf("step %d %v: incremental %v != scratch %v",
-						step, ground, rows.Strings(), Answers(oracle, eng.DB()))
+						step, ground, rows.Strings(), eval.AnswerStrings(oracle, eng.DB().Syms))
 				}
 				built.check(t, step, ground, rows.Explain())
 			}
@@ -550,7 +550,7 @@ func queryUpdated(t *testing.T, eng *Engine, query, what string) *Rows {
 		t.Fatal(err)
 	}
 	if !rows.Relation().Equal(scratch) {
-		t.Fatalf("%s: maintained %v != from-scratch %v", what, rows.Strings(), Answers(scratch, eng.DB()))
+		t.Fatalf("%s: maintained %v != from-scratch %v", what, rows.Strings(), eval.AnswerStrings(scratch, eng.DB().Syms))
 	}
 	return rows
 }
@@ -1167,7 +1167,7 @@ func TestRefixMatchesBottomUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []string
-		for _, y := range Answers(res.IDB.Relation("ans"), eng.DB()) {
+		for _, y := range eval.AnswerStrings(res.IDB.Relation("ans"), eng.DB().Syms) {
 			want = append(want, "r,"+y)
 		}
 		sort.Strings(want)

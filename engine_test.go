@@ -105,7 +105,7 @@ func TestEngineFallsBackToMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rows.Relation().Equal(want) {
-		t.Fatalf("magic answers %v != materialized %v", rows.Strings(), Answers(want, eng.DB()))
+		t.Fatalf("magic answers %v != materialized %v", rows.Strings(), eval.AnswerStrings(want, eng.DB().Syms))
 	}
 }
 

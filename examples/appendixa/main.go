@@ -15,6 +15,7 @@ import (
 
 	onesided "repro"
 	"repro/internal/analysis"
+	"repro/internal/ast"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
 )
@@ -88,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	def, err := onesided.ExtractDefinition(qPrime, "q")
+	def, err := ast.ExtractDefinition(qPrime, "q")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,10 @@ import (
 	"log"
 
 	onesided "repro"
+	"repro/internal/analysis"
 	"repro/internal/datagen"
+	"repro/internal/parser"
+	"repro/internal/rewrite"
 )
 
 const buysRules = `
@@ -23,16 +26,16 @@ const buysRules = `
 
 func main() {
 	// The decision procedure, shown explicitly first.
-	def, err := onesided.ParseDefinition(buysRules, "buys")
+	def, err := parser.ParseDefinition(buysRules, "buys")
 	if err != nil {
 		log.Fatal(err)
 	}
-	before, err := onesided.Classify(def)
+	before, err := analysis.Classify(def)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("before optimization:", before.Summary())
-	dec, err := onesided.Decide(def)
+	dec, err := rewrite.DecideOneSided(def)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Quickstart: open an Engine, load the canonical one-sided recursion,
-// and let the planner pick the Fig. 9 schema — then inspect the analysis
-// surface (Theorem 3.1 classification, full A/V graph, expansion) that
-// the planner runs under the hood.
+// and let the planner pick the Fig. 9 schema — then print the engine's
+// own analysis of the recursion (Engine.Analyze: the Theorem 3.1/3.4
+// verdicts and the plan per adornment) and the constructions under it
+// (full A/V graph, expansion).
 package main
 
 import (
@@ -10,6 +11,9 @@ import (
 	"log"
 
 	onesided "repro"
+	"repro/internal/ast"
+	"repro/internal/avgraph"
+	"repro/internal/expand"
 )
 
 func main() {
@@ -44,22 +48,25 @@ func main() {
 	}
 	fmt.Println()
 
-	// Under the hood: the detection machinery the planner used.
-	def, err := onesided.ExtractDefinition(eng.Program(), "t")
+	// Under the hood: the analysis the planner ran, and the plan it picks
+	// for each adornment of t.
+	an, err := eng.Analyze("t")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cls, err := onesided.Classify(def)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(cls.Summary())
+	fmt.Print(an)
 	fmt.Println()
-	fmt.Print(onesided.FullAVGraph(def))
+
+	// The full A/V graph (Figs. 3–6) of the recursive rule.
+	def, err := ast.ExtractDefinition(eng.Program(), "t")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(avgraph.NewFull(def).Render())
 	fmt.Println()
 
 	// The expansion (Fig. 1 / Example 2.2).
-	for i, s := range onesided.ExpandStrings(def, 3) {
-		fmt.Printf("s%d: %s\n", i, s)
+	for i, s := range expand.Expand(def, 3) {
+		fmt.Printf("s%d: %v\n", i, s)
 	}
 }

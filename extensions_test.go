@@ -4,12 +4,16 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/eval"
+	"repro/internal/parser"
+	"repro/internal/proof"
 )
 
-// TestPublicAPIProofs exercises the proof facade: find, verify, minimize.
+// TestPublicAPIProofs exercises the Section 4 proofs: find, verify,
+// minimize.
 func TestPublicAPIProofs(t *testing.T) {
-	def, err := ParseDefinition(tcSrc, "t")
+	def, err := parser.ParseDefinition(tcSrc, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +23,7 @@ func TestPublicAPIProofs(t *testing.T) {
 	db.AddFact("a", "c1", "c0")
 	db.AddFact("b", "c1", "out")
 
-	p := FindProof(def, db, []string{"s", "out"})
+	p := proof.Find(def, db, []string{"s", "out"})
 	if p == nil {
 		t.Fatal("no proof for t(s, out)")
 	}
@@ -35,34 +39,36 @@ func TestPublicAPIProofs(t *testing.T) {
 			t.Fatalf("Lemma 4.1: %s repeats %d times after splicing", c, n)
 		}
 	}
-	if FindProof(def, db, []string{"out", "s"}) != nil {
+	if proof.Find(def, db, []string{"out", "s"}) != nil {
 		t.Fatal("reverse tuple should have no proof")
 	}
 }
 
-// TestPublicAPIBoundedness exercises the boundedness facade.
+// TestPublicAPIBoundedness exercises the uniform-boundedness search.
 func TestPublicAPIBoundedness(t *testing.T) {
-	bounded, err := ParseDefinition(`
+	bounded, err := parser.ParseDefinition(`
 		t(X, Y) :- e(W1, W2), t(X, Y).
 		t(X, Y) :- b(X, Y).
 	`, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, ok := BoundednessLevel(bounded, 4)
+	k, ok := analysis.BoundednessLevel(bounded, 4)
 	if !ok || k != 0 {
 		t.Fatalf("level=%d ok=%v", k, ok)
 	}
-	tc, err := ParseDefinition(tcSrc, "t")
+	tc, err := parser.ParseDefinition(tcSrc, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := BoundednessLevel(tc, 4); ok {
+	if _, ok := analysis.BoundednessLevel(tc, 4); ok {
 		t.Fatal("transitive closure must not be bounded")
 	}
 }
 
-// TestPublicAPIMultiRule exercises the Section 5 extension facade.
+// TestPublicAPIMultiRule evaluates a Section 5 two-rule recursion with
+// the rule-by-rule persistent-column reduction and checks it against
+// Magic Sets.
 func TestPublicAPIMultiRule(t *testing.T) {
 	prog, err := ParseProgram(`
 		t(X, Y) :- rail(X, Z), t(Z, Y).
@@ -72,24 +78,13 @@ func TestPublicAPIMultiRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := ExtractMulti(prog, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := ClassifyMulti(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cls.UnionOneSided || cls.UnionSidedness != 1 {
-		t.Fatalf("union: %+v", cls)
-	}
 
 	db := NewDatabase()
 	db.AddFact("rail", "x", "y")
 	db.AddFact("bus", "y", "z")
 	db.AddFact("home", "z", "base")
 	q, _ := ParseQuery("t(X, base)")
-	ps, err := eval.OneSided().Prepare(md.Program(), eval.AdornQuery(q))
+	ps, err := eval.OneSided().Prepare(prog, eval.AdornQuery(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +95,12 @@ func TestPublicAPIMultiRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Answers(ans, db)
+	got := eval.AnswerStrings(ans, db.Syms)
 	if len(got) != 3 {
 		t.Fatalf("answers = %v", got)
 	}
 	// Same answers through magic.
-	want, _, err := eval.MagicEval(md.Program(), q, db)
+	want, _, err := eval.MagicEval(prog, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +110,9 @@ func TestPublicAPIMultiRule(t *testing.T) {
 }
 
 // TestPublicAPICountingAblation exercises EvalCounting through a compiled
-// plan obtained from the facade.
+// Fig. 9 plan.
 func TestPublicAPICountingAblation(t *testing.T) {
-	def, err := ParseDefinition(tcSrc, "t")
+	def, err := parser.ParseDefinition(tcSrc, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +121,7 @@ func TestPublicAPICountingAblation(t *testing.T) {
 	db.AddFact("a", "n1", "n2")
 	db.AddFact("b", "n2", "end")
 	q, _ := ParseQuery("t(n0, Y)")
-	plan, err := CompileSelection(def, q)
+	plan, err := eval.CompileSelection(def, q)
 	if err != nil {
 		t.Fatal(err)
 	}

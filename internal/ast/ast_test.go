@@ -291,6 +291,36 @@ func TestExtractDefinition(t *testing.T) {
 	}
 }
 
+// TestExtractRecursion: k linear recursive rules sharing one exit rule
+// come back one Definition per rule, in program order; a recursion
+// without its exit rule is rejected.
+func TestExtractRecursion(t *testing.T) {
+	p := tc().Program()
+	second := NewRule(NewAtom("t", V("X"), V("Y")),
+		NewAtom("c", V("X"), V("Z")), NewAtom("t", V("Z"), V("Y")))
+	p.Rules = append(p.Rules, second)
+	defs, err := ExtractRecursion(p, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defs) != 2 || defs[0].Pred() != "t" || defs[0].Arity() != 2 {
+		t.Fatalf("extracted %v", defs)
+	}
+	if defs[0].Recursive.String() != tc().Recursive.String() || defs[1].Recursive.String() != second.String() {
+		t.Fatalf("recursive rules %v, %v", defs[0].Recursive, defs[1].Recursive)
+	}
+	for i, d := range defs {
+		if d.Exit.String() != tc().Exit.String() {
+			t.Fatalf("definition %d pairs exit %v", i, d.Exit)
+		}
+	}
+	noExit := NewProgram()
+	noExit.Rules = append(noExit.Rules, tc().Recursive, second)
+	if _, err := ExtractRecursion(noExit, "t"); err == nil {
+		t.Fatal("expected error: no exit rule")
+	}
+}
+
 func TestIsFact(t *testing.T) {
 	if !NewRule(NewAtom("a", C("x"), C("y"))).IsFact() {
 		t.Fatal("ground head, empty body is a fact")

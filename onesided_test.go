@@ -4,7 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
+	"repro/internal/avgraph"
 	"repro/internal/eval"
+	"repro/internal/expand"
+	"repro/internal/parser"
+	"repro/internal/rewrite"
 )
 
 const tcSrc = `
@@ -12,14 +17,14 @@ const tcSrc = `
 	t(X, Y) :- b(X, Y).
 `
 
-// TestPublicAPIEndToEnd exercises the documented workflow: parse,
-// classify, build a database, compile, evaluate.
+// TestPublicAPIEndToEnd runs the paper's workflow below the Engine:
+// parse, classify, build a database, compile, evaluate.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	def, err := ParseDefinition(tcSrc, "t")
+	def, err := parser.ParseDefinition(tcSrc, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, err := Classify(def)
+	cls, err := analysis.Classify(def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +41,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := CompileSelection(def, q)
+	plan, err := eval.CompileSelection(def, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +52,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Answers(answers, db)
+	got := eval.AnswerStrings(answers, db.Syms)
 	if len(got) != 1 || got[0] != "paris,nice" {
 		t.Fatalf("answers = %v", got)
 	}
@@ -57,53 +62,53 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPIDecide(t *testing.T) {
-	buys, err := ParseDefinition(`
+	buys, err := parser.ParseDefinition(`
 		buys(X, Y) :- knows(X, W), buys(W, Y), cheap(Y).
 		buys(X, Y) :- likes(X, Y), cheap(Y).
 	`, "buys")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decide(buys)
+	dec, err := rewrite.DecideOneSided(buys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Verdict != VerdictConverted {
+	if dec.Verdict != rewrite.VerdictConverted {
 		t.Fatalf("verdict = %v", dec.Verdict)
 	}
 	if len(dec.Removed) != 1 {
 		t.Fatalf("removed = %v", dec.Removed)
 	}
 
-	sg, err := ParseDefinition(`
+	sg, err := parser.ParseDefinition(`
 		sg(X, Y) :- p(X, W), p(Y, Z), sg(W, Z).
 		sg(X, Y) :- sg0(X, Y).
 	`, "sg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err = Decide(sg)
+	dec, err = rewrite.DecideOneSided(sg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Verdict != VerdictNotOneSided {
+	if dec.Verdict != rewrite.VerdictNotOneSided {
 		t.Fatalf("sg verdict = %v", dec.Verdict)
 	}
 }
 
 func TestPublicAPIGraphsAndExpansion(t *testing.T) {
-	def, err := ParseDefinition(tcSrc, "t")
+	def, err := parser.ParseDefinition(tcSrc, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := AVGraph(def); !strings.Contains(g, "A/V graph") {
+	if g := avgraph.New(def).Render(); !strings.Contains(g, "A/V graph") {
 		t.Fatalf("AVGraph = %q", g)
 	}
-	if g := FullAVGraph(def); !strings.Contains(g, "full A/V graph") {
+	if g := avgraph.NewFull(def).Render(); !strings.Contains(g, "full A/V graph") {
 		t.Fatalf("FullAVGraph = %q", g)
 	}
-	ss := ExpandStrings(def, 2)
-	if len(ss) != 3 || ss[1] != "a(X, Z0), b(Z0, Y)" {
+	ss := expand.Expand(def, 2)
+	if len(ss) != 3 || ss[1].String() != "a(X, Z0), b(Z0, Y)" {
 		t.Fatalf("expansion = %v", ss)
 	}
 }
@@ -119,7 +124,7 @@ func TestPublicAPIParseSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := NewDatabase()
-	rules := LoadFacts(p, db)
+	rules := loadFacts(p, db)
 	if len(rules.Rules) != 2 || len(queries) != 1 {
 		t.Fatalf("rules=%d queries=%d", len(rules.Rules), len(queries))
 	}
@@ -127,13 +132,13 @@ func TestPublicAPIParseSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Answers(ans, db); len(got) != 1 || got[0] != "u,v" {
+	if got := eval.AnswerStrings(ans, db.Syms); len(got) != 1 || got[0] != "u,v" {
 		t.Fatalf("answers = %v", got)
 	}
 }
 
 func TestPublicAPIEngineAgreement(t *testing.T) {
-	def, err := ParseDefinition(tcSrc, "t")
+	def, err := parser.ParseDefinition(tcSrc, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +162,6 @@ func TestPublicAPIEngineAgreement(t *testing.T) {
 	}
 	if !planAns.Equal(magicAns) || !planAns.Equal(fullAns) {
 		t.Fatalf("engines disagree: plan=%v magic=%v full=%v",
-			Answers(planAns, db), Answers(magicAns, db), Answers(fullAns, db))
+			eval.AnswerStrings(planAns, db.Syms), eval.AnswerStrings(magicAns, db.Syms), eval.AnswerStrings(fullAns, db.Syms))
 	}
 }

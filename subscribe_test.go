@@ -67,7 +67,7 @@ func TestSubscribeSignedEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make(map[string]bool)
-		for _, s := range Answers(oracle, eng.DB()) {
+		for _, s := range eval.AnswerStrings(oracle, eng.DB().Syms) {
 			want[s] = true
 		}
 		if len(set) != len(want) {
