@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"sync/atomic"
+
 	"repro/internal/bitset"
 	"repro/internal/storage"
 )
@@ -16,7 +18,9 @@ import (
 //     the run's probe tally attached, the staging scratch of its chunked
 //     probes, the successor and answer scratch tuples, and the arena the
 //     next level's contexts are collected in — built once and reused by
-//     every level; the next level becomes the carry by a buffer swap;
+//     every level; the next level becomes the carry by a buffer swap, and
+//     the two arenas start at the capacity earlier runs of the plan
+//     reached (Plan.levelRoom), so a query does not grow them from nothing;
 //   - the per-solution callbacks are closures built once per run, so
 //     neither a level nor a context creates one.
 //
@@ -191,6 +195,33 @@ func (w *levelWorker) expand() { w.walk(&w.f) }
 // exits joins every context of the carry with the exit rule: every
 // solution goes to g.emit.
 func (w *levelWorker) exits() { w.walk(&w.g) }
+
+// maxLevelRoom caps the arenas a run starts with (size): 64 Ki values, 256
+// KiB an arena. A level that needs more grows its arena past it, as every
+// level did before the plan kept a size.
+const maxLevelRoom = 1 << 16
+
+// size starts the carry's and next's arenas at the capacity runs of the
+// plan have needed before (Plan.levelRoom), so that the levels of a run do
+// not grow them from nothing.
+func (w *levelWorker) size(room *atomic.Int64) {
+	if n := min(int(room.Load()), maxLevelRoom); n > 0 {
+		w.carry.vals = make([]storage.Value, 0, n)
+		w.next.vals = make([]storage.Value, 0, n)
+	}
+}
+
+// keepRoom raises room, the plan's, to the capacity the run's arenas have
+// reached, up to maxLevelRoom.
+func (w *levelWorker) keepRoom(room *atomic.Int64) {
+	n := int64(min(max(cap(w.carry.vals), cap(w.next.vals)), maxLevelRoom))
+	for {
+		was := room.Load()
+		if n <= was || room.CompareAndSwap(was, n) {
+			return
+		}
+	}
+}
 
 // advance makes the level collected in next the carry; the old carry's
 // storage, emptied, collects the level after it — no copy.

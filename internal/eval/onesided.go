@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
@@ -83,6 +84,12 @@ type Plan struct {
 	// so tests can observe fixpoint progress relative to streamed
 	// answers; production callers leave it nil.
 	TestIterHook func(iter int)
+
+	// levelRoom is the capacity the level arenas of the plan's runs have
+	// reached (levelWorker.keepRoom), which a run starts its arenas at. A
+	// skeleton and every plan bound from it share it, so that a query does
+	// not grow its arenas from nothing.
+	levelRoom *atomic.Int64
 
 	// Reduction (ModeReduced/ModeContext): the definition after persistent
 	// bound columns were substituted and dropped.
@@ -168,7 +175,7 @@ func compileSelection(d *ast.Definition, more []ast.Rule, query ast.Atom) (*Plan
 		}
 	}
 
-	p := &Plan{Def: d, Query: query.Clone(), NSlots: query.SlotCount()}
+	p := &Plan{Def: d, Query: query.Clone(), NSlots: query.SlotCount(), levelRoom: new(atomic.Int64)}
 	ad := ast.AdornmentOf(query)
 	split := analysis.SplitBinding(d, ad)
 	if len(more) > 0 {
@@ -992,6 +999,7 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	// the next level is a set. Only g's answers can stop the evaluation.
 	w := newLevelWorker(&ops.f, &ops.g, ce.nAnchors, p.Def.Arity(), &ce.carry, ce.seen, ce.resolve, &ce.tally)
 	ce.w = w
+	w.size(p.levelRoom)
 	w.f.emit = func(s []storage.Value) bool {
 		w.claim(w.successor(s))
 		return true
@@ -1057,6 +1065,9 @@ func fillQueryConsts(srcs []colSrc, qc storage.Tuple) []colSrc {
 // so the distinction is recovered from ctx itself.
 func (ce *contextEval) finish(ctx context.Context) (*storage.Relation, EvalStats, error) {
 	ce.stats.SeenSize = ce.claimed
+	if ce.w != nil {
+		ce.w.keepRoom(ce.p.levelRoom)
+	}
 	if ce.stopped {
 		if err := ctx.Err(); err != nil {
 			return nil, ce.stats, err

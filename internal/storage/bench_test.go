@@ -11,7 +11,10 @@ import (
 // "digraph" is 120 000 random edges over 30 000 values, degree ≈ 4,
 // "chain" 20 000 edges in a line, degree 1, and "exits" 300 random edges
 // over the digraph's 30 000 values — wide_cold's exit relation, whose
-// column 0 is a hashed directory with a presence bitmap. universe is the
+// column 0 is a hashed directory with a presence bitmap — and "ranges"
+// 30 000 keys of four rows each, inserted key by key, so that every key's
+// rows are one range of a dense directory, as a clustered relation's are.
+// universe is the
 // number of values column 0 is drawn from; with spread 2 they are its
 // first universe even numbers instead of 0, 1, 2, ….
 func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, universe int) {
@@ -35,6 +38,13 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 		for i := 0; i < 300; i++ {
 			edges = append(edges, Tuple{Value(spread * rng.Intn(universe)), Value(rng.Intn(universe))})
 		}
+	case "ranges":
+		universe = 30000
+		for k := 0; k < universe; k++ {
+			for j := 0; j < 4; j++ {
+				edges = append(edges, Tuple{Value(spread * k), Value((k + j*universe/4) % universe)})
+			}
+		}
 	}
 	rel.InsertBatch(edges)
 	rel.Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true }) // build the directory
@@ -48,7 +58,8 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 // (miss), and between the keys, odd ones probed against a column of even
 // ones (gap); on the exit relation, keys drawn from the whole span of the
 // digraph's values, as a wide level's exit probes are, ≈99 % of them
-// misses inside the key range (span). Each is counted in the shared Counters (LookupBuf) or in a
+// misses inside the key range (span); on the four-row ranges, keys in
+// random order (hit). Each is counted in the shared Counters (LookupBuf) or in a
 // tally the goroutine owns (LookupTally), from one goroutine and from
 // GOMAXPROCS of them — and the same keys are probed through LookupKeys
 // (tallied, serial), one key a call and sixteen: the staged probe's
@@ -58,12 +69,15 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 // pass over 4096 keys, so that a fixed small -benchtime still times
 // something; it must not allocate.
 func BenchmarkRelationLookup(b *testing.B) {
-	for _, shape := range []string{"digraph", "chain", "exits"} {
+	for _, shape := range []string{"digraph", "chain", "exits", "ranges"} {
 		rel, stats, universe := benchGraph(shape, 1)
 		even, evenStats, _ := benchGraph(shape, 2)
 		kinds := []string{"hit", "walk", "miss", "gap"}
-		if shape == "exits" {
+		switch shape {
+		case "exits":
 			kinds = []string{"span"}
+		case "ranges":
+			kinds = []string{"hit"}
 		}
 		for _, keys := range kinds {
 			rel, stats := rel, stats

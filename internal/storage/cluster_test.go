@@ -9,11 +9,13 @@ import (
 	"testing"
 )
 
-// ranges counts the range entries of column col's directory.
+// ranges counts the keys column col's directory names by a range: of
+// more than one row, in a dense table's slot word or a hashed table's
+// range entry.
 func ranges(st *store, col int) (n int) {
 	d := st.cols[col].Load()
 	for _, w := range d.slots {
-		if w != 0 && w&inlineRow == 0 && d.rows(w).ids == nil {
+		if s := d.rows(w); w != 0 && s.ids == nil && s.n > 1 {
 			n++
 		}
 	}

@@ -16,17 +16,19 @@ import (
 // or grown and fixed for its life (see sized):
 //
 //   - dense: mul 1 and shift 0, so key v's slot is slots[v-base], and
-//     holds v or nothing: there is no hash and no probe walk. Interned
-//     Values are dense in first-seen order, so the columns a chain, a tree
-//     or most edge relations are keyed by go dense, and the keys a walk
-//     down a chain visits in turn are neighbours in the table.
+//     holds v's rows or nothing: there is no hash, no key compare and no
+//     probe walk. Interned Values are dense in first-seen order, so the
+//     columns a chain, a tree or most edge relations are keyed by go
+//     dense, and the keys a walk down a chain visits in turn are
+//     neighbours in the table.
 //   - hashed: Fibonacci hashing (mul is fibonacci, base the lowest key
 //     when the table was made, and home the top bits of the product),
 //     linear probing, a power-of-two size.
 //
-// Either kind keeps the range [lo, hi] of its keys, and a probe outside it
-// reads no slot; a dense table spans at least that range, so a probe
-// inside it reads one. A hashed table whose keys, when it was made, span
+// Either kind keeps the range [lo, hi] of its keys. A dense table spans at
+// least that range, and a probe of it reads the key's slot if the table
+// has one, and nothing else. A hashed table's probe outside [lo, hi] reads
+// no slot. A hashed table whose keys, when it was made, span
 // at most 64 values a slot — so that one bit a value takes no more memory
 // than the slots — also keeps an exact presence bitmap: bit key-base of
 // bits is set for every key it holds, over a range fixed for the table's
@@ -36,42 +38,59 @@ import (
 // nothing; a probe beyond it (a key posted after the table was made)
 // checks [lo, hi] and walks as before.
 //
-// A slot is one word,
+// A slot is one word (0: empty), and its low half, ref, says where the
+// rows are. With ref's top bit (inlineRow) set, the word itself names
+// them, and a probe reads no more than the word before the rows:
 //
-//	key<<32 | ref        (0: empty)
+//	hashed:  key<<32   | inlineRow | row     the key's one row
+//	dense:   count<<32 | inlineRow | first   count >= 1 rows from first on
 //
-// and ref says where the rows are. With its top bit (inlineRow) set the
-// rest of it IS the id of the key's one row — every key of a chain, a
-// tree, any functional column — and a probe is done with the slot.
-// Otherwise ref names an entry in the directory's arena: chunk
-// ref>>chunkShift, word ref&chunkMask, which starts with a length word. An
-// entry whose length word has its top bit (rangeBit) set is a range: one
-// more word, the first row, and the key's rows are the length rows from it
-// on, one contiguous stretch of the blocks — what a build finds for every
-// key of a clustered relation (store.cluster), and for any key whose rows
-// happen to lie side by side. A range is never written again once its slot
-// word names it. Any other entry is a run: the length word is followed by
-// the ids, in room for runCap(length) of them (the capacity follows from
-// the length and is not kept). Chunks never move and an entry is never
-// reused, so whatever a reader was handed stays as it was.
+// A hashed table needs the key in the word to tell it from the others
+// its probe walk meets; a dense table's slot is its key's, so the high half
+// holds the count instead, and one word names a lone row — every key of a
+// chain, a tree, any functional column — or a range: one contiguous
+// stretch of the blocks, what a build finds for every key of a clustered
+// relation (store.cluster), and for any key whose rows happen to lie side
+// by side. Otherwise ref names an entry in the directory's arena,
+//
+//	hashed:  key<<32 | ref
+//	dense:   ref
+//
+// at chunk ref>>chunkShift, word ref&chunkMask, which starts with a length
+// word. A negative length word makes the entry a range: one more word, the
+// first row, and the key's rows are -length rows from it on — how a hashed
+// table names a multi-row range (a dense table grown from a hashed one
+// may keep such entries). A range entry is never written again once its
+// slot word names it. Any other entry is a run: the length word is
+// followed by the ids, in room for runCap(length) of them (the capacity
+// follows from the length and is not kept). Chunks never move and an
+// entry is never reused, so whatever a reader was handed stays as it was.
 //
 // One writer at a time — whoever holds the relation's write lock — extends a
 // directory while any number of readers probe it without a lock, and one
 // rule orders them: a reference is stored after what it refers to. The
 // writer widens [lo, hi] to a new key, and sets the key's bit in the
 // bitmap's range, before it stores the key's slot word, and clears no
-// bit; it writes an entry — a run's ids and length, a range's two words —
-// and publishes the chunk it is in, before the atomic store of the slot
-// word that names it; it appends an id to a run before the atomic store
-// of the longer length; a run that is full, or a range, which is never
-// extended, is copied into a run with room for twice as many, and the slot
-// word then stored, the old entry staying behind, abandoned, for the
-// readers still on it. The reader loads the key's bit or [lo, hi] before the slot — a
+// bit; it writes a row into its block, and publishes the block list if
+// the row opened a block, before it posts the row; it writes an entry — a
+// run's ids and length, a range's two words — and publishes the chunk it
+// is in, before the atomic store of the slot word that names it; it
+// appends an id to a run before the atomic store of the longer length. A
+// dense table's inline range takes the row right after its last in place:
+// one atomic store of the word with the count one higher, which names no
+// row that is not in the blocks already. Any other inline word, a run that
+// is full, or a range entry, which is never extended, is copied into a run
+// with room for twice as many, and the slot word then stored, the old
+// entry staying behind, abandoned, for the readers still on it. The reader
+// of a hashed table loads the key's bit or [lo, hi] before the slot — a
 // clear bit, or a key outside the range, means no word was there to
-// load — then makes one atomic 64-bit load of the slot, then loads the
-// chunk list, then the length (slot, rows): the word it got was stored
-// after a chunk list holding the run's chunk and after a length whose ids
-// are there, and every later list and length covers as much.
+// load; a dense table's reader loads nothing before the slot, which
+// outside [lo, hi] is empty or was stored after they widened. Then it
+// makes one atomic 64-bit load of the slot, then loads the chunk list, then the
+// length (slot, rows), and the block list last: the word it got was
+// stored after a chunk list holding the run's chunk, after a length whose
+// ids are there, and after the rows it names, and every later list and
+// length covers as much.
 //
 // A key is never removed and a slot never moves: a table that must grow —
 // a hashed one past 3/4 full, a dense one for a key beyond its ends — is
@@ -79,7 +98,8 @@ import (
 // stored in it first, and that one is published in its place (store.cols),
 // the old one staying as it was for the readers still in it. The copy
 // carries the arena on: chunk list, fill mark and tallies; its bitmap, if
-// it has room for one, is built afresh over its keys' range.
+// it has room for one, is built afresh over its keys' range; and each
+// word is written as the copy's kind has it (into).
 //
 // Reach: row ids are below 2^31 (as everywhere in the store — int32 ids),
 // and a run reference is 31 bits: maxChunks chunks, each entered within
@@ -92,6 +112,10 @@ type directory struct {
 	base  Value
 	mul   uint32
 	shift uint8
+	// countShift is 32 in a dense table and 63 in a hashed one: an inline
+	// word shifted right by it is a dense table's count, and at most 1 in a
+	// hashed one, whose inline word is one row (see rows).
+	countShift uint8
 	// bits is a hashed table's presence bitmap, bit key-base per key, or
 	// nil (see above). Its length is fixed; the writer sets a key's bit
 	// before it stores the key's slot word, and no bit is cleared.
@@ -117,8 +141,6 @@ type directory struct {
 const (
 	// inlineRow is the reference bit that makes the rest a row id.
 	inlineRow = 1 << 31
-	// rangeBit is the length-word bit that makes an entry a range.
-	rangeBit = math.MinInt32
 	// chunkShift splits a run reference into chunk and word.
 	chunkShift = 16
 	chunkMask  = 1<<chunkShift - 1
@@ -138,7 +160,7 @@ const (
 // newDirectory returns a directory without keys: a dense table of no
 // slots, which its first key grows.
 func newDirectory() *directory {
-	d := &directory{mul: 1}
+	d := &directory{mul: 1, countShift: 32}
 	d.lo.Store(math.MaxInt32)
 	d.hi.Store(math.MinInt32)
 	return d
@@ -160,7 +182,7 @@ func newDirectory() *directory {
 // Otherwise it is hashed, at most 3/4 full, based at lo, with a presence
 // bitmap over [lo, hi] where that is no larger than its slots.
 func sized(n int, lo, hi Value, grow bool) *directory {
-	d := &directory{mul: 1}
+	d := &directory{mul: 1, countShift: 32}
 	d.lo.Store(int32(lo))
 	d.hi.Store(int32(hi))
 	keys, span := int64(n), int64(hi)-int64(lo)+1
@@ -175,7 +197,7 @@ func sized(n int, lo, hi Value, grow bool) *directory {
 		for 4*n > 3*size {
 			size *= 2
 		}
-		d.base, d.mul, d.shift, d.slots = lo, fibonacci, uint8(33-bits.Len(uint(size))), make([]uint64, size)
+		d.base, d.mul, d.shift, d.countShift, d.slots = lo, fibonacci, uint8(33-bits.Len(uint(size))), 63, make([]uint64, size)
 		if words := (span + 63) / 64; words <= int64(size) {
 			d.bits = make([]uint64, words)
 		}
@@ -186,14 +208,51 @@ func sized(n int, lo, hi Value, grow bool) *directory {
 // dense reports whether d is a dense table.
 func (d *directory) dense() bool { return d.mul == 1 }
 
-// slotWord is the word of key's slot once its rows are at ref.
+// slotWord is a hashed table's word of key's slot once its rows are at
+// ref.
 func slotWord(key Value, ref uint32) uint64 { return uint64(uint32(key))<<32 | uint64(ref) }
 
-// slot returns the word of key's slot, 0 when the key has none: read off
-// the bitmap when the key is in its range and its bit is clear. Safe
-// without a lock.
+// refWord is the word of key's slot in d once its rows are at ref — an
+// arena entry, or (keyTable) a count: a hashed table's slotWord, and ref
+// alone in a dense one.
+func (d *directory) refWord(key Value, ref uint32) uint64 {
+	if d.dense() {
+		return uint64(ref)
+	}
+	return slotWord(key, ref)
+}
+
+// inlineWord is the word of key's slot in d when its n rows are first on:
+// in a dense table n<<32 | inlineRow | first, for any n >= 1; in a hashed
+// one slotWord(key, inlineRow|first), for n = 1 only.
+func (d *directory) inlineWord(key Value, first, n int32) uint64 {
+	if d.dense() {
+		return uint64(n)<<32 | inlineRow | uint64(first)
+	}
+	return slotWord(key, inlineRow|uint32(first))
+}
+
+// key returns the key of slot i, whose word w is not 0: the slot's own
+// key in a dense table, the word's high half in a hashed one.
+func (d *directory) key(i int, w uint64) Value {
+	if d.dense() {
+		return d.base + Value(i)
+	}
+	return Value(w >> 32)
+}
+
+// slot returns the word of key's slot, 0 when the key has none. A dense
+// table's is its slot, found with no key compare and no walk; a hashed
+// table's is read off the bitmap when the key is in its range and its bit
+// is clear. Safe without a lock.
 func (d *directory) slot(key Value) (w uint64) {
 	i := uint32(key - d.base)
+	if d.dense() {
+		if i < uint32(len(d.slots)) {
+			return atomic.LoadUint64(&d.slots[i])
+		}
+		return 0
+	}
 	if i>>6 < uint32(len(d.bits)) {
 		if atomic.LoadUint64(&d.bits[i>>6])>>(i&63)&1 == 0 {
 			return 0
@@ -240,7 +299,8 @@ func (d *directory) count(w uint64) int {
 	return int(d.rows(w).n)
 }
 
-// loneRow is the row id in a slot word whose inlineRow bit is set.
+// loneRow is the row id in a slot word whose inlineRow bit is set: the
+// key's one row, or the first of a dense table's inline range.
 func loneRow(w uint64) int32 { return int32(w) & math.MaxInt32 }
 
 // runIDs returns the rows of the entry whose room this is (see room): a
@@ -249,18 +309,21 @@ func loneRow(w uint64) int32 { return int32(w) & math.MaxInt32 }
 func runIDs(room []int32) rowSet {
 	n := atomic.LoadInt32(&room[0])
 	if n < 0 {
-		return rowSet{first: room[1], n: n &^ rangeBit}
+		return rowSet{first: room[1], n: -n}
 	}
-	return rowSet{ids: room[1 : 1+n], n: n}
+	return rowSet{ids: room[1:][:n], n: n}
 }
 
 // rows returns the rows w — the word of an occupied slot of d — stands
-// for: the one in the word, or its entry's (runIDs). Safe without a lock.
+// for: those the word names itself, when its inlineRow bit is set — the
+// count in its high half from its row on in a dense table, its one row in
+// a hashed one — or its entry's (runIDs). Safe without a lock; an inline
+// word is read with no other load.
 func (d *directory) rows(w uint64) rowSet {
-	if w&inlineRow == 0 {
+	if int32(w) >= 0 { // inlineRow clear
 		return runIDs(d.room(uint32(w)))
 	}
-	return rowSet{first: int32(w) & math.MaxInt32, n: 1} // loneRow, spelled out to keep this inlinable
+	return rowSet{first: int32(w) & math.MaxInt32, n: max(int32(w>>d.countShift), 1)} // loneRow, spelled out to keep this inlinable
 }
 
 // probe returns the index of key's slot — in a hashed table, of the
@@ -322,17 +385,31 @@ func (d *directory) grown(key Value) *directory {
 	return d.into(sized(d.used+1, lo, hi, true))
 }
 
-// into copies d's slots and arena into g, an empty table with room for
-// them, marking their keys in g's bitmap, and returns g.
+// into copies d's keys and their rows into g, an empty table with room for
+// them, marking their keys in g's bitmap, and returns g. The arena comes
+// along — chunk list, fill mark and tallies — and each word is written
+// for g's kind (refWord, inlineWord): a dense table's key is its slot's,
+// and its inline word names any number of rows, so a range going into a
+// hashed table gets a range entry, reserved here, before g is published.
 func (d *directory) into(g *directory) *directory {
 	g.used, g.free, g.words, g.abandoned = d.used, d.free, d.words, d.abandoned
 	g.chunks.Store(d.chunks.Load())
-	for _, w := range d.slots {
-		if w != 0 {
-			key := Value(w >> 32)
-			g.slots[g.probe(key)] = w
-			g.mark(key)
+	for i, w := range d.slots {
+		if w == 0 {
+			continue
 		}
+		key := d.key(i, w)
+		if w&inlineRow == 0 {
+			w = g.refWord(key, uint32(w))
+		} else if s := d.rows(w); g.dense() || s.n == 1 {
+			w = g.inlineWord(key, s.first, s.n)
+		} else {
+			ref, entry := g.reserve(1)
+			entry[0], entry[1] = -s.n, s.first
+			w = slotWord(key, ref)
+		}
+		g.slots[g.probe(key)] = w
+		g.mark(key)
 	}
 	return g
 }
@@ -382,20 +459,30 @@ func (d *directory) reserve(c int32) (ref uint32, run []int32) {
 
 // post appends row to key's rows in d, the published directory of column
 // col, publishing in turn what a reader could not otherwise reach (see
-// directory): a run with room takes the row in place; a key's lone row, a
-// full run and a range move, with the row, to a run with room for twice
-// as many; and a larger table replaces d when a new key needed a slot d
-// had no room for. Caller holds the write lock.
+// directory): a dense table's inline range whose next row this is takes it
+// in place, by one store of its word; a run with room takes it in place; a
+// key's lone row, any other inline range, a full run and a range entry
+// move, with the row, to a run with room for twice as many; and a larger
+// table replaces d when a new key needed a slot d had no room for. Caller
+// holds the write lock.
 func (st *store) post(col int, d *directory, key Value, row int32) {
 	i, in := d.claim(key)
 	slot := &in.slots[i]
-	if w := *slot; w == 0 {
-		atomic.StoreUint64(slot, slotWord(key, inlineRow|uint32(row)))
-	} else if old := in.rows(w); old.ids != nil && old.n < runCap(old.n) {
+	w := *slot
+	var old rowSet
+	if w != 0 {
+		old = in.rows(w)
+	}
+	switch {
+	case w == 0:
+		atomic.StoreUint64(slot, in.inlineWord(key, row, 1))
+	case in.dense() && w&inlineRow != 0 && old.first+old.n == row:
+		atomic.StoreUint64(slot, w+1<<32) // one more row in the count
+	case old.ids != nil && old.n < runCap(old.n):
 		room := in.room(uint32(w))
 		room[1+old.n] = row
 		atomic.StoreInt32(&room[0], old.n+1)
-	} else {
+	default:
 		ref, moved := in.reserve(runCap(old.n + 1))
 		for j := range int(old.n) {
 			moved[1+j] = old.at(j)
@@ -407,7 +494,7 @@ func (st *store) post(col int, d *directory, key Value, row int32) {
 		case w&inlineRow == 0:
 			in.abandoned += 2
 		}
-		atomic.StoreUint64(slot, slotWord(key, ref))
+		atomic.StoreUint64(slot, in.refWord(key, ref))
 	}
 	if in != d {
 		st.cols[col].Store(in)
@@ -425,8 +512,8 @@ func (st *store) eachLive(col, lo, hi int, fn func(row int, key Value)) {
 }
 
 // keyTable returns a table of the keys of column col among the store's
-// live rows in [lo, hi), the low word of each key's slot its count of
-// them, and no arena. A first pass finds the keys' range: when it spans at
+// live rows in [lo, hi), the low half of each key's slot word its count of
+// them (refWord), and no arena. A first pass finds the keys' range: when it spans at
 // most 8/3 slots a row, the table is dense and exactly that span from the
 // start, and is rehashed once the keys are counted if there are too few
 // of them for it (see sized); otherwise it is hashed and grows as the keys
@@ -448,10 +535,7 @@ func (st *store) keyTable(col, lo, hi int) *directory {
 	st.eachLive(col, lo, hi, func(_ int, key Value) {
 		var i int
 		i, d = d.claim(key)
-		if d.slots[i] == 0 {
-			d.slots[i] = slotWord(key, 0)
-		}
-		d.slots[i]++
+		d.slots[i] = d.refWord(key, uint32(d.slots[i])+1)
 	})
 	if d.dense() && 3*len(d.slots) > 8*d.used {
 		d = d.into(sized(d.used, kmin, kmax, false))
@@ -462,11 +546,12 @@ func (st *store) keyTable(col, lo, hi int) *directory {
 // buildDirectory indexes column col of the store's live rows in [lo, hi)
 // (tombstoned rows are left out — the compaction path relies on this). On
 // the key table (keyTable), a third pass finds each key's first row and
-// whether its rows are contiguous; every entry is then carved out of one
-// exact allocation: a key with one row goes in its slot word, a key whose
-// rows are contiguous gets a range, any other a run, with room by the same
-// rule as a posted one's, which a last pass fills — a run's length word
-// counting what it has so far. Caller holds the lock — the write lock for
+// whether its rows are contiguous. A key with one row goes in its slot
+// word, and so does a dense table's key whose rows are contiguous; every
+// entry is then carved out of one exact allocation: a hashed table's key
+// whose rows are contiguous gets a range, any other key a run, with room
+// by the same rule as a posted one's, which a last pass fills — a run's
+// length word counting what it has so far. Caller holds the lock — the write lock for
 // a directory of the store's own, the read lock for a window's — and the
 // result is private until stored.
 func (st *store) buildDirectory(col, lo, hi int) *directory {
@@ -488,15 +573,17 @@ func (st *store) buildDirectory(col, lo, hi int) *directory {
 		}
 	})
 	// Counts become references: of a bulk arena, whose chunks are views of
-	// one allocation, an entry's reference is its offset in it.
+	// one allocation, an entry's reference is its offset in it. A dense
+	// table names contiguous rows in the slot word, a hashed one by a range
+	// entry unless there is one row.
 	total, runs := 1, false // word 0 is no entry's: see reserve
 	for i, w := range d.slots {
 		switch n := int32(uint32(w)); {
-		case n > 1 && first[i] >= 0:
-			total += 2
-		case n > 1:
+		case n > 1 && first[i] < 0:
 			total += 1 + int(runCap(n))
 			runs = true
+		case n > 1 && !d.dense():
+			total += 2
 		}
 	}
 	if total > 1<<31 {
@@ -514,15 +601,16 @@ func (st *store) buildDirectory(col, lo, hi int) *directory {
 	}
 	at := 1
 	for i, w := range d.slots {
-		switch key, n := Value(w>>32), int32(uint32(w)); {
-		case n == 1:
-			d.slots[i] = slotWord(key, inlineRow|uint32(first[i]))
-		case n > 1 && first[i] >= 0:
-			arena[at], arena[at+1] = rangeBit|n, first[i]
+		switch key, n := d.key(i, w), int32(uint32(w)); {
+		case w == 0:
+		case first[i] >= 0 && (n == 1 || d.dense()):
+			d.slots[i] = d.inlineWord(key, first[i], n)
+		case first[i] >= 0:
+			arena[at], arena[at+1] = -n, first[i]
 			d.slots[i] = slotWord(key, uint32(at))
 			at += 2
-		case n > 1:
-			d.slots[i] = slotWord(key, uint32(at))
+		default:
+			d.slots[i] = d.refWord(key, uint32(at))
 			at += 1 + int(runCap(n))
 		}
 	}

@@ -205,8 +205,9 @@ func TestLoneRowProbeDoesNotAllocate(t *testing.T) {
 
 // TestDirectoryBytesPerKey pins what a key costs in a posting directory
 // built in bulk, by Footprint, for a column of unique keys (a slot apiece,
-// the row in it) and one of fan-out four (a slot, and a run of a length
-// word and four ids), in both kinds of table. Keys three apart span more
+// the row in it) and one of fan-out four, inserted key by key (a slot and
+// a two-word range entry hashed; dense, the slot alone, naming the four
+// rows), in both kinds of table. Keys three apart span more
 // than 8/3 slots a key, so they are hashed, and there are as many as puts
 // the table at its worst load — 3/8, having just doubled. Keys 0, 1, 2, …
 // are dense and cost no more: their table is their span, a slot a key.
@@ -258,7 +259,7 @@ func TestFootprintCountsWhatIsThere(t *testing.T) {
 			db.AddFact("e", fmt.Sprintf("n%d", i/2), fmt.Sprintf("n%d", i+1))
 		}
 		db.Ensure("e", 2).Lookup([]Binding{{Col: 0, Val: 0}}, func(Tuple) bool { return true })
-		db.AddFact("e", "n0", "n9") // n0's range of two moves to a run with room for four
+		db.AddFact("e", "n0", "n9") // n0's range of two, in its slot word, moves to a run with room for four
 		return db
 	}
 	f := build().Footprint()
@@ -268,16 +269,15 @@ func TestFootprintCountsWhatIsThere(t *testing.T) {
 		DirectorySlots:   5 * 8,                                       // keys n0…n4 are Values 0…4: a dense table, a slot each
 		DirectoryKeys:    5,
 		DenseDirectories: 1,
-		RunArenas:        (11+16)*4 + 2*headerBytes, // each key's two rows are contiguous: 1 + 5×2 words of ranges filled the first chunk; a second for n0's run
-		RunsAbandoned:    2 * 4,                     // n0's range
-		SymbolText:       256 + 16,                  // one text chunk, one list entry
+		RunArenas:        16*4 + headerBytes, // each key's two rows are contiguous, a range in its slot word: no arena until n0's run, in a first chunk of 16 words
+		SymbolText:       256 + 16,           // one text chunk, one list entry
 		SymbolIndex:      16*8 + 16*8,
 	}
 	if f != want {
 		t.Fatalf("footprint\n got %+v\nwant %+v", f, want)
 	}
-	// (40 slot bytes + 156 arena bytes) / 5 keys, in the line and the JSON.
-	if perKey := "39.2"; !strings.Contains(f.String(), "keys=5 dense-directories=1 bytes-per-key="+perKey) {
+	// (40 slot bytes + 88 arena bytes) / 5 keys, in the line and the JSON.
+	if perKey := "25.6"; !strings.Contains(f.String(), "keys=5 dense-directories=1 bytes-per-key="+perKey) {
 		t.Fatalf("String() = %s, want 5 keys, 1 dense directory, %s B/key", f, perKey)
 	} else if js, err := json.Marshal(f); err != nil || !strings.Contains(string(js), `"directory_keys":5,"dense_directories":1,`) || !strings.Contains(string(js), `"directory_bytes_per_key":`+perKey) {
 		t.Fatalf("JSON %s (%v)", js, err)

@@ -13,11 +13,12 @@
 // and dedup through an open-addressing hash table over row ids keyed by
 // a word-at-a-time tuple hash (HashTuple), so neither insertion nor
 // membership builds a string key. Per-column indexes are posting
-// directories built lazily on first use: a flat table of 8-byte slots — a
-// value, and beside it either the id of the one row that carries it or a
-// reference to an entry in an arena of chunks that never move
-// (directory.go): a range, two words naming rows that lie side by side,
-// or a run of ids. The first directory a tracked relation builds, while
+// directories built lazily on first use: a flat table of 8-byte slots,
+// each naming a key's rows itself — its one row, and in a table whose
+// slot is its key's (dense, below) a count of rows side by side, a range
+// — or holding a reference to an entry in an arena of chunks that never
+// move (directory.go): a run of ids, or a hashed table's range, two
+// words. The first directory a tracked relation builds, while
 // it has no tombstone, first lays its rows out afresh sorted by that
 // column (store.cluster), so that each key's rows there are one range and
 // a gather copies them as slices of their blocks; the rows the delta tail
@@ -28,7 +29,8 @@
 // slots a key, grown when they span at most 2 of the 8/3 it gets — never
 // more slots than a hashed table holds right after it doubles at 3/4
 // load. Any other table is Fibonacci-hashed, linear probing. Either keeps
-// its keys' range, and a probe outside it reads no slot; a hashed table
+// its keys' range; a dense table's probe reads its key's slot and nothing
+// else, a hashed table's reads no slot outside the range, and a hashed table
 // whose keys span at most 64 values a slot also keeps a presence bitmap,
 // one bit per value over that span, and a probe whose bit is clear
 // reads no slot either — no probe walk for a miss. Interned Values
@@ -66,11 +68,12 @@
 // calling goroutine owns and adds in when its work is done, so that a
 // probe writes no shared memory at all; Counters are therefore exact
 // between evaluations, not during one. A probe is a chain of dependent
-// loads — the directory slot; the run, unless the key has one row and the
-// slot holds it (every key of a chain, a tree, a functional column); the
-// block row — and a caller with many independent keys for one column
+// loads — the directory slot; the entry, unless the slot word names the
+// rows itself (a lone row — every key of a chain, a tree, a functional
+// column — or a dense table's range, every key of a clustered relation);
+// the block row — and a caller with many independent keys for one column
 // hands them over together (LookupKeys): sixteen probes at a time load
-// their slots, then their runs, then up to sixty-four of their rows, and
+// their slots, then their entries, then up to sixty-four of their rows, and
 // only then yield, in key order — the tuples, order and counts of one
 // Lookup per key, with the misses overlapped. A caller that wants only
 // some columns and no callback gathers instead (GatherKeys): the same
@@ -78,8 +81,10 @@
 // buffer, key by key, with where each key's rows end — no row copied
 // whole, nothing yielded, the counts those of LookupKeys run to its end.
 // In a directory a reference is stored after what it refers to — a key's
-// presence bit is set before its slot word — and a reader loads the slot,
-// then the arena's chunk list, then the entry; every slot and entry of a
+// presence bit is set before its slot word, and a row is in its block
+// before the slot word whose count covers it, which is how a dense table's
+// range takes the next row in place — and a reader loads the slot, then
+// the arena's chunk list, then the entry; every slot and entry of a
 // stage is loaded before the block list. A probe that yields reads its
 // rows through one routine (storeView.readKeyed); a gather reads a run's
 // or a range's through its column-at-a-time twin (storeView.appendRows),

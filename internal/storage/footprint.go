@@ -33,10 +33,12 @@ type Footprint struct {
 	// directory); the rest hash.
 	DirectoryKeys    int64 `json:"directory_keys"`
 	DenseDirectories int64 `json:"dense_directories"`
-	// RunArenas is the directories' arenas of runs and ranges, chunk lists
-	// included; RunsAbandoned is the part of it held by entries that have
-	// since moved to a larger run and stay behind for readers (reclaimed
-	// when tombstone compaction rebuilds the directory).
+	// RunArenas is the directories' arenas of runs and of hashed tables'
+	// range entries, chunk lists included (a dense table names a range in
+	// its slot word, a lone row either kind); RunsAbandoned is the part of
+	// it held by entries that have since moved to a larger run and stay
+	// behind for readers (reclaimed when tombstone compaction rebuilds the
+	// directory).
 	RunArenas     int64 `json:"run_arenas"`
 	RunsAbandoned int64 `json:"runs_abandoned"`
 	// SymbolText is the symbol table's text chunks; SymbolIndex its spans

@@ -130,11 +130,11 @@ type KeyStage struct {
 // key order — yield receives the key's ordinal with each tuple, the same
 // tuples in the same order — with the probes' cache misses overlapped. A
 // probe is a chain of dependent loads — the directory slot, its arena
-// entry unless the slot holds the key's one row itself, the block row —
-// each a miss on a relation larger than the cache; the keys are
-// independent, so the probes go in stages of stageProbes keys: every
-// directory slot, then every entry, then the rows named, stageRows at a
-// time, and only then the yields. It reports false when yield stopped it.
+// entry unless the slot word names the rows itself (a lone row, or a dense
+// table's range), the block row — each a miss on a relation larger than
+// the cache; the keys are independent, so the probes go in stages of
+// stageProbes keys: every directory slot, then every entry, then the rows
+// named, stageRows at a time, and only then the yields. It reports false when yield stopped it.
 //
 // The counts of a call that runs to its end are those of the lookups it
 // stands for; a call yield stops has counted the whole stage it stopped
@@ -154,9 +154,9 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 	var probes, examined int64
 	more = true
 	for k := 0; k < len(keys) && more; {
-		// Directory slots: every probe of the stage finds its lone row, or
-		// where its entry is; then the entries. All of them are loaded
-		// before the block list (see store).
+		// Directory slots: every probe of the stage finds its rows in the
+		// slot word, or where its entry is; then the entries. All of them
+		// are loaded before the block list (see store).
 		stage := keys[k:min(k+stageProbes, len(keys))]
 		d, unread := st.index(col), uint32(0)
 		for p, key := range stage {
@@ -164,7 +164,7 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 			case w == 0:
 				ks.rows[p] = rowSet{}
 			case w&inlineRow != 0:
-				ks.rows[p] = rowSet{first: loneRow(w), n: 1}
+				ks.rows[p] = d.rows(w) // no entry: the rows are in the word
 			default:
 				ks.rows[p] = rowSet{ids: d.room(uint32(w))}
 				unread |= 1 << p
@@ -228,8 +228,8 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 // is copied out and nothing is yielded. A lone key has nothing to overlap
 // and takes LookupTally's path, but for a key whose one row is in its slot
 // word — every level of a chain — that row's columns are appended straight
-// off the block, with no set to make and no grow for one row. Its counts are
-// those of LookupKeys run to its end, one probe per key and every live row
+// off the block, with no grow for one row. Its counts are those of
+// LookupKeys run to its end, one probe per key and every live row
 // examined. A gathered row was live at some instant during the call.
 func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, tally *Tally, dst []Value, ends []int) []Value {
 	if r.win != nil {
@@ -239,24 +239,23 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 	var probes, examined int64
 	if len(keys) == 1 {
 		d := st.index(col)
-		switch w := d.slot(keys[0]); {
-		case w&inlineRow != 0:
-			// The key's one row is in its slot word: read its columns
-			// straight off the block.
-			var v storeView
-			v.resolve(st)
-			if row := loneRow(w); !v.isDead(int(row)) {
-				blk := v.blocks[row>>blockShift][row&blockMask:]
-				for _, c := range outs {
-					dst = append(dst, blk[c<<blockShift])
-				}
-				examined = 1
-			}
-		case w != 0:
+		if w := d.slot(keys[0]); w != 0 {
 			s := d.rows(w)
 			var v storeView
 			v.resolve(st)
-			dst, examined = v.appendRows(dst, s, outs)
+			if s.n == 1 && w&inlineRow != 0 {
+				// The key's one row is in its slot word: read its columns
+				// straight off the block.
+				if row := loneRow(w); !v.isDead(int(row)) {
+					blk := v.blocks[row>>blockShift][row&blockMask:]
+					for _, c := range outs {
+						dst = append(dst, blk[c<<blockShift])
+					}
+					examined = 1
+				}
+			} else {
+				dst, examined = v.appendRows(dst, s, outs)
+			}
 		}
 		ends[0] = len(dst)
 		r.tallyUp(tally, 1, 0, examined)
@@ -270,7 +269,7 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 			case w == 0:
 				ks.rows[p] = rowSet{}
 			case w&inlineRow != 0:
-				ks.rows[p] = rowSet{first: loneRow(w), n: 1}
+				ks.rows[p] = d.rows(w) // no entry: the rows are in the word
 				hit = true
 			default:
 				ks.rows[p] = rowSet{ids: d.room(uint32(w))}

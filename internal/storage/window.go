@@ -115,8 +115,9 @@ func (r *Relation) DeltaSince(epoch uint64) (SignedDelta, bool) {
 // not test it per row.
 //
 // A keyed probe reads the base relation's posting directory for the
-// column and narrows the key's rows to [lo, hi): a range by its ends, a
-// run by binary search — a run holds its row ids ascending: they are
+// column and narrows the key's rows to [lo, hi): a range — named by a
+// dense table's slot word or by an entry — by its ends, a run by binary
+// search — a run holds its row ids ascending: they are
 // posted in row order, a moved run or range is copied in order, and a
 // directory is built in row order. A window
 // never builds a directory on its base, which would cost every later
