@@ -98,15 +98,96 @@ func MeterFrom(ctx context.Context) *Meter {
 	return m
 }
 
-// expired is the cancellation poll of a loop that asks once per level or
-// round: a non-blocking receive on done, ctx's Done channel captured when
-// the loop started, and ctx.Err() only once that has fired — Err on a
-// cancellable context takes its mutex, which a chain pays once per level.
-func expired(ctx context.Context, done <-chan struct{}) error {
-	select {
-	case <-done:
-		return ctx.Err()
-	default:
-		return nil
+// pollWatchAfter is the number of polls a loop makes by select before
+// it starts its watcher: a maintenance pass's rounds or a short query's
+// levels end before it, and never start a goroutine.
+const pollWatchAfter = 64
+
+// always and never are the flags of a poll that has no watcher: always
+// sends every poll to the slow path (poll.ask), never sends none — the
+// poll of a context that has no Done.
+var (
+	always = func() *atomic.Bool { b := new(atomic.Bool); b.Store(true); return b }()
+	never  = new(atomic.Bool)
+)
+
+// poll is the cancellation check of a loop that asks once per level or
+// round. Per level it loads one flag, and it calls ctx.Err only once
+// Done has closed: Err on a cancellable context takes its mutex, which a
+// chain would pay once per level.
+//
+// The loop's first pollWatchAfter polls are a select on Done each, and
+// the last of them starts a watcher: a goroutine that sets the flag when
+// Done closes, and returns when the loop stops the poll. A Done that
+// closes before that — or had closed before the loop started, which its
+// first poll sees — makes every later poll ask Err, as a select on Done
+// would. (context.AfterFunc would do without a watcher, but it panics on
+// a context that closes Done while Err is still nil.)
+type poll struct {
+	ctx  context.Context
+	done <-chan struct{}
+	// flag is set when ask must run: it is always until the watcher
+	// starts, and the watcher's from then on.
+	flag *atomic.Bool
+	// left counts the selects before the watcher starts; 0 once it has
+	// started, or once Done has closed.
+	left int
+	quit chan struct{}
+}
+
+// newPoll returns the poll of a loop under ctx. The loop stops it when
+// it ends.
+func newPoll(ctx context.Context) poll {
+	p := poll{ctx: ctx, done: ctx.Done(), flag: always, left: pollWatchAfter}
+	if p.done == nil {
+		p.flag = never
+	}
+	return p
+}
+
+// err is the poll of one level or round: ctx.Err once Done has closed,
+// else nil.
+func (p *poll) err() error {
+	if p.flag.Load() {
+		return p.ask()
+	}
+	return nil
+}
+
+// ask is a poll whose flag is set: a select on Done while the loop has
+// made fewer than pollWatchAfter polls — the last of which starts the
+// watcher — and ctx.Err once Done has closed.
+func (p *poll) ask() error {
+	if p.left > 0 {
+		select {
+		case <-p.done:
+			p.left = 0
+		default:
+			if p.left--; p.left == 0 {
+				p.watch()
+			}
+			return nil
+		}
+	}
+	return p.ctx.Err()
+}
+
+// watch starts the watcher.
+func (p *poll) watch() {
+	flag, quit, done := new(atomic.Bool), make(chan struct{}), p.done
+	go func() {
+		select {
+		case <-done:
+			flag.Store(true)
+		case <-quit:
+		}
+	}()
+	p.flag, p.quit = flag, quit
+}
+
+// stop ends the watcher, if the loop started one.
+func (p *poll) stop() {
+	if p.quit != nil {
+		close(p.quit)
 	}
 }

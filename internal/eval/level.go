@@ -26,14 +26,18 @@ import (
 //
 // A level goes as chunks of up to probeChunk contexts, whose probes go to
 // storage together (walk); solutions arrive in context order either way.
-// A chunk of one context — every level of a chain — has nothing to stage:
-// f's and g's first-atom probes are one plain storage call each. When f is
-// one atom keyed by a context column, a row of it is the successor: the
-// worker has storage gather the successor columns (Relation.GatherKeys),
-// and a unary carry's straight into the next level's arena, where the
-// seen-set's bitset claims them in place (gather). Such a level is its
-// probes, its claims and nothing between them — no row copy, no callback
-// per row, no buffer between the two.
+// A chunk of one context has nothing to stage and goes alone (lone): f's
+// and g's first-atom probes are one plain storage call each. A level of
+// one context — every level of a chain — is such a chunk, and the run
+// loop steps it alone with no walk around it. When f is one atom keyed by
+// a context column, a row of it is the successor: the worker has storage
+// gather the successor columns (Relation.GatherKeys), and a unary carry's
+// straight into the next level's arena, where the seen-set's bitset claims
+// them in place (gather) — or, for a level of one context, into the
+// carry's own arena over the context they come from, so that the claimed
+// successors are the next level with no swap. Such a level is its probes,
+// its claims and nothing between them — no row copy, no callback per row,
+// no buffer between the two.
 //
 // The context-mode loop (contextEval) drives its levels through this
 // type, on the goroutine that asked for the evaluation. All of it belongs
@@ -81,8 +85,10 @@ type levelOp struct {
 	sc       *conjScratch
 	// keyCol is the context column the first atom is probed by when that
 	// is its one key and the atom is not existential — the worker then
-	// probes that atom itself, key being the binding — else -1.
+	// probes that atom's relation, rel, itself, key being the binding —
+	// else -1.
 	keyCol int
+	rel    *storage.Relation
 	key    [1]storage.Binding
 	// rowCols is f's row map (fOps.rowCols) when the worker probes f's
 	// one atom itself: the columns of a row of it are the successor's
@@ -184,13 +190,17 @@ func (op *levelOp) build(conj *compiledConj, ctxSlots []int, slots []storage.Val
 			op.keyCol = j
 		}
 	}
-	op.key[0].Col = pp.keys[0].col
+	op.rel, op.key[0].Col = op.sc.rels[0], pp.keys[0].col
 }
 
 // expand applies f to every context of the carry: every successor
 // context — a solution of the recursive rule one level deeper — is
-// claimed.
-func (w *levelWorker) expand() { w.walk(&w.f) }
+// claimed, and the contexts claimed become the carry.
+func (w *levelWorker) expand() {
+	if !w.walk(&w.f) {
+		w.advance()
+	}
+}
 
 // exits joins every context of the carry with the exit rule: every
 // solution goes to g.emit.
@@ -255,24 +265,23 @@ func (w *levelWorker) enter(op *levelOp, i int) {
 // chunks whose probes are independent lookups of one column, staged
 // together so that their cache misses overlap: a one-atom f gathers a
 // chunk's successors (gather), any other operator has its rows yielded
-// (LookupKeys) and continues each at the second atom (solve). A chunk of
-// one context — every level of a chain, or the last of a wider level —
-// has nothing to overlap: storage probes its one key straight (GatherKeys'
-// lone key, or LookupTally).
-func (w *levelWorker) walk(op *levelOp) {
+// (LookupKeys) and continues each at the second atom (solve). A last
+// chunk of one context has nothing to overlap, and goes alone: walk
+// reports what lone does.
+func (w *levelWorker) walk(op *levelOp) (stepped bool) {
 	carry := w.carry
 	if op.keyCol < 0 {
 		for i := 0; i < carry.n; i++ {
 			w.enter(op, i)
 			if !op.conj.step(0, op.slots, op.sc, op.emit) {
-				return
+				return false
 			}
 		}
-		return
+		return false
 	}
-	rel := op.sc.rels[0]
+	rel := op.rel
 	if rel == nil {
-		return
+		return false
 	}
 	at, lo := w.nAnchors+op.keyCol, 0
 	for ; carry.n-lo > 1; lo += probeChunk {
@@ -289,45 +298,58 @@ func (w *levelWorker) walk(op *levelOp) {
 			op.row = func(k int, t storage.Tuple) bool { return w.solve(op, w.base+k, t) }
 		}
 		if !rel.LookupKeys(op.key[0].Col, w.keys[:n], &w.stage, op.sc.tally, op.row) {
-			return
+			return false
 		}
 	}
-	if lo >= carry.n {
-		return
+	return lo < carry.n && w.lone(op, lo)
+}
+
+// lone runs op over context i of the carry on its own: the whole level
+// when the carry is one context — every level of a chain — or the last
+// chunk of a wider one. Storage probes its one key straight (GatherKeys'
+// lone key, or LookupTally), and its rows come one at a time, so an emit
+// that stops the run stops the rows counted too. A one-context level
+// whose f gathers into the bitset needs neither next nor a swap: its
+// successors are gathered into the carry's own arena, over the context
+// they come from, and claimed there — lone reports that the carry is
+// the next level already.
+func (w *levelWorker) lone(op *levelOp, i int) (stepped bool) {
+	if op.keyCol < 0 {
+		w.enter(op, i)
+		op.conj.step(0, op.slots, op.sc, op.emit)
+		return false
 	}
-	// One context left: the whole level, on a chain, or the last chunk
-	// of a wider one. Its rows come one at a time, so an emit that stops
-	// the run stops the rows counted too.
-	w.base, w.keys[0] = lo, carry.vals[lo*w.width+at]
-	if op.rowCols != nil {
+	rel := op.rel
+	if rel == nil {
+		return false
+	}
+	w.base, w.keys[0] = i, w.carry.vals[i*w.width+w.nAnchors+op.keyCol]
+	switch {
+	case op.rowCols == nil:
+		if op.first == nil {
+			op.first = func(t storage.Tuple) bool { return w.solve(op, w.base, t) }
+		}
+		op.key[0].Val = w.keys[0]
+		rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
+	case w.bits != nil && w.carry.n == 1:
+		w.carry.vals, w.carry.n = w.gatherUnary(op, rel, 1, w.carry.vals[:0])
+		return true
+	default:
 		w.gather(op, rel, 1)
-		return
 	}
-	if op.first == nil {
-		op.first = func(t storage.Tuple) bool { return w.solve(op, w.base, t) }
-	}
-	op.key[0].Val = w.keys[0]
-	rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
+	return false
 }
 
 // gather claims the successors a one-atom f finds for the n contexts
 // whose keys are staged, from base on: storage appends each row's context
 // columns (op.rowCols), key by key. A unary carry's successors are those
-// values themselves: they are appended to next and claimed where they
-// lie, each written over the first one not kept and the end moved past
-// it only when the bitset took it, with no branch on the outcome. A wider
-// context is put together in succ — the context's anchors, then each of
-// its rows — and claimed whole.
+// values themselves, and go to next (gatherUnary). A wider context is put
+// together in succ — the context's anchors, then each of its rows — and
+// claimed whole.
 func (w *levelWorker) gather(op *levelOp, rel *storage.Relation, n int) {
-	if set := w.bits; set != nil {
-		from := len(w.next.vals)
-		next := rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, w.next.vals, w.ends[:n])
-		at := from
-		for _, v := range next[from:] {
-			next[at] = v
-			at += set.Claim(int(v))
-		}
-		w.next.vals, w.next.n = next[:at], w.next.n+at-from
+	if w.bits != nil {
+		vals, claimed := w.gatherUnary(op, rel, n, w.next.vals)
+		w.next.vals, w.next.n = vals, w.next.n+claimed
 		return
 	}
 	w.gathered = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, w.gathered[:0], w.ends[:n])
@@ -340,6 +362,22 @@ func (w *levelWorker) gather(op *levelOp, rel *storage.Relation, n int) {
 			w.claim(w.succ)
 		}
 	}
+}
+
+// gatherUnary appends to dst the one-column successors of the n staged
+// keys and claims them where they lie: each is written over the first one
+// not kept, and the end moved past it only when the bitset took it, with
+// no branch on the outcome. It returns dst with the claimed ones and
+// their number.
+func (w *levelWorker) gatherUnary(op *levelOp, rel *storage.Relation, n int, dst []storage.Value) ([]storage.Value, int) {
+	from := len(dst)
+	dst = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, dst, w.ends[:n])
+	at := from
+	for _, v := range dst[from:] {
+		dst[at] = v
+		at += w.bits.Claim(int(v))
+	}
+	return dst[:at], at - from
 }
 
 // solve continues context i's solution from a row of op's first atom, at

@@ -169,10 +169,12 @@ func TestLevelShapesMatchSerial(t *testing.T) {
 // not allocate more, because a level reuses its worker's scratch and the
 // carry arena instead of building them, and neither may allocate more than
 // levelAllocBudget — a unary carry's gather appends to the next level's
-// arena and claims there, and no closure is built per level.
+// arena and claims there, and no closure is built per level. Both hold
+// under a context that cannot be cancelled and under one that can, whose
+// poll starts a watcher once the loop has run pollWatchAfter levels.
 func TestLevelLoopAllocationBudget(t *testing.T) {
 	d := mustDef(t, tcSrc, "t")
-	measure := func(edges int) (allocs float64, levels int) {
+	measure := func(edges int, cancellable bool) (allocs float64, levels int) {
 		w := datagen.ChainTC(edges)
 		plan, err := CompileSelection(d, ast.Atom{Pred: "t", Args: []ast.Term{ast.C(w.Start), ast.V("Y")}})
 		if err != nil {
@@ -180,7 +182,12 @@ func TestLevelLoopAllocationBudget(t *testing.T) {
 		}
 		var stats EvalStats
 		allocs = testing.AllocsPerRun(5, func() {
-			ans, st, err := plan.Eval(w.DB)
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
+			if cancellable {
+				ctx, cancel = context.WithCancel(ctx)
+			}
+			ans, st, err := plan.EvalCtx(ctx, w.DB)
+			cancel()
 			if err != nil || ans.Len() != 1 {
 				t.Fatalf("chain of %d: %d answers, err %v", edges, ans.Len(), err)
 			}
@@ -188,20 +195,30 @@ func TestLevelLoopAllocationBudget(t *testing.T) {
 		})
 		return allocs, stats.Iterations
 	}
-	shallow, shallowLevels := measure(2000)
-	deep, deepLevels := measure(4000)
-	extra := deepLevels - shallowLevels
-	if extra < 1900 {
-		t.Fatalf("chains ran %d and %d levels; the deep one should run about 2000 more", shallowLevels, deepLevels)
-	}
-	t.Logf("%.0f allocs over %d levels, %.0f over %d", shallow, shallowLevels, deep, deepLevels)
-	const levelAllocBudget = 121
-	if max(shallow, deep) > levelAllocBudget {
-		t.Fatalf("%.0f and %.0f allocs, over the budget of %d", shallow, deep, levelAllocBudget)
-	}
-	if grown := deep - shallow; grown > 16 || grown/float64(extra) >= 0.25 {
-		t.Fatalf("allocations grow with depth: %.0f over %d levels vs %.0f over %d (%.3f per extra level)",
-			shallow, shallowLevels, deep, deepLevels, grown/float64(extra))
+	// A cancellable run adds its context's three allocations (the
+	// context, its Done channel, its cancel func) and the watcher's: its
+	// flag, its quit channel, the goroutine's closure and, when the last
+	// run's watcher has not yet exited, a goroutine descriptor.
+	const levelAllocBudget, cancellableAllocBudget = 121, 121 + 3 + 4
+	for _, cancellable := range []bool{false, true} {
+		shallow, shallowLevels := measure(2000, cancellable)
+		deep, deepLevels := measure(4000, cancellable)
+		extra := deepLevels - shallowLevels
+		if extra < 1900 {
+			t.Fatalf("chains ran %d and %d levels; the deep one should run about 2000 more", shallowLevels, deepLevels)
+		}
+		t.Logf("cancellable %v: %.0f allocs over %d levels, %.0f over %d", cancellable, shallow, shallowLevels, deep, deepLevels)
+		budget := levelAllocBudget
+		if cancellable {
+			budget = cancellableAllocBudget
+		}
+		if max(shallow, deep) > float64(budget) {
+			t.Fatalf("cancellable %v: %.0f and %.0f allocs, over the budget of %d", cancellable, shallow, deep, budget)
+		}
+		if grown := deep - shallow; grown > 16 || grown/float64(extra) >= 0.25 {
+			t.Fatalf("cancellable %v: allocations grow with depth: %.0f over %d levels vs %.0f over %d (%.3f per extra level)",
+				cancellable, shallow, shallowLevels, deep, deepLevels, grown/float64(extra))
+		}
 	}
 }
 

@@ -955,7 +955,8 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 
 	// Gas: the derived-tuple budget is charged at batch granularity — the
 	// growth of the seen-set plus the answer set since the last charge —
-	// so one check per Fig. 9 iteration bounds a runaway recursion.
+	// so one check per Fig. 9 iteration bounds a runaway recursion. A
+	// level does not charge when there is no meter.
 	meter := MeterFrom(ctx)
 	charged := 0
 	charge := func() error {
@@ -1015,29 +1016,42 @@ func (ce *contextEval) run(ctx context.Context) (*storage.Relation, EvalStats, e
 	ce.claimed += ce.carry.n
 
 	// Fig. 9 while loop, one batch per level: g joins the new contexts
-	// (streaming their answers), f produces the next level.
+	// (streaming their answers), f produces the next level. A level of
+	// one context — every level of a chain — is stepped alone (lone),
+	// and a unary one's successors are claimed where the carry is.
 	ce.stats.Batches++
 	ce.stats.GProbes += ce.carry.n
 	w.exits()
-	done := ctx.Done()
+	poll := newPoll(ctx)
+	defer poll.stop()
 	for ce.carry.n > 0 && !ce.stopped {
-		if err := expired(ctx, done); err != nil {
+		if err := poll.err(); err != nil {
 			return nil, ce.stats, err
 		}
-		if err := charge(); err != nil {
-			ce.stats.SeenSize = ce.claimed
-			return nil, ce.stats, err
+		if meter != nil {
+			if err := charge(); err != nil {
+				ce.stats.SeenSize = ce.claimed
+				return nil, ce.stats, err
+			}
 		}
 		ce.stats.Iterations++
 		ce.stats.Batches++
-		w.expand()
-		w.advance()
+		switch {
+		case ce.carry.n != 1:
+			w.expand()
+		case !w.lone(&w.f, 0):
+			w.advance()
+		}
 		ce.claimed += ce.carry.n
 		if p.TestIterHook != nil {
 			p.TestIterHook(ce.stats.Iterations)
 		}
 		ce.stats.GProbes += ce.carry.n
-		w.exits()
+		if ce.carry.n != 1 {
+			w.exits()
+		} else {
+			w.lone(&w.g, 0)
+		}
 	}
 	if err := charge(); err != nil {
 		ce.stats.SeenSize = ce.claimed

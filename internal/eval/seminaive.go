@@ -523,9 +523,10 @@ func (st *snState) deltaLoop(ctx context.Context, newDelta map[string]*storage.R
 	var delta, spare map[string]*storage.Relation
 	res := st.resolve(&delta)
 	var buf storage.Tuple // onNew's view of a promoted tuple
-	done := ctx.Done()
+	poll := newPoll(ctx)
+	defer poll.stop()
 	for {
-		if err := expired(ctx, done); err != nil {
+		if err := poll.err(); err != nil {
 			return err
 		}
 		// Promote.
@@ -787,9 +788,10 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		}
 	}
 
-	done := ctx.Done()
+	poll := newPoll(ctx)
+	defer poll.stop()
 	for _, comp := range st.strata {
-		if err := expired(ctx, done); err != nil {
+		if err := poll.err(); err != nil {
 			return err
 		}
 		rec := st.recursive[comp[0]]
@@ -836,7 +838,7 @@ func (st *snState) retractPass(ctx context.Context, del map[string]*storage.Rela
 		// In-component cascade: candidates beget candidates through the
 		// component's own cycles.
 		for len(roundDel) > 0 {
-			if err := expired(ctx, done); err != nil {
+			if err := poll.err(); err != nil {
 				return err
 			}
 			fresh := 0
