@@ -30,10 +30,13 @@
 // solution at the second atom. A chunk of one context — every level of a
 // chain — has nothing to stage and is one plain lookup
 // (storage.Relation.LookupTally). When f is that atom alone, a
-// row's columns are the successor: storage gathers them, for a chunk or a
-// lone context (storage.Relation.GatherKeys), a unary carry's straight
-// into the next level's arena, where the seen-set's bitset claims them in
-// place — no callback per row, no row copied whole, no buffer between.
+// row's columns are the successor: storage gathers them, for a chunk
+// (storage.Relation.GatherKeys) or a lone context
+// (storage.Relation.GatherKey), a unary carry's straight into the next
+// level's arena, where the seen-set's bitset claims them in place — no
+// callback per row, no row copied whole, no buffer between. A lone key
+// whose one row is in its slot word has its successor returned by value,
+// and claimed over the context it came from.
 // A semi-naive round runs its (rule, variant) jobs one after the other,
 // in rule order (runRound), so its Property-3 counts repeat exactly.
 //

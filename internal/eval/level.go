@@ -31,13 +31,16 @@ import (
 // one context — every level of a chain — is such a chunk, and the run
 // loop steps it alone with no walk around it. When f is one atom keyed by
 // a context column, a row of it is the successor: the worker has storage
-// gather the successor columns (Relation.GatherKeys), and a unary carry's
-// straight into the next level's arena, where the seen-set's bitset claims
-// them in place (gather) — or, for a level of one context, into the
-// carry's own arena over the context they come from, so that the claimed
-// successors are the next level with no swap. Such a level is its probes,
-// its claims and nothing between them — no row copy, no callback per row,
-// no buffer between the two.
+// gather the successor columns (Relation.GatherKeys, or GatherKey for one
+// key), and a unary carry's straight into the next level's arena, where
+// the seen-set's bitset claims them in place (gather) — or, for a level
+// of one context, into the carry's own arena over the context they come
+// from, so that the claimed successors are the next level with no swap.
+// A key whose slot word names its one row — a chain's — has that row's
+// successor returned by value (GatherKey), which the lone step writes
+// over the context and claims: one storage read, one claim. Such a level
+// is its probes, its claims and nothing between them — no row copy, no
+// callback per row, no buffer between the two.
 //
 // The context-mode loop (contextEval) drives its levels through this
 // type, on the goroutine that asked for the evaluation. All of it belongs
@@ -306,13 +309,14 @@ func (w *levelWorker) walk(op *levelOp) (stepped bool) {
 
 // lone runs op over context i of the carry on its own: the whole level
 // when the carry is one context — every level of a chain — or the last
-// chunk of a wider one. Storage probes its one key straight (GatherKeys'
-// lone key, or LookupTally), and its rows come one at a time, so an emit
-// that stops the run stops the rows counted too. A one-context level
-// whose f gathers into the bitset needs neither next nor a swap: its
-// successors are gathered into the carry's own arena, over the context
-// they come from, and claimed there — lone reports that the carry is
-// the next level already.
+// chunk of a wider one. Storage probes its one key straight (GatherKey,
+// or LookupTally), and its rows come one at a time, so an emit that stops
+// the run stops the rows counted too. A one-context level whose f gathers
+// into the bitset needs neither next nor a swap: its successors are
+// claimed in the carry's own arena, over the context they come from — a
+// lone successor, which storage returns by value, is written there and
+// claimed, with no append and no loop — and lone reports that the carry
+// is the next level already.
 func (w *levelWorker) lone(op *levelOp, i int) (stepped bool) {
 	if op.keyCol < 0 {
 		w.enter(op, i)
@@ -332,7 +336,15 @@ func (w *levelWorker) lone(op *levelOp, i int) (stepped bool) {
 		op.key[0].Val = w.keys[0]
 		rel.LookupTally(op.key[:], op.sc.tupBuf, op.sc.tally, op.first)
 	case w.bits != nil && w.carry.n == 1:
-		w.carry.vals, w.carry.n = w.gatherUnary(op, rel, 1, w.carry.vals[:0])
+		v, one, vals := rel.GatherKey(op.key[0].Col, op.rowCols, w.keys[0], op.sc.tally, w.carry.vals[:0])
+		if !one {
+			w.carry.vals, w.carry.n = w.claimUnary(vals, 0)
+			return true
+		}
+		vals = vals[:1] // the carry's arena held the context: room for one
+		vals[0] = v
+		w.carry.n = w.bits.Claim(int(v))
+		w.carry.vals = vals[:w.carry.n]
 		return true
 	default:
 		w.gather(op, rel, 1)
@@ -342,18 +354,33 @@ func (w *levelWorker) lone(op *levelOp, i int) (stepped bool) {
 
 // gather claims the successors a one-atom f finds for the n contexts
 // whose keys are staged, from base on: storage appends each row's context
-// columns (op.rowCols), key by key. A unary carry's successors are those
-// values themselves, and go to next (gatherUnary). A wider context is put
-// together in succ — the context's anchors, then each of its rows — and
-// claimed whole.
+// columns (op.rowCols), key by key — GatherKeys, or GatherKey for a lone
+// key, whose one successor it returns by value is appended here. A unary
+// carry's successors are those values themselves, appended to next and
+// claimed there (claimUnary). A wider context is put together in succ —
+// the context's anchors, then each of its rows — and claimed whole.
 func (w *levelWorker) gather(op *levelOp, rel *storage.Relation, n int) {
+	dst := w.gathered[:0]
 	if w.bits != nil {
-		vals, claimed := w.gatherUnary(op, rel, n, w.next.vals)
+		dst = w.next.vals
+	}
+	from := len(dst)
+	if n == 1 {
+		v, one, vals := rel.GatherKey(op.key[0].Col, op.rowCols, w.keys[0], op.sc.tally, dst)
+		if dst = vals; one {
+			dst = append(dst, v)
+		}
+		w.ends[0] = len(dst)
+	} else {
+		dst = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, dst, w.ends[:n])
+	}
+	if w.bits != nil {
+		vals, claimed := w.claimUnary(dst, from)
 		w.next.vals, w.next.n = vals, w.next.n+claimed
 		return
 	}
-	w.gathered = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, w.gathered[:0], w.ends[:n])
-	from, cols := 0, len(op.rowCols)
+	w.gathered = dst
+	cols := len(op.rowCols)
 	for k, end := range w.ends[:n] {
 		at := (w.base + k) * w.width
 		copy(w.succ, w.carry.vals[at:at+w.nAnchors])
@@ -364,14 +391,11 @@ func (w *levelWorker) gather(op *levelOp, rel *storage.Relation, n int) {
 	}
 }
 
-// gatherUnary appends to dst the one-column successors of the n staged
-// keys and claims them where they lie: each is written over the first one
-// not kept, and the end moved past it only when the bitset took it, with
-// no branch on the outcome. It returns dst with the claimed ones and
-// their number.
-func (w *levelWorker) gatherUnary(op *levelOp, rel *storage.Relation, n int, dst []storage.Value) ([]storage.Value, int) {
-	from := len(dst)
-	dst = rel.GatherKeys(op.key[0].Col, op.rowCols, w.keys[:n], &w.stage, op.sc.tally, dst, w.ends[:n])
+// claimUnary claims the one-column successors dst holds from from on,
+// where they lie: each is written over the first one not kept, and the
+// end moved past it only when the bitset took it, with no branch on the
+// outcome. It returns dst with the claimed ones and their number.
+func (w *levelWorker) claimUnary(dst []storage.Value, from int) ([]storage.Value, int) {
 	at := from
 	for _, v := range dst[from:] {
 		dst[at] = v

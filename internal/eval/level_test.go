@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -473,6 +474,172 @@ func TestLoneLevelsMatchWalk(t *testing.T) {
 						t.Fatalf("budget %d: cut at %d charged", budget, charged)
 					}
 					same("budget "+strconv.Itoa(int(budget)), c, ctx)
+				}
+			})
+		}
+	}
+}
+
+// TestLoneChainDetoursMatchWalk runs chains whose lone levels leave the
+// one-value read mid-run — a key with two successors, a key whose rows
+// are a run (one of them a back edge to a context already claimed), a
+// tombstoned successor beside a live one, a wide level of probeChunk+1
+// contexts whose trailing chunk is one — and end one of three ways: a lone
+// row back to a claimed context, a lone row tombstoned, or a run of
+// claimed contexts. The detours are made before the first probe, so that
+// the bulk build lays them out, or after a first run, so that their rows
+// are posted to a built directory. Each run gives naive evaluation's
+// answers and counts what the staged walk counts: one probe per context
+// expanded and per context joined, and every live row of it examined
+// (from a plain-map model of the live edges). Cut at each of its first
+// Err calls, it adds to Database.Stats exactly what the same cut counts
+// live.
+func TestLoneChainDetoursMatchWalk(t *testing.T) {
+	const length = 80
+	d, q := mustDef(t, tcSrc, "t"), parser.MustParseAtom("t(n0, Y)")
+	plan, err := CompileSelection(d, q)
+	if err != nil || plan.Mode != ModeContext || plan.CarryArity != 1 {
+		t.Fatalf("plan %v, err %v; want a context-mode plan carrying 1", plan, err)
+	}
+	n := func(i int) string { return "n" + strconv.Itoa(i) }
+	for _, tail := range []string{"lone back edge", "tombstoned lone row", "run of claimed"} {
+		for _, posted := range []bool{false, true} {
+			t.Run(tail+"/posted="+strconv.FormatBool(posted), func(t *testing.T) {
+				db := storage.NewDatabase()
+				// live models a's live edges and b's exit rows by source.
+				live, exits := map[string][]string{}, map[string]int{}
+				add := func(from, to string) {
+					db.AddFact("a", from, to)
+					live[from] = append(live[from], to)
+				}
+				remove := func(from, to string) {
+					if !db.RemoveFact("a", from, to) {
+						t.Fatalf("retraction of a(%s, %s) refused", from, to)
+					}
+					live[from] = slices.DeleteFunc(live[from], func(x string) bool { return x == to })
+				}
+				for i := 0; i < length-1; i++ {
+					if i == 40 {
+						// A wide level: n41 and sixteen others, all into n42.
+						for j := range probeChunk {
+							f := "f" + strconv.Itoa(j)
+							add(n(40), f)
+							add(f, n(42))
+						}
+					}
+					add(n(i), n(i+1))
+					if i%7 == 0 {
+						db.AddFact("b", n(i), "e"+strconv.Itoa(i))
+						exits[n(i)]++
+					}
+				}
+				add(n(10), "m") // two successors, both into n12
+				add("m", n(12))
+				db.AddFact("b", "m", "em")
+				exits["m"]++
+				detours := func() {
+					add(n(20), "x") // a run: n21's row and a dead one
+					remove(n(20), "x")
+					add(n(30), n(5)) // a run: n31 and a back edge
+					remove(n(50), n(51))
+					add(n(50), n(51)) // a dead row, and the same edge again
+					switch tail {
+					case "lone back edge":
+						add(n(length-1), n(20))
+					case "tombstoned lone row":
+						add(n(length-1), "z")
+						remove(n(length-1), "z")
+					case "run of claimed":
+						add(n(length-1), n(60))
+						add(n(length-1), n(25))
+					}
+				}
+				if !posted {
+					detours()
+				}
+
+				type cut struct {
+					ans     *storage.Relation
+					stats   EvalStats
+					err     error
+					counted storage.Counters
+					widths  []int
+				}
+				run := func(ctx context.Context, live bool) cut {
+					var c cut
+					ce := plan.newContextEval(db, nil)
+					if live {
+						var elsewhere storage.Counters
+						ce.tally = elsewhere.Tally()
+					}
+					plan.TestIterHook = func(int) { c.widths = append(c.widths, ce.carry.n) }
+					defer func() { plan.TestIterHook = nil }()
+					before := db.Stats.Snapshot()
+					_, c.stats, c.err = ce.run(ctx)
+					c.ans, c.counted = ce.ans, db.Stats.Snapshot().Sub(before)
+					return c
+				}
+				if posted {
+					if c := run(context.Background(), false); c.err != nil {
+						t.Fatal(c.err)
+					}
+					detours()
+				}
+				want := naiveSelect(t, d.Program(), q, db)
+
+				// What the staged walk counts: every context reached from n0
+				// is expanded and joined, as n0 is by the seed and depth 0.
+				reach, queue := map[string]bool{}, []string{n(0)}
+				for len(queue) > 0 {
+					from := queue[0]
+					queue = queue[1:]
+					for _, to := range live[from] {
+						if !reach[to] {
+							reach[to] = true
+							queue = append(queue, to)
+						}
+					}
+				}
+				examined := len(live[n(0)]) + exits[n(0)]
+				for x := range reach {
+					examined += len(live[x]) + exits[x]
+				}
+				wantCounted := storage.Counters{IndexLookups: int64(2 + 2*len(reach)), TuplesExamined: int64(examined)}
+
+				full := run(context.Background(), false)
+				if full.err != nil || !full.ans.Equal(want) {
+					t.Fatalf("err %v; answers %v, naive evaluation's %v", full.err, AnswerStrings(full.ans, db.Syms), AnswerStrings(want, db.Syms))
+				}
+				got := storage.Counters{IndexLookups: full.counted.IndexLookups, TuplesExamined: full.counted.TuplesExamined}
+				if full.stats.SeenSize != len(reach) || got != wantCounted || full.counted.FullScans != 0 {
+					t.Fatalf("%d contexts, counted %+v; want %d contexts, %+v", full.stats.SeenSize, full.counted, len(reach), wantCounted)
+				}
+				lone, wide := 0, 0
+				for _, w := range full.widths {
+					switch {
+					case w == 1:
+						lone++
+					case w == probeChunk+1:
+						wide++
+					}
+				}
+				if lone < length-10 || wide != 1 {
+					t.Fatalf("test premise: level widths %v", full.widths)
+				}
+				for k := 0; k <= len(full.widths)+1; k++ {
+					ctx := func() context.Context { return &errAfter{Context: context.Background(), after: k} }
+					c, l := run(ctx(), false), run(ctx(), true)
+					if !errors.Is(c.err, context.Canceled) && k <= len(full.widths) {
+						t.Fatalf("cut at Err call %d: err %v", k+1, c.err)
+					}
+					for _, tup := range c.ans.Tuples() {
+						if !want.Contains(tup) {
+							t.Fatalf("cut at Err call %d: answer %v naive evaluation lacks", k+1, AnswerStrings(tupleRel(tup), db.Syms))
+						}
+					}
+					if l.counted != c.counted || l.stats != c.stats {
+						t.Fatalf("cut at Err call %d: Database.Stats moved by %+v, %+v counted live; stats %+v, %+v", k+1, c.counted, l.counted, c.stats, l.stats)
+					}
 				}
 			})
 		}

@@ -65,7 +65,10 @@ func benchGraph(shape string, spread int) (rel *Relation, stats *Counters, unive
 // (tallied, serial), one key a call and sixteen: the staged probe's
 // overhead on a lone key and what overlapping a stage's misses buys — and
 // through GatherKeys (gather/keys=…), column 1 of every row appended to a
-// buffer the caller reuses, as a one-atom f's level reads it. One op is a
+// buffer the caller reuses, as a one-atom f's level reads it, and through
+// GatherKey (gather/lone), one key a call, as a chain's level reads it: a
+// chain's hit is a key whose one row is in its slot word, its column
+// returned by value. One op is a
 // pass over 4096 keys, so that a fixed small -benchtime still times
 // something; it must not allocate.
 func BenchmarkRelationLookup(b *testing.B) {
@@ -132,6 +135,25 @@ func BenchmarkRelationLookup(b *testing.B) {
 					perLookup(b)
 				})
 			}
+			b.Run(fmt.Sprintf("%s/%s/gather/lone", shape, keys), func(b *testing.B) {
+				tally := stats.Tally()
+				outs := []int{1}
+				var dst []Value
+				var sum Value
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, key := range probe {
+						v, _, grown := rel.GatherKey(0, outs, key, &tally, dst[:0])
+						sum, dst = sum+v, grown
+					}
+				}
+				tally.Flush()
+				perLookup(b)
+				if sum == -1 {
+					b.Log(sum) // keeps the values read
+				}
+			})
 			for _, counted := range []string{"counters", "tally"} {
 				// pass looks every key up once, starting at the caller's own
 				// place in the list.

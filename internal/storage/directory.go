@@ -299,10 +299,6 @@ func (d *directory) count(w uint64) int {
 	return int(d.rows(w).n)
 }
 
-// loneRow is the row id in a slot word whose inlineRow bit is set: the
-// key's one row, or the first of a dense table's inline range.
-func loneRow(w uint64) int32 { return int32(w) & math.MaxInt32 }
-
 // runIDs returns the rows of the entry whose room this is (see room): a
 // range's, or as many of a run's ids as its length word says now. Safe
 // without a lock.
@@ -323,7 +319,7 @@ func (d *directory) rows(w uint64) rowSet {
 	if int32(w) >= 0 { // inlineRow clear
 		return runIDs(d.room(uint32(w)))
 	}
-	return rowSet{first: int32(w) & math.MaxInt32, n: max(int32(w>>d.countShift), 1)} // loneRow, spelled out to keep this inlinable
+	return rowSet{first: int32(w) & math.MaxInt32, n: max(int32(w>>d.countShift), 1)}
 }
 
 // probe returns the index of key's slot — in a hashed table, of the

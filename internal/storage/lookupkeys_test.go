@@ -317,12 +317,13 @@ func TestGatherKeysMatchesLookupKeys(t *testing.T) {
 // consecutive rows, so a block's first row is a key's first, second or
 // third — a new slot, a run made or a run grown — and the writer lets the
 // reader in before each such row. The reader takes three stages of keys
-// up to the writer's and the one after it, then the writer's key alone.
-// Whatever is gathered must be the key's rows, in order, none that the
-// writer had not started on when the gather returned. A gather that loaded
-// the block list before a directory load of its stage can be handed a row
-// in a block it does not have — most often the first row of a relation,
-// whose list it loaded empty.
+// up to the writer's and the one after it, then the writer's key alone
+// (GatherKey: of its one row, the row's second column by value). Whatever
+// is gathered must be the key's rows, in order, none that the writer had
+// not started on when the gather returned. A gather that loaded the block
+// list before a directory load of its stage, or before the lone key's slot
+// word, can be handed a row in a block it does not have — most often the
+// first row of a relation, whose list it loaded empty.
 func gatherBesideWriter(t *testing.T) {
 	const relations, rows, per = 128, 1 << 12, 3
 	type feed struct {
@@ -344,6 +345,7 @@ func gatherBesideWriter(t *testing.T) {
 		var dst []Value
 		staged, ends := make([]Value, 3*stageProbes), make([]int, 3*stageProbes)
 		outs := []int{0, 1}
+		var seqs []Value
 		for i := 0; !t.Failed(); i++ {
 			f := cur.Load()
 			if f == nil {
@@ -356,8 +358,18 @@ func gatherBesideWriter(t *testing.T) {
 			keys := staged
 			if i%2 == 1 {
 				keys = staged[len(staged)-2 : len(staged)-1]
+				v, one, grown := f.r.GatherKey(0, outs[1:], keys[0], nil, seqs[:0])
+				if seqs = grown; one {
+					seqs = append(seqs, v)
+				}
+				dst = dst[:0]
+				for _, seq := range seqs {
+					dst = append(dst, keys[0], seq)
+				}
+				ends[0] = len(dst)
+			} else {
+				dst = f.r.GatherKeys(0, outs, keys, &ks, nil, dst[:0], ends)
 			}
-			dst = f.r.GatherKeys(0, outs, keys, &ks, nil, dst[:0], ends)
 			newest, from := Value(-1), 0
 			for k, end := range ends[:len(keys)] {
 				last := Value(-1)

@@ -225,42 +225,16 @@ func (r *Relation) LookupKeys(col int, keys []Value, ks *KeyStage, tally *Tally,
 // It returns the grown dst. The stages are LookupKeys's — every directory
 // slot of a stage, then every entry, then the block list once, then the
 // rows — but the rows are read straight into dst (appendRows): no row id
-// is copied out and nothing is yielded. A lone key has nothing to overlap
-// and takes LookupTally's path, but for a key whose one row is in its slot
-// word — every level of a chain — that row's columns are appended straight
-// off the block, with no grow for one row. Its counts are those of
-// LookupKeys run to its end, one probe per key and every live row
-// examined. A gathered row was live at some instant during the call.
+// is copied out and nothing is yielded. A lone key has nothing to overlap:
+// GatherKey reads it. Its counts are those of LookupKeys run to its end,
+// one probe per key and every live row examined. A gathered row was live
+// at some instant during the call.
 func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, tally *Tally, dst []Value, ends []int) []Value {
 	if r.win != nil {
 		return r.gatherKeysWindow(col, outs, keys, dst, ends)
 	}
 	st := r.store
 	var probes, examined int64
-	if len(keys) == 1 {
-		d := st.index(col)
-		if w := d.slot(keys[0]); w != 0 {
-			s := d.rows(w)
-			var v storeView
-			v.resolve(st)
-			if s.n == 1 && w&inlineRow != 0 {
-				// The key's one row is in its slot word: read its columns
-				// straight off the block.
-				if row := loneRow(w); !v.isDead(int(row)) {
-					blk := v.blocks[row>>blockShift][row&blockMask:]
-					for _, c := range outs {
-						dst = append(dst, blk[c<<blockShift])
-					}
-					examined = 1
-				}
-			} else {
-				dst, examined = v.appendRows(dst, s, outs)
-			}
-		}
-		ends[0] = len(dst)
-		r.tallyUp(tally, 1, 0, examined)
-		return dst
-	}
 	for k := 0; k < len(keys); k += stageProbes {
 		stage := keys[k:min(k+stageProbes, len(keys))]
 		d, unread, hit := st.index(col), uint32(0), false
@@ -313,6 +287,39 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 	return dst
 }
 
+// GatherKey is GatherKeys of one key, which has nothing to stage: the
+// key's slot word, then the block list, then its rows. When one column is
+// wanted and the word names the key's one row, live — every level of a
+// chain — it returns that row's column by value, one true and dst as it
+// was: no append, and nothing for the caller to walk. Otherwise it appends
+// the columns outs of each of the key's live rows to dst, as GatherKeys
+// does, and returns the grown dst, one false. Either way its counts are
+// GatherKeys' over the one key: one probe, every live row examined.
+func (r *Relation) GatherKey(col int, outs []int, key Value, tally *Tally, dst []Value) (val Value, one bool, grown []Value) {
+	if r.win != nil {
+		return 0, false, r.gatherKeyWindow(col, outs, key, dst)
+	}
+	st := r.store
+	d := st.index(col)
+	w := d.slot(key)
+	if w == 0 {
+		r.tallyUp(tally, 1, 0, 0)
+		return 0, false, dst
+	}
+	s := d.rows(w)
+	var v storeView
+	v.resolve(st)
+	if row := int(s.first); s.n == 1 && w&inlineRow != 0 && len(outs) == 1 && !v.isDead(row) {
+		// The key's one row is in its slot word: its column is read
+		// straight off the block.
+		r.tallyUp(tally, 1, 0, 1)
+		return v.blocks[row>>blockShift][outs[0]<<blockShift|row&blockMask], true, dst
+	}
+	dst, examined := v.appendRows(dst, s, outs)
+	r.tallyUp(tally, 1, 0, examined)
+	return 0, false, dst
+}
+
 // appendRows appends to dst the columns outs of each live row of s, and
 // reports how many rows it appended. dst grows once; then each column is
 // copied on its own — the probed column too, whose value in the block is
@@ -320,8 +327,8 @@ func (r *Relation) GatherKeys(col int, outs []int, keys []Value, ks *KeyStage, t
 // block the range crosses, and of a run one load and one store a row. Only
 // a view with tombstones then closes up over the dead rows. Every gather
 // reads its rows through here, but for a lone key's one row held in its
-// slot word, and a stage's range in one block of which one column is
-// wanted (GatherKeys).
+// slot word, whose one wanted column GatherKey returns by value, and a
+// stage's range in one block of which one column is wanted (GatherKeys).
 func (v *storeView) appendRows(dst []Value, s rowSet, outs []int) ([]Value, int64) {
 	n := int(s.n)
 	if n == 0 {

@@ -253,13 +253,20 @@ func (r *Relation) lookupKeysWindow(col int, keys []Value, ks *KeyStage, yield f
 // gatherKeysWindow is GatherKeys on a window: one probe per key, in key
 // order, each key's run trimmed to the window. It counts nothing.
 func (r *Relation) gatherKeysWindow(col int, outs []int, keys []Value, dst []Value, ends []int) []Value {
+	for k, key := range keys {
+		dst = r.gatherKeyWindow(col, outs, key, dst)
+		ends[k] = len(dst)
+	}
+	return dst
+}
+
+// gatherKeyWindow is GatherKey on a window: the key's run trimmed to the
+// window, appended, never returned by value. It counts nothing.
+func (r *Relation) gatherKeyWindow(col int, outs []int, key Value, dst []Value) []Value {
 	win, st := r.win, r.store
 	var v storeView
 	v.resolve(st)
-	for k, key := range keys {
-		d := win.index(st, col)
-		dst, _ = v.appendRows(dst, win.rows(d, d.slot(key)), outs)
-		ends[k] = len(dst)
-	}
+	d := win.index(st, col)
+	dst, _ = v.appendRows(dst, win.rows(d, d.slot(key)), outs)
 	return dst
 }
