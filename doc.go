@@ -6,10 +6,9 @@
 // "column = constant" selections, whose instantiations reproduce the
 // Aho–Ullman (Fig. 7) and Henschen–Naqvi (Fig. 8) algorithms. Magic Sets
 // and semi-naive evaluation are served as strategies beside it ("onesided",
-// "magic", "seminaive", "edb" — see WithStrategies); the Counting
-// method and naive bottom-up evaluation are library baselines for the
-// paper's comparisons (eval.Plan.EvalCounting, eval.CountingTC,
-// eval.Naive).
+// "magic", "seminaive", "edb" — see WithStrategies); naive bottom-up
+// evaluation (eval.Naive) is the library reference they are compared
+// against.
 //
 // # Quickstart
 //

@@ -570,8 +570,8 @@ func TestEngineWithStrategiesRestriction(t *testing.T) {
 	if _, err := eng.Query(context.Background(), "t(X, X)"); err == nil {
 		t.Fatal("repeated-variable query should fail with only the onesided strategy")
 	}
-	// The served set is closed: the paper-comparison baselines are library
-	// functions (eval.Naive, Plan.EvalCounting), not strategy names.
+	// The served set is closed: the naive baseline is a library function
+	// (eval.Naive), not a strategy name, and "counting" names nothing.
 	if got := fmt.Sprint(StrategyNames()); got != "[edb magic onesided seminaive]" {
 		t.Fatalf("served strategies = %s", got)
 	}

@@ -108,32 +108,3 @@ func TestPublicAPIMultiRule(t *testing.T) {
 		t.Fatal("reduced multi evaluation disagrees with magic")
 	}
 }
-
-// TestPublicAPICountingAblation exercises EvalCounting through a compiled
-// Fig. 9 plan.
-func TestPublicAPICountingAblation(t *testing.T) {
-	def, err := parser.ParseDefinition(tcSrc, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := NewDatabase()
-	db.AddFact("a", "n0", "n1")
-	db.AddFact("a", "n1", "n2")
-	db.AddFact("b", "n2", "end")
-	q, _ := ParseQuery("t(n0, Y)")
-	plan, err := eval.CompileSelection(def, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen, _, err := plan.Eval(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counted, _, err := plan.EvalCounting(db, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seen.Equal(counted) {
-		t.Fatal("counting and seen-set answers differ on a DAG")
-	}
-}

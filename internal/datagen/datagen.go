@@ -38,26 +38,6 @@ func RandomGraph(db *storage.Database, pred, prefix string, n, m int, seed int64
 	}
 }
 
-// LayeredDAG adds a layered acyclic graph: `layers` layers of `width`
-// nodes, each node having `fanout` random edges into the next layer.
-// Node names are prefixL_I. It returns the names of the first layer.
-func LayeredDAG(db *storage.Database, pred, prefix string, layers, width, fanout int, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	name := func(l, i int) string { return prefix + strconv.Itoa(l) + "_" + strconv.Itoa(i) }
-	for l := 0; l < layers-1; l++ {
-		for i := 0; i < width; i++ {
-			for f := 0; f < fanout; f++ {
-				db.AddFact(pred, name(l, i), name(l+1, rng.Intn(width)))
-			}
-		}
-	}
-	first := make([]string, width)
-	for i := range first {
-		first[i] = name(0, i)
-	}
-	return first
-}
-
 // TCWorkload builds a transitive-closure database: an a-graph of the given
 // shape plus b-edges out of `sinks` random nodes. Returns a query start
 // node guaranteed to reach at least one b-edge on chain shapes.

@@ -1,12 +1,11 @@
 // Package eval implements the paper's evaluation algorithms and baselines:
-// naive and semi-naive bottom-up evaluation, the Magic Sets transformation
-// [BMSU86, BR87], the Counting method for the canonical recursion [BMSU86,
-// SZ86] (Naive, CountingTC and Plan.EvalCounting are comparison baselines
-// called directly, not served strategies), Sagiv's uniform-containment
-// test [Sag88], and — the paper's
-// contribution — the Fig. 9 schema for evaluating "column = constant"
-// selections on one-sided recursions, whose instantiations reproduce the
-// Fig. 7 (Aho–Ullman) and Fig. 8 (Henschen–Naqvi) algorithms.
+// naive and semi-naive bottom-up evaluation (Naive is the reference
+// semantics, called directly, not a served strategy), the Magic Sets
+// transformation [BMSU86, BR87], Sagiv's uniform-containment test
+// [Sag88], and — the paper's contribution — the Fig. 9 schema for
+// evaluating "column = constant" selections on one-sided recursions, whose
+// instantiations reproduce the Fig. 7 (Aho–Ullman) and Fig. 8
+// (Henschen–Naqvi) algorithms.
 //
 // # One query, one goroutine
 //

@@ -12,7 +12,7 @@ import (
 // DerivedFactsLimit checked around its evaluation; here the counter is
 // checked INSIDE the loops — the Fig. 9 carry loop, the semi-naive delta
 // rounds and the incremental-maintenance frontier of the served plans,
-// and the naive and Counting baselines' rounds — at batch granularity,
+// and the naive baseline's rounds — at batch granularity,
 // so a runaway recursion aborts after at most one extra batch of work
 // instead of after materializing everything.
 //

@@ -1187,12 +1187,3 @@ func OneSidedEval(d *ast.Definition, query ast.Atom, edb *storage.Database) (*st
 	}
 	return plan.Eval(edb)
 }
-
-// OneSidedEvalCtx is OneSidedEval with cancellation.
-func OneSidedEvalCtx(ctx context.Context, d *ast.Definition, query ast.Atom, edb *storage.Database) (*storage.Relation, EvalStats, error) {
-	plan, err := CompileSelection(d, query)
-	if err != nil {
-		return nil, EvalStats{}, err
-	}
-	return plan.EvalCtx(ctx, edb)
-}

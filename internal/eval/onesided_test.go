@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro/internal/ast"
@@ -71,6 +72,132 @@ func TestExpE11Fig8Shape(t *testing.T) {
 	}
 	if plan.CarryArity != 1 {
 		t.Fatalf("carry arity = %d, want 1", plan.CarryArity)
+	}
+}
+
+// TestCompiledFig7Fig8MatchSemiNaive checks the paper's Figs. 7 and 8 in
+// the compiled form the engine serves: on the canonical recursion every
+// t(X, n0) compiles to the reduced mode (Aho–Ullman, Fig. 7) and every
+// t(n0, Y) to the context mode (Henschen–Naqvi, Fig. 8), and both equal
+// semi-naive ground truth for every start. The random and 2-cycle
+// databases check Lemma 4.1 too: the seen-set dedup loses no answers where
+// tuples would otherwise repeat.
+func TestCompiledFig7Fig8MatchSemiNaive(t *testing.T) {
+	d := mustDef(t, tcSrc, "t")
+	twoCycle := func(exitFrom, exitTo string) *storage.Database {
+		db := storage.NewDatabase()
+		db.AddFact("a", "x", "y")
+		db.AddFact("a", "y", "x")
+		db.AddFact("b", exitFrom, exitTo)
+		return db
+	}
+	type dbCase struct {
+		name string
+		db   *storage.Database
+	}
+	cases := []dbCase{
+		{"chain", chainDB(8)},
+		{"random/seed=11", randomGraphDB(30, 70, 6, 11)},
+		{"random/seed=3", randomGraphDB(25, 60, 5, 3)},
+		{"random/seed=9", randomGraphDB(20, 50, 8, 9)},
+		{"cycle/b(x,end)", twoCycle("x", "end")},
+		{"cycle/b(y,out)", twoCycle("y", "out")},
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		cases = append(cases, dbCase{"lemma41/seed=" + strconv.FormatInt(seed, 10), randomGraphDB(15, 40, 6, seed)})
+	}
+	// starts lists the distinct constants in one column of a relation.
+	starts := func(db *storage.Database, pred string, col int) []string {
+		var out []string
+		seen := map[storage.Value]bool{}
+		for _, tu := range db.Relation(pred).Tuples() {
+			if !seen[tu[col]] {
+				seen[tu[col]] = true
+				out = append(out, db.Syms.Name(tu[col]))
+			}
+		}
+		return out
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, n0 := range starts(c.db, "b", 1) {
+				if plan, _ := checkAgainstFull(t, d, "t(X, "+n0+")", c.db); plan.Mode != ModeReduced {
+					t.Fatalf("t(X, %s): mode = %v, want reduced", n0, plan.Mode)
+				}
+			}
+			for _, n0 := range starts(c.db, "a", 0) {
+				if plan, _ := checkAgainstFull(t, d, "t("+n0+", Y)", c.db); plan.Mode != ModeContext {
+					t.Fatalf("t(%s, Y): mode = %v, want context", n0, plan.Mode)
+				}
+			}
+		})
+	}
+}
+
+// lemma42DB builds the database family from Lemma 4.2: a = {(v1,v1)},
+// b = {(v1,v0)}, c = the chain v0 -> v1 -> ... -> v2k.
+func lemma42DB(k int) *storage.Database {
+	db := storage.NewDatabase()
+	db.AddFact("a", "v1", "v1")
+	db.AddFact("b", "v1", "v0")
+	for i := 0; i < 2*k; i++ {
+		db.AddFact("c", "v"+strconv.Itoa(i), "v"+strconv.Itoa(i+1))
+	}
+	return db
+}
+
+// TestExpE15Lemma42 reproduces Lemma 4.2: on the adversarial family the
+// deep answer t(v1, v2k) needs v1 reused 2k times in a's first column, so
+// a unary seen-set carry cannot find it; Magic Sets and the context-mode
+// plan, which widens its carry, stay correct.
+func TestExpE15Lemma42(t *testing.T) {
+	src := `
+		t(X, Y) :- a(X, W), t(W, Z), c(Z, Y).
+		t(X, Y) :- b(X, Y).
+	`
+	p := mustProgram(t, src)
+	d := mustDef(t, src, "t")
+	for _, k := range []int{1, 2, 4} {
+		db := lemma42DB(k)
+		q := parser.MustParseAtom("t(v1, Y)")
+		want, _, err := SelectEval(p, q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ground truth contains v0..v2k reachable answers; in particular
+		// t(v1, v2k) holds and its only proof reuses v1 in a's first
+		// column 2k times.
+		v2k, _ := db.Syms.Lookup("v" + strconv.Itoa(2*k))
+		v1, _ := db.Syms.Lookup("v1")
+		if !want.Contains(storage.Tuple{v1, v2k}) {
+			t.Fatalf("k=%d: ground truth missing t(v1, v%d)", k, 2*k)
+		}
+
+		// Magic stays correct.
+		magic, _, err := MagicEval(p, q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !magic.Equal(want) {
+			t.Fatalf("k=%d: magic incorrect", k)
+		}
+
+		// The context-mode plan stays correct by widening the carry.
+		plan, err := CompileSelection(d, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := plan.Eval(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("k=%d: context plan incorrect: %v != %v", k,
+				AnswerStrings(got, db.Syms), AnswerStrings(want, db.Syms))
+		}
+		if plan.CarryArity <= 1 {
+			t.Fatalf("k=%d: two-sided recursion compiled to unary state", k)
+		}
 	}
 }
 
