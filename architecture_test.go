@@ -105,7 +105,7 @@ func declarations(path string) (map[string]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		files = files[:0]
+		files = nil
 		for _, e := range entries {
 			if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
 				files = append(files, filepath.Join(path, n))
