@@ -75,61 +75,99 @@ func TestExpE11Fig8Shape(t *testing.T) {
 	}
 }
 
-// TestCompiledFig7Fig8MatchSemiNaive checks the paper's Figs. 7 and 8 in
-// the compiled form the engine serves: on the canonical recursion every
-// t(X, n0) compiles to the reduced mode (Aho–Ullman, Fig. 7) and every
-// t(n0, Y) to the context mode (Henschen–Naqvi, Fig. 8), and both equal
-// semi-naive ground truth for every start. The random and 2-cycle
-// databases check Lemma 4.1 too: the seen-set dedup loses no answers where
-// tuples would otherwise repeat.
-func TestCompiledFig7Fig8MatchSemiNaive(t *testing.T) {
-	d := mustDef(t, tcSrc, "t")
-	twoCycle := func(exitFrom, exitTo string) *storage.Database {
-		db := storage.NewDatabase()
-		db.AddFact("a", "x", "y")
-		db.AddFact("a", "y", "x")
-		db.AddFact("b", exitFrom, exitTo)
-		return db
-	}
-	type dbCase struct {
-		name string
-		db   *storage.Database
-	}
-	cases := []dbCase{
-		{"chain", chainDB(8)},
-		{"random/seed=11", randomGraphDB(30, 70, 6, 11)},
-		{"random/seed=3", randomGraphDB(25, 60, 5, 3)},
-		{"random/seed=9", randomGraphDB(20, 50, 8, 9)},
-		{"cycle/b(x,end)", twoCycle("x", "end")},
-		{"cycle/b(y,out)", twoCycle("y", "out")},
-	}
-	for seed := int64(0); seed < 8; seed++ {
-		cases = append(cases, dbCase{"lemma41/seed=" + strconv.FormatInt(seed, 10), randomGraphDB(15, 40, 6, seed)})
-	}
-	// starts lists the distinct constants in one column of a relation.
-	starts := func(db *storage.Database, pred string, col int) []string {
-		var out []string
-		seen := map[storage.Value]bool{}
-		for _, tu := range db.Relation(pred).Tuples() {
-			if !seen[tu[col]] {
-				seen[tu[col]] = true
-				out = append(out, db.Syms.Name(tu[col]))
-			}
+// fig7Fig8TwoCycle is the 2-cycle x <-> y in a with one exit b(from, to):
+// every t fact has proofs of unbounded length, so tuples would repeat
+// without the seen-set dedup.
+func fig7Fig8TwoCycle(exitFrom, exitTo string) *storage.Database {
+	db := storage.NewDatabase()
+	db.AddFact("a", "x", "y")
+	db.AddFact("a", "y", "x")
+	db.AddFact("b", exitFrom, exitTo)
+	return db
+}
+
+// columnConstants lists the distinct constants in one column of a relation.
+func columnConstants(db *storage.Database, pred string, col int) []string {
+	var out []string
+	seen := map[storage.Value]bool{}
+	for _, tu := range db.Relation(pred).Tuples() {
+		if !seen[tu[col]] {
+			seen[tu[col]] = true
+			out = append(out, db.Syms.Name(tu[col]))
 		}
-		return out
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			for _, n0 := range starts(c.db, "b", 1) {
-				if plan, _ := checkAgainstFull(t, d, "t(X, "+n0+")", c.db); plan.Mode != ModeReduced {
-					t.Fatalf("t(X, %s): mode = %v, want reduced", n0, plan.Mode)
-				}
-			}
-			for _, n0 := range starts(c.db, "a", 0) {
-				if plan, _ := checkAgainstFull(t, d, "t("+n0+", Y)", c.db); plan.Mode != ModeContext {
-					t.Fatalf("t(%s, Y): mode = %v, want context", n0, plan.Mode)
-				}
-			}
+	return out
+}
+
+// checkFig7 checks the paper's Fig. 7 in the compiled form the engine
+// serves: on the canonical recursion every t(X, n0), n0 a target of b,
+// compiles to the reduced mode (Aho–Ullman) and equals semi-naive ground
+// truth.
+func checkFig7(t *testing.T, db *storage.Database) {
+	t.Helper()
+	d := mustDef(t, tcSrc, "t")
+	for _, n0 := range columnConstants(db, "b", 1) {
+		if plan, _ := checkAgainstFull(t, d, "t(X, "+n0+")", db); plan.Mode != ModeReduced {
+			t.Fatalf("t(X, %s): mode = %v, want reduced", n0, plan.Mode)
+		}
+	}
+}
+
+// checkFig8 checks Fig. 8 likewise: every t(n0, Y), n0 a source of a,
+// compiles to the context mode (Henschen–Naqvi) and equals semi-naive
+// ground truth.
+func checkFig8(t *testing.T, db *storage.Database) {
+	t.Helper()
+	d := mustDef(t, tcSrc, "t")
+	for _, n0 := range columnConstants(db, "a", 0) {
+		if plan, _ := checkAgainstFull(t, d, "t("+n0+", Y)", db); plan.Mode != ModeContext {
+			t.Fatalf("t(%s, Y): mode = %v, want context", n0, plan.Mode)
+		}
+	}
+}
+
+// TestExpE10Fig7Literal checks Fig. 7 (the reduced-mode plan) against
+// semi-naive ground truth on a chain, a random graph and a 2-cycle.
+func TestExpE10Fig7Literal(t *testing.T) {
+	for name, db := range map[string]*storage.Database{
+		"chain":  chainDB(8),
+		"random": randomGraphDB(30, 70, 6, 11),
+		"cycle":  fig7Fig8TwoCycle("x", "end"),
+	} {
+		t.Run(name, func(t *testing.T) { checkFig7(t, db) })
+	}
+}
+
+// TestExpE11Fig8Literal checks Fig. 8 (the context-mode plan) likewise.
+func TestExpE11Fig8Literal(t *testing.T) {
+	for name, db := range map[string]*storage.Database{
+		"chain":  chainDB(8),
+		"random": randomGraphDB(25, 60, 5, 3),
+		"cycle":  fig7Fig8TwoCycle("y", "out"),
+	} {
+		t.Run(name, func(t *testing.T) { checkFig8(t, db) })
+	}
+}
+
+// TestFig8MatchesCompiledPlan: the Fig. 9 compiler instantiated on the
+// canonical recursion computes Fig. 8's answers on a denser random graph,
+// for both selections.
+func TestFig8MatchesCompiledPlan(t *testing.T) {
+	db := randomGraphDB(20, 50, 8, 9)
+	checkFig7(t, db)
+	checkFig8(t, db)
+}
+
+// TestExpE14Lemma41 checks Lemma 4.1 operationally: for the canonical
+// one-sided recursion the seen-set dedup loses no answers — the unary-carry
+// plans equal ground truth on every database in a randomized family,
+// including ones with long cycles where tuples would otherwise repeat.
+func TestExpE14Lemma41(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
+			db := randomGraphDB(15, 40, 6, seed)
+			checkFig7(t, db)
+			checkFig8(t, db)
 		})
 	}
 }
